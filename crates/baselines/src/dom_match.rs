@@ -1,10 +1,14 @@
 //! DOM-level evaluation of [`ObjectQuery`] — the "XQuery FLWOR"
-//! equivalent the CLOB-only and DOM-store baselines run per document.
+//! equivalent the CLOB-only and DOM-store baselines run per document,
+//! and the reference the hybrid engine's two match strategies are
+//! checked against.
 //!
-//! Semantics match the hybrid engine's `Exact` strategy: hierarchical
+//! [`object_matches`] has the `Exact` strategy's semantics: hierarchical
 //! matching with descendant sub-attribute linkage (or direct children
-//! when the query demands it), numeric coercion identical to the
-//! shredded store's typed columns.
+//! when the query demands it). [`object_matches_counted`] has Fig 4's
+//! `Counted` semantics, where every descendant query node links straight
+//! to the top attribute instance. Both coerce numbers exactly as the
+//! shredded store's typed columns do.
 
 use catalog::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
 use catalog::shred::DynamicConvention;
@@ -48,48 +52,172 @@ pub fn cond_matches(cond: &ElemCond, value: &str) -> bool {
 }
 
 /// Does the whole document satisfy the query (conjunctive top-level
-/// attribute criteria)?
+/// attribute criteria) under `Exact` semantics?
 pub fn object_matches(doc: &Document, q: &ObjectQuery, cv: &DynamicConvention) -> bool {
-    q.attrs.iter().all(|aq| attr_matches_anywhere(doc, aq, cv))
+    q.attrs.iter().all(|aq| {
+        let kind = Kind::top(aq);
+        top_instances(doc, aq, cv, kind).any(|n| exact_matches(doc, n, aq, cv, kind))
+    })
 }
 
-fn attr_matches_anywhere(doc: &Document, aq: &AttrQuery, cv: &DynamicConvention) -> bool {
-    match &aq.source {
-        // Structural attribute: any element whose tag is the name.
-        None => doc
-            .descendants(doc.root())
-            .filter(|&n| doc.node(n).name() == Some(aq.name.as_str()))
-            .any(|n| structural_node_matches(doc, n, aq)),
-        // Dynamic attribute: any subtree whose head names it.
-        Some(source) => doc
-            .descendants(doc.root())
-            .filter(|&n| dynamic_head_matches(doc, n, cv, &aq.name, source))
-            .any(|n| dynamic_node_matches(doc, n, aq, cv, source)),
-    }
+/// Does the whole document satisfy the query under Fig 4's `Counted`
+/// semantics? A top attribute instance must satisfy its own element
+/// conditions, and every descendant query node — at any depth — needs
+/// *some* instance of its definition anywhere below that top instance
+/// satisfying that node's element conditions. The instances need not
+/// nest inside each other, and `direct_subs` is ignored.
+pub fn object_matches_counted(doc: &Document, q: &ObjectQuery, cv: &DynamicConvention) -> bool {
+    q.attrs.iter().all(|aq| {
+        let kind = Kind::top(aq);
+        top_instances(doc, aq, cv, kind)
+            .any(|n| elems_match(doc, n, aq, cv, kind) && counted_subs(doc, &[n], aq, cv, kind))
+    })
 }
 
-fn structural_node_matches(doc: &Document, node: NodeId, aq: &AttrQuery) -> bool {
-    // Element conditions over direct leaf children (or own text for
-    // leaf attributes whose element shares the attribute name).
-    let elems_ok = aq.elems.iter().all(|cond| {
-        if cond.name == aq.name && doc.child_elements(node).next().is_none() {
-            return cond_matches(cond, &doc.direct_text(node));
+/// How a query node maps onto DOM nodes: a structural attribute by
+/// tag, a dynamic one by the naming convention's label and source.
+#[derive(Clone, Copy)]
+enum Kind<'a> {
+    Structural,
+    Dynamic { source: &'a str },
+}
+
+impl<'a> Kind<'a> {
+    fn top(aq: &'a AttrQuery) -> Kind<'a> {
+        match &aq.source {
+            None => Kind::Structural,
+            Some(source) => Kind::Dynamic { source },
         }
-        doc.children_named(node, &cond.name)
-            .any(|c| cond_matches(cond, &doc.direct_text(c)))
-    });
-    if !elems_ok {
-        return false;
     }
+
+    /// A sub-attribute's kind: structural stays structural; a dynamic
+    /// sub without its own source inherits its parent's.
+    fn sub(self, sub: &'a AttrQuery) -> Kind<'a> {
+        match self {
+            Kind::Structural => Kind::Structural,
+            Kind::Dynamic { source } => {
+                Kind::Dynamic { source: sub.source.as_deref().unwrap_or(source) }
+            }
+        }
+    }
+}
+
+/// Instances of a top-level criterion anywhere in the document.
+fn top_instances<'d>(
+    doc: &'d Document,
+    aq: &'d AttrQuery,
+    cv: &'d DynamicConvention,
+    kind: Kind<'d>,
+) -> impl Iterator<Item = NodeId> + 'd {
+    doc.descendants(doc.root()).filter(move |&n| match kind {
+        // Structural attribute: any element whose tag is the name.
+        Kind::Structural => doc.node(n).name() == Some(aq.name.as_str()),
+        // Dynamic attribute: any subtree whose head names it.
+        Kind::Dynamic { source } => dynamic_head_matches(doc, n, cv, &aq.name, source),
+    })
+}
+
+/// Instances of sub-criterion `sub` below `node`: its children when
+/// `direct`, otherwise any proper descendant.
+fn sub_instances(
+    doc: &Document,
+    node: NodeId,
+    sub: &AttrQuery,
+    cv: &DynamicConvention,
+    kind: Kind<'_>,
+    direct: bool,
+) -> Vec<NodeId> {
+    let tag = match kind {
+        Kind::Structural => sub.name.as_str(),
+        Kind::Dynamic { .. } => cv.node_tag.as_str(),
+    };
+    let candidates: Vec<NodeId> = if direct {
+        doc.children_named(node, tag).collect()
+    } else {
+        doc.descendants(node)
+            .filter(|&d| d != node && doc.node(d).name() == Some(tag))
+            .collect()
+    };
+    match kind {
+        Kind::Structural => candidates,
+        Kind::Dynamic { source } => candidates
+            .into_iter()
+            .filter(|&c| {
+                child_text_is(doc, c, &cv.name_tag, &sub.name) && source_matches(doc, c, cv, source)
+            })
+            .collect(),
+    }
+}
+
+/// Does `node` satisfy the criterion's own element conditions?
+fn elems_match(
+    doc: &Document,
+    node: NodeId,
+    aq: &AttrQuery,
+    cv: &DynamicConvention,
+    kind: Kind<'_>,
+) -> bool {
+    aq.elems.iter().all(|cond| match kind {
+        // Direct leaf children, or own text for leaf attributes whose
+        // element shares the attribute name.
+        Kind::Structural => {
+            if cond.name == aq.name && doc.child_elements(node).next().is_none() {
+                return cond_matches(cond, &doc.direct_text(node));
+            }
+            doc.children_named(node, &cond.name)
+                .any(|c| cond_matches(cond, &doc.direct_text(c)))
+        }
+        // Attr children carrying a value with the right label.
+        Kind::Dynamic { .. } => doc.children_named(node, &cv.node_tag).any(|c| {
+            child_text_is(doc, c, &cv.name_tag, &cond.name)
+                && doc
+                    .child_named(c, &cv.value_tag)
+                    .map(|v| cond_matches(cond, &doc.direct_text(v)))
+                    .unwrap_or(matches!(cond.op, QOp::Exists))
+        }),
+    })
+}
+
+/// `Exact`: `node` satisfies the criterion's element conditions, and
+/// each sub-criterion has an instance below *this* node satisfying the
+/// sub-criterion's whole subtree.
+fn exact_matches(
+    doc: &Document,
+    node: NodeId,
+    aq: &AttrQuery,
+    cv: &DynamicConvention,
+    kind: Kind<'_>,
+) -> bool {
+    elems_match(doc, node, aq, cv, kind)
+        && aq.subs.iter().all(|sub| {
+            let sub_kind = kind.sub(sub);
+            sub_instances(doc, node, sub, cv, sub_kind, aq.direct_subs)
+                .into_iter()
+                .any(|c| exact_matches(doc, c, sub, cv, sub_kind))
+        })
+}
+
+/// `Counted`: each sub-criterion of `aq` has some instance below any
+/// node of `scope` (the instances of `aq`'s definition under the top
+/// instance) satisfying its element conditions, recursively — every
+/// level is decided independently, against the same top instance.
+fn counted_subs(
+    doc: &Document,
+    scope: &[NodeId],
+    aq: &AttrQuery,
+    cv: &DynamicConvention,
+    kind: Kind<'_>,
+) -> bool {
     aq.subs.iter().all(|sub| {
-        let candidates: Vec<NodeId> = if aq.direct_subs {
-            doc.children_named(node, &sub.name).collect()
-        } else {
-            doc.descendants(node)
-                .filter(|&d| d != node && doc.node(d).name() == Some(sub.name.as_str()))
-                .collect()
-        };
-        candidates.into_iter().any(|c| structural_node_matches(doc, c, sub))
+        let sub_kind = kind.sub(sub);
+        let mut instances: Vec<NodeId> = scope
+            .iter()
+            .flat_map(|&n| sub_instances(doc, n, sub, cv, sub_kind, false))
+            .collect();
+        instances.sort_unstable();
+        instances.dedup();
+        instances.iter().any(|&c| elems_match(doc, c, sub, cv, sub_kind))
+            && counted_subs(doc, &instances, sub, cv, sub_kind)
     })
 }
 
@@ -114,54 +242,6 @@ fn dynamic_head_matches(
 
 fn child_text_is(doc: &Document, node: NodeId, tag: &str, expected: &str) -> bool {
     doc.child_named(node, tag).is_some_and(|c| doc.direct_text(c) == expected)
-}
-
-/// Match a dynamic attribute subtree node against the criterion
-/// (`node` is a `detailed`-style instance or an `attr` sub-node).
-fn dynamic_node_matches(
-    doc: &Document,
-    node: NodeId,
-    aq: &AttrQuery,
-    cv: &DynamicConvention,
-    _source: &str,
-) -> bool {
-    // Elements: attr children carrying a value with the right label.
-    let elems_ok = aq.elems.iter().all(|cond| {
-        doc.children_named(node, &cv.node_tag).any(|c| {
-            child_text_is(doc, c, &cv.name_tag, &cond.name)
-                && doc
-                    .child_named(c, &cv.value_tag)
-                    .map(|v| cond_matches(cond, &doc.direct_text(v)))
-                    .unwrap_or(matches!(cond.op, QOp::Exists))
-        })
-    });
-    if !elems_ok {
-        return false;
-    }
-    // Sub-attributes: attr children labeled with the sub's name (and
-    // source), descendant-linked unless direct is demanded.
-    aq.subs.iter().all(|sub| {
-        let sub_source = sub.source.as_deref().unwrap_or(_source);
-        let candidates: Vec<NodeId> = if aq.direct_subs {
-            doc.children_named(node, &cv.node_tag)
-                .filter(|&c| {
-                    child_text_is(doc, c, &cv.name_tag, &sub.name)
-                        && source_matches(doc, c, cv, sub_source)
-                })
-                .collect()
-        } else {
-            doc.descendants(node)
-                .filter(|&d| d != node && doc.node(d).name() == Some(cv.node_tag.as_str()))
-                .filter(|&c| {
-                    child_text_is(doc, c, &cv.name_tag, &sub.name)
-                        && source_matches(doc, c, cv, sub_source)
-                })
-                .collect()
-        };
-        candidates
-            .into_iter()
-            .any(|c| dynamic_node_matches(doc, c, sub, cv, sub_source))
-    })
 }
 
 fn source_matches(doc: &Document, node: NodeId, cv: &DynamicConvention, source: &str) -> bool {
@@ -250,5 +330,39 @@ mod tests {
                 .sub(AttrQuery::new("grid-stretching").source("ARPS")),
         );
         assert!(object_matches(&doc(), &q_direct, &DynamicConvention::default()));
+    }
+
+    #[test]
+    fn counted_accepts_split_partial_matches_exact_rejects() {
+        // One layer has a=1 but no inner; another has inner b=2 but a=9.
+        let split = Document::parse(
+            "<LEADresource><data><geospatial><eainfo><detailed>\
+             <enttyp><enttypl>model</enttypl><enttypds>T</enttypds></enttyp>\
+             <attr><attrlabl>layer</attrlabl><attrdefs>T</attrdefs>\
+             <attr><attrlabl>a</attrlabl><attrdefs>T</attrdefs><attrv>1</attrv></attr></attr>\
+             <attr><attrlabl>layer</attrlabl><attrdefs>T</attrdefs>\
+             <attr><attrlabl>a</attrlabl><attrdefs>T</attrdefs><attrv>9</attrv></attr>\
+             <attr><attrlabl>inner</attrlabl><attrdefs>T</attrdefs>\
+             <attr><attrlabl>b</attrlabl><attrdefs>T</attrdefs><attrv>2</attrv></attr></attr>\
+             </attr></detailed></eainfo></geospatial></data></LEADresource>",
+        )
+        .unwrap();
+        let q = |a: f64| {
+            ObjectQuery::new().attr(
+                AttrQuery::new("model").source("T").direct().sub(
+                    AttrQuery::new("layer")
+                        .source("T")
+                        .elem(ElemCond::eq_num("a", a))
+                        .sub(AttrQuery::new("inner").source("T").elem(ElemCond::eq_num("b", 2.0))),
+                ),
+            )
+        };
+        let cv = DynamicConvention::default();
+        assert!(!object_matches(&split, &q(1.0), &cv));
+        assert!(object_matches_counted(&split, &q(1.0), &cv));
+        // Counted still needs every node's own conditions somewhere.
+        assert!(!object_matches_counted(&split, &q(5.0), &cv));
+        // Both strategies accept the Fig-4 query on the Fig-3 document.
+        assert!(object_matches_counted(&doc(), &fig4_query(), &cv));
     }
 }

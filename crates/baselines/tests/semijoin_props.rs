@@ -1,18 +1,46 @@
 //! Property tests for the set-oriented match path: on random
-//! document/query pairs the semi-join pipelines (default
-//! [`PlanStyle::SemiJoin`], which the executor runs through its
-//! zero-clone keyed fast path) must agree with the old materializing
-//! hash-join plans ([`PlanStyle::Materialized`]) under *both* match
-//! strategies, and with the DOM baseline under [`MatchStrategy::Exact`]
-//! (XQuery semantics). Includes split partial matches, where Exact and
-//! Counted legitimately diverge — the two plan styles must still agree
-//! per strategy.
+//! document/query pairs the catalog's semi-join pipelines (which the
+//! executor runs through its zero-clone keyed fast path) must agree
+//! with the DOM oracles under *both* match strategies —
+//! [`dom_match::object_matches`] for [`MatchStrategy::Exact`] (XQuery
+//! semantics) and [`dom_match::object_matches_counted`] for
+//! [`MatchStrategy::Counted`] (Fig 4). Includes split partial matches,
+//! where Exact and Counted legitimately diverge.
 
-use baselines::{CatalogBackend, DomStoreBackend};
+use baselines::dom_match;
 use catalog::lead::{lead_catalog, DETAILED_PATH};
 use catalog::prelude::*;
 use proptest::collection::vec;
 use proptest::prelude::*;
+use xmlkit::dom::Document;
+
+/// Ids of the `docs` (object id, parsed document) that the DOM oracle
+/// for `strategy` accepts, ascending.
+fn dom_hits(docs: &[(i64, Document)], q: &ObjectQuery, strategy: MatchStrategy) -> Vec<i64> {
+    let cv = DynamicConvention::default();
+    docs.iter()
+        .filter(|(_, d)| match strategy {
+            MatchStrategy::Exact => dom_match::object_matches(d, q, &cv),
+            MatchStrategy::Counted => dom_match::object_matches_counted(d, q, &cv),
+        })
+        .map(|(id, _)| *id)
+        .collect()
+}
+
+/// Assert the catalog agrees with the DOM oracle under both strategies;
+/// returns the (Exact, Counted) hits.
+fn check_both_strategies(
+    cat: &MetadataCatalog,
+    docs: &[(i64, Document)],
+    q: &ObjectQuery,
+) -> (Vec<i64>, Vec<i64>) {
+    let [exact, counted] = [MatchStrategy::Exact, MatchStrategy::Counted].map(|strategy| {
+        let got = cat.query_with(q, strategy).unwrap();
+        assert_eq!(got, dom_hits(docs, q, strategy), "{strategy:?}: catalog vs DOM on {q:?}");
+        got
+    });
+    (exact, counted)
+}
 
 /// LEAD document parameterized like the bench corpus: `dx` grid
 /// spacing, optional `dzmin` nested sub-attribute, one theme keyword.
@@ -74,41 +102,31 @@ fn query(kind: u8, a: u8, b: u8) -> ObjectQuery {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]
 
-    /// Semi-join == materialized == DOM (Exact); semi-join ==
-    /// materialized (Counted) on random corpora and queries.
+    /// Catalog == DOM oracle under Exact and under Counted on random
+    /// corpora and queries.
     #[test]
-    fn plan_styles_and_dom_agree(
+    fn strategies_agree_with_dom_oracles(
         docs in vec((0u8..8, proptest::option::of(0u8..6), 0u8..6), 1..8),
         queries in vec((0u8..7, 0u8..8, 0u8..8), 1..6),
     ) {
         let cat = lead_catalog(CatalogConfig::default()).unwrap();
-        let dom = DomStoreBackend::new(DynamicConvention::default());
+        let mut parsed = Vec::new();
         for (i, (dx, dzmin, key)) in docs.iter().enumerate() {
             let d = doc(i, *dx, *dzmin, *key);
             let id = cat.ingest(&d).unwrap();
-            prop_assert_eq!(dom.ingest(&d).unwrap(), id, "backends must assign equal ids");
+            parsed.push((id, Document::parse(&d).unwrap()));
         }
         for (kind, a, b) in queries {
-            let q = query(kind, a, b);
-            let semi = cat.query_styled(&q, MatchStrategy::Exact, PlanStyle::SemiJoin).unwrap();
-            let mat = cat.query_styled(&q, MatchStrategy::Exact, PlanStyle::Materialized).unwrap();
-            prop_assert_eq!(&semi, &mat, "Exact: semi-join vs materialized on {:?}", q);
-            let dom_ids = dom.query(&q).unwrap();
-            prop_assert_eq!(&semi, &dom_ids, "Exact: semi-join vs DOM baseline on {:?}", q);
-
-            let semi_c = cat.query_styled(&q, MatchStrategy::Counted, PlanStyle::SemiJoin).unwrap();
-            let mat_c =
-                cat.query_styled(&q, MatchStrategy::Counted, PlanStyle::Materialized).unwrap();
-            prop_assert_eq!(&semi_c, &mat_c, "Counted: semi-join vs materialized on {:?}", q);
+            check_both_strategies(&cat, &parsed, &query(kind, a, b));
         }
     }
 
     /// Split partial matches: each `layer` carries a random subset of
     /// the queried condition and sub-attribute, so Exact and Counted
-    /// legitimately diverge — but the plan styles must agree per
-    /// strategy, and Exact hits are always a subset of Counted hits.
+    /// legitimately diverge — each must still agree with its DOM
+    /// oracle, and Exact hits are always a subset of Counted hits.
     #[test]
-    fn plan_styles_agree_on_split_partial_matches(
+    fn strategies_agree_with_dom_oracles_on_split_partial_matches(
         docs in vec(vec((any::<bool>(), any::<bool>()), 0..4), 1..6),
     ) {
         let cat = lead_catalog(CatalogConfig::default()).unwrap();
@@ -122,6 +140,7 @@ proptest! {
             DefLevel::Admin,
         )
         .unwrap();
+        let mut parsed = Vec::new();
         for (i, layers) in docs.iter().enumerate() {
             let mut body = String::new();
             for (has_a, has_inner) in layers {
@@ -139,14 +158,15 @@ proptest! {
                 }
                 body.push_str("</attr>");
             }
-            cat.ingest(&format!(
+            let d = format!(
                 "<LEADresource><resourceID>split-{i}</resourceID><data>\
                  <idinfo><keywords/></idinfo>\
                  <geospatial><eainfo><detailed>\
                  <enttyp><enttypl>model</enttypl><enttypds>T</enttypds></enttyp>\
                  {body}</detailed></eainfo></geospatial></data></LEADresource>"
-            ))
-            .unwrap();
+            );
+            let id = cat.ingest(&d).unwrap();
+            parsed.push((id, Document::parse(&d).unwrap()));
         }
         let q = ObjectQuery::new().attr(
             AttrQuery::new("model").source("T").sub(
@@ -156,17 +176,9 @@ proptest! {
                     .sub(AttrQuery::new("inner").source("T").elem(ElemCond::eq_num("b", 2.0))),
             ),
         );
-        let exact_semi = cat.query_styled(&q, MatchStrategy::Exact, PlanStyle::SemiJoin).unwrap();
-        let exact_mat =
-            cat.query_styled(&q, MatchStrategy::Exact, PlanStyle::Materialized).unwrap();
-        prop_assert_eq!(&exact_semi, &exact_mat);
-        let counted_semi =
-            cat.query_styled(&q, MatchStrategy::Counted, PlanStyle::SemiJoin).unwrap();
-        let counted_mat =
-            cat.query_styled(&q, MatchStrategy::Counted, PlanStyle::Materialized).unwrap();
-        prop_assert_eq!(&counted_semi, &counted_mat);
+        let (exact, counted) = check_both_strategies(&cat, &parsed, &q);
         // Fig-4 counting only ever over-accepts relative to XQuery
         // semantics: every exact hit is a counted hit.
-        prop_assert!(exact_semi.iter().all(|id| counted_semi.contains(id)));
+        prop_assert!(exact.iter().all(|id| counted.contains(id)));
     }
 }

@@ -9,7 +9,7 @@
 //! `--json` additionally dumps the observability registry accumulated
 //! across the run (catalog spans, per-layer counters, latency
 //! histograms) to `BENCH_obs.json` for machine consumption, and — when
-//! the `perf` experiment ran — the plan-style comparison to
+//! the `perf` experiment ran — its match-latency entries to
 //! `BENCH_perf.json` (checked in CI by the `perfcheck` binary).
 
 use benchkit::experiments::{self, Scale};
@@ -104,7 +104,7 @@ fn main() {
                 }
             }
             "perf" => {
-                println!("== Perf: match path, materialized hash joins vs semi-join pipelines ==");
+                println!("== Perf: match-plan latency (plan-cached semi-join pipelines) ==");
                 match experiments::perf(scale) {
                     Ok((t, entries)) => {
                         println!("{}", t.render());

@@ -4,24 +4,31 @@
 //! perfcheck <current.json> [baseline.json] [--max-regress 2.0]
 //! ```
 //!
-//! Fails (exit 1) when the current file is malformed, when any workload
-//! is missing a plan style or the styles disagree on hits, when the
-//! semi-join pipeline is more than `--max-regress` times slower than
-//! the materialized plans it replaced, or — given a baseline — when any
-//! workload's semi-join latency regressed more than `--max-regress`
-//! times against it.
+//! Fails (exit 1) when the current file is malformed, or — given a
+//! baseline — when any workload's semi-join latency regressed more than
+//! `--max-regress` times against it, or its hits differ from a baseline
+//! of the same scale (the corpus and queries are seeded, so hits are
+//! exact).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// One parsed entry: (style → (median_us, p95_us, p99_us, hits))
-/// keyed by workload.
-type Entries = BTreeMap<String, BTreeMap<String, (f64, f64, f64, usize)>>;
+/// Semi-join entries `(median_us, p95_us, p99_us, hits)` keyed by
+/// workload.
+type Entries = BTreeMap<String, (f64, f64, f64, usize)>;
+
+/// A parsed perf file: its scale (`"quick"` / `"full"`) and entries.
+struct PerfFile {
+    scale: String,
+    entries: Entries,
+}
 
 /// Minimal parser for the exact shape `render_perf_json` emits — one
 /// entry object per line. Anything surprising is a hard error: the file
-/// is machine-written, so leniency only hides breakage.
-fn parse(text: &str) -> Result<Entries, String> {
+/// is machine-written, so leniency only hides breakage. Rows of any
+/// other plan style (files written before the materialized plans were
+/// removed carry `"materialized"` rows) are validated, then skipped.
+fn parse(text: &str) -> Result<PerfFile, String> {
     if !text.contains("\"schema\": \"mylead-bench-perf/v1\"") {
         return Err("missing or unknown schema marker".into());
     }
@@ -51,42 +58,36 @@ fn parse(text: &str) -> Result<Entries, String> {
         }
         let hits: usize =
             field(line, "hits")?.parse().map_err(|e| format!("bad hits in {line:?}: {e}"))?;
-        out.entry(workload)
-            .or_default()
-            .insert(style, (median_us, p95_us, p99_us, hits));
+        if style == "semijoin" {
+            out.insert(workload, (median_us, p95_us, p99_us, hits));
+        }
     }
     if out.is_empty() {
         return Err("no perf entries found".into());
     }
-    Ok(out)
+    let scale = text
+        .lines()
+        .find(|l| l.trim_start().starts_with("\"scale\""))
+        .ok_or_else(|| "no scale field".to_string())
+        .and_then(|l| field(l, "scale"))?;
+    Ok(PerfFile { scale: scale.to_string(), entries: out })
 }
 
-fn check(current: &Entries, baseline: Option<&Entries>, max_regress: f64) -> Vec<String> {
+fn check(current: &PerfFile, baseline: Option<&PerfFile>, max_regress: f64) -> Vec<String> {
     let mut problems = Vec::new();
-    for (workload, styles) in current {
-        let (Some(&(mat, _, _, mat_hits)), Some(&(semi, _, _, semi_hits))) =
-            (styles.get("materialized"), styles.get("semijoin"))
-        else {
-            problems.push(format!("{workload}: missing a plan style ({:?})", styles.keys()));
-            continue;
-        };
-        if mat_hits != semi_hits {
-            problems
-                .push(format!("{workload}: styles disagree on hits ({mat_hits} vs {semi_hits})"));
-        }
-        if semi > mat * max_regress {
-            problems.push(format!(
-                "{workload}: semi-join {semi:.1}us is >{max_regress}x the materialized {mat:.1}us"
-            ));
-        }
-        if let Some(base) = baseline {
-            if let Some(&(base_semi, _, _, _)) = base.get(workload).and_then(|s| s.get("semijoin"))
-            {
-                if semi > base_semi * max_regress {
-                    problems.push(format!(
-                        "{workload}: semi-join {semi:.1}us regressed >{max_regress}x vs baseline {base_semi:.1}us"
-                    ));
-                }
+    let Some(base) = baseline else { return problems };
+    for (workload, &(semi, _, _, hits)) in &current.entries {
+        if let Some(&(base_semi, _, _, base_hits)) = base.entries.get(workload) {
+            if semi > base_semi * max_regress {
+                problems.push(format!(
+                    "{workload}: semi-join {semi:.1}us regressed >{max_regress}x vs baseline {base_semi:.1}us"
+                ));
+            }
+            if base.scale == current.scale && hits != base_hits {
+                problems.push(format!(
+                    "{workload}: hits {hits} differ from the {} baseline's {base_hits}",
+                    base.scale
+                ));
             }
         }
     }
@@ -116,7 +117,7 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     };
 
-    let load = |path: &str| -> Result<Entries, String> {
+    let load = |path: &str| -> Result<PerfFile, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         parse(&text).map_err(|e| format!("{path}: {e}"))
     };
@@ -139,19 +140,11 @@ fn main() -> ExitCode {
     };
 
     let problems = check(&current, baseline.as_ref(), max_regress);
-    for (workload, styles) in &current {
-        if let (Some((mat, _, _, _)), Some((semi, p95, p99, hits))) =
-            (styles.get("materialized"), styles.get("semijoin"))
-        {
-            println!(
-                "{workload}: materialized {mat:.1}us, semi-join {semi:.1}us \
-                 (p95 {p95:.1}us, p99 {p99:.1}us, {:.2}x), hits {hits}",
-                mat / semi.max(1e-9)
-            );
-        }
+    for (workload, (semi, p95, p99, hits)) in &current.entries {
+        println!("{workload}: semi-join {semi:.1}us (p95 {p95:.1}us, p99 {p99:.1}us), hits {hits}");
     }
     if problems.is_empty() {
-        println!("perfcheck: OK ({} workloads, max regress {max_regress}x)", current.len());
+        println!("perfcheck: OK ({} workloads, max regress {max_regress}x)", current.entries.len());
         ExitCode::SUCCESS
     } else {
         for p in &problems {
@@ -168,32 +161,22 @@ mod tests {
     fn sample() -> String {
         benchkit::experiments::render_perf_json(
             benchkit::experiments::Scale::Quick,
-            &[
-                benchkit::experiments::PerfEntry {
-                    workload: "w".into(),
-                    style: "materialized".into(),
-                    median_us: 100.0,
-                    p95_us: 130.0,
-                    p99_us: 150.0,
-                    hits: 7,
-                },
-                benchkit::experiments::PerfEntry {
-                    workload: "w".into(),
-                    style: "semijoin".into(),
-                    median_us: 40.0,
-                    p95_us: 55.0,
-                    p99_us: 62.0,
-                    hits: 7,
-                },
-            ],
+            &[benchkit::experiments::PerfEntry {
+                workload: "w".into(),
+                median_us: 40.0,
+                p95_us: 55.0,
+                p99_us: 62.0,
+                hits: 7,
+            }],
         )
     }
 
     #[test]
     fn parses_renderer_output() {
-        let entries = parse(&sample()).unwrap();
-        assert_eq!(entries["w"]["semijoin"], (40.0, 55.0, 62.0, 7));
-        assert!(check(&entries, None, 2.0).is_empty());
+        let file = parse(&sample()).unwrap();
+        assert_eq!(file.scale, "quick");
+        assert_eq!(file.entries["w"], (40.0, 55.0, 62.0, 7));
+        assert!(check(&file, None, 2.0).is_empty());
     }
 
     #[test]
@@ -210,13 +193,14 @@ mod tests {
     fn flags_regressions() {
         let entries = parse(&sample()).unwrap();
         let slow = parse(&sample().replace("40.000", "250.000")).unwrap();
-        // Within-run: semi-join >2x materialized.
-        assert!(!check(&slow, None, 2.0).is_empty());
         // Vs baseline: semi-join regressed >2x.
         assert!(!check(&slow, Some(&entries), 2.0).is_empty());
         assert!(check(&entries, Some(&entries), 2.0).is_empty());
-        // Styles disagreeing on hits is a failure.
+        // Hits differing from a same-scale baseline are a failure; a
+        // baseline of another scale has other hits by construction.
         let bad_hits = parse(&sample().replacen("\"hits\": 7", "\"hits\": 3", 1)).unwrap();
-        assert!(!check(&bad_hits, None, 2.0).is_empty());
+        assert!(!check(&bad_hits, Some(&entries), 2.0).is_empty());
+        let full = parse(&sample().replace("\"quick\"", "\"full\"")).unwrap();
+        assert!(check(&bad_hits, Some(&full), 2.0).is_empty());
     }
 }

@@ -427,14 +427,11 @@ pub fn e8_concurrent(scale: Scale) -> Result<Table> {
     Ok(t)
 }
 
-/// One measurement of the set-oriented-executor perf comparison: a
-/// workload × plan-style pair.
+/// One measurement of the match-plan perf experiment: one workload.
 #[derive(Debug, Clone)]
 pub struct PerfEntry {
     /// Workload label (stable across runs; perfcheck joins on it).
     pub workload: String,
-    /// `"materialized"` (the old hash-join plans) or `"semijoin"`.
-    pub style: String,
     /// Median per-query latency in microseconds.
     pub median_us: f64,
     /// 95th-percentile per-query latency in microseconds, over every
@@ -442,20 +439,17 @@ pub struct PerfEntry {
     pub p95_us: f64,
     /// 99th-percentile per-query latency in microseconds.
     pub p99_us: f64,
-    /// Total hits across the query batch (equal for both styles).
+    /// Total hits across the query batch.
     pub hits: usize,
 }
 
-/// Perf — the set-oriented executor before/after comparison.
+/// Perf — match-plan latency of the set-oriented executor.
 ///
-/// Runs the Fig-4 nested and multi-criterion workloads twice on the
-/// same catalog: once with the old materializing hash-join plans
-/// (`PlanStyle::Materialized`) and once with the semi-join pipelines
-/// (`PlanStyle::SemiJoin`, the default the catalog now executes). Both
-/// styles must produce identical hits; the table reports the speedup
-/// and the entries feed `BENCH_perf.json`.
+/// Runs the Fig-4 nested and multi-criterion workloads through
+/// `MetadataCatalog::query_with(.., MatchStrategy::Exact)`: the
+/// plan-cached semi-join pipelines the server executes. The entries
+/// feed `BENCH_perf.json`.
 pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
-    use catalog::engine::PlanStyle;
     let n = scale.pick(150, 1500);
     let reps = scale.pick(6, 15);
     let workloads: Vec<(&str, WorkloadConfig, QueryShape)> = vec![
@@ -469,8 +463,7 @@ pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
         ("conjunctive-x4", default(), QueryShape::Conjunctive(4)),
         ("dyn-eq", default(), QueryShape::DynamicEq),
     ];
-    let mut t =
-        Table::new(&["workload", "materialized", "semi-join", "p95 / p99", "speedup", "hits"]);
+    let mut t = Table::new(&["workload", "median", "p95 / p99", "hits"]);
     let mut entries = Vec::new();
     for (label, cfg, shape) in workloads {
         let generator = generator(cfg);
@@ -480,58 +473,40 @@ pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
         }
         let cat = hybrid.catalog();
         let queries = QueryGenerator::new(&generator, 1234).batch(shape, reps);
-        let mut medians = [0f64; 2];
-        let mut tails = [(0f64, 0f64); 2];
-        let mut style_hits = [0usize; 2];
-        for (si, (sname, style)) in
-            [("materialized", PlanStyle::Materialized), ("semijoin", PlanStyle::SemiJoin)]
-                .into_iter()
-                .enumerate()
-        {
-            // Time every query execution individually: batch medians
-            // hide tail latency, and the tail is where governance
-            // (deadlines, budgets) bites. Per-pass totals still give
-            // the median; the pooled samples give p95/p99.
-            let mut hits = 0usize;
-            let mut pass_secs = Vec::new();
-            let mut samples_us = Vec::new();
-            for _ in 0..scale.pick(3, 5) {
-                hits = 0;
-                let pass0 = std::time::Instant::now();
-                for q in &queries {
-                    let t0 = std::time::Instant::now();
-                    hits += cat.query_styled(q, MatchStrategy::Exact, style).expect("query").len();
-                    samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
-                }
-                pass_secs.push(pass0.elapsed().as_secs_f64());
+        // Time every query execution individually: batch medians hide
+        // tail latency, and the tail is where governance (deadlines,
+        // budgets) bites. Per-pass totals still give the median; the
+        // pooled samples give p95/p99.
+        let mut hits = 0usize;
+        let mut pass_secs = Vec::new();
+        let mut samples_us = Vec::new();
+        for _ in 0..scale.pick(3, 5) {
+            hits = 0;
+            let pass0 = std::time::Instant::now();
+            for q in &queries {
+                let t0 = std::time::Instant::now();
+                hits += cat.query_with(q, MatchStrategy::Exact).expect("query").len();
+                samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
             }
-            pass_secs.sort_by(|a, b| a.total_cmp(b));
-            let secs = pass_secs[pass_secs.len() / 2] / queries.len() as f64;
-            let (p95, p99) = (
-                crate::percentile(&mut samples_us, 0.95),
-                crate::percentile(&mut samples_us, 0.99),
-            );
-            medians[si] = secs;
-            tails[si] = (p95, p99);
-            style_hits[si] = hits;
-            entries.push(PerfEntry {
-                workload: label.to_string(),
-                style: sname.to_string(),
-                median_us: secs * 1e6,
-                p95_us: p95,
-                p99_us: p99,
-                hits,
-            });
+            pass_secs.push(pass0.elapsed().as_secs_f64());
         }
-        assert_eq!(style_hits[0], style_hits[1], "plan styles disagree on {label}");
+        pass_secs.sort_by(|a, b| a.total_cmp(b));
+        let secs = pass_secs[pass_secs.len() / 2] / queries.len() as f64;
+        let (p95, p99) =
+            (crate::percentile(&mut samples_us, 0.95), crate::percentile(&mut samples_us, 0.99));
         t.row(vec![
             label.to_string(),
-            fmt_secs(medians[0]),
-            fmt_secs(medians[1]),
-            format!("{} / {}", fmt_secs(tails[1].0 / 1e6), fmt_secs(tails[1].1 / 1e6)),
-            format!("{:.2}x", medians[0] / medians[1].max(1e-12)),
-            style_hits[0].to_string(),
+            fmt_secs(secs),
+            format!("{} / {}", fmt_secs(p95 / 1e6), fmt_secs(p99 / 1e6)),
+            hits.to_string(),
         ]);
+        entries.push(PerfEntry {
+            workload: label.to_string(),
+            median_us: secs * 1e6,
+            p95_us: p95,
+            p99_us: p99,
+            hits,
+        });
     }
     Ok((t, entries))
 }
@@ -618,7 +593,9 @@ pub fn e9_durability(scale: Scale) -> Result<Table> {
 
 /// Render perf entries as the `BENCH_perf.json` document (hand-rolled —
 /// the workspace has no JSON dependency). Consumed by the `perfcheck`
-/// CI gate; keep the field set in sync with its parser.
+/// CI gate; keep the field set in sync with its parser. Every entry's
+/// `style` is `"semijoin"`, the only plan style; the field keeps the v1
+/// schema, whose older files also carried `"materialized"` rows.
 pub fn render_perf_json(scale: Scale, entries: &[PerfEntry]) -> String {
     let mut out = String::from("{\n  \"schema\": \"mylead-bench-perf/v1\",\n");
     out.push_str(&format!(
@@ -631,9 +608,9 @@ pub fn render_perf_json(scale: Scale, entries: &[PerfEntry]) -> String {
     for (i, e) in entries.iter().enumerate() {
         let comma = if i + 1 == entries.len() { "" } else { "," };
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"style\": \"{}\", \"median_us\": {:.3}, \
+            "    {{\"workload\": \"{}\", \"style\": \"semijoin\", \"median_us\": {:.3}, \
              \"p95_us\": {:.3}, \"p99_us\": {:.3}, \"hits\": {}}}{comma}\n",
-            e.workload, e.style, e.median_us, e.p95_us, e.p99_us, e.hits
+            e.workload, e.median_us, e.p95_us, e.p99_us, e.hits
         ));
     }
     out.push_str("  ]\n}\n");
@@ -665,7 +642,7 @@ pub fn figures() -> Table {
     ]);
     t.row(vec![
         "Fig 4 query process".into(),
-        "engine::run_query (Exact & Counted strategies)".into(),
+        "MetadataCatalog::query_with (Exact & Counted strategies)".into(),
         "crates/catalog/tests/pipeline.rs::fig4_query_...".into(),
     ]);
     t.row(vec![

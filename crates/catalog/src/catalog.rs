@@ -521,8 +521,7 @@ impl MetadataCatalog {
 
     /// Run an attribute query; returns sorted matching object ids.
     pub fn query(&self, q: &ObjectQuery) -> Result<Vec<i64>> {
-        let plan = self.cached_plan(q, self.config.strategy)?;
-        execute_match_plan(&self.db, &plan)
+        self.query_ctx(q, &RequestCtx::unbounded())
     }
 
     /// [`MetadataCatalog::query`] under a request context: the match
@@ -532,42 +531,20 @@ impl MetadataCatalog {
     /// offending query recorded in the slow-query ring.
     pub fn query_ctx(&self, q: &ObjectQuery, ctx: &RequestCtx) -> Result<Vec<i64>> {
         let plan = self.cached_plan(q, self.config.strategy)?;
-        crate::engine::execute_match_plan_ctx(&self.db, &plan, ctx)
-            .map_err(|e| ctx.note_cancelled(e))
+        execute_match_plan(&self.db, &plan, ctx).map_err(|e| ctx.note_cancelled(e))
     }
 
-    /// Run a query with an explicit strategy (ablations).
+    /// Run a query with an explicit strategy (Fig 4's counted matching
+    /// beside the default exact one).
     pub fn query_with(&self, q: &ObjectQuery, strategy: MatchStrategy) -> Result<Vec<i64>> {
         let plan = self.cached_plan(q, strategy)?;
-        execute_match_plan(&self.db, &plan)
-    }
-
-    /// Run a query with an explicit strategy *and* plan style,
-    /// bypassing the plan cache (ablations and agreement tests).
-    pub fn query_styled(
-        &self,
-        q: &ObjectQuery,
-        strategy: MatchStrategy,
-        style: crate::engine::PlanStyle,
-    ) -> Result<Vec<i64>> {
-        let defs = self.defs.read();
-        crate::engine::run_query_styled(&self.db, &defs, q, strategy, style)
+        execute_match_plan(&self.db, &plan, &RequestCtx::unbounded())
     }
 
     /// The §4 "significantly simplified" flat path (no sub-attributes).
     pub fn query_flat(&self, q: &ObjectQuery) -> Result<Vec<i64>> {
         let defs = self.defs.read();
         run_flat_query(&self.db, &defs, q)
-    }
-
-    /// [`MetadataCatalog::query_flat`] with an explicit plan style.
-    pub fn query_flat_styled(
-        &self,
-        q: &ObjectQuery,
-        style: crate::engine::PlanStyle,
-    ) -> Result<Vec<i64>> {
-        let defs = self.defs.read();
-        crate::engine::run_flat_query_styled(&self.db, &defs, q, style)
     }
 
     /// Run the query's match plan under the profiler and render the
@@ -585,39 +562,31 @@ impl MetadataCatalog {
         response::build_documents(&self.db, object_ids)
     }
 
-    /// [`MetadataCatalog::fetch_documents`] under a request context:
-    /// document reconstruction — including CLOB byte resolution —
-    /// respects `ctx`'s deadline and byte budget.
-    pub fn fetch_documents_ctx(
-        &self,
-        object_ids: &[i64],
-        ctx: &RequestCtx,
-    ) -> Result<Vec<(i64, String)>> {
+    /// Reconstruct `object_ids` into one `<results>` envelope — the
+    /// reply body of both `FETCH` and `SEARCH`. Document reconstruction,
+    /// including CLOB byte resolution, respects `ctx`'s deadline and
+    /// byte budget.
+    pub fn fetch_envelope_ctx(&self, object_ids: &[i64], ctx: &RequestCtx) -> Result<String> {
         let _span = obs::global().span("catalog.response_build");
-        response::build_documents_ctx(&self.db, object_ids, ctx).map_err(|e| ctx.note_cancelled(e))
+        response::build_response_envelope_ctx(&self.db, object_ids, ctx)
+            .map_err(|e| ctx.note_cancelled(e))
     }
 
     /// Query then reconstruct: the full Fig-1 pipeline.
     pub fn search(&self, q: &ObjectQuery) -> Result<Vec<(i64, String)>> {
-        let ids = self.query(q)?;
-        self.fetch_documents(&ids)
+        self.fetch_documents(&self.query(q)?)
     }
 
     /// Query then wrap matches in a `<results>` envelope.
     pub fn search_envelope(&self, q: &ObjectQuery) -> Result<String> {
-        let ids = self.query(q)?;
-        let _span = obs::global().span("catalog.response_build");
-        response::build_response_envelope(&self.db, &ids)
+        self.search_envelope_ctx(q, &RequestCtx::unbounded())
     }
 
     /// [`MetadataCatalog::search_envelope`] under a request context:
     /// one budget and one deadline govern match *and* response
     /// assembly — the two halves cannot each spend the full allowance.
     pub fn search_envelope_ctx(&self, q: &ObjectQuery, ctx: &RequestCtx) -> Result<String> {
-        let ids = self.query_ctx(q, ctx)?;
-        let _span = obs::global().span("catalog.response_build");
-        response::build_response_envelope_ctx(&self.db, &ids, ctx)
-            .map_err(|e| ctx.note_cancelled(e))
+        self.fetch_envelope_ctx(&self.query_ctx(q, ctx)?, ctx)
     }
 
     /// Remove an object and all its stored metadata.

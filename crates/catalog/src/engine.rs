@@ -23,7 +23,8 @@
 use crate::defs::{AttrId, DefsRegistry, ElemId};
 use crate::error::{CatalogError, Result};
 use crate::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
-use minidb::{CmpOp, Database, Expr, Plan, Value};
+use crate::reqctx::RequestCtx;
+use minidb::{CmpOp, Database, ExecOpts, Expr, Plan, Value};
 
 /// Matching strategy (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,25 +34,6 @@ pub enum MatchStrategy {
     Exact,
     /// Fig-4 count-based matching through top-instance links.
     Counted,
-}
-
-/// Physical style of the generated match plans.
-///
-/// Both styles compute the same answer for every strategy; they differ
-/// only in the operators used. [`PlanStyle::SemiJoin`] is the default
-/// and what [`run_query`] executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanStyle {
-    /// Semi-join pipelines with trailing `Distinct`s folded in — the
-    /// probe side is filtered by key-set membership, never widened, so
-    /// the executor's set-oriented `(object_id, seq)` fast path applies
-    /// end to end.
-    #[default]
-    SemiJoin,
-    /// The original fully-materializing hash-join chains (one `Distinct
-    /// ∘ Project ∘ HashJoin` stage per criterion). Kept for ablations
-    /// and for agreement testing against the semi-join pipelines.
-    Materialized,
 }
 
 /// A query node resolved against the definition registry.
@@ -149,59 +131,26 @@ fn key_cols() -> Vec<(Expr, String)> {
 
 /// Plan yielding distinct `(object_id, seq)` of instances of
 /// `node.attr_id` that satisfy all *direct* element conditions.
-fn direct_instances_plan(node: &ResolvedNode, style: PlanStyle) -> Plan {
-    if node.elems.is_empty() {
+///
+/// The first condition probes; every further condition becomes a
+/// semi-join build side. The probe is filtered by key-set membership,
+/// never widened, and one trailing `Distinct` covers the whole chain,
+/// so the executor's set-oriented `(object_id, seq)` fast path applies
+/// end to end.
+fn direct_instances_plan(node: &ResolvedNode) -> Plan {
+    let cond_scan = |(elem_id, cond): &(ElemId, ElemCond)| {
+        Plan::Scan { table: "elems".into(), filter: Some(elem_pred(*elem_id, cond)) }
+            .project(key_cols())
+    };
+    let mut conds = node.elems.iter();
+    let plan = match conds.next() {
         // No element conditions: every instance of the definition.
-        return Plan::Distinct {
-            input: Box::new(
-                Plan::Scan { table: "attrs".into(), filter: Some(Expr::col_eq(1, node.attr_id)) }
-                    .project(key_cols()),
-            ),
-        };
-    }
-    match style {
-        PlanStyle::SemiJoin => {
-            // First condition probes; every further condition becomes a
-            // semi-join build side. The probe is filtered in place —
-            // nothing is widened — and a single trailing Distinct
-            // replaces the per-stage ones.
-            let mut conds = node.elems.iter();
-            let (elem_id, cond) = conds.next().expect("at least one condition");
-            let mut plan =
-                Plan::Scan { table: "elems".into(), filter: Some(elem_pred(*elem_id, cond)) }
-                    .project(key_cols());
-            for (elem_id, cond) in conds {
-                let build =
-                    Plan::Scan { table: "elems".into(), filter: Some(elem_pred(*elem_id, cond)) }
-                        .project(key_cols());
-                plan = plan.semi_join(build, vec![0, 1], vec![0, 1]);
-            }
-            Plan::Distinct { input: Box::new(plan) }
-        }
-        PlanStyle::Materialized => {
-            let mut plan: Option<Plan> = None;
-            for (elem_id, cond) in &node.elems {
-                let cond_plan = Plan::Distinct {
-                    input: Box::new(
-                        Plan::Scan {
-                            table: "elems".into(),
-                            filter: Some(elem_pred(*elem_id, cond)),
-                        }
-                        .project(key_cols()),
-                    ),
-                };
-                plan = Some(match plan {
-                    None => cond_plan,
-                    Some(acc) => Plan::Distinct {
-                        input: Box::new(acc.hash_join(cond_plan, vec![0, 1], vec![0, 1]).project(
-                            vec![(Expr::col(0), "object_id".into()), (Expr::col(1), "seq".into())],
-                        )),
-                    },
-                });
-            }
-            plan.expect("at least one condition")
-        }
-    }
+        None => Plan::Scan { table: "attrs".into(), filter: Some(Expr::col_eq(1, node.attr_id)) }
+            .project(key_cols()),
+        Some(first) => conds
+            .fold(cond_scan(first), |plan, c| plan.semi_join(cond_scan(c), vec![0, 1], vec![0, 1])),
+    };
+    Plan::Distinct { input: Box::new(plan) }
 }
 
 /// Inverted-list scan restricted to one (child, ancestor) definition
@@ -215,113 +164,68 @@ fn link_scan(child: AttrId, ancestor: AttrId, direct_only: bool) -> Plan {
 }
 
 /// Ancestor instances `(object_id, anc_seq)` reachable from satisfied
-/// child instances through the inverted list.
-fn ancestors_of(child_sat: Plan, link: Plan, style: PlanStyle) -> Plan {
-    match style {
-        // Filter the link scan by child-key membership *during the
-        // scan*, then project the ancestor key — the executor fuses
-        // this shape into one pass over `attr_anc`.
-        PlanStyle::SemiJoin => {
-            Plan::Distinct {
-                input: Box::new(link.semi_join(child_sat, vec![0, 2], vec![0, 1]).project(vec![
-                    (Expr::col(0), "object_id".into()),
-                    (Expr::col(4), "seq".into()),
-                ])),
-            }
-        }
-        // child_sat (obj, seq) ⋈ link (obj=0, child seq=2) → (obj=2, anc_seq=6)
-        PlanStyle::Materialized => {
-            Plan::Distinct {
-                input: Box::new(child_sat.hash_join(link, vec![0, 1], vec![0, 2]).project(vec![
-                    (Expr::col(2), "object_id".into()),
-                    (Expr::col(6), "seq".into()),
-                ])),
-            }
-        }
+/// child instances through the inverted list. The link scan is filtered
+/// by child-key membership *during the scan*, then the ancestor key is
+/// projected — the executor fuses this shape into one pass over
+/// `attr_anc`.
+fn ancestors_of(child_sat: Plan, link: Plan) -> Plan {
+    Plan::Distinct {
+        input: Box::new(
+            link.semi_join(child_sat, vec![0, 2], vec![0, 1])
+                .project(vec![(Expr::col(0), "object_id".into()), (Expr::col(4), "seq".into())]),
+        ),
     }
 }
 
 /// Intersect two `(object_id, seq)` instance sets.
-fn intersect_instances(acc: Plan, other: Plan, style: PlanStyle) -> Plan {
-    match style {
-        PlanStyle::SemiJoin => acc.semi_join(other, vec![0, 1], vec![0, 1]),
-        PlanStyle::Materialized => {
-            Plan::Distinct {
-                input: Box::new(acc.hash_join(other, vec![0, 1], vec![0, 1]).project(vec![
-                    (Expr::col(0), "object_id".into()),
-                    (Expr::col(1), "seq".into()),
-                ])),
-            }
-        }
-    }
+fn intersect_instances(acc: Plan, other: Plan) -> Plan {
+    acc.semi_join(other, vec![0, 1], vec![0, 1])
 }
 
 /// Exact strategy: bottom-up hierarchical semi-join.
 ///
 /// Returns a plan yielding distinct `(object_id, seq)` for instances of
 /// `node.attr_id` satisfying the node's whole subtree.
-fn exact_plan(node: &ResolvedNode, style: PlanStyle) -> Plan {
-    let mut plan = direct_instances_plan(node, style);
+fn exact_plan(node: &ResolvedNode) -> Plan {
+    let mut plan = direct_instances_plan(node);
     for child in &node.children {
-        let child_sat = exact_plan(child, style);
+        let child_sat = exact_plan(child);
         let link = link_scan(child.attr_id, node.attr_id, node.direct_subs);
-        let parents = ancestors_of(child_sat, link, style);
-        plan = intersect_instances(plan, parents, style);
+        let parents = ancestors_of(child_sat, link);
+        plan = intersect_instances(plan, parents);
     }
     plan
 }
 
 /// Counted strategy: every descendant query node links straight to the
 /// top attribute instance (Fig 4's inverted-list shortcut).
-fn counted_plan(top: &ResolvedNode, style: PlanStyle) -> Plan {
-    let mut plan = direct_instances_plan(top, style);
-    fn visit(top_attr: AttrId, node: &ResolvedNode, plan: Plan, style: PlanStyle) -> Plan {
-        let mut plan = plan;
+fn counted_plan(top: &ResolvedNode) -> Plan {
+    fn visit(top_attr: AttrId, node: &ResolvedNode, mut plan: Plan) -> Plan {
         for child in &node.children {
-            let child_sat = direct_instances_plan(child, style);
+            let child_sat = direct_instances_plan(child);
             let link = link_scan(child.attr_id, top_attr, false);
-            let tops = ancestors_of(child_sat, link, style);
-            plan = intersect_instances(plan, tops, style);
-            plan = visit(top_attr, child, plan, style);
+            let tops = ancestors_of(child_sat, link);
+            plan = intersect_instances(plan, tops);
+            plan = visit(top_attr, child, plan);
         }
         plan
     }
-    plan = visit(top.attr_id, top, plan, style);
-    plan
+    visit(top.attr_id, top, direct_instances_plan(top))
 }
 
 /// Intersect two distinct `object_id` sets.
-fn intersect_objects(acc: Plan, other: Plan, style: PlanStyle) -> Plan {
-    match style {
-        PlanStyle::SemiJoin => acc.semi_join(other, vec![0], vec![0]),
-        PlanStyle::Materialized => Plan::Distinct {
-            input: Box::new(
-                acc.hash_join(other, vec![0], vec![0])
-                    .project(vec![(Expr::col(0), "object_id".into())]),
-            ),
-        },
-    }
+fn intersect_objects(acc: Plan, other: Plan) -> Plan {
+    acc.semi_join(other, vec![0], vec![0])
 }
 
 /// Build the full match plan for an [`ObjectQuery`] without executing
-/// it, in the default [`PlanStyle`]. Shared by [`run_query`] and the
-/// catalog's `EXPLAIN ANALYZE` path, so the analyzed plan is exactly
-/// the executed plan.
+/// it. The catalog caches the result, and its `EXPLAIN ANALYZE` path
+/// profiles the same cached plan, so the analyzed plan is exactly the
+/// executed plan.
 pub fn build_query_plan(
     defs: &DefsRegistry,
     query: &ObjectQuery,
     strategy: MatchStrategy,
-) -> Result<Plan> {
-    build_query_plan_styled(defs, query, strategy, PlanStyle::default())
-}
-
-/// [`build_query_plan`] with an explicit [`PlanStyle`] (ablations and
-/// agreement tests).
-pub fn build_query_plan_styled(
-    defs: &DefsRegistry,
-    query: &ObjectQuery,
-    strategy: MatchStrategy,
-    style: PlanStyle,
 ) -> Result<Plan> {
     if query.attrs.is_empty() {
         return Err(CatalogError::BadQuery("query has no attribute criteria".into()));
@@ -330,15 +234,15 @@ pub fn build_query_plan_styled(
     for aq in &query.attrs {
         let node = resolve(defs, aq, None)?;
         let sat = match strategy {
-            MatchStrategy::Exact => exact_plan(&node, style),
-            MatchStrategy::Counted => counted_plan(&node, style),
+            MatchStrategy::Exact => exact_plan(&node),
+            MatchStrategy::Counted => counted_plan(&node),
         };
         let objs = Plan::Distinct {
             input: Box::new(sat.project(vec![(Expr::col(0), "object_id".into())])),
         };
         obj_plan = Some(match obj_plan {
             None => objs,
-            Some(acc) => intersect_objects(acc, objs, style),
+            Some(acc) => intersect_objects(acc, objs),
         });
     }
     Ok(Plan::Sort { input: Box::new(obj_plan.expect("non-empty query")), keys: vec![(0, false)] })
@@ -355,60 +259,18 @@ pub(crate) fn ids_from_rows(rs: minidb::ResultSet) -> Vec<i64> {
         .collect()
 }
 
-/// Execute an already-built match plan; returns sorted matching object
-/// ids. Independent per-criterion subtrees run on parallel worker
-/// threads (see [`Database::execute_parallel`]).
-pub fn execute_match_plan(db: &Database, plan: &Plan) -> Result<Vec<i64>> {
+/// Execute an already-built match plan under a request context; returns
+/// sorted matching object ids. Independent per-criterion subtrees run on
+/// parallel worker threads ([`ExecOpts::parallel`]), all charging `ctx`'s
+/// budget and checking its deadline cooperatively.
+pub fn execute_match_plan(db: &Database, plan: &Plan, ctx: &RequestCtx) -> Result<Vec<i64>> {
     let reg = obs::global();
     let rs = {
         let _span = reg.span("catalog.query.match");
-        db.execute_parallel(plan)?
+        db.execute_with(plan, &ExecOpts::parallel().with_budget(&ctx.budget))?
     };
     reg.counter("catalog.query.count").incr();
     Ok(ids_from_rows(rs))
-}
-
-/// [`execute_match_plan`] under a request context: the executor charges
-/// rows/bytes against the request's budget and checks its deadline
-/// cooperatively, including inside parallel subplan forks.
-pub fn execute_match_plan_ctx(
-    db: &Database,
-    plan: &Plan,
-    ctx: &crate::reqctx::RequestCtx,
-) -> Result<Vec<i64>> {
-    let reg = obs::global();
-    let rs = {
-        let _span = reg.span("catalog.query.match");
-        db.execute_parallel_with(plan, &ctx.budget)?
-    };
-    reg.counter("catalog.query.count").incr();
-    Ok(ids_from_rows(rs))
-}
-
-/// Execute an [`ObjectQuery`]; returns sorted matching object ids.
-pub fn run_query(
-    db: &Database,
-    defs: &DefsRegistry,
-    query: &ObjectQuery,
-    strategy: MatchStrategy,
-) -> Result<Vec<i64>> {
-    run_query_styled(db, defs, query, strategy, PlanStyle::default())
-}
-
-/// [`run_query`] with an explicit [`PlanStyle`].
-pub fn run_query_styled(
-    db: &Database,
-    defs: &DefsRegistry,
-    query: &ObjectQuery,
-    strategy: MatchStrategy,
-    style: PlanStyle,
-) -> Result<Vec<i64>> {
-    let reg = obs::global();
-    let plan = {
-        let _span = reg.span("catalog.query.plan_build");
-        build_query_plan_styled(defs, query, strategy, style)?
-    };
-    execute_match_plan(db, &plan)
 }
 
 /// The simplification the paper notes (§4): when no criterion has
@@ -417,16 +279,6 @@ pub fn run_query_styled(
 /// Exposed for the E2 ablation; produces the same answer as
 /// [`MatchStrategy::Exact`] whenever its preconditions hold.
 pub fn run_flat_query(db: &Database, defs: &DefsRegistry, query: &ObjectQuery) -> Result<Vec<i64>> {
-    run_flat_query_styled(db, defs, query, PlanStyle::default())
-}
-
-/// [`run_flat_query`] with an explicit [`PlanStyle`].
-pub fn run_flat_query_styled(
-    db: &Database,
-    defs: &DefsRegistry,
-    query: &ObjectQuery,
-    style: PlanStyle,
-) -> Result<Vec<i64>> {
     let mut per_attr_plans: Vec<Plan> = Vec::new();
     for aq in &query.attrs {
         let node = resolve(defs, aq, None)?;
@@ -437,16 +289,15 @@ pub fn run_flat_query_styled(
         }
         per_attr_plans.push(Plan::Distinct {
             input: Box::new(
-                direct_instances_plan(&node, style)
-                    .project(vec![(Expr::col(0), "object_id".into())]),
+                direct_instances_plan(&node).project(vec![(Expr::col(0), "object_id".into())]),
             ),
         });
     }
     let mut it = per_attr_plans.into_iter();
     let mut plan = it.next().ok_or_else(|| CatalogError::BadQuery("empty query".into()))?;
     for next in it {
-        plan = intersect_objects(plan, next, style);
+        plan = intersect_objects(plan, next);
     }
-    let rs = db.execute_parallel(&Plan::Sort { input: Box::new(plan), keys: vec![(0, false)] })?;
-    Ok(ids_from_rows(rs))
+    let plan = Plan::Sort { input: Box::new(plan), keys: vec![(0, false)] };
+    execute_match_plan(db, &plan, &RequestCtx::unbounded())
 }

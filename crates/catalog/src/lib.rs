@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::collections::CollectionId;
     pub use crate::context::ContextQuery;
     pub use crate::defs::{AttrId, DefLevel, DefsRegistry, DynamicAttrSpec, ElemId};
-    pub use crate::engine::{MatchStrategy, PlanStyle};
+    pub use crate::engine::MatchStrategy;
     pub use crate::error::{CatalogError, Result};
     pub use crate::ordering::{GlobalOrdering, OrderId};
     pub use crate::partition::{NodeRole, Partition, PartitionSpec};

@@ -4,7 +4,8 @@
 //! charges the same [`Budget`] and stops at the same deadline.
 //!
 //! Cancellation is cooperative: stages call [`RequestCtx::check`] (or
-//! run plans through `execute_*_with`) at loop boundaries, so a request
+//! run plans through `execute_with(&ExecOpts)` with the request's
+//! budget) at loop boundaries, so a request
 //! never holds a worker slot for more than one check interval past its
 //! deadline. A cancelled request is observable: [`RequestCtx::note_cancelled`]
 //! bumps `catalog.cancelled.deadline` / `catalog.cancelled.budget` and

@@ -18,7 +18,7 @@
 
 use crate::error::Result;
 use crate::reqctx::RequestCtx;
-use minidb::{Database, Expr, Plan, Value};
+use minidb::{Database, ExecOpts, Expr, Plan, Value};
 
 /// Sort-merge fragment kinds; the numeric values define the ordering at
 /// equal schema order: open(0) < clob(1) < close(2).
@@ -51,6 +51,7 @@ pub fn build_documents_ctx(
     // transaction: a concurrent ingest or delete commits either before
     // or after the whole reconstruction, never between its steps.
     let rt = db.begin_read();
+    let opts = ExecOpts::serial().with_budget(&ctx.budget);
     // Step 1: CLOB index rows for the result set (locators, not bytes),
     // fetched through the clobs_by_obj index one object at a time so a
     // small result set never scans the whole CLOB index.
@@ -65,7 +66,7 @@ pub fn build_documents_ctx(
                 key: vec![Value::Int(id)],
                 filter: None,
             },
-            &ctx.budget,
+            &opts,
         )?;
         for mut row in rs.rows {
             // Prepend the id column the downstream joins expect in
@@ -145,10 +146,10 @@ pub fn build_documents_ctx(
 
     // Union the three fragment relations and sort: the database returns
     // the response already tagged and ordered.
-    let mut all = rt.execute_with(&opens, &ctx.budget)?;
-    let more = rt.execute_with(&closes, &ctx.budget)?;
+    let mut all = rt.execute_with(&opens, &opts)?;
+    let more = rt.execute_with(&closes, &opts)?;
     all.rows.extend(more.rows);
-    let clobs_rs = rt.execute_with(&clob_frags, &ctx.budget)?;
+    let clobs_rs = rt.execute_with(&clob_frags, &opts)?;
     all.rows.extend(clobs_rs.rows);
     ctx.check()?;
     all.rows.sort_by(|a, b| {
@@ -189,12 +190,15 @@ pub fn build_documents_ctx(
                 buf.push('>');
             }
             Some(K_CLOB) => {
-                if let Some(loc) = row[5].as_i64() {
-                    if let Ok(text) = db.clobs.get_str(loc as u64) {
-                        ctx.charge_bytes(text.len() as u64)?;
-                        buf.push_str(&text);
-                    }
-                }
+                // A locator that does not resolve is store corruption:
+                // fail the request rather than return a document that
+                // is silently missing a fragment.
+                let loc = row[5].as_i64().ok_or_else(|| {
+                    minidb::DbError::Corrupt(format!("object {obj}: CLOB row without a locator"))
+                })?;
+                let text = db.clobs.get_str(loc as u64)?;
+                ctx.charge_bytes(text.len() as u64)?;
+                buf.push_str(&text);
             }
             _ => {}
         }

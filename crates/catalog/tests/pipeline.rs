@@ -353,6 +353,29 @@ fn search_combines_query_and_fetch() {
 }
 
 #[test]
+fn dangling_clob_locator_fails_the_fetch() {
+    let cat = cat();
+    let id = cat.ingest(FIG3_DOCUMENT).unwrap();
+    // Clone one of the object's CLOB index rows, pointing it past the
+    // end of the CLOB heap: the fragment it names cannot be resolved.
+    let rs = cat
+        .db()
+        .execute_sql(&format!("SELECT * FROM clobs WHERE object_id = {id}"))
+        .unwrap();
+    let mut row = rs.rows[0].clone();
+    let dangling = cat.db().clobs.len() as u64 + 10;
+    row[3] = minidb::Value::Int(row[3].as_i64().unwrap() + 100);
+    row[4] = minidb::Value::Int(dangling as i64);
+    cat.db().insert("clobs", vec![row]).unwrap();
+    // The reply must be an error, never a document that is short a
+    // fragment but otherwise looks valid.
+    let err = cat.fetch_documents(&[id]).unwrap_err();
+    assert_eq!(err, CatalogError::Db(minidb::DbError::NoSuchClob(dangling)));
+    let err = cat.fetch_envelope_ctx(&[id], &RequestCtx::unbounded()).unwrap_err();
+    assert_eq!(err, CatalogError::Db(minidb::DbError::NoSuchClob(dangling)));
+}
+
+#[test]
 fn sql_inspection_of_store() {
     let cat = cat();
     cat.ingest(FIG3_DOCUMENT).unwrap();

@@ -46,9 +46,15 @@ use std::time::Instant;
 /// the server's request threads.
 const PAR_BUDGET: u8 = 2;
 
-/// Per-execution settings threaded through the operator tree.
+/// How one plan execution runs: serially, or with independent
+/// join/semi-join sides forked onto scoped worker threads (bounded fork
+/// depth), and optionally charged against a request [`Budget`]. Build
+/// with [`ExecOpts::serial`] / [`ExecOpts::parallel`], add
+/// [`ExecOpts::with_budget`], and pass to [`Database::execute_with`] or
+/// [`ReadTxn::execute_with`]. Every option yields the same result; they
+/// differ only in latency and in how limits are enforced.
 #[derive(Debug, Clone)]
-struct ExecCtx {
+pub struct ExecOpts {
     /// Fork independent join/semi-join sides onto scoped threads.
     parallel: bool,
     /// Remaining fork depth (each fork decrements).
@@ -59,24 +65,34 @@ struct ExecCtx {
     budget: Option<Arc<Budget>>,
 }
 
-impl ExecCtx {
-    fn serial() -> ExecCtx {
-        ExecCtx { parallel: false, par_budget: 0, budget: None }
+impl ExecOpts {
+    /// Single-threaded, unbounded execution (what [`Database::execute`] runs).
+    pub fn serial() -> ExecOpts {
+        ExecOpts { parallel: false, par_budget: 0, budget: None }
     }
 
-    fn parallel() -> ExecCtx {
-        ExecCtx { parallel: true, par_budget: PAR_BUDGET, budget: None }
+    /// Evaluate independent hash-join / semi-join sides on scoped
+    /// worker threads — for latency-bound plans with data-independent
+    /// subtrees, such as the catalog's per-criterion match branches.
+    pub fn parallel() -> ExecOpts {
+        ExecOpts { parallel: true, par_budget: PAR_BUDGET, budget: None }
     }
 
-    fn with_budget(mut self, budget: &Arc<Budget>) -> ExecCtx {
+    /// Charge the execution against `budget`: the executor checks its
+    /// deadline cooperatively at scan/join loop boundaries and charges
+    /// materialized rows/bytes against its caps, returning
+    /// [`DbError::DeadlineExceeded`] / [`DbError::BudgetExceeded`]
+    /// instead of a partial result. Forked subplans share the one
+    /// tracker, so parallelism cannot be used to dodge limits.
+    pub fn with_budget(mut self, budget: &Arc<Budget>) -> ExecOpts {
         if !budget.is_unlimited() {
             self.budget = Some(Arc::clone(budget));
         }
         self
     }
 
-    fn fork(&self) -> ExecCtx {
-        ExecCtx { par_budget: self.par_budget.saturating_sub(1), ..self.clone() }
+    fn fork(&self) -> ExecOpts {
+        ExecOpts { par_budget: self.par_budget.saturating_sub(1), ..self.clone() }
     }
 
     /// Forking is allowed only on unprofiled runs: per-operator stats
@@ -670,40 +686,19 @@ impl Database {
         rows + self.clobs.total_bytes()
     }
 
-    /// Execute a physical plan to a materialized result. The whole
-    /// execution runs under the commit-visibility gate: the plan sees
-    /// one committed state even when it reads several tables.
+    /// Execute a physical plan to a materialized result, serially and
+    /// without limits. The whole execution runs under the
+    /// commit-visibility gate: the plan sees one committed state even
+    /// when it reads several tables.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        let _gate = self.vis.read();
-        self.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
+        self.execute_with(plan, &ExecOpts::serial())
     }
 
-    /// [`Database::execute`] under a request [`Budget`]: the execution
-    /// checks the budget's deadline cooperatively at scan/join loop
-    /// boundaries and charges materialized rows/bytes against its caps,
-    /// returning [`DbError::DeadlineExceeded`] /
-    /// [`DbError::BudgetExceeded`] instead of a partial result.
-    pub fn execute_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
+    /// [`Database::execute`] with explicit [`ExecOpts`] (parallel
+    /// subplans, a request budget).
+    pub fn execute_with(&self, plan: &Plan, opts: &ExecOpts) -> Result<ResultSet> {
         let _gate = self.vis.read();
-        self.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial().with_budget(budget))
-    }
-
-    /// Execute a plan, evaluating independent hash-join / semi-join
-    /// sides on scoped worker threads (bounded fork depth). Results are
-    /// identical to [`Database::execute`]; use this for latency-bound
-    /// queries whose plans contain data-independent subtrees, such as
-    /// the catalog's per-criterion match branches.
-    pub fn execute_parallel(&self, plan: &Plan) -> Result<ResultSet> {
-        let _gate = self.vis.read();
-        self.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::parallel())
-    }
-
-    /// [`Database::execute_parallel`] under a request [`Budget`]. The
-    /// budget is shared by every forked subplan (one deadline, one row
-    /// and byte pool), so parallelism cannot be used to dodge limits.
-    pub fn execute_parallel_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        let _gate = self.vis.read();
-        self.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::parallel().with_budget(budget))
+        self.run(plan, &mut None, opts)
     }
 
     /// Execute a plan while collecting per-operator row counts and
@@ -714,8 +709,19 @@ impl Database {
     pub fn execute_profiled(&self, plan: &Plan) -> Result<(ResultSet, PlanProfile)> {
         let _gate = self.vis.read();
         let mut prof = Some(PlanProfile::default());
-        let rs = self.exec_node(plan, &mut prof, &mut Vec::new(), &ExecCtx::serial())?;
+        let rs = self.run(plan, &mut prof, &ExecOpts::serial())?;
         Ok((rs, prof.expect("profiler installed above")))
+    }
+
+    /// The executor entry behind every public `execute*`; the caller
+    /// holds the visibility gate (shared, or exclusively as a [`Txn`]).
+    fn run(
+        &self,
+        plan: &Plan,
+        prof: &mut Option<PlanProfile>,
+        opts: &ExecOpts,
+    ) -> Result<ResultSet> {
+        self.exec_node(plan, prof, &mut Vec::new(), opts)
     }
 
     fn exec_child(
@@ -724,7 +730,7 @@ impl Database {
         prof: &mut Option<PlanProfile>,
         path: &mut Vec<u16>,
         input_no: u16,
-        ctx: &ExecCtx,
+        ctx: &ExecOpts,
     ) -> Result<ResultSet> {
         path.push(input_no);
         let result = self.exec_node(plan, prof, path, ctx);
@@ -737,7 +743,7 @@ impl Database {
         plan: &Plan,
         prof: &mut Option<PlanProfile>,
         path: &mut Vec<u16>,
-        ctx: &ExecCtx,
+        ctx: &ExecOpts,
     ) -> Result<ResultSet> {
         // Set-oriented fast path: `Distinct` / semi-join subtrees whose
         // leaves project `INT NOT NULL` columns execute over compact
@@ -1048,7 +1054,7 @@ impl Database {
         plan: &Plan,
         prof: &mut Option<PlanProfile>,
         path: &mut Vec<u16>,
-        ctx: &ExecCtx,
+        ctx: &ExecOpts,
     ) -> Result<KeyedRows> {
         let start = prof.as_ref().map(|_| Instant::now());
         match plan {
@@ -1261,7 +1267,7 @@ impl Txn<'_> {
     /// sequence numbers, then insert) stay atomic with respect to
     /// concurrent writers.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.db.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
+        self.db.run(plan, &mut None, &ExecOpts::serial())
     }
 
     /// Create a table (see [`Database::create_table`]).
@@ -1400,33 +1406,14 @@ pub struct ReadTxn<'a> {
 impl ReadTxn<'_> {
     /// Execute a plan against the batch's snapshot.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.db.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial())
+        self.execute_with(plan, &ExecOpts::serial())
     }
 
-    /// [`ReadTxn::execute`] with parallel evaluation of independent
-    /// join sides (see [`Database::execute_parallel`]).
-    pub fn execute_parallel(&self, plan: &Plan) -> Result<ResultSet> {
-        self.db.exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::parallel())
-    }
-
-    /// [`ReadTxn::execute`] charging work against `budget` (see
-    /// [`Database::execute_with`]): cooperative deadline checks and
-    /// row/byte accounting shared with the rest of the request.
-    pub fn execute_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        self.db
-            .exec_node(plan, &mut None, &mut Vec::new(), &ExecCtx::serial().with_budget(budget))
-    }
-
-    /// [`ReadTxn::execute_parallel`] charging work against `budget`.
-    /// Forked subplans share the same tracker, so parallelism cannot
-    /// dodge the limits.
-    pub fn execute_parallel_with(&self, plan: &Plan, budget: &Arc<Budget>) -> Result<ResultSet> {
-        self.db.exec_node(
-            plan,
-            &mut None,
-            &mut Vec::new(),
-            &ExecCtx::parallel().with_budget(budget),
-        )
+    /// [`ReadTxn::execute`] with explicit [`ExecOpts`] (see
+    /// [`Database::execute_with`]): a budget shared with the rest of
+    /// the request, parallel subplans.
+    pub fn execute_with(&self, plan: &Plan, opts: &ExecOpts) -> Result<ResultSet> {
+        self.db.run(plan, &mut None, opts)
     }
 
     /// Number of live rows in a table, as of the batch's snapshot.
@@ -1669,7 +1656,7 @@ mod tests {
         };
         let fast = db.execute(&keyed).unwrap();
         let slow = db.execute(&generic).unwrap();
-        let par = db.execute_parallel(&keyed).unwrap();
+        let par = db.execute_with(&keyed, &ExecOpts::parallel()).unwrap();
         assert!(!fast.rows.is_empty());
         assert_eq!(fast.rows, slow.rows);
         assert_eq!(fast.rows, par.rows);

@@ -46,7 +46,7 @@ pub mod wal;
 /// Common imports for engine users.
 pub mod prelude {
     pub use crate::clob::{ClobId, ClobStore};
-    pub use crate::db::{Database, ReadTxn, Txn};
+    pub use crate::db::{Database, ExecOpts, ReadTxn, Txn};
     pub use crate::error::{DbError, Result};
     pub use crate::exec::{AggCall, AggFunc, JoinKind, Plan, ResultSet};
     pub use crate::explain::{explain, explain_analyze};

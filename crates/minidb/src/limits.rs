@@ -2,7 +2,8 @@
 //!
 //! A [`Budget`] is created from [`ExecLimits`] and threaded through one
 //! logical request: every plan executed with
-//! [`crate::db::Database::execute_with`] (and the catalog's response
+//! [`crate::db::Database::execute_with`] under
+//! [`crate::db::ExecOpts::with_budget`] (and the catalog's response
 //! assembly on top of it) charges rows and bytes against the same
 //! tracker, and checks the deadline cooperatively at loop boundaries.
 //! Counters are atomic so parallel subplan forks share one budget;

@@ -36,7 +36,7 @@ fn expired_deadline_fails_before_scanning() {
     let budget = Arc::new(Budget::new(
         ExecLimits::none().with_deadline(Instant::now() - Duration::from_millis(1)),
     ));
-    let err = db.execute_with(&scan(), &budget).unwrap_err();
+    let err = db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap_err();
     assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err}");
 }
 
@@ -55,7 +55,7 @@ fn cross_product_is_cancelled_in_bounded_time() {
     };
     let budget = Arc::new(Budget::new(ExecLimits::deadline_in(Duration::from_millis(10))));
     let start = Instant::now();
-    let err = db.execute_with(&cross, &budget).unwrap_err();
+    let err = db.execute_with(&cross, &ExecOpts::serial().with_budget(&budget)).unwrap_err();
     let took = start.elapsed();
     assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err}");
     assert!(took < Duration::from_secs(2), "cancellation took {took:?}");
@@ -65,7 +65,7 @@ fn cross_product_is_cancelled_in_bounded_time() {
 fn row_budget_stops_a_large_scan() {
     let db = populated(10_000);
     let budget = Arc::new(Budget::new(ExecLimits::none().with_max_rows(100)));
-    let err = db.execute_with(&scan(), &budget).unwrap_err();
+    let err = db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap_err();
     assert!(matches!(err, DbError::BudgetExceeded(_)), "{err}");
 }
 
@@ -73,7 +73,7 @@ fn row_budget_stops_a_large_scan() {
 fn byte_budget_stops_a_large_scan() {
     let db = populated(10_000);
     let budget = Arc::new(Budget::new(ExecLimits::none().with_max_bytes(4096)));
-    let err = db.execute_with(&scan(), &budget).unwrap_err();
+    let err = db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap_err();
     assert!(matches!(err, DbError::BudgetExceeded(_)), "{err}");
 }
 
@@ -83,8 +83,8 @@ fn budget_is_shared_across_plans_of_one_request() {
     // second crosses the cumulative cap even though it would fit alone.
     let db = populated(300);
     let budget = Arc::new(Budget::new(ExecLimits::none().with_max_rows(500)));
-    db.execute_with(&scan(), &budget).unwrap();
-    let err = db.execute_with(&scan(), &budget).unwrap_err();
+    db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap();
+    let err = db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap_err();
     assert!(matches!(err, DbError::BudgetExceeded(_)), "{err}");
 }
 
@@ -101,13 +101,13 @@ fn parallel_subplans_share_the_budget() {
         kind: JoinKind::Inner,
     };
     let budget = Arc::new(Budget::new(ExecLimits::none().with_max_rows(1_500)));
-    let err = db.execute_parallel_with(&join, &budget).unwrap_err();
+    let err = db.execute_with(&join, &ExecOpts::parallel().with_budget(&budget)).unwrap_err();
     assert!(matches!(err, DbError::BudgetExceeded(_)), "{err}");
 
     // With headroom for both inputs plus the joined output, the same
     // plan completes and the budget reflects all materialized rows.
     let roomy = Arc::new(Budget::new(ExecLimits::none().with_max_rows(10_000)));
-    let rs = db.execute_parallel_with(&join, &roomy).unwrap();
+    let rs = db.execute_with(&join, &ExecOpts::parallel().with_budget(&roomy)).unwrap();
     assert_eq!(rs.rows.len(), 1_000);
     assert!(roomy.rows_used() >= 3_000, "rows_used = {}", roomy.rows_used());
 }
@@ -122,18 +122,24 @@ fn generous_limits_do_not_change_results() {
         right_keys: vec![0],
         kind: JoinKind::Inner,
     };
-    let plain = db.execute_parallel(&join).unwrap();
+    let plain = db.execute_with(&join, &ExecOpts::parallel()).unwrap();
     let budget = Arc::new(Budget::new(
         ExecLimits::deadline_in(Duration::from_secs(60))
             .with_max_rows(1_000_000)
             .with_max_bytes(1 << 30),
     ));
-    let limited = db.execute_parallel_with(&join, &budget).unwrap();
+    let limited = db.execute_with(&join, &ExecOpts::parallel().with_budget(&budget)).unwrap();
     assert_eq!(plain.rows, limited.rows);
     assert_eq!(plain.columns, limited.columns);
 
     // Read-transaction variants agree too.
     let rt = db.begin_read();
-    assert_eq!(rt.execute_with(&join, &budget).unwrap().rows, plain.rows);
-    assert_eq!(rt.execute_parallel_with(&join, &budget).unwrap().rows, plain.rows);
+    assert_eq!(
+        rt.execute_with(&join, &ExecOpts::serial().with_budget(&budget)).unwrap().rows,
+        plain.rows
+    );
+    assert_eq!(
+        rt.execute_with(&join, &ExecOpts::parallel().with_budget(&budget)).unwrap().rows,
+        plain.rows
+    );
 }

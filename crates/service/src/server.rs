@@ -643,34 +643,16 @@ fn serve_connection(
                         reg.counter("service.errors.malformed").incr();
                         writeln!(writer, "ERR bad id list")?;
                     }
-                    Ok(ids) => match catalog.fetch_documents_ctx(&ids, &req_ctx(rest)) {
-                        Ok(docs) => {
-                            let mut out = String::new();
-                            out.push_str("<results>");
-                            for (id, doc) in &docs {
-                                out.push_str(&format!("<object id=\"{id}\">"));
-                                out.push_str(doc);
-                                out.push_str("</object>");
-                            }
-                            out.push_str("</results>");
-                            reg.counter("service.body_bytes_out").add(out.len() as u64);
-                            writeln!(writer, "OK {}", out.len())?;
-                            writer.write_all(out.as_bytes())?;
-                        }
-                        Err(e) => err_reply(&mut writer, &e.to_string())?,
-                    },
+                    Ok(ids) => envelope_reply(
+                        &mut writer,
+                        catalog.fetch_envelope_ctx(&ids, &req_ctx(rest)),
+                    )?,
                 }
             }
-            "SEARCH" => match parse_query(rest)
-                .and_then(|q| catalog.search_envelope_ctx(&q, &req_ctx(rest)))
-            {
-                Ok(env) => {
-                    reg.counter("service.body_bytes_out").add(env.len() as u64);
-                    writeln!(writer, "OK {}", env.len())?;
-                    writer.write_all(env.as_bytes())?;
-                }
-                Err(e) => err_reply(&mut writer, &e.to_string())?,
-            },
+            "SEARCH" => envelope_reply(
+                &mut writer,
+                parse_query(rest).and_then(|q| catalog.search_envelope_ctx(&q, &req_ctx(rest))),
+            )?,
             "STATS" => {
                 let s = catalog.stats();
                 let mut out = format!(
@@ -735,6 +717,19 @@ fn serve_connection(
 fn err_reply(writer: &mut TcpStream, msg: &str) -> std::io::Result<()> {
     obs::global().counter("service.errors.catalog").incr();
     writeln!(writer, "ERR {}", one_line(msg))
+}
+
+/// Reply to `FETCH` / `SEARCH`: `OK <len>` then the `<results>` envelope
+/// bytes, or the catalog error.
+fn envelope_reply(writer: &mut TcpStream, env: catalog::Result<String>) -> std::io::Result<()> {
+    match env {
+        Ok(env) => {
+            obs::global().counter("service.body_bytes_out").add(env.len() as u64);
+            writeln!(writer, "OK {}", env.len())?;
+            writer.write_all(env.as_bytes())
+        }
+        Err(e) => err_reply(writer, &e.to_string()),
+    }
 }
 
 /// Why a length-prefixed body could not be read.

@@ -14,16 +14,24 @@ fn start() -> (CatalogServer, CatalogClient) {
 
 #[test]
 fn ping_ingest_query_fetch() {
-    let (_server, mut c) = start();
+    let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
+    let server = CatalogServer::start(cat.clone(), "127.0.0.1:0").unwrap();
+    let mut c = CatalogClient::connect(server.addr()).unwrap();
     c.ping().unwrap();
     let id = c.ingest(FIG3_DOCUMENT).unwrap();
     assert_eq!(id, 1);
-    let hits = c.query("grid@ARPS[dx=1000]{grid-stretching@ARPS[dzmin=100]}").unwrap();
+    let q = "grid@ARPS[dx=1000]{grid-stretching@ARPS[dzmin=100]}";
+    let hits = c.query(q).unwrap();
     assert_eq!(hits, vec![id]);
     let body = c.fetch(&hits).unwrap();
     assert!(body.contains("<LEADresource>"));
     let parsed = xmlkit::Document::parse(&body).unwrap();
     assert_eq!(parsed.node(parsed.root()).name(), Some("results"));
+    // FETCH and SEARCH reply with the one envelope the library builds.
+    assert_eq!(body, catalog::response::build_response_envelope(cat.db(), &hits).unwrap());
+    let requeried = c.query(q).unwrap();
+    let fetched = c.fetch(&requeried).unwrap();
+    assert_eq!(c.search(q).unwrap(), fetched);
     c.quit().unwrap();
 }
 
