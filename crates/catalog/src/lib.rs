@@ -47,7 +47,6 @@ pub mod qparse;
 pub mod query;
 pub mod reqctx;
 pub mod response;
-pub mod sharded;
 pub mod shred;
 pub mod store;
 
@@ -65,7 +64,6 @@ pub mod prelude {
     pub use crate::qparse::parse_query;
     pub use crate::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
     pub use crate::reqctx::RequestCtx;
-    pub use crate::sharded::ShardedCatalog;
     pub use crate::shred::{DynamicConvention, ShredOptions, Shredder};
 }
 

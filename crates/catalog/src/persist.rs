@@ -1,13 +1,15 @@
-//! Catalog persistence: save to / load from a snapshot file.
+//! Catalog persistence: a durable catalog lives in a directory.
 //!
 //! The whole store — including the `attr_defs`/`elem_defs` mirrors —
-//! lives in `minidb` tables plus the CLOB heap, so saving is one
-//! database snapshot. Loading rebuilds the in-memory definition
-//! registry by (a) re-deriving structural definitions from the
-//! partition (ids are deterministic) and (b) replaying the mirrored
-//! dynamic definitions in id order; a mismatch between the snapshot's
-//! structural definitions and the supplied partition is an error (the
-//! schema the catalog serves must not silently drift).
+//! lives in `minidb` tables plus the CLOB heap, so the catalog persists
+//! through the database's write-ahead log and checkpoint snapshots
+//! ([`MetadataCatalog::open`] is the only way catalog state reaches
+//! disk). Reopening rebuilds the in-memory definition registry by (a)
+//! re-deriving structural definitions from the partition (ids are
+//! deterministic) and (b) replaying the mirrored dynamic definitions in
+//! id order; a mismatch between the stored structural definitions and
+//! the supplied partition is an error (the schema the catalog serves
+//! must not silently drift).
 
 use crate::catalog::{CatalogConfig, MetadataCatalog};
 use crate::defs::{DefLevel, DefsRegistry};
@@ -19,23 +21,6 @@ use std::path::Path;
 use xmlkit::ValueType;
 
 impl MetadataCatalog {
-    /// Save the catalog to a snapshot file.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<()> {
-        self.db().save_to(path).map_err(Into::into)
-    }
-
-    /// Load a catalog from a snapshot written by [`Self::save`]. The
-    /// same partitioned schema (and convention/config) must be supplied;
-    /// structural definitions are cross-checked against the snapshot.
-    pub fn load(
-        path: impl AsRef<Path>,
-        partition: Partition,
-        config: CatalogConfig,
-    ) -> Result<MetadataCatalog> {
-        let db = Database::load_from(path)?;
-        rebuild(db, partition, config)
-    }
-
     /// Open a crash-safe catalog backed by `dir`: every ingest,
     /// deletion, and definition registration commits through a
     /// write-ahead log before it is acknowledged, and
@@ -184,15 +169,38 @@ fn bad(what: &str) -> CatalogError {
 mod tests {
     use super::*;
     use crate::defs::DynamicAttrSpec;
-    use crate::lead::{fig4_query, lead_catalog, lead_partition, FIG3_DOCUMENT};
+    use crate::lead::{fig4_query, lead_partition, register_arps_defs, FIG3_DOCUMENT};
+    use minidb::{MemVfs, WalOptions};
+    use std::sync::Arc;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("catalog-snap-{name}-{}", std::process::id()))
+    fn open_mem(vfs: &MemVfs, partition: Partition) -> Result<MetadataCatalog> {
+        MetadataCatalog::open_with(
+            Arc::new(vfs.clone()),
+            WalOptions::default(),
+            partition,
+            CatalogConfig::default(),
+        )
+    }
+
+    /// A durable LEAD catalog on `vfs` with the ARPS definitions.
+    fn lead_on(vfs: &MemVfs) -> MetadataCatalog {
+        let cat = open_mem(vfs, lead_partition()).unwrap();
+        register_arps_defs(&cat).unwrap();
+        cat
+    }
+
+    /// Checkpoint `cat`, close it, and reopen its storage: the reopened
+    /// catalog is rebuilt from the snapshot alone (the WAL is empty).
+    fn checkpoint_reopen(cat: MetadataCatalog, vfs: &MemVfs) -> MetadataCatalog {
+        cat.checkpoint().unwrap();
+        drop(cat);
+        open_mem(vfs, lead_partition()).unwrap()
     }
 
     #[test]
-    fn save_load_roundtrip() {
-        let cat = lead_catalog(CatalogConfig::default()).unwrap();
+    fn checkpoint_reopen_roundtrip() {
+        let vfs = MemVfs::new();
+        let cat = lead_on(&vfs);
         let id = cat.ingest(FIG3_DOCUMENT).unwrap();
         cat.register_dynamic(
             crate::lead::DETAILED_PATH,
@@ -200,19 +208,15 @@ mod tests {
             DefLevel::User("keisha".into()),
         )
         .unwrap();
+        let stats_a = cat.stats();
 
-        let path = tmp("roundtrip");
-        cat.save(&path).unwrap();
-        let loaded =
-            MetadataCatalog::load(&path, lead_partition(), CatalogConfig::default()).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = checkpoint_reopen(cat, &vfs);
 
         // Stored data still answers the Fig-4 query and reconstructs.
         assert_eq!(loaded.query(&fig4_query()).unwrap(), vec![id]);
         let doc = loaded.fetch_documents(&[id]).unwrap().remove(0).1;
         assert!(doc.contains("<LEADresource>"));
         // Dynamic definitions (incl. user-level) survived.
-        let stats_a = cat.stats();
         let stats_b = loaded.stats();
         assert_eq!(stats_a.attr_defs, stats_b.attr_defs);
         assert_eq!(stats_a.elem_defs, stats_b.elem_defs);
@@ -233,32 +237,29 @@ mod tests {
 
     #[test]
     fn partition_mismatch_rejected() {
-        let cat = lead_catalog(CatalogConfig::default()).unwrap();
+        let vfs = MemVfs::new();
+        let cat = lead_on(&vfs);
         cat.ingest(FIG3_DOCUMENT).unwrap();
-        let path = tmp("mismatch");
-        cat.save(&path).unwrap();
-        // A different partition (auto-derived) does not match the saved
+        cat.checkpoint().unwrap();
+        drop(cat);
+        // A different partition (auto-derived) does not match the stored
         // structural definitions.
         let other = crate::partition::Partition::auto(crate::lead::lead_schema()).unwrap();
-        let err = match MetadataCatalog::load(&path, other, CatalogConfig::default()) {
+        let err = match open_mem(&vfs, other) {
             Err(e) => e,
             Ok(_) => panic!("mismatched partition must be rejected"),
         };
-        std::fs::remove_file(&path).ok();
         assert!(matches!(err, CatalogError::Definition(_)));
     }
 
     #[test]
     fn collections_survive() {
-        let cat = lead_catalog(CatalogConfig::default()).unwrap();
+        let vfs = MemVfs::new();
+        let cat = lead_on(&vfs);
         let id = cat.ingest(FIG3_DOCUMENT).unwrap();
         let coll = cat.create_collection("exp", Some("k")).unwrap();
         cat.add_object_to_collection(coll, id).unwrap();
-        let path = tmp("collections");
-        cat.save(&path).unwrap();
-        let loaded =
-            MetadataCatalog::load(&path, lead_partition(), CatalogConfig::default()).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = checkpoint_reopen(cat, &vfs);
         assert_eq!(loaded.collection_objects(coll).unwrap(), vec![id]);
         assert_eq!(loaded.query_in_collection(coll, &fig4_query()).unwrap(), vec![id]);
     }

@@ -25,6 +25,9 @@ pub enum DbError {
     NoSuchClob(u64),
     /// Durable storage I/O failure (VFS, WAL append, fsync).
     Io(String),
+    /// A durable directory is already open (its lock is held by
+    /// another live handle, in this process or another).
+    Locked(String),
     /// Durable storage corruption: a snapshot or WAL record whose
     /// checksum or framing is provably wrong (not merely truncated).
     Corrupt(String),
@@ -49,6 +52,7 @@ impl fmt::Display for DbError {
             DbError::Plan(m) => write!(f, "plan error: {m}"),
             DbError::NoSuchClob(id) => write!(f, "no such CLOB: {id}"),
             DbError::Io(m) => write!(f, "storage io error: {m}"),
+            DbError::Locked(d) => write!(f, "directory {d} is locked: it is already open"),
             DbError::Corrupt(m) => write!(f, "storage corruption: {m}"),
             DbError::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
             DbError::BudgetExceeded(m) => write!(f, "budget exceeded: {m}"),

@@ -1,9 +1,13 @@
-//! Database snapshots: save/load the whole store to a file.
+//! Database snapshots: the binary image checkpoints write and recovery
+//! reads.
 //!
-//! The engine is in-memory; a grid catalog still needs to survive
-//! restarts, so the database serializes to a compact binary snapshot
-//! (tables with schemas and live rows, indexes as definitions that are
-//! rebuilt on load, and the CLOB heap). The format is versioned and
+//! The engine is in-memory; a durable database (see [`crate::wal`])
+//! survives restarts by checkpointing its whole state to a compact
+//! binary snapshot (tables with schemas and live rows, indexes as
+//! definitions that are rebuilt on load, and the CLOB heap) and
+//! replaying the WAL tail on top of it. [`Database::open_with`] is the
+//! only reader of a snapshot on disk; checkpoints install it atomically
+//! (tmp file + fsync + rename). The format is versioned and
 //! length-prefixed throughout; loads validate every tag and bound, and
 //! the whole image is covered by a trailing CRC32 so any bit flip
 //! surfaces as a clean [`DbError`] rather than silently-wrong data.
@@ -13,8 +17,7 @@ use crate::db::Database;
 use crate::error::{DbError, Result};
 use crate::table::{Column, TableSchema};
 use crate::value::{DataType, Value};
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::path::Path;
+use std::io::{Read, Write};
 
 const MAGIC: &[u8; 4] = b"MDB1";
 
@@ -209,25 +212,6 @@ pub(crate) fn dtype_from(code: u8) -> Result<DataType> {
 }
 
 impl Database {
-    /// Write the whole database (tables, index definitions, CLOB heap)
-    /// to `path`. Concurrent writers are excluded per-table while each
-    /// table is copied. The snapshot is stamped with LSN 0; durable
-    /// databases checkpoint through [`crate::wal`] instead, which
-    /// stamps the real log position.
-    pub fn save_to(&self, path: impl AsRef<Path>) -> Result<()> {
-        let file = std::fs::File::create(path).map_err(io_err)?;
-        let mut w = BufWriter::new(file);
-        self.write_snapshot(&mut w, 0)?;
-        w.flush().map_err(io_err)
-    }
-
-    /// Load a database previously written by [`Database::save_to`].
-    pub fn load_from(path: impl AsRef<Path>) -> Result<Database> {
-        let file = std::fs::File::open(path).map_err(io_err)?;
-        let (db, _lsn) = read_snapshot(BufReader::new(file))?;
-        Ok(db)
-    }
-
     /// Serialize the snapshot (header stamped with `lsn`) to any
     /// writer, appending a CRC32 trailer over everything before it.
     pub(crate) fn write_snapshot<W: Write>(&self, w: W, lsn: u64) -> Result<()> {
@@ -389,8 +373,10 @@ mod tests {
     use super::*;
     use crate::exec::Plan;
 
-    fn tmp(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("minidb-snap-{name}-{}", std::process::id()))
+    /// Snapshot `db` to bytes and parse them back.
+    fn roundtrip(db: &Database) -> Database {
+        let bytes = db.snapshot_bytes(0).unwrap();
+        load_snapshot_bytes(&bytes).unwrap().0
     }
 
     fn populated() -> Database {
@@ -418,10 +404,7 @@ mod tests {
         db.execute_sql("INSERT INTO t VALUES (3, 'temp', 0.0, false, NULL)").unwrap();
         db.execute_sql("DELETE FROM t WHERE id = 3").unwrap();
 
-        let path = tmp("roundtrip");
-        db.save_to(&path).unwrap();
-        let loaded = Database::load_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = roundtrip(&db);
 
         assert_eq!(loaded.table_names(), db.table_names());
         assert_eq!(loaded.row_count("t").unwrap(), 2);
@@ -452,11 +435,7 @@ mod tests {
 
     #[test]
     fn schema_nullability_restored() {
-        let db = populated();
-        let path = tmp("nullability");
-        db.save_to(&path).unwrap();
-        let loaded = Database::load_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = roundtrip(&populated());
         // id is NOT NULL: inserting NULL must fail.
         assert!(loaded
             .insert(
@@ -468,34 +447,26 @@ mod tests {
 
     #[test]
     fn bad_files_rejected() {
-        let path = tmp("bad");
+        assert!(load_snapshot_bytes(b"NOPEgarbage").is_err());
+        assert!(load_snapshot_bytes(b"MD").is_err());
+        // On disk: a path that is a file, not a durable directory,
+        // cannot be opened.
+        let path = std::env::temp_dir().join(format!("minidb-snap-bad-{}", std::process::id()));
         std::fs::write(&path, b"NOPEgarbage").unwrap();
-        assert!(Database::load_from(&path).is_err());
-        std::fs::write(&path, b"MD").unwrap();
-        assert!(Database::load_from(&path).is_err());
+        assert!(Database::open(&path).is_err());
         std::fs::remove_file(&path).ok();
-        assert!(Database::load_from(tmp("missing-file")).is_err());
     }
 
     #[test]
     fn empty_database_roundtrips() {
-        let db = Database::new();
-        let path = tmp("empty");
-        db.save_to(&path).unwrap();
-        let loaded = Database::load_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
+        let loaded = roundtrip(&Database::new());
         assert!(loaded.table_names().is_empty());
         assert_eq!(loaded.clobs.len(), 0);
     }
 
     #[test]
     fn truncated_file_rejected() {
-        let db = populated();
-        let path = tmp("trunc");
-        db.save_to(&path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-        assert!(Database::load_from(&path).is_err());
-        std::fs::remove_file(&path).ok();
+        let bytes = populated().snapshot_bytes(0).unwrap();
+        assert!(load_snapshot_bytes(&bytes[..bytes.len() / 2]).is_err());
     }
 }

@@ -144,18 +144,39 @@ fn vfs_err(op: &str, name: &str, e: std::io::Error) -> DbError {
     DbError::Io(format!("{op} {name}: {e}"))
 }
 
+/// Lock file inside a durable directory; see [`StdVfs::new`].
+pub const LOCK_FILE: &str = "LOCK";
+
 /// Real-directory [`Vfs`] backed by `std::fs`.
 pub struct StdVfs {
     dir: PathBuf,
+    /// Exclusive lock on [`LOCK_FILE`], held for the life of the VFS.
+    _lock: std::fs::File,
 }
 
 impl StdVfs {
-    /// Open (creating if needed) `dir` as a durable directory.
+    /// Open (creating if needed) `dir` as a durable directory and take
+    /// its exclusive lock. Recovery truncates a torn WAL tail and the
+    /// writer appends with its own LSNs, so two live openers would
+    /// corrupt each other's log; a second open — from this process or
+    /// another — fails with [`DbError::Locked`] until the first
+    /// `StdVfs` is dropped. The OS releases the lock when the process
+    /// dies, so a crash leaves no stale lock behind.
     pub fn new(dir: impl Into<PathBuf>) -> Result<StdVfs> {
         let dir = dir.into();
-        std::fs::create_dir_all(&dir)
-            .map_err(|e| vfs_err("create_dir_all", &dir.display().to_string(), e))?;
-        Ok(StdVfs { dir })
+        let shown = dir.display().to_string();
+        std::fs::create_dir_all(&dir).map_err(|e| vfs_err("create_dir_all", &shown, e))?;
+        let lock = std::fs::OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join(LOCK_FILE))
+            .map_err(|e| vfs_err("open", LOCK_FILE, e))?;
+        match lock.try_lock() {
+            Ok(()) => Ok(StdVfs { dir, _lock: lock }),
+            Err(std::fs::TryLockError::WouldBlock) => Err(DbError::Locked(shown)),
+            Err(std::fs::TryLockError::Error(e)) => Err(vfs_err("lock", LOCK_FILE, e)),
+        }
     }
 
     fn path(&self, name: &str) -> PathBuf {

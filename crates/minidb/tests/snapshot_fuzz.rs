@@ -152,23 +152,28 @@ fn random_corruption_never_panics() {
 }
 
 #[test]
-fn on_disk_load_from_rejects_corruption_too() {
+fn on_disk_open_rejects_corruption_too() {
     let dir = std::env::temp_dir().join(format!("minidb-snapfuzz-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
     let image = snapshot_image();
-    let path = dir.join("snap.mdb");
+    let wal = empty_wal();
+    // The snapshot image sits next to a valid empty WAL, so any
+    // failure to open is the snapshot's.
+    let open_with_snapshot = |snapshot: &[u8]| {
+        std::fs::write(dir.join(SNAPSHOT_FILE), snapshot).unwrap();
+        std::fs::write(dir.join(WAL_FILE), &wal).unwrap();
+        Database::open(&dir)
+    };
 
-    std::fs::write(&path, &image[..image.len() / 2]).unwrap();
-    assert!(Database::load_from(&path).is_err(), "truncated file accepted");
+    assert!(open_with_snapshot(&image[..image.len() / 2]).is_err(), "truncated file accepted");
 
     let mut flipped = image.clone();
     let mid = flipped.len() / 2;
     flipped[mid] ^= 0x40;
-    std::fs::write(&path, &flipped).unwrap();
-    assert!(Database::load_from(&path).is_err(), "bit-flipped file accepted");
+    assert!(open_with_snapshot(&flipped).is_err(), "bit-flipped file accepted");
 
-    std::fs::write(&path, &image).unwrap();
-    let db = Database::load_from(&path).expect("pristine file must load");
+    let db = open_with_snapshot(&image).expect("pristine file must load");
     let rs = db.execute_sql("SELECT COUNT(*) FROM attrs").unwrap();
     assert_eq!(rs.rows[0][0], Value::Int(40));
     std::fs::remove_dir_all(&dir).ok();

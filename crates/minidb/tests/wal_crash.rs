@@ -491,3 +491,22 @@ fn std_vfs_roundtrip_on_disk() {
     assert!(std_vfs.exists(WAL_FILE));
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn second_open_of_a_live_directory_is_refused() {
+    let dir = std::env::temp_dir().join(format!("minidb-waldir-lock-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let db = Database::open(&dir).unwrap();
+    db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
+        .unwrap();
+    // A second opener would truncate and append to the live WAL; it
+    // must be refused, naming the directory, and leave the first intact.
+    let err = Database::open(&dir).err().expect("second open of a live directory must fail");
+    assert!(matches!(&err, DbError::Locked(d) if d.contains("minidb-waldir-lock")), "{err}");
+    db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
+    drop(db);
+    // Dropping the first handle releases the lock.
+    let db = Database::open(&dir).unwrap();
+    assert_eq!(db.row_count("t").unwrap(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,9 +1,10 @@
 //! The catalog as a grid service: server + clients in one process.
 //!
-//! Starts a `CatalogServer` on an ephemeral port, drives it from
-//! several concurrent clients (one ingesting scientist, two querying),
-//! snapshots the catalog to disk, and reloads it — the full service
-//! lifecycle of a myLEAD-style deployment.
+//! Opens a durable catalog directory, starts a `CatalogServer` on an
+//! ephemeral port, drives it from several concurrent clients (one
+//! ingesting scientist, two querying), stops the server (drain, then
+//! checkpoint), and reopens the directory — the full service lifecycle
+//! of a myLEAD-style deployment.
 //!
 //! ```sh
 //! cargo run --example catalog_service
@@ -17,8 +18,11 @@ use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let generator = Arc::new(DocGenerator::new(WorkloadConfig::default()));
-    let catalog = Arc::new(generator.catalog(CatalogConfig::default())?);
-    let server = CatalogServer::start(catalog.clone(), "127.0.0.1:0")?;
+    let dir = std::env::temp_dir().join(format!("mylead-service-demo-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let catalog = MetadataCatalog::open(&dir, lead_partition(), CatalogConfig::default())?;
+    generator.register_defs(&catalog)?;
+    let mut server = CatalogServer::start(Arc::new(catalog), "127.0.0.1:0")?;
     println!("catalog service listening on {}", server.addr());
 
     // One scientist ingests a forecast batch...
@@ -76,19 +80,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!();
 
-    // Snapshot the live catalog and reload it — restart survival.
-    let path = std::env::temp_dir().join("mylead-service-demo.snapshot");
-    catalog.save(&path)?;
-    let reloaded = MetadataCatalog::load(&path, lead_partition(), CatalogConfig::default());
-    match reloaded {
-        Err(e) => println!("reload failed: {e}"),
-        Ok(_) => {
-            // The demo generator registers its own defs; reload against
-            // the same defs requires the generator's catalog partition,
-            // so rebuild through it.
-            println!("snapshot written to {} and reloaded OK", path.display());
-        }
-    }
-    std::fs::remove_file(&path).ok();
+    c.quit()?;
+
+    // Stop the server (drain, then checkpoint) and reopen the directory
+    // — restart survival. Dropping the server releases the catalog and
+    // its directory lock.
+    server.stop();
+    drop(server);
+    let reopened = MetadataCatalog::open(&dir, lead_partition(), CatalogConfig::default())?;
+    println!(
+        "reopened {} with {} objects after a clean stop",
+        dir.display(),
+        reopened.stats().objects
+    );
+    std::fs::remove_dir_all(&dir).ok();
     Ok(())
 }

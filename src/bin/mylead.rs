@@ -1,20 +1,29 @@
 //! `mylead` — command-line front end for the hybrid metadata catalog.
 //!
-//! The catalog state lives in a snapshot file (created by `init`),
-//! loaded at the start of each command and saved back after mutations:
+//! The catalog lives in a directory (created by `init`) holding the
+//! write-ahead log and its checkpoint snapshot. Every command opens the
+//! directory, which recovers the committed state; every mutation is
+//! fsynced to the log before it is reported, so nothing acknowledged is
+//! lost even if the process is killed:
 //!
 //! ```text
-//! mylead init      -s cat.db
-//! mylead ingest    -s cat.db doc1.xml doc2.xml ...
-//! mylead add       -s cat.db <object-id> fragment.xml
-//! mylead query     -s cat.db "grid@ARPS[dx=1000]{grid-stretching@ARPS[dzmin=100]}"
-//! mylead analyze   -s cat.db "grid@ARPS[dx=1000]{grid-stretching@ARPS[dzmin=100]}"
-//! mylead search    -s cat.db "theme[themekey~'%rain%']"
-//! mylead fetch     -s cat.db 1 2 3
-//! mylead stats     -s cat.db [server-addr]
-//! mylead sql       -s cat.db "SELECT COUNT(*) FROM clobs"
-//! mylead serve     -s cat.db 127.0.0.1:7070
+//! mylead init      -s cat.d
+//! mylead ingest    -s cat.d doc1.xml doc2.xml ...
+//! mylead add       -s cat.d <object-id> fragment.xml
+//! mylead query     -s cat.d "grid@ARPS[dx=1000]{grid-stretching@ARPS[dzmin=100]}"
+//! mylead analyze   -s cat.d "grid@ARPS[dx=1000]{grid-stretching@ARPS[dzmin=100]}"
+//! mylead search    -s cat.d "theme[themekey~'%rain%']"
+//! mylead fetch     -s cat.d 1 2 3
+//! mylead stats     -s cat.d [server-addr]
+//! mylead sql       -s cat.d "SELECT COUNT(*) FROM clobs"
+//! mylead serve     -s cat.d 127.0.0.1:7070
 //! ```
+//!
+//! A directory is open in one process at a time: while `serve` runs,
+//! the other commands refuse it, and the live catalog is read over the
+//! wire instead (`mylead stats -s cat.d <server-addr>`, or any
+//! `CatalogClient`). `serve` checkpoints every 30 s so the log and
+//! restart recovery stay short.
 //!
 //! `analyze` runs the query with per-operator profiling and prints the
 //! annotated plan (`EXPLAIN ANALYZE`). `stats` with a server address
@@ -27,7 +36,8 @@
 //! attributes enabled (pass `--strict` to disable).
 
 use mylead::catalog::catalog::{CatalogConfig, MetadataCatalog};
-use mylead::catalog::lead::{lead_catalog, lead_partition};
+use mylead::catalog::error::CatalogError;
+use mylead::catalog::lead::{lead_partition, register_arps_defs};
 use mylead::catalog::qparse::parse_query;
 use std::io::Write;
 use std::process::ExitCode;
@@ -56,7 +66,8 @@ fn main() -> ExitCode {
 
 struct Args {
     command: String,
-    snapshot: String,
+    /// Catalog directory (`-s/--snapshot`).
+    dir: String,
     strict: bool,
     rest: Vec<String>,
 }
@@ -64,13 +75,13 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut argv = std::env::args().skip(1);
     let command = argv.next().ok_or_else(usage)?;
-    let mut snapshot = None;
+    let mut dir = None;
     let mut strict = false;
     let mut rest = Vec::new();
     while let Some(a) = argv.next() {
         match a.as_str() {
             "-s" | "--snapshot" => {
-                snapshot = Some(argv.next().ok_or("missing value after --snapshot")?);
+                dir = Some(argv.next().ok_or("missing value after --snapshot")?);
             }
             "--strict" => strict = true,
             _ => rest.push(a),
@@ -78,14 +89,14 @@ fn parse_args() -> Result<Args, String> {
     }
     Ok(Args {
         command,
-        snapshot: snapshot.ok_or("every command needs --snapshot <path> (or -s)")?,
+        dir: dir.ok_or("every command needs --snapshot <dir> (or -s)")?,
         strict,
         rest,
     })
 }
 
 fn usage() -> String {
-    "usage: mylead <init|ingest|add|query|analyze|search|fetch|stats|sql|serve> -s <snapshot> [args...]"
+    "usage: mylead <init|ingest|add|query|analyze|search|fetch|stats|sql|serve> -s <dir> [args...]"
         .to_string()
 }
 
@@ -93,64 +104,71 @@ fn config(strict: bool) -> CatalogConfig {
     CatalogConfig { auto_register: !strict, ..CatalogConfig::default() }
 }
 
-fn load(args: &Args) -> Result<MetadataCatalog, String> {
-    MetadataCatalog::load(&args.snapshot, lead_partition(), config(args.strict))
-        .map_err(|e| format!("cannot load snapshot {}: {e}", args.snapshot))
+/// Open the catalog directory named by `-s`.
+fn open(args: &Args) -> Result<MetadataCatalog, String> {
+    let dir = &args.dir;
+    MetadataCatalog::open(dir, lead_partition(), config(args.strict)).map_err(|e| match e {
+        CatalogError::Db(minidb::DbError::Locked(_)) => format!(
+            "cannot open catalog {dir}: {e}; a running server's catalog is read over \
+             the wire (mylead stats -s {dir} <server-addr>)"
+        ),
+        e => format!("cannot open catalog {dir}: {e}"),
+    })
+}
+
+/// Open an existing catalog directory; commands other than `init`
+/// never create one.
+fn open_existing(args: &Args) -> Result<MetadataCatalog, String> {
+    let dir = &args.dir;
+    if !std::path::Path::new(dir).is_dir() {
+        return Err(format!(
+            "{dir} is not a catalog directory (`mylead init -s <dir>` creates one)"
+        ));
+    }
+    open(args)
 }
 
 fn run() -> Result<(), String> {
     let args = parse_args()?;
     match args.command.as_str() {
         "init" => {
-            if std::path::Path::new(&args.snapshot).exists() {
-                return Err(format!("{} already exists", args.snapshot));
+            if std::path::Path::new(&args.dir).exists() {
+                return Err(format!("{} already exists", args.dir));
             }
-            let cat = lead_catalog(config(args.strict)).map_err(|e| e.to_string())?;
-            cat.save(&args.snapshot).map_err(|e| e.to_string())?;
-            say!("initialized LEAD catalog at {}", args.snapshot);
+            let cat = open(&args)?;
+            register_arps_defs(&cat).map_err(|e| e.to_string())?;
+            say!("initialized LEAD catalog at {}", args.dir);
             Ok(())
         }
         "ingest" => {
             if args.rest.is_empty() {
                 return Err("ingest needs at least one XML file".into());
             }
-            let cat = load(&args)?;
-            // Save even when a later file fails, so objects already
-            // reported as ingested are never silently lost.
-            let mut failure = None;
+            let cat = open_existing(&args)?;
+            // Each ingest commits on its own, so objects reported before
+            // a failing file stay in the catalog.
             for path in &args.rest {
-                let result = std::fs::read_to_string(path)
-                    .map_err(|e| format!("{path}: {e}"))
-                    .and_then(|xml| cat.ingest(&xml).map_err(|e| format!("{path}: {e}")));
-                match result {
-                    Ok(id) => say!("{path} -> object {id}"),
-                    Err(e) => {
-                        failure = Some(e);
-                        break;
-                    }
-                }
+                let xml = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+                let id = cat.ingest(&xml).map_err(|e| format!("{path}: {e}"))?;
+                say!("{path} -> object {id}");
             }
-            cat.save(&args.snapshot).map_err(|e| e.to_string())?;
-            match failure {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            Ok(())
         }
         "add" => {
             let [id_str, path] = args.rest.as_slice() else {
                 return Err("add needs <object-id> <fragment.xml>".into());
             };
             let id: i64 = id_str.parse().map_err(|_| format!("bad object id {id_str}"))?;
-            let cat = load(&args)?;
+            let cat = open_existing(&args)?;
             let xml = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
             cat.add_attribute(id, &xml).map_err(|e| e.to_string())?;
             say!("added attribute to object {id}");
-            cat.save(&args.snapshot).map_err(|e| e.to_string())
+            Ok(())
         }
         "query" => {
             let dsl = args.rest.join(" ");
             let q = parse_query(&dsl).map_err(|e| e.to_string())?;
-            let cat = load(&args)?;
+            let cat = open_existing(&args)?;
             let ids = cat.query(&q).map_err(|e| e.to_string())?;
             say!("{} object(s): {:?}", ids.len(), ids);
             Ok(())
@@ -158,7 +176,7 @@ fn run() -> Result<(), String> {
         "analyze" => {
             let dsl = args.rest.join(" ");
             let q = parse_query(&dsl).map_err(|e| e.to_string())?;
-            let cat = load(&args)?;
+            let cat = open_existing(&args)?;
             let text = cat.explain_analyze(&q).map_err(|e| e.to_string())?;
             say!("{}", text.trim_end());
             Ok(())
@@ -166,7 +184,7 @@ fn run() -> Result<(), String> {
         "search" => {
             let dsl = args.rest.join(" ");
             let q = parse_query(&dsl).map_err(|e| e.to_string())?;
-            let cat = load(&args)?;
+            let cat = open_existing(&args)?;
             for (id, doc) in cat.search(&q).map_err(|e| e.to_string())? {
                 say!("--- object {id} ---");
                 match mylead::xmlkit::Document::parse(&doc) {
@@ -182,7 +200,7 @@ fn run() -> Result<(), String> {
         "fetch" => {
             let ids: Result<Vec<i64>, _> = args.rest.iter().map(|s| s.parse::<i64>()).collect();
             let ids = ids.map_err(|_| "fetch needs numeric object ids".to_string())?;
-            let cat = load(&args)?;
+            let cat = open_existing(&args)?;
             for (id, doc) in cat.fetch_documents(&ids).map_err(|e| e.to_string())? {
                 say!("--- object {id} ---");
                 say!("{doc}");
@@ -200,7 +218,7 @@ fn run() -> Result<(), String> {
                 }
                 return c.quit().map(|_| ()).map_err(|e| e.to_string());
             }
-            let cat = load(&args)?;
+            let cat = open_existing(&args)?;
             let s = cat.stats();
             say!("objects        {}", s.objects);
             say!("attribute rows {}", s.attr_rows);
@@ -217,26 +235,25 @@ fn run() -> Result<(), String> {
         }
         "sql" => {
             let stmt = args.rest.join(" ");
-            let cat = load(&args)?;
+            let cat = open_existing(&args)?;
             let rs = cat.db().execute_sql(&stmt).map_err(|e| e.to_string())?;
             say!("{}", rs.to_text().trim_end());
-            // Persist in case the statement mutated the store.
-            cat.save(&args.snapshot).map_err(|e| e.to_string())
+            Ok(())
         }
         "serve" => {
             let addr = args.rest.first().cloned().unwrap_or_else(|| "127.0.0.1:7070".into());
-            let cat = std::sync::Arc::new(load(&args)?);
+            let cat = std::sync::Arc::new(open_existing(&args)?);
             let server =
                 service::CatalogServer::start(cat.clone(), &addr).map_err(|e| e.to_string())?;
             say!(
-                "serving catalog {} on {} (Ctrl-C to stop; snapshot is saved every 30 s)",
-                args.snapshot,
+                "serving catalog {} on {} (Ctrl-C to stop; every acked write is durable)",
+                args.dir,
                 server.addr()
             );
             loop {
                 std::thread::sleep(std::time::Duration::from_secs(30));
-                if let Err(e) = cat.save(&args.snapshot) {
-                    eprintln!("snapshot save failed: {e}");
+                if let Err(e) = cat.checkpoint() {
+                    eprintln!("checkpoint failed: {e}");
                 }
             }
         }
