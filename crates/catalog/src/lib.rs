@@ -32,10 +32,7 @@
 
 #![warn(missing_docs)]
 
-pub mod annotated;
 pub mod catalog;
-pub mod collections;
-pub mod context;
 pub mod defs;
 pub mod engine;
 pub mod error;
@@ -52,10 +49,7 @@ pub mod store;
 
 /// Common imports for catalog users.
 pub mod prelude {
-    pub use crate::annotated::parse_annotated;
     pub use crate::catalog::{CatalogConfig, CatalogStats, MetadataCatalog};
-    pub use crate::collections::CollectionId;
-    pub use crate::context::ContextQuery;
     pub use crate::defs::{AttrId, DefLevel, DefsRegistry, DynamicAttrSpec, ElemId};
     pub use crate::engine::MatchStrategy;
     pub use crate::error::{CatalogError, Result};

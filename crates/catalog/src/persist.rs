@@ -170,7 +170,7 @@ mod tests {
     use super::*;
     use crate::defs::DynamicAttrSpec;
     use crate::lead::{fig4_query, lead_partition, register_arps_defs, FIG3_DOCUMENT};
-    use minidb::{MemVfs, WalOptions};
+    use minidb::{Column, DataType, MemVfs, TableSchema, Value, WalOptions};
     use std::sync::Arc;
 
     fn open_mem(vfs: &MemVfs, partition: Partition) -> Result<MetadataCatalog> {
@@ -252,15 +252,39 @@ mod tests {
         assert!(matches!(err, CatalogError::Definition(_)));
     }
 
+    /// A directory written by a release that also created the
+    /// `collections` / `collection_members` tables still opens: the
+    /// rebuild reads only the tables it needs and ignores extra ones.
     #[test]
-    fn collections_survive() {
+    fn directory_with_retired_collection_tables_still_opens() {
         let vfs = MemVfs::new();
         let cat = lead_on(&vfs);
+        let db = cat.db();
+        db.create_table(
+            "collections",
+            TableSchema::new(vec![
+                Column::new("coll_id", DataType::Int),
+                Column::new("name", DataType::Text),
+                Column::nullable("owner", DataType::Text),
+            ]),
+        )
+        .unwrap();
+        db.create_table(
+            "collection_members",
+            TableSchema::new(vec![
+                Column::new("coll_id", DataType::Int),
+                Column::new("kind", DataType::Int),
+                Column::new("member_id", DataType::Int),
+            ]),
+        )
+        .unwrap();
         let id = cat.ingest(FIG3_DOCUMENT).unwrap();
-        let coll = cat.create_collection("exp", Some("k")).unwrap();
-        cat.add_object_to_collection(coll, id).unwrap();
+        db.insert("collections", vec![vec![Value::Int(1), Value::Str("exp".into()), Value::Null]])
+            .unwrap();
+        db.insert("collection_members", vec![vec![Value::Int(1), Value::Int(0), Value::Int(id)]])
+            .unwrap();
         let loaded = checkpoint_reopen(cat, &vfs);
-        assert_eq!(loaded.collection_objects(coll).unwrap(), vec![id]);
-        assert_eq!(loaded.query_in_collection(coll, &fig4_query()).unwrap(), vec![id]);
+        assert!(loaded.db().has_table("collections"));
+        assert_eq!(loaded.query(&fig4_query()).unwrap(), vec![id]);
     }
 }

@@ -28,8 +28,8 @@ const K_CLOSE: i64 = 2;
 
 /// Reconstruct schema-ordered XML documents for `object_ids`.
 ///
-/// Returns `(object_id, xml)` pairs in ascending id order; ids with no
-/// stored metadata yield an empty string.
+/// Returns one `(object_id, xml)` pair per distinct id, in ascending id
+/// order; ids with no stored metadata yield an empty string.
 pub fn build_documents(db: &Database, object_ids: &[i64]) -> Result<Vec<(i64, String)>> {
     build_documents_ctx(db, object_ids, &RequestCtx::unbounded())
 }
@@ -47,6 +47,12 @@ pub fn build_documents_ctx(
     if object_ids.is_empty() {
         return Ok(Vec::new());
     }
+    // One document per distinct id: a repeated id must not look its
+    // CLOB rows up twice (`Distinct` below dedups only wrapper tags).
+    let mut ids = object_ids.to_vec();
+    ids.sort_unstable();
+    ids.dedup();
+    let object_ids = ids.as_slice();
     // All plans (and the final CLOB byte resolution) run under one read
     // transaction: a concurrent ingest or delete commits either before
     // or after the whole reconstruction, never between its steps.

@@ -128,7 +128,6 @@ pub fn create_tables(db: &Database) -> Result<()> {
         ]),
     )?;
     db.create_index("elem_defs", "elem_defs_pk", &["elem_id"], true)?;
-    crate::collections::create_collection_tables(db)?;
     Ok(())
 }
 

@@ -50,6 +50,18 @@ fn fig1_roundtrip_reconstructs_schema_ordered_document() {
 }
 
 #[test]
+fn repeated_ids_fetch_each_document_once() {
+    let cat = cat();
+    let id = cat.ingest(FIG3_DOCUMENT).unwrap();
+    let other = cat.ingest(&doc_with(500.0, None, "snow")).unwrap();
+    assert_eq!(cat.fetch_documents(&[id, id]).unwrap(), cat.fetch_documents(&[id]).unwrap());
+    assert_eq!(
+        cat.fetch_documents(&[other, id, other, 999, 999]).unwrap(),
+        cat.fetch_documents(&[id, other, 999]).unwrap()
+    );
+}
+
+#[test]
 fn response_restores_schema_order_even_if_ingest_order_differs() {
     // Shuffle sibling order: geospatial before idinfo in the input.
     let shuffled = "<LEADresource><resourceID>x</resourceID><data>\
@@ -327,7 +339,7 @@ fn stats_reflect_hybrid_duplication() {
     // grid + grid-stretching + 2 themes + resourceID instances
     assert_eq!(s.attr_rows, 5);
     // table count is fixed regardless of content
-    assert_eq!(s.table_count, 11); // 9 core + 2 collection tables
+    assert_eq!(s.table_count, 9);
 }
 
 #[test]

@@ -29,6 +29,8 @@ fn ping_ingest_query_fetch() {
     assert_eq!(parsed.node(parsed.root()).name(), Some("results"));
     // FETCH and SEARCH reply with the one envelope the library builds.
     assert_eq!(body, catalog::response::build_response_envelope(cat.db(), &hits).unwrap());
+    // A repeated id is one object in the reply, each fragment once.
+    assert_eq!(c.fetch(&[id, id]).unwrap(), body);
     let requeried = c.query(q).unwrap();
     let fetched = c.fetch(&requeried).unwrap();
     assert_eq!(c.search(q).unwrap(), fetched);

@@ -1,5 +1,4 @@
-//! Error type shared by the tokenizer, DOM builder, schema parser, and
-//! XPath evaluator.
+//! Error type shared by the tokenizer, DOM builder, and schema parser.
 
 use std::fmt;
 
@@ -29,8 +28,6 @@ pub enum ErrorKind {
     BadStructure,
     /// A schema description was invalid.
     BadSchema,
-    /// An XPath expression was invalid.
-    BadPath,
 }
 
 impl XmlError {
@@ -54,7 +51,6 @@ impl fmt::Display for XmlError {
             ErrorKind::UnknownEntity => "unknown entity",
             ErrorKind::BadStructure => "bad document structure",
             ErrorKind::BadSchema => "invalid schema",
-            ErrorKind::BadPath => "invalid path expression",
         };
         match self.offset {
             Some(off) => write!(f, "{name} at byte {off}: {}", self.detail),

@@ -1,9 +1,8 @@
 //! # xmlkit — minimal XML substrate for the metadata catalog
 //!
 //! A self-contained XML stack: pull [`tokenizer`], arena [`dom`],
-//! [`writer`] (compact + pretty serialization), a catalog-oriented
-//! [`schema`] model (cardinality, recursion points, leaf value types),
-//! and an [`xpath`] subset used by the comparison baselines.
+//! [`writer`] (compact + pretty serialization), and a catalog-oriented
+//! [`schema`] model (cardinality, recursion points, leaf value types).
 //!
 //! The design goal is *shared ingest cost*: every storage backend in the
 //! evaluation parses documents through the same tokenizer and DOM, so
@@ -12,11 +11,13 @@
 //!
 //! ```
 //! use xmlkit::dom::Document;
-//! use xmlkit::xpath::Path;
 //!
 //! let doc = Document::parse("<theme><kt>CF</kt><key>rain</key></theme>").unwrap();
-//! let hits = Path::parse("/theme[kt='CF']/key").unwrap().eval(&doc);
-//! assert_eq!(doc.deep_text(hits[0]), "rain");
+//! let theme = doc.root();
+//! let kt = doc.child_named(theme, "kt").unwrap();
+//! assert_eq!(doc.deep_text(kt), "CF");
+//! let key = doc.child_named(theme, "key").unwrap();
+//! assert_eq!(doc.deep_text(key), "rain");
 //! ```
 
 #![warn(missing_docs)]
@@ -26,7 +27,6 @@ pub mod error;
 pub mod schema;
 pub mod tokenizer;
 pub mod writer;
-pub mod xpath;
 
 pub use dom::{Document, Node, NodeId, NodeKind};
 pub use error::{ErrorKind, Result, XmlError};

@@ -1,9 +1,7 @@
-//! Property tests for the schema model and XPath-lite.
+//! Property tests for the schema model.
 
 use proptest::prelude::*;
 use xmlkit::schema::{Cardinality, ChildRef, Schema, SchemaBuilder};
-use xmlkit::xpath::Path;
-use xmlkit::Document;
 
 #[derive(Debug, Clone)]
 enum STree {
@@ -94,41 +92,6 @@ proptest! {
                 .collect();
             prop_assert_eq!(s.resolve_path(&path), Some(id), "path {}", path);
         }
-    }
-
-    /// Absolute child paths in XPath-lite agree with manual traversal.
-    #[test]
-    fn xpath_child_paths_agree(keys in proptest::collection::vec("[a-z]{1,5}", 1..8)) {
-        let mut xml = String::from("<r>");
-        for k in &keys {
-            xml.push_str(&format!("<item><key>{k}</key></item>"));
-        }
-        xml.push_str("</r>");
-        let doc = Document::parse(&xml).unwrap();
-        let hits = Path::parse("/r/item/key").unwrap().eval(&doc);
-        prop_assert_eq!(hits.len(), keys.len());
-        // Predicate narrows to exactly the matching keys.
-        let target = &keys[0];
-        let hits = Path::parse(&format!("/r/item[key='{target}']")).unwrap().eval(&doc);
-        let expected = keys.iter().filter(|k| *k == target).count();
-        prop_assert_eq!(hits.len(), expected);
-        // Descendant axis finds the same keys as the absolute path.
-        let desc = Path::parse("//key").unwrap().eval(&doc);
-        prop_assert_eq!(desc.len(), keys.len());
-    }
-
-    /// Numeric predicates agree with direct comparison.
-    #[test]
-    fn xpath_numeric_predicates(vals in proptest::collection::vec(-50i64..50, 1..10), threshold in -50i64..50) {
-        let mut xml = String::from("<r>");
-        for v in &vals {
-            xml.push_str(&format!("<n><v>{v}</v></n>"));
-        }
-        xml.push_str("</r>");
-        let doc = Document::parse(&xml).unwrap();
-        let hits = Path::parse(&format!("/r/n[v>={threshold}]")).unwrap().eval(&doc);
-        let expected = vals.iter().filter(|v| **v >= threshold).count();
-        prop_assert_eq!(hits.len(), expected);
     }
 }
 

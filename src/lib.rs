@@ -5,7 +5,7 @@
 //! - [`catalog`] — the paper's contribution: partitioning, global
 //!   ordering, hybrid shredding, the Fig-4 query engine, and set-based
 //!   response building;
-//! - [`xmlkit`] — the XML substrate (tokenizer, DOM, schema, XPath-lite);
+//! - [`xmlkit`] — the XML substrate (tokenizer, DOM, writer, schema);
 //! - [`minidb`] — the embedded relational engine;
 //! - [`baselines`] — the comparison backends (single-CLOB, DOM store,
 //!   edge table, shared inlining, document-level ordering);
