@@ -525,10 +525,9 @@ impl MetadataCatalog {
     }
 
     /// [`MetadataCatalog::query`] under a request context: the match
-    /// plan checks `ctx`'s deadline cooperatively and charges its
-    /// row/byte budget. On cancellation the
-    /// `catalog.cancelled.{deadline,budget}` counter is bumped and the
-    /// offending query recorded in the slow-query ring.
+    /// plan checks `ctx`'s deadline cooperatively. On cancellation the
+    /// `catalog.cancelled.deadline` counter is bumped and the offending
+    /// query recorded in the slow-query ring.
     pub fn query_ctx(&self, q: &ObjectQuery, ctx: &RequestCtx) -> Result<Vec<i64>> {
         let plan = self.cached_plan(q, self.config.strategy)?;
         execute_match_plan(&self.db, &plan, ctx).map_err(|e| ctx.note_cancelled(e))
@@ -564,8 +563,7 @@ impl MetadataCatalog {
 
     /// Reconstruct `object_ids` into one `<results>` envelope — the
     /// reply body of both `FETCH` and `SEARCH`. Document reconstruction,
-    /// including CLOB byte resolution, respects `ctx`'s deadline and
-    /// byte budget.
+    /// including CLOB byte resolution, respects `ctx`'s deadline.
     pub fn fetch_envelope_ctx(&self, object_ids: &[i64], ctx: &RequestCtx) -> Result<String> {
         let _span = obs::global().span("catalog.response_build");
         response::build_response_envelope_ctx(&self.db, object_ids, ctx)
@@ -583,8 +581,8 @@ impl MetadataCatalog {
     }
 
     /// [`MetadataCatalog::search_envelope`] under a request context:
-    /// one budget and one deadline govern match *and* response
-    /// assembly — the two halves cannot each spend the full allowance.
+    /// one deadline governs match *and* response assembly — the two
+    /// halves cannot each spend the full allowance.
     pub fn search_envelope_ctx(&self, q: &ObjectQuery, ctx: &RequestCtx) -> Result<String> {
         self.fetch_envelope_ctx(&self.query_ctx(q, ctx)?, ctx)
     }

@@ -24,7 +24,7 @@ use crate::defs::{AttrId, DefsRegistry, ElemId};
 use crate::error::{CatalogError, Result};
 use crate::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
 use crate::reqctx::RequestCtx;
-use minidb::{CmpOp, Database, ExecOpts, Expr, Plan, Value};
+use minidb::{CmpOp, Database, Expr, Plan, Value};
 
 /// Matching strategy (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -260,14 +260,13 @@ pub(crate) fn ids_from_rows(rs: minidb::ResultSet) -> Vec<i64> {
 }
 
 /// Execute an already-built match plan under a request context; returns
-/// sorted matching object ids. Independent per-criterion subtrees run on
-/// parallel worker threads ([`ExecOpts::parallel`]), all charging `ctx`'s
-/// budget and checking its deadline cooperatively.
+/// sorted matching object ids. The executor checks `ctx`'s deadline
+/// cooperatively.
 pub fn execute_match_plan(db: &Database, plan: &Plan, ctx: &RequestCtx) -> Result<Vec<i64>> {
     let reg = obs::global();
     let rs = {
         let _span = reg.span("catalog.query.match");
-        db.execute_with(plan, &ExecOpts::parallel().with_budget(&ctx.budget))?
+        db.execute_with(plan, ctx.deadline)?
     };
     reg.counter("catalog.query.count").incr();
     Ok(ids_from_rows(rs))

@@ -30,8 +30,6 @@ pub enum CatalogError {
     /// executor and response-assembly loop boundaries, so the caller
     /// gets this instead of a partial result.
     DeadlineExceeded(String),
-    /// The request exceeded its row/byte budget.
-    BudgetExceeded(String),
 }
 
 impl fmt::Display for CatalogError {
@@ -45,11 +43,9 @@ impl fmt::Display for CatalogError {
             CatalogError::Definition(m) => write!(f, "definition error: {m}"),
             CatalogError::BadQuery(m) => write!(f, "bad query: {m}"),
             CatalogError::NoSuchObject(id) => write!(f, "no such object: {id}"),
-            // Keep the "deadline exceeded"/"budget exceeded" prefixes:
-            // the service maps them onto `ERR deadline ...` /
-            // `ERR budget ...` wire replies by prefix.
+            // Keep the "deadline exceeded" prefix: the service maps it
+            // onto `ERR deadline ...` wire replies by prefix.
             CatalogError::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
-            CatalogError::BudgetExceeded(m) => write!(f, "budget exceeded: {m}"),
         }
     }
 }
@@ -65,11 +61,10 @@ impl From<xmlkit::XmlError> for CatalogError {
 impl From<minidb::DbError> for CatalogError {
     fn from(e: minidb::DbError) -> Self {
         match e {
-            // Governance errors keep their type across the layer
+            // The deadline error keeps its type across the layer
             // boundary so callers can distinguish "cancelled" from
             // "broken".
             minidb::DbError::DeadlineExceeded(m) => CatalogError::DeadlineExceeded(m),
-            minidb::DbError::BudgetExceeded(m) => CatalogError::BudgetExceeded(m),
             other => CatalogError::Db(other),
         }
     }

@@ -18,7 +18,7 @@
 
 use crate::error::Result;
 use crate::reqctx::RequestCtx;
-use minidb::{Database, ExecOpts, Expr, Plan, Value};
+use minidb::{Database, Expr, Plan, Value};
 
 /// Sort-merge fragment kinds; the numeric values define the ordering at
 /// equal schema order: open(0) < clob(1) < close(2).
@@ -34,9 +34,9 @@ pub fn build_documents(db: &Database, object_ids: &[i64]) -> Result<Vec<(i64, St
     build_documents_ctx(db, object_ids, &RequestCtx::unbounded())
 }
 
-/// [`build_documents`] under a request context: every plan charges the
-/// request's budget, and the per-object lookup loop, fragment sort-merge
-/// input, and final CLOB byte resolution all check the deadline — so
+/// [`build_documents`] under a request context: every plan runs under
+/// the request's deadline, and the per-object lookup loop, fragment
+/// sort-merge input, and final CLOB byte resolution all check it — so
 /// reconstruction of a huge response stops cooperatively instead of
 /// holding its worker past the deadline.
 pub fn build_documents_ctx(
@@ -57,7 +57,6 @@ pub fn build_documents_ctx(
     // transaction: a concurrent ingest or delete commits either before
     // or after the whole reconstruction, never between its steps.
     let rt = db.begin_read();
-    let opts = ExecOpts::serial().with_budget(&ctx.budget);
     // Step 1: CLOB index rows for the result set (locators, not bytes),
     // fetched through the clobs_by_obj index one object at a time so a
     // small result set never scans the whole CLOB index.
@@ -72,7 +71,7 @@ pub fn build_documents_ctx(
                 key: vec![Value::Int(id)],
                 filter: None,
             },
-            &opts,
+            ctx.deadline,
         )?;
         for mut row in rs.rows {
             // Prepend the id column the downstream joins expect in
@@ -152,10 +151,10 @@ pub fn build_documents_ctx(
 
     // Union the three fragment relations and sort: the database returns
     // the response already tagged and ordered.
-    let mut all = rt.execute_with(&opens, &opts)?;
-    let more = rt.execute_with(&closes, &opts)?;
+    let mut all = rt.execute_with(&opens, ctx.deadline)?;
+    let more = rt.execute_with(&closes, ctx.deadline)?;
     all.rows.extend(more.rows);
-    let clobs_rs = rt.execute_with(&clob_frags, &opts)?;
+    let clobs_rs = rt.execute_with(&clob_frags, ctx.deadline)?;
     all.rows.extend(clobs_rs.rows);
     ctx.check()?;
     all.rows.sort_by(|a, b| {
@@ -203,7 +202,6 @@ pub fn build_documents_ctx(
                     minidb::DbError::Corrupt(format!("object {obj}: CLOB row without a locator"))
                 })?;
                 let text = db.clobs.get_str(loc as u64)?;
-                ctx.charge_bytes(text.len() as u64)?;
                 buf.push_str(&text);
             }
             _ => {}

@@ -572,3 +572,39 @@ fn plan_cache_reuses_plans_and_invalidates_on_register_dynamic() {
     cat.query(&a).unwrap();
     assert_eq!(cat.plan_cache_len(), 3, "stale entry for `a` swapped for a fresh one");
 }
+
+#[test]
+fn request_deadline_governs_query_fetch_and_search() {
+    let cat = cat();
+    let id = cat.ingest(FIG3_DOCUMENT).unwrap();
+    let q = fig4_query();
+    let cancelled = || obs::global().counter("catalog.cancelled.deadline").get();
+
+    // An already-expired deadline: every entry point is cancelled and
+    // counted once, whatever the host's speed.
+    let expired = RequestCtx::deadline_in(std::time::Duration::ZERO);
+    std::thread::sleep(std::time::Duration::from_millis(1));
+    let before = cancelled();
+    let err = cat.query_ctx(&q, &expired).unwrap_err();
+    assert!(matches!(err, CatalogError::DeadlineExceeded(_)), "query_ctx: {err}");
+    assert_eq!(cancelled(), before + 1);
+    let err = cat.fetch_envelope_ctx(&[id], &expired).unwrap_err();
+    assert!(matches!(err, CatalogError::DeadlineExceeded(_)), "fetch_envelope_ctx: {err}");
+    assert_eq!(cancelled(), before + 2);
+    let err = cat.search_envelope_ctx(&q, &expired).unwrap_err();
+    assert!(matches!(err, CatalogError::DeadlineExceeded(_)), "search_envelope_ctx: {err}");
+    assert_eq!(cancelled(), before + 3);
+
+    // A generous deadline changes nothing.
+    let roomy = RequestCtx::deadline_in(std::time::Duration::from_secs(60));
+    let unbounded = RequestCtx::unbounded();
+    assert_eq!(cat.query_ctx(&q, &roomy).unwrap(), cat.query_ctx(&q, &unbounded).unwrap());
+    assert_eq!(
+        cat.fetch_envelope_ctx(&[id], &roomy).unwrap(),
+        cat.fetch_envelope_ctx(&[id], &unbounded).unwrap()
+    );
+    assert_eq!(
+        cat.search_envelope_ctx(&q, &roomy).unwrap(),
+        cat.search_envelope_ctx(&q, &unbounded).unwrap()
+    );
+}

@@ -25,7 +25,7 @@ use crate::error::{DbError, Result};
 use crate::exec::{run_aggregate, run_hash_join, run_semi_join, JoinKind, Plan, ResultSet};
 use crate::expr::Expr;
 use crate::keyset::{Key, KeySet, KeyedRows};
-use crate::limits::{approx_row_bytes, Budget, CHECK_INTERVAL};
+use crate::limits::Deadline;
 use crate::profile::PlanProfile;
 use crate::table::{Index, Row, RowId, Table, TableSchema};
 use crate::value::{DataType, Value};
@@ -39,131 +39,6 @@ use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Maximum nesting depth of parallel join-side forks per query. Two
-/// levels means at most four worker threads per query — enough to cover
-/// the catalog's independent per-criterion subtrees without oversubscribing
-/// the server's request threads.
-const PAR_BUDGET: u8 = 2;
-
-/// How one plan execution runs: serially, or with independent
-/// join/semi-join sides forked onto scoped worker threads (bounded fork
-/// depth), and optionally charged against a request [`Budget`]. Build
-/// with [`ExecOpts::serial`] / [`ExecOpts::parallel`], add
-/// [`ExecOpts::with_budget`], and pass to [`Database::execute_with`] or
-/// [`ReadTxn::execute_with`]. Every option yields the same result; they
-/// differ only in latency and in how limits are enforced.
-#[derive(Debug, Clone)]
-pub struct ExecOpts {
-    /// Fork independent join/semi-join sides onto scoped threads.
-    parallel: bool,
-    /// Remaining fork depth (each fork decrements).
-    par_budget: u8,
-    /// Shared deadline / row / byte budget for this request, if any.
-    /// Forked subplans clone the `Arc`, so parallel sides draw down
-    /// one budget and observe one deadline.
-    budget: Option<Arc<Budget>>,
-}
-
-impl ExecOpts {
-    /// Single-threaded, unbounded execution (what [`Database::execute`] runs).
-    pub fn serial() -> ExecOpts {
-        ExecOpts { parallel: false, par_budget: 0, budget: None }
-    }
-
-    /// Evaluate independent hash-join / semi-join sides on scoped
-    /// worker threads — for latency-bound plans with data-independent
-    /// subtrees, such as the catalog's per-criterion match branches.
-    pub fn parallel() -> ExecOpts {
-        ExecOpts { parallel: true, par_budget: PAR_BUDGET, budget: None }
-    }
-
-    /// Charge the execution against `budget`: the executor checks its
-    /// deadline cooperatively at scan/join loop boundaries and charges
-    /// materialized rows/bytes against its caps, returning
-    /// [`DbError::DeadlineExceeded`] / [`DbError::BudgetExceeded`]
-    /// instead of a partial result. Forked subplans share the one
-    /// tracker, so parallelism cannot be used to dodge limits.
-    pub fn with_budget(mut self, budget: &Arc<Budget>) -> ExecOpts {
-        if !budget.is_unlimited() {
-            self.budget = Some(Arc::clone(budget));
-        }
-        self
-    }
-
-    fn fork(&self) -> ExecOpts {
-        ExecOpts { par_budget: self.par_budget.saturating_sub(1), ..self.clone() }
-    }
-
-    /// Forking is allowed only on unprofiled runs: per-operator stats
-    /// collection threads one mutable profile through the tree, which
-    /// is inherently sequential.
-    fn can_fork(&self, prof: &Option<PlanProfile>) -> bool {
-        self.parallel && self.par_budget > 0 && prof.is_none()
-    }
-
-    fn budget_ref(&self) -> Option<&Budget> {
-        self.budget.as_deref()
-    }
-
-    /// Cooperative cancellation point for hot loops: every
-    /// [`CHECK_INTERVAL`] iterations, check the deadline plus whether
-    /// the loop's locally accumulated rows would blow the row cap.
-    #[inline]
-    fn tick(&self, iter: &mut u32, pending_rows: usize) -> Result<()> {
-        *iter = iter.wrapping_add(1);
-        if (*iter).is_multiple_of(CHECK_INTERVAL) {
-            if let Some(b) = &self.budget {
-                b.check(pending_rows as u64)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Operator-boundary accounting: charge the materialized result's
-    /// rows and approximate bytes, and re-check the deadline. Called
-    /// once per operator, so `max_rows`/`max_bytes` cap the *total*
-    /// materialization a request performs.
-    fn charge(&self, rs: &ResultSet) -> Result<()> {
-        let Some(b) = &self.budget else {
-            return Ok(());
-        };
-        b.check_deadline()?;
-        b.charge_rows(rs.rows.len() as u64)?;
-        let bytes: u64 = rs.rows.iter().map(|r| approx_row_bytes(r)).sum();
-        b.charge_bytes(bytes)
-    }
-
-    /// Boundary accounting for keyed (integer-pair) results.
-    fn charge_keys(&self, n: usize) -> Result<()> {
-        let Some(b) = &self.budget else {
-            return Ok(());
-        };
-        b.check_deadline()?;
-        b.charge_rows(n as u64)?;
-        b.charge_bytes((n * std::mem::size_of::<Key>()) as u64)
-    }
-}
-
-/// Run two independent subplan evaluations, the second on a scoped
-/// worker thread. Errors from either side surface; panics propagate.
-fn par2<A, B>(
-    a: impl FnOnce() -> Result<A> + Send,
-    b: impl FnOnce() -> Result<B> + Send,
-) -> Result<(A, B)>
-where
-    A: Send,
-    B: Send,
-{
-    let (ra, rb) = crossbeam::thread::scope(|s| {
-        let hb = s.spawn(|_| b());
-        let ra = a();
-        let rb = hb.join().expect("parallel subplan thread panicked");
-        (ra, rb)
-    })
-    .expect("crossbeam scope");
-    Ok((ra?, rb?))
-}
 
 /// Pick the index whose key covers the longest prefix of the
 /// predicate's `col = lit` conjuncts; returns the index plus the lookup
@@ -691,25 +566,24 @@ impl Database {
     /// commit-visibility gate: the plan sees one committed state even
     /// when it reads several tables.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.execute_with(plan, &ExecOpts::serial())
+        self.execute_with(plan, Deadline::none())
     }
 
-    /// [`Database::execute`] with explicit [`ExecOpts`] (parallel
-    /// subplans, a request budget).
-    pub fn execute_with(&self, plan: &Plan, opts: &ExecOpts) -> Result<ResultSet> {
+    /// [`Database::execute`] under a request deadline, checked
+    /// cooperatively at loop and operator boundaries.
+    pub fn execute_with(&self, plan: &Plan, deadline: Deadline) -> Result<ResultSet> {
         let _gate = self.vis.read();
-        self.run(plan, &mut None, opts)
+        self.run(plan, &mut None, &deadline)
     }
 
     /// Execute a plan while collecting per-operator row counts and
     /// inclusive wall timings; operators are addressed by plan path
     /// (see [`PlanProfile`]). Powers `EXPLAIN ANALYZE`
-    /// ([`crate::explain::explain_analyze`]). Profiled runs are always
-    /// sequential so that per-branch timings are attributable.
+    /// ([`crate::explain::explain_analyze`]).
     pub fn execute_profiled(&self, plan: &Plan) -> Result<(ResultSet, PlanProfile)> {
         let _gate = self.vis.read();
         let mut prof = Some(PlanProfile::default());
-        let rs = self.run(plan, &mut prof, &ExecOpts::serial())?;
+        let rs = self.run(plan, &mut prof, &Deadline::none())?;
         Ok((rs, prof.expect("profiler installed above")))
     }
 
@@ -719,9 +593,9 @@ impl Database {
         &self,
         plan: &Plan,
         prof: &mut Option<PlanProfile>,
-        opts: &ExecOpts,
+        deadline: &Deadline,
     ) -> Result<ResultSet> {
-        self.exec_node(plan, prof, &mut Vec::new(), opts)
+        self.exec_node(plan, prof, &mut Vec::new(), deadline)
     }
 
     fn exec_child(
@@ -730,10 +604,10 @@ impl Database {
         prof: &mut Option<PlanProfile>,
         path: &mut Vec<u16>,
         input_no: u16,
-        ctx: &ExecOpts,
+        deadline: &Deadline,
     ) -> Result<ResultSet> {
         path.push(input_no);
-        let result = self.exec_node(plan, prof, path, ctx);
+        let result = self.exec_node(plan, prof, path, deadline);
         path.pop();
         result
     }
@@ -743,7 +617,7 @@ impl Database {
         plan: &Plan,
         prof: &mut Option<PlanProfile>,
         path: &mut Vec<u16>,
-        ctx: &ExecOpts,
+        deadline: &Deadline,
     ) -> Result<ResultSet> {
         // Set-oriented fast path: `Distinct` / semi-join subtrees whose
         // leaves project `INT NOT NULL` columns execute over compact
@@ -754,7 +628,7 @@ impl Database {
             && self.keyed_arity(plan).is_some()
         {
             if let Some(columns) = keyed_columns(plan) {
-                let keyed = self.eval_keys(plan, prof, path, ctx)?;
+                let keyed = self.eval_keys(plan, prof, path, deadline)?;
                 return Ok(ResultSet { columns, rows: keyed.into_rows() });
             }
         }
@@ -773,7 +647,7 @@ impl Database {
                 // range/LIKE terms) stay correct.
                 let mut it = 0u32;
                 for_each_matching(&guard, filter.as_ref(), |r| {
-                    ctx.tick(&mut it, rows.len())?;
+                    deadline.tick(&mut it)?;
                     rows.push(r.clone());
                     Ok(())
                 })?;
@@ -788,7 +662,7 @@ impl Database {
                 let mut rows = Vec::new();
                 let mut it = 0u32;
                 let mut visit = |rid: usize| -> Result<()> {
-                    ctx.tick(&mut it, rows.len())?;
+                    deadline.tick(&mut it)?;
                     if let Some(r) = guard.get(rid) {
                         if match filter {
                             Some(p) => p.matches(r)?,
@@ -819,7 +693,7 @@ impl Database {
                 let mut rows = Vec::new();
                 let mut it = 0u32;
                 for rid in idx.range_ids(lo.as_deref(), hi.as_deref()) {
-                    ctx.tick(&mut it, rows.len())?;
+                    deadline.tick(&mut it)?;
                     if let Some(r) = guard.get(rid) {
                         if match filter {
                             Some(p) => p.matches(r)?,
@@ -835,7 +709,7 @@ impl Database {
                 Ok(ResultSet { columns: columns.clone(), rows: rows.clone() })
             }
             Plan::Filter { input, pred } => {
-                let mut rs = self.exec_child(input, prof, path, 0, ctx)?;
+                let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
                 let mut kept = Vec::with_capacity(rs.rows.len());
                 for r in rs.rows.drain(..) {
                     if pred.matches(&r)? {
@@ -846,7 +720,7 @@ impl Database {
                 Ok(rs)
             }
             Plan::Project { input, exprs } => {
-                let rs = self.exec_child(input, prof, path, 0, ctx)?;
+                let rs = self.exec_child(input, prof, path, 0, deadline)?;
                 let columns: Vec<String> = exprs.iter().map(|(_, n)| n.clone()).collect();
                 let mut rows = Vec::with_capacity(rs.rows.len());
                 for r in &rs.rows {
@@ -859,41 +733,21 @@ impl Database {
                 Ok(ResultSet { columns, rows })
             }
             Plan::HashJoin { left, right, left_keys, right_keys, kind } => {
-                let (l, r) = if ctx.can_fork(prof) {
-                    let fc = ctx.fork();
-                    let fc2 = fc.clone();
-                    par2(
-                        || self.exec_node(left, &mut None, &mut Vec::new(), &fc),
-                        || self.exec_node(right, &mut None, &mut Vec::new(), &fc2),
-                    )?
-                } else {
-                    let l = self.exec_child(left, prof, path, 0, ctx)?;
-                    let r = self.exec_child(right, prof, path, 1, ctx)?;
-                    (l, r)
-                };
-                run_hash_join(l, r, left_keys, right_keys, *kind, ctx.budget_ref())
+                let l = self.exec_child(left, prof, path, 0, deadline)?;
+                let r = self.exec_child(right, prof, path, 1, deadline)?;
+                run_hash_join(l, r, left_keys, right_keys, *kind, deadline)
             }
             Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti } => {
                 // Generic (materializing) semi-join; keyable shapes were
                 // already diverted to the fast path above.
-                let (p, b) = if ctx.can_fork(prof) {
-                    let fc = ctx.fork();
-                    let fc2 = fc.clone();
-                    par2(
-                        || self.exec_node(probe, &mut None, &mut Vec::new(), &fc),
-                        || self.exec_node(build, &mut None, &mut Vec::new(), &fc2),
-                    )?
-                } else {
-                    let p = self.exec_child(probe, prof, path, 0, ctx)?;
-                    let b = self.exec_child(build, prof, path, 1, ctx)?;
-                    (p, b)
-                };
+                let p = self.exec_child(probe, prof, path, 0, deadline)?;
+                let b = self.exec_child(build, prof, path, 1, deadline)?;
                 obs::global().counter("minidb.semijoin.count").incr();
                 run_semi_join(p, &b, probe_keys, build_keys, *anti)
             }
             Plan::NestedLoopJoin { left, right, pred, kind } => {
-                let l = self.exec_child(left, prof, path, 0, ctx)?;
-                let r = self.exec_child(right, prof, path, 1, ctx)?;
+                let l = self.exec_child(left, prof, path, 0, deadline)?;
+                let r = self.exec_child(right, prof, path, 1, deadline)?;
                 let mut columns = l.columns.clone();
                 columns.extend(r.columns.iter().cloned());
                 let right_arity = r.columns.len();
@@ -904,9 +758,9 @@ impl Database {
                     for rrow in &r.rows {
                         // The one potentially quadratic operator: check
                         // per candidate pair so a runaway cross product
-                        // hits the deadline / row cap while looping,
-                        // not after materializing.
-                        ctx.tick(&mut it, rows.len())?;
+                        // hits the deadline while looping, not after
+                        // materializing.
+                        deadline.tick(&mut it)?;
                         let mut cand = lrow.clone();
                         cand.extend(rrow.iter().cloned());
                         let ok = match pred {
@@ -927,11 +781,11 @@ impl Database {
                 Ok(ResultSet { columns, rows })
             }
             Plan::Aggregate { input, group_by, aggs } => {
-                let rs = self.exec_child(input, prof, path, 0, ctx)?;
+                let rs = self.exec_child(input, prof, path, 0, deadline)?;
                 run_aggregate(rs, group_by, aggs)
             }
             Plan::Sort { input, keys } => {
-                let mut rs = self.exec_child(input, prof, path, 0, ctx)?;
+                let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
                 rs.rows.sort_by(|a, b| {
                     for &(col, desc) in keys {
                         let ord = a[col].total_cmp(&b[col]);
@@ -945,24 +799,21 @@ impl Database {
                 Ok(rs)
             }
             Plan::Distinct { input } => {
-                let mut rs = self.exec_child(input, prof, path, 0, ctx)?;
+                let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
                 let mut seen = std::collections::HashSet::new();
                 rs.rows.retain(|r| seen.insert(r.clone()));
                 Ok(rs)
             }
             Plan::Limit { input, n } => {
-                let mut rs = self.exec_child(input, prof, path, 0, ctx)?;
+                let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
                 rs.rows.truncate(*n);
                 Ok(rs)
             }
         };
-        // Operator-boundary budget accounting: every materialized
-        // result (regardless of operator kind) is charged against the
-        // request's row/byte caps, and the deadline is re-checked, so
-        // even operators without inner-loop ticks are cancellation
-        // points.
-        if let Ok(rs) = &result {
-            ctx.charge(rs)?;
+        // Every operator boundary re-checks the deadline, so even
+        // operators without inner-loop ticks are cancellation points.
+        if result.is_ok() {
+            deadline.check()?;
         }
         if let (Some(profile), Some(started), Ok(rs)) = (prof.as_mut(), start, &result) {
             let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
@@ -1054,39 +905,29 @@ impl Database {
         plan: &Plan,
         prof: &mut Option<PlanProfile>,
         path: &mut Vec<u16>,
-        ctx: &ExecOpts,
+        deadline: &Deadline,
     ) -> Result<KeyedRows> {
         let start = prof.as_ref().map(|_| Instant::now());
         match plan {
             Plan::Distinct { input } => {
                 path.push(0);
-                let k = self.eval_keys(input, prof, path, ctx)?;
+                let k = self.eval_keys(input, prof, path, deadline)?;
                 path.pop();
                 let k = k.dedup_first_occurrence();
-                ctx.charge_keys(k.keys.len())?;
+                deadline.check()?;
                 record_keyed(prof, start, path, k.keys.len());
                 Ok(k)
             }
             Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti } => {
-                let (mut pk, bk) = if ctx.can_fork(prof) {
-                    let fc = ctx.fork();
-                    let fc2 = fc.clone();
-                    par2(
-                        || self.eval_keys(probe, &mut None, &mut Vec::new(), &fc),
-                        || self.eval_keys(build, &mut None, &mut Vec::new(), &fc2),
-                    )?
-                } else {
-                    path.push(1);
-                    let bk = self.eval_keys(build, prof, path, ctx)?;
-                    path.pop();
-                    path.push(0);
-                    let pk = self.eval_keys(probe, prof, path, ctx)?;
-                    path.pop();
-                    (pk, bk)
-                };
+                path.push(1);
+                let bk = self.eval_keys(build, prof, path, deadline)?;
+                path.pop();
+                path.push(0);
+                let mut pk = self.eval_keys(probe, prof, path, deadline)?;
+                path.pop();
                 let set = KeySet::build(bk.keys.iter().map(|&k| key_proj(k, build_keys)).collect());
                 pk.keys.retain(|&k| set.contains(key_proj(k, probe_keys)) != *anti);
-                ctx.charge_keys(pk.keys.len())?;
+                deadline.check()?;
                 let reg = obs::global();
                 reg.counter("minidb.semijoin.count").incr();
                 reg.counter("minidb.semijoin.keyed").incr();
@@ -1112,11 +953,11 @@ impl Database {
                         let mut keys = Vec::new();
                         let mut it = 0u32;
                         for_each_matching(&guard, filter.as_ref(), |r| {
-                            ctx.tick(&mut it, keys.len())?;
+                            deadline.tick(&mut it)?;
                             keys.push(row_key(r, &cols)?);
                             Ok(())
                         })?;
-                        ctx.charge_keys(keys.len())?;
+                        deadline.check()?;
                         // One fused pass stands in for both operators.
                         path.push(0);
                         record_keyed(prof, start, path, keys.len());
@@ -1132,7 +973,7 @@ impl Database {
                         };
                         path.push(0);
                         path.push(1);
-                        let bk = self.eval_keys(build, prof, path, ctx)?;
+                        let bk = self.eval_keys(build, prof, path, deadline)?;
                         path.pop();
                         path.pop();
                         let set = KeySet::build(
@@ -1145,14 +986,14 @@ impl Database {
                         let mut keys = Vec::new();
                         let mut it = 0u32;
                         for_each_matching(&guard, filter.as_ref(), |r| {
-                            ctx.tick(&mut it, keys.len())?;
+                            deadline.tick(&mut it)?;
                             scanned += 1;
                             if set.contains(row_key(r, probe_keys)?) != *anti {
                                 keys.push(row_key(r, &cols)?);
                             }
                             Ok(())
                         })?;
-                        ctx.charge_keys(keys.len())?;
+                        deadline.check()?;
                         let reg = obs::global();
                         reg.counter("minidb.semijoin.count").incr();
                         reg.counter("minidb.semijoin.keyed").incr();
@@ -1167,7 +1008,7 @@ impl Database {
                     }
                     other => {
                         path.push(0);
-                        let k = self.eval_keys(other, prof, path, ctx)?;
+                        let k = self.eval_keys(other, prof, path, deadline)?;
                         path.pop();
                         let keys = k.keys.iter().map(|&key| key_proj(key, &cols)).collect();
                         let out = KeyedRows { arity: cols.len(), keys };
@@ -1267,7 +1108,7 @@ impl Txn<'_> {
     /// sequence numbers, then insert) stay atomic with respect to
     /// concurrent writers.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.db.run(plan, &mut None, &ExecOpts::serial())
+        self.db.run(plan, &mut None, &Deadline::none())
     }
 
     /// Create a table (see [`Database::create_table`]).
@@ -1406,14 +1247,13 @@ pub struct ReadTxn<'a> {
 impl ReadTxn<'_> {
     /// Execute a plan against the batch's snapshot.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.execute_with(plan, &ExecOpts::serial())
+        self.execute_with(plan, Deadline::none())
     }
 
-    /// [`ReadTxn::execute`] with explicit [`ExecOpts`] (see
-    /// [`Database::execute_with`]): a budget shared with the rest of
-    /// the request, parallel subplans.
-    pub fn execute_with(&self, plan: &Plan, opts: &ExecOpts) -> Result<ResultSet> {
-        self.db.run(plan, &mut None, opts)
+    /// [`ReadTxn::execute`] under the request's deadline (see
+    /// [`Database::execute_with`]).
+    pub fn execute_with(&self, plan: &Plan, deadline: Deadline) -> Result<ResultSet> {
+        self.db.run(plan, &mut None, &deadline)
     }
 
     /// Number of live rows in a table, as of the batch's snapshot.
@@ -1634,7 +1474,7 @@ mod tests {
     }
 
     #[test]
-    fn keyed_semi_join_agrees_with_generic_and_parallel() {
+    fn keyed_semi_join_agrees_with_generic() {
         let db = keyed_tables();
         let probe = Plan::Scan { table: "p".into(), filter: None }
             .project(vec![(Expr::col(0), "a".into()), (Expr::col(1), "b".into())]);
@@ -1656,10 +1496,8 @@ mod tests {
         };
         let fast = db.execute(&keyed).unwrap();
         let slow = db.execute(&generic).unwrap();
-        let par = db.execute_with(&keyed, &ExecOpts::parallel()).unwrap();
         assert!(!fast.rows.is_empty());
         assert_eq!(fast.rows, slow.rows);
-        assert_eq!(fast.rows, par.rows);
         // Anti variant: keyed and generic agree, and together they
         // partition the distinct probe rows.
         let keyed_anti = Plan::Distinct {

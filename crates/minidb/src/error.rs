@@ -34,9 +34,6 @@ pub enum DbError {
     /// The execution ran past its deadline (see [`crate::limits`]);
     /// checked cooperatively, so no partial result escapes.
     DeadlineExceeded(String),
-    /// The execution exceeded its row or byte budget (see
-    /// [`crate::limits`]).
-    BudgetExceeded(String),
 }
 
 impl fmt::Display for DbError {
@@ -55,7 +52,6 @@ impl fmt::Display for DbError {
             DbError::Locked(d) => write!(f, "directory {d} is locked: it is already open"),
             DbError::Corrupt(m) => write!(f, "storage corruption: {m}"),
             DbError::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
-            DbError::BudgetExceeded(m) => write!(f, "budget exceeded: {m}"),
         }
     }
 }

@@ -484,17 +484,17 @@ pub(crate) fn run_semi_join(
     Ok(ResultSet { columns: probe.columns, rows })
 }
 
-/// Execute a hash join over materialized inputs. When a `budget` is
-/// supplied the probe loop checks it cooperatively every
-/// [`crate::limits::CHECK_INTERVAL`] output rows, so a join whose
-/// output explodes is cancelled before it is fully materialized.
+/// Execute a hash join over materialized inputs. The probe loop checks
+/// `deadline` cooperatively every [`crate::limits::CHECK_INTERVAL`]
+/// probe rows, so a join whose output explodes is cancelled before it
+/// is fully materialized.
 pub(crate) fn run_hash_join(
     left: ResultSet,
     right: ResultSet,
     left_keys: &[usize],
     right_keys: &[usize],
     kind: JoinKind,
-    budget: Option<&crate::limits::Budget>,
+    deadline: &crate::limits::Deadline,
 ) -> Result<ResultSet> {
     if left_keys.len() != right_keys.len() {
         return Err(DbError::Plan("join key arity mismatch".into()));
@@ -516,12 +516,7 @@ pub(crate) fn run_hash_join(
     let mut rows = Vec::new();
     let mut it = 0u32;
     for lrow in &left.rows {
-        if let Some(b) = budget {
-            it = it.wrapping_add(1);
-            if it.is_multiple_of(crate::limits::CHECK_INTERVAL) {
-                b.check(rows.len() as u64)?;
-            }
-        }
+        deadline.tick(&mut it)?;
         let key: Vec<Value> = left_keys.iter().map(|&i| lrow[i].clone()).collect();
         let matches = if key.iter().any(|v| v.is_null()) { None } else { table.get(&key) };
         match matches {
@@ -548,6 +543,7 @@ pub(crate) fn run_hash_join(
 mod tests {
     use super::*;
     use crate::expr::Expr;
+    use crate::limits::Deadline;
 
     fn rs(cols: &[&str], rows: Vec<Vec<Value>>) -> ResultSet {
         ResultSet { columns: cols.iter().map(|s| s.to_string()).collect(), rows }
@@ -564,10 +560,12 @@ mod tests {
             ],
         );
         let r = rs(&["id", "w"], vec![vec![1.into(), "x".into()], vec![1.into(), "y".into()]]);
-        let inner = run_hash_join(l.clone(), r.clone(), &[0], &[0], JoinKind::Inner, None).unwrap();
+        let none = Deadline::none();
+        let inner =
+            run_hash_join(l.clone(), r.clone(), &[0], &[0], JoinKind::Inner, &none).unwrap();
         assert_eq!(inner.rows.len(), 2);
         assert_eq!(inner.columns, vec!["id", "v", "id", "w"]);
-        let left = run_hash_join(l, r, &[0], &[0], JoinKind::Left, None).unwrap();
+        let left = run_hash_join(l, r, &[0], &[0], JoinKind::Left, &none).unwrap();
         assert_eq!(left.rows.len(), 4); // 2 matches + 2 unmatched (id=2, NULL)
         assert!(left.rows.iter().any(|r| r[0] == Value::Int(2) && r[3].is_null()));
     }

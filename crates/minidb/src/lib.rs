@@ -46,13 +46,13 @@ pub mod wal;
 /// Common imports for engine users.
 pub mod prelude {
     pub use crate::clob::{ClobId, ClobStore};
-    pub use crate::db::{Database, ExecOpts, ReadTxn, Txn};
+    pub use crate::db::{Database, ReadTxn, Txn};
     pub use crate::error::{DbError, Result};
     pub use crate::exec::{AggCall, AggFunc, JoinKind, Plan, ResultSet};
     pub use crate::explain::{explain, explain_analyze};
     pub use crate::expr::{ArithOp, CmpOp, Expr};
     pub use crate::keyset::{Key, KeySet, KeyedRows};
-    pub use crate::limits::{Budget, ExecLimits};
+    pub use crate::limits::Deadline;
     pub use crate::profile::{NodeStats, PlanProfile};
     pub use crate::table::{Column, Row, RowId, Table, TableSchema};
     pub use crate::value::{DataType, Value};

@@ -15,7 +15,7 @@
 //! frame:  u32 len | u32 crc32(len) | u32 crc32(payload) | payload
 //! ```
 //!
-//! Each payload is one [`WalRecord`]. A transaction is a run of
+//! Each payload is one `WalRecord`. A transaction is a run of
 //! operation records terminated by `Commit{lsn}`; recovery applies only
 //! complete committed transactions, in LSN order.
 //!

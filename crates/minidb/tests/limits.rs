@@ -1,11 +1,8 @@
-//! Execution-limit enforcement: deadlines and row/byte budgets are
-//! checked cooperatively inside the executor, so a runaway plan stops
-//! in bounded time with a typed error instead of a partial result, and
-//! a shared [`Budget`] caps a whole multi-plan request, not each plan
-//! independently.
+//! Deadline enforcement: the request deadline is checked cooperatively
+//! inside the executor, so a runaway plan stops in bounded time with a
+//! typed error instead of a partial result.
 
 use minidb::prelude::*;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn populated(rows: i64) -> Database {
@@ -33,10 +30,7 @@ fn scan() -> Plan {
 #[test]
 fn expired_deadline_fails_before_scanning() {
     let db = populated(100);
-    let budget = Arc::new(Budget::new(
-        ExecLimits::none().with_deadline(Instant::now() - Duration::from_millis(1)),
-    ));
-    let err = db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap_err();
+    let err = db.execute_with(&scan(), Deadline::after(Duration::ZERO)).unwrap_err();
     assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err}");
 }
 
@@ -53,67 +47,15 @@ fn cross_product_is_cancelled_in_bounded_time() {
         pred: None,
         kind: JoinKind::Inner,
     };
-    let budget = Arc::new(Budget::new(ExecLimits::deadline_in(Duration::from_millis(10))));
     let start = Instant::now();
-    let err = db.execute_with(&cross, &ExecOpts::serial().with_budget(&budget)).unwrap_err();
+    let err = db.execute_with(&cross, Deadline::after(Duration::from_millis(10))).unwrap_err();
     let took = start.elapsed();
     assert!(matches!(err, DbError::DeadlineExceeded(_)), "{err}");
     assert!(took < Duration::from_secs(2), "cancellation took {took:?}");
 }
 
 #[test]
-fn row_budget_stops_a_large_scan() {
-    let db = populated(10_000);
-    let budget = Arc::new(Budget::new(ExecLimits::none().with_max_rows(100)));
-    let err = db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap_err();
-    assert!(matches!(err, DbError::BudgetExceeded(_)), "{err}");
-}
-
-#[test]
-fn byte_budget_stops_a_large_scan() {
-    let db = populated(10_000);
-    let budget = Arc::new(Budget::new(ExecLimits::none().with_max_bytes(4096)));
-    let err = db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap_err();
-    assert!(matches!(err, DbError::BudgetExceeded(_)), "{err}");
-}
-
-#[test]
-fn budget_is_shared_across_plans_of_one_request() {
-    // 300 rows per scan, 500-row budget: the first scan fits, the
-    // second crosses the cumulative cap even though it would fit alone.
-    let db = populated(300);
-    let budget = Arc::new(Budget::new(ExecLimits::none().with_max_rows(500)));
-    db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap();
-    let err = db.execute_with(&scan(), &ExecOpts::serial().with_budget(&budget)).unwrap_err();
-    assert!(matches!(err, DbError::BudgetExceeded(_)), "{err}");
-}
-
-#[test]
-fn parallel_subplans_share_the_budget() {
-    // A hash join forks its inputs onto helper threads; both sides
-    // charge the same tracker, so the row cap sees their sum.
-    let db = populated(1_000);
-    let join = Plan::HashJoin {
-        left: Box::new(scan()),
-        right: Box::new(scan()),
-        left_keys: vec![0],
-        right_keys: vec![0],
-        kind: JoinKind::Inner,
-    };
-    let budget = Arc::new(Budget::new(ExecLimits::none().with_max_rows(1_500)));
-    let err = db.execute_with(&join, &ExecOpts::parallel().with_budget(&budget)).unwrap_err();
-    assert!(matches!(err, DbError::BudgetExceeded(_)), "{err}");
-
-    // With headroom for both inputs plus the joined output, the same
-    // plan completes and the budget reflects all materialized rows.
-    let roomy = Arc::new(Budget::new(ExecLimits::none().with_max_rows(10_000)));
-    let rs = db.execute_with(&join, &ExecOpts::parallel().with_budget(&roomy)).unwrap();
-    assert_eq!(rs.rows.len(), 1_000);
-    assert!(roomy.rows_used() >= 3_000, "rows_used = {}", roomy.rows_used());
-}
-
-#[test]
-fn generous_limits_do_not_change_results() {
+fn generous_deadline_does_not_change_results() {
     let db = populated(500);
     let join = Plan::HashJoin {
         left: Box::new(scan()),
@@ -122,24 +64,13 @@ fn generous_limits_do_not_change_results() {
         right_keys: vec![0],
         kind: JoinKind::Inner,
     };
-    let plain = db.execute_with(&join, &ExecOpts::parallel()).unwrap();
-    let budget = Arc::new(Budget::new(
-        ExecLimits::deadline_in(Duration::from_secs(60))
-            .with_max_rows(1_000_000)
-            .with_max_bytes(1 << 30),
-    ));
-    let limited = db.execute_with(&join, &ExecOpts::parallel().with_budget(&budget)).unwrap();
+    let plain = db.execute(&join).unwrap();
+    let deadline = Deadline::after(Duration::from_secs(60));
+    let limited = db.execute_with(&join, deadline).unwrap();
     assert_eq!(plain.rows, limited.rows);
     assert_eq!(plain.columns, limited.columns);
 
-    // Read-transaction variants agree too.
+    // The read-transaction variant agrees too.
     let rt = db.begin_read();
-    assert_eq!(
-        rt.execute_with(&join, &ExecOpts::serial().with_budget(&budget)).unwrap().rows,
-        plain.rows
-    );
-    assert_eq!(
-        rt.execute_with(&join, &ExecOpts::parallel().with_budget(&budget)).unwrap().rows,
-        plain.rows
-    );
+    assert_eq!(rt.execute_with(&join, deadline).unwrap().rows, plain.rows);
 }

@@ -25,7 +25,8 @@
 //!
 //! `DEADLINE <ms>` prefixes any command with a per-request deadline
 //! overriding the server's configured default
-//! ([`ServerConfig::default_deadline_ms`]). A read request that runs
+//! ([`ServerConfig::default_deadline_ms`]); `<ms>` must be ≥ 1, else the
+//! reply is `ERR bad deadline`. A read request that runs
 //! past its deadline is cancelled cooperatively inside the catalog and
 //! answered `ERR deadline exceeded ...`; mutations run to completion
 //! (aborting a half-applied ingest would tear acknowledgement

@@ -502,7 +502,9 @@ fn serve_connection(
             None => (trimmed, ""),
         };
         // `DEADLINE <ms> <command ...>` prefixes any command with a
-        // per-request deadline override.
+        // per-request deadline override. `0` is rejected: it would
+        // lift the server's default deadline, the one bound that stops
+        // a request from holding its worker indefinitely.
         let mut explicit_deadline_ms: Option<u64> = None;
         if cmd_raw.eq_ignore_ascii_case("DEADLINE") {
             let (ms_str, rem) = match rest.split_once(' ') {
@@ -510,8 +512,8 @@ fn serve_connection(
                 None => (rest, ""),
             };
             match ms_str.parse::<u64>() {
-                Ok(ms) => explicit_deadline_ms = Some(ms),
-                Err(_) => {
+                Ok(ms) if ms > 0 => explicit_deadline_ms = Some(ms),
+                _ => {
                     reg.counter("service.errors.malformed").incr();
                     writeln!(writer, "ERR bad deadline {ms_str:?}")?;
                     writer.flush()?;
@@ -559,16 +561,14 @@ fn serve_connection(
             continue;
         }
         // Server-side deadline for read requests: explicit override,
-        // else the configured default; 0 means unbounded. Mutations
-        // (`INGEST`/`ADD`) deliberately run to completion — aborting a
-        // half-applied ingest would trade a latency bound for torn
-        // acknowledgements.
+        // else the configured default (0 there means unbounded).
+        // Mutations (`INGEST`/`ADD`) deliberately run to completion —
+        // aborting a half-applied ingest would trade a latency bound
+        // for torn acknowledgements.
         let req_ctx = |detail: &str| -> RequestCtx {
-            let ms = explicit_deadline_ms
-                .or_else(|| (default_deadline_ms > 0).then_some(default_deadline_ms));
-            let ctx = match ms {
-                Some(ms) if ms > 0 => RequestCtx::deadline_in(Duration::from_millis(ms)),
-                _ => RequestCtx::unbounded(),
+            let ctx = match explicit_deadline_ms.unwrap_or(default_deadline_ms) {
+                0 => RequestCtx::unbounded(),
+                ms => RequestCtx::deadline_in(Duration::from_millis(ms)),
             };
             if detail.is_empty() {
                 ctx

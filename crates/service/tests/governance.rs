@@ -92,11 +92,23 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
     let mut rng = Xorshift::new(seed);
 
     // A catalog big enough that assembling every matching document
-    // dwarfs a 10 ms budget even on fast hardware.
+    // dwarfs a 10 ms deadline: 4,000 documents take tens of ms to
+    // `SEARCH` in a release build. Check that premise before relying on
+    // it, so a faster host fails here with a clear message rather than
+    // with an `Ok` from a search that finished inside its deadline.
     let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
-    for _ in 0..400 {
+    for _ in 0..4_000 {
         cat.ingest(FIG3_DOCUMENT).unwrap();
     }
+    let q = catalog::qparse::parse_query("grid@ARPS[dx=1000]").unwrap();
+    let started = Instant::now();
+    cat.search_envelope(&q).unwrap();
+    let full = started.elapsed();
+    println!("unbounded SEARCH over 4,000 documents: {full:?}");
+    assert!(
+        full >= Duration::from_millis(30),
+        "premise: an unbounded SEARCH must take >= 3x the 10 ms deadline, took {full:?}"
+    );
 
     let config = ServerConfig { workers: 2, queue_depth: 8, ..ServerConfig::default() };
     let server = CatalogServer::start_with(cat, "127.0.0.1:0", config).unwrap();

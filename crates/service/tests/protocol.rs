@@ -81,6 +81,25 @@ fn negative_and_garbage_prefixes_are_rejected() {
 }
 
 #[test]
+fn deadline_prefix_must_be_a_positive_number() {
+    let server = start();
+    let mut c = Raw::connect(&server);
+    let malformed = || obs::global().counter("service.errors.malformed").get();
+    let before = malformed();
+    // `DEADLINE 0` would otherwise lift the server's default deadline.
+    for ms in ["abc", "0"] {
+        c.send(format!("DEADLINE {ms} QUERY grid@ARPS[dx=1000]\n").as_bytes());
+        let reply = c.read_line();
+        assert!(reply.starts_with("ERR bad deadline"), "DEADLINE {ms}: {reply:?}");
+    }
+    // Other tests in this binary may bump the counter too.
+    assert!(malformed() >= before + 2, "both rejections count as malformed");
+    c.send(b"DEADLINE 5000 QUERY grid@ARPS[dx=1000]\n");
+    let reply = c.read_line();
+    assert!(reply.starts_with("OK"), "a positive deadline is accepted: {reply:?}");
+}
+
+#[test]
 fn mid_frame_disconnect_leaves_server_healthy() {
     let server = start();
     {
