@@ -13,8 +13,8 @@ pub enum ClientError {
     /// Transport failure.
     Io(std::io::Error),
     /// The server shed the request before executing it (`ERR busy`
-    /// in any of its layered forms: queue full, queue-wait exceeded,
-    /// control lane, draining). Always safe to retry.
+    /// in any of its forms: connection cap reached, queue-wait
+    /// exceeded, draining). Always safe to retry.
     Busy(String),
     /// The request ran past its server-side deadline (`ERR deadline
     /// exceeded ...`). The server spent real work on it; retrying
@@ -25,7 +25,7 @@ pub enum ClientError {
     /// The server's reply did not match the protocol.
     Protocol(String),
     /// The server closed the connection where a reply was expected
-    /// (server shutdown, worker crash, or a `busy` rejection race) —
+    /// (server shutdown, a crashed connection, or a `busy` rejection race) —
     /// distinct from [`ClientError::Protocol`] so callers can retry.
     Eof,
 }

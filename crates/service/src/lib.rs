@@ -46,22 +46,25 @@
 //!
 //! ## Service limits and load shedding
 //!
-//! Connections are served by a bounded worker pool ([`ServerConfig`]:
-//! 8 workers, 32-deep accept queue by default). Overload sheds in
-//! layers rather than hanging: a full queue demotes connections to a
-//! control lane that still answers `PING`/`STATS`/`SLOWLOG`/
-//! `CHECKPOINT` (heavy commands there get `ERR busy control lane`),
-//! connections that waited too long are answered `ERR busy queue-wait
-//! exceeded`, and a draining server sheds with `ERR busy draining`.
+//! Each connection gets its own thread, up to [`MAX_CONNECTIONS`];
+//! one more is answered `ERR busy`. Catalog work is bounded per
+//! request: `INGEST`/`ADD`/`QUERY`/`FETCH`/`SEARCH` run holding one of
+//! [`ServerConfig::workers`] request permits (8 by default), taken
+//! after the request's body is read and given back before its reply
+//! is written, so idle keep-alives, trickled bodies and slow readers
+//! cannot starve other clients. `PING`/`STATS`/`SLOWLOG`/`CHECKPOINT`/
+//! `QUIT` need no permit. A request that waited too long for a permit
+//! is answered `ERR busy queue-wait exceeded`, and a draining server
+//! sheds with `ERR busy draining`.
 //! Every shed reply starts with `busy`, which the client surfaces as
 //! the typed, always-retryable [`ClientError::Busy`];
 //! [`client::RetryClient`] implements jittered exponential backoff
 //! over it. Request bodies are capped at 16 MiB.
 //!
 //! [`CatalogServer::stop`] is a graceful drain: stop accepting, finish
-//! in-flight work (bounded by [`ServerConfig::drain_timeout_ms`]),
-//! then checkpoint a durable catalog so no acked ingest is lost across
-//! restart.
+//! in-flight work (bounded by [`ServerConfig::drain_timeout_ms`]), end
+//! the connection threads, then checkpoint a durable catalog so no
+//! acked ingest is lost across restart.
 
 #![warn(missing_docs)]
 
@@ -69,4 +72,4 @@ pub mod client;
 pub mod server;
 
 pub use client::{CatalogClient, ClientError, RetryClient, RetryPolicy};
-pub use server::{CatalogServer, ServerConfig};
+pub use server::{CatalogServer, ServerConfig, MAX_CONNECTIONS};

@@ -1,85 +1,89 @@
 //! Threaded TCP server exposing a [`MetadataCatalog`].
 //!
-//! Connections are served by a **bounded worker pool** (see
-//! [`ServerConfig`]): the accept loop enqueues each accepted socket on
-//! a fixed-depth queue and a fixed set of worker threads drain it.
-//! Overload is handled in layers rather than with one blunt rejection:
+//! Each accepted connection gets its own thread, up to
+//! [`MAX_CONNECTIONS`]; one more is answered `ERR busy` and closed. A
+//! connection costs a thread parked on a read, not catalog work: the
+//! catalog's concurrency is bounded per *request*. A heavy request
+//! (`INGEST`/`ADD`/`QUERY`/`FETCH`/`SEARCH`) reads its body first, then
+//! runs its catalog call holding one of [`ServerConfig::workers`]
+//! request permits, and gives the permit back before it writes the
+//! reply. So an idle keep-alive, a trickled body or a slow reader ties
+//! up only its own thread. Cheap commands (`PING`/`STATS`/`SLOWLOG`/
+//! `CHECKPOINT`/`QUIT`) need no permit, so they answer even when every
+//! permit is held. Overload sheds with typed replies, never a hang:
 //!
-//! - **admission**: a full normal queue demotes the connection to a
-//!   small *control lane* — a dedicated worker that serves only cheap
-//!   operations (`PING`/`STATS`/`SLOWLOG`/`CHECKPOINT`/`QUIT`) and
-//!   sheds heavy ones — so operators can still observe and checkpoint
-//!   a saturated server; only when both queues are full is the
-//!   connection rejected outright with `ERR busy`;
-//! - **queue wait**: a connection that sat queued longer than
-//!   [`ServerConfig::queue_wait_ms`] is shed (`ERR busy queue-wait
-//!   exceeded`) instead of served — its client has likely timed out
-//!   already, so serving it would waste a slot;
+//! - **queue wait**: a heavy request that waited longer than
+//!   [`ServerConfig::queue_wait_ms`] for a permit is answered `ERR busy
+//!   queue-wait exceeded` — its client has likely timed out already;
 //! - **deadline**: every `QUERY`/`FETCH`/`SEARCH` runs under a
 //!   deadline ([`ServerConfig::default_deadline_ms`], overridable
 //!   per request with a `DEADLINE <ms>` command prefix) enforced
 //!   cooperatively inside the catalog and executor, so an admitted
-//!   request cannot hold its worker slot indefinitely;
+//!   request cannot hold its permit indefinitely;
 //! - **drain**: [`CatalogServer::stop`] stops accepting, sheds new
 //!   heavy work (`ERR busy draining`), closes idle keep-alives, waits
-//!   up to [`ServerConfig::drain_timeout_ms`] for in-flight requests,
-//!   then checkpoints a durable catalog — a SIGTERM-style graceful
-//!   shutdown that loses no acked ingest.
+//!   up to [`ServerConfig::drain_timeout_ms`] for held permits to come
+//!   back, ends the connection threads, then checkpoints a durable
+//!   catalog — a SIGTERM-style graceful shutdown that loses no acked
+//!   ingest.
+//!
+//! Reads wake every 200 ms, so a stopping server can end threads
+//! parked on idle or trickling clients.
 //!
 //! Every request is instrumented through [`obs::global`]: request
 //! counters and latency histograms per operation
 //! (`service.requests.<op>`, `service.request.<op>`), error counters
 //! by kind (`service.errors.{malformed, oversized, catalog,
-//! connection, unknown}`), body-byte accounting, an in-flight
-//! connection gauge, pool health (`service.pool.size`,
-//! `service.pool.busy`, `service.pool.queue_depth` gauges;
-//! `service.pool.dispatched`, `service.pool.demoted`,
-//! `service.pool.rejected`, `service.pool.panics` counters), shedding
-//! (`service.shed.{queue_wait, priority, draining}`), and drain
-//! outcomes (`service.draining` gauge; `service.drain.{clean, forced,
-//! checkpoints}` counters). `STATS` returns the full registry
-//! snapshot; `SLOWLOG` reads (and `SLOWLOG <ms>` configures) the
-//! slow-query ring.
+//! connection, unknown}`), body-byte accounting, an open-connection
+//! gauge (`service.connections`), permit health (`service.pool.size`
+//! permits, `service.pool.busy` permits held, `service.pool.queue_depth`
+//! requests waiting for a permit; `service.pool.dispatched` permits
+//! granted, `service.pool.rejected` connections refused at the cap,
+//! `service.pool.panics`), shedding (`service.shed.{queue_wait,
+//! draining}`), and drain outcomes (`service.draining` gauge;
+//! `service.drain.{clean, forced, checkpoints}` counters). `STATS`
+//! returns the full registry snapshot; `SLOWLOG` reads (and `SLOWLOG
+//! <ms>` configures) the slow-query ring.
 
 use catalog::catalog::MetadataCatalog;
 use catalog::qparse::parse_query;
 use catalog::reqctx::RequestCtx;
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
+use obs::{Counter, Gauge};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Upper bound on request bodies (16 MiB — grid metadata documents are
 /// small; this guards against malformed length prefixes).
 const MAX_BODY: usize = 16 << 20;
 
-/// Worker-pool sizing and request-governance knobs for
+/// Most connections served at once. Each owns one thread; one more is
+/// answered `ERR busy` and closed.
+pub const MAX_CONNECTIONS: usize = 256;
+
+/// How often a blocked socket read wakes to check for shutdown.
+const READ_POLL: Duration = Duration::from_millis(200);
+
+/// Request-permit and governance knobs for
 /// [`CatalogServer::start_with`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Number of worker threads; each serves one connection at a time,
-    /// so this bounds concurrent in-flight connections.
+    /// Request permits: how many heavy requests (`INGEST`/`ADD`/
+    /// `QUERY`/`FETCH`/`SEARCH`) run their catalog call at once.
     pub workers: usize,
-    /// Accepted connections waiting for a free worker. When the queue
-    /// is full the connection is demoted to the control lane (or
-    /// rejected with `ERR busy` if that is full too).
-    pub queue_depth: usize,
-    /// Depth of the control-lane queue, served by one dedicated extra
-    /// worker that answers only cheap operations under overload.
-    /// `0` disables the lane: a full normal queue rejects outright.
-    pub control_queue_depth: usize,
     /// Default deadline applied to `QUERY`/`FETCH`/`SEARCH` requests
     /// (milliseconds); per-request `DEADLINE <ms>` overrides it.
     /// `0` disables the default (requests without an explicit
     /// `DEADLINE` run unbounded).
     pub default_deadline_ms: u64,
-    /// Shed connections that waited queued longer than this
-    /// (milliseconds) instead of serving them. `0` disables.
+    /// Shed a heavy request that waited longer than this
+    /// (milliseconds) for a permit. `0` disables: the request waits
+    /// until a permit frees or the server drains.
     pub queue_wait_ms: u64,
-    /// How long [`CatalogServer::stop`] waits for in-flight requests
-    /// before tearing the pool down anyway (milliseconds).
+    /// How long [`CatalogServer::stop`] waits for held permits to come
+    /// back before forcing shutdown (milliseconds).
     pub drain_timeout_ms: u64,
 }
 
@@ -87,8 +91,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             workers: 8,
-            queue_depth: 32,
-            control_queue_depth: 8,
             default_deadline_ms: 5_000,
             queue_wait_ms: 1_000,
             drain_timeout_ms: 5_000,
@@ -96,146 +98,122 @@ impl Default for ServerConfig {
     }
 }
 
-/// An accepted socket plus its admission time, for queue-wait shedding.
-struct Queued {
-    stream: TcpStream,
-    at: Instant,
-}
-
-/// Accept queues shared between the listener and the workers: the
-/// normal lane plus the control lane (see the module docs), the
-/// coordination flags, and an in-flight count for drain.
-struct Pool {
-    queue: Mutex<VecDeque<Queued>>,
-    ready: Condvar,
-    control_queue: Mutex<VecDeque<Queued>>,
-    control_ready: Condvar,
-    stop: AtomicBool,
-    /// Set by [`CatalogServer::stop`]: idle keep-alives close, heavy
-    /// operations shed with `ERR busy draining`.
+/// State shared by the accept thread, the connection threads and
+/// [`CatalogServer::stop`].
+struct Shared {
+    catalog: Arc<MetadataCatalog>,
+    config: ServerConfig,
+    /// Set by [`CatalogServer::stop`]: accepting ends, idle keep-alives
+    /// close, heavy requests shed with `ERR busy draining`.
     draining: AtomicBool,
-    /// Connections currently being served (either lane). Tracked here
-    /// rather than through the process-global gauge so drain logic is
-    /// immune to other servers sharing the metrics registry.
-    busy: AtomicUsize,
+    /// Set once the drain is over: every connection thread ends at its
+    /// next read poll.
+    stopped: AtomicBool,
+    /// Open connections, counted per server (not through the
+    /// process-global gauge) so the cap holds per server.
+    connections: AtomicUsize,
+    /// Number of request permits.
+    permits: usize,
+    /// Permits held; `freed` signals a return or the start of a drain.
+    held: Mutex<usize>,
+    freed: Condvar,
+    busy: Arc<Gauge>,
+    waiting: Arc<Gauge>,
+    granted: Arc<Counter>,
 }
 
-impl Pool {
-    /// Enqueue an accepted socket; a full queue hands the socket back
-    /// so the caller can demote or reject the connection.
-    fn push(&self, conn: Queued, depth: usize) -> std::result::Result<(), Queued> {
-        let mut q = self.queue.lock().expect("pool queue poisoned");
-        if q.len() >= depth {
-            return Err(conn);
+impl Shared {
+    /// Run `f` holding a request permit, given back as soon as `f`
+    /// returns. Sheds without running `f`, returning the reply text,
+    /// when the server is draining or the wait for a permit passes
+    /// [`ServerConfig::queue_wait_ms`].
+    fn with_permit<T>(&self, f: impl FnOnce() -> T) -> Result<T, &'static str> {
+        let draining = || self.draining.load(Ordering::SeqCst);
+        let mut held = self.held.lock().expect("permits poisoned");
+        if *held >= self.permits && !draining() {
+            let limit = match self.config.queue_wait_ms {
+                0 => Duration::MAX,
+                ms => Duration::from_millis(ms),
+            };
+            self.waiting.add(1);
+            held = self
+                .freed
+                .wait_timeout_while(held, limit, |h| *h >= self.permits && !draining())
+                .expect("permits poisoned")
+                .0;
+            self.waiting.add(-1);
         }
-        q.push_back(conn);
-        obs::global().gauge("service.pool.queue_depth").set(q.len() as i64);
-        drop(q);
-        self.ready.notify_one();
-        Ok(())
-    }
-
-    /// Enqueue on the control lane; depth 0 always refuses.
-    fn push_control(&self, conn: Queued, depth: usize) -> std::result::Result<(), Queued> {
-        if depth == 0 {
-            return Err(conn);
+        if draining() {
+            obs::global().counter("service.shed.draining").incr();
+            return Err("busy draining");
         }
-        let mut q = self.control_queue.lock().expect("control queue poisoned");
-        if q.len() >= depth {
-            return Err(conn);
+        if *held >= self.permits {
+            obs::global().counter("service.shed.queue_wait").incr();
+            return Err("busy queue-wait exceeded");
         }
-        q.push_back(conn);
-        drop(q);
-        self.control_ready.notify_one();
-        Ok(())
-    }
-
-    /// Block until a connection is available or the pool is stopping.
-    fn pop(&self) -> Option<Queued> {
-        let mut q = self.queue.lock().expect("pool queue poisoned");
-        loop {
-            if let Some(conn) = q.pop_front() {
-                obs::global().gauge("service.pool.queue_depth").set(q.len() as i64);
-                return Some(conn);
-            }
-            if self.stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            q = self.ready.wait(q).expect("pool queue poisoned");
-        }
-    }
-
-    /// Control-lane counterpart of [`Pool::pop`].
-    fn pop_control(&self) -> Option<Queued> {
-        let mut q = self.control_queue.lock().expect("control queue poisoned");
-        loop {
-            if let Some(conn) = q.pop_front() {
-                return Some(conn);
-            }
-            if self.stop.load(Ordering::Relaxed) {
-                return None;
-            }
-            q = self.control_ready.wait(q).expect("control queue poisoned");
-        }
-    }
-
-    /// Queued connections in both lanes (drain progress check).
-    fn queued(&self) -> usize {
-        self.queue.lock().expect("pool queue poisoned").len()
-            + self.control_queue.lock().expect("control queue poisoned").len()
+        *held += 1;
+        drop(held);
+        self.busy.add(1);
+        self.granted.incr();
+        let _permit = Permit(self);
+        Ok(f())
     }
 }
 
-/// Which lane a worker serves: the control lane answers only cheap
-/// operations and sheds heavy ones (see the module docs).
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Lane {
-    Normal,
-    Control,
+/// A held request permit; dropping it (also while unwinding) gives it
+/// back.
+struct Permit<'a>(&'a Shared);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        // A decrement leaves the count valid even under a poisoned
+        // lock, and a drop must not panic.
+        *self.0.held.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.0.busy.add(-1);
+        self.0.freed.notify_one();
+    }
 }
 
-/// Decrements the in-flight connection gauge on drop, so the count
-/// stays honest even when a request handler panics mid-connection.
-struct ConnGuard;
+/// One open connection, counted in its server's cap and the
+/// process-wide `service.connections` gauge from accept until drop
+/// (also while unwinding, or if its thread never starts).
+struct ConnGuard(Arc<Shared>);
 
 impl ConnGuard {
-    fn new() -> ConnGuard {
+    fn new(shared: Arc<Shared>) -> ConnGuard {
+        shared.connections.fetch_add(1, Ordering::SeqCst);
         obs::global().gauge("service.connections").add(1);
-        ConnGuard
+        ConnGuard(shared)
     }
 }
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
         obs::global().gauge("service.connections").add(-1);
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
 /// A running catalog server.
 ///
-/// The listener thread accepts connections and hands them to a bounded
-/// worker pool; all workers share the catalog (its internal locks make
-/// that safe). Dropping the handle (or calling [`CatalogServer::stop`])
-/// shuts the listener and the pool down.
+/// The accept thread gives each connection its own thread; all of them
+/// share the catalog (its internal locks make that safe). Dropping the
+/// handle (or calling [`CatalogServer::stop`]) drains and shuts down.
 pub struct CatalogServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    pool: Arc<Pool>,
+    shared: Arc<Shared>,
     accept_thread: Option<std::thread::JoinHandle<()>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    catalog: Arc<MetadataCatalog>,
-    config: ServerConfig,
 }
 
 impl CatalogServer {
-    /// Start serving `catalog` on `addr` with the default pool sizing
+    /// Start serving `catalog` on `addr` with the default configuration
     /// (use port 0 for an ephemeral port; the bound address is
     /// available via [`Self::addr`]).
     pub fn start(catalog: Arc<MetadataCatalog>, addr: &str) -> std::io::Result<CatalogServer> {
         Self::start_with(catalog, addr, ServerConfig::default())
     }
 
-    /// Start serving with explicit worker-pool sizing.
+    /// Start serving with an explicit configuration.
     pub fn start_with(
         catalog: Arc<MetadataCatalog>,
         addr: &str,
@@ -243,81 +221,27 @@ impl CatalogServer {
     ) -> std::io::Result<CatalogServer> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let pool = Arc::new(Pool {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            control_queue: Mutex::new(VecDeque::new()),
-            control_ready: Condvar::new(),
-            stop: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
-            busy: AtomicUsize::new(0),
-        });
-        let workers = config.workers.max(1);
-        let reg = obs::global();
-        reg.gauge("service.pool.size").set(workers as i64);
-        reg.gauge("service.pool.queue_depth").set(0);
-
-        let mut worker_threads = Vec::with_capacity(workers + 1);
-        for _ in 0..workers {
-            let pool = pool.clone();
-            let catalog = catalog.clone();
-            worker_threads.push(std::thread::spawn(move || {
-                worker_loop(&pool, &catalog, Lane::Normal, config);
-            }));
-        }
-        // The dedicated control-lane worker is *extra* capacity that
-        // only exists so cheap operations keep working when every
-        // normal worker is busy.
-        if config.control_queue_depth > 0 {
-            let pool = pool.clone();
-            let catalog = catalog.clone();
-            worker_threads.push(std::thread::spawn(move || {
-                worker_loop(&pool, &catalog, Lane::Control, config);
-            }));
-        }
-
-        let stop2 = stop.clone();
-        let pool2 = pool.clone();
-        let queue_depth = config.queue_depth.max(1);
-        let control_depth = config.control_queue_depth;
         // Nonblocking accept loop so `stop` is honored promptly.
         listener.set_nonblocking(true)?;
-        let accept_thread = std::thread::spawn(move || loop {
-            if stop2.load(Ordering::Relaxed) {
-                break;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let conn = Queued { stream, at: Instant::now() };
-                    // Layered admission: normal lane, then control
-                    // lane, then reject.
-                    if let Err(conn) = pool2.push(conn, queue_depth) {
-                        match pool2.push_control(conn, control_depth) {
-                            Ok(()) => obs::global().counter("service.pool.demoted").incr(),
-                            Err(rejected) => {
-                                obs::global().counter("service.pool.rejected").incr();
-                                let mut s = rejected.stream;
-                                let _ = writeln!(s, "ERR busy");
-                            }
-                        }
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => break,
-            }
-        });
-        Ok(CatalogServer {
-            addr: bound,
-            stop,
-            pool,
-            accept_thread: Some(accept_thread),
-            workers: worker_threads,
+        let reg = obs::global();
+        let permits = config.workers.max(1);
+        reg.gauge("service.pool.size").set(permits as i64);
+        let shared = Arc::new(Shared {
             catalog,
             config,
-        })
+            draining: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
+            permits,
+            held: Mutex::new(0),
+            freed: Condvar::new(),
+            busy: reg.gauge("service.pool.busy"),
+            waiting: reg.gauge("service.pool.queue_depth"),
+            granted: reg.counter("service.pool.dispatched"),
+        });
+        let acceptor = shared.clone();
+        let accept_thread = std::thread::spawn(move || accept_loop(&listener, &acceptor));
+        Ok(CatalogServer { addr: bound, shared, accept_thread: Some(accept_thread) })
     }
 
     /// The address the server is listening on.
@@ -325,30 +249,30 @@ impl CatalogServer {
         self.addr
     }
 
-    /// Graceful shutdown: stop accepting, enter the `draining` state
-    /// (idle keep-alives close, new heavy operations shed with
-    /// `ERR busy draining`), wait up to
-    /// [`ServerConfig::drain_timeout_ms`] for in-flight requests and
-    /// queued connections, then stop the pool and checkpoint a durable
-    /// catalog. Idempotent.
+    /// Graceful shutdown: stop accepting and enter the `draining` state
+    /// (idle keep-alives close, new heavy requests shed with `ERR busy
+    /// draining`), wait up to [`ServerConfig::drain_timeout_ms`] for
+    /// held permits to come back, end the connection threads, then
+    /// checkpoint a durable catalog. Idempotent.
     pub fn stop(&mut self) {
-        if self.accept_thread.is_none() && self.workers.is_empty() {
-            return;
-        }
+        let Some(accept_thread) = self.accept_thread.take() else { return };
         let reg = obs::global();
+        let shared = &*self.shared;
         reg.gauge("service.draining").set(1);
-        self.pool.draining.store(true, Ordering::SeqCst);
-        // 1. Stop accepting: no new connections enter either queue.
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
+        // 1. Drain: the accept loop ends, and permit waiters wake to
+        // shed. The flag flips under the permit lock so no waiter
+        // misses the wake-up.
+        {
+            let _held = shared.held.lock().expect("permits poisoned");
+            shared.draining.store(true, Ordering::SeqCst);
         }
-        // 2. Drain: wait for in-flight requests to finish and queued
-        // connections to be served (or shed) — bounded by the drain
-        // timeout so a stuck connection cannot wedge shutdown.
-        let deadline = Instant::now() + Duration::from_millis(self.config.drain_timeout_ms);
+        shared.freed.notify_all();
+        let _ = accept_thread.join();
+        // 2. Wait for in-flight requests to give their permits back,
+        // bounded so a stuck request cannot wedge shutdown.
+        let deadline = Instant::now() + Duration::from_millis(shared.config.drain_timeout_ms);
         loop {
-            if self.pool.busy.load(Ordering::SeqCst) == 0 && self.pool.queued() == 0 {
+            if *shared.held.lock().expect("permits poisoned") == 0 {
                 reg.counter("service.drain.clean").incr();
                 break;
             }
@@ -358,81 +282,76 @@ impl CatalogServer {
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        // 3. Tear the pool down and join the workers.
-        self.pool.stop.store(true, Ordering::Relaxed);
-        self.pool.ready.notify_all();
-        self.pool.control_ready.notify_all();
-        for t in self.workers.drain(..) {
-            let _ = t.join();
+        // 3. End the connection threads: each leaves at its next read
+        // poll and lets go of the shared state, and with it the
+        // catalog, so a restart can reopen the directory. A thread
+        // still inside a forced-out request or blocked writing to a
+        // client that stopped reading is left to finish on its own.
+        shared.stopped.store(true, Ordering::SeqCst);
+        let end = Instant::now() + 2 * READ_POLL;
+        while Arc::strong_count(&self.shared) > 1 && Instant::now() < end {
+            std::thread::sleep(Duration::from_millis(5));
         }
-        // 4. Anything still queued (forced drain) gets an honest
-        // shed reply instead of a silent close.
-        let leftovers: Vec<Queued> = {
-            let mut q = self.pool.queue.lock().expect("pool queue poisoned");
-            let mut c = self.pool.control_queue.lock().expect("control queue poisoned");
-            q.drain(..).chain(c.drain(..)).collect()
-        };
-        for conn in leftovers {
-            let mut s = conn.stream;
-            let _ = writeln!(s, "ERR busy draining");
-        }
-        // 5. Durable catalogs checkpoint on the way out, so restart
+        // 4. Durable catalogs checkpoint on the way out, so restart
         // recovery replays a short WAL and loses nothing acked.
-        if self.catalog.is_durable() && self.catalog.checkpoint().is_ok() {
+        if self.shared.catalog.is_durable() && self.shared.catalog.checkpoint().is_ok() {
             reg.counter("service.drain.checkpoints").incr();
         }
         reg.gauge("service.draining").set(0);
     }
 }
 
-/// One worker: pop connections from its lane, shed stale ones, serve
-/// the rest with panic containment and in-flight accounting.
-fn worker_loop(pool: &Pool, catalog: &MetadataCatalog, lane: Lane, config: ServerConfig) {
-    loop {
-        let conn = match lane {
-            Lane::Normal => pool.pop(),
-            Lane::Control => pool.pop_control(),
-        };
-        let Some(conn) = conn else { break };
-        let reg = obs::global();
-        // Queue-wait shedding: a connection that waited past the bound
-        // is answered `ERR busy` immediately — the client has likely
-        // given up, and a quick shed frees the slot for fresh work.
-        if config.queue_wait_ms > 0
-            && conn.at.elapsed() > Duration::from_millis(config.queue_wait_ms)
-        {
-            reg.counter("service.shed.queue_wait").incr();
-            let mut s = conn.stream;
-            let _ = writeln!(s, "ERR busy queue-wait exceeded");
-            continue;
-        }
-        reg.counter("service.pool.dispatched").incr();
-        reg.gauge("service.pool.busy").add(1);
-        pool.busy.fetch_add(1, Ordering::SeqCst);
-        let guard = ConnGuard::new();
-        let _ = conn.stream.set_nodelay(true);
-        // The connection gauge is released by `guard` and the panic is
-        // contained, so one poisoned request can neither leak the
-        // gauge nor kill the worker.
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            serve_connection(conn.stream, catalog, pool, lane, config.default_deadline_ms)
-        }));
-        drop(guard);
-        match outcome {
-            // Connection-level I/O failures (torn reads, resets,
-            // non-UTF-8 lines) are accounted, not silently dropped.
-            Ok(Err(_)) => reg.counter("service.errors.connection").incr(),
-            Ok(Ok(())) => {}
-            Err(_) => reg.counter("service.pool.panics").incr(),
-        }
-        pool.busy.fetch_sub(1, Ordering::SeqCst);
-        reg.gauge("service.pool.busy").add(-1);
-    }
-}
-
 impl Drop for CatalogServer {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// Accept until the server drains, giving each connection its own
+/// thread while fewer than [`MAX_CONNECTIONS`] are open.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+    let reg = obs::global();
+    while !shared.draining.load(Ordering::SeqCst) {
+        match listener.accept() {
+            Ok((mut stream, _)) => {
+                if shared.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
+                    reg.counter("service.pool.rejected").incr();
+                    let _ = writeln!(stream, "ERR busy");
+                    continue;
+                }
+                let conn = ConnGuard::new(shared.clone());
+                let spawned =
+                    std::thread::Builder::new().spawn(move || connection_thread(stream, conn));
+                if spawned.is_err() {
+                    reg.counter("service.errors.connection").incr();
+                }
+            }
+            // A failed accept (an aborted handshake, fd exhaustion) is
+            // counted, then the loop backs off and keeps accepting.
+            Err(e) => {
+                if e.kind() != ErrorKind::WouldBlock {
+                    reg.counter("service.errors.connection").incr();
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+        }
+    }
+}
+
+/// Serve one connection with panic containment: a poisoned request
+/// ends only its own connection, and its guards release the permit and
+/// the connection slot while unwinding.
+fn connection_thread(stream: TcpStream, conn: ConnGuard) {
+    let reg = obs::global();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        serve_connection(stream, &conn.0)
+    }));
+    match outcome {
+        // Connection-level I/O failures (torn reads, resets, non-UTF-8
+        // lines) are accounted, not silently dropped.
+        Ok(Err(_)) => reg.counter("service.errors.connection").incr(),
+        Ok(Ok(())) => {}
+        Err(_) => reg.counter("service.pool.panics").incr(),
     }
 }
 
@@ -454,48 +373,25 @@ fn op_metric_names(cmd: &str) -> (&'static str, &'static str) {
     }
 }
 
-fn serve_connection(
-    stream: TcpStream,
-    catalog: &MetadataCatalog,
-    pool: &Pool,
-    lane: Lane,
-    default_deadline_ms: u64,
-) -> std::io::Result<()> {
+fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     let reg = obs::global();
-    let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = stream;
-    let mut line = String::new();
+    let catalog = &*shared.catalog;
+    let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(READ_POLL))?;
+    let mut reader = BufReader::new(&stream);
+    // A reply is buffered and sent in one write when the loop comes
+    // back to read the next command: a reply written piece by piece
+    // costs a send and a client wake-up per piece.
+    let mut writer = BufWriter::new(&stream);
+    let mut raw = Vec::new();
     loop {
-        line.clear();
-        // Idle reads poll with a short timeout so a shutting-down pool
-        // can reclaim workers parked on idle keep-alive connections.
-        // Partial lines accumulate in `line` across retries; once a
-        // full command line is in, the body read runs untimed.
-        writer.set_read_timeout(Some(std::time::Duration::from_millis(200)))?;
-        loop {
-            match reader.read_line(&mut line) {
-                Ok(0) if line.is_empty() => return Ok(()), // client hung up
-                Ok(_) => break,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if pool.stop.load(Ordering::Relaxed) {
-                        return Ok(());
-                    }
-                    // Draining: release the worker instead of parking
-                    // on an idle keep-alive (only between commands —
-                    // a partially read line still completes).
-                    if pool.draining.load(Ordering::Relaxed) && line.is_empty() {
-                        return Ok(());
-                    }
-                }
-                Err(e) => return Err(e),
-            }
+        writer.flush()?;
+        raw.clear();
+        if !read_command(&mut reader, &mut raw, shared)? {
+            return Ok(());
         }
-        writer.set_read_timeout(None)?;
+        let line = std::str::from_utf8(&raw)
+            .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
         let trimmed = line.trim_end();
         let (mut cmd_raw, mut rest) = match trimmed.split_once(' ') {
             Some((c, r)) => (c, r),
@@ -504,7 +400,7 @@ fn serve_connection(
         // `DEADLINE <ms> <command ...>` prefixes any command with a
         // per-request deadline override. `0` is rejected: it would
         // lift the server's default deadline, the one bound that stops
-        // a request from holding its worker indefinitely.
+        // a request from holding its permit indefinitely.
         let mut explicit_deadline_ms: Option<u64> = None;
         if cmd_raw.eq_ignore_ascii_case("DEADLINE") {
             let (ms_str, rem) = match rest.split_once(' ') {
@@ -516,7 +412,6 @@ fn serve_connection(
                 _ => {
                     reg.counter("service.errors.malformed").incr();
                     writeln!(writer, "ERR bad deadline {ms_str:?}")?;
-                    writer.flush()?;
                     continue;
                 }
             }
@@ -532,41 +427,13 @@ fn serve_connection(
         if matches!(cmd.as_str(), "QUERY" | "SEARCH") && !rest.is_empty() {
             span.set_detail(rest);
         }
-        // Heavy operations are shed on the control lane (it exists so
-        // cheap operations survive saturation) and while draining. The
-        // length-prefixed body, if any, is consumed first so the
-        // connection stays framed for its next command.
-        let heavy = matches!(cmd.as_str(), "INGEST" | "ADD" | "QUERY" | "FETCH" | "SEARCH");
-        let draining = pool.draining.load(Ordering::Relaxed);
-        if heavy && (lane == Lane::Control || draining) {
-            match cmd.as_str() {
-                "INGEST" => {
-                    let _ = read_body(&mut reader, rest);
-                }
-                "ADD" => {
-                    if let Some((_, len_str)) = rest.split_once(' ') {
-                        let _ = read_body(&mut reader, len_str);
-                    }
-                }
-                _ => {}
-            }
-            if draining {
-                reg.counter("service.shed.draining").incr();
-                writeln!(writer, "ERR busy draining")?;
-            } else {
-                reg.counter("service.shed.priority").incr();
-                writeln!(writer, "ERR busy control lane (pool saturated)")?;
-            }
-            writer.flush()?;
-            continue;
-        }
         // Server-side deadline for read requests: explicit override,
-        // else the configured default (0 there means unbounded).
-        // Mutations (`INGEST`/`ADD`) deliberately run to completion —
-        // aborting a half-applied ingest would trade a latency bound
-        // for torn acknowledgements.
+        // else the configured default (0 there means unbounded). It
+        // starts once the permit is granted. Mutations (`INGEST`/`ADD`)
+        // deliberately run to completion — aborting a half-applied
+        // ingest would trade a latency bound for torn acknowledgements.
         let req_ctx = |detail: &str| -> RequestCtx {
-            let ctx = match explicit_deadline_ms.unwrap_or(default_deadline_ms) {
+            let ctx = match explicit_deadline_ms.unwrap_or(shared.config.default_deadline_ms) {
                 0 => RequestCtx::unbounded(),
                 ms => RequestCtx::deadline_in(Duration::from_millis(ms)),
             };
@@ -576,32 +443,40 @@ fn serve_connection(
                 ctx.describe(detail)
             }
         };
+        // Heavy commands read their body first, then hold a permit for
+        // the catalog call only; a shed leaves the connection framed.
         match cmd.as_str() {
             "PING" => writeln!(writer, "OK pong")?,
             "QUIT" => {
                 writeln!(writer, "OK bye")?;
-                return Ok(());
+                return writer.flush();
             }
             "INGEST" => {
-                let body = match read_body(&mut reader, rest) {
+                let body = match read_body(&mut reader, rest, shared) {
                     Ok(b) => b,
-                    Err(e) => {
-                        reg.counter(e.counter()).incr();
-                        writeln!(writer, "ERR {}", e.message())?;
+                    Err(msg) => {
+                        writeln!(writer, "ERR {msg}")?;
                         continue;
                     }
                 };
-                match catalog.ingest(&body) {
-                    Ok(id) => writeln!(writer, "OK {id}")?,
-                    Err(e) => err_reply(&mut writer, &e.to_string())?,
+                match shared.with_permit(|| catalog.ingest(&body)) {
+                    Ok(Ok(id)) => writeln!(writer, "OK {id}")?,
+                    Ok(Err(e)) => err_reply(&mut writer, &e.to_string())?,
+                    Err(shed) => writeln!(writer, "ERR {shed}")?,
                 }
             }
             "ADD" => {
-                let (id_str, len_str) = match rest.split_once(' ') {
-                    Some(p) => p,
-                    None => {
-                        reg.counter("service.errors.malformed").incr();
-                        writeln!(writer, "ERR ADD needs <object-id> <len>")?;
+                let Some((id_str, len_str)) = rest.split_once(' ') else {
+                    reg.counter("service.errors.malformed").incr();
+                    writeln!(writer, "ERR ADD needs <object-id> <len>")?;
+                    continue;
+                };
+                // The body is read before the id is checked, so a bad
+                // id cannot leave the body to be run as commands.
+                let body = match read_body(&mut reader, len_str, shared) {
+                    Ok(b) => b,
+                    Err(msg) => {
+                        writeln!(writer, "ERR {msg}")?;
                         continue;
                     }
                 };
@@ -610,49 +485,44 @@ fn serve_connection(
                     writeln!(writer, "ERR bad object id")?;
                     continue;
                 };
-                let body = match read_body(&mut reader, len_str) {
-                    Ok(b) => b,
-                    Err(e) => {
-                        reg.counter(e.counter()).incr();
-                        writeln!(writer, "ERR {}", e.message())?;
-                        continue;
-                    }
-                };
-                match catalog.add_attribute(id, &body) {
-                    Ok(()) => writeln!(writer, "OK")?,
-                    Err(e) => err_reply(&mut writer, &e.to_string())?,
+                match shared.with_permit(|| catalog.add_attribute(id, &body)) {
+                    Ok(Ok(())) => writeln!(writer, "OK")?,
+                    Ok(Err(e)) => err_reply(&mut writer, &e.to_string())?,
+                    Err(shed) => writeln!(writer, "ERR {shed}")?,
                 }
             }
-            "QUERY" => {
-                match parse_query(rest).and_then(|q| catalog.query_ctx(&q, &req_ctx(rest))) {
-                    Ok(ids) => {
-                        let list: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
-                        writeln!(writer, "OK {} {}", ids.len(), list.join(" "))?;
-                    }
-                    Err(e) => err_reply(&mut writer, &e.to_string())?,
+            "QUERY" => match shared.with_permit(|| {
+                parse_query(rest).and_then(|q| catalog.query_ctx(&q, &req_ctx(rest)))
+            }) {
+                Ok(Ok(ids)) => {
+                    let list: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
+                    writeln!(writer, "OK {} {}", ids.len(), list.join(" "))?;
                 }
-            }
+                Ok(Err(e)) => err_reply(&mut writer, &e.to_string())?,
+                Err(shed) => writeln!(writer, "ERR {shed}")?,
+            },
             "FETCH" => {
                 let ids: std::result::Result<Vec<i64>, _> = rest
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(|s| s.trim().parse::<i64>())
                     .collect();
-                match ids {
-                    Err(_) => {
-                        reg.counter("service.errors.malformed").incr();
-                        writeln!(writer, "ERR bad id list")?;
-                    }
-                    Ok(ids) => envelope_reply(
-                        &mut writer,
-                        catalog.fetch_envelope_ctx(&ids, &req_ctx(rest)),
-                    )?,
+                let Ok(ids) = ids else {
+                    reg.counter("service.errors.malformed").incr();
+                    writeln!(writer, "ERR bad id list")?;
+                    continue;
+                };
+                match shared.with_permit(|| catalog.fetch_envelope_ctx(&ids, &req_ctx(rest))) {
+                    Ok(env) => envelope_reply(&mut writer, env)?,
+                    Err(shed) => writeln!(writer, "ERR {shed}")?,
                 }
             }
-            "SEARCH" => envelope_reply(
-                &mut writer,
-                parse_query(rest).and_then(|q| catalog.search_envelope_ctx(&q, &req_ctx(rest))),
-            )?,
+            "SEARCH" => match shared.with_permit(|| {
+                parse_query(rest).and_then(|q| catalog.search_envelope_ctx(&q, &req_ctx(rest)))
+            }) {
+                Ok(env) => envelope_reply(&mut writer, env)?,
+                Err(shed) => writeln!(writer, "ERR {shed}")?,
+            },
             "STATS" => {
                 let s = catalog.stats();
                 let mut out = format!(
@@ -708,20 +578,63 @@ fn serve_connection(
                 writeln!(writer, "ERR unknown command {other}")?;
             }
         }
-        writer.flush()?;
+    }
+}
+
+/// Whether a failed read only means the [`READ_POLL`] timer fired (or
+/// a signal interrupted it), so the read can be retried.
+fn is_poll_wakeup(e: &std::io::Error) -> bool {
+    matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
+}
+
+/// Read one command line into `line`, returning to check for shutdown
+/// at least every [`READ_POLL`], even while bytes trickle in. Returns
+/// `false` when the connection should close: the client hung up, the
+/// server stopped, or it is draining and no command has begun.
+fn read_command(
+    reader: &mut impl BufRead,
+    line: &mut Vec<u8>,
+    shared: &Shared,
+) -> std::io::Result<bool> {
+    loop {
+        if shared.stopped.load(Ordering::Relaxed) {
+            return Ok(false);
+        }
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if is_poll_wakeup(&e) => {
+                if line.is_empty() && shared.draining.load(Ordering::Relaxed) {
+                    return Ok(false);
+                }
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(!line.is_empty()); // client hung up
+        }
+        let (take, done) = match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => (i + 1, true),
+            None => (buf.len(), false),
+        };
+        line.extend_from_slice(&buf[..take]);
+        reader.consume(take);
+        if done {
+            return Ok(true);
+        }
     }
 }
 
 /// Reply `ERR <one-line message>` for a failed catalog operation and
 /// count it.
-fn err_reply(writer: &mut TcpStream, msg: &str) -> std::io::Result<()> {
+fn err_reply(writer: &mut impl Write, msg: &str) -> std::io::Result<()> {
     obs::global().counter("service.errors.catalog").incr();
     writeln!(writer, "ERR {}", one_line(msg))
 }
 
 /// Reply to `FETCH` / `SEARCH`: `OK <len>` then the `<results>` envelope
 /// bytes, or the catalog error.
-fn envelope_reply(writer: &mut TcpStream, env: catalog::Result<String>) -> std::io::Result<()> {
+fn envelope_reply(writer: &mut impl Write, env: catalog::Result<String>) -> std::io::Result<()> {
     match env {
         Ok(env) => {
             obs::global().counter("service.body_bytes_out").add(env.len() as u64);
@@ -732,49 +645,44 @@ fn envelope_reply(writer: &mut TcpStream, env: catalog::Result<String>) -> std::
     }
 }
 
-/// Why a length-prefixed body could not be read.
-enum BodyError {
-    /// Bad length, torn body, or non-UTF-8 bytes.
-    Malformed(String),
-    /// Length prefix above [`MAX_BODY`].
-    Oversized(String),
-}
-
-impl BodyError {
-    fn counter(&self) -> &'static str {
-        match self {
-            BodyError::Malformed(_) => "service.errors.malformed",
-            BodyError::Oversized(_) => "service.errors.oversized",
-        }
-    }
-
-    fn message(&self) -> &str {
-        match self {
-            BodyError::Malformed(m) | BodyError::Oversized(m) => m,
-        }
-    }
-}
-
-/// Read a length-prefixed body where `len_str` is the decimal length.
+/// Read a length-prefixed body where `len_str` is the decimal length,
+/// checking for shutdown at least every [`READ_POLL`] so a stopping
+/// server can end a trickled read. On failure the error is counted and
+/// its reply text returned.
 fn read_body(
-    reader: &mut BufReader<TcpStream>,
+    reader: &mut impl BufRead,
     len_str: &str,
-) -> std::result::Result<String, BodyError> {
+    shared: &Shared,
+) -> std::result::Result<String, String> {
+    let reg = obs::global();
+    let malformed = |msg: String| {
+        reg.counter("service.errors.malformed").incr();
+        msg
+    };
     let len: usize = len_str
         .trim()
         .parse()
-        .map_err(|_| BodyError::Malformed(format!("bad length {len_str:?}")))?;
+        .map_err(|_| malformed(format!("bad length {len_str:?}")))?;
     if len > MAX_BODY {
-        return Err(BodyError::Oversized(format!(
-            "body of {len} bytes exceeds the {MAX_BODY}-byte limit"
-        )));
+        reg.counter("service.errors.oversized").incr();
+        return Err(format!("body of {len} bytes exceeds the {MAX_BODY}-byte limit"));
     }
     let mut buf = vec![0u8; len];
-    reader
-        .read_exact(&mut buf)
-        .map_err(|e| BodyError::Malformed(format!("short body: {e}")))?;
-    obs::global().counter("service.body_bytes_in").add(len as u64);
-    String::from_utf8(buf).map_err(|_| BodyError::Malformed("body is not UTF-8".to_string()))
+    let mut filled = 0;
+    while filled < len {
+        if shared.stopped.load(Ordering::Relaxed) {
+            reg.counter("service.shed.draining").incr();
+            return Err("busy draining".into());
+        }
+        match reader.read(&mut buf[filled..]) {
+            Ok(0) => return Err(malformed("short body: failed to fill whole buffer".into())),
+            Ok(n) => filled += n,
+            Err(e) if is_poll_wakeup(&e) => {}
+            Err(e) => return Err(malformed(format!("short body: {e}"))),
+        }
+    }
+    reg.counter("service.body_bytes_in").add(len as u64);
+    String::from_utf8(buf).map_err(|_| malformed("body is not UTF-8".to_string()))
 }
 
 fn one_line(s: &str) -> String {
@@ -783,19 +691,28 @@ fn one_line(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::ConnGuard;
+    use super::{CatalogServer, ConnGuard, ServerConfig};
+    use catalog::catalog::CatalogConfig;
+    use catalog::lead::lead_catalog;
+    use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
-    /// The in-flight connection gauge must not leak when a request
-    /// handler panics: the drop guard decrements it during unwinding.
+    /// The open-connection count and gauge must not leak when a request
+    /// handler panics: the drop guard releases both during unwinding.
     #[test]
     fn connection_gauge_survives_panics() {
+        let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
+        let server = CatalogServer::start_with(cat, "127.0.0.1:0", ServerConfig::default())
+            .expect("server starts");
+        let shared = server.shared.clone();
         let gauge = obs::global().gauge("service.connections");
         let before = gauge.get();
-        let outcome = std::panic::catch_unwind(|| {
-            let _guard = ConnGuard::new();
-            panic!("worker dies mid-request");
-        });
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = ConnGuard::new(shared.clone());
+            panic!("connection thread dies mid-request");
+        }));
         assert!(outcome.is_err());
         assert_eq!(gauge.get(), before, "panic leaked the connection gauge");
+        assert_eq!(shared.connections.load(Ordering::SeqCst), 0, "panic leaked the slot");
     }
 }

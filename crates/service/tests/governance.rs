@@ -1,14 +1,16 @@
-//! Request-lifecycle governance stress tests (the ISSUE-5 tentpole).
+//! Request-lifecycle governance stress tests.
 //!
 //! Seeded end-to-end checks of deadlines, cooperative cancellation,
-//! layered load shedding, and graceful drain:
+//! load shedding, and graceful drain:
 //!
 //! * a query with a 10 ms deadline against a large catalog returns
 //!   `DeadlineExceeded` in bounded time while concurrent small queries
-//!   keep succeeding, and the pool slot is released promptly;
-//! * a saturated pool sheds with typed `busy` replies — demoted
-//!   connections still get `PING`/`STATS` on the control lane, heavy
-//!   commands there are refused, overflow is rejected — never a hang;
+//!   keep succeeding, and the request permit is released promptly;
+//! * with every request permit held, cheap commands still answer and
+//!   heavy ones shed with typed `busy` replies — never a hang;
+//! * idle keep-alives and slowly trickled bodies hold only their own
+//!   connection threads, so an active client stays fast and shutdown
+//!   ends every parked connection promptly;
 //! * SIGTERM-style shutdown under write load drains in-flight
 //!   requests, checkpoints, and loses zero acked ingests on restart.
 //!
@@ -82,7 +84,7 @@ impl Raw {
 /// `SEARCH` takes far longer than 10 ms, a 10 ms-deadline request is
 /// answered `DeadlineExceeded` within the deadline plus a bounded
 /// cancellation-check interval — it does not run to completion and it
-/// does not hold its pool slot — while a concurrent client's small
+/// does not hold its permit — while a concurrent client's small
 /// queries all succeed. The cancellations land in the
 /// `catalog.cancelled.deadline` counter.
 #[test]
@@ -110,14 +112,14 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
         "premise: an unbounded SEARCH must take >= 3x the 10 ms deadline, took {full:?}"
     );
 
-    let config = ServerConfig { workers: 2, queue_depth: 8, ..ServerConfig::default() };
+    let config = ServerConfig { workers: 2, ..ServerConfig::default() };
     let server = CatalogServer::start_with(cat, "127.0.0.1:0", config).unwrap();
     let addr = server.addr();
 
     let cancelled_before = obs::global().counter("catalog.cancelled.deadline").get();
 
-    // Concurrent small queries on the second worker must keep
-    // succeeding while the first worker is being cancelled.
+    // Concurrent small queries on the second permit must keep
+    // succeeding while the first permit's request is being cancelled.
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
     let small = std::thread::spawn(move || {
@@ -141,7 +143,7 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
         match c.search_with_deadline("grid@ARPS[dx=1000]", 10) {
             Err(ClientError::DeadlineExceeded(msg)) => {
                 // (b): the error reply arriving bounds how long the
-                // worker was held — deadline + cancellation checks +
+                // permit was held — deadline + cancellation checks +
                 // CI slack, far below the seconds a full build takes.
                 let held = started.elapsed();
                 assert!(
@@ -151,8 +153,8 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
             }
             other => panic!("round {round}: expected DeadlineExceeded, got {other:?}"),
         }
-        // The same connection (same worker slot) serves the next
-        // request immediately: the slot was released, not leaked.
+        // The same connection serves the next request immediately:
+        // the permit was released, not leaked.
         c.ping().unwrap();
     }
 
@@ -167,12 +169,13 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
     );
 }
 
-/// Overload smoke: saturate a one-worker pool and assert every layer
-/// sheds with a typed `busy` reply instead of hanging — demotion to
-/// the control lane keeps `PING`/`STATS` working, heavy commands on
-/// the control lane are refused, and control-lane overflow is
-/// rejected outright. Read timeouts on every socket turn any hang
-/// into a loud failure.
+/// Overload smoke: hold the only request permit with a `QUERY` blocked
+/// behind an open transaction, and assert every other request either
+/// answers or sheds with a typed `busy` reply instead of hanging —
+/// cheap commands need no permit, heavy ones shed once they have
+/// waited `queue_wait_ms`, and a shed `INGEST` leaves the connection
+/// framed. Read timeouts on every socket turn any hang into a loud
+/// failure.
 #[test]
 fn overload_sheds_are_typed_busy_not_hangs() {
     let seed = seed_from_env();
@@ -180,60 +183,124 @@ fn overload_sheds_are_typed_busy_not_hangs() {
 
     let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
     cat.ingest(FIG3_DOCUMENT).unwrap();
-    let config = ServerConfig {
-        workers: 1,
-        queue_depth: 1,
-        control_queue_depth: 4,
-        ..ServerConfig::default()
-    };
-    let server = CatalogServer::start_with(cat, "127.0.0.1:0", config).unwrap();
+    let config = ServerConfig { workers: 1, queue_wait_ms: 100, ..ServerConfig::default() };
+    let server = CatalogServer::start_with(cat.clone(), "127.0.0.1:0", config).unwrap();
+    let shed = || obs::global().counter("service.shed.queue_wait").get();
+    let shed_before = shed();
 
-    // Occupy the only normal worker for the duration of the test.
-    let mut busy = Raw::connect(&server);
-    busy.send(b"PING\n");
-    assert_eq!(busy.read_line(), "OK pong");
-    // Fill the single accept-queue slot.
-    let _queued = Raw::connect(&server);
-    std::thread::sleep(Duration::from_millis(50));
+    // An open transaction holds the commit-visibility gate, so the one
+    // permitted QUERY blocks inside the catalog with the permit held.
+    let txn = cat.db().txn();
+    let mut holder = Raw::connect(&server);
+    holder.send(b"QUERY grid@ARPS[dx=1000]\n");
+    std::thread::sleep(Duration::from_millis(200));
 
-    // The next connection is demoted to the control lane: control
-    // commands still work under full load...
-    let mut control = Raw::connect(&server);
-    control.send(b"PING\n");
-    assert_eq!(control.read_line(), "OK pong", "control lane must answer PING under load");
-    // ...but heavy commands there are shed with a typed busy reply.
-    control.send(b"QUERY grid@ARPS[dx=1000]\n");
-    let shed = control.read_line();
-    assert!(shed.starts_with("ERR busy"), "heavy command on control lane must shed busy: {shed:?}");
-    // Body-carrying heavy commands are shed too, and the body is
-    // consumed so the connection stays framed.
+    // Cheap commands need no permit.
+    let mut c = Raw::connect(&server);
+    c.send(b"PING\n");
+    assert_eq!(c.read_line(), "OK pong", "PING must answer while the permit is held");
+    // A heavy command waits `queue_wait_ms` for the permit, then sheds.
+    c.send(b"QUERY grid@ARPS[dx=1000]\n");
+    let reply = c.read_line();
+    assert!(reply.starts_with("ERR busy"), "QUERY must shed busy: {reply:?}");
+    // A body-carrying command reads its body before it waits, so the
+    // shed leaves the connection framed.
     let doc = FIG3_DOCUMENT.as_bytes();
     let mut frame = format!("INGEST {}\n", doc.len()).into_bytes();
     frame.extend_from_slice(doc);
-    control.send(&frame);
-    let shed = control.read_line();
-    assert!(shed.starts_with("ERR busy"), "INGEST on control lane must shed busy: {shed:?}");
-    control.send(b"PING\n");
-    assert_eq!(control.read_line(), "OK pong", "connection must survive a shed INGEST");
+    c.send(&frame);
+    let reply = c.read_line();
+    assert!(reply.starts_with("ERR busy"), "INGEST must shed busy: {reply:?}");
+    c.send(b"PING\n");
+    assert_eq!(c.read_line(), "OK pong", "connection must survive a shed INGEST");
+    // The registry is process-global and shared with concurrent tests,
+    // so assert at-least, not exact.
+    assert!(shed() >= shed_before + 2, "both sheds must count in service.shed.queue_wait");
 
-    // STATS on the control lane shows the priority sheds we caused.
-    // (The obs registry is process-global and shared with concurrent
-    // tests, so assert at-least, not exact.)
-    control.send(b"STATS\n");
-    let stats = control.read_line();
-    let priority: u64 = stats
-        .split_whitespace()
-        .find_map(|kv| kv.strip_prefix("service.shed.priority="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("service.shed.priority missing from STATS: {stats}"));
-    assert!(priority >= 2, "both heavy sheds must be counted: {stats}");
+    // Releasing the gate lets the permitted query finish.
+    drop(txn);
+    let reply = holder.read_line();
+    assert!(reply.starts_with("OK 1 "), "the permitted QUERY must complete: {reply:?}");
+}
 
-    // Fill the rest of the control queue, then overflow: the final
-    // connection must be rejected immediately, not stalled.
-    let _parked: Vec<Raw> = (0..4).map(|_| Raw::connect(&server)).collect();
-    std::thread::sleep(Duration::from_millis(50));
-    let mut rejected = Raw::connect(&server);
-    assert_eq!(rejected.read_line(), "ERR busy", "overflow past both queues must reject");
+/// Idle keep-alives and slowly trickled bodies hold only their own
+/// connection threads, never a request permit. With `workers` of each
+/// parked on the server, an active client's queries stay fast, and
+/// `stop()` ends every parked connection promptly with a clean drain.
+#[test]
+fn idle_and_slow_body_clients_do_not_starve_active_clients() {
+    let seed = seed_from_env();
+    println!("STRESS_SEED={seed}");
+
+    let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
+    for _ in 0..10 {
+        cat.ingest(FIG3_DOCUMENT).unwrap();
+    }
+    let workers = 2;
+    let config = ServerConfig { workers, ..ServerConfig::default() };
+    let mut server = CatalogServer::start_with(cat, "127.0.0.1:0", config).unwrap();
+
+    // Idle keep-alives: one PING each, then silence.
+    let mut idle: Vec<Raw> = (0..workers)
+        .map(|_| {
+            let mut c = Raw::connect(&server);
+            c.send(b"PING\n");
+            assert_eq!(c.read_line(), "OK pong");
+            c
+        })
+        .collect();
+    // Slow bodies: announce 1,000 bytes, send 10, then trickle one byte
+    // at a seeded interval until told to stop or the server hangs up.
+    let stop = Arc::new(AtomicBool::new(false));
+    let tricklers: Vec<_> = (0..workers as u64)
+        .map(|t| {
+            let mut c = Raw::connect(&server);
+            c.send(b"INGEST 1000\n<LEADreso");
+            let stop = stop.clone();
+            let mut rng = Xorshift::new(seed ^ t.wrapping_mul(0x9E3779B97F4A7C15));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    std::thread::sleep(Duration::from_millis(20 + rng.next() % 40));
+                    if c.writer.write_all(b"x").is_err() {
+                        break;
+                    }
+                }
+            })
+        })
+        .collect();
+
+    let mut active =
+        CatalogClient::connect_with_timeout(server.addr(), Duration::from_secs(2)).unwrap();
+    let mut latencies = Vec::with_capacity(200);
+    for i in 0..200 {
+        let started = Instant::now();
+        let ids = active
+            .query("grid@ARPS[dx=1000]")
+            .unwrap_or_else(|e| panic!("query {i} starved behind parked clients: {e:?}"));
+        latencies.push(started.elapsed());
+        assert_eq!(ids.len(), 10);
+    }
+    latencies.sort();
+    let p99 = latencies[latencies.len() * 99 / 100 - 1];
+    println!("active client p99 over 200 QUERYs: {p99:?}");
+    assert!(p99 < Duration::from_millis(500), "active client p99 {p99:?} must stay < 500 ms");
+
+    let clean = || obs::global().counter("service.drain.clean").get();
+    let clean_before = clean();
+    let started = Instant::now();
+    server.stop();
+    let took = started.elapsed();
+    stop.store(true, Ordering::Relaxed);
+    for t in tricklers {
+        t.join().unwrap();
+    }
+    println!("stop() with parked clients took {took:?}");
+    assert!(took < Duration::from_secs(2), "stop() took {took:?} with parked clients");
+    assert!(clean() > clean_before, "no permit was held, so the drain must be clean");
+    // The drain closed the idle keep-alives.
+    for c in &mut idle {
+        assert_eq!(c.read_line(), "", "an idle keep-alive must be closed by the drain");
+    }
 }
 
 /// Acceptance (c): SIGTERM-style shutdown under concurrent write load.
@@ -256,7 +323,7 @@ fn graceful_shutdown_under_load_loses_no_acked_ingest() {
     .unwrap();
     register_arps_defs(&cat).unwrap();
 
-    let config = ServerConfig { workers: 4, queue_depth: 16, ..ServerConfig::default() };
+    let config = ServerConfig { workers: 4, ..ServerConfig::default() };
     let mut server = CatalogServer::start_with(Arc::new(cat), "127.0.0.1:0", config).unwrap();
     let addr = server.addr();
 

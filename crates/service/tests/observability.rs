@@ -24,7 +24,7 @@ fn counter(name: &'static str) -> u64 {
 }
 
 /// Poll until `cond` holds or ~2s elapse; server-side counters are
-/// updated on worker threads, slightly after the client sees a reply.
+/// updated on connection threads, slightly after the client sees a reply.
 fn wait_for(cond: impl Fn() -> bool) -> bool {
     for _ in 0..200 {
         if cond() {
