@@ -46,17 +46,21 @@ impl CatalogBackend for ClobOnlyBackend {
         // Parse for well-formedness (every backend pays parse cost).
         let _ = Document::parse(xml)?;
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let locator = self.db.clobs.put(xml.as_bytes().to_vec());
-        self.db.insert("docs", vec![vec![Value::Int(id), Value::Int(locator as i64)]])?;
+        // The CLOB and the row that locates it commit together.
+        let mut txn = self.db.txn();
+        let locator = txn.put_clob(xml.as_bytes().to_vec());
+        txn.insert("docs", vec![vec![Value::Int(id), Value::Int(locator as i64)]])?;
+        txn.commit()?;
         Ok(id)
     }
 
     fn query(&self, q: &ObjectQuery) -> Result<Vec<i64>> {
-        let rs = self.db.execute(&Plan::Scan { table: "docs".into(), filter: None })?;
+        let rt = self.db.begin_read();
+        let rs = rt.execute(&Plan::Scan { table: "docs".into(), filter: None })?;
         let mut out = Vec::new();
         for row in &rs.rows {
             let (Some(id), Some(loc)) = (row[0].as_i64(), row[1].as_i64()) else { continue };
-            let xml = self.db.clobs.get_str(loc as u64)?;
+            let xml = rt.clobs().get_str(loc as u64)?;
             let doc = Document::parse(&xml)?;
             if object_matches(&doc, q, &self.convention) {
                 out.push(id);
@@ -67,9 +71,10 @@ impl CatalogBackend for ClobOnlyBackend {
     }
 
     fn reconstruct(&self, ids: &[i64]) -> Result<Vec<(i64, String)>> {
+        let rt = self.db.begin_read();
         let mut out = Vec::with_capacity(ids.len());
         for &id in ids {
-            let rs = self.db.execute(&Plan::IndexLookup {
+            let rs = rt.execute(&Plan::IndexLookup {
                 table: "docs".into(),
                 index: "docs_pk".into(),
                 key: vec![Value::Int(id)],
@@ -77,7 +82,7 @@ impl CatalogBackend for ClobOnlyBackend {
             })?;
             if let Some(row) = rs.rows.first() {
                 if let Some(loc) = row[1].as_i64() {
-                    out.push((id, self.db.clobs.get_str(loc as u64)?));
+                    out.push((id, rt.clobs().get_str(loc as u64)?));
                 }
             }
         }

@@ -294,9 +294,9 @@ impl MetadataCatalog {
         reg.counter("catalog.shred.attr_rows").add(shredded.attrs.len() as u64);
         reg.counter("catalog.shred.elem_rows").add(shredded.elems.len() as u64);
         reg.counter("catalog.clob.bytes_written")
-            .add(shredded.clobs.iter().map(|c| c.xml.len() as u64).sum());
+            .add(shredded.clob_rows.iter().map(|c| c.xml.len() as u64).sum());
         let clob_rows: Vec<Vec<Value>> = shredded
-            .clobs
+            .clob_rows
             .iter()
             .map(|c| {
                 let locator = txn.put_clob(c.xml.clone().into_bytes());
@@ -466,8 +466,8 @@ impl MetadataCatalog {
     }
 
     /// Ingest many documents, shredding in parallel on `threads` worker
-    /// threads (parse + shred run outside any table lock; only `apply`
-    /// serializes on the store).
+    /// threads (parse + shred run outside the database's lock; only
+    /// `apply` serializes on the store).
     pub fn ingest_batch(&self, docs: &[String], threads: usize) -> Result<Vec<i64>> {
         if threads <= 1 || docs.len() < 2 {
             return docs.iter().map(|d| self.ingest(d)).collect();
@@ -636,10 +636,12 @@ impl MetadataCatalog {
             elem_rows: rt.row_count("elems").unwrap_or(0),
             ancestor_rows: rt.row_count("attr_anc").unwrap_or(0),
             clob_count: rt.row_count("clobs").unwrap_or(0),
-            clob_bytes: self.db.clobs.total_bytes(),
+            clob_bytes: rt.clobs().total_bytes(),
             attr_defs: defs.attrs().len(),
             elem_defs: defs.elems().len(),
-            table_count: self.db.table_names().len(),
+            // Through `rt`, never `self.db`: a second hold of the gate on
+            // this thread deadlocks once a writer queues between the two.
+            table_count: rt.table_names().len(),
         }
     }
 

@@ -201,7 +201,7 @@ pub fn build_documents_ctx(
                 let loc = row[5].as_i64().ok_or_else(|| {
                     minidb::DbError::Corrupt(format!("object {obj}: CLOB row without a locator"))
                 })?;
-                let text = db.clobs.get_str(loc as u64)?;
+                let text = rt.clobs().get_str(loc as u64)?;
                 buf.push_str(&text);
             }
             _ => {}

@@ -126,12 +126,13 @@ pub struct AncRow {
 }
 
 /// Everything shredding one document produces (not yet inserted — the
-/// catalog applies a `ShreddedDoc` under its table locks, which is what
-/// makes parallel ingest effective: parse + shred runs outside locks).
+/// catalog applies a `ShreddedDoc` in one transaction, which is what
+/// makes parallel ingest effective: parse + shred runs outside the
+/// database's lock).
 #[derive(Debug, Default, Clone)]
 pub struct ShreddedDoc {
     /// CLOBs for response building.
-    pub clobs: Vec<ClobRow>,
+    pub clob_rows: Vec<ClobRow>,
     /// Attribute instances.
     pub attrs: Vec<AttrRow>,
     /// Element instances.
@@ -285,7 +286,7 @@ impl<'a> Shredder<'a> {
         let clob_seq = Self::next_clob_seq(state, order);
         let mut xml = String::with_capacity(256);
         writer::write_subtree(state.doc, dnode, &mut xml);
-        state.out.clobs.push(ClobRow { attr_id, order, clob_seq, xml });
+        state.out.clob_rows.push(ClobRow { attr_id, order, clob_seq, xml });
         clob_seq
     }
 
@@ -725,7 +726,7 @@ mod tests {
         let theme_node = s.resolve_path("/root/keywords/theme").unwrap();
         let theme_id = reg.attr_for_node(theme_node).unwrap();
         let theme_order = o.order_of(theme_node).unwrap();
-        let theme_clobs: Vec<_> = out.clobs.iter().filter(|c| c.attr_id == theme_id).collect();
+        let theme_clobs: Vec<_> = out.clob_rows.iter().filter(|c| c.attr_id == theme_id).collect();
         assert_eq!(theme_clobs.len(), 2);
         assert_eq!(theme_clobs[0].clob_seq, 1);
         assert_eq!(theme_clobs[1].clob_seq, 2);
@@ -831,7 +832,7 @@ mod tests {
         let cv = DynamicConvention::default();
         let out = Shredder::new(&p, &o, &cv, ShredOptions::default()).shred(&doc, &reg).unwrap();
         // CLOB kept (anchored at the detailed definition), nothing shredded.
-        assert_eq!(out.clobs.len(), 1);
+        assert_eq!(out.clob_rows.len(), 1);
         assert!(out.attrs.is_empty());
         assert!(out.elems.is_empty());
         assert_eq!(out.unmatched.len(), 1);
@@ -929,10 +930,10 @@ mod tests {
         let out = Shredder::new(&p, &o, &cv, ShredOptions::default()).shred(&doc, &reg).unwrap();
         // Different defs, but CLOB sequence is same-sibling order at the
         // shared anchor position: 1 then 2.
-        assert_eq!(out.clobs.len(), 2);
-        assert_eq!(out.clobs[0].clob_seq, 1);
-        assert_eq!(out.clobs[1].clob_seq, 2);
-        assert_ne!(out.clobs[0].attr_id, out.clobs[1].attr_id);
+        assert_eq!(out.clob_rows.len(), 2);
+        assert_eq!(out.clob_rows[0].clob_seq, 1);
+        assert_eq!(out.clob_rows[1].clob_seq, 2);
+        assert_ne!(out.clob_rows[0].attr_id, out.clob_rows[1].attr_id);
         // Each def's instance sequence restarts at 1.
         assert!(out.attrs.iter().all(|a| a.seq == 1));
     }

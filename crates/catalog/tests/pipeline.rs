@@ -375,7 +375,7 @@ fn dangling_clob_locator_fails_the_fetch() {
         .execute_sql(&format!("SELECT * FROM clobs WHERE object_id = {id}"))
         .unwrap();
     let mut row = rs.rows[0].clone();
-    let dangling = cat.db().clobs.len() as u64 + 10;
+    let dangling = cat.db().begin_read().clobs().len() as u64 + 10;
     row[3] = minidb::Value::Int(row[3].as_i64().unwrap() + 100);
     row[4] = minidb::Value::Int(dangling as i64);
     cat.db().insert("clobs", vec![row]).unwrap();

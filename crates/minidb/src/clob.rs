@@ -8,18 +8,23 @@
 //! locators and only the final response assembly touches bytes (the
 //! paper's point that "the join can utilize the index without accessing
 //! the CLOBs until needed in the final join").
+//!
+//! The heap has no lock of its own: it lives beside the tables inside
+//! the database's visibility gate ([`crate::db`]), so a put is ordered
+//! by the [`crate::db::Txn`] that makes it and a reader sees the heap
+//! through its [`crate::db::ReadTxn`]. A fetched [`Bytes`] handle stays
+//! valid after the gate is released.
 
 use crate::error::{DbError, Result};
 use bytes::Bytes;
-use parking_lot::RwLock;
 
 /// Locator of a CLOB within a [`ClobStore`].
 pub type ClobId = u64;
 
-/// Append-only, thread-safe CLOB heap.
+/// Append-only CLOB heap.
 #[derive(Debug, Default)]
 pub struct ClobStore {
-    slots: RwLock<Vec<Bytes>>,
+    slots: Vec<Bytes>,
 }
 
 impl ClobStore {
@@ -29,15 +34,14 @@ impl ClobStore {
     }
 
     /// Store `data`, returning its locator.
-    pub fn put(&self, data: impl Into<Bytes>) -> ClobId {
-        let mut slots = self.slots.write();
-        slots.push(data.into());
-        (slots.len() - 1) as ClobId
+    pub fn put(&mut self, data: impl Into<Bytes>) -> ClobId {
+        self.slots.push(data.into());
+        (self.slots.len() - 1) as ClobId
     }
 
     /// Fetch by locator (cheap handle clone).
     pub fn get(&self, id: ClobId) -> Result<Bytes> {
-        self.slots.read().get(id as usize).cloned().ok_or(DbError::NoSuchClob(id))
+        self.slots.get(id as usize).cloned().ok_or(DbError::NoSuchClob(id))
     }
 
     /// Fetch as UTF-8 text.
@@ -48,7 +52,7 @@ impl ClobStore {
 
     /// Number of stored CLOBs.
     pub fn len(&self) -> usize {
-        self.slots.read().len()
+        self.slots.len()
     }
 
     /// True when no CLOBs are stored.
@@ -58,12 +62,7 @@ impl ClobStore {
 
     /// Total stored bytes, for storage accounting.
     pub fn total_bytes(&self) -> usize {
-        self.slots.read().iter().map(|b| b.len()).sum()
-    }
-
-    /// Remove all CLOBs (locators become invalid).
-    pub fn clear(&self) {
-        self.slots.write().clear();
+        self.slots.iter().map(|b| b.len()).sum()
     }
 }
 
@@ -73,7 +72,7 @@ mod tests {
 
     #[test]
     fn put_get_roundtrip() {
-        let s = ClobStore::new();
+        let mut s = ClobStore::new();
         let a = s.put("hello".as_bytes().to_vec());
         let b = s.put(Bytes::from_static(b"<x/>"));
         assert_eq!(s.get_str(a).unwrap(), "hello");
@@ -90,26 +89,10 @@ mod tests {
 
     #[test]
     fn handles_share_storage() {
-        let s = ClobStore::new();
+        let mut s = ClobStore::new();
         let id = s.put(Bytes::from(vec![1u8; 1024]));
         let h1 = s.get(id).unwrap();
         let h2 = s.get(id).unwrap();
         assert_eq!(h1.as_ptr(), h2.as_ptr());
-    }
-
-    #[test]
-    fn concurrent_puts() {
-        let s = std::sync::Arc::new(ClobStore::new());
-        std::thread::scope(|scope| {
-            for t in 0..4 {
-                let s = s.clone();
-                scope.spawn(move || {
-                    for i in 0..100 {
-                        s.put(format!("t{t}-{i}").into_bytes());
-                    }
-                });
-            }
-        });
-        assert_eq!(s.len(), 400);
     }
 }

@@ -1,24 +1,26 @@
 //! The database: a named-table catalog, CLOB heap, and plan executor.
 //!
-//! Concurrency model: the table map is guarded by one `RwLock`, and
-//! each table by its own `RwLock` (`parking_lot`, per the project's
-//! performance guidance). Readers executing plans take per-table read
-//! locks only while materializing scans, so concurrent queries scale
-//! and writers block only the tables they touch — this is what
-//! experiment E8 measures.
-//!
-//! On top of the per-table locks sits a *commit-visibility gate*: every
-//! [`Txn`] holds the gate exclusively from its first mutation to its
-//! commit, and every plan execution (or [`Database::begin_read`]
-//! batch) holds it shared. A transaction that touches several tables
-//! therefore becomes visible to readers *atomically at commit* — a
-//! concurrent query can never observe a half-applied multi-table write
-//! (e.g. an object row whose attribute rows are still being inserted).
+//! Concurrency model: one lock owns the database. The tables and the
+//! CLOB heap live together in one `State` behind the *commit-visibility
+//! gate*, an `RwLock<State>`; tables and the heap have no locks of
+//! their own. Every [`Txn`] holds the gate exclusively from its start
+//! to its commit and mutates through it; every plan execution, every
+//! [`Database`]-level read and every [`Database::begin_read`] batch
+//! holds it shared and reads `&Table` straight from it. A transaction
+//! that touches several tables (or puts CLOBs and inserts the rows that
+//! locate them) therefore becomes visible to readers *atomically at
+//! commit* — a concurrent query can never observe a half-applied write.
 //! Committed transactions publish a monotonically increasing
-//! *watermark* ([`Database::commit_watermark`]) that readers can use
-//! to tell snapshots apart. Lock order is always
-//! `WAL writer → visibility gate → table map → tables`, so the gate
-//! adds no deadlock edge.
+//! *watermark* ([`Database::commit_watermark`]) that readers can use to
+//! tell snapshots apart.
+//!
+//! Lock order is `WAL writer → gate` (a caller above the engine, such
+//! as the catalog's definition registry, comes before both). The gate
+//! is not re-entrant: a thread that holds a [`Txn`] or [`ReadTxn`] must
+//! read through it, never through another `Database` method — a second
+//! shared hold deadlocks as soon as a writer queues between the two,
+//! because the gate prefers writers. Debug builds panic with "visibility
+//! gate re-entered" instead of taking the gate twice.
 
 use crate::clob::ClobStore;
 use crate::error::{DbError, Result};
@@ -44,13 +46,13 @@ use std::time::Instant;
 /// predicate's `col = lit` conjuncts; returns the index plus the lookup
 /// key (shorter than the index key means prefix scan). The caller must
 /// re-apply the full predicate to the narrowed row set.
-fn select_index<'a>(guard: &'a Table, pred: &Expr) -> Option<(&'a Index, Vec<Value>)> {
+fn select_index<'a>(t: &'a Table, pred: &Expr) -> Option<(&'a Index, Vec<Value>)> {
     let pairs = pred.eq_conjunct_terms();
     if pairs.is_empty() {
         return None;
     }
     let mut best: Option<(&Index, usize)> = None;
-    for idx in guard.indexes() {
+    for idx in t.indexes() {
         let mut p = 0;
         for &c in &idx.columns {
             if pairs.iter().any(|(pc, _)| *pc == c) {
@@ -78,23 +80,23 @@ fn select_index<'a>(guard: &'a Table, pred: &Expr) -> Option<(&'a Index, Vec<Val
     })
 }
 
-/// Visit every row of `guard` matching `filter` (routing through the
+/// Visit every row of `t` matching `filter` (routing through the
 /// best covering index, as the generic scan does), in scan order.
 fn for_each_matching(
-    guard: &Table,
+    t: &Table,
     filter: Option<&Expr>,
     mut f: impl FnMut(&Row) -> Result<()>,
 ) -> Result<()> {
     let Some(pred) = filter else {
-        for (_, r) in guard.scan() {
+        for (_, r) in t.scan() {
             f(r)?;
         }
         return Ok(());
     };
-    if let Some((idx, key)) = select_index(guard, pred) {
+    if let Some((idx, key)) = select_index(t, pred) {
         if key.len() == idx.columns.len() {
             for &rid in idx.get(&key) {
-                if let Some(r) = guard.get(rid) {
+                if let Some(r) = t.get(rid) {
                     if pred.matches(r)? {
                         f(r)?;
                     }
@@ -102,7 +104,7 @@ fn for_each_matching(
             }
         } else {
             for rid in idx.prefix_ids(&key) {
-                if let Some(r) = guard.get(rid) {
+                if let Some(r) = t.get(rid) {
                     if pred.matches(r)? {
                         f(r)?;
                     }
@@ -110,7 +112,7 @@ fn for_each_matching(
             }
         }
     } else {
-        for (_, r) in guard.scan() {
+        for (_, r) in t.scan() {
             if pred.matches(r)? {
                 f(r)?;
             }
@@ -172,30 +174,92 @@ fn record_keyed(prof: &mut Option<PlanProfile>, start: Option<Instant>, path: &[
 
 /// Durable-mode state: the VFS the database lives on plus the
 /// serialized WAL appender. The writer mutex is always acquired before
-/// any table or CLOB lock, so WAL order equals apply order.
+/// the visibility gate, so WAL order equals apply order.
 pub(crate) struct Durability {
     vfs: Arc<dyn Vfs>,
     writer: Mutex<WalWriter>,
+}
+
+/// Everything the visibility gate guards: the tables and the CLOB heap
+/// (locators in `CLOB` columns point into it). The executor and the
+/// `apply_*` mutators live here, so they run on whichever guard the
+/// caller holds.
+#[derive(Default)]
+pub(crate) struct State {
+    pub(crate) tables: HashMap<String, Table>,
+    pub(crate) clobs: ClobStore,
 }
 
 /// An embedded, in-memory relational database, optionally backed by a
 /// write-ahead log (see [`Database::open`] and [`crate::wal`]).
 #[derive(Default)]
 pub struct Database {
-    tables: RwLock<HashMap<String, Arc<RwLock<Table>>>>,
-    /// CLOB heap shared by all tables (locators are `CLOB` columns).
-    pub clobs: ClobStore,
+    /// The commit-visibility gate and the state it owns (see the module
+    /// docs): held exclusively by each [`Txn`] for its whole life and
+    /// shared by every reader, so writes become visible atomically at
+    /// commit.
+    state: RwLock<State>,
     /// `Some` when opened durably; `None` for plain in-memory use.
     dur: Option<Durability>,
-    /// Commit-visibility gate (see the module docs): held exclusively
-    /// by each [`Txn`] for its whole life, shared by every reader, so
-    /// multi-table writes become visible atomically at commit.
-    vis: RwLock<()>,
     /// Count of committed transactions, published under the gate's
     /// exclusive hold — two reads observing the same watermark saw the
     /// same committed prefix of writes.
     watermark: AtomicU64,
 }
+
+/// Debug-build guard against taking one database's gate twice on one
+/// thread (see the module docs): a thread-local list of the gates this
+/// thread holds, keyed by gate address so a thread may hold the gates
+/// of two different databases at once.
+#[cfg(debug_assertions)]
+mod reentry {
+    use std::cell::RefCell;
+
+    thread_local! {
+        static HELD: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+    }
+
+    /// Marks one gate as held by this thread until dropped.
+    pub(super) struct GateMark(usize);
+
+    impl GateMark {
+        /// Record `gate` as held; panics if this thread already holds it.
+        pub(super) fn enter<T>(gate: &T) -> GateMark {
+            let addr = gate as *const T as usize;
+            HELD.with(|h| {
+                let mut held = h.borrow_mut();
+                assert!(
+                    !held.contains(&addr),
+                    "visibility gate re-entered: this thread already holds a Txn or \
+                     ReadTxn on this database; read through it instead"
+                );
+                held.push(addr);
+            });
+            GateMark(addr)
+        }
+    }
+
+    impl Drop for GateMark {
+        fn drop(&mut self) {
+            let _ = HELD.try_with(|h| h.borrow_mut().retain(|&g| g != self.0));
+        }
+    }
+}
+
+/// Release builds keep no re-entrancy bookkeeping.
+#[cfg(not(debug_assertions))]
+mod reentry {
+    pub(super) struct GateMark;
+
+    impl GateMark {
+        #[inline]
+        pub(super) fn enter<T>(_gate: &T) -> GateMark {
+            GateMark
+        }
+    }
+}
+
+use reentry::GateMark;
 
 impl Database {
     /// Empty database.
@@ -230,7 +294,7 @@ impl Database {
                     continue;
                 }
                 for rec in records {
-                    db.apply_record(rec).map_err(|e| {
+                    db.state.get_mut().apply_record(rec).map_err(|e| {
                         DbError::Corrupt(format!("wal replay failed at lsn {lsn}: {e}"))
                     })?;
                     recovered += 1;
@@ -267,6 +331,12 @@ impl Database {
         Ok(db)
     }
 
+    /// The state, through exclusive ownership of the database (no gate
+    /// needed): how snapshot load fills a database nobody else sees yet.
+    pub(crate) fn state_mut(&mut self) -> &mut State {
+        self.state.get_mut()
+    }
+
     /// `true` when this database was opened durably.
     pub fn is_durable(&self) -> bool {
         self.dur.is_some()
@@ -287,7 +357,6 @@ impl Database {
     /// images, which makes this a deep-equality probe for recovery
     /// tests and replica divergence checks.
     pub fn state_image(&self) -> Result<Vec<u8>> {
-        let _gate = self.vis.read();
         self.snapshot_bytes(0)
     }
 
@@ -301,9 +370,10 @@ impl Database {
     /// dropped, so concurrent readers never observe a partially
     /// applied batch.
     pub fn txn(&self) -> Txn<'_> {
+        let mark = GateMark::enter(&self.state);
         let wal = self.dur.as_ref().map(|d| d.writer.lock());
-        let vis = self.vis.write();
-        Txn { db: self, wal, _vis: vis, pending: Vec::new(), dirty: false }
+        let state = self.state.write();
+        Txn { db: self, wal, state, pending: Vec::new(), dirty: false, _mark: mark }
     }
 
     /// Begin a read batch: every plan executed through the returned
@@ -311,8 +381,9 @@ impl Database {
     /// commit between the batch's executions. Use this when one logical
     /// read spans several plans (e.g. response reconstruction).
     pub fn begin_read(&self) -> ReadTxn<'_> {
-        let gate = self.vis.read();
-        ReadTxn { db: self, _gate: gate }
+        let mark = GateMark::enter(&self.state);
+        let state = self.state.read();
+        ReadTxn { db: self, state, _mark: mark }
     }
 
     /// Number of committed transactions. Monotonic; bumped under the
@@ -325,7 +396,8 @@ impl Database {
     /// Checkpoint a durable database: write a snapshot stamped with the
     /// last committed LSN (tmp + rename), then swap in a fresh WAL so
     /// the log stays short. Returns the stamped LSN. Commits are
-    /// excluded for the duration (writer lock held).
+    /// excluded for the duration (writer lock held); the state is read
+    /// under a shared hold of the gate, so queries keep running.
     pub fn checkpoint(&self) -> Result<u64> {
         let Some(dur) = &self.dur else {
             return Err(DbError::Io("checkpoint: database is not durable".into()));
@@ -376,147 +448,14 @@ impl Database {
         t.commit()
     }
 
-    fn apply_create_table(&self, name: &str, schema: &TableSchema) -> Result<()> {
-        let mut tables = self.tables.write();
-        if tables.contains_key(name) {
-            return Err(DbError::TableExists(name.to_string()));
-        }
-        tables.insert(
-            name.to_string(),
-            Arc::new(RwLock::new(Table::new(name.to_string(), schema.clone()))),
-        );
-        Ok(())
-    }
-
-    fn apply_drop_table(&self, name: &str) -> Result<()> {
-        self.tables
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
-    fn apply_create_index(
-        &self,
-        table: &str,
-        index: &str,
-        columns: &[usize],
-        unique: bool,
-    ) -> Result<()> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        guard.create_index(index, columns.to_vec(), unique)
-    }
-
-    fn apply_insert(&self, table: &str, rows: &[Row]) -> Result<usize> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        guard.insert_many(rows.iter().cloned())
-    }
-
-    fn apply_delete_where(&self, table: &str, pred: &Expr) -> Result<usize> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        let mut err = None;
-        let n = guard.delete_where(|r| match pred.matches(r) {
-            Ok(b) => b,
-            Err(e) => {
-                err = Some(e);
-                false
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(n),
-        }
-    }
-
-    fn apply_update_where(
-        &self,
-        table: &str,
-        pred: Option<&Expr>,
-        sets: &[(usize, Expr)],
-    ) -> Result<usize> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        let victims: Vec<RowId> = guard
-            .scan()
-            .filter_map(|(rid, row)| match pred {
-                None => Some(Ok(rid)),
-                Some(p) => match p.matches(row) {
-                    Ok(true) => Some(Ok(rid)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                },
-            })
-            .collect::<Result<_>>()?;
-        let mut n = 0;
-        for rid in victims {
-            let new_values: Vec<(usize, Value)> = {
-                let row = guard.get(rid).expect("victim row is live").clone();
-                sets.iter().map(|(c, e)| e.eval(&row).map(|v| (*c, v))).collect::<Result<_>>()?
-            };
-            guard.update(rid, |row| {
-                for (c, v) in new_values {
-                    row[c] = v;
-                }
-            })?;
-            n += 1;
-        }
-        Ok(n)
-    }
-
-    fn apply_truncate(&self, table: &str) -> Result<usize> {
-        let t = self.table(table)?;
-        let mut guard = t.write();
-        let n = guard.len();
-        guard.truncate();
-        Ok(n)
-    }
-
-    /// Apply one recovered WAL record to in-memory state (no logging).
-    pub(crate) fn apply_record(&self, rec: &WalRecord) -> Result<()> {
-        match rec {
-            WalRecord::CreateTable { name, schema } => self.apply_create_table(name, schema),
-            WalRecord::DropTable { name } => self.apply_drop_table(name),
-            WalRecord::CreateIndex { table, name, columns, unique } => {
-                self.apply_create_index(table, name, columns, *unique)
-            }
-            WalRecord::Insert { table, rows } => self.apply_insert(table, rows).map(|_| ()),
-            WalRecord::DeleteWhere { table, pred } => {
-                self.apply_delete_where(table, pred).map(|_| ())
-            }
-            WalRecord::UpdateWhere { table, pred, sets } => {
-                self.apply_update_where(table, pred.as_ref(), sets).map(|_| ())
-            }
-            WalRecord::Truncate { table } => self.apply_truncate(table).map(|_| ()),
-            WalRecord::ClobPut { data } => {
-                self.clobs.put(data.clone());
-                Ok(())
-            }
-            WalRecord::Commit { .. } => Ok(()),
-        }
-    }
-
-    /// Handle to a table.
-    pub fn table(&self, name: &str) -> Result<Arc<RwLock<Table>>> {
-        self.tables
-            .read()
-            .get(name)
-            .cloned()
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
     /// True when `name` exists.
     pub fn has_table(&self, name: &str) -> bool {
-        self.tables.read().contains_key(name)
+        self.begin_read().table(name).is_ok()
     }
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut v: Vec<String> = self.tables.read().keys().cloned().collect();
-        v.sort();
-        v
+        self.begin_read().table_names()
     }
 
     /// Insert rows into a named table.
@@ -551,14 +490,14 @@ impl Database {
 
     /// Number of live rows in a table.
     pub fn row_count(&self, table: &str) -> Result<usize> {
-        Ok(self.table(table)?.read().len())
+        self.begin_read().row_count(table)
     }
 
     /// Rough byte footprint of all tables plus the CLOB heap.
     pub fn approx_bytes(&self) -> usize {
-        let tables = self.tables.read();
-        let rows: usize = tables.values().map(|t| t.read().approx_bytes()).sum();
-        rows + self.clobs.total_bytes()
+        let rt = self.begin_read();
+        let rows: usize = rt.state.tables.values().map(Table::approx_bytes).sum();
+        rows + rt.state.clobs.total_bytes()
     }
 
     /// Execute a physical plan to a materialized result, serially and
@@ -572,8 +511,7 @@ impl Database {
     /// [`Database::execute`] under a request deadline, checked
     /// cooperatively at loop and operator boundaries.
     pub fn execute_with(&self, plan: &Plan, deadline: Deadline) -> Result<ResultSet> {
-        let _gate = self.vis.read();
-        self.run(plan, &mut None, &deadline)
+        self.begin_read().execute_with(plan, deadline)
     }
 
     /// Execute a plan while collecting per-operator row counts and
@@ -581,15 +519,171 @@ impl Database {
     /// (see [`PlanProfile`]). Powers `EXPLAIN ANALYZE`
     /// ([`crate::explain::explain_analyze`]).
     pub fn execute_profiled(&self, plan: &Plan) -> Result<(ResultSet, PlanProfile)> {
-        let _gate = self.vis.read();
+        let rt = self.begin_read();
         let mut prof = Some(PlanProfile::default());
-        let rs = self.run(plan, &mut prof, &Deadline::none())?;
+        let rs = rt.state.run(plan, &mut prof, &Deadline::none())?;
         Ok((rs, prof.expect("profiler installed above")))
+    }
+
+    /// Delete rows matching `pred` from a table; returns the count.
+    pub fn delete_where(&self, table: &str, pred: &Expr) -> Result<usize> {
+        let mut t = self.txn();
+        let n = t.delete_where(table, pred)?;
+        t.commit()?;
+        Ok(n)
+    }
+
+    /// Update rows matching `pred` (all rows when `None`): each
+    /// `(column, expr)` in `sets` is evaluated against the old row.
+    /// Returns the number of updated rows.
+    pub fn update_where(
+        &self,
+        table: &str,
+        pred: Option<&Expr>,
+        sets: &[(usize, Expr)],
+    ) -> Result<usize> {
+        let mut t = self.txn();
+        let n = t.update_where(table, pred, sets)?;
+        t.commit()?;
+        Ok(n)
+    }
+
+    /// Remove all rows of a table; returns the count removed.
+    pub fn truncate_table(&self, table: &str) -> Result<usize> {
+        let mut t = self.txn();
+        let n = t.truncate(table)?;
+        t.commit()?;
+        Ok(n)
+    }
+}
+
+impl State {
+    /// The table named `name`.
+    pub(crate) fn table(&self, name: &str) -> Result<&Table> {
+        self.tables.get(name).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
+    /// The table named `name`, for a mutator.
+    pub(crate) fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
+        self.tables.get_mut(name).ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
+    pub(crate) fn apply_create_table(&mut self, name: &str, schema: &TableSchema) -> Result<()> {
+        if self.tables.contains_key(name) {
+            return Err(DbError::TableExists(name.to_string()));
+        }
+        self.tables
+            .insert(name.to_string(), Table::new(name.to_string(), schema.clone()));
+        Ok(())
+    }
+
+    pub(crate) fn apply_drop_table(&mut self, name: &str) -> Result<()> {
+        self.tables
+            .remove(name)
+            .map(|_| ())
+            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
+    }
+
+    pub(crate) fn apply_create_index(
+        &mut self,
+        table: &str,
+        index: &str,
+        columns: &[usize],
+        unique: bool,
+    ) -> Result<()> {
+        let t = self.table_mut(table)?;
+        t.create_index(index, columns.to_vec(), unique)
+    }
+
+    pub(crate) fn apply_insert(&mut self, table: &str, rows: &[Row]) -> Result<usize> {
+        let t = self.table_mut(table)?;
+        t.insert_many(rows.iter().cloned())
+    }
+
+    pub(crate) fn apply_delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
+        let t = self.table_mut(table)?;
+        let mut err = None;
+        let n = t.delete_where(|r| match pred.matches(r) {
+            Ok(b) => b,
+            Err(e) => {
+                err = Some(e);
+                false
+            }
+        });
+        match err {
+            Some(e) => Err(e),
+            None => Ok(n),
+        }
+    }
+
+    pub(crate) fn apply_update_where(
+        &mut self,
+        table: &str,
+        pred: Option<&Expr>,
+        sets: &[(usize, Expr)],
+    ) -> Result<usize> {
+        let t = self.table_mut(table)?;
+        let victims: Vec<RowId> = t
+            .scan()
+            .filter_map(|(rid, row)| match pred {
+                None => Some(Ok(rid)),
+                Some(p) => match p.matches(row) {
+                    Ok(true) => Some(Ok(rid)),
+                    Ok(false) => None,
+                    Err(e) => Some(Err(e)),
+                },
+            })
+            .collect::<Result<_>>()?;
+        let mut n = 0;
+        for rid in victims {
+            let new_values: Vec<(usize, Value)> = {
+                let row = t.get(rid).expect("victim row is live").clone();
+                sets.iter().map(|(c, e)| e.eval(&row).map(|v| (*c, v))).collect::<Result<_>>()?
+            };
+            t.update(rid, |row| {
+                for (c, v) in new_values {
+                    row[c] = v;
+                }
+            })?;
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    pub(crate) fn apply_truncate(&mut self, table: &str) -> Result<usize> {
+        let t = self.table_mut(table)?;
+        let n = t.len();
+        t.truncate();
+        Ok(n)
+    }
+
+    /// Apply one recovered WAL record to in-memory state (no logging).
+    pub(crate) fn apply_record(&mut self, rec: &WalRecord) -> Result<()> {
+        match rec {
+            WalRecord::CreateTable { name, schema } => self.apply_create_table(name, schema),
+            WalRecord::DropTable { name } => self.apply_drop_table(name),
+            WalRecord::CreateIndex { table, name, columns, unique } => {
+                self.apply_create_index(table, name, columns, *unique)
+            }
+            WalRecord::Insert { table, rows } => self.apply_insert(table, rows).map(|_| ()),
+            WalRecord::DeleteWhere { table, pred } => {
+                self.apply_delete_where(table, pred).map(|_| ())
+            }
+            WalRecord::UpdateWhere { table, pred, sets } => {
+                self.apply_update_where(table, pred.as_ref(), sets).map(|_| ())
+            }
+            WalRecord::Truncate { table } => self.apply_truncate(table).map(|_| ()),
+            WalRecord::ClobPut { data } => {
+                self.clobs.put(data.clone());
+                Ok(())
+            }
+            WalRecord::Commit { .. } => Ok(()),
+        }
     }
 
     /// The executor entry behind every public `execute*`; the caller
     /// holds the visibility gate (shared, or exclusively as a [`Txn`]).
-    fn run(
+    pub(crate) fn run(
         &self,
         plan: &Plan,
         prof: &mut Option<PlanProfile>,
@@ -636,17 +730,16 @@ impl Database {
         let result = match plan {
             Plan::Scan { table, filter } => {
                 let t = self.table(table)?;
-                let guard = t.read();
                 let columns: Vec<String> =
-                    guard.schema.columns.iter().map(|c| c.name.clone()).collect();
-                let mut rows = Vec::with_capacity(guard.len());
+                    t.schema.columns.iter().map(|c| c.name.clone()).collect();
+                let mut rows = Vec::with_capacity(t.len());
                 // `for_each_matching` routes through the index whose key
                 // has the longest prefix of the predicate's `col = lit`
                 // conjuncts; the full predicate is re-applied to the
                 // narrowed row set, so partial coverage (and residual
                 // range/LIKE terms) stay correct.
                 let mut it = 0u32;
-                for_each_matching(&guard, filter.as_ref(), |r| {
+                for_each_matching(t, filter.as_ref(), |r| {
                     deadline.tick(&mut it)?;
                     rows.push(r.clone());
                     Ok(())
@@ -655,15 +748,14 @@ impl Database {
             }
             Plan::IndexLookup { table, index, key, filter } => {
                 let t = self.table(table)?;
-                let guard = t.read();
                 let columns: Vec<String> =
-                    guard.schema.columns.iter().map(|c| c.name.clone()).collect();
-                let idx = guard.index(index)?;
+                    t.schema.columns.iter().map(|c| c.name.clone()).collect();
+                let idx = t.index(index)?;
                 let mut rows = Vec::new();
                 let mut it = 0u32;
                 let mut visit = |rid: usize| -> Result<()> {
                     deadline.tick(&mut it)?;
-                    if let Some(r) = guard.get(rid) {
+                    if let Some(r) = t.get(rid) {
                         if match filter {
                             Some(p) => p.matches(r)?,
                             None => true,
@@ -686,15 +778,14 @@ impl Database {
             }
             Plan::IndexRange { table, index, lo, hi, filter } => {
                 let t = self.table(table)?;
-                let guard = t.read();
                 let columns: Vec<String> =
-                    guard.schema.columns.iter().map(|c| c.name.clone()).collect();
-                let idx = guard.index(index)?;
+                    t.schema.columns.iter().map(|c| c.name.clone()).collect();
+                let idx = t.index(index)?;
                 let mut rows = Vec::new();
                 let mut it = 0u32;
                 for rid in idx.range_ids(lo.as_deref(), hi.as_deref()) {
                     deadline.tick(&mut it)?;
-                    if let Some(r) = guard.get(rid) {
+                    if let Some(r) = t.get(rid) {
                         if match filter {
                             Some(p) => p.matches(r)?,
                             None => true,
@@ -828,10 +919,8 @@ impl Database {
         let Ok(t) = self.table(table) else {
             return false;
         };
-        let guard = t.read();
         cols.iter().all(|&c| {
-            guard
-                .schema
+            t.schema
                 .columns
                 .get(c)
                 .map(|col| matches!(col.dtype, DataType::Int) && !col.nullable)
@@ -897,7 +986,7 @@ impl Database {
         }
     }
 
-    /// Execute a keyable subtree (see [`Database::keyed_arity`]) over
+    /// Execute a keyable subtree (see [`State::keyed_arity`]) over
     /// compact integer keys, recording keyed per-operator stats so
     /// `EXPLAIN ANALYZE` output stays fully annotated.
     fn eval_keys(
@@ -949,10 +1038,9 @@ impl Database {
                 match &**input {
                     Plan::Scan { table, filter } => {
                         let t = self.table(table)?;
-                        let guard = t.read();
                         let mut keys = Vec::new();
                         let mut it = 0u32;
-                        for_each_matching(&guard, filter.as_ref(), |r| {
+                        for_each_matching(t, filter.as_ref(), |r| {
                             deadline.tick(&mut it)?;
                             keys.push(row_key(r, &cols)?);
                             Ok(())
@@ -981,11 +1069,10 @@ impl Database {
                         );
                         let scan_start = prof.as_ref().map(|_| Instant::now());
                         let t = self.table(table)?;
-                        let guard = t.read();
                         let mut scanned = 0usize;
                         let mut keys = Vec::new();
                         let mut it = 0u32;
-                        for_each_matching(&guard, filter.as_ref(), |r| {
+                        for_each_matching(t, filter.as_ref(), |r| {
                             deadline.tick(&mut it)?;
                             scanned += 1;
                             if set.contains(row_key(r, probe_keys)?) != *anti {
@@ -1022,37 +1109,6 @@ impl Database {
             ))),
         }
     }
-
-    /// Delete rows matching `pred` from a table; returns the count.
-    pub fn delete_where(&self, table: &str, pred: &Expr) -> Result<usize> {
-        let mut t = self.txn();
-        let n = t.delete_where(table, pred)?;
-        t.commit()?;
-        Ok(n)
-    }
-
-    /// Update rows matching `pred` (all rows when `None`): each
-    /// `(column, expr)` in `sets` is evaluated against the old row.
-    /// Returns the number of updated rows.
-    pub fn update_where(
-        &self,
-        table: &str,
-        pred: Option<&Expr>,
-        sets: &[(usize, Expr)],
-    ) -> Result<usize> {
-        let mut t = self.txn();
-        let n = t.update_where(table, pred, sets)?;
-        t.commit()?;
-        Ok(n)
-    }
-
-    /// Remove all rows of a table; returns the count removed.
-    pub fn truncate_table(&self, table: &str) -> Result<usize> {
-        let mut t = self.txn();
-        let n = t.truncate(table)?;
-        t.commit()?;
-        Ok(n)
-    }
 }
 
 impl Drop for Database {
@@ -1082,15 +1138,17 @@ impl Drop for Database {
 /// for its whole lifetime, serializing writers; this is what makes
 /// log order equal apply order (and CLOB locator assignment replay
 /// deterministically). Durable or not, the transaction also holds the
-/// database's commit-visibility gate exclusively, so plan-executing
-/// readers are excluded from its first mutation until commit — they
-/// see either none of the batch or all of it, never a torn middle.
+/// database's commit-visibility gate exclusively and mutates the tables
+/// and CLOB heap through it, so readers are excluded from its start
+/// until commit — they see either none of the batch or all of it,
+/// never a torn middle. A `Txn` is the only way to write.
 pub struct Txn<'a> {
     db: &'a Database,
     wal: Option<MutexGuard<'a, WalWriter>>,
-    _vis: RwLockWriteGuard<'a, ()>,
+    state: RwLockWriteGuard<'a, State>,
     pending: Vec<WalRecord>,
     dirty: bool,
+    _mark: GateMark,
 }
 
 impl Txn<'_> {
@@ -1108,20 +1166,20 @@ impl Txn<'_> {
     /// sequence numbers, then insert) stay atomic with respect to
     /// concurrent writers.
     pub fn execute(&self, plan: &Plan) -> Result<ResultSet> {
-        self.db.run(plan, &mut None, &Deadline::none())
+        self.state.run(plan, &mut None, &Deadline::none())
     }
 
     /// Create a table (see [`Database::create_table`]).
     pub fn create_table(&mut self, name: impl Into<String>, schema: TableSchema) -> Result<()> {
         let name = name.into();
-        self.db.apply_create_table(&name, &schema)?;
+        self.state.apply_create_table(&name, &schema)?;
         self.log(|| WalRecord::CreateTable { name, schema });
         Ok(())
     }
 
     /// Drop a table.
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
-        self.db.apply_drop_table(name)?;
+        self.state.apply_drop_table(name)?;
         self.log(|| WalRecord::DropTable { name: name.to_string() });
         Ok(())
     }
@@ -1135,11 +1193,10 @@ impl Txn<'_> {
         unique: bool,
     ) -> Result<()> {
         let cols: Vec<usize> = {
-            let t = self.db.table(table)?;
-            let guard = t.read();
-            columns.iter().map(|c| guard.schema.col(c)).collect::<Result<_>>()?
+            let schema = &self.state.table(table)?.schema;
+            columns.iter().map(|c| schema.col(c)).collect::<Result<_>>()?
         };
-        self.db.apply_create_index(table, index, &cols, unique)?;
+        self.state.apply_create_index(table, index, &cols, unique)?;
         self.log(|| WalRecord::CreateIndex {
             table: table.to_string(),
             name: index.to_string(),
@@ -1157,7 +1214,7 @@ impl Txn<'_> {
         columns: Vec<usize>,
         unique: bool,
     ) -> Result<()> {
-        self.db.apply_create_index(table, index, &columns, unique)?;
+        self.state.apply_create_index(table, index, &columns, unique)?;
         self.log(|| WalRecord::CreateIndex {
             table: table.to_string(),
             name: index.to_string(),
@@ -1169,14 +1226,14 @@ impl Txn<'_> {
 
     /// Insert fully-shaped rows.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let n = self.db.apply_insert(table, &rows)?;
+        let n = self.state.apply_insert(table, &rows)?;
         self.log(|| WalRecord::Insert { table: table.to_string(), rows });
         Ok(n)
     }
 
     /// Delete rows matching `pred`; returns the count.
     pub fn delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
-        let n = self.db.apply_delete_where(table, pred)?;
+        let n = self.state.apply_delete_where(table, pred)?;
         self.log(|| WalRecord::DeleteWhere { table: table.to_string(), pred: pred.clone() });
         Ok(n)
     }
@@ -1188,7 +1245,7 @@ impl Txn<'_> {
         pred: Option<&Expr>,
         sets: &[(usize, Expr)],
     ) -> Result<usize> {
-        let n = self.db.apply_update_where(table, pred, sets)?;
+        let n = self.state.apply_update_where(table, pred, sets)?;
         self.log(|| WalRecord::UpdateWhere {
             table: table.to_string(),
             pred: pred.cloned(),
@@ -1199,7 +1256,7 @@ impl Txn<'_> {
 
     /// Remove all rows of a table; returns the count removed.
     pub fn truncate(&mut self, table: &str) -> Result<usize> {
-        let n = self.db.apply_truncate(table)?;
+        let n = self.state.apply_truncate(table)?;
         self.log(|| WalRecord::Truncate { table: table.to_string() });
         Ok(n)
     }
@@ -1208,11 +1265,11 @@ impl Txn<'_> {
     pub fn put_clob(&mut self, data: Vec<u8>) -> u64 {
         self.dirty = true;
         if self.wal.is_some() {
-            let loc = self.db.clobs.put(data.clone());
+            let loc = self.state.clobs.put(data.clone());
             self.pending.push(WalRecord::ClobPut { data });
             loc
         } else {
-            self.db.clobs.put(data)
+            self.state.clobs.put(data)
         }
     }
 
@@ -1237,11 +1294,14 @@ impl Txn<'_> {
 /// A batch of reads sharing one committed snapshot (see
 /// [`Database::begin_read`]). Holds the commit-visibility gate shared
 /// for its whole life: transactions can neither start applying nor
-/// commit while the batch is open, so every plan executed through it
-/// observes the same committed state.
+/// commit while the batch is open, so every plan executed and every
+/// table or CLOB read through it observes the same committed state.
+/// While it is open, this thread must read through it, not through
+/// other [`Database`] methods (see the module docs).
 pub struct ReadTxn<'a> {
     db: &'a Database,
-    _gate: RwLockReadGuard<'a, ()>,
+    state: RwLockReadGuard<'a, State>,
+    _mark: GateMark,
 }
 
 impl ReadTxn<'_> {
@@ -1253,12 +1313,30 @@ impl ReadTxn<'_> {
     /// [`ReadTxn::execute`] under the request's deadline (see
     /// [`Database::execute_with`]).
     pub fn execute_with(&self, plan: &Plan, deadline: Deadline) -> Result<ResultSet> {
-        self.db.run(plan, &mut None, &deadline)
+        self.state.run(plan, &mut None, &deadline)
     }
 
     /// Number of live rows in a table, as of the batch's snapshot.
     pub fn row_count(&self, table: &str) -> Result<usize> {
-        Ok(self.db.table(table)?.read().len())
+        Ok(self.state.table(table)?.len())
+    }
+
+    /// The table named `name`, read-only, as of the batch's snapshot.
+    pub fn table(&self, name: &str) -> Result<&Table> {
+        self.state.table(name)
+    }
+
+    /// Names of all tables, sorted.
+    pub fn table_names(&self) -> Vec<String> {
+        let mut v: Vec<String> = self.state.tables.keys().cloned().collect();
+        v.sort();
+        v
+    }
+
+    /// The CLOB heap, read-only. A [`ClobStore::get`] handle stays valid
+    /// after the batch ends, so CLOB bytes can be resolved outside it.
+    pub fn clobs(&self) -> &ClobStore {
+        &self.state.clobs
     }
 
     /// The commit watermark this batch reads at.
@@ -1532,6 +1610,34 @@ mod tests {
         assert_eq!(profile.len(), 6);
         assert!(profile.get(&[0]).unwrap().keyed);
         assert!(profile.get(&[0, 1]).unwrap().keyed);
+    }
+
+    /// Holding a read transaction and calling a `Database` read would
+    /// take the gate twice on one thread — a deadlock once a writer
+    /// queues between the two holds. Debug builds panic instead.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "visibility gate re-entered")]
+    fn reentering_the_gate_panics() {
+        let db = db();
+        let _rt = db.begin_read();
+        let _ = db.row_count("emp");
+    }
+
+    /// The re-entrancy guard is per database: one thread may hold two
+    /// databases' gates at once (recovery tests compare two databases),
+    /// and a released gate can be taken again.
+    #[test]
+    fn gates_of_two_databases_are_independent() {
+        let (a, b) = (db(), db());
+        let ra = a.begin_read();
+        let mut tb = b.txn();
+        tb.insert("emp", vec![vec![5.into(), "ops".into(), 70.into()]]).unwrap();
+        assert_eq!(ra.row_count("emp").unwrap(), 4);
+        tb.commit().unwrap();
+        drop(ra);
+        assert_eq!(a.row_count("emp").unwrap(), 4);
+        assert_eq!(b.row_count("emp").unwrap(), 5);
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //!   grouped aggregation, sort/distinct/limit ([`exec`])
 //! - a CLOB heap addressed by locators so plans can join over CLOB
 //!   references without touching the bytes ([`clob`])
+//! - one lock over all of it: the tables and the CLOB heap sit behind a
+//!   single commit-visibility gate; a [`Txn`] writes under it
+//!   exclusively, a [`ReadTxn`] (and every plan execution) reads under
+//!   it shared ([`db`])
+//! - a write-ahead log and snapshots for durable databases ([`wal`],
+//!   [`snapshot`])
 //! - a SQL front end for ad-hoc use ([`sql`])
 //!
 //! All storage backends in the evaluation run on this same engine, so

@@ -13,7 +13,7 @@
 //! surfaces as a clean [`DbError`] rather than silently-wrong data.
 
 use crate::clob::ClobStore;
-use crate::db::Database;
+use crate::db::{Database, ReadTxn};
 use crate::error::{DbError, Result};
 use crate::table::{Column, TableSchema};
 use crate::value::{DataType, Value};
@@ -212,9 +212,20 @@ pub(crate) fn dtype_from(code: u8) -> Result<DataType> {
 }
 
 impl Database {
+    /// Serialize the snapshot (header stamped with `lsn`) to a byte
+    /// buffer, reading one committed state under a shared hold of the
+    /// visibility gate (used by checkpoints and [`Database::state_image`]).
+    pub(crate) fn snapshot_bytes(&self, lsn: u64) -> Result<Vec<u8>> {
+        let mut buf = Vec::new();
+        self.begin_read().write_snapshot(&mut buf, lsn)?;
+        Ok(buf)
+    }
+}
+
+impl ReadTxn<'_> {
     /// Serialize the snapshot (header stamped with `lsn`) to any
     /// writer, appending a CRC32 trailer over everything before it.
-    pub(crate) fn write_snapshot<W: Write>(&self, w: W, lsn: u64) -> Result<()> {
+    fn write_snapshot<W: Write>(&self, w: W, lsn: u64) -> Result<()> {
         let mut cw = CrcWriter { inner: w, crc: 0xFFFF_FFFF };
         self.write_snapshot_body(&mut cw, lsn)?;
         let digest = cw.crc ^ 0xFFFF_FFFF;
@@ -230,8 +241,7 @@ impl Database {
         let names = self.table_names();
         enc.u32(names.len() as u32)?;
         for name in &names {
-            let t = self.table(name)?;
-            let guard = t.read();
+            let guard = self.table(name)?;
             enc.string(name)?;
             // Schema.
             enc.u32(guard.schema.columns.len() as u32)?;
@@ -259,14 +269,7 @@ impl Database {
             }
         }
         // CLOB heap.
-        save_clobs(&self.clobs, &mut enc)
-    }
-
-    /// Serialize the snapshot to a byte buffer (used by checkpoints).
-    pub(crate) fn snapshot_bytes(&self, lsn: u64) -> Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        self.write_snapshot(&mut buf, lsn)?;
-        Ok(buf)
+        save_clobs(self.clobs(), &mut enc)
     }
 }
 
@@ -302,7 +305,10 @@ fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
         return Err(DbError::Parse(format!("snapshot: unsupported version {version}")));
     }
     let lsn = dec.u64()?;
-    let db = Database::new();
+    // The database is still private to this function: fill its state
+    // through `&mut`, without taking the gate.
+    let mut db = Database::new();
+    let state = db.state_mut();
     let n_tables = dec.u32()?;
     for _ in 0..n_tables {
         let name = dec.string()?;
@@ -315,7 +321,7 @@ fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
             cols.push(Column { name: cname, dtype, nullable });
         }
         let arity = cols.len();
-        db.create_table(name.clone(), TableSchema::new(cols))?;
+        state.apply_create_table(&name, &TableSchema::new(cols))?;
         // Indexes: recorded now, created after rows are inserted so
         // unique indexes validate the loaded data once.
         let n_idx = dec.u32()?;
@@ -331,22 +337,19 @@ fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
             idx_defs.push((iname, unique, keys));
         }
         let n_rows = dec.u64()?;
-        {
-            let t = db.table(&name)?;
-            let mut guard = t.write();
-            for _ in 0..n_rows {
-                let mut row = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    row.push(dec.value()?);
-                }
-                guard.insert(row)?;
+        let table = state.table_mut(&name)?;
+        for _ in 0..n_rows {
+            let mut row = Vec::with_capacity(arity);
+            for _ in 0..arity {
+                row.push(dec.value()?);
             }
-            for (iname, unique, keys) in idx_defs {
-                guard.create_index(iname, keys, unique)?;
-            }
+            table.insert(row)?;
+        }
+        for (iname, unique, keys) in idx_defs {
+            table.create_index(iname, keys, unique)?;
         }
     }
-    load_clobs(&db.clobs, &mut dec)?;
+    load_clobs(&mut state.clobs, &mut dec)?;
     Ok((db, lsn))
 }
 
@@ -360,7 +363,7 @@ fn save_clobs<W: Write>(clobs: &ClobStore, enc: &mut Enc<W>) -> Result<()> {
     Ok(())
 }
 
-fn load_clobs<R: Read>(clobs: &ClobStore, dec: &mut Dec<R>) -> Result<()> {
+fn load_clobs<R: Read>(clobs: &mut ClobStore, dec: &mut Dec<R>) -> Result<()> {
     let n = dec.u64()?;
     for _ in 0..n {
         clobs.put(dec.bytes()?);
@@ -385,7 +388,7 @@ mod tests {
             .unwrap();
         db.execute_sql("CREATE UNIQUE INDEX t_pk ON t (id)").unwrap();
         db.execute_sql("CREATE INDEX t_by_name ON t (name, w)").unwrap();
-        let loc = db.clobs.put("<xml>hello</xml>".as_bytes().to_vec());
+        let loc = db.put_clob("<xml>hello</xml>".as_bytes().to_vec()).unwrap();
         db.insert(
             "t",
             vec![
@@ -419,7 +422,7 @@ mod tests {
         // CLOB heap survives and locators still resolve.
         let rs = loaded.execute_sql("SELECT doc FROM t WHERE id = 1").unwrap();
         let loc = rs.rows[0][0].as_i64().unwrap();
-        assert_eq!(loaded.clobs.get_str(loc as u64).unwrap(), "<xml>hello</xml>");
+        assert_eq!(loaded.begin_read().clobs().get_str(loc as u64).unwrap(), "<xml>hello</xml>");
         // Indexes were rebuilt: unique constraint enforced, lookups work.
         assert!(loaded.execute_sql("INSERT INTO t VALUES (1, 'dup', 0.0, false, NULL)").is_err());
         let rs = loaded
@@ -461,7 +464,7 @@ mod tests {
     fn empty_database_roundtrips() {
         let loaded = roundtrip(&Database::new());
         assert!(loaded.table_names().is_empty());
-        assert_eq!(loaded.clobs.len(), 0);
+        assert_eq!(loaded.begin_read().clobs().len(), 0);
     }
 
     #[test]

@@ -14,13 +14,18 @@ struct Scope {
     cols: Vec<(String, String)>,
 }
 
+/// The schema of table `name`, cloned out of a short-lived read so the
+/// binder holds no gate while the statement later executes.
+fn schema_of(db: &Database, name: &str) -> Result<TableSchema> {
+    Ok(db.begin_read().table(name)?.schema.clone())
+}
+
 impl Scope {
     fn from_table(db: &Database, tref: &TableRef) -> Result<Scope> {
-        let t = db.table(&tref.name)?;
-        let guard = t.read();
+        let schema = schema_of(db, &tref.name)?;
         let binding = tref.binding().to_string();
         Ok(Scope {
-            cols: guard.schema.columns.iter().map(|c| (binding.clone(), c.name.clone())).collect(),
+            cols: schema.columns.iter().map(|c| (binding.clone(), c.name.clone())).collect(),
         })
     }
 
@@ -456,14 +461,13 @@ pub fn execute_stmt(db: &Database, stmt: &Stmt) -> Result<ResultSet> {
             Ok(ResultSet::default())
         }
         Stmt::Insert { table, columns, rows } => {
-            let t = db.table(table)?;
+            let schema = schema_of(db, table)?;
             let reorder: Option<Vec<usize>> = match columns {
                 None => None,
                 Some(cols) => {
-                    let guard = t.read();
                     let positions: Vec<usize> =
-                        cols.iter().map(|c| guard.schema.col(c)).collect::<Result<_>>()?;
-                    if positions.len() != guard.schema.arity() {
+                        cols.iter().map(|c| schema.col(c)).collect::<Result<_>>()?;
+                    if positions.len() != schema.arity() {
                         return Err(DbError::Plan(
                             "INSERT column list must cover all columns".into(),
                         ));
@@ -492,27 +496,17 @@ pub fn execute_stmt(db: &Database, stmt: &Stmt) -> Result<ResultSet> {
                 };
                 actual_rows.push(actual);
             }
-            drop(t);
             // Route through the database so durable mode logs the rows.
             let n = db.insert(table, actual_rows)? as i64;
             Ok(ResultSet { columns: vec!["inserted".into()], rows: vec![vec![Value::Int(n)]] })
         }
         Stmt::Update { table, sets, where_ } => {
-            let t = db.table(table)?;
-            let (scope, positions) = {
-                let guard = t.read();
-                let scope = Scope {
-                    cols: guard
-                        .schema
-                        .columns
-                        .iter()
-                        .map(|c| (table.clone(), c.name.clone()))
-                        .collect(),
-                };
-                let positions: Vec<usize> =
-                    sets.iter().map(|(c, _)| guard.schema.col(c)).collect::<Result<_>>()?;
-                (scope, positions)
+            let schema = schema_of(db, table)?;
+            let scope = Scope {
+                cols: schema.columns.iter().map(|c| (table.clone(), c.name.clone())).collect(),
             };
+            let positions: Vec<usize> =
+                sets.iter().map(|(c, _)| schema.col(c)).collect::<Result<_>>()?;
             let pred = match where_ {
                 None => None,
                 Some(w) => Some(bind(w, &scope)?),
@@ -522,7 +516,6 @@ pub fn execute_stmt(db: &Database, stmt: &Stmt) -> Result<ResultSet> {
                 .zip(sets.iter())
                 .map(|(&pos, (_, e))| bind(e, &scope).map(|b| (pos, b)))
                 .collect::<Result<_>>()?;
-            drop(t);
             // Route through the database so durable mode logs the update.
             let n = db.update_where(table, pred.as_ref(), &bound_sets)? as i64;
             Ok(ResultSet { columns: vec!["updated".into()], rows: vec![vec![Value::Int(n)]] })
@@ -533,17 +526,13 @@ pub fn execute_stmt(db: &Database, stmt: &Stmt) -> Result<ResultSet> {
                 // durable mode logs the truncation.
                 None => db.truncate_table(table)?,
                 Some(w) => {
-                    let t = db.table(table)?;
-                    let scope = {
-                        let guard = t.read();
-                        Scope {
-                            cols: guard
-                                .schema
-                                .columns
-                                .iter()
-                                .map(|c| (table.clone(), c.name.clone()))
-                                .collect(),
-                        }
+                    let schema = schema_of(db, table)?;
+                    let scope = Scope {
+                        cols: schema
+                            .columns
+                            .iter()
+                            .map(|c| (table.clone(), c.name.clone()))
+                            .collect(),
                     };
                     let pred = bind(w, &scope)?;
                     db.delete_where(table, &pred)?

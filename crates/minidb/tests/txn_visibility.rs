@@ -5,8 +5,18 @@
 //! impossible.
 
 use minidb::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+
+/// `STRESS_SEED` (printed by each seeded test) replays a failing run.
+fn seed_from_env() -> u64 {
+    std::env::var("STRESS_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xC0FFEE)
+}
 
 fn two_table_db() -> Database {
     let db = Database::new();
@@ -119,4 +129,58 @@ fn txn_reads_its_own_writes_before_commit() {
     assert_eq!(rs.rows.len(), 1);
     t.commit().unwrap();
     assert_eq!(db.row_count("a").unwrap(), 1);
+}
+
+/// `Database`-level reads take the gate too. Every transaction inserts
+/// two rows into `a`, one at a time, and puts one CLOB, so a committed
+/// state always has an even row count and half as many CLOBs. A reader
+/// that picks `row_count`, `table_names` or a read transaction's CLOB
+/// heap in a seeded order must never see anything else. Before the
+/// tables and the heap moved behind the gate, `row_count` skipped it
+/// and saw an odd count mid-transaction.
+#[test]
+fn database_reads_never_see_half_a_txn() {
+    let seed = seed_from_env();
+    println!("STRESS_SEED={seed}");
+    let db = Arc::new(two_table_db());
+    let done = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let db = db.clone();
+        let done = done.clone();
+        std::thread::spawn(move || {
+            for i in 0..20_000i64 {
+                let mut t = db.txn();
+                t.insert("a", vec![vec![Value::Int(2 * i)]]).unwrap();
+                t.insert("a", vec![vec![Value::Int(2 * i + 1)]]).unwrap();
+                t.put_clob(format!("<doc>{i}</doc>").into_bytes());
+                t.commit().unwrap();
+            }
+            done.store(true, Ordering::Relaxed);
+        })
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    while !done.load(Ordering::Relaxed) {
+        match rng.gen_range(0..3u32) {
+            0 => {
+                let n = db.row_count("a").unwrap();
+                assert!(
+                    n.is_multiple_of(2),
+                    "[seed={seed}] row_count saw {n} rows: half a transaction"
+                );
+            }
+            1 => assert_eq!(db.table_names(), ["a", "b"], "[seed={seed}]"),
+            _ => {
+                let rt = db.begin_read();
+                let (rows, clobs) = (rt.row_count("a").unwrap(), rt.clobs().len());
+                assert_eq!(
+                    2 * clobs,
+                    rows,
+                    "[seed={seed}] read txn saw {clobs} CLOBs beside {rows} rows"
+                );
+            }
+        }
+    }
+    writer.join().unwrap();
+    assert_eq!(db.row_count("a").unwrap(), 40_000);
+    assert_eq!(db.begin_read().clobs().len(), 20_000);
 }

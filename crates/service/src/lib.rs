@@ -26,7 +26,9 @@
 //! `DEADLINE <ms>` prefixes any command with a per-request deadline
 //! overriding the server's configured default
 //! ([`ServerConfig::default_deadline_ms`]); `<ms>` must be ≥ 1, else the
-//! reply is `ERR bad deadline`. A read request that runs
+//! reply is `ERR bad deadline` (after the wrapped `INGEST`/`ADD` body,
+//! if any, has been read, so the connection stays framed). A read
+//! request that runs
 //! past its deadline is cancelled cooperatively inside the catalog and
 //! answered `ERR deadline exceeded ...`; mutations run to completion
 //! (aborting a half-applied ingest would tear acknowledgement
@@ -59,7 +61,9 @@
 //! Every shed reply starts with `busy`, which the client surfaces as
 //! the typed, always-retryable [`ClientError::Busy`];
 //! [`client::RetryClient`] implements jittered exponential backoff
-//! over it. Request bodies are capped at 16 MiB.
+//! over it. Request bodies are capped at 16 MiB. A command line is
+//! capped at 1 MiB: past that, with no `\n`, the reply is `ERR command
+//! line exceeds ...` and the connection closes.
 //!
 //! [`CatalogServer::stop`] is a graceful drain: stop accepting, finish
 //! in-flight work (bounded by [`ServerConfig::drain_timeout_ms`]), end

@@ -59,6 +59,11 @@ use std::time::{Duration, Instant};
 /// small; this guards against malformed length prefixes).
 const MAX_BODY: usize = 16 << 20;
 
+/// Upper bound on a command line (1 MiB). A client that sends more
+/// without a `\n` is answered `ERR command line exceeds …` and closed,
+/// so it cannot grow the line buffer without bound.
+const MAX_LINE: usize = 1 << 20;
+
 /// Most connections served at once. Each owns one thread; one more is
 /// answered `ERR busy` and closed.
 pub const MAX_CONNECTIONS: usize = 256;
@@ -390,6 +395,11 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
         if !read_command(&mut reader, &mut raw, shared)? {
             return Ok(());
         }
+        if raw.len() > MAX_LINE {
+            reg.counter("service.errors.oversized").incr();
+            writeln!(writer, "ERR command line exceeds the {MAX_LINE}-byte limit")?;
+            return writer.flush();
+        }
         let line = std::str::from_utf8(&raw)
             .map_err(|e| std::io::Error::new(ErrorKind::InvalidData, e))?;
         let trimmed = line.trim_end();
@@ -411,6 +421,17 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                 Ok(ms) if ms > 0 => explicit_deadline_ms = Some(ms),
                 _ => {
                     reg.counter("service.errors.malformed").incr();
+                    // The wrapped command's body is already on its way:
+                    // read it, or its bytes would run as commands.
+                    let (wrapped, args) = rem.split_once(' ').unwrap_or((rem, ""));
+                    let body_len = match wrapped.to_ascii_uppercase().as_str() {
+                        "INGEST" => Some(args),
+                        "ADD" => args.split_once(' ').map(|(_, len)| len),
+                        _ => None,
+                    };
+                    if let Some(len) = body_len {
+                        let _ = read_body(&mut reader, len, shared);
+                    }
                     writeln!(writer, "ERR bad deadline {ms_str:?}")?;
                     continue;
                 }
@@ -590,7 +611,8 @@ fn is_poll_wakeup(e: &std::io::Error) -> bool {
 /// Read one command line into `line`, returning to check for shutdown
 /// at least every [`READ_POLL`], even while bytes trickle in. Returns
 /// `false` when the connection should close: the client hung up, the
-/// server stopped, or it is draining and no command has begun.
+/// server stopped, or it is draining and no command has begun. Stops
+/// early, with no `\n`, once `line` holds more than [`MAX_LINE`] bytes.
 fn read_command(
     reader: &mut impl BufRead,
     line: &mut Vec<u8>,
@@ -619,7 +641,7 @@ fn read_command(
         };
         line.extend_from_slice(&buf[..take]);
         reader.consume(take);
-        if done {
+        if done || line.len() > MAX_LINE {
             return Ok(true);
         }
     }

@@ -95,6 +95,43 @@ fn bad_add_id_still_consumes_the_body() {
 }
 
 #[test]
+fn bad_deadline_still_consumes_the_body() {
+    let server = start();
+    let mut c = Raw::connect(&server);
+    // The wrapped command announces a 10-byte body holding a command
+    // line; it must be read as body bytes, not run as a `QUIT`.
+    for frame in [&b"DEADLINE abc INGEST 10\nQUIT\nxxxxx"[..], b"DEADLINE 0 ADD 1 10\nQUIT\nxxxxx"]
+    {
+        c.send(frame);
+        let reply = c.read_line();
+        assert!(reply.starts_with("ERR bad deadline"), "{reply:?}");
+        c.send(b"PING\n");
+        assert_eq!(c.read_line(), "OK pong", "the connection must stay framed");
+    }
+}
+
+#[test]
+fn overlong_command_line_is_refused_and_closed() {
+    let server = start();
+    let oversized = || obs::global().counter("service.errors.oversized").get();
+    let before = oversized();
+    let mut c = Raw::connect(&server);
+    // One byte past the 1 MiB cap and no `\n`: the server has read
+    // every byte sent when it refuses, so it closes cleanly.
+    c.send(&vec![b'A'; (1 << 20) + 1]);
+    let reply = c.read_line();
+    assert!(reply.starts_with("ERR command line exceeds"), "{reply:?}");
+    let mut rest = Vec::new();
+    c.reader.read_to_end(&mut rest).unwrap();
+    assert!(rest.is_empty(), "the connection must close after the refusal");
+    // Other tests in this binary may bump the counter too.
+    assert!(oversized() > before, "the refusal counts as oversized");
+    let mut fresh = Raw::connect(&server);
+    fresh.send(b"PING\n");
+    assert_eq!(fresh.read_line(), "OK pong");
+}
+
+#[test]
 fn deadline_prefix_must_be_a_positive_number() {
     let server = start();
     let mut c = Raw::connect(&server);

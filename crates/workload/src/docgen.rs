@@ -282,7 +282,7 @@ mod tests {
                 "doc {i} had unmatched content: {:?}",
                 shredded.unmatched
             );
-            assert!(!shredded.clobs.is_empty());
+            assert!(!shredded.clob_rows.is_empty());
         }
     }
 

@@ -3,9 +3,9 @@
 //! Simulates the multi-user grid load the paper's motivation (and its
 //! earlier CCGrid'04 benchmark work [7]) is about: several scientists
 //! ingesting experiment metadata while others query, on one catalog.
-//! Reports per-role throughput. The catalog's per-table RwLocks let
-//! readers proceed in parallel; writers serialize only on the tables
-//! they touch.
+//! Reports per-role throughput. Readers share the database's one
+//! visibility gate and proceed in parallel; each ingest holds it
+//! exclusively for its one transaction.
 //!
 //! ```sh
 //! cargo run --release --example multi_user_grid
