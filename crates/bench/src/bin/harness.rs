@@ -104,7 +104,7 @@ fn main() {
                 }
             }
             "perf" => {
-                println!("== Perf: match-plan latency (plan-cached semi-join pipelines) ==");
+                println!("== Perf: match-plan latency (plan + semi-join pipeline per query) ==");
                 match experiments::perf(scale) {
                     Ok((t, entries)) => {
                         println!("{}", t.render());

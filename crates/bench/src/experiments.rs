@@ -446,9 +446,10 @@ pub struct PerfEntry {
 /// Perf — match-plan latency of the set-oriented executor.
 ///
 /// Runs the Fig-4 nested and multi-criterion workloads through
-/// `MetadataCatalog::query_with(.., MatchStrategy::Exact)`: the
-/// plan-cached semi-join pipelines the server executes. The entries
-/// feed `BENCH_perf.json`.
+/// `MetadataCatalog::query_with(.., MatchStrategy::Exact)`. Each timed
+/// call plans the query against the definitions registry, then runs
+/// its semi-join pipeline, as the server does per request. The
+/// entries feed `BENCH_perf.json`.
 pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
     let n = scale.pick(150, 1500);
     let reps = scale.pick(6, 15);

@@ -6,71 +6,15 @@ use crate::engine::{execute_match_plan, run_flat_query, MatchStrategy};
 use crate::error::{CatalogError, Result};
 use crate::ordering::GlobalOrdering;
 use crate::partition::Partition;
-use crate::qparse::normalize_query;
 use crate::query::ObjectQuery;
 use crate::reqctx::RequestCtx;
 use crate::response;
 use crate::shred::{DynamicConvention, ShredOptions, ShreddedDoc, Shredder};
 use crate::store;
 use minidb::{Database, Expr, Plan, Value};
-use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use parking_lot::RwLock;
+use std::sync::atomic::{AtomicI64, Ordering as AtomicOrdering};
 use xmlkit::dom::Document;
-
-/// Maximum cached match plans; least-recently-used entries are evicted.
-const PLAN_CACHE_CAP: usize = 128;
-
-/// One cached plan, tagged with the defs epoch it was built under.
-struct CacheEntry {
-    epoch: u64,
-    last_used: u64,
-    plan: Arc<Plan>,
-}
-
-/// LRU cache of built match plans keyed by `(strategy, normalized
-/// query)`. Entries built under an older definitions epoch are treated
-/// as absent (new definitions can change how a query resolves).
-#[derive(Default)]
-struct PlanCache {
-    map: HashMap<String, CacheEntry>,
-    tick: u64,
-}
-
-impl PlanCache {
-    fn get(&mut self, key: &str, epoch: u64) -> Option<Arc<Plan>> {
-        self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(e) if e.epoch == epoch => {
-                e.last_used = self.tick;
-                Some(e.plan.clone())
-            }
-            Some(_) => {
-                self.map.remove(key);
-                None
-            }
-            None => None,
-        }
-    }
-
-    fn put(&mut self, key: String, epoch: u64, plan: Arc<Plan>) {
-        self.tick += 1;
-        if self.map.len() >= PLAN_CACHE_CAP && !self.map.contains_key(&key) {
-            if let Some(victim) =
-                self.map.iter().min_by_key(|(_, e)| e.last_used).map(|(k, _)| k.clone())
-            {
-                self.map.remove(&victim);
-            }
-        }
-        let last_used = self.tick;
-        self.map.insert(key, CacheEntry { epoch, last_used, plan });
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
 
 /// Catalog configuration.
 #[derive(Debug, Clone, Default)]
@@ -82,8 +26,6 @@ pub struct CatalogConfig {
     /// Auto-register unknown dynamic attributes from their first
     /// occurrence instead of storing them CLOB-only.
     pub auto_register: bool,
-    /// Query matching strategy.
-    pub strategy: MatchStrategy,
 }
 
 /// Aggregate catalog statistics (storage accounting for E6).
@@ -118,10 +60,6 @@ pub struct MetadataCatalog {
     defs: RwLock<DefsRegistry>,
     config: CatalogConfig,
     next_object: AtomicI64,
-    /// Bumped whenever attribute definitions change; cached plans from
-    /// older epochs are invalid.
-    defs_epoch: AtomicU64,
-    plan_cache: Mutex<PlanCache>,
 }
 
 impl MetadataCatalog {
@@ -149,8 +87,6 @@ impl MetadataCatalog {
             defs: RwLock::new(defs),
             config,
             next_object: AtomicI64::new(1),
-            defs_epoch: AtomicU64::new(0),
-            plan_cache: Mutex::new(PlanCache::default()),
         })
     }
 
@@ -171,8 +107,6 @@ impl MetadataCatalog {
             defs: RwLock::new(defs),
             config,
             next_object: AtomicI64::new(next_object),
-            defs_epoch: AtomicU64::new(0),
-            plan_cache: Mutex::new(PlanCache::default()),
         })
     }
 
@@ -206,7 +140,6 @@ impl MetadataCatalog {
         let mut defs = self.defs.write();
         let id = defs.register_dynamic(&self.partition, &self.ordering, anchor, spec, level)?;
         store::sync_defs(&self.db, &defs)?;
-        self.defs_epoch.fetch_add(1, AtomicOrdering::SeqCst);
         Ok(id)
     }
 
@@ -247,7 +180,6 @@ impl MetadataCatalog {
                     );
                 }
                 store::sync_defs(&self.db, &defs)?;
-                self.defs_epoch.fetch_add(1, AtomicOrdering::SeqCst);
             }
             let defs = self.defs.read();
             let shredder = Shredder::new(
@@ -492,31 +424,15 @@ impl MetadataCatalog {
         Ok(ids)
     }
 
-    /// Fetch the match plan for `(strategy, q)` from the LRU plan
-    /// cache, building (and caching) it on a miss. Entries are tagged
-    /// with the definitions epoch, so [`MetadataCatalog::register_dynamic`]
-    /// implicitly invalidates every cached plan.
-    fn cached_plan(&self, q: &ObjectQuery, strategy: MatchStrategy) -> Result<Arc<Plan>> {
-        let reg = obs::global();
-        let epoch = self.defs_epoch.load(AtomicOrdering::SeqCst);
-        let key = format!("{strategy:?}|{}", normalize_query(q));
-        if let Some(plan) = self.plan_cache.lock().get(&key, epoch) {
-            reg.counter("catalog.plan_cache.hit").incr();
-            return Ok(plan);
-        }
-        reg.counter("catalog.plan_cache.miss").incr();
-        let plan = {
-            let defs = self.defs.read();
-            let _span = reg.span("catalog.query.plan_build");
-            Arc::new(crate::engine::build_query_plan(&defs, q, strategy)?)
-        };
-        self.plan_cache.lock().put(key, epoch, plan.clone());
-        Ok(plan)
-    }
-
-    /// Number of plans currently held by the plan cache.
-    pub fn plan_cache_len(&self) -> usize {
-        self.plan_cache.lock().len()
+    /// Build the match plan for `(strategy, q)` against the current
+    /// definitions registry. Planning runs on every request: it is a
+    /// lookup over the registry plus a handful of plan nodes, and the
+    /// registry's read lock orders it after any concurrent
+    /// [`MetadataCatalog::register_dynamic`].
+    fn plan(&self, q: &ObjectQuery, strategy: MatchStrategy) -> Result<Plan> {
+        let defs = self.defs.read();
+        let _span = obs::global().span("catalog.query.plan_build");
+        crate::engine::build_query_plan(&defs, q, strategy)
     }
 
     /// Run an attribute query; returns sorted matching object ids.
@@ -529,14 +445,14 @@ impl MetadataCatalog {
     /// `catalog.cancelled.deadline` counter is bumped and the offending
     /// query recorded in the slow-query ring.
     pub fn query_ctx(&self, q: &ObjectQuery, ctx: &RequestCtx) -> Result<Vec<i64>> {
-        let plan = self.cached_plan(q, self.config.strategy)?;
+        let plan = self.plan(q, MatchStrategy::Exact)?;
         execute_match_plan(&self.db, &plan, ctx).map_err(|e| ctx.note_cancelled(e))
     }
 
     /// Run a query with an explicit strategy (Fig 4's counted matching
     /// beside the default exact one).
     pub fn query_with(&self, q: &ObjectQuery, strategy: MatchStrategy) -> Result<Vec<i64>> {
-        let plan = self.cached_plan(q, strategy)?;
+        let plan = self.plan(q, strategy)?;
         execute_match_plan(&self.db, &plan, &RequestCtx::unbounded())
     }
 
@@ -551,7 +467,7 @@ impl MetadataCatalog {
     /// `EXPLAIN ANALYZE` for the catalog's query path. The analyzed
     /// plan is exactly the one [`MetadataCatalog::query`] executes.
     pub fn explain_analyze(&self, q: &ObjectQuery) -> Result<String> {
-        let plan = self.cached_plan(q, self.config.strategy)?;
+        let plan = self.plan(q, MatchStrategy::Exact)?;
         Ok(minidb::explain_analyze(&plan, &self.db)?)
     }
 

@@ -27,10 +27,9 @@ use crate::reqctx::RequestCtx;
 use minidb::{CmpOp, Database, Expr, Plan, Value};
 
 /// Matching strategy (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchStrategy {
     /// Hierarchical semi-join; XQuery-equivalent semantics.
-    #[default]
     Exact,
     /// Fig-4 count-based matching through top-instance links.
     Counted,

@@ -62,12 +62,13 @@ pub fn parse_query(src: &str) -> Result<ObjectQuery> {
     Ok(q)
 }
 
-/// Render a query in canonical text for use as a plan-cache key.
+/// Render a query in a canonical text form.
 ///
 /// Conjunctions are order-insensitive, so top-level criteria, element
 /// conditions, and sibling sub-attribute criteria are each sorted —
 /// semantically identical queries written in different orders normalize
-/// to the same string. The format is `Debug`-based and not meant to be
+/// to the same string, so the form can tell apart or deduplicate
+/// queries. The format is `Debug`-based and not meant to be
 /// re-parsed.
 pub fn normalize_query(q: &ObjectQuery) -> String {
     let mut parts: Vec<String> = q.attrs.iter().map(normalize_attr).collect();

@@ -12,6 +12,11 @@ use std::time::{Duration, Instant};
 pub enum ClientError {
     /// Transport failure.
     Io(std::io::Error),
+    /// A socket read or write ran past the timeout set with
+    /// [`CatalogClient::set_timeouts`]. The request may have been sent
+    /// in part, or still be in flight with its reply arriving late, so
+    /// the connection is out of step: drop it and reconnect.
+    Timeout,
     /// The server shed the request before executing it (`ERR busy`
     /// in any of its forms: connection cap reached, queue-wait
     /// exceeded, draining). Always safe to retry.
@@ -33,21 +38,20 @@ pub enum ClientError {
 impl ClientError {
     /// Whether retrying could succeed. [`ClientError::Busy`] is always
     /// retryable — the server shed the request *before* executing it.
-    /// `Eof` and transient transport errors are retryable only for
-    /// idempotent operations: the request may have executed before the
-    /// connection died, so a non-idempotent retry risks duplicating
-    /// it. Deadline, server, and protocol errors are not retryable.
+    /// `Eof`, `Timeout` and transient transport errors are retryable
+    /// only for idempotent operations: the request may have executed
+    /// before the connection died, so a non-idempotent retry risks
+    /// duplicating it. Deadline, server, and protocol errors are not
+    /// retryable.
     pub fn is_retryable(&self, idempotent: bool) -> bool {
         match self {
             ClientError::Busy(_) => true,
-            ClientError::Eof => idempotent,
+            ClientError::Eof | ClientError::Timeout => idempotent,
             ClientError::Io(e) => {
                 idempotent
                     && matches!(
                         e.kind(),
-                        std::io::ErrorKind::WouldBlock
-                            | std::io::ErrorKind::TimedOut
-                            | std::io::ErrorKind::ConnectionRefused
+                        std::io::ErrorKind::ConnectionRefused
                             | std::io::ErrorKind::ConnectionReset
                             | std::io::ErrorKind::BrokenPipe
                     )
@@ -61,6 +65,7 @@ impl fmt::Display for ClientError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ClientError::Io(e) => write!(f, "io error: {e}"),
+            ClientError::Timeout => write!(f, "timed out waiting for the server"),
             ClientError::Busy(m) => write!(f, "server busy: {m}"),
             ClientError::DeadlineExceeded(m) => write!(f, "deadline exceeded: {m}"),
             ClientError::Server(m) => write!(f, "server error: {m}"),
@@ -74,7 +79,12 @@ impl std::error::Error for ClientError {}
 
 impl From<std::io::Error> for ClientError {
     fn from(e: std::io::Error) -> Self {
-        ClientError::Io(e)
+        // A socket timeout reports `WouldBlock` on Unix and `TimedOut`
+        // on Windows.
+        match e.kind() {
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => ClientError::Timeout,
+            _ => ClientError::Io(e),
+        }
     }
 }
 
@@ -94,10 +104,13 @@ fn classify_server_err(msg: &str) -> ClientError {
 /// Result alias for client calls.
 pub type Result<T> = std::result::Result<T, ClientError>;
 
-/// A connected catalog client.
+/// A connected catalog client. Each request is assembled in `out` and
+/// leaves in one write, so a command line and its body share a segment
+/// where they fit in one.
 pub struct CatalogClient {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    out: Vec<u8>,
 }
 
 impl CatalogClient {
@@ -105,12 +118,16 @@ impl CatalogClient {
     pub fn connect(addr: impl ToSocketAddrs) -> Result<CatalogClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(CatalogClient { reader: BufReader::new(stream.try_clone()?), writer: stream })
+        Ok(CatalogClient {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: stream,
+            out: Vec::new(),
+        })
     }
 
     /// Connect with read/write timeouts, so a stalled or overloaded
-    /// server surfaces as [`ClientError::Io`] (`WouldBlock`/`TimedOut`)
-    /// instead of hanging the caller forever.
+    /// server surfaces as [`ClientError::Timeout`] instead of hanging
+    /// the caller forever.
     pub fn connect_with_timeout(
         addr: impl ToSocketAddrs,
         timeout: std::time::Duration,
@@ -125,6 +142,19 @@ impl CatalogClient {
     pub fn set_timeouts(&mut self, timeout: Option<std::time::Duration>) -> Result<()> {
         self.writer.set_read_timeout(timeout)?;
         self.writer.set_write_timeout(timeout)?;
+        Ok(())
+    }
+
+    /// Send one request: the command line, then `body` (empty for
+    /// requests without one), in a single write. Bytes a failed write
+    /// did not send are discarded with the next request's `clear`,
+    /// never sent later.
+    fn send(&mut self, line: fmt::Arguments<'_>, body: &[u8]) -> Result<()> {
+        self.out.clear();
+        self.out.write_fmt(line)?;
+        self.out.push(b'\n');
+        self.out.extend_from_slice(body);
+        self.writer.write_all(&self.out)?;
         Ok(())
     }
 
@@ -156,14 +186,13 @@ impl CatalogClient {
 
     /// Liveness check.
     pub fn ping(&mut self) -> Result<()> {
-        writeln!(self.writer, "PING")?;
+        self.send(format_args!("PING"), &[])?;
         self.read_status().map(|_| ())
     }
 
     /// Ingest a metadata document; returns the assigned object id.
     pub fn ingest(&mut self, xml: &str) -> Result<i64> {
-        writeln!(self.writer, "INGEST {}", xml.len())?;
-        self.writer.write_all(xml.as_bytes())?;
+        self.send(format_args!("INGEST {}", xml.len()), xml.as_bytes())?;
         let rest = self.read_status()?;
         rest.parse()
             .map_err(|_| ClientError::Protocol(format!("bad object id {rest:?}")))
@@ -171,21 +200,20 @@ impl CatalogClient {
 
     /// Append an attribute instance to an existing object.
     pub fn add_attribute(&mut self, object_id: i64, fragment_xml: &str) -> Result<()> {
-        writeln!(self.writer, "ADD {object_id} {}", fragment_xml.len())?;
-        self.writer.write_all(fragment_xml.as_bytes())?;
+        self.send(format_args!("ADD {object_id} {}", fragment_xml.len()), fragment_xml.as_bytes())?;
         self.read_status().map(|_| ())
     }
 
     /// Run a query (the `catalog::qparse` DSL); returns object ids.
     pub fn query(&mut self, dsl: &str) -> Result<Vec<i64>> {
-        writeln!(self.writer, "QUERY {dsl}")?;
+        self.send(format_args!("QUERY {dsl}"), &[])?;
         self.read_query_reply()
     }
 
     /// [`CatalogClient::query`] with a per-request server-side deadline
     /// (overrides the server's configured default).
     pub fn query_with_deadline(&mut self, dsl: &str, deadline_ms: u64) -> Result<Vec<i64>> {
-        writeln!(self.writer, "DEADLINE {deadline_ms} QUERY {dsl}")?;
+        self.send(format_args!("DEADLINE {deadline_ms} QUERY {dsl}"), &[])?;
         self.read_query_reply()
     }
 
@@ -207,14 +235,14 @@ impl CatalogClient {
     /// Fetch reconstructed documents wrapped in a `<results>` envelope.
     pub fn fetch(&mut self, ids: &[i64]) -> Result<String> {
         let list: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
-        writeln!(self.writer, "FETCH {}", list.join(","))?;
+        self.send(format_args!("FETCH {}", list.join(",")), &[])?;
         let header = self.read_status()?;
         self.read_sized_body(&header)
     }
 
     /// Query and fetch in one round trip.
     pub fn search(&mut self, dsl: &str) -> Result<String> {
-        writeln!(self.writer, "SEARCH {dsl}")?;
+        self.send(format_args!("SEARCH {dsl}"), &[])?;
         let header = self.read_status()?;
         self.read_sized_body(&header)
     }
@@ -222,14 +250,14 @@ impl CatalogClient {
     /// [`CatalogClient::search`] with a per-request server-side
     /// deadline (overrides the server's configured default).
     pub fn search_with_deadline(&mut self, dsl: &str, deadline_ms: u64) -> Result<String> {
-        writeln!(self.writer, "DEADLINE {deadline_ms} SEARCH {dsl}")?;
+        self.send(format_args!("DEADLINE {deadline_ms} SEARCH {dsl}"), &[])?;
         let header = self.read_status()?;
         self.read_sized_body(&header)
     }
 
     /// Server-side statistics as `key=value` pairs.
     pub fn stats(&mut self) -> Result<Vec<(String, u64)>> {
-        writeln!(self.writer, "STATS")?;
+        self.send(format_args!("STATS"), &[])?;
         let rest = self.read_status()?;
         Ok(rest
             .split_whitespace()
@@ -244,7 +272,7 @@ impl CatalogClient {
     /// compact the write-ahead log into a snapshot. Returns the
     /// checkpointed LSN; errors if the server's catalog is in-memory.
     pub fn checkpoint(&mut self) -> Result<u64> {
-        writeln!(self.writer, "CHECKPOINT")?;
+        self.send(format_args!("CHECKPOINT"), &[])?;
         let rest = self.read_status()?;
         rest.strip_prefix("lsn=")
             .and_then(|t| t.parse().ok())
@@ -253,7 +281,7 @@ impl CatalogClient {
 
     /// Dump the server's slow-query ring, one event per line.
     pub fn slowlog(&mut self) -> Result<String> {
-        writeln!(self.writer, "SLOWLOG")?;
+        self.send(format_args!("SLOWLOG"), &[])?;
         let header = self.read_status()?;
         self.read_sized_body(&header)
     }
@@ -261,13 +289,13 @@ impl CatalogClient {
     /// Set the server's slow-query threshold in milliseconds
     /// (0 disables the slow log).
     pub fn set_slow_threshold_ms(&mut self, ms: u64) -> Result<()> {
-        writeln!(self.writer, "SLOWLOG {ms}")?;
+        self.send(format_args!("SLOWLOG {ms}"), &[])?;
         self.read_status().map(|_| ())
     }
 
     /// Close the session politely.
     pub fn quit(mut self) -> Result<()> {
-        writeln!(self.writer, "QUIT")?;
+        self.send(format_args!("QUIT"), &[])?;
         self.read_status().map(|_| ())
     }
 }
@@ -392,9 +420,14 @@ impl RetryClient {
                 Ok(v) => return Ok(v),
                 Err(e) => e,
             };
-            // Transport-level failures poison the connection: drop it
+            // Anything but an `ERR` reply poisons the connection: it is
+            // torn, out of step, or (after a timeout) still owes a late
+            // reply that would be read as the next request's. Drop it
             // so the next attempt reconnects.
-            if matches!(err, ClientError::Io(_) | ClientError::Eof | ClientError::Protocol(_)) {
+            if !matches!(
+                err,
+                ClientError::Busy(_) | ClientError::DeadlineExceeded(_) | ClientError::Server(_)
+            ) {
                 self.conn = None;
             }
             if attempt >= self.policy.max_attempts || !err.is_retryable(idempotent) {
@@ -474,9 +507,15 @@ mod tests {
         assert!(busy.is_retryable(false)); // shed before execution
         assert!(ClientError::Eof.is_retryable(true));
         assert!(!ClientError::Eof.is_retryable(false)); // may have executed
-        let timeout = ClientError::Io(std::io::Error::from(std::io::ErrorKind::TimedOut));
-        assert!(timeout.is_retryable(true));
-        assert!(!timeout.is_retryable(false));
+        for kind in [std::io::ErrorKind::WouldBlock, std::io::ErrorKind::TimedOut] {
+            let timeout = ClientError::from(std::io::Error::from(kind));
+            assert!(matches!(timeout, ClientError::Timeout), "{kind:?} maps to Timeout");
+        }
+        assert!(ClientError::Timeout.is_retryable(true));
+        assert!(!ClientError::Timeout.is_retryable(false)); // may have executed
+        let reset = ClientError::Io(std::io::Error::from(std::io::ErrorKind::ConnectionReset));
+        assert!(reset.is_retryable(true));
+        assert!(!reset.is_retryable(false));
         let deadline = ClientError::DeadlineExceeded("after 10ms".into());
         assert!(!deadline.is_retryable(true));
         assert!(!ClientError::Server("bad query".into()).is_retryable(true));

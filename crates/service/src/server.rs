@@ -555,7 +555,6 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                     s.clob_bytes,
                     s.attr_defs + s.elem_defs
                 );
-                out.push_str(&format!(" catalog.plan_cache.size={}", catalog.plan_cache_len()));
                 // Full observability snapshot rides on the same line so
                 // existing `k=v` parsers pick it up unchanged.
                 for (name, value) in reg.snapshot_kv() {

@@ -5,7 +5,7 @@
 use catalog::catalog::CatalogConfig;
 use catalog::lead::{lead_catalog, FIG3_DOCUMENT};
 use service::client::ClientError;
-use service::{CatalogClient, CatalogServer, MAX_CONNECTIONS};
+use service::{CatalogClient, CatalogServer, RetryClient, RetryPolicy, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -252,29 +252,38 @@ fn client_reports_eof_distinctly() {
 }
 
 #[test]
-fn client_timeouts_surface_as_io_errors() {
+fn client_timeouts_surface_as_typed_timeout_errors() {
     // A listener that accepts and never replies.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let t = std::thread::spawn(move || {
-        let (stream, _) = listener.accept().unwrap();
-        // Hold the connection open, silently, until the client is done.
-        let mut buf = [0u8; 64];
-        let _ = (&stream).read(&mut buf);
-        std::thread::sleep(Duration::from_millis(400));
-        drop(stream);
-    });
     let mut c = CatalogClient::connect_with_timeout(addr, Duration::from_millis(100)).unwrap();
+    // Hold the accepted connection open, silently, until the client is done.
+    let (_silent, _) = listener.accept().unwrap();
     let start = std::time::Instant::now();
     match c.ping() {
-        Err(ClientError::Io(e)) => {
-            assert!(
-                matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut),
-                "expected a timeout error, got {e:?}"
-            );
-        }
-        other => panic!("expected a timeout Io error, got {other:?}"),
+        Err(ClientError::Timeout) => {}
+        other => panic!("expected ClientError::Timeout, got {other:?}"),
     }
     assert!(start.elapsed() < Duration::from_secs(5), "timeout must fire promptly");
-    t.join().unwrap();
+}
+
+#[test]
+fn retry_client_reconnects_after_a_timeout() {
+    // A listener that never accepts or replies: every attempt times out.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let policy = RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::from_millis(1),
+        max_backoff: Duration::from_millis(1),
+        retry_budget: Duration::from_secs(5),
+    };
+    let mut client = RetryClient::with_policy(addr, policy).with_timeout(Duration::from_millis(50));
+    let err = client.ping().unwrap_err();
+    assert!(matches!(err, ClientError::Timeout), "expected Timeout, got {err:?}");
+    // Each retry opened a new connection rather than waiting on the
+    // timed-out one, where a late reply could answer the wrong request.
+    listener.set_nonblocking(true).unwrap();
+    let connections = std::iter::from_fn(|| listener.accept().ok()).count();
+    assert_eq!(connections, 3, "one connection per attempt");
 }
