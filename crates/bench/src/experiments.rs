@@ -58,7 +58,7 @@ pub fn e1_ingest(scale: Scale) -> Result<Table> {
 }
 
 /// E2 — query latency by shape/selectivity, per backend, plus the
-/// hybrid's strategy ablation (Exact vs Counted vs flat fast path).
+/// hybrid's strategy ablation (Exact vs Counted).
 pub fn e2_query(scale: Scale) -> Result<(Table, Table)> {
     let n = scale.pick(300, 2000);
     let reps = scale.pick(5, 15);
@@ -116,14 +116,6 @@ pub fn e2_query(scale: Scale) -> Result<(Table, Table)> {
                 }
             }) / queries.len() as f64;
             abl.row(vec![label.to_string(), sname.to_string(), fmt_secs(secs)]);
-        }
-        if shape == QueryShape::DynamicEq {
-            let secs = median_secs(1, || {
-                for q in &queries {
-                    cat.query_flat(q).expect("query");
-                }
-            }) / queries.len() as f64;
-            abl.row(vec![label.to_string(), "flat fast path".to_string(), fmt_secs(secs)]);
         }
     }
     Ok((t, abl))

@@ -2,7 +2,7 @@
 //! object (what myLEAD's server exposes to the grid).
 
 use crate::defs::{AttrId, DefLevel, DefsRegistry, DynamicAttrSpec};
-use crate::engine::{execute_match_plan, run_flat_query, MatchStrategy};
+use crate::engine::{execute_match_plan, MatchStrategy};
 use crate::error::{CatalogError, Result};
 use crate::ordering::GlobalOrdering;
 use crate::partition::Partition;
@@ -405,16 +405,15 @@ impl MetadataCatalog {
             return docs.iter().map(|d| self.ingest(d)).collect();
         }
         let chunk = docs.len().div_ceil(threads);
-        let results: Vec<Result<Vec<ShreddedDoc>>> = crossbeam::thread::scope(|scope| {
+        let results: Vec<Result<Vec<ShreddedDoc>>> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for part in docs.chunks(chunk) {
-                handles.push(scope.spawn(move |_| {
+                handles.push(scope.spawn(move || {
                     part.iter().map(|d| self.shred_only(d)).collect::<Result<Vec<_>>>()
                 }));
             }
             handles.into_iter().map(|h| h.join().expect("shred worker panicked")).collect()
-        })
-        .expect("crossbeam scope");
+        });
         let mut ids = Vec::with_capacity(docs.len());
         for batch in results {
             for shredded in batch? {
@@ -454,12 +453,6 @@ impl MetadataCatalog {
     pub fn query_with(&self, q: &ObjectQuery, strategy: MatchStrategy) -> Result<Vec<i64>> {
         let plan = self.plan(q, strategy)?;
         execute_match_plan(&self.db, &plan, &RequestCtx::unbounded())
-    }
-
-    /// The §4 "significantly simplified" flat path (no sub-attributes).
-    pub fn query_flat(&self, q: &ObjectQuery) -> Result<Vec<i64>> {
-        let defs = self.defs.read();
-        run_flat_query(&self.db, &defs, q)
     }
 
     /// Run the query's match plan under the profiler and render the

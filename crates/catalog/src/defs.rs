@@ -483,11 +483,6 @@ impl DefsRegistry {
     pub fn elems_of(&self, attr: AttrId) -> impl Iterator<Item = &ElemDef> {
         self.elems.iter().filter(move |e| e.attr == attr)
     }
-
-    /// Direct sub-attribute definitions of an attribute definition.
-    pub fn subs_of(&self, attr: AttrId) -> impl Iterator<Item = &AttrDef> {
-        self.attrs.iter().filter(move |a| a.parent == Some(attr))
-    }
 }
 
 #[cfg(test)]

@@ -270,32 +270,3 @@ pub fn execute_match_plan(db: &Database, plan: &Plan, ctx: &RequestCtx) -> Resul
     reg.counter("catalog.query.count").incr();
     Ok(ids_from_rows(rs))
 }
-
-/// The simplification the paper notes (§4): when no criterion has
-/// sub-attributes and no queried attribute repeats within an object,
-/// matching collapses to an `elems ⋈ criteria` pass grouped by object.
-/// Exposed for the E2 ablation; produces the same answer as
-/// [`MatchStrategy::Exact`] whenever its preconditions hold.
-pub fn run_flat_query(db: &Database, defs: &DefsRegistry, query: &ObjectQuery) -> Result<Vec<i64>> {
-    let mut per_attr_plans: Vec<Plan> = Vec::new();
-    for aq in &query.attrs {
-        let node = resolve(defs, aq, None)?;
-        if !node.children.is_empty() {
-            return Err(CatalogError::BadQuery(
-                "flat matching does not support sub-attribute criteria".into(),
-            ));
-        }
-        per_attr_plans.push(Plan::Distinct {
-            input: Box::new(
-                direct_instances_plan(&node).project(vec![(Expr::col(0), "object_id".into())]),
-            ),
-        });
-    }
-    let mut it = per_attr_plans.into_iter();
-    let mut plan = it.next().ok_or_else(|| CatalogError::BadQuery("empty query".into()))?;
-    for next in it {
-        plan = intersect_objects(plan, next);
-    }
-    let plan = Plan::Sort { input: Box::new(plan), keys: vec![(0, false)] };
-    execute_match_plan(db, &plan, &RequestCtx::unbounded())
-}

@@ -203,24 +203,6 @@ fn multi_attribute_conjunction() {
 }
 
 #[test]
-fn flat_query_fast_path_agrees() {
-    let cat = cat();
-    for i in 0..10 {
-        cat.ingest(&doc_with((i as f64) * 100.0, None, "k")).unwrap();
-    }
-    let q = ObjectQuery::new().attr(AttrQuery::new("grid").source("ARPS").elem(ElemCond::num(
-        "dx",
-        QOp::Ge,
-        500.0,
-    )));
-    let full = cat.query(&q).unwrap();
-    let flat = cat.query_flat(&q).unwrap();
-    assert_eq!(full, flat);
-    // The flat path refuses sub-attribute criteria.
-    assert!(cat.query_flat(&fig4_query()).is_err());
-}
-
-#[test]
 fn unknown_attribute_or_element_is_bad_query() {
     let cat = cat();
     cat.ingest(FIG3_DOCUMENT).unwrap();

@@ -10,6 +10,10 @@
 //! that touches several tables (or puts CLOBs and inserts the rows that
 //! locate them) therefore becomes visible to readers *atomically at
 //! commit* — a concurrent query can never observe a half-applied write.
+//! That promise covers committed transactions only: a `Txn` applies each
+//! op to the shared state as it goes and keeps no undo, so the ops before
+//! one that fails, or before a failed WAL append or fsync in
+//! [`Txn::commit`], stay visible although nothing was logged.
 //! Committed transactions publish a monotonically increasing
 //! *watermark* ([`Database::commit_watermark`]) that readers can use to
 //! tell snapshots apart.
@@ -424,14 +428,6 @@ impl Database {
         w.unsynced = 0;
         reg.counter("wal.checkpoints").incr();
         Ok(lsn)
-    }
-
-    /// Flush any batched (group-commit) WAL appends to disk.
-    pub fn sync_wal(&self) -> Result<()> {
-        match &self.dur {
-            Some(d) => d.writer.lock().sync(),
-            None => Ok(()),
-        }
     }
 
     /// Create a table; errors if the name is taken.

@@ -35,11 +35,6 @@ impl ResultSet {
             .ok_or_else(|| DbError::NoSuchColumn(name.to_string()))
     }
 
-    /// Extract one column as values.
-    pub fn column_values(&self, idx: usize) -> Vec<Value> {
-        self.rows.iter().map(|r| r[idx].clone()).collect()
-    }
-
     /// Render as an aligned text table (for examples and the harness).
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();

@@ -189,11 +189,6 @@ impl Table {
         self.live == 0
     }
 
-    /// Total slots including tombstones (upper bound for RowIds).
-    pub fn slot_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Add a secondary index named `name` over `columns`; existing rows
     /// are indexed immediately.
     pub fn create_index(

@@ -1,6 +1,6 @@
 //! Blocking client for the catalog service protocol, plus a retrying
-//! wrapper ([`RetryClient`]) implementing jittered exponential backoff
-//! under a retry budget.
+//! wrapper ([`RetryClient`]) with a fixed policy: jittered exponential
+//! backoff, at most [`MAX_ATTEMPTS`] attempts within a 2 s retry budget.
 
 use std::fmt;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -300,44 +300,28 @@ impl CatalogClient {
     }
 }
 
-/// Retry policy for [`RetryClient`]: jittered exponential backoff
-/// capped by both an attempt count and a wall-clock retry budget.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts (first try included).
-    pub max_attempts: u32,
-    /// Backoff before the first retry; doubles per retry.
-    pub base_backoff: Duration,
-    /// Ceiling on any single backoff.
-    pub max_backoff: Duration,
-    /// Wall-clock budget across all attempts of one call: once spent,
-    /// the last error is returned even if attempts remain.
-    pub retry_budget: Duration,
-}
+/// Attempts [`RetryClient`] makes per call, the first one included.
+pub const MAX_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(500),
-            retry_budget: Duration::from_secs(2),
-        }
-    }
-}
+/// Backoff before the first retry; it doubles per retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(10);
 
-impl RetryPolicy {
-    /// Backoff before retry number `retry` (1-based), jittered to
-    /// 50–100% of the exponential value so synchronized clients spread
-    /// out instead of re-stampeding a recovering server.
-    fn backoff(&self, retry: u32, rng: &mut Xorshift64) -> Duration {
-        let exp = self
-            .base_backoff
-            .saturating_mul(1u32 << retry.saturating_sub(1).min(16))
-            .min(self.max_backoff);
-        let nanos = exp.as_nanos() as u64;
-        Duration::from_nanos(nanos / 2 + rng.next() % (nanos / 2 + 1))
-    }
+/// Ceiling on any single backoff.
+const MAX_BACKOFF: Duration = Duration::from_millis(500);
+
+/// Wall-clock budget across all attempts of one call: once spent, the
+/// last error is returned even if attempts remain.
+const RETRY_BUDGET: Duration = Duration::from_secs(2);
+
+/// Backoff before retry number `retry` (1-based), jittered to 50–100%
+/// of the exponential value so synchronized clients spread out instead
+/// of re-stampeding a recovering server.
+fn backoff(retry: u32, rng: &mut Xorshift64) -> Duration {
+    let exp = BASE_BACKOFF
+        .saturating_mul(1u32 << retry.saturating_sub(1).min(16))
+        .min(MAX_BACKOFF);
+    let nanos = exp.as_nanos() as u64;
+    Duration::from_nanos(nanos / 2 + rng.next() % (nanos / 2 + 1))
 }
 
 /// Minimal xorshift PRNG for backoff jitter — statistical quality is
@@ -357,35 +341,30 @@ impl Xorshift64 {
 
 /// A reconnecting, retrying catalog client.
 ///
-/// Wraps [`CatalogClient`] with the [`RetryPolicy`]: retryable errors
+/// Wraps [`CatalogClient`] with a fixed retry policy: retryable errors
 /// (see [`ClientError::is_retryable`]) are retried with jittered
-/// exponential backoff under a retry budget; the connection is rebuilt
-/// after transport errors. Idempotent reads (`ping`/`query`/`fetch`/
-/// `search`/`stats`) retry on `Busy`, `Eof`, and timeouts; mutations
-/// (`ingest`/`add_attribute`) retry **only** on `Busy` — a shed
-/// request provably never executed, while a torn connection may have
-/// committed, and a blind retry would ingest the document twice.
+/// exponential backoff, up to [`MAX_ATTEMPTS`] attempts within a 2 s
+/// retry budget; the connection is rebuilt after transport errors.
+/// Idempotent reads (`ping`/`query`/`fetch`/`search`/`stats`) retry on
+/// `Busy`, `Eof`, and timeouts; mutations (`ingest`/`add_attribute`)
+/// retry **only** on `Busy` — a shed request provably never executed,
+/// while a torn connection may have committed, and a blind retry would
+/// ingest the document twice.
 pub struct RetryClient {
     addr: std::net::SocketAddr,
     timeout: Option<Duration>,
-    policy: RetryPolicy,
     conn: Option<CatalogClient>,
     rng: Xorshift64,
 }
 
 impl RetryClient {
-    /// Client for `addr` with the default policy. Connections are
-    /// established lazily, so this never fails.
+    /// Client for `addr`. Connections are established lazily, so this
+    /// never fails.
     pub fn new(addr: std::net::SocketAddr) -> RetryClient {
-        Self::with_policy(addr, RetryPolicy::default())
-    }
-
-    /// Client with an explicit retry policy.
-    pub fn with_policy(addr: std::net::SocketAddr, policy: RetryPolicy) -> RetryClient {
         // Seed from the address and process id: distinct clients (and
         // distinct runs) jitter differently without needing an RNG dep.
         let seed = (std::process::id() as u64) << 17 ^ (addr.port() as u64) << 1 | 1;
-        RetryClient { addr, timeout: None, policy, conn: None, rng: Xorshift64(seed) }
+        RetryClient { addr, timeout: None, conn: None, rng: Xorshift64(seed) }
     }
 
     /// Apply a socket read/write timeout to every connection.
@@ -430,14 +409,14 @@ impl RetryClient {
             ) {
                 self.conn = None;
             }
-            if attempt >= self.policy.max_attempts || !err.is_retryable(idempotent) {
+            if attempt >= MAX_ATTEMPTS || !err.is_retryable(idempotent) {
                 return Err(err);
             }
-            let backoff = self.policy.backoff(attempt, &mut self.rng);
-            if started.elapsed() + backoff > self.policy.retry_budget {
+            let wait = backoff(attempt, &mut self.rng);
+            if started.elapsed() + wait > RETRY_BUDGET {
                 return Err(err);
             }
-            std::thread::sleep(backoff);
+            std::thread::sleep(wait);
             attempt += 1;
         }
     }
@@ -523,37 +502,39 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_jittered_and_capped() {
-        let policy = RetryPolicy::default();
         let mut rng = Xorshift64(42);
         for retry in 1..=10u32 {
-            let exp = policy
-                .base_backoff
-                .saturating_mul(1u32 << (retry - 1).min(16))
-                .min(policy.max_backoff);
+            let exp = BASE_BACKOFF.saturating_mul(1u32 << (retry - 1).min(16)).min(MAX_BACKOFF);
             for _ in 0..20 {
-                let b = policy.backoff(retry, &mut rng);
+                let b = backoff(retry, &mut rng);
                 assert!(b <= exp, "retry {retry}: {b:?} > {exp:?}");
                 assert!(b >= exp / 2, "retry {retry}: {b:?} < half of {exp:?}");
-                assert!(b <= policy.max_backoff + Duration::from_nanos(1));
+                assert!(b <= MAX_BACKOFF + Duration::from_nanos(1));
             }
         }
     }
 
     #[test]
     fn retry_budget_bounds_total_wait() {
-        // Against a dead address, retries stop once the budget is
-        // spent even though attempts remain.
-        let addr: std::net::SocketAddr = "127.0.0.1:1".parse().unwrap();
-        let policy = RetryPolicy {
-            max_attempts: 1_000,
-            base_backoff: Duration::from_millis(20),
-            max_backoff: Duration::from_millis(20),
-            retry_budget: Duration::from_millis(100),
-        };
-        let mut client = RetryClient::with_policy(addr, policy);
+        // A listener that never accepts or answers, and a 0.9 s socket
+        // timeout: each attempt times out after 0.9 s, so the 2 s
+        // budget ends the call after 3 attempts, before MAX_ATTEMPTS.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut client = RetryClient::new(addr).with_timeout(Duration::from_millis(900));
         let started = Instant::now();
         let err = client.ping().unwrap_err();
-        assert!(matches!(err, ClientError::Io(_)), "{err}");
-        assert!(started.elapsed() < Duration::from_secs(2));
+        let took = started.elapsed();
+        assert!(matches!(err, ClientError::Timeout), "{err}");
+        // The budget is checked before each backoff, so the call ends
+        // at most one attempt past it.
+        let bound = RETRY_BUDGET + Duration::from_millis(900 + 500);
+        assert!(took < bound, "took {took:?}, more than {bound:?}");
+        listener.set_nonblocking(true).unwrap();
+        let attempts = std::iter::from_fn(|| listener.accept().ok()).count();
+        assert_eq!(
+            attempts, 3,
+            "the budget must end the call before MAX_ATTEMPTS ({MAX_ATTEMPTS})"
+        );
     }
 }

@@ -24,15 +24,13 @@
 //! ```
 //!
 //! `DEADLINE <ms>` prefixes any command with a per-request deadline
-//! overriding the server's configured default
-//! ([`ServerConfig::default_deadline_ms`]); `<ms>` must be ≥ 1, else the
+//! overriding the server's default of 5 s; `<ms>` must be ≥ 1, else the
 //! reply is `ERR bad deadline` (after the wrapped `INGEST`/`ADD` body,
 //! if any, has been read, so the connection stays framed). A read
-//! request that runs
-//! past its deadline is cancelled cooperatively inside the catalog and
-//! answered `ERR deadline exceeded ...`; mutations run to completion
-//! (aborting a half-applied ingest would tear acknowledgement
-//! semantics).
+//! request that runs past its deadline is cancelled cooperatively
+//! inside the catalog and answered `ERR deadline exceeded ...`;
+//! mutations run to completion (aborting a half-applied ingest would
+//! tear acknowledgement semantics).
 //!
 //! Serve a catalog opened with [`catalog::catalog::MetadataCatalog::open`]
 //! and every acked `INGEST`/`ADD` is crash-safe: it has committed
@@ -51,29 +49,31 @@
 //! Each connection gets its own thread, up to [`MAX_CONNECTIONS`];
 //! one more is answered `ERR busy`. Catalog work is bounded per
 //! request: `INGEST`/`ADD`/`QUERY`/`FETCH`/`SEARCH` run holding one of
-//! [`ServerConfig::workers`] request permits (8 by default), taken
-//! after the request's body is read and given back before its reply
-//! is written, so idle keep-alives, trickled bodies and slow readers
-//! cannot starve other clients. `PING`/`STATS`/`SLOWLOG`/`CHECKPOINT`/
-//! `QUIT` need no permit. A request that waited too long for a permit
-//! is answered `ERR busy queue-wait exceeded`, and a draining server
-//! sheds with `ERR busy draining`.
+//! [`WORKERS`] (8) request permits, taken after the request's body is
+//! read and given back before its reply is written, so idle
+//! keep-alives, trickled bodies and slow readers cannot starve other
+//! clients. `PING`/`STATS`/`SLOWLOG`/`CHECKPOINT`/
+//! `QUIT` need no permit. A request that waited more than 1 s for a
+//! permit is answered `ERR busy queue-wait exceeded`, and a draining
+//! server sheds with `ERR busy draining`.
 //! Every shed reply starts with `busy`, which the client surfaces as
 //! the typed, always-retryable [`ClientError::Busy`];
-//! [`client::RetryClient`] implements jittered exponential backoff
-//! over it. Request bodies are capped at 16 MiB. A command line is
-//! capped at 1 MiB: past that, with no `\n`, the reply is `ERR command
-//! line exceeds ...` and the connection closes.
+//! [`client::RetryClient`] retries it with a fixed policy: jittered
+//! exponential backoff, at most 4 attempts within 2 s. Request bodies
+//! are capped at 16 MiB. A command line is capped at 1 MiB: past that,
+//! with no `\n`, the reply is `ERR command line exceeds ...` and the
+//! connection closes.
 //!
 //! [`CatalogServer::stop`] is a graceful drain: stop accepting, finish
-//! in-flight work (bounded by [`ServerConfig::drain_timeout_ms`]), end
-//! the connection threads, then checkpoint a durable catalog so no
-//! acked ingest is lost across restart.
+//! in-flight work (for at most 5 s), end the connection threads (also
+//! one blocked writing to a client that stopped reading), then
+//! checkpoint a durable catalog so no acked ingest is lost across
+//! restart.
 
 #![warn(missing_docs)]
 
 pub mod client;
 pub mod server;
 
-pub use client::{CatalogClient, ClientError, RetryClient, RetryPolicy};
-pub use server::{CatalogServer, ServerConfig, MAX_CONNECTIONS};
+pub use client::{CatalogClient, ClientError, RetryClient};
+pub use server::{CatalogServer, MAX_CONNECTIONS, WORKERS};

@@ -5,30 +5,30 @@
 //! connection costs a thread parked on a read, not catalog work: the
 //! catalog's concurrency is bounded per *request*. A heavy request
 //! (`INGEST`/`ADD`/`QUERY`/`FETCH`/`SEARCH`) reads its body first, then
-//! runs its catalog call holding one of [`ServerConfig::workers`]
-//! request permits, and gives the permit back before it writes the
-//! reply. So an idle keep-alive, a trickled body or a slow reader ties
-//! up only its own thread. Cheap commands (`PING`/`STATS`/`SLOWLOG`/
+//! runs its catalog call holding one of [`WORKERS`] request permits,
+//! and gives the permit back before it writes the reply. So an idle
+//! keep-alive, a trickled body or a slow reader ties up only its own
+//! thread. Cheap commands (`PING`/`STATS`/`SLOWLOG`/
 //! `CHECKPOINT`/`QUIT`) need no permit, so they answer even when every
 //! permit is held. Overload sheds with typed replies, never a hang:
 //!
-//! - **queue wait**: a heavy request that waited longer than
-//!   [`ServerConfig::queue_wait_ms`] for a permit is answered `ERR busy
-//!   queue-wait exceeded` — its client has likely timed out already;
+//! - **queue wait**: a heavy request that waited longer than 1 s for a
+//!   permit is answered `ERR busy queue-wait exceeded` — its client has
+//!   likely timed out already;
 //! - **deadline**: every `QUERY`/`FETCH`/`SEARCH` runs under a
-//!   deadline ([`ServerConfig::default_deadline_ms`], overridable
-//!   per request with a `DEADLINE <ms>` command prefix) enforced
-//!   cooperatively inside the catalog and executor, so an admitted
-//!   request cannot hold its permit indefinitely;
+//!   deadline (5 s, overridable per request with a `DEADLINE <ms>`
+//!   command prefix) enforced cooperatively inside the catalog and
+//!   executor, so an admitted request cannot hold its permit
+//!   indefinitely;
 //! - **drain**: [`CatalogServer::stop`] stops accepting, sheds new
 //!   heavy work (`ERR busy draining`), closes idle keep-alives, waits
-//!   up to [`ServerConfig::drain_timeout_ms`] for held permits to come
-//!   back, ends the connection threads, then checkpoints a durable
-//!   catalog — a SIGTERM-style graceful shutdown that loses no acked
-//!   ingest.
+//!   up to 5 s for held permits to come back, ends the connection
+//!   threads, then checkpoints a durable catalog — a SIGTERM-style
+//!   graceful shutdown that loses no acked ingest.
 //!
-//! Reads wake every 200 ms, so a stopping server can end threads
-//! parked on idle or trickling clients.
+//! Socket reads and writes wake every 200 ms, so a stopping server can
+//! end threads parked on idle or trickling clients, or blocked writing
+//! to a client that stopped reading.
 //!
 //! Every request is instrumented through [`obs::global`]: request
 //! counters and latency histograms per operation
@@ -68,46 +68,29 @@ const MAX_LINE: usize = 1 << 20;
 /// answered `ERR busy` and closed.
 pub const MAX_CONNECTIONS: usize = 256;
 
-/// How often a blocked socket read wakes to check for shutdown.
+/// How often a blocked socket read or write wakes to check for
+/// shutdown.
 const READ_POLL: Duration = Duration::from_millis(200);
 
-/// Request-permit and governance knobs for
-/// [`CatalogServer::start_with`].
-#[derive(Debug, Clone, Copy)]
-pub struct ServerConfig {
-    /// Request permits: how many heavy requests (`INGEST`/`ADD`/
-    /// `QUERY`/`FETCH`/`SEARCH`) run their catalog call at once.
-    pub workers: usize,
-    /// Default deadline applied to `QUERY`/`FETCH`/`SEARCH` requests
-    /// (milliseconds); per-request `DEADLINE <ms>` overrides it.
-    /// `0` disables the default (requests without an explicit
-    /// `DEADLINE` run unbounded).
-    pub default_deadline_ms: u64,
-    /// Shed a heavy request that waited longer than this
-    /// (milliseconds) for a permit. `0` disables: the request waits
-    /// until a permit frees or the server drains.
-    pub queue_wait_ms: u64,
-    /// How long [`CatalogServer::stop`] waits for held permits to come
-    /// back before forcing shutdown (milliseconds).
-    pub drain_timeout_ms: u64,
-}
+/// Request permits: how many heavy requests (`INGEST`/`ADD`/`QUERY`/
+/// `FETCH`/`SEARCH`) run their catalog call at once.
+pub const WORKERS: usize = 8;
 
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig {
-            workers: 8,
-            default_deadline_ms: 5_000,
-            queue_wait_ms: 1_000,
-            drain_timeout_ms: 5_000,
-        }
-    }
-}
+/// Deadline of a `QUERY`/`FETCH`/`SEARCH` without a `DEADLINE <ms>`
+/// prefix.
+const DEFAULT_DEADLINE: Duration = Duration::from_secs(5);
+
+/// A heavy request that waited longer than this for a permit is shed.
+const QUEUE_WAIT: Duration = Duration::from_secs(1);
+
+/// How long [`CatalogServer::stop`] waits for held permits to come
+/// back before forcing shutdown.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// State shared by the accept thread, the connection threads and
 /// [`CatalogServer::stop`].
 struct Shared {
     catalog: Arc<MetadataCatalog>,
-    config: ServerConfig,
     /// Set by [`CatalogServer::stop`]: accepting ends, idle keep-alives
     /// close, heavy requests shed with `ERR busy draining`.
     draining: AtomicBool,
@@ -117,9 +100,8 @@ struct Shared {
     /// Open connections, counted per server (not through the
     /// process-global gauge) so the cap holds per server.
     connections: AtomicUsize,
-    /// Number of request permits.
-    permits: usize,
-    /// Permits held; `freed` signals a return or the start of a drain.
+    /// Permits held, at most [`WORKERS`]; `freed` signals a return or
+    /// the start of a drain.
     held: Mutex<usize>,
     freed: Condvar,
     busy: Arc<Gauge>,
@@ -131,19 +113,15 @@ impl Shared {
     /// Run `f` holding a request permit, given back as soon as `f`
     /// returns. Sheds without running `f`, returning the reply text,
     /// when the server is draining or the wait for a permit passes
-    /// [`ServerConfig::queue_wait_ms`].
+    /// [`QUEUE_WAIT`].
     fn with_permit<T>(&self, f: impl FnOnce() -> T) -> Result<T, &'static str> {
         let draining = || self.draining.load(Ordering::SeqCst);
         let mut held = self.held.lock().expect("permits poisoned");
-        if *held >= self.permits && !draining() {
-            let limit = match self.config.queue_wait_ms {
-                0 => Duration::MAX,
-                ms => Duration::from_millis(ms),
-            };
+        if *held >= WORKERS && !draining() {
             self.waiting.add(1);
             held = self
                 .freed
-                .wait_timeout_while(held, limit, |h| *h >= self.permits && !draining())
+                .wait_timeout_while(held, QUEUE_WAIT, |h| *h >= WORKERS && !draining())
                 .expect("permits poisoned")
                 .0;
             self.waiting.add(-1);
@@ -152,7 +130,7 @@ impl Shared {
             obs::global().counter("service.shed.draining").incr();
             return Err("busy draining");
         }
-        if *held >= self.permits {
+        if *held >= WORKERS {
             obs::global().counter("service.shed.queue_wait").incr();
             return Err("busy queue-wait exceeded");
         }
@@ -211,33 +189,20 @@ pub struct CatalogServer {
 }
 
 impl CatalogServer {
-    /// Start serving `catalog` on `addr` with the default configuration
-    /// (use port 0 for an ephemeral port; the bound address is
-    /// available via [`Self::addr`]).
+    /// Start serving `catalog` on `addr` (use port 0 for an ephemeral
+    /// port; the bound address is available via [`Self::addr`]).
     pub fn start(catalog: Arc<MetadataCatalog>, addr: &str) -> std::io::Result<CatalogServer> {
-        Self::start_with(catalog, addr, ServerConfig::default())
-    }
-
-    /// Start serving with an explicit configuration.
-    pub fn start_with(
-        catalog: Arc<MetadataCatalog>,
-        addr: &str,
-        config: ServerConfig,
-    ) -> std::io::Result<CatalogServer> {
         let listener = TcpListener::bind(addr)?;
         let bound = listener.local_addr()?;
         // Nonblocking accept loop so `stop` is honored promptly.
         listener.set_nonblocking(true)?;
         let reg = obs::global();
-        let permits = config.workers.max(1);
-        reg.gauge("service.pool.size").set(permits as i64);
+        reg.gauge("service.pool.size").set(WORKERS as i64);
         let shared = Arc::new(Shared {
             catalog,
-            config,
             draining: AtomicBool::new(false),
             stopped: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
-            permits,
             held: Mutex::new(0),
             freed: Condvar::new(),
             busy: reg.gauge("service.pool.busy"),
@@ -256,9 +221,9 @@ impl CatalogServer {
 
     /// Graceful shutdown: stop accepting and enter the `draining` state
     /// (idle keep-alives close, new heavy requests shed with `ERR busy
-    /// draining`), wait up to [`ServerConfig::drain_timeout_ms`] for
-    /// held permits to come back, end the connection threads, then
-    /// checkpoint a durable catalog. Idempotent.
+    /// draining`), wait up to 5 s for held permits to come back, end the
+    /// connection threads, then checkpoint a durable catalog.
+    /// Idempotent.
     pub fn stop(&mut self) {
         let Some(accept_thread) = self.accept_thread.take() else { return };
         let reg = obs::global();
@@ -275,7 +240,7 @@ impl CatalogServer {
         let _ = accept_thread.join();
         // 2. Wait for in-flight requests to give their permits back,
         // bounded so a stuck request cannot wedge shutdown.
-        let deadline = Instant::now() + Duration::from_millis(shared.config.drain_timeout_ms);
+        let deadline = Instant::now() + DRAIN_TIMEOUT;
         loop {
             if *shared.held.lock().expect("permits poisoned") == 0 {
                 reg.counter("service.drain.clean").incr();
@@ -288,10 +253,10 @@ impl CatalogServer {
             std::thread::sleep(Duration::from_millis(5));
         }
         // 3. End the connection threads: each leaves at its next read
-        // poll and lets go of the shared state, and with it the
-        // catalog, so a restart can reopen the directory. A thread
-        // still inside a forced-out request or blocked writing to a
-        // client that stopped reading is left to finish on its own.
+        // or write poll and lets go of the shared state, and with it
+        // the catalog, so a restart can reopen the directory. A thread
+        // still inside a forced-out request is left to finish on its
+        // own.
         shared.stopped.store(true, Ordering::SeqCst);
         let end = Instant::now() + 2 * READ_POLL;
         while Arc::strong_count(&self.shared) > 1 && Instant::now() < end {
@@ -383,11 +348,12 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     let catalog = &*shared.catalog;
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(READ_POLL))?;
+    stream.set_write_timeout(Some(READ_POLL))?;
     let mut reader = BufReader::new(&stream);
     // A reply is buffered and sent in one write when the loop comes
     // back to read the next command: a reply written piece by piece
     // costs a send and a client wake-up per piece.
-    let mut writer = BufWriter::new(&stream);
+    let mut writer = BufWriter::new(PollWriter { stream: &stream, shared });
     let mut raw = Vec::new();
     loop {
         writer.flush()?;
@@ -408,9 +374,8 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             None => (trimmed, ""),
         };
         // `DEADLINE <ms> <command ...>` prefixes any command with a
-        // per-request deadline override. `0` is rejected: it would
-        // lift the server's default deadline, the one bound that stops
-        // a request from holding its permit indefinitely.
+        // per-request deadline override. `0` is rejected as malformed:
+        // a request given no time to run could only fail.
         let mut explicit_deadline_ms: Option<u64> = None;
         if cmd_raw.eq_ignore_ascii_case("DEADLINE") {
             let (ms_str, rem) = match rest.split_once(' ') {
@@ -449,15 +414,14 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             span.set_detail(rest);
         }
         // Server-side deadline for read requests: explicit override,
-        // else the configured default (0 there means unbounded). It
-        // starts once the permit is granted. Mutations (`INGEST`/`ADD`)
-        // deliberately run to completion — aborting a half-applied
-        // ingest would trade a latency bound for torn acknowledgements.
+        // else `DEFAULT_DEADLINE`. It starts once the permit is
+        // granted. Mutations (`INGEST`/`ADD`) deliberately run to
+        // completion — aborting a half-applied ingest would trade a
+        // latency bound for torn acknowledgements.
         let req_ctx = |detail: &str| -> RequestCtx {
-            let ctx = match explicit_deadline_ms.unwrap_or(shared.config.default_deadline_ms) {
-                0 => RequestCtx::unbounded(),
-                ms => RequestCtx::deadline_in(Duration::from_millis(ms)),
-            };
+            let ctx = RequestCtx::deadline_in(
+                explicit_deadline_ms.map_or(DEFAULT_DEADLINE, Duration::from_millis),
+            );
             if detail.is_empty() {
                 ctx
             } else {
@@ -601,10 +565,36 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     }
 }
 
-/// Whether a failed read only means the [`READ_POLL`] timer fired (or
-/// a signal interrupted it), so the read can be retried.
+/// Whether a failed read or write only means the [`READ_POLL`] timer
+/// fired (or a signal interrupted it), so it can be retried.
 fn is_poll_wakeup(e: &std::io::Error) -> bool {
     matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted)
+}
+
+/// The connection's socket as a [`Write`] that retries each
+/// [`READ_POLL`] wake-up until the server stops, so a client that
+/// stopped reading cannot keep its thread, and with it the catalog,
+/// alive past [`CatalogServer::stop`]. The retry sits inside `write`,
+/// so `flush` and `write_all` keep the progress a timed-out write made;
+/// a `write_all` on the timed-out socket itself would lose it.
+struct PollWriter<'a> {
+    stream: &'a TcpStream,
+    shared: &'a Shared,
+}
+
+impl Write for PollWriter<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.write(buf) {
+                Err(e) if is_poll_wakeup(&e) && !self.shared.stopped.load(Ordering::Relaxed) => {}
+                done => return done,
+            }
+        }
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
 }
 
 /// Read one command line into `line`, returning to check for shutdown
@@ -712,7 +702,7 @@ fn one_line(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{CatalogServer, ConnGuard, ServerConfig};
+    use super::{CatalogServer, ConnGuard};
     use catalog::catalog::CatalogConfig;
     use catalog::lead::lead_catalog;
     use std::sync::atomic::Ordering;
@@ -723,8 +713,7 @@ mod tests {
     #[test]
     fn connection_gauge_survives_panics() {
         let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
-        let server = CatalogServer::start_with(cat, "127.0.0.1:0", ServerConfig::default())
-            .expect("server starts");
+        let server = CatalogServer::start(cat, "127.0.0.1:0").expect("server starts");
         let shared = server.shared.clone();
         let gauge = obs::global().gauge("service.connections");
         let before = gauge.get();

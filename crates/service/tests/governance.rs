@@ -11,6 +11,8 @@
 //! * idle keep-alives and slowly trickled bodies hold only their own
 //!   connection threads, so an active client stays fast and shutdown
 //!   ends every parked connection promptly;
+//! * shutdown also ends a connection thread blocked writing to a
+//!   client that stopped reading, so the server lets go of the catalog;
 //! * SIGTERM-style shutdown under write load drains in-flight
 //!   requests, checkpoints, and loses zero acked ingests on restart.
 //!
@@ -21,7 +23,7 @@ use catalog::catalog::{CatalogConfig, MetadataCatalog};
 use catalog::lead::{lead_catalog, lead_partition, register_arps_defs, FIG3_DOCUMENT};
 use minidb::{MemVfs, WalOptions};
 use service::client::ClientError;
-use service::{CatalogClient, CatalogServer, RetryClient, ServerConfig};
+use service::{CatalogClient, CatalogServer, RetryClient, WORKERS};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -112,13 +114,12 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
         "premise: an unbounded SEARCH must take >= 3x the 10 ms deadline, took {full:?}"
     );
 
-    let config = ServerConfig { workers: 2, ..ServerConfig::default() };
-    let server = CatalogServer::start_with(cat, "127.0.0.1:0", config).unwrap();
+    let server = CatalogServer::start(cat, "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
     let cancelled_before = obs::global().counter("catalog.cancelled.deadline").get();
 
-    // Concurrent small queries on the second permit must keep
+    // Concurrent small queries on another permit must keep
     // succeeding while the first permit's request is being cancelled.
     let stop = Arc::new(AtomicBool::new(false));
     let stop2 = stop.clone();
@@ -169,13 +170,13 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
     );
 }
 
-/// Overload smoke: hold the only request permit with a `QUERY` blocked
+/// Overload smoke: hold every request permit with a `QUERY` blocked
 /// behind an open transaction, and assert every other request either
 /// answers or sheds with a typed `busy` reply instead of hanging —
 /// cheap commands need no permit, heavy ones shed once they have
-/// waited `queue_wait_ms`, and a shed `INGEST` leaves the connection
-/// framed. Read timeouts on every socket turn any hang into a loud
-/// failure.
+/// waited the server's 1 s queue wait, and a shed `INGEST` leaves the
+/// connection framed. Read timeouts on every socket turn any hang into
+/// a loud failure.
 #[test]
 fn overload_sheds_are_typed_busy_not_hangs() {
     let seed = seed_from_env();
@@ -183,23 +184,34 @@ fn overload_sheds_are_typed_busy_not_hangs() {
 
     let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
     cat.ingest(FIG3_DOCUMENT).unwrap();
-    let config = ServerConfig { workers: 1, queue_wait_ms: 100, ..ServerConfig::default() };
-    let server = CatalogServer::start_with(cat.clone(), "127.0.0.1:0", config).unwrap();
+    let server = CatalogServer::start(cat.clone(), "127.0.0.1:0").unwrap();
     let shed = || obs::global().counter("service.shed.queue_wait").get();
     let shed_before = shed();
 
-    // An open transaction holds the commit-visibility gate, so the one
-    // permitted QUERY blocks inside the catalog with the permit held.
+    // An open transaction holds the commit-visibility gate, so each
+    // permitted QUERY blocks inside the catalog with its permit held.
     let txn = cat.db().txn();
-    let mut holder = Raw::connect(&server);
-    holder.send(b"QUERY grid@ARPS[dx=1000]\n");
+    let mut holders: Vec<Raw> = (0..WORKERS)
+        .map(|_| {
+            let mut holder = Raw::connect(&server);
+            holder.send(b"QUERY grid@ARPS[dx=1000]\n");
+            holder
+        })
+        .collect();
+    // The gauge is process-wide, so it can only show that enough
+    // permits are held somewhere; the sleep gives the last holders time.
+    let busy = obs::global().gauge("service.pool.busy");
+    let started = Instant::now();
+    while busy.get() < WORKERS as i64 && started.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
     std::thread::sleep(Duration::from_millis(200));
 
     // Cheap commands need no permit.
     let mut c = Raw::connect(&server);
     c.send(b"PING\n");
-    assert_eq!(c.read_line(), "OK pong", "PING must answer while the permit is held");
-    // A heavy command waits `queue_wait_ms` for the permit, then sheds.
+    assert_eq!(c.read_line(), "OK pong", "PING must answer while every permit is held");
+    // A heavy command waits 1 s for a permit, then sheds.
     c.send(b"QUERY grid@ARPS[dx=1000]\n");
     let reply = c.read_line();
     assert!(reply.starts_with("ERR busy"), "QUERY must shed busy: {reply:?}");
@@ -217,14 +229,16 @@ fn overload_sheds_are_typed_busy_not_hangs() {
     // so assert at-least, not exact.
     assert!(shed() >= shed_before + 2, "both sheds must count in service.shed.queue_wait");
 
-    // Releasing the gate lets the permitted query finish.
+    // Releasing the gate lets the permitted queries finish.
     drop(txn);
-    let reply = holder.read_line();
-    assert!(reply.starts_with("OK 1 "), "the permitted QUERY must complete: {reply:?}");
+    for holder in &mut holders {
+        let reply = holder.read_line();
+        assert!(reply.starts_with("OK 1 "), "every permitted QUERY must complete: {reply:?}");
+    }
 }
 
 /// Idle keep-alives and slowly trickled bodies hold only their own
-/// connection threads, never a request permit. With `workers` of each
+/// connection threads, never a request permit. With [`WORKERS`] of each
 /// parked on the server, an active client's queries stay fast, and
 /// `stop()` ends every parked connection promptly with a clean drain.
 #[test]
@@ -236,12 +250,10 @@ fn idle_and_slow_body_clients_do_not_starve_active_clients() {
     for _ in 0..10 {
         cat.ingest(FIG3_DOCUMENT).unwrap();
     }
-    let workers = 2;
-    let config = ServerConfig { workers, ..ServerConfig::default() };
-    let mut server = CatalogServer::start_with(cat, "127.0.0.1:0", config).unwrap();
+    let mut server = CatalogServer::start(cat, "127.0.0.1:0").unwrap();
 
     // Idle keep-alives: one PING each, then silence.
-    let mut idle: Vec<Raw> = (0..workers)
+    let mut idle: Vec<Raw> = (0..WORKERS)
         .map(|_| {
             let mut c = Raw::connect(&server);
             c.send(b"PING\n");
@@ -252,7 +264,7 @@ fn idle_and_slow_body_clients_do_not_starve_active_clients() {
     // Slow bodies: announce 1,000 bytes, send 10, then trickle one byte
     // at a seeded interval until told to stop or the server hangs up.
     let stop = Arc::new(AtomicBool::new(false));
-    let tricklers: Vec<_> = (0..workers as u64)
+    let tricklers: Vec<_> = (0..WORKERS as u64)
         .map(|t| {
             let mut c = Raw::connect(&server);
             c.send(b"INGEST 1000\n<LEADreso");
@@ -303,6 +315,40 @@ fn idle_and_slow_body_clients_do_not_starve_active_clients() {
     }
 }
 
+/// A client that pipelines `SEARCH`es and never reads the replies
+/// leaves its connection thread blocked writing once the socket
+/// buffers fill. Shutdown must still end that thread, so the server
+/// lets go of the catalog and a restart can reopen it.
+#[test]
+fn stop_ends_a_thread_blocked_writing_to_a_client_that_stopped_reading() {
+    let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
+    for _ in 0..400 {
+        cat.ingest(FIG3_DOCUMENT).unwrap();
+    }
+    let dsl = "grid@ARPS[dx=1000]";
+    let q = catalog::qparse::parse_query(dsl).unwrap();
+    let reply_len = cat.search_envelope(&q).unwrap().len();
+    let server = CatalogServer::start(cat.clone(), "127.0.0.1:0").unwrap();
+
+    // Far more reply bytes than any socket buffers hold, never read.
+    let mut c = Raw::connect(&server);
+    let requests = (64 << 20) / reply_len + 1;
+    c.send(format!("SEARCH {dsl}\n").repeat(requests).as_bytes());
+    std::thread::sleep(Duration::from_secs(1));
+
+    drop(server);
+    let stopped = Instant::now();
+    while Arc::strong_count(&cat) > 1 && stopped.elapsed() < Duration::from_secs(1) {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(
+        Arc::strong_count(&cat),
+        1,
+        "a thread blocked writing to a non-reading client still holds the catalog"
+    );
+    drop(c);
+}
+
 /// Acceptance (c): SIGTERM-style shutdown under concurrent write load.
 /// [`CatalogServer::stop`] stops accepting, drains in-flight requests,
 /// and checkpoints the durable catalog; reopening the same store must
@@ -323,8 +369,7 @@ fn graceful_shutdown_under_load_loses_no_acked_ingest() {
     .unwrap();
     register_arps_defs(&cat).unwrap();
 
-    let config = ServerConfig { workers: 4, ..ServerConfig::default() };
-    let mut server = CatalogServer::start_with(Arc::new(cat), "127.0.0.1:0", config).unwrap();
+    let mut server = CatalogServer::start(Arc::new(cat), "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
     let checkpoints_before = obs::global().counter("service.drain.checkpoints").get();

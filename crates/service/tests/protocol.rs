@@ -4,8 +4,8 @@
 
 use catalog::catalog::CatalogConfig;
 use catalog::lead::{lead_catalog, FIG3_DOCUMENT};
-use service::client::ClientError;
-use service::{CatalogClient, CatalogServer, RetryClient, RetryPolicy, MAX_CONNECTIONS};
+use service::client::{ClientError, MAX_ATTEMPTS};
+use service::{CatalogClient, CatalogServer, RetryClient, MAX_CONNECTIONS};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
@@ -272,18 +272,12 @@ fn retry_client_reconnects_after_a_timeout() {
     // A listener that never accepts or replies: every attempt times out.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let policy = RetryPolicy {
-        max_attempts: 3,
-        base_backoff: Duration::from_millis(1),
-        max_backoff: Duration::from_millis(1),
-        retry_budget: Duration::from_secs(5),
-    };
-    let mut client = RetryClient::with_policy(addr, policy).with_timeout(Duration::from_millis(50));
+    let mut client = RetryClient::new(addr).with_timeout(Duration::from_millis(50));
     let err = client.ping().unwrap_err();
     assert!(matches!(err, ClientError::Timeout), "expected Timeout, got {err:?}");
     // Each retry opened a new connection rather than waiting on the
     // timed-out one, where a late reply could answer the wrong request.
     listener.set_nonblocking(true).unwrap();
     let connections = std::iter::from_fn(|| listener.accept().ok()).count();
-    assert_eq!(connections, 3, "one connection per attempt");
+    assert_eq!(connections, MAX_ATTEMPTS as usize, "one connection per attempt");
 }

@@ -303,19 +303,6 @@ impl SchemaBuilder {
         self.child(parent, name, card)
     }
 
-    /// Add a typed leaf child.
-    pub fn typed_leaf(
-        &mut self,
-        parent: SchemaNodeId,
-        name: impl Into<String>,
-        card: Cardinality,
-        vt: ValueType,
-    ) -> SchemaNodeId {
-        let id = self.child(parent, name, card);
-        self.nodes[id.index()].value_type = vt;
-        id
-    }
-
     /// Declare that `node` carries XML attribute nodes.
     pub fn with_xml_attrs(&mut self, node: SchemaNodeId) {
         self.nodes[node.index()].declares_xml_attrs = true;
