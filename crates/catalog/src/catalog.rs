@@ -203,6 +203,13 @@ impl MetadataCatalog {
         owner: Option<&str>,
         name: Option<&str>,
     ) -> Result<i64> {
+        self.store(shredded.clone(), owner, name)
+    }
+
+    /// [`MetadataCatalog::apply`] for a shredded document the caller is
+    /// done with: its CLOB text and element values move into the store
+    /// instead of being copied while the transaction holds the gate.
+    fn store(&self, shredded: ShreddedDoc, owner: Option<&str>, name: Option<&str>) -> Result<i64> {
         let object_id = self.next_object.fetch_add(1, AtomicOrdering::Relaxed);
         let mut txn = self.db.txn();
         txn.insert(
@@ -220,7 +227,7 @@ impl MetadataCatalog {
 
     /// Insert a shredded batch's rows under an existing object id, into
     /// an open transaction.
-    fn apply_rows(txn: &mut minidb::Txn<'_>, object_id: i64, shredded: &ShreddedDoc) -> Result<()> {
+    fn apply_rows(txn: &mut minidb::Txn<'_>, object_id: i64, shredded: ShreddedDoc) -> Result<()> {
         let reg = obs::global();
         let _span = reg.span("catalog.apply");
         reg.counter("catalog.shred.attr_rows").add(shredded.attrs.len() as u64);
@@ -229,9 +236,9 @@ impl MetadataCatalog {
             .add(shredded.clob_rows.iter().map(|c| c.xml.len() as u64).sum());
         let clob_rows: Vec<Vec<Value>> = shredded
             .clob_rows
-            .iter()
+            .into_iter()
             .map(|c| {
-                let locator = txn.put_clob(c.xml.clone().into_bytes());
+                let locator = txn.put_clob(c.xml.into_bytes());
                 vec![
                     Value::Int(object_id),
                     Value::Int(c.attr_id),
@@ -261,7 +268,7 @@ impl MetadataCatalog {
             "elems",
             shredded
                 .elems
-                .iter()
+                .into_iter()
                 .map(|e| {
                     vec![
                         Value::Int(object_id),
@@ -269,7 +276,7 @@ impl MetadataCatalog {
                         Value::Int(e.attr_seq),
                         Value::Int(e.elem_id),
                         Value::Int(e.elem_seq),
-                        Value::Str(e.value.clone()),
+                        Value::Str(e.value),
                         e.num.map(Value::Float).unwrap_or(Value::Null),
                     ]
                 })
@@ -374,7 +381,7 @@ impl MetadataCatalog {
         );
         let shredded = shredder.shred_fragment(&doc, &defs, snode, seq_seed, clob_seed)?;
         drop(defs);
-        Self::apply_rows(&mut txn, object_id, &shredded)?;
+        Self::apply_rows(&mut txn, object_id, shredded)?;
         txn.commit()?;
         Ok(())
     }
@@ -383,7 +390,7 @@ impl MetadataCatalog {
     pub fn ingest(&self, xml: &str) -> Result<i64> {
         let _span = obs::global().span("catalog.ingest");
         let shredded = self.shred_only(xml)?;
-        let id = self.apply(&shredded, None, None)?;
+        let id = self.store(shredded, None, None)?;
         obs::global().counter("catalog.ingest.docs").incr();
         Ok(id)
     }
@@ -392,7 +399,7 @@ impl MetadataCatalog {
     pub fn ingest_as(&self, xml: &str, owner: &str, name: &str) -> Result<i64> {
         let _span = obs::global().span("catalog.ingest");
         let shredded = self.shred_only(xml)?;
-        let id = self.apply(&shredded, Some(owner), Some(name))?;
+        let id = self.store(shredded, Some(owner), Some(name))?;
         obs::global().counter("catalog.ingest.docs").incr();
         Ok(id)
     }
@@ -417,7 +424,7 @@ impl MetadataCatalog {
         let mut ids = Vec::with_capacity(docs.len());
         for batch in results {
             for shredded in batch? {
-                ids.push(self.apply(&shredded, None, None)?);
+                ids.push(self.store(shredded, None, None)?);
             }
         }
         Ok(ids)

@@ -115,7 +115,20 @@ fn elem_pred(elem_id: ElemId, cond: &ElemCond) -> Expr {
             match &cond.value {
                 QValue::Num(n) => Expr::Cmp(op, Box::new(Expr::col(6)), Box::new(Expr::lit(*n))),
                 QValue::Str(s) => {
-                    Expr::Cmp(op, Box::new(Expr::col(5)), Box::new(Expr::lit(s.clone())))
+                    let str_cmp =
+                        Expr::Cmp(op, Box::new(Expr::col(5)), Box::new(Expr::lit(s.clone())));
+                    if op != CmpOp::Eq {
+                        return Expr::and(id_eq, str_cmp);
+                    }
+                    // `value_str = s` implies the `value_num` shred stored
+                    // for `s`: the same parse, or NULL when `s` is not a
+                    // number. The implied term changes no result; it lets
+                    // the leaf key `elems_by_def` on all three columns.
+                    let num_eq = match s.trim().parse::<f64>() {
+                        Ok(n) => Expr::col_eq(6, n),
+                        Err(_) => Expr::IsNull(Box::new(Expr::col(6))),
+                    };
+                    Expr::and(num_eq, str_cmp)
                 }
             }
         }

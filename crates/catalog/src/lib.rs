@@ -19,7 +19,8 @@
 //! 4. [`engine`] — answer [`query::ObjectQuery`] criteria with
 //!    set-based plans over the inverted lists (Fig 4);
 //! 5. [`response`] — rebuild schema-ordered documents from CLOBs +
-//!    the global ordering, tagging entirely with set operations.
+//!    the global ordering, deriving every wrapper tag from the
+//!    ancestor stacks of consecutive CLOBs (no external tagger).
 //!
 //! ```
 //! use catalog::prelude::*;

@@ -4,11 +4,11 @@
 //! |---|---|
 //! | `objects` | one row per cataloged object |
 //! | `attrs` | attribute *instances*: (object, attr def, seq, clob seq) |
-//! | `elems` | element instances with string + numeric value columns |
+//! | `elems` | element instances with string + numeric value columns, keyed by (element def, numeric value, string value) |
 //! | `attr_anc` | instance-level inverted list: sub-attribute instance → every ancestor attribute instance with hierarchy distance (what lets nested queries avoid recursive self-joins) |
 //! | `clobs` | CLOB locator per top-level attribute instance, keyed by (object, schema order, clob seq) |
 //! | `schema_order` | the global ordering: order, tag, last-child order, depth |
-//! | `order_anc` | schema-level inverted list: ordered node → ancestors (drives set-based response tagging) |
+//! | `order_anc` | schema-level inverted list: ordered node → ancestors (gives the response builder each CLOB's wrapper stack) |
 //! | `attr_defs`, `elem_defs` | definition mirrors for SQL inspection |
 
 use crate::defs::DefsRegistry;
@@ -52,8 +52,14 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::nullable("value_num", DataType::Float),
         ]),
     )?;
-    db.create_index("elems", "elems_by_def", &["elem_id", "value_num"], false)?;
-    db.create_index("elems", "elems_by_obj", &["object_id", "attr_id", "attr_seq"], false)?;
+    // A numeric condition keys (elem_id, value_num) and bounds a range
+    // on value_num; a string equality keys all three columns, because
+    // the engine adds the value_num term the string implies (the parse
+    // shred stores), so a theme keyword is one key, not a walk over
+    // every string row of its element. It is the table's only index:
+    // no read filters `elems` by object (`delete_object` scans), and
+    // each index costs every ingested row an insert.
+    db.create_index("elems", "elems_by_def", &["elem_id", "value_num", "value_str"], false)?;
 
     db.create_table(
         "attr_anc",

@@ -41,6 +41,51 @@ fn explain_analyze_annotates_fig4_plan() {
         lines.iter().any(|l| l.contains("Scan elems") && l.contains("rows=1 ")),
         "fig-3 document has one dx=1000 element:\n{text}"
     );
+
+    // Every scan names its access path, and the numeric equality leaves
+    // key `elems_by_def` on (elem_id, value_num).
+    for line in lines.iter().filter(|l| l.trim_start().starts_with("Scan ")) {
+        assert!(line.contains(" via "), "scan without an access path {line:?} in:\n{text}");
+    }
+    assert!(
+        lines.iter().any(|l| l.contains("Scan elems")
+            && l.contains("via index elems_by_def key=[Int(")
+            && l.contains(", Float(1000.0)]")),
+        "dx=1000 is a two-column key lookup:\n{text}"
+    );
+}
+
+#[test]
+fn string_equality_and_range_leaves_are_keyed() {
+    let cat = lead_catalog(CatalogConfig::default()).unwrap();
+    let id = cat.ingest(FIG3_DOCUMENT).unwrap();
+    let scan_line = |dsl: &str| {
+        let q = parse_query(dsl).unwrap();
+        assert_eq!(cat.query(&q).unwrap(), vec![id], "{dsl} matches the fig-3 document");
+        let text = cat.explain_analyze(&q).unwrap();
+        text.lines()
+            .find(|l| l.contains("Scan elems"))
+            .unwrap_or_else(|| panic!("no elems scan for {dsl}:\n{text}"))
+            .to_string()
+    };
+    // A keyword equality keys all three columns: the implied value_num
+    // of a non-numeric string is NULL.
+    let theme = scan_line("theme[themekey='air_pressure_at_cloud_base']");
+    assert!(
+        theme.contains("via index elems_by_def key=[Int(")
+            && theme.contains(", Null, Str(\"air_pressure_at_cloud_base\")]"),
+        "{theme}"
+    );
+    // A numeric string equality implies its parsed value instead.
+    let numeric = scan_line("grid@ARPS[dx='1000.000']");
+    assert!(numeric.contains(", Float(1000.0), Str(\"1000.000\")]"), "{numeric}");
+    // A range bounds the walk on value_num after the elem_id prefix.
+    let range = scan_line("grid@ARPS[dx=500..1500]");
+    assert!(
+        range.contains("via index elems_by_def key=[Int(")
+            && range.contains("range=[Float(500.0), Float(1500.0)]"),
+        "{range}"
+    );
 }
 
 #[test]

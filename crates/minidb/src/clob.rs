@@ -44,12 +44,6 @@ impl ClobStore {
         self.slots.get(id as usize).cloned().ok_or(DbError::NoSuchClob(id))
     }
 
-    /// Fetch as UTF-8 text.
-    pub fn get_str(&self, id: ClobId) -> Result<String> {
-        let b = self.get(id)?;
-        String::from_utf8(b.to_vec()).map_err(|_| DbError::NoSuchClob(id))
-    }
-
     /// Number of stored CLOBs.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -75,7 +69,7 @@ mod tests {
         let mut s = ClobStore::new();
         let a = s.put("hello".as_bytes().to_vec());
         let b = s.put(Bytes::from_static(b"<x/>"));
-        assert_eq!(s.get_str(a).unwrap(), "hello");
+        assert_eq!(s.get(a).unwrap(), Bytes::from_static(b"hello"));
         assert_eq!(s.get(b).unwrap(), Bytes::from_static(b"<x/>"));
         assert_eq!(s.len(), 2);
         assert_eq!(s.total_bytes(), 9);

@@ -26,6 +26,7 @@
 //! because the gate prefers writers. Debug builds panic with "visibility
 //! gate re-entered" instead of taking the gate twice.
 
+use crate::access::for_each_matching;
 use crate::clob::ClobStore;
 use crate::error::{DbError, Result};
 use crate::exec::{run_aggregate, run_hash_join, run_semi_join, JoinKind, Plan, ResultSet};
@@ -33,97 +34,18 @@ use crate::expr::Expr;
 use crate::keyset::{Key, KeySet, KeyedRows};
 use crate::limits::Deadline;
 use crate::profile::PlanProfile;
-use crate::table::{Index, Row, RowId, Table, TableSchema};
+use crate::table::{Row, RowId, Table, TableSchema};
 use crate::value::{DataType, Value};
 use crate::wal::{
-    encode_wal_header, scan_wal, StdVfs, Vfs, WalOptions, WalRecord, WalWriter, SNAPSHOT_FILE,
-    SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
+    encode_clob_put, encode_insert, encode_wal_header, scan_wal, StdVfs, Vfs, WalOptions,
+    WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
 };
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-/// Pick the index whose key covers the longest prefix of the
-/// predicate's `col = lit` conjuncts; returns the index plus the lookup
-/// key (shorter than the index key means prefix scan). The caller must
-/// re-apply the full predicate to the narrowed row set.
-fn select_index<'a>(t: &'a Table, pred: &Expr) -> Option<(&'a Index, Vec<Value>)> {
-    let pairs = pred.eq_conjunct_terms();
-    if pairs.is_empty() {
-        return None;
-    }
-    let mut best: Option<(&Index, usize)> = None;
-    for idx in t.indexes() {
-        let mut p = 0;
-        for &c in &idx.columns {
-            if pairs.iter().any(|(pc, _)| *pc == c) {
-                p += 1;
-            } else {
-                break;
-            }
-        }
-        if p > 0 && best.map(|(_, bp)| p > bp).unwrap_or(true) {
-            best = Some((idx, p));
-        }
-    }
-    best.map(|(idx, p)| {
-        let key: Vec<Value> = idx.columns[..p]
-            .iter()
-            .map(|c| {
-                pairs
-                    .iter()
-                    .find(|(pc, _)| pc == c)
-                    .map(|(_, v)| v.clone())
-                    .expect("prefix columns come from pairs")
-            })
-            .collect();
-        (idx, key)
-    })
-}
-
-/// Visit every row of `t` matching `filter` (routing through the
-/// best covering index, as the generic scan does), in scan order.
-fn for_each_matching(
-    t: &Table,
-    filter: Option<&Expr>,
-    mut f: impl FnMut(&Row) -> Result<()>,
-) -> Result<()> {
-    let Some(pred) = filter else {
-        for (_, r) in t.scan() {
-            f(r)?;
-        }
-        return Ok(());
-    };
-    if let Some((idx, key)) = select_index(t, pred) {
-        if key.len() == idx.columns.len() {
-            for &rid in idx.get(&key) {
-                if let Some(r) = t.get(rid) {
-                    if pred.matches(r)? {
-                        f(r)?;
-                    }
-                }
-            }
-        } else {
-            for rid in idx.prefix_ids(&key) {
-                if let Some(r) = t.get(rid) {
-                    if pred.matches(r)? {
-                        f(r)?;
-                    }
-                }
-            }
-        }
-    } else {
-        for (_, r) in t.scan() {
-            if pred.matches(r)? {
-                f(r)?;
-            }
-        }
-    }
-    Ok(())
-}
 
 /// Read the `i64` at column `c` (the keyed fast path shape-checks
 /// columns as `INT NOT NULL` up front, so this is defensive).
@@ -174,6 +96,35 @@ fn record_keyed(prof: &mut Option<PlanProfile>, start: Option<Instant>, path: &[
         let nanos = s.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         p.record_keyed(path.to_vec(), rows as u64, nanos);
     }
+}
+
+/// Wait and hold times of the visibility gate, per side: `*_wait` runs
+/// from asking for the gate to getting it, `*_hold` from getting it to
+/// releasing it (a [`Txn`] or [`ReadTxn`] dropping). The handles are
+/// fetched from the registry once, so taking the gate does no map
+/// lookup.
+struct GateMetrics {
+    read_wait: Arc<obs::Histogram>,
+    read_hold: Arc<obs::Histogram>,
+    write_wait: Arc<obs::Histogram>,
+    write_hold: Arc<obs::Histogram>,
+}
+
+fn gate_metrics() -> &'static GateMetrics {
+    static METRICS: OnceLock<GateMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = obs::global();
+        GateMetrics {
+            read_wait: reg.histogram("minidb.gate.read_wait"),
+            read_hold: reg.histogram("minidb.gate.read_hold"),
+            write_wait: reg.histogram("minidb.gate.write_wait"),
+            write_hold: reg.histogram("minidb.gate.write_hold"),
+        }
+    })
+}
+
+fn nanos_between(from: Instant, to: Instant) -> u64 {
+    to.duration_since(from).as_nanos().min(u64::MAX as u128) as u64
 }
 
 /// Durable-mode state: the VFS the database lives on plus the
@@ -293,8 +244,9 @@ impl Database {
         let writer = if let Some(bytes) = vfs.read(WAL_FILE)? {
             let scan = scan_wal(&bytes)?;
             let mut recovered = 0u64;
-            for (lsn, records) in &scan.txns {
-                if *lsn <= snap_lsn {
+            let valid_len = scan.valid_len;
+            for (lsn, records) in scan.txns {
+                if lsn <= snap_lsn {
                     continue;
                 }
                 for rec in records {
@@ -305,8 +257,8 @@ impl Database {
                 }
             }
             obs::global().counter("wal.recovered_records").add(recovered);
-            if (bytes.len() as u64) > scan.valid_len {
-                vfs.set_len(WAL_FILE, scan.valid_len)?;
+            if (bytes.len() as u64) > valid_len {
+                vfs.set_len(WAL_FILE, valid_len)?;
             }
             WalWriter {
                 file: vfs.open_append(WAL_FILE)?,
@@ -376,8 +328,11 @@ impl Database {
     pub fn txn(&self) -> Txn<'_> {
         let mark = GateMark::enter(&self.state);
         let wal = self.dur.as_ref().map(|d| d.writer.lock());
+        let waited = Instant::now();
         let state = self.state.write();
-        Txn { db: self, wal, state, pending: Vec::new(), dirty: false, _mark: mark }
+        let acquired = Instant::now();
+        gate_metrics().write_wait.record(nanos_between(waited, acquired));
+        Txn { db: self, wal, state, pending: Vec::new(), dirty: false, acquired, _mark: mark }
     }
 
     /// Begin a read batch: every plan executed through the returned
@@ -386,8 +341,11 @@ impl Database {
     /// read spans several plans (e.g. response reconstruction).
     pub fn begin_read(&self) -> ReadTxn<'_> {
         let mark = GateMark::enter(&self.state);
+        let waited = Instant::now();
         let state = self.state.read();
-        ReadTxn { db: self, state, _mark: mark }
+        let acquired = Instant::now();
+        gate_metrics().read_wait.record(nanos_between(waited, acquired));
+        ReadTxn { db: self, state, acquired, _mark: mark }
     }
 
     /// Number of committed transactions. Monotonic; bumped under the
@@ -591,9 +549,9 @@ impl State {
         t.create_index(index, columns.to_vec(), unique)
     }
 
-    pub(crate) fn apply_insert(&mut self, table: &str, rows: &[Row]) -> Result<usize> {
+    pub(crate) fn apply_insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
         let t = self.table_mut(table)?;
-        t.insert_many(rows.iter().cloned())
+        t.insert_many(rows)
     }
 
     pub(crate) fn apply_delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
@@ -654,23 +612,23 @@ impl State {
     }
 
     /// Apply one recovered WAL record to in-memory state (no logging).
-    pub(crate) fn apply_record(&mut self, rec: &WalRecord) -> Result<()> {
+    pub(crate) fn apply_record(&mut self, rec: WalRecord) -> Result<()> {
         match rec {
-            WalRecord::CreateTable { name, schema } => self.apply_create_table(name, schema),
-            WalRecord::DropTable { name } => self.apply_drop_table(name),
+            WalRecord::CreateTable { name, schema } => self.apply_create_table(&name, &schema),
+            WalRecord::DropTable { name } => self.apply_drop_table(&name),
             WalRecord::CreateIndex { table, name, columns, unique } => {
-                self.apply_create_index(table, name, columns, *unique)
+                self.apply_create_index(&table, &name, &columns, unique)
             }
-            WalRecord::Insert { table, rows } => self.apply_insert(table, rows).map(|_| ()),
+            WalRecord::Insert { table, rows } => self.apply_insert(&table, rows).map(|_| ()),
             WalRecord::DeleteWhere { table, pred } => {
-                self.apply_delete_where(table, pred).map(|_| ())
+                self.apply_delete_where(&table, &pred).map(|_| ())
             }
             WalRecord::UpdateWhere { table, pred, sets } => {
-                self.apply_update_where(table, pred.as_ref(), sets).map(|_| ())
+                self.apply_update_where(&table, pred.as_ref(), &sets).map(|_| ())
             }
-            WalRecord::Truncate { table } => self.apply_truncate(table).map(|_| ()),
+            WalRecord::Truncate { table } => self.apply_truncate(&table).map(|_| ()),
             WalRecord::ClobPut { data } => {
-                self.clobs.put(data.clone());
+                self.clobs.put(data);
                 Ok(())
             }
             WalRecord::Commit { .. } => Ok(()),
@@ -729,11 +687,10 @@ impl State {
                 let columns: Vec<String> =
                     t.schema.columns.iter().map(|c| c.name.clone()).collect();
                 let mut rows = Vec::with_capacity(t.len());
-                // `for_each_matching` routes through the index whose key
-                // has the longest prefix of the predicate's `col = lit`
-                // conjuncts; the full predicate is re-applied to the
-                // narrowed row set, so partial coverage (and residual
-                // range/LIKE terms) stay correct.
+                // `for_each_matching` walks the access path the filter
+                // keys (`crate::access`) and re-applies the whole filter
+                // to every row it visits, so partial coverage (and
+                // residual LIKE terms) stay correct.
                 let mut it = 0u32;
                 for_each_matching(t, filter.as_ref(), |r| {
                     deadline.tick(&mut it)?;
@@ -1142,17 +1099,34 @@ pub struct Txn<'a> {
     db: &'a Database,
     wal: Option<MutexGuard<'a, WalWriter>>,
     state: RwLockWriteGuard<'a, State>,
-    pending: Vec<WalRecord>,
+    /// Encoded WAL records of the applied ops, in apply order.
+    pending: Vec<Vec<u8>>,
     dirty: bool,
+    /// When the gate was taken, for `minidb.gate.write_hold`.
+    acquired: Instant,
     _mark: GateMark,
 }
 
+impl Drop for Txn<'_> {
+    fn drop(&mut self) {
+        gate_metrics().write_hold.record(nanos_between(self.acquired, Instant::now()));
+    }
+}
+
 impl Txn<'_> {
+    /// Record an op that applied: mark the transaction dirty and, on a
+    /// durable database, queue its WAL record.
     fn log(&mut self, rec: impl FnOnce() -> WalRecord) {
+        let encoded = self.wal.is_some().then(|| rec().encode());
+        self.log_encoded(encoded);
+    }
+
+    /// [`Txn::log`] for a record encoded before its op applied (the op
+    /// then moves its rows or bytes into the state instead of cloning
+    /// them); `None` on an in-memory database.
+    fn log_encoded(&mut self, encoded: Option<Vec<u8>>) {
         self.dirty = true;
-        if self.wal.is_some() {
-            self.pending.push(rec());
-        }
+        self.pending.extend(encoded);
     }
 
     /// Execute a read plan *inside* the transaction: the result
@@ -1220,10 +1194,13 @@ impl Txn<'_> {
         Ok(())
     }
 
-    /// Insert fully-shaped rows.
+    /// Insert fully-shaped rows. The WAL record is encoded first and
+    /// the rows are then moved into the table; a failed insert logs
+    /// nothing.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let n = self.state.apply_insert(table, &rows)?;
-        self.log(|| WalRecord::Insert { table: table.to_string(), rows });
+        let encoded = self.wal.is_some().then(|| encode_insert(table, &rows));
+        let n = self.state.apply_insert(table, rows)?;
+        self.log_encoded(encoded);
         Ok(n)
     }
 
@@ -1257,16 +1234,13 @@ impl Txn<'_> {
         Ok(n)
     }
 
-    /// Store a CLOB, returning its locator.
+    /// Store a CLOB, returning its locator. Like [`Txn::insert`], the
+    /// WAL record is encoded before the bytes move into the heap.
     pub fn put_clob(&mut self, data: Vec<u8>) -> u64 {
-        self.dirty = true;
-        if self.wal.is_some() {
-            let loc = self.state.clobs.put(data.clone());
-            self.pending.push(WalRecord::ClobPut { data });
-            loc
-        } else {
-            self.state.clobs.put(data)
-        }
+        let encoded = self.wal.is_some().then(|| encode_clob_put(&data));
+        let loc = self.state.clobs.put(data);
+        self.log_encoded(encoded);
+        loc
     }
 
     /// Make the batch durable and visible: append + fsync the WAL
@@ -1297,7 +1271,15 @@ impl Txn<'_> {
 pub struct ReadTxn<'a> {
     db: &'a Database,
     state: RwLockReadGuard<'a, State>,
+    /// When the gate was taken, for `minidb.gate.read_hold`.
+    acquired: Instant,
     _mark: GateMark,
+}
+
+impl Drop for ReadTxn<'_> {
+    fn drop(&mut self) {
+        gate_metrics().read_hold.record(nanos_between(self.acquired, Instant::now()));
+    }
 }
 
 impl ReadTxn<'_> {
@@ -1618,6 +1600,28 @@ mod tests {
         let db = db();
         let _rt = db.begin_read();
         let _ = db.row_count("emp");
+    }
+
+    /// Every gate acquisition is timed: its wait when it is taken, its
+    /// hold when the `ReadTxn` or `Txn` drops.
+    #[test]
+    fn gate_wait_and_hold_are_recorded() {
+        let db = db();
+        let m = gate_metrics();
+        let counts = |m: &GateMetrics| {
+            [m.read_wait.count(), m.read_hold.count(), m.write_wait.count(), m.write_hold.count()]
+        };
+        // Other tests share the process-global registry and run in
+        // parallel, so only lower bounds hold.
+        let before = counts(m);
+        let rt = db.begin_read();
+        assert!(m.read_wait.count() > before[0]);
+        drop(rt);
+        db.txn().commit().unwrap();
+        let after = counts(m);
+        for (b, a) in before.iter().zip(after) {
+            assert!(a > *b, "before {before:?} after {after:?}");
+        }
     }
 
     /// The re-entrancy guard is per database: one thread may hold two

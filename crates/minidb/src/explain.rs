@@ -5,9 +5,11 @@
 //! exactly one hash join per level") and by the examples for
 //! visibility into what the catalog actually executes.
 //! [`explain_analyze`] runs the plan and annotates the same tree with
-//! each operator's actual output rows and inclusive wall time.
+//! each operator's actual output rows and inclusive wall time, and
+//! names the access path each `Scan` took (see [`crate::access`]).
 
-use crate::db::Database;
+use crate::access::AccessPath;
+use crate::db::{Database, ReadTxn};
 use crate::error::Result;
 use crate::exec::{AggFunc, Plan};
 use crate::expr::{ArithOp, CmpOp, Expr};
@@ -21,15 +23,21 @@ pub fn explain(plan: &Plan) -> String {
 }
 
 /// Execute `plan` on `db` and render its tree with actual per-operator
-/// stats: `(rows=<emitted> time=<inclusive wall time>)`.
+/// stats: `(rows=<emitted> time=<inclusive wall time>)`. Each `Scan`
+/// line also names its access path, `via index <name> key=[..]
+/// range=..` or `via full scan`, so a scan whose key stops short of
+/// the filter's selective terms shows up.
 ///
 /// Timings are inclusive — an operator's time contains its inputs' —
 /// so the root line reads as total execution time and hot subtrees
 /// stay hot at every level up.
 pub fn explain_analyze(plan: &Plan, db: &Database) -> Result<String> {
     let (_, profile) = db.execute_profiled(plan)?;
+    // Access paths depend on the tables' index definitions only, so a
+    // second read after the profiled run names the paths it took.
+    let rt = db.begin_read();
     let mut out = String::new();
-    walk(plan, 0, &mut out, Some(&profile), &mut Vec::new());
+    walk(plan, 0, &mut out, Some((&profile, &rt)), &mut Vec::new());
     Ok(out)
 }
 
@@ -116,12 +124,17 @@ fn walk(
     plan: &Plan,
     depth: usize,
     out: &mut String,
-    prof: Option<&PlanProfile>,
+    prof: Option<(&PlanProfile, &ReadTxn<'_>)>,
     path: &mut Vec<u16>,
 ) {
     pad(depth, out);
     out.push_str(&node_label(plan));
-    if let Some(profile) = prof {
+    if let Some((profile, rt)) = prof {
+        if let Plan::Scan { table, filter } = plan {
+            if let Ok(t) = rt.table(table) {
+                out.push_str(&format!(" via {}", AccessPath::choose(t, filter.as_ref())));
+            }
+        }
         match profile.get(path) {
             Some(stats) => {
                 let keyed = if stats.keyed { " keyed" } else { "" };
@@ -227,6 +240,13 @@ mod tests {
         assert!(lines[0].starts_with("Project") && lines[0].contains("(rows=4 time="));
         assert!(lines[1].trim_start().starts_with("Filter") && lines[1].contains("rows=4"));
         assert!(lines[2].trim_start().starts_with("Scan t") && lines[2].contains("rows=10"));
+        // The scan names its access path: no filter, no index.
+        assert!(lines[2].contains("Scan t via full scan (rows=10"), "{text}");
+        // With an index the filtered scan names the index and key.
+        db.create_index("t", "by_k", &["k"], false).unwrap();
+        let keyed = Plan::Scan { table: "t".into(), filter: Some(Expr::col_eq(1, 0)) };
+        let text = explain_analyze(&keyed, &db).unwrap();
+        assert!(text.contains("via index by_k key=[Int(0)] (rows=4 "), "{text}");
     }
 
     #[test]

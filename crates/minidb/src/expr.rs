@@ -184,30 +184,6 @@ impl Expr {
         Ok(self.eval(row)?.truthy())
     }
 
-    /// Collect every `col = literal` term reachable through top-level
-    /// conjunctions, tolerating other conjuncts (they stay as residual
-    /// filter work). Used for partial index routing.
-    pub fn eq_conjunct_terms(&self) -> Vec<(usize, Value)> {
-        fn walk(e: &Expr, out: &mut Vec<(usize, Value)>) {
-            match e {
-                Expr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
-                    (Expr::Col(i), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(i)) => {
-                        out.push((*i, v.clone()));
-                    }
-                    _ => {}
-                },
-                Expr::And(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                _ => {}
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
-    }
-
     /// If this predicate is a conjunction of `col = literal` terms,
     /// return the `(column, value)` pairs — the planner uses this to
     /// route point lookups through an index.

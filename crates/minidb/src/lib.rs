@@ -7,7 +7,8 @@
 //! - typed heap tables with B-tree secondary indexes ([`table`])
 //! - a scalar expression language with SQL NULL semantics ([`expr`])
 //! - physical plans: scans, index lookups, hash/nested-loop joins,
-//!   grouped aggregation, sort/distinct/limit ([`exec`])
+//!   grouped aggregation, sort/distinct/limit ([`exec`]); a filtered
+//!   scan walks the index its filter keys furthest ([`access`])
 //! - a CLOB heap addressed by locators so plans can join over CLOB
 //!   references without touching the bytes ([`clob`])
 //! - one lock over all of it: the tables and the CLOB heap sit behind a
@@ -34,6 +35,7 @@
 
 #![warn(missing_docs)]
 
+pub mod access;
 pub mod clob;
 pub mod db;
 pub mod error;

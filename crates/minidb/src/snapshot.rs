@@ -422,7 +422,7 @@ mod tests {
         // CLOB heap survives and locators still resolve.
         let rs = loaded.execute_sql("SELECT doc FROM t WHERE id = 1").unwrap();
         let loc = rs.rows[0][0].as_i64().unwrap();
-        assert_eq!(loaded.begin_read().clobs().get_str(loc as u64).unwrap(), "<xml>hello</xml>");
+        assert_eq!(&loaded.begin_read().clobs().get(loc as u64).unwrap()[..], b"<xml>hello</xml>");
         // Indexes were rebuilt: unique constraint enforced, lookups work.
         assert!(loaded.execute_sql("INSERT INTO t VALUES (1, 'dup', 0.0, false, NULL)").is_err());
         let rs = loaded

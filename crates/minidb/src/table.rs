@@ -8,6 +8,7 @@
 use crate::error::{DbError, Result};
 use crate::value::{DataType, Value};
 use std::collections::BTreeMap;
+use std::ops::Bound;
 
 /// A row is a boxed slice of values, one per column.
 pub type Row = Vec<Value>;
@@ -152,6 +153,37 @@ impl Index {
         self.map
             .range(prefix.clone()..)
             .take_while(move |(k, _)| k.len() >= prefix.len() && k[..prefix.len()] == *prefix)
+            .flat_map(|(_, ids)| ids.iter().copied())
+    }
+
+    /// Row ids whose key begins with `prefix` and whose next column lies
+    /// within `lo ..= hi` (each end open, inclusive or exclusive), in
+    /// key order. The walk seeks to the first candidate key and stops at
+    /// the first key past the prefix or past `hi`, so an empty range
+    /// (`lo` above `hi`) visits nothing. With both ends open this is
+    /// [`Index::prefix_ids`].
+    pub fn walk<'a>(
+        &'a self,
+        prefix: &'a [Value],
+        lo: Bound<&'a Value>,
+        hi: Bound<&'a Value>,
+    ) -> impl Iterator<Item = RowId> + 'a {
+        let p = prefix.len();
+        let mut start = prefix.to_vec();
+        if let Bound::Included(v) | Bound::Excluded(v) = lo {
+            start.push(v.clone());
+        }
+        self.map
+            .range(start..)
+            .take_while(move |(k, _)| {
+                k[..p] == *prefix
+                    && match hi {
+                        Bound::Included(h) => k[p] <= *h,
+                        Bound::Excluded(h) => k[p] < *h,
+                        Bound::Unbounded => true,
+                    }
+            })
+            .filter(move |(k, _)| !matches!(lo, Bound::Excluded(l) if k[p] == *l))
             .flat_map(|(_, ids)| ids.iter().copied())
     }
 

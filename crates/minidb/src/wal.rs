@@ -664,11 +664,45 @@ fn read_expr<R: std::io::Read>(dec: &mut Dec<R>) -> Result<Expr> {
     })
 }
 
+fn write_insert<W: Write>(enc: &mut Enc<W>, table: &str, rows: &[Row]) -> Result<()> {
+    enc.u8(4)?;
+    enc.string(table)?;
+    enc.u32(rows.len() as u32)?;
+    for row in rows {
+        enc.u32(row.len() as u32)?;
+        for v in row {
+            enc.value(v)?;
+        }
+    }
+    Ok(())
+}
+
+fn write_clob_put<W: Write>(enc: &mut Enc<W>, data: &[u8]) -> Result<()> {
+    enc.u8(8)?;
+    enc.bytes(data)
+}
+
+/// Encode with `write` into a fresh buffer.
+fn encode_with(write: impl FnOnce(&mut Enc<Vec<u8>>) -> Result<()>) -> Vec<u8> {
+    let mut enc = Enc { w: Vec::new() };
+    write(&mut enc).expect("encoding to Vec cannot fail");
+    enc.w
+}
+
+/// The encoded [`WalRecord::Insert`] of `rows`, made from borrowed rows
+/// so a transaction can log them before moving them into the table.
+pub(crate) fn encode_insert(table: &str, rows: &[Row]) -> Vec<u8> {
+    encode_with(|enc| write_insert(enc, table, rows))
+}
+
+/// The encoded [`WalRecord::ClobPut`] of `data` (see [`encode_insert`]).
+pub(crate) fn encode_clob_put(data: &[u8]) -> Vec<u8> {
+    encode_with(|enc| write_clob_put(enc, data))
+}
+
 impl WalRecord {
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut enc = Enc { w: Vec::new() };
-        self.write(&mut enc).expect("encoding to Vec cannot fail");
-        enc.w
+        encode_with(|enc| self.write(enc))
     }
 
     fn write<W: Write>(&self, enc: &mut Enc<W>) -> Result<()> {
@@ -699,18 +733,7 @@ impl WalRecord {
                 }
                 Ok(())
             }
-            WalRecord::Insert { table, rows } => {
-                enc.u8(4)?;
-                enc.string(table)?;
-                enc.u32(rows.len() as u32)?;
-                for row in rows {
-                    enc.u32(row.len() as u32)?;
-                    for v in row {
-                        enc.value(v)?;
-                    }
-                }
-                Ok(())
-            }
+            WalRecord::Insert { table, rows } => write_insert(enc, table, rows),
             WalRecord::DeleteWhere { table, pred } => {
                 enc.u8(5)?;
                 enc.string(table)?;
@@ -737,10 +760,7 @@ impl WalRecord {
                 enc.u8(7)?;
                 enc.string(table)
             }
-            WalRecord::ClobPut { data } => {
-                enc.u8(8)?;
-                enc.bytes(data)
-            }
+            WalRecord::ClobPut { data } => write_clob_put(enc, data),
             WalRecord::Commit { lsn } => {
                 enc.u8(9)?;
                 enc.u64(*lsn)
@@ -981,13 +1001,13 @@ pub(crate) struct WalWriter {
 }
 
 impl WalWriter {
-    /// Append `records` plus a commit frame as one transaction; sync
-    /// per policy. Returns the transaction's LSN.
-    pub(crate) fn commit(&mut self, records: &[WalRecord]) -> Result<u64> {
+    /// Append already-encoded `records` plus a commit frame as one
+    /// transaction; sync per policy. Returns the transaction's LSN.
+    pub(crate) fn commit(&mut self, records: &[Vec<u8>]) -> Result<u64> {
         let lsn = self.next_lsn;
         let mut buf = Vec::new();
         for r in records {
-            write_frame(&mut buf, &r.encode());
+            write_frame(&mut buf, r);
         }
         write_frame(&mut buf, &WalRecord::Commit { lsn }.encode());
         self.file.append(&buf)?;

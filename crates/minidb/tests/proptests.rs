@@ -151,3 +151,119 @@ proptest! {
         prop_assert_eq!(rs.rows[0][3].as_i64().unwrap(), *vals.iter().max().unwrap());
     }
 }
+
+/// A key or literal value over the three columns of the access-path
+/// property's table: NULL, small Ints, half-step Floats (so an Int
+/// literal can equal a Float key), NaN and short strings.
+fn key_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-4i64..4).prop_map(Value::Int),
+        (-8i64..8).prop_map(|h| Value::Float(h as f64 / 2.0)),
+        Just(Value::Float(f64::NAN)),
+        "[a-c]{0,2}".prop_map(Value::Str),
+    ]
+}
+
+/// One conjunct of the access-path property's filters: `=`, `IS NULL`,
+/// `BETWEEN` (lo > hi included) or a one-sided bound, with the literal
+/// on either side.
+fn conjunct() -> impl Strategy<Value = Expr> {
+    (0usize..3, 0u8..8, key_value(), key_value(), any::<bool>()).prop_map(
+        |(c, kind, v, w, flip)| {
+            let op = match kind {
+                0 => CmpOp::Eq,
+                1 => CmpOp::Lt,
+                2 => CmpOp::Le,
+                3 => CmpOp::Gt,
+                4 => CmpOp::Ge,
+                5 => return Expr::IsNull(Box::new(Expr::col(c))),
+                _ => {
+                    return Expr::Between(
+                        Box::new(Expr::col(c)),
+                        Box::new(Expr::Lit(v)),
+                        Box::new(Expr::Lit(w)),
+                    )
+                }
+            };
+            let (col, lit) = (Box::new(Expr::col(c)), Box::new(Expr::Lit(v)));
+            if flip {
+                let mirrored = match op {
+                    CmpOp::Lt => CmpOp::Gt,
+                    CmpOp::Le => CmpOp::Ge,
+                    CmpOp::Gt => CmpOp::Lt,
+                    CmpOp::Ge => CmpOp::Le,
+                    other => other,
+                };
+                Expr::Cmp(mirrored, lit, col)
+            } else {
+                Expr::Cmp(op, col, lit)
+            }
+        },
+    )
+}
+
+/// Rows sorted by the engine's total order, for multiset comparison.
+fn sorted_rows(mut rs: ResultSet) -> Vec<Row> {
+    rs.rows.sort_by(|x, y| {
+        x.iter()
+            .zip(y.iter())
+            .map(|(a, b)| a.total_cmp(b))
+            .find(|o| *o != std::cmp::Ordering::Equal)
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
+    rs.rows
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// An index-routed `Scan` returns exactly the rows a full scan with
+    /// the same filter returns, whatever access path the filter keys:
+    /// equality prefixes (NULL included, through `IS NULL`), a bound on
+    /// the next key column (empty, NaN-ended, Int against Float), or
+    /// none.
+    #[test]
+    fn index_routed_scan_equals_full_scan(
+        rows in proptest::collection::vec((key_value(), key_value(), key_value()), 0..40),
+        indexes in proptest::collection::vec(proptest::collection::vec(0usize..3, 1..4), 1..3),
+        conjuncts in proptest::collection::vec(conjunct(), 1..5),
+    ) {
+        let schema = || TableSchema::new(vec![
+            Column::nullable("a", DataType::Int),
+            Column::nullable("x", DataType::Float),
+            Column::nullable("s", DataType::Text),
+        ]);
+        // Column types decide which generated values a row keeps.
+        let rows: Vec<Row> = rows
+            .into_iter()
+            .map(|(a, x, s)| {
+                let a = if matches!(a, Value::Int(_)) { a } else { Value::Null };
+                let x = if matches!(x, Value::Int(_) | Value::Float(_)) { x } else { Value::Null };
+                let s = if matches!(s, Value::Str(_)) { s } else { Value::Null };
+                vec![a, x, s]
+            })
+            .collect();
+        let plain = Database::new();
+        let routed = Database::new();
+        for db in [&plain, &routed] {
+            db.create_table("t", schema()).unwrap();
+            db.insert("t", rows.clone()).unwrap();
+        }
+        let names = ["a", "x", "s"];
+        for (i, cols) in indexes.iter().enumerate() {
+            let mut seen = Vec::new();
+            for &c in cols {
+                if !seen.contains(&names[c]) {
+                    seen.push(names[c]);
+                }
+            }
+            routed.create_index("t", &format!("i{i}"), &seen, false).unwrap();
+        }
+        let filter = Expr::all(conjuncts);
+        let scan = Plan::Scan { table: "t".into(), filter: Some(filter.clone()) };
+        let want = sorted_rows(plain.execute(&scan).unwrap());
+        let got = sorted_rows(routed.execute(&scan).unwrap());
+        prop_assert_eq!(got, want, "filter {:?} over indexes {:?}", filter, indexes);
+    }
+}

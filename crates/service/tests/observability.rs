@@ -113,6 +113,14 @@ fn stats_returns_registry_snapshot_after_workload() {
     assert!(get("catalog.shred.attr_rows").unwrap_or(0) >= 1, "stats: {stats:?}");
     // Histograms are expanded into quantile keys.
     assert!(stats.iter().any(|(n, _)| n == "service.request.ingest.p50_us"), "stats: {stats:?}");
+    // The visibility gate's wait and hold times, per side: the ingest
+    // took it to write, the query (and STATS itself) to read.
+    for side in ["read", "write"] {
+        for phase in ["wait", "hold"] {
+            let key = format!("minidb.gate.{side}_{phase}.count");
+            assert!(get(&key).unwrap_or(0) >= 1, "{key} missing from stats: {stats:?}");
+        }
+    }
 }
 
 #[test]

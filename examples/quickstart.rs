@@ -47,7 +47,7 @@ fn main() -> Result<()> {
     println!("dx=2000 matched objects: {:?}", cat.query(&miss)?);
 
     // 4. Response: the stored CLOBs are merged with wrapper tags
-    //    computed set-based from the global schema ordering.
+    //    computed from the global schema ordering.
     let docs = cat.fetch_documents(&hits)?;
     for (oid, xml) in &docs {
         let doc = Document::parse(xml).expect("response is well-formed");
