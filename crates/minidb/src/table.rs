@@ -148,20 +148,15 @@ impl Index {
 
     /// Iterator form of [`Index::prefix`]: yields the same row ids
     /// without materializing an intermediate vector.
-    pub fn prefix_ids(&self, prefix: &[Value]) -> impl Iterator<Item = RowId> + '_ {
-        let prefix: Vec<Value> = prefix.to_vec();
-        self.map
-            .range(prefix.clone()..)
-            .take_while(move |(k, _)| k.len() >= prefix.len() && k[..prefix.len()] == *prefix)
-            .flat_map(|(_, ids)| ids.iter().copied())
+    pub fn prefix_ids<'a>(&'a self, prefix: &'a [Value]) -> impl Iterator<Item = RowId> + 'a {
+        self.walk(prefix, Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Row ids whose key begins with `prefix` and whose next column lies
     /// within `lo ..= hi` (each end open, inclusive or exclusive), in
     /// key order. The walk seeks to the first candidate key and stops at
     /// the first key past the prefix or past `hi`, so an empty range
-    /// (`lo` above `hi`) visits nothing. With both ends open this is
-    /// [`Index::prefix_ids`].
+    /// (`lo` above `hi`) visits nothing.
     pub fn walk<'a>(
         &'a self,
         prefix: &'a [Value],
@@ -176,14 +171,16 @@ impl Index {
         self.map
             .range(start..)
             .take_while(move |(k, _)| {
-                k[..p] == *prefix
-                    && match hi {
-                        Bound::Included(h) => k[p] <= *h,
-                        Bound::Excluded(h) => k[p] < *h,
-                        Bound::Unbounded => true,
+                k.starts_with(prefix)
+                    && match (hi, k.get(p)) {
+                        (Bound::Included(h), Some(v)) => v <= h,
+                        (Bound::Excluded(h), Some(v)) => v < h,
+                        _ => true,
                     }
             })
-            .filter(move |(k, _)| !matches!(lo, Bound::Excluded(l) if k[p] == *l))
+            .filter(
+                move |(k, _)| !matches!((lo, k.get(p)), (Bound::Excluded(l), Some(v)) if v == l),
+            )
             .flat_map(|(_, ids)| ids.iter().copied())
     }
 
