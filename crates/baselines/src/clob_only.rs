@@ -10,7 +10,7 @@ use crate::CatalogBackend;
 use catalog::error::Result;
 use catalog::query::ObjectQuery;
 use catalog::shred::DynamicConvention;
-use minidb::{Column, DataType, Database, DbError, Plan, TableSchema, Value};
+use minidb::{Column, DataType, Database, DbError, Expr, Plan, TableSchema, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
 use xmlkit::dom::Document;
 
@@ -73,12 +73,8 @@ impl CatalogBackend for ClobOnlyBackend {
         let rt = self.db.begin_read();
         let mut out = Vec::with_capacity(ids.len());
         for &id in ids {
-            let rs = rt.execute(&Plan::IndexLookup {
-                table: "docs".into(),
-                index: "docs_pk".into(),
-                key: vec![Value::Int(id)],
-                filter: None,
-            })?;
+            let rs = rt
+                .execute(&Plan::Scan { table: "docs".into(), filter: Some(Expr::col_eq(0, id)) })?;
             if let Some(row) = rs.rows.first() {
                 if let Some(loc) = row[1].as_i64() {
                     out.push((id, clob_text(&rt.clobs().get(loc as u64)?, loc)?.to_owned()));

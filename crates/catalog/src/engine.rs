@@ -166,7 +166,8 @@ fn direct_instances_plan(node: &ResolvedNode) -> Plan {
 }
 
 /// Inverted-list scan restricted to one (child, ancestor) definition
-/// pair; `distance = 1` when the query demands direct children.
+/// pair; `distance = 1` when the query demands direct children. The
+/// filter keys `anc_by_link` on all of its terms (see `store`).
 fn link_scan(child: AttrId, ancestor: AttrId, direct_only: bool) -> Plan {
     let mut link_pred = Expr::and(Expr::col_eq(1, child), Expr::col_eq(3, ancestor));
     if direct_only {
@@ -231,9 +232,9 @@ fn intersect_objects(acc: Plan, other: Plan) -> Plan {
 }
 
 /// Build the full match plan for an [`ObjectQuery`] without executing
-/// it. The catalog caches the result, and its `EXPLAIN ANALYZE` path
-/// profiles the same cached plan, so the analyzed plan is exactly the
-/// executed plan.
+/// it. The catalog builds it afresh for every query, and its
+/// `EXPLAIN ANALYZE` path profiles a plan built by this same function,
+/// so the analyzed plan is exactly the executed plan.
 pub fn build_query_plan(
     defs: &DefsRegistry,
     query: &ObjectQuery,

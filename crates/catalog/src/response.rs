@@ -26,6 +26,7 @@ use crate::reqctx::RequestCtx;
 use minidb::table::Index;
 use minidb::{Database, DbError, ReadTxn, Table, Value};
 use std::collections::HashMap;
+use std::ops::Bound;
 
 /// Reconstruct schema-ordered XML documents for `object_ids`.
 ///
@@ -148,7 +149,8 @@ impl<'r> Assembler<'r> {
     fn write_document(&self, id: i64, out: &mut String) -> Result<()> {
         let mut open: Vec<i64> = Vec::new();
         // clobs: object_id=0 attr_id=1 schema_order=2 clob_seq=3 clob=4
-        for rid in self.by_obj.prefix_ids(&[Value::Int(id)]) {
+        let key = [Value::Int(id)];
+        for rid in self.by_obj.walk(&key, Bound::Unbounded, Bound::Unbounded) {
             let Some(row) = self.clobs.get(rid) else { continue };
             let (Some(order), Some(loc)) = (row[2].as_i64(), row[4].as_i64()) else {
                 return Err(DbError::Corrupt(format!(

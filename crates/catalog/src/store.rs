@@ -1,15 +1,21 @@
 //! Relational layout of the hybrid catalog (§2, §3).
 //!
-//! | table | contents |
-//! |---|---|
-//! | `objects` | one row per cataloged object |
-//! | `attrs` | attribute *instances*: (object, attr def, seq, clob seq) |
-//! | `elems` | element instances with string + numeric value columns, keyed by (element def, numeric value, string value) |
-//! | `attr_anc` | instance-level inverted list: sub-attribute instance → every ancestor attribute instance with hierarchy distance (what lets nested queries avoid recursive self-joins) |
-//! | `clobs` | CLOB locator per top-level attribute instance, keyed by (object, schema order, clob seq) |
-//! | `schema_order` | the global ordering: order, tag, last-child order, depth |
-//! | `order_anc` | schema-level inverted list: ordered node → ancestors (gives the response builder each CLOB's wrapper stack) |
-//! | `attr_defs`, `elem_defs` | definition mirrors for SQL inspection |
+//! | table | contents | indexes, and the reads they key |
+//! |---|---|---|
+//! | `objects` | one row per cataloged object | `objects_pk (object_id)`, unique: the existence check of `add_attribute` and `delete_object` |
+//! | `attrs` | attribute *instances*: (object, attr def, seq, clob seq) | `attrs_pk (object_id, attr_id, seq)`, unique: one object's instances (`add_attribute`, `delete_object`); `attrs_by_def (attr_id)`: a query node without element conditions |
+//! | `elems` | element instances with string + numeric value columns | `elems_by_def (elem_id, value_num, value_str)`: every element condition of a query |
+//! | `attr_anc` | instance-level inverted list: sub-attribute instance → every ancestor attribute instance with hierarchy distance (what lets nested queries avoid recursive self-joins) | `anc_by_link (attr_id, anc_attr_id, distance)`: every nested-query link scan |
+//! | `clobs` | CLOB locator per top-level attribute instance | `clobs_by_obj (object_id, schema_order, clob_seq)`: response assembly walks one object's CLOBs in document order |
+//! | `schema_order` | the global ordering: order, tag, last-child order, depth | `schema_order_pk (order_id)`, unique |
+//! | `order_anc` | schema-level inverted list: ordered node → ancestors (gives the response builder each CLOB's wrapper stack) | none: the response builder reads it whole |
+//! | `attr_defs`, `elem_defs` | definition mirrors for SQL inspection | `attr_defs_pk`, `elem_defs_pk`, unique |
+//!
+//! Every read and every delete reaches rows through minidb's access path,
+//! which walks the index its filter keys furthest; no plan names an
+//! index. An index earns its place only through a filter that keys it,
+//! since each one costs every ingested row an insert. A catalog
+//! directory keeps the indexes it was created with.
 
 use crate::defs::DefsRegistry;
 use crate::error::Result;
@@ -72,8 +78,12 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::new("distance", DataType::Int),
         ]),
     )?;
-    db.create_index("attr_anc", "anc_by_child", &["attr_id", "object_id"], false)?;
-    db.create_index("attr_anc", "anc_by_parent", &["anc_attr_id", "object_id"], false)?;
+    // Every read of the inverted list is `engine::link_scan`: one
+    // (child definition, ancestor definition) pair, plus `distance = 1`
+    // when the query asks for direct children, so one index keys all
+    // three. No read filters `attr_anc` by object (`delete_object`
+    // scans).
+    db.create_index("attr_anc", "anc_by_link", &["attr_id", "anc_attr_id", "distance"], false)?;
 
     db.create_table(
         "clobs",
@@ -106,7 +116,6 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::new("anc_order", DataType::Int),
         ]),
     )?;
-    db.create_index("order_anc", "order_anc_by_node", &["order_id"], false)?;
 
     db.create_table(
         "attr_defs",

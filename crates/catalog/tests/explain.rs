@@ -53,6 +53,15 @@ fn explain_analyze_annotates_fig4_plan() {
             && l.contains(", Float(1000.0)]")),
         "dx=1000 is a two-column key lookup:\n{text}"
     );
+    // Each inverted-list scan keys `anc_by_link` on its (child,
+    // ancestor) definition pair, not on the child definition alone.
+    for line in lines.iter().filter(|l| l.trim_start().starts_with("Scan attr_anc")) {
+        let keyed = line
+            .split_once("via index anc_by_link key=[Int(")
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .is_some_and(|(id, rest)| id.parse::<i64>().is_ok() && rest.starts_with(", Int("));
+        assert!(keyed, "link scan keyed on one definition only {line:?} in:\n{text}");
+    }
 }
 
 #[test]

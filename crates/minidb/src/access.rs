@@ -1,4 +1,10 @@
-//! Access paths: how a filtered `Scan` reaches its candidate rows.
+//! Access paths: how every operation reaches the rows a filter selects.
+//!
+//! A `Plan::Scan`, the keyed semi-join's fused scan, and the victim
+//! collection of `delete_where` and `update_where` (WAL replay
+//! included) all go through `for_each_matching`, so one choice of
+//! index serves reads and writes alike, and no plan names an index by
+//! hand.
 //!
 //! A scan filter is a tree of conjuncts. The ones an index can key on
 //! are `col = lit`, `col IS NULL` (an equality on the NULL key) and a
@@ -16,7 +22,7 @@
 
 use crate::error::Result;
 use crate::expr::{CmpOp, Expr};
-use crate::table::{Index, Row, Table};
+use crate::table::{Index, Row, RowId, Table};
 use crate::value::Value;
 use std::fmt;
 use std::ops::Bound;
@@ -197,28 +203,29 @@ impl fmt::Display for AccessPath<'_> {
     }
 }
 
-/// Visit every row of `t` matching `filter`, reaching candidates
-/// through [`AccessPath::choose`] and re-applying the whole filter to
-/// each one.
+/// Visit every row of `t` matching `filter`, with its [`RowId`],
+/// reaching candidates through [`AccessPath::choose`] and re-applying
+/// the whole filter to each one. Rows come in the path's order: slot
+/// order for a full scan, key order for an index walk.
 pub(crate) fn for_each_matching(
     t: &Table,
     filter: Option<&Expr>,
-    mut f: impl FnMut(&Row) -> Result<()>,
+    mut f: impl FnMut(RowId, &Row) -> Result<()>,
 ) -> Result<()> {
-    let mut visit = |r: &Row| match filter {
+    let mut visit = |rid: RowId, r: &Row| match filter {
         Some(pred) if !pred.matches(r)? => Ok(()),
-        _ => f(r),
+        _ => f(rid, r),
     };
     match AccessPath::choose(t, filter) {
         AccessPath::Full => {
-            for (_, r) in t.scan() {
-                visit(r)?;
+            for (rid, r) in t.scan() {
+                visit(rid, r)?;
             }
         }
         AccessPath::Index { index, key, lo, hi } => {
             for rid in index.walk(&key, lo.as_ref(), hi.as_ref()) {
                 if let Some(r) = t.get(rid) {
-                    visit(r)?;
+                    visit(rid, r)?;
                 }
             }
         }
@@ -305,7 +312,7 @@ mod tests {
             Expr::Between(Box::new(Expr::col(1)), Box::new(Expr::lit(4)), Box::new(Expr::lit(2))),
         );
         let mut n = 0;
-        for_each_matching(&t, Some(&pred), |_| {
+        for_each_matching(&t, Some(&pred), |_, _| {
             n += 1;
             Ok(())
         })
@@ -316,7 +323,7 @@ mod tests {
             Expr::Between(Box::new(Expr::col(1)), Box::new(Expr::lit(1)), Box::new(Expr::lit(3))),
         );
         let mut seen = Vec::new();
-        for_each_matching(&t, Some(&pred), |r| {
+        for_each_matching(&t, Some(&pred), |_, r| {
             seen.push(r[1].clone());
             Ok(())
         })

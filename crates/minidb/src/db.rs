@@ -13,7 +13,11 @@
 //! That promise covers committed transactions only: a `Txn` applies each
 //! op to the shared state as it goes and keeps no undo, so the ops before
 //! one that fails, or before a failed WAL append or fsync in
-//! [`Txn::commit`], stay visible although nothing was logged.
+//! [`Txn::commit`], stay visible although nothing was logged. A delete
+//! or update that fails on its predicate or a `SET` value changes no
+//! row: both collect their victims through the access path
+//! ([`crate::access`]) and compute every new row before the first
+//! change.
 //! Committed transactions publish a monotonically increasing
 //! *watermark* ([`Database::commit_watermark`]) that readers can use to
 //! tell snapshots apart.
@@ -554,22 +558,30 @@ impl State {
         t.insert_many(rows)
     }
 
+    /// Delete the rows matching `pred`; returns the count. The victims
+    /// are collected through the access path before any row changes, so
+    /// a predicate that fails on some row fails the op with the table
+    /// untouched. Rows go in slot order.
     pub(crate) fn apply_delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
         let t = self.table_mut(table)?;
-        let mut err = None;
-        let n = t.delete_where(|r| match pred.matches(r) {
-            Ok(b) => b,
-            Err(e) => {
-                err = Some(e);
-                false
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(n),
+        let mut victims = Vec::new();
+        for_each_matching(t, Some(pred), |rid, _| {
+            victims.push(rid);
+            Ok(())
+        })?;
+        victims.sort_unstable();
+        for &rid in &victims {
+            t.delete(rid);
         }
+        Ok(victims.len())
     }
 
+    /// Update the rows matching `pred` (all rows when `None`); returns
+    /// the count. Every victim's new row is computed from its old one
+    /// and checked against the schema before any row changes, so a
+    /// predicate or `SET` expression that fails on some row fails the op
+    /// with the table untouched. Rows change in slot order; only a unique
+    /// violation can still stop the op partway.
     pub(crate) fn apply_update_where(
         &mut self,
         table: &str,
@@ -577,29 +589,20 @@ impl State {
         sets: &[(usize, Expr)],
     ) -> Result<usize> {
         let t = self.table_mut(table)?;
-        let victims: Vec<RowId> = t
-            .scan()
-            .filter_map(|(rid, row)| match pred {
-                None => Some(Ok(rid)),
-                Some(p) => match p.matches(row) {
-                    Ok(true) => Some(Ok(rid)),
-                    Ok(false) => None,
-                    Err(e) => Some(Err(e)),
-                },
-            })
-            .collect::<Result<_>>()?;
-        let mut n = 0;
-        for rid in victims {
-            let new_values: Vec<(usize, Value)> = {
-                let row = t.get(rid).expect("victim row is live").clone();
-                sets.iter().map(|(c, e)| e.eval(&row).map(|v| (*c, v))).collect::<Result<_>>()?
-            };
-            t.update(rid, |row| {
-                for (c, v) in new_values {
-                    row[c] = v;
-                }
-            })?;
-            n += 1;
+        let mut victims: Vec<(RowId, Row)> = Vec::new();
+        for_each_matching(t, pred, |rid, row| {
+            let mut new_row = row.clone();
+            for (c, e) in sets {
+                new_row[*c] = e.eval(row)?;
+            }
+            t.schema.check(&new_row)?;
+            victims.push((rid, new_row));
+            Ok(())
+        })?;
+        victims.sort_unstable_by_key(|&(rid, _)| rid);
+        let n = victims.len();
+        for (rid, new_row) in victims {
+            t.update(rid, |row| *row = new_row)?;
         }
         Ok(n)
     }
@@ -692,61 +695,11 @@ impl State {
                 // to every row it visits, so partial coverage (and
                 // residual LIKE terms) stay correct.
                 let mut it = 0u32;
-                for_each_matching(t, filter.as_ref(), |r| {
+                for_each_matching(t, filter.as_ref(), |_, r| {
                     deadline.tick(&mut it)?;
                     rows.push(r.clone());
                     Ok(())
                 })?;
-                Ok(ResultSet { columns, rows })
-            }
-            Plan::IndexLookup { table, index, key, filter } => {
-                let t = self.table(table)?;
-                let columns: Vec<String> =
-                    t.schema.columns.iter().map(|c| c.name.clone()).collect();
-                let idx = t.index(index)?;
-                let mut rows = Vec::new();
-                let mut it = 0u32;
-                let mut visit = |rid: usize| -> Result<()> {
-                    deadline.tick(&mut it)?;
-                    if let Some(r) = t.get(rid) {
-                        if match filter {
-                            Some(p) => p.matches(r)?,
-                            None => true,
-                        } {
-                            rows.push(r.clone());
-                        }
-                    }
-                    Ok(())
-                };
-                if key.len() < idx.columns.len() {
-                    for rid in idx.prefix_ids(key) {
-                        visit(rid)?;
-                    }
-                } else {
-                    for &rid in idx.get(key) {
-                        visit(rid)?;
-                    }
-                }
-                Ok(ResultSet { columns, rows })
-            }
-            Plan::IndexRange { table, index, lo, hi, filter } => {
-                let t = self.table(table)?;
-                let columns: Vec<String> =
-                    t.schema.columns.iter().map(|c| c.name.clone()).collect();
-                let idx = t.index(index)?;
-                let mut rows = Vec::new();
-                let mut it = 0u32;
-                for rid in idx.range_ids(lo.as_deref(), hi.as_deref()) {
-                    deadline.tick(&mut it)?;
-                    if let Some(r) = t.get(rid) {
-                        if match filter {
-                            Some(p) => p.matches(r)?,
-                            None => true,
-                        } {
-                            rows.push(r.clone());
-                        }
-                    }
-                }
                 Ok(ResultSet { columns, rows })
             }
             Plan::Values { columns, rows } => {
@@ -993,7 +946,7 @@ impl State {
                         let t = self.table(table)?;
                         let mut keys = Vec::new();
                         let mut it = 0u32;
-                        for_each_matching(t, filter.as_ref(), |r| {
+                        for_each_matching(t, filter.as_ref(), |_, r| {
                             deadline.tick(&mut it)?;
                             keys.push(row_key(r, &cols)?);
                             Ok(())
@@ -1025,7 +978,7 @@ impl State {
                         let mut scanned = 0usize;
                         let mut keys = Vec::new();
                         let mut it = 0u32;
-                        for_each_matching(t, filter.as_ref(), |r| {
+                        for_each_matching(t, filter.as_ref(), |_, r| {
                             deadline.tick(&mut it)?;
                             scanned += 1;
                             if set.contains(row_key(r, probe_keys)?) != *anti {
@@ -1386,25 +1339,22 @@ mod tests {
     fn index_lookup_and_range() {
         let db = db();
         db.create_index("emp", "by_salary", &["salary"], false).unwrap();
-        let rs = db
-            .execute(&Plan::IndexLookup {
-                table: "emp".into(),
-                index: "by_salary".into(),
-                key: vec![100.into()],
-                filter: None,
-            })
-            .unwrap();
+        let point = Plan::Scan { table: "emp".into(), filter: Some(Expr::col_eq(2, 100)) };
+        let rs = db.execute(&point).unwrap();
         assert_eq!(rs.rows.len(), 1);
-        let rng = db
-            .execute(&Plan::IndexRange {
-                table: "emp".into(),
-                index: "by_salary".into(),
-                lo: Some(vec![90.into()]),
-                hi: Some(vec![110.into()]),
-                filter: None,
-            })
-            .unwrap();
+        let between = Expr::Between(
+            Box::new(Expr::col(2)),
+            Box::new(Expr::lit(90)),
+            Box::new(Expr::lit(110)),
+        );
+        let range = Plan::Scan { table: "emp".into(), filter: Some(between) };
+        let rng = db.execute(&range).unwrap();
         assert_eq!(rng.rows.len(), 2);
+        // Both scans walk the index rather than every row.
+        let explained = crate::explain::explain_analyze(&range, &db).unwrap();
+        assert!(explained.contains("via index by_salary key=[] range=[Int(90), Int(110)]"));
+        let explained = crate::explain::explain_analyze(&point, &db).unwrap();
+        assert!(explained.contains("via index by_salary key=[Int(100)]"), "{explained}");
     }
 
     #[test]

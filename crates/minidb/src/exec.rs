@@ -1,14 +1,17 @@
 //! Physical query plans and their executor.
 //!
 //! Plans are explicit operator trees (the shape a planner would emit),
-//! executed with full materialization between operators — predictable
-//! and plenty fast at catalog scale, and it keeps lock scopes tight:
-//! every table is read-locked only while its scan materializes.
+//! executed with full materialization between operators under one
+//! shared hold of the commit-visibility gate — predictable and plenty
+//! fast at catalog scale.
 //!
 //! The operator set is exactly what the hybrid catalog's Fig-4 query
-//! pipeline and the baselines need: scans (heap, index point/range),
-//! literal `Values`, filter/project, hash and nested-loop joins,
-//! grouped aggregation, sort/distinct/limit.
+//! pipeline and the baselines need: `Scan`, literal `Values`,
+//! filter/project, hash and nested-loop joins, the hash semi-join,
+//! grouped aggregation, sort/distinct/limit. `Scan` is the only leaf
+//! that reads a table; it never names an index. The access path
+//! ([`crate::access`]) picks the index its filter keys, and deletes and
+//! updates select their rows the same way.
 
 use crate::error::{DbError, Result};
 use crate::expr::Expr;
@@ -122,35 +125,15 @@ impl AggCall {
 /// A physical plan node.
 #[derive(Debug, Clone)]
 pub enum Plan {
-    /// Full scan of a named table with an optional residual filter.
+    /// The rows of a named table that pass an optional filter, reached
+    /// through the access path the filter keys ([`crate::access`]): an
+    /// index walk when some index's leading columns are keyed, else
+    /// every row.
     Scan {
         /// Table name.
         table: String,
-        /// Residual predicate (bound to the table's column order).
-        filter: Option<Expr>,
-    },
-    /// Point lookup through a named index.
-    IndexLookup {
-        /// Table name.
-        table: String,
-        /// Index name.
-        index: String,
-        /// Full key (one value per index column).
-        key: Vec<Value>,
-        /// Residual predicate.
-        filter: Option<Expr>,
-    },
-    /// Inclusive range scan through a named index.
-    IndexRange {
-        /// Table name.
-        table: String,
-        /// Index name.
-        index: String,
-        /// Lower bound (inclusive) or open.
-        lo: Option<Vec<Value>>,
-        /// Upper bound (inclusive) or open.
-        hi: Option<Vec<Value>>,
-        /// Residual predicate.
+        /// Predicate (bound to the table's column order), re-applied to
+        /// every row the access path visits.
         filter: Option<Expr>,
     },
     /// Literal rows (the engine's `VALUES`; also used for temp inputs).

@@ -53,10 +53,6 @@ fn node_label(plan: &Plan) -> String {
             Some(f) => format!("Scan {table} filter={}", expr_str(f)),
             None => format!("Scan {table}"),
         },
-        Plan::IndexLookup { table, index, key, .. } => {
-            format!("IndexLookup {table}.{index} key={key:?}")
-        }
-        Plan::IndexRange { table, index, .. } => format!("IndexRange {table}.{index}"),
         Plan::Values { columns, rows } => {
             format!("Values [{}] x{}", columns.join(", "), rows.len())
         }
@@ -103,10 +99,7 @@ fn node_label(plan: &Plan) -> String {
 /// must match `Database::exec_node`'s child numbering.
 fn node_children(plan: &Plan) -> Vec<&Plan> {
     match plan {
-        Plan::Scan { .. }
-        | Plan::IndexLookup { .. }
-        | Plan::IndexRange { .. }
-        | Plan::Values { .. } => vec![],
+        Plan::Scan { .. } | Plan::Values { .. } => vec![],
         Plan::Filter { input, .. }
         | Plan::Project { input, .. }
         | Plan::Aggregate { input, .. }

@@ -183,31 +183,6 @@ impl Expr {
     pub fn matches(&self, row: &Row) -> Result<bool> {
         Ok(self.eval(row)?.truthy())
     }
-
-    /// If this predicate is a conjunction of `col = literal` terms,
-    /// return the `(column, value)` pairs — the planner uses this to
-    /// route point lookups through an index.
-    pub fn as_eq_conjuncts(&self) -> Option<Vec<(usize, Value)>> {
-        fn walk(e: &Expr, out: &mut Vec<(usize, Value)>) -> bool {
-            match e {
-                Expr::Cmp(CmpOp::Eq, a, b) => match (a.as_ref(), b.as_ref()) {
-                    (Expr::Col(i), Expr::Lit(v)) | (Expr::Lit(v), Expr::Col(i)) => {
-                        out.push((*i, v.clone()));
-                        true
-                    }
-                    _ => false,
-                },
-                Expr::And(a, b) => walk(a, out) && walk(b, out),
-                _ => false,
-            }
-        }
-        let mut out = Vec::new();
-        if walk(self, &mut out) {
-            Some(out)
-        } else {
-            None
-        }
-    }
 }
 
 fn arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
@@ -358,16 +333,6 @@ mod tests {
         assert!(inlist.matches(&row()).unwrap());
         let in_null = Expr::InList(Box::new(Expr::col(2)), vec![1.into()]);
         assert_eq!(in_null.eval(&row()).unwrap(), Value::Null);
-    }
-
-    #[test]
-    fn eq_conjunct_extraction() {
-        let e = Expr::and(Expr::col_eq(0, 10), Expr::col_eq(1, "hello"));
-        let pairs = e.as_eq_conjuncts().unwrap();
-        assert_eq!(pairs.len(), 2);
-        assert_eq!(pairs[0], (0, Value::Int(10)));
-        let non = Expr::Cmp(CmpOp::Gt, Box::new(Expr::col(0)), Box::new(Expr::lit(5)));
-        assert!(non.as_eq_conjuncts().is_none());
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //!
 //! - typed heap tables with B-tree secondary indexes ([`table`])
 //! - a scalar expression language with SQL NULL semantics ([`expr`])
-//! - physical plans: scans, index lookups, hash/nested-loop joins,
-//!   grouped aggregation, sort/distinct/limit ([`exec`]); a filtered
-//!   scan walks the index its filter keys furthest ([`access`])
+//! - physical plans: scans, hash/nested-loop joins and semi-joins,
+//!   grouped aggregation, sort/distinct/limit ([`exec`])
+//! - one way to reach rows: a filtered scan, a delete and an update all
+//!   walk the index their filter keys furthest, or every row when none
+//!   does ([`access`]); no plan names an index
 //! - a CLOB heap addressed by locators so plans can join over CLOB
 //!   references without touching the bytes ([`clob`])
 //! - one lock over all of it: the tables and the CLOB heap sit behind a

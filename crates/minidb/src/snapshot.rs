@@ -375,6 +375,7 @@ fn load_clobs<R: Read>(clobs: &mut ClobStore, dec: &mut Dec<R>) -> Result<()> {
 mod tests {
     use super::*;
     use crate::exec::Plan;
+    use crate::expr::Expr;
 
     /// Snapshot `db` to bytes and parse them back.
     fn roundtrip(db: &Database) -> Database {
@@ -425,15 +426,17 @@ mod tests {
         assert_eq!(&loaded.begin_read().clobs().get(loc as u64).unwrap()[..], b"<xml>hello</xml>");
         // Indexes were rebuilt: unique constraint enforced, lookups work.
         assert!(loaded.execute_sql("INSERT INTO t VALUES (1, 'dup', 0.0, false, NULL)").is_err());
-        let rs = loaded
-            .execute(&Plan::IndexLookup {
-                table: "t".into(),
-                index: "t_by_name".into(),
-                key: vec!["ada".into(), 1.5.into()],
-                filter: None,
-            })
-            .unwrap();
+        let lookup = Plan::Scan {
+            table: "t".into(),
+            filter: Some(Expr::and(Expr::col_eq(1, "ada"), Expr::col_eq(2, 1.5))),
+        };
+        let rs = loaded.execute(&lookup).unwrap();
         assert_eq!(rs.rows.len(), 1);
+        let explained = crate::explain::explain_analyze(&lookup, &loaded).unwrap();
+        assert!(
+            explained.contains("via index t_by_name key=[Str(\"ada\"), Float(1.5)]"),
+            "{explained}"
+        );
     }
 
     #[test]

@@ -1,9 +1,12 @@
 //! Heap tables with secondary indexes.
 //!
 //! A [`Table`] is an append-only row vector with tombstone deletion and
-//! any number of secondary [`Index`]es (B-tree ordered, supporting
-//! point and range lookups). Index maintenance happens inside
-//! `insert`/`delete`, so readers can always trust them.
+//! any number of secondary [`Index`]es (B-tree ordered). An index is
+//! read only by walking it ([`Index::walk`]: a key prefix plus an
+//! optional range on the next key column), which is how
+//! [`crate::access`] reaches the rows a filter selects. Index
+//! maintenance happens inside `insert`/`delete`/`update`, so readers
+//! can always trust them.
 
 use crate::error::{DbError, Result};
 use crate::value::{DataType, Value};
@@ -108,48 +111,9 @@ impl Index {
         self.columns.iter().map(|&c| row[c].clone()).collect()
     }
 
-    /// Row ids with exactly this key.
-    pub fn get(&self, key: &[Value]) -> &[RowId] {
+    /// Row ids with exactly this key (the unique-constraint check).
+    fn get(&self, key: &[Value]) -> &[RowId] {
         self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Row ids whose key is within `[lo, hi]` (inclusive bounds; pass
-    /// `None` for an open end). Keys compare lexicographically with the
-    /// engine's total value order.
-    pub fn range(&self, lo: Option<&[Value]>, hi: Option<&[Value]>) -> Vec<RowId> {
-        self.range_ids(lo, hi).collect()
-    }
-
-    /// Iterator form of [`Index::range`]: yields the same row ids
-    /// without materializing an intermediate vector, so executors can
-    /// stream straight from the B-tree.
-    pub fn range_ids(
-        &self,
-        lo: Option<&[Value]>,
-        hi: Option<&[Value]>,
-    ) -> impl Iterator<Item = RowId> + '_ {
-        use std::ops::Bound::*;
-        let lo_b = match lo {
-            Some(k) => Included(k.to_vec()),
-            None => Unbounded,
-        };
-        let hi_b = match hi {
-            Some(k) => Included(k.to_vec()),
-            None => Unbounded,
-        };
-        self.map.range((lo_b, hi_b)).flat_map(|(_, ids)| ids.iter().copied())
-    }
-
-    /// Row ids whose key begins with `prefix` (useful for composite
-    /// indexes queried on a leading subset of columns).
-    pub fn prefix(&self, prefix: &[Value]) -> Vec<RowId> {
-        self.prefix_ids(prefix).collect()
-    }
-
-    /// Iterator form of [`Index::prefix`]: yields the same row ids
-    /// without materializing an intermediate vector.
-    pub fn prefix_ids<'a>(&'a self, prefix: &'a [Value]) -> impl Iterator<Item = RowId> + 'a {
-        self.walk(prefix, Bound::Unbounded, Bound::Unbounded)
     }
 
     /// Row ids whose key begins with `prefix` and whose next column lies
@@ -182,11 +146,6 @@ impl Index {
                 move |(k, _)| !matches!((lo, k.get(p)), (Bound::Excluded(l), Some(v)) if v == l),
             )
             .flat_map(|(_, ids)| ids.iter().copied())
-    }
-
-    /// Number of distinct keys.
-    pub fn distinct_keys(&self) -> usize {
-        self.map.len()
     }
 }
 
@@ -258,13 +217,6 @@ impl Table {
             .ok_or_else(|| DbError::NoSuchIndex(name.to_string()))
     }
 
-    /// Find an index whose key columns start with `cols` (exact order).
-    pub fn index_covering(&self, cols: &[usize]) -> Option<&Index> {
-        self.indexes
-            .iter()
-            .find(|i| i.columns.len() >= cols.len() && i.columns[..cols.len()] == *cols)
-    }
-
     /// All indexes.
     pub fn indexes(&self) -> &[Index] {
         &self.indexes
@@ -329,20 +281,6 @@ impl Table {
             }
         }
         true
-    }
-
-    /// Delete every row matching `pred`; returns the count removed.
-    pub fn delete_where(&mut self, mut pred: impl FnMut(&Row) -> bool) -> usize {
-        let victims: Vec<RowId> = self
-            .rows
-            .iter()
-            .enumerate()
-            .filter_map(|(rid, s)| s.as_ref().filter(|r| pred(r)).map(|_| rid))
-            .collect();
-        for rid in &victims {
-            self.delete(*rid);
-        }
-        victims.len()
     }
 
     /// Update a row in place through `f`; index entries are refreshed.
@@ -455,7 +393,12 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t.get(1).is_none());
         assert!(t.get(0).is_some());
-        assert_eq!(t.delete_where(|r| r[2] == Value::Int(36)), 2);
+        let victims: Vec<RowId> =
+            t.scan().filter(|(_, r)| r[2] == Value::Int(36)).map(|(rid, _)| rid).collect();
+        assert_eq!(victims, vec![0, 2]);
+        for rid in victims {
+            assert!(t.delete(rid));
+        }
         assert!(t.is_empty());
     }
 
@@ -466,11 +409,10 @@ mod tests {
         let idx = t.index("by_age").unwrap();
         assert_eq!(idx.get(&[36.into()]).len(), 2);
         assert_eq!(idx.get(&[99.into()]).len(), 0);
-        let r = idx.range(Some(&[30.into()]), Some(&[40.into()]));
-        assert_eq!(r.len(), 2);
-        // The iterator variant yields the same ids in the same order.
-        let streamed: Vec<_> = idx.range_ids(Some(&[30.into()]), Some(&[40.into()])).collect();
-        assert_eq!(streamed, r);
+        let (lo, hi) = (Value::Int(30), Value::Int(40));
+        let r: Vec<_> = idx.walk(&[], Bound::Included(&lo), Bound::Included(&hi)).collect();
+        // Key order, then insertion order within a key.
+        assert_eq!(r, vec![0, 2]);
     }
 
     #[test]
@@ -513,11 +455,9 @@ mod tests {
         }
         t.create_index("ab", vec![0, 1], false).unwrap();
         let idx = t.index("ab").unwrap();
-        assert_eq!(idx.prefix(&[1.into()]).len(), 4);
-        assert_eq!(idx.prefix_ids(&[1.into()]).count(), 4);
+        let one = [Value::Int(1)];
+        assert_eq!(idx.walk(&one, Bound::Unbounded, Bound::Unbounded).count(), 4);
         assert_eq!(idx.get(&[1.into(), 2.into()]).len(), 1);
-        assert!(t.index_covering(&[0]).is_some());
-        assert!(t.index_covering(&[1]).is_none());
     }
 
     #[test]
@@ -536,7 +476,8 @@ mod tests {
         t.create_index("by_age", vec![2], false).unwrap();
         t.truncate();
         assert!(t.is_empty());
-        assert_eq!(t.index("by_age").unwrap().distinct_keys(), 0);
+        let idx = t.index("by_age").unwrap();
+        assert_eq!(idx.walk(&[], Bound::Unbounded, Bound::Unbounded).count(), 0);
         t.insert(vec![9.into(), "z".into(), 1.into()]).unwrap();
         assert_eq!(t.index("by_age").unwrap().get(&[1.into()]).len(), 1);
     }

@@ -222,7 +222,8 @@ proptest! {
     /// the same filter returns, whatever access path the filter keys:
     /// equality prefixes (NULL included, through `IS NULL`), a bound on
     /// the next key column (empty, NaN-ended, Int against Float), or
-    /// none.
+    /// none. A delete and a literal-`SET` update under the same filter
+    /// touch the same rows and leave the same table.
     #[test]
     fn index_routed_scan_equals_full_scan(
         rows in proptest::collection::vec((key_value(), key_value(), key_value()), 0..40),
@@ -244,26 +245,42 @@ proptest! {
                 vec![a, x, s]
             })
             .collect();
-        let plain = Database::new();
-        let routed = Database::new();
-        for db in [&plain, &routed] {
+        let names = ["a", "x", "s"];
+        let fresh = |indexed: bool| {
+            let db = Database::new();
             db.create_table("t", schema()).unwrap();
             db.insert("t", rows.clone()).unwrap();
-        }
-        let names = ["a", "x", "s"];
-        for (i, cols) in indexes.iter().enumerate() {
-            let mut seen = Vec::new();
-            for &c in cols {
-                if !seen.contains(&names[c]) {
-                    seen.push(names[c]);
+            for (i, cols) in indexes.iter().enumerate().filter(|_| indexed) {
+                let mut seen = Vec::new();
+                for &c in cols {
+                    if !seen.contains(&names[c]) {
+                        seen.push(names[c]);
+                    }
                 }
+                db.create_index("t", &format!("i{i}"), &seen, false).unwrap();
             }
-            routed.create_index("t", &format!("i{i}"), &seen, false).unwrap();
-        }
+            db
+        };
+        let all_rows = |db: &Database| {
+            sorted_rows(db.execute(&Plan::Scan { table: "t".into(), filter: None }).unwrap())
+        };
         let filter = Expr::all(conjuncts);
         let scan = Plan::Scan { table: "t".into(), filter: Some(filter.clone()) };
+        let (plain, routed) = (fresh(false), fresh(true));
         let want = sorted_rows(plain.execute(&scan).unwrap());
         let got = sorted_rows(routed.execute(&scan).unwrap());
         prop_assert_eq!(got, want, "filter {:?} over indexes {:?}", filter, indexes);
+        // Deletes and updates select their rows through the same path.
+        let (plain, routed) = (fresh(false), fresh(true));
+        let want = plain.delete_where("t", &filter).unwrap();
+        let got = routed.delete_where("t", &filter).unwrap();
+        prop_assert_eq!(got, want, "delete {:?} over indexes {:?}", filter, indexes);
+        prop_assert_eq!(all_rows(&routed), all_rows(&plain));
+        let (plain, routed) = (fresh(false), fresh(true));
+        let set = [(2, Expr::lit("u"))];
+        let want = plain.update_where("t", Some(&filter), &set).unwrap();
+        let got = routed.update_where("t", Some(&filter), &set).unwrap();
+        prop_assert_eq!(got, want, "update {:?} over indexes {:?}", filter, indexes);
+        prop_assert_eq!(all_rows(&routed), all_rows(&plain));
     }
 }

@@ -510,3 +510,62 @@ fn second_open_of_a_live_directory_is_refused() {
     assert_eq!(db.row_count("t").unwrap(), 1);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Runs `fail` (a write that must fail) against a durable two-row
+/// table and checks that no row changed: in memory, after a crash and
+/// recovery from the WAL, and after a checkpoint and a reopen (a
+/// checkpoint snapshots memory, so a row changed there would become
+/// durable although the write reported failure).
+fn assert_failed_write_changes_nothing(
+    rows: Vec<Row>,
+    fail: impl FnOnce(&Database) -> Result<usize>,
+) {
+    let vfs = MemVfs::new();
+    let db = open_mem(vfs.clone(), SyncPolicy::EveryCommit);
+    let schema = TableSchema::new(vec![
+        Column::new("id", DataType::Int),
+        Column::nullable("name", DataType::Text),
+        Column::nullable("n", DataType::Int),
+    ]);
+    db.create_table("t", schema).unwrap();
+    db.insert("t", rows).unwrap();
+    let rows = |db: &Database| {
+        db.execute(&Plan::Scan { table: "t".into(), filter: None }).expect("scan").rows
+    };
+    let before = rows(&db);
+    let err = fail(&db).expect_err("the write fails on the second row");
+    assert!(err.to_string().contains("arithmetic"), "{err}");
+    assert_eq!(rows(&db), before, "in memory");
+    assert_eq!(rows(&open_mem(vfs.crashed_copy(), SyncPolicy::EveryCommit)), before, "recovered");
+    db.checkpoint().unwrap();
+    drop(db);
+    assert_eq!(rows(&open_mem(vfs, SyncPolicy::EveryCommit)), before, "after a checkpoint");
+}
+
+/// `name + 1` fails on a string; NULL + 1 is NULL.
+fn name_plus_one() -> Expr {
+    Expr::Arith(ArithOp::Add, Box::new(Expr::col(1)), Box::new(Expr::lit(1)))
+}
+
+#[test]
+fn delete_failing_on_a_later_row_changes_no_row() {
+    // `id = 1` decides the first row before the right-hand side runs;
+    // on the second row `name + 1` fails.
+    let pred = Expr::Or(
+        Box::new(Expr::col_eq(0, 1)),
+        Box::new(Expr::Cmp(CmpOp::Eq, Box::new(name_plus_one()), Box::new(Expr::lit(2)))),
+    );
+    assert_failed_write_changes_nothing(
+        vec![vec![1.into(), "a".into(), 5.into()], vec![2.into(), "x".into(), 5.into()]],
+        |db| db.delete_where("t", &pred),
+    );
+}
+
+#[test]
+fn update_failing_on_a_later_row_changes_no_row() {
+    // The first row's new `n` is NULL; the second row's fails.
+    assert_failed_write_changes_nothing(
+        vec![vec![1.into(), Value::Null, 5.into()], vec![2.into(), "x".into(), 5.into()]],
+        |db| db.update_where("t", None, &[(2, name_plus_one())]),
+    );
+}

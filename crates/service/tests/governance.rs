@@ -3,7 +3,7 @@
 //! Seeded end-to-end checks of deadlines, cooperative cancellation,
 //! load shedding, and graceful drain:
 //!
-//! * a query with a 10 ms deadline against a large catalog returns
+//! * a `SEARCH` with a 5 ms deadline over 8,000 documents returns
 //!   `DeadlineExceeded` in bounded time while concurrent small queries
 //!   keep succeeding, and the request permit is released promptly;
 //! * with every request permit held, cheap commands still answer and
