@@ -17,13 +17,12 @@ use xmlkit::dom::Document;
 /// The single-CLOB backend.
 pub struct ClobOnlyBackend {
     db: Database,
-    convention: DynamicConvention,
     next_id: AtomicI64,
 }
 
 impl ClobOnlyBackend {
     /// New empty store.
-    pub fn new(convention: DynamicConvention) -> Result<ClobOnlyBackend> {
+    pub fn new() -> Result<ClobOnlyBackend> {
         let db = Database::new();
         db.create_table(
             "docs",
@@ -33,7 +32,7 @@ impl ClobOnlyBackend {
             ]),
         )?;
         db.create_index("docs", "docs_pk", &["object_id"], true)?;
-        Ok(ClobOnlyBackend { db, convention, next_id: AtomicI64::new(1) })
+        Ok(ClobOnlyBackend { db, next_id: AtomicI64::new(1) })
     }
 }
 
@@ -61,7 +60,7 @@ impl CatalogBackend for ClobOnlyBackend {
         for row in &rs.rows {
             let (Some(id), Some(loc)) = (row[0].as_i64(), row[1].as_i64()) else { continue };
             let doc = Document::parse(clob_text(&rt.clobs().get(loc as u64)?, loc)?)?;
-            if object_matches(&doc, q, &self.convention) {
+            if object_matches(&doc, q, &DynamicConvention {}) {
                 out.push(id);
             }
         }
@@ -106,7 +105,7 @@ mod tests {
 
     #[test]
     fn ingest_query_reconstruct() {
-        let b = ClobOnlyBackend::new(DynamicConvention::default()).unwrap();
+        let b = ClobOnlyBackend::new().unwrap();
         let id = b.ingest(FIG3_DOCUMENT).unwrap();
         assert_eq!(b.query(&fig4_query()).unwrap(), vec![id]);
         let docs = b.reconstruct(&[id]).unwrap();
@@ -117,7 +116,7 @@ mod tests {
 
     #[test]
     fn malformed_rejected() {
-        let b = ClobOnlyBackend::new(DynamicConvention::default()).unwrap();
+        let b = ClobOnlyBackend::new().unwrap();
         assert!(b.ingest("<a><b></a>").is_err());
     }
 }

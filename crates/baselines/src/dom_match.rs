@@ -11,7 +11,9 @@
 //! shredded store's typed columns do.
 
 use catalog::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
-use catalog::shred::DynamicConvention;
+use catalog::shred::{
+    DynamicConvention, ATTR, ATTRDEFS, ATTRLABL, ATTRV, ENTTYP, ENTTYPDS, ENTTYPL,
+};
 use xmlkit::dom::{Document, NodeId};
 
 /// Does `value` satisfy the condition?
@@ -52,11 +54,13 @@ pub fn cond_matches(cond: &ElemCond, value: &str) -> bool {
 }
 
 /// Does the whole document satisfy the query (conjunctive top-level
-/// attribute criteria) under `Exact` semantics?
-pub fn object_matches(doc: &Document, q: &ObjectQuery, cv: &DynamicConvention) -> bool {
+/// attribute criteria) under `Exact` semantics? Dynamic attributes are
+/// read with the FGDC tags; the [`DynamicConvention`] argument is
+/// ignored and remains only for the benchmark client that passes it.
+pub fn object_matches(doc: &Document, q: &ObjectQuery, _: &DynamicConvention) -> bool {
     q.attrs.iter().all(|aq| {
         let kind = Kind::top(aq);
-        top_instances(doc, aq, cv, kind).any(|n| exact_matches(doc, n, aq, cv, kind))
+        top_instances(doc, aq, kind).any(|n| exact_matches(doc, n, aq, kind))
     })
 }
 
@@ -66,16 +70,16 @@ pub fn object_matches(doc: &Document, q: &ObjectQuery, cv: &DynamicConvention) -
 /// *some* instance of its definition anywhere below that top instance
 /// satisfying that node's element conditions. The instances need not
 /// nest inside each other, and `direct_subs` is ignored.
-pub fn object_matches_counted(doc: &Document, q: &ObjectQuery, cv: &DynamicConvention) -> bool {
+pub fn object_matches_counted(doc: &Document, q: &ObjectQuery) -> bool {
     q.attrs.iter().all(|aq| {
         let kind = Kind::top(aq);
-        top_instances(doc, aq, cv, kind)
-            .any(|n| elems_match(doc, n, aq, cv, kind) && counted_subs(doc, &[n], aq, cv, kind))
+        top_instances(doc, aq, kind)
+            .any(|n| elems_match(doc, n, aq, kind) && counted_subs(doc, &[n], aq, kind))
     })
 }
 
 /// How a query node maps onto DOM nodes: a structural attribute by
-/// tag, a dynamic one by the naming convention's label and source.
+/// tag, a dynamic one by its FGDC label and source.
 #[derive(Clone, Copy)]
 enum Kind<'a> {
     Structural,
@@ -106,14 +110,13 @@ impl<'a> Kind<'a> {
 fn top_instances<'d>(
     doc: &'d Document,
     aq: &'d AttrQuery,
-    cv: &'d DynamicConvention,
     kind: Kind<'d>,
 ) -> impl Iterator<Item = NodeId> + 'd {
     doc.descendants(doc.root()).filter(move |&n| match kind {
         // Structural attribute: any element whose tag is the name.
         Kind::Structural => doc.node(n).name() == Some(aq.name.as_str()),
         // Dynamic attribute: any subtree whose head names it.
-        Kind::Dynamic { source } => dynamic_head_matches(doc, n, cv, &aq.name, source),
+        Kind::Dynamic { source } => dynamic_head_matches(doc, n, &aq.name, source),
     })
 }
 
@@ -123,13 +126,12 @@ fn sub_instances(
     doc: &Document,
     node: NodeId,
     sub: &AttrQuery,
-    cv: &DynamicConvention,
     kind: Kind<'_>,
     direct: bool,
 ) -> Vec<NodeId> {
     let tag = match kind {
         Kind::Structural => sub.name.as_str(),
-        Kind::Dynamic { .. } => cv.node_tag.as_str(),
+        Kind::Dynamic { .. } => ATTR,
     };
     let candidates: Vec<NodeId> = if direct {
         doc.children_named(node, tag).collect()
@@ -143,20 +145,14 @@ fn sub_instances(
         Kind::Dynamic { source } => candidates
             .into_iter()
             .filter(|&c| {
-                child_text_is(doc, c, &cv.name_tag, &sub.name) && source_matches(doc, c, cv, source)
+                child_text_is(doc, c, ATTRLABL, &sub.name) && source_matches(doc, c, source)
             })
             .collect(),
     }
 }
 
 /// Does `node` satisfy the criterion's own element conditions?
-fn elems_match(
-    doc: &Document,
-    node: NodeId,
-    aq: &AttrQuery,
-    cv: &DynamicConvention,
-    kind: Kind<'_>,
-) -> bool {
+fn elems_match(doc: &Document, node: NodeId, aq: &AttrQuery, kind: Kind<'_>) -> bool {
     aq.elems.iter().all(|cond| match kind {
         // Direct leaf children, or own text for leaf attributes whose
         // element shares the attribute name.
@@ -168,10 +164,10 @@ fn elems_match(
                 .any(|c| cond_matches(cond, &doc.direct_text(c)))
         }
         // Attr children carrying a value with the right label.
-        Kind::Dynamic { .. } => doc.children_named(node, &cv.node_tag).any(|c| {
-            child_text_is(doc, c, &cv.name_tag, &cond.name)
+        Kind::Dynamic { .. } => doc.children_named(node, ATTR).any(|c| {
+            child_text_is(doc, c, ATTRLABL, &cond.name)
                 && doc
-                    .child_named(c, &cv.value_tag)
+                    .child_named(c, ATTRV)
                     .map(|v| cond_matches(cond, &doc.direct_text(v)))
                     .unwrap_or(matches!(cond.op, QOp::Exists))
         }),
@@ -181,19 +177,13 @@ fn elems_match(
 /// `Exact`: `node` satisfies the criterion's element conditions, and
 /// each sub-criterion has an instance below *this* node satisfying the
 /// sub-criterion's whole subtree.
-fn exact_matches(
-    doc: &Document,
-    node: NodeId,
-    aq: &AttrQuery,
-    cv: &DynamicConvention,
-    kind: Kind<'_>,
-) -> bool {
-    elems_match(doc, node, aq, cv, kind)
+fn exact_matches(doc: &Document, node: NodeId, aq: &AttrQuery, kind: Kind<'_>) -> bool {
+    elems_match(doc, node, aq, kind)
         && aq.subs.iter().all(|sub| {
             let sub_kind = kind.sub(sub);
-            sub_instances(doc, node, sub, cv, sub_kind, aq.direct_subs)
+            sub_instances(doc, node, sub, sub_kind, aq.direct_subs)
                 .into_iter()
-                .any(|c| exact_matches(doc, c, sub, cv, sub_kind))
+                .any(|c| exact_matches(doc, c, sub, sub_kind))
         })
 }
 
@@ -201,51 +191,32 @@ fn exact_matches(
 /// node of `scope` (the instances of `aq`'s definition under the top
 /// instance) satisfying its element conditions, recursively — every
 /// level is decided independently, against the same top instance.
-fn counted_subs(
-    doc: &Document,
-    scope: &[NodeId],
-    aq: &AttrQuery,
-    cv: &DynamicConvention,
-    kind: Kind<'_>,
-) -> bool {
+fn counted_subs(doc: &Document, scope: &[NodeId], aq: &AttrQuery, kind: Kind<'_>) -> bool {
     aq.subs.iter().all(|sub| {
         let sub_kind = kind.sub(sub);
         let mut instances: Vec<NodeId> = scope
             .iter()
-            .flat_map(|&n| sub_instances(doc, n, sub, cv, sub_kind, false))
+            .flat_map(|&n| sub_instances(doc, n, sub, sub_kind, false))
             .collect();
         instances.sort_unstable();
         instances.dedup();
-        instances.iter().any(|&c| elems_match(doc, c, sub, cv, sub_kind))
-            && counted_subs(doc, &instances, sub, cv, sub_kind)
+        instances.iter().any(|&c| elems_match(doc, c, sub, sub_kind))
+            && counted_subs(doc, &instances, sub, sub_kind)
     })
 }
 
-fn dynamic_head_matches(
-    doc: &Document,
-    node: NodeId,
-    cv: &DynamicConvention,
-    name: &str,
-    source: &str,
-) -> bool {
-    match &cv.head_wrapper {
-        Some(head) => doc.child_named(node, head).is_some_and(|h| {
-            child_text_is(doc, h, &cv.head_name_tag, name)
-                && child_text_is(doc, h, &cv.head_source_tag, source)
-        }),
-        None => {
-            child_text_is(doc, node, &cv.head_name_tag, name)
-                && child_text_is(doc, node, &cv.head_source_tag, source)
-        }
-    }
+fn dynamic_head_matches(doc: &Document, node: NodeId, name: &str, source: &str) -> bool {
+    doc.child_named(node, ENTTYP).is_some_and(|h| {
+        child_text_is(doc, h, ENTTYPL, name) && child_text_is(doc, h, ENTTYPDS, source)
+    })
 }
 
 fn child_text_is(doc: &Document, node: NodeId, tag: &str, expected: &str) -> bool {
     doc.child_named(node, tag).is_some_and(|c| doc.direct_text(c) == expected)
 }
 
-fn source_matches(doc: &Document, node: NodeId, cv: &DynamicConvention, source: &str) -> bool {
-    match doc.child_named(node, &cv.source_tag) {
+fn source_matches(doc: &Document, node: NodeId, source: &str) -> bool {
+    match doc.child_named(node, ATTRDEFS) {
         Some(c) => doc.direct_text(c) == source,
         // A missing source tag inherits the parent's, which the caller
         // passed in as `source`.
@@ -265,14 +236,14 @@ mod tests {
 
     #[test]
     fn fig4_query_matches_fig3_document() {
-        assert!(object_matches(&doc(), &fig4_query(), &DynamicConvention::default()));
+        assert!(object_matches(&doc(), &fig4_query(), &DynamicConvention {}));
     }
 
     #[test]
     fn wrong_value_rejects() {
         let q = ObjectQuery::new()
             .attr(AttrQuery::new("grid").source("ARPS").elem(ElemCond::eq_num("dx", 999.0)));
-        assert!(!object_matches(&doc(), &q, &DynamicConvention::default()));
+        assert!(!object_matches(&doc(), &q, &DynamicConvention {}));
     }
 
     #[test]
@@ -281,10 +252,10 @@ mod tests {
             AttrQuery::new("theme")
                 .elem(ElemCond::eq_str("themekey", "air_pressure_at_cloud_base")),
         );
-        assert!(object_matches(&doc(), &q, &DynamicConvention::default()));
+        assert!(object_matches(&doc(), &q, &DynamicConvention {}));
         let q2 = ObjectQuery::new()
             .attr(AttrQuery::new("theme").elem(ElemCond::eq_str("themekey", "nope")));
-        assert!(!object_matches(&doc(), &q2, &DynamicConvention::default()));
+        assert!(!object_matches(&doc(), &q2, &DynamicConvention {}));
     }
 
     #[test]
@@ -292,11 +263,11 @@ mod tests {
         let q = ObjectQuery::new()
             .attr(AttrQuery::new("theme").elem(ElemCond::like("themekey", "%cloud%")))
             .attr(AttrQuery::new("grid").source("ARPS").elem(ElemCond::eq_num("dz", 500.0)));
-        assert!(object_matches(&doc(), &q, &DynamicConvention::default()));
+        assert!(object_matches(&doc(), &q, &DynamicConvention {}));
         let q_bad = ObjectQuery::new()
             .attr(AttrQuery::new("theme").elem(ElemCond::like("themekey", "%cloud%")))
             .attr(AttrQuery::new("grid").source("ARPS").elem(ElemCond::eq_num("dz", 1.0)));
-        assert!(!object_matches(&doc(), &q_bad, &DynamicConvention::default()));
+        assert!(!object_matches(&doc(), &q_bad, &DynamicConvention {}));
     }
 
     #[test]
@@ -320,7 +291,7 @@ mod tests {
                     .elem(ElemCond::eq_num("reference-height", 0.0)),
             ),
         );
-        assert!(object_matches(&doc(), &q, &DynamicConvention::default()));
+        assert!(object_matches(&doc(), &q, &DynamicConvention {}));
         // Direct-children demand still finds it (grid-stretching IS a
         // direct child of the grid subtree root).
         let q_direct = ObjectQuery::new().attr(
@@ -329,7 +300,7 @@ mod tests {
                 .direct()
                 .sub(AttrQuery::new("grid-stretching").source("ARPS")),
         );
-        assert!(object_matches(&doc(), &q_direct, &DynamicConvention::default()));
+        assert!(object_matches(&doc(), &q_direct, &DynamicConvention {}));
     }
 
     #[test]
@@ -357,12 +328,11 @@ mod tests {
                 ),
             )
         };
-        let cv = DynamicConvention::default();
-        assert!(!object_matches(&split, &q(1.0), &cv));
-        assert!(object_matches_counted(&split, &q(1.0), &cv));
+        assert!(!object_matches(&split, &q(1.0), &DynamicConvention {}));
+        assert!(object_matches_counted(&split, &q(1.0)));
         // Counted still needs every node's own conditions somewhere.
-        assert!(!object_matches_counted(&split, &q(5.0), &cv));
+        assert!(!object_matches_counted(&split, &q(5.0)));
         // Both strategies accept the Fig-4 query on the Fig-3 document.
-        assert!(object_matches_counted(&doc(), &fig4_query(), &cv));
+        assert!(object_matches_counted(&doc(), &fig4_query()));
     }
 }

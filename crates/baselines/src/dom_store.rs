@@ -16,15 +16,15 @@ use xmlkit::dom::Document;
 use xmlkit::writer;
 
 /// The DOM-collection backend.
+#[derive(Default)]
 pub struct DomStoreBackend {
     docs: RwLock<Vec<(i64, Document)>>,
-    convention: DynamicConvention,
 }
 
 impl DomStoreBackend {
     /// New empty collection.
-    pub fn new(convention: DynamicConvention) -> DomStoreBackend {
-        DomStoreBackend { docs: RwLock::new(Vec::new()), convention }
+    pub fn new() -> DomStoreBackend {
+        DomStoreBackend::default()
     }
 }
 
@@ -45,7 +45,7 @@ impl CatalogBackend for DomStoreBackend {
         let docs = self.docs.read();
         Ok(docs
             .iter()
-            .filter(|(_, d)| object_matches(d, q, &self.convention))
+            .filter(|(_, d)| object_matches(d, q, &DynamicConvention {}))
             .map(|(id, _)| *id)
             .collect())
     }
@@ -96,7 +96,7 @@ mod tests {
 
     #[test]
     fn ingest_query_reconstruct() {
-        let b = DomStoreBackend::new(DynamicConvention::default());
+        let b = DomStoreBackend::new();
         let id = b.ingest(FIG3_DOCUMENT).unwrap();
         let miss = b.ingest("<LEADresource><resourceID>x</resourceID></LEADresource>").unwrap();
         assert_eq!(b.query(&fig4_query()).unwrap(), vec![id]);

@@ -14,7 +14,7 @@ use crate::dom_match::cond_matches;
 use crate::CatalogBackend;
 use catalog::error::Result;
 use catalog::query::{AttrQuery, ElemCond, ObjectQuery};
-use catalog::shred::DynamicConvention;
+use catalog::shred::{ATTR, ATTRDEFS, ATTRLABL, ATTRV, ENTTYP, ENTTYPDS, ENTTYPL};
 use minidb::{Column, DataType, Database, Expr, Plan, ResultSet, TableSchema, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
 use xmlkit::dom::{Document, NodeId, NodeKind};
@@ -23,7 +23,6 @@ use xmlkit::writer;
 /// The edge-table backend.
 pub struct EdgeBackend {
     db: Database,
-    convention: DynamicConvention,
     next_obj: AtomicI64,
     next_node: AtomicI64,
 }
@@ -32,7 +31,7 @@ pub struct EdgeBackend {
 
 impl EdgeBackend {
     /// New empty store.
-    pub fn new(convention: DynamicConvention) -> Result<EdgeBackend> {
+    pub fn new() -> Result<EdgeBackend> {
         let db = Database::new();
         db.create_table(
             "edges",
@@ -49,12 +48,7 @@ impl EdgeBackend {
         db.create_index("edges", "edges_by_tag", &["tag"], false)?;
         db.create_index("edges", "edges_by_obj", &["object_id"], false)?;
         db.create_index("edges", "edges_by_parent", &["object_id", "parent_id"], false)?;
-        Ok(EdgeBackend {
-            db,
-            convention,
-            next_obj: AtomicI64::new(1),
-            next_node: AtomicI64::new(1),
-        })
+        Ok(EdgeBackend { db, next_obj: AtomicI64::new(1), next_node: AtomicI64::new(1) })
     }
 
     /// Distinct `(object_id, node_id)` of elements with `tag`.
@@ -163,57 +157,30 @@ impl EdgeBackend {
         is_top: bool,
         parent_source: Option<&str>,
     ) -> Result<ResultSet> {
-        let cv = &self.convention;
         // Candidate nodes.
         let mut candidates = match (&aq.source, is_top) {
             (None, _) => self.nodes_with_tag(&aq.name)?,
             (Some(source), true) => {
-                // Dynamic top: nodes whose head wrapper names them.
-                let heads = match &cv.head_wrapper {
-                    Some(h) => {
-                        let mut hs = self.nodes_with_tag(h)?;
-                        hs = self.filter_by_child_value(
-                            hs,
-                            &cv.head_name_tag,
-                            Some(&ElemCond::eq_str(&cv.head_name_tag, aq.name.clone())),
-                        )?;
-                        // Fix: condition compares VALUE, name irrelevant; reuse eq_str on value
-                        hs = self.filter_by_child_value(
-                            hs,
-                            &cv.head_source_tag,
-                            Some(&ElemCond::eq_str(&cv.head_source_tag, source.clone())),
-                        )?;
-                        hs
-                    }
-                    None => {
-                        let all = self.nodes_with_tag(&cv.node_tag)?;
-                        let named = self.filter_by_child_value(
-                            all,
-                            &cv.head_name_tag,
-                            Some(&ElemCond::eq_str(&cv.head_name_tag, aq.name.clone())),
-                        )?;
-                        self.filter_by_child_value(
-                            named,
-                            &cv.head_source_tag,
-                            Some(&ElemCond::eq_str(&cv.head_source_tag, source.clone())),
-                        )?
-                    }
-                };
-                if cv.head_wrapper.is_some() {
-                    // Parents of the head wrapper are the attribute nodes.
-                    self.parents_of(&heads)?
-                } else {
-                    heads
-                }
+                // Dynamic top: parents of the `enttyp` heads naming it.
+                let heads = self.filter_by_child_value(
+                    self.nodes_with_tag(ENTTYP)?,
+                    ENTTYPL,
+                    Some(&ElemCond::eq_str(ENTTYPL, aq.name.clone())),
+                )?;
+                let heads = self.filter_by_child_value(
+                    heads,
+                    ENTTYPDS,
+                    Some(&ElemCond::eq_str(ENTTYPDS, source.clone())),
+                )?;
+                self.parents_of(&heads)?
             }
             (Some(source), false) => {
                 // Dynamic sub: `attr` nodes labeled (name, source); a
                 // missing source tag inherits the parent's source.
-                let all = self.nodes_with_tag(&cv.node_tag)?;
                 let named = self.filter_by_child_value(
-                    all,
-                    &cv.name_tag,
-                    Some(&ElemCond::eq_str(&cv.name_tag, aq.name.clone())),
+                    self.nodes_with_tag(ATTR)?,
+                    ATTRLABL,
+                    Some(&ElemCond::eq_str(ATTRLABL, aq.name.clone())),
                 )?;
                 self.filter_source(named, source, parent_source)?
             }
@@ -224,11 +191,11 @@ impl EdgeBackend {
             candidates = if aq.source.is_some() {
                 // Dynamic: child attr node labeled cond.name carrying a value.
                 let labeled = self.filter_by_child_value(
-                    self.nodes_with_tag(&cv.node_tag)?,
-                    &cv.name_tag,
-                    Some(&ElemCond::eq_str(&cv.name_tag, cond.name.clone())),
+                    self.nodes_with_tag(ATTR)?,
+                    ATTRLABL,
+                    Some(&ElemCond::eq_str(ATTRLABL, cond.name.clone())),
                 )?;
-                let valued = self.filter_by_child_value(labeled, &cv.value_tag, Some(cond))?;
+                let valued = self.filter_by_child_value(labeled, ATTRV, Some(cond))?;
                 // candidates that have one of `valued` as a direct child.
                 self.keep_with_child_in(candidates, &valued)?
             } else {
@@ -315,10 +282,7 @@ impl EdgeBackend {
         }
         let joined = self.db.execute(
             &Plan::Values { columns: set.columns.clone(), rows: set.rows.clone() }.hash_join(
-                Plan::Scan {
-                    table: "edges".into(),
-                    filter: Some(Expr::col_eq(4, self.convention.source_tag.clone())),
-                },
+                Plan::Scan { table: "edges".into(), filter: Some(Expr::col_eq(4, ATTRDEFS)) },
                 vec![0, 1],
                 vec![0, 2],
             ),
@@ -520,7 +484,7 @@ mod tests {
     use catalog::query::{AttrQuery, ElemCond, ObjectQuery};
 
     fn backend() -> EdgeBackend {
-        EdgeBackend::new(DynamicConvention::default()).unwrap()
+        EdgeBackend::new().unwrap()
     }
 
     #[test]

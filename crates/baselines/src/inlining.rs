@@ -20,7 +20,7 @@ use crate::CatalogBackend;
 use catalog::error::{CatalogError, Result};
 use catalog::partition::Partition;
 use catalog::query::{AttrQuery, ElemCond, ObjectQuery};
-use catalog::shred::DynamicConvention;
+use catalog::shred::{ATTR, ATTRDEFS, ATTRLABL, ATTRV, ENTTYP, ENTTYPDS, ENTTYPL};
 use minidb::{Column, DataType, Database, Expr, Plan, ResultSet, TableSchema, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -42,7 +42,6 @@ pub struct InliningBackend {
     db: Database,
     schema: std::sync::Arc<Schema>,
     partition: Partition,
-    convention: DynamicConvention,
     placement: HashMap<SchemaNodeId, Placement>,
     /// Column positions per table: `(table, column name) -> index`.
     col_index: HashMap<(String, String), usize>,
@@ -56,7 +55,7 @@ pub struct InliningBackend {
 
 impl InliningBackend {
     /// Compile `partition`'s schema into inlined tables.
-    pub fn new(partition: Partition, convention: DynamicConvention) -> Result<InliningBackend> {
+    pub fn new(partition: Partition) -> Result<InliningBackend> {
         let schema = partition.schema().clone();
         let db = Database::new();
         let mut placement = HashMap::new();
@@ -164,7 +163,6 @@ impl InliningBackend {
             db,
             schema: schema.clone(),
             partition,
-            convention,
             placement,
             col_index,
             next_obj: AtomicI64::new(1),
@@ -172,8 +170,7 @@ impl InliningBackend {
             table_names,
         };
         if let Ok((anchor_table, rec_table, _)) = backend.dynamic_tables() {
-            let cv = &backend.convention;
-            let name_col = backend.col(&rec_table, &cv.name_tag);
+            let name_col = backend.col(&rec_table, ATTRLABL);
             let mut txn = backend.db.txn();
             txn.create_index_at(
                 &rec_table,
@@ -181,10 +178,7 @@ impl InliningBackend {
                 vec![name_col],
                 false,
             )?;
-            let head_col = match &cv.head_wrapper {
-                Some(h) => format!("{h}_{}", cv.head_name_tag),
-                None => cv.head_name_tag.clone(),
-            };
+            let head_col = format!("{ENTTYP}_{ENTTYPL}");
             if let Some(&hc) = backend.col_index.get(&(anchor_table.clone(), head_col)) {
                 txn.create_index_at(
                     &anchor_table,
@@ -382,7 +376,7 @@ impl InliningBackend {
             .find(|&n| self.partition.is_dynamic_root(n))
             .ok_or_else(|| CatalogError::BadQuery("schema has no dynamic attribute root".into()))?;
         let (anchor_table, _) = self.table_of(anchor);
-        let rec = self.schema.child_named(anchor, &self.convention.node_tag).ok_or_else(|| {
+        let rec = self.schema.child_named(anchor, ATTR).ok_or_else(|| {
             CatalogError::BadQuery("dynamic root lacks the recursive node".into())
         })?;
         let (rec_table, _) = self.table_of(rec);
@@ -399,10 +393,9 @@ impl InliningBackend {
         source: Option<&str>,
         value_cond: Option<&ElemCond>,
     ) -> Result<ResultSet> {
-        let cv = &self.convention;
-        let name_col = self.col(rec_table, &cv.name_tag);
-        let src_col = self.col(rec_table, &cv.source_tag);
-        let val_col = self.col(rec_table, &cv.value_tag);
+        let name_col = self.col(rec_table, ATTRLABL);
+        let src_col = self.col(rec_table, ATTRDEFS);
+        let val_col = self.col(rec_table, ATTRV);
         let mut preds = vec![Expr::col_eq(name_col, name)];
         if let Some(s) = source {
             // explicit source match OR inherited (NULL source column)
@@ -430,19 +423,12 @@ impl InliningBackend {
     /// (top: detailed rows; sub: attr rows), hierarchical semantics with
     /// one self-join per nesting level.
     fn dynamic_instances(&self, aq: &AttrQuery, is_top: bool) -> Result<ResultSet> {
-        let cv = &self.convention;
         let (anchor_table, rec_table, anchor) = self.dynamic_tables()?;
         let source = aq.source.as_deref().unwrap_or("");
         let mut set: ResultSet = if is_top {
             // detailed rows whose inlined head names (name, source).
-            let head_name_col = match &cv.head_wrapper {
-                Some(h) => self.col(&anchor_table, &format!("{h}_{}", cv.head_name_tag)),
-                None => self.col(&anchor_table, &cv.head_name_tag),
-            };
-            let head_src_col = match &cv.head_wrapper {
-                Some(h) => self.col(&anchor_table, &format!("{h}_{}", cv.head_source_tag)),
-                None => self.col(&anchor_table, &cv.head_source_tag),
-            };
+            let head_name_col = self.col(&anchor_table, &format!("{ENTTYP}_{ENTTYPL}"));
+            let head_src_col = self.col(&anchor_table, &format!("{ENTTYP}_{ENTTYPDS}"));
             let _ = anchor;
             self.db.execute(
                 &Plan::Scan {
@@ -796,7 +782,7 @@ mod tests {
     use catalog::query::{AttrQuery, ElemCond, ObjectQuery};
 
     fn backend() -> InliningBackend {
-        InliningBackend::new(lead_partition(), DynamicConvention::default()).unwrap()
+        InliningBackend::new(lead_partition()).unwrap()
     }
 
     #[test]

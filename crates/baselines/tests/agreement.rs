@@ -10,13 +10,12 @@ use catalog::prelude::*;
 use xmlkit::Document;
 
 fn backends() -> Vec<Box<dyn CatalogBackend>> {
-    let cv = DynamicConvention::default;
     vec![
         Box::new(HybridBackend::from_catalog(lead_catalog(CatalogConfig::default()).unwrap())),
-        Box::new(ClobOnlyBackend::new(cv()).unwrap()),
-        Box::new(DomStoreBackend::new(cv())),
-        Box::new(EdgeBackend::new(cv()).unwrap()),
-        Box::new(InliningBackend::new(lead_partition(), cv()).unwrap()),
+        Box::new(ClobOnlyBackend::new().unwrap()),
+        Box::new(DomStoreBackend::new()),
+        Box::new(EdgeBackend::new().unwrap()),
+        Box::new(InliningBackend::new(lead_partition()).unwrap()),
     ]
 }
 

@@ -3,7 +3,6 @@
 
 use baselines::{CatalogBackend, EdgeBackend};
 use benchkit::{generator, hybrid_backend, load};
-use catalog::shred::DynamicConvention;
 use criterion::{criterion_group, criterion_main, Criterion};
 use workload::{QueryGenerator, QueryShape, WorkloadConfig};
 
@@ -13,7 +12,7 @@ fn bench_depth(c: &mut Criterion) {
         let generator = generator(cfg);
         let corpus = generator.corpus(200);
         let hybrid = hybrid_backend(&generator).unwrap();
-        let edge = EdgeBackend::new(DynamicConvention::default()).unwrap();
+        let edge = EdgeBackend::new().unwrap();
         load(&hybrid, &corpus).unwrap();
         load(&edge, &corpus).unwrap();
         let queries = QueryGenerator::new(&generator, 7).batch(QueryShape::Nested(depth), 6);

@@ -19,7 +19,6 @@ use baselines::{
 use catalog::catalog::CatalogConfig;
 use catalog::error::Result;
 use catalog::lead::lead_partition;
-use catalog::shred::DynamicConvention;
 use workload::{DocGenerator, WorkloadConfig};
 
 /// Default workload for backend comparisons.
@@ -36,10 +35,10 @@ pub fn generator(cfg: WorkloadConfig) -> DocGenerator {
 pub fn all_backends(generator: &DocGenerator) -> Result<Vec<Box<dyn CatalogBackend>>> {
     Ok(vec![
         Box::new(HybridBackend::from_catalog(generator.catalog(CatalogConfig::default())?)),
-        Box::new(InliningBackend::new(lead_partition(), DynamicConvention::default())?),
-        Box::new(EdgeBackend::new(DynamicConvention::default())?),
-        Box::new(ClobOnlyBackend::new(DynamicConvention::default())?),
-        Box::new(DomStoreBackend::new(DynamicConvention::default())),
+        Box::new(InliningBackend::new(lead_partition())?),
+        Box::new(EdgeBackend::new()?),
+        Box::new(ClobOnlyBackend::new()?),
+        Box::new(DomStoreBackend::new()),
     ])
 }
 

@@ -9,20 +9,19 @@ use crate::partition::Partition;
 use crate::query::ObjectQuery;
 use crate::reqctx::RequestCtx;
 use crate::response;
-use crate::shred::{DynamicConvention, ShredOptions, ShreddedDoc, Shredder};
+use crate::shred::{ShreddedDoc, Shredder};
 use crate::store;
 use minidb::{Database, Expr, Plan, Value};
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicI64, Ordering as AtomicOrdering};
 use xmlkit::dom::Document;
 
-/// Catalog configuration.
+/// Catalog configuration. Dynamic attributes are always read with the
+/// FGDC tags (see [`crate::shred`]) and content no definition matches is
+/// always kept CLOB-only; the one choice left is whether such content
+/// registers new definitions.
 #[derive(Debug, Clone, Default)]
 pub struct CatalogConfig {
-    /// Dynamic-attribute naming convention (LEAD's by default).
-    pub convention: DynamicConvention,
-    /// Shredding strictness.
-    pub shred: ShredOptions,
     /// Auto-register unknown dynamic attributes from their first
     /// occurrence instead of storing them CLOB-only.
     pub auto_register: bool,
@@ -152,12 +151,7 @@ impl MetadataCatalog {
             Document::parse(xml)?
         };
         let defs = self.defs.read();
-        let shredder = Shredder::new(
-            &self.partition,
-            &self.ordering,
-            &self.config.convention,
-            self.config.shred.clone(),
-        );
+        let shredder = Shredder::new(&self.partition, &self.ordering);
         let out = {
             let _span = reg.span("catalog.shred");
             shredder.shred(&doc, &defs)?
@@ -182,12 +176,7 @@ impl MetadataCatalog {
                 store::sync_defs(&self.db, &defs)?;
             }
             let defs = self.defs.read();
-            let shredder = Shredder::new(
-                &self.partition,
-                &self.ordering,
-                &self.config.convention,
-                self.config.shred.clone(),
-            );
+            let shredder = Shredder::new(&self.partition, &self.ordering);
             let _span = reg.span("catalog.shred");
             return shredder.shred(&doc, &defs);
         }
@@ -373,12 +362,7 @@ impl MetadataCatalog {
                 *e = (*e).max(cs);
             }
         }
-        let shredder = Shredder::new(
-            &self.partition,
-            &self.ordering,
-            &self.config.convention,
-            self.config.shred.clone(),
-        );
+        let shredder = Shredder::new(&self.partition, &self.ordering);
         let shredded = shredder.shred_fragment(&doc, &defs, snode, seq_seed, clob_seed)?;
         drop(defs);
         Self::apply_rows(&mut txn, object_id, shredded)?;
@@ -386,7 +370,7 @@ impl MetadataCatalog {
         Ok(())
     }
 
-    /// Ingest one document: parse, shred, validate, store.
+    /// Ingest one document: parse, shred, store.
     pub fn ingest(&self, xml: &str) -> Result<i64> {
         let _span = obs::global().span("catalog.ingest");
         let shredded = self.shred_only(xml)?;

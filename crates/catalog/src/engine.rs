@@ -24,6 +24,7 @@ use crate::defs::{AttrId, DefsRegistry, ElemId};
 use crate::error::{CatalogError, Result};
 use crate::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
 use crate::reqctx::RequestCtx;
+use crate::shred::{parse_num, stored_num};
 use minidb::{CmpOp, Database, Expr, Plan, Value};
 
 /// Matching strategy (see module docs).
@@ -96,11 +97,15 @@ fn elem_pred(elem_id: ElemId, cond: &ElemCond) -> Expr {
             let (QValue::Num(lo), Some(QValue::Num(hi))) = (&cond.value, &cond.value2) else {
                 return Expr::lit(false);
             };
-            Expr::Between(
-                Box::new(Expr::col(6)),
-                Box::new(Expr::lit(*lo)),
-                Box::new(Expr::lit(*hi)),
-            )
+            match (stored_num(*lo), stored_num(*hi)) {
+                (Some(lo), Some(hi)) => Expr::Between(
+                    Box::new(Expr::col(6)),
+                    Box::new(Expr::lit(lo)),
+                    Box::new(Expr::lit(hi)),
+                ),
+                // A NaN bound matches nothing.
+                _ => Expr::lit(false),
+            }
         }
         QOp::Eq | QOp::Ne | QOp::Lt | QOp::Le | QOp::Gt | QOp::Ge => {
             let op = match cond.op {
@@ -113,7 +118,11 @@ fn elem_pred(elem_id: ElemId, cond: &ElemCond) -> Expr {
                 _ => unreachable!(),
             };
             match &cond.value {
-                QValue::Num(n) => Expr::Cmp(op, Box::new(Expr::col(6)), Box::new(Expr::lit(*n))),
+                QValue::Num(n) => match stored_num(*n) {
+                    Some(n) => Expr::Cmp(op, Box::new(Expr::col(6)), Box::new(Expr::lit(n))),
+                    // A NaN literal matches nothing.
+                    None => Expr::lit(false),
+                },
                 QValue::Str(s) => {
                     let str_cmp =
                         Expr::Cmp(op, Box::new(Expr::col(5)), Box::new(Expr::lit(s.clone())));
@@ -124,9 +133,9 @@ fn elem_pred(elem_id: ElemId, cond: &ElemCond) -> Expr {
                     // for `s`: the same parse, or NULL when `s` is not a
                     // number. The implied term changes no result; it lets
                     // the leaf key `elems_by_def` on all three columns.
-                    let num_eq = match s.trim().parse::<f64>() {
-                        Ok(n) => Expr::col_eq(6, n),
-                        Err(_) => Expr::IsNull(Box::new(Expr::col(6))),
+                    let num_eq = match parse_num(s) {
+                        Some(n) => Expr::col_eq(6, n),
+                        None => Expr::IsNull(Box::new(Expr::col(6))),
                     };
                     Expr::and(num_eq, str_cmp)
                 }

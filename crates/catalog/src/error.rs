@@ -16,9 +16,6 @@ pub enum CatalogError {
         /// Path of the offending element.
         path: String,
     },
-    /// A dynamic metadata attribute or element failed validation
-    /// against the registered definitions.
-    Validation(String),
     /// A metadata attribute/element definition problem (duplicate
     /// name+source, missing parent, ...).
     Definition(String),
@@ -39,7 +36,6 @@ impl fmt::Display for CatalogError {
             CatalogError::Db(e) => write!(f, "database error: {e}"),
             CatalogError::InvalidPartition(m) => write!(f, "invalid partition: {m}"),
             CatalogError::UnknownElement { path } => write!(f, "element not in schema: {path}"),
-            CatalogError::Validation(m) => write!(f, "validation failed: {m}"),
             CatalogError::Definition(m) => write!(f, "definition error: {m}"),
             CatalogError::BadQuery(m) => write!(f, "bad query: {m}"),
             CatalogError::NoSuchObject(id) => write!(f, "no such object: {id}"),

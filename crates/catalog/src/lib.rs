@@ -14,8 +14,9 @@
 //! 2. [`ordering`] — compute the schema-level global total ordering
 //!    (no per-document order maintenance);
 //! 3. [`shred`] — on ingest, store each attribute instance as a CLOB
-//!    *and* as query rows, resolving dynamic attributes by (name,
-//!    source) values with insert-time validation ([`defs`]);
+//!    *and* as query rows, resolving dynamic attributes by the (name,
+//!    source) values of their FGDC tags against the registered
+//!    definitions ([`defs`]);
 //! 4. [`engine`] — answer [`query::ObjectQuery`] criteria with
 //!    set-based plans over the inverted lists (Fig 4);
 //! 5. [`response`] — rebuild schema-ordered documents from CLOBs +
@@ -59,7 +60,7 @@ pub mod prelude {
     pub use crate::qparse::parse_query;
     pub use crate::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
     pub use crate::reqctx::RequestCtx;
-    pub use crate::shred::{DynamicConvention, ShredOptions, Shredder};
+    pub use crate::shred::Shredder;
 }
 
 pub use prelude::*;

@@ -218,7 +218,7 @@ fn unknown_attribute_or_element_is_bad_query() {
 
 #[test]
 fn auto_register_learns_new_dynamic_attributes() {
-    let config = CatalogConfig { auto_register: true, ..CatalogConfig::default() };
+    let config = CatalogConfig { auto_register: true };
     let cat = MetadataCatalog::new(catalog::lead::lead_partition(), config).unwrap();
     register_arps_defs(&cat).unwrap();
     let doc = "<LEADresource><resourceID>x</resourceID><data>\

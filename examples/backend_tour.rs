@@ -24,10 +24,10 @@ fn main() -> Result<()> {
 
     let backends: Vec<Box<dyn CatalogBackend>> = vec![
         Box::new(HybridBackend::from_catalog(generator.catalog(CatalogConfig::default())?)),
-        Box::new(InliningBackend::new(lead_partition(), DynamicConvention::default())?),
-        Box::new(EdgeBackend::new(DynamicConvention::default())?),
-        Box::new(ClobOnlyBackend::new(DynamicConvention::default())?),
-        Box::new(DomStoreBackend::new(DynamicConvention::default())),
+        Box::new(InliningBackend::new(lead_partition())?),
+        Box::new(EdgeBackend::new()?),
+        Box::new(ClobOnlyBackend::new()?),
+        Box::new(DomStoreBackend::new()),
     ];
 
     let mut qg = QueryGenerator::new(&generator, 17);

@@ -33,7 +33,12 @@
 //!
 //! `init` builds a catalog over the Fig-2 LEAD schema with the ARPS
 //! definitions registered and auto-registration of new dynamic
-//! attributes enabled (pass `--strict` to disable).
+//! attributes enabled (pass `--strict` to disable). Dynamic attributes
+//! are read from the fixed FGDC tags (`enttyp`/`enttypl`/`enttypds`,
+//! `attr`/`attrlabl`/`attrdefs`/`attrv`). Content no definition matches
+//! is always kept CLOB-only, never rejected, and a value that does not
+//! fit its element's type keeps its string with a NULL number; the
+//! catalog's whole configuration is `CatalogConfig { auto_register }`.
 
 use mylead::catalog::catalog::{CatalogConfig, MetadataCatalog};
 use mylead::catalog::error::CatalogError;
@@ -101,7 +106,7 @@ fn usage() -> String {
 }
 
 fn config(strict: bool) -> CatalogConfig {
-    CatalogConfig { auto_register: !strict, ..CatalogConfig::default() }
+    CatalogConfig { auto_register: !strict }
 }
 
 /// Open the catalog directory named by `-s`.

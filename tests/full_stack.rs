@@ -7,7 +7,7 @@ use mylead::workload::{DocGenerator, QueryGenerator, QueryShape, WorkloadConfig}
 fn make(cfg: WorkloadConfig) -> (DocGenerator, HybridBackend, DomStoreBackend) {
     let generator = DocGenerator::new(cfg);
     let hybrid = HybridBackend::from_catalog(generator.catalog(CatalogConfig::default()).unwrap());
-    let dom = DomStoreBackend::new(DynamicConvention::default());
+    let dom = DomStoreBackend::new();
     (generator, hybrid, dom)
 }
 

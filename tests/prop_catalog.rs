@@ -41,7 +41,7 @@ proptest! {
         let hybrid = HybridBackend::from_catalog(
             generator.catalog(CatalogConfig::default()).unwrap(),
         );
-        let dom = DomStoreBackend::new(DynamicConvention::default());
+        let dom = DomStoreBackend::new();
         for d in generator.corpus(10) {
             hybrid.ingest(&d).unwrap();
             dom.ingest(&d).unwrap();
