@@ -47,7 +47,7 @@ impl CatalogBackend for ClobOnlyBackend {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         // The CLOB and the row that locates it commit together.
         let mut txn = self.db.txn();
-        let locator = txn.put_clob(xml.as_bytes().to_vec());
+        let locator = txn.put_clobs(&[xml]).start;
         txn.insert("docs", vec![vec![Value::Int(id), Value::Int(locator as i64)]])?;
         txn.commit()?;
         Ok(id)

@@ -20,7 +20,9 @@ use crate::CatalogBackend;
 use catalog::error::{CatalogError, Result};
 use catalog::partition::Partition;
 use catalog::query::{AttrQuery, ElemCond, ObjectQuery};
-use catalog::shred::{ATTR, ATTRDEFS, ATTRLABL, ATTRV, ENTTYP, ENTTYPDS, ENTTYPL};
+use catalog::shred::{
+    parse_num, stored_num, ATTR, ATTRDEFS, ATTRLABL, ATTRV, ENTTYP, ENTTYPDS, ENTTYPL,
+};
 use minidb::{Column, DataType, Database, Expr, Plan, ResultSet, TableSchema, Value};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
@@ -233,8 +235,7 @@ impl InliningBackend {
                 if self.schema.node(snode).is_leaf() {
                     let text = doc.direct_text(dnode);
                     let vi = self.col(table, "value");
-                    row[vi + 1] =
-                        text.trim().parse::<f64>().ok().map(Value::Float).unwrap_or(Value::Null);
+                    row[vi + 1] = parse_num(&text).map(Value::Float).unwrap_or(Value::Null);
                     row[vi] = Value::Str(text);
                 } else {
                     self.fill_row(doc, dnode, snode, object, rid, &mut row, pending);
@@ -276,12 +277,7 @@ impl InliningBackend {
                     if self.schema.node(schild).is_leaf() {
                         let text = doc.direct_text(child);
                         let vi = self.col(table, col);
-                        row[vi + 1] = text
-                            .trim()
-                            .parse::<f64>()
-                            .ok()
-                            .map(Value::Float)
-                            .unwrap_or(Value::Null);
+                        row[vi + 1] = parse_num(&text).map(Value::Float).unwrap_or(Value::Null);
                         row[vi] = Value::Str(text);
                     } else {
                         self.fill_row(doc, child, schild, object, row_id, row, pending);
@@ -689,11 +685,15 @@ fn value_pred(text_col: usize, cond: &ElemCond) -> Expr {
             QValue::Num(_) => Expr::lit(false),
         },
         QOp::Between => match (&cond.value, &cond.value2) {
-            (QValue::Num(lo), Some(QValue::Num(hi))) => Expr::Between(
-                Box::new(Expr::col(num_col)),
-                Box::new(Expr::lit(*lo)),
-                Box::new(Expr::lit(*hi)),
-            ),
+            (QValue::Num(lo), Some(QValue::Num(hi))) => match (stored_num(*lo), stored_num(*hi)) {
+                (Some(lo), Some(hi)) => Expr::Between(
+                    Box::new(Expr::col(num_col)),
+                    Box::new(Expr::lit(lo)),
+                    Box::new(Expr::lit(hi)),
+                ),
+                // A NaN bound matches nothing.
+                _ => Expr::lit(false),
+            },
             _ => Expr::lit(false),
         },
         QOp::Eq | QOp::Ne | QOp::Lt | QOp::Le | QOp::Gt | QOp::Ge => {
@@ -707,9 +707,11 @@ fn value_pred(text_col: usize, cond: &ElemCond) -> Expr {
                 _ => unreachable!(),
             };
             match &cond.value {
-                QValue::Num(n) => {
-                    Expr::Cmp(op, Box::new(Expr::col(num_col)), Box::new(Expr::lit(*n)))
-                }
+                QValue::Num(n) => match stored_num(*n) {
+                    Some(n) => Expr::Cmp(op, Box::new(Expr::col(num_col)), Box::new(Expr::lit(n))),
+                    // A NaN literal matches nothing.
+                    None => Expr::lit(false),
+                },
                 QValue::Str(s) => {
                     Expr::Cmp(op, Box::new(Expr::col(text_col)), Box::new(Expr::lit(s.clone())))
                 }

@@ -19,10 +19,17 @@ fn backends() -> Vec<Box<dyn CatalogBackend>> {
     ]
 }
 
+/// Twelve regular documents, then three whose `dx` text is a signed
+/// zero or NaN: the store orders floats with `total_cmp`, so every
+/// backend must fold `-0` into `0` and treat NaN as no number.
 fn corpus() -> Vec<String> {
     let mut docs = Vec::new();
-    for i in 0..12 {
-        let dx = 250.0 * ((i % 4) + 1) as f64;
+    let special = ["-0", "-0.0", "NaN"];
+    for i in 0..12 + special.len() {
+        let dx = match i.checked_sub(12) {
+            Some(k) => special[k].to_string(),
+            None => (250.0 * ((i % 4) + 1) as f64).to_string(),
+        };
         let dzmin = 50.0 * ((i % 3) + 1) as f64;
         let key = ["rain", "snow", "wind"][i % 3];
         docs.push(format!(
@@ -105,7 +112,20 @@ fn queries() -> Vec<(&'static str, ObjectQuery)> {
             ObjectQuery::new()
                 .attr(AttrQuery::new("grid").source("ARPS").elem(ElemCond::eq_num("dx", 99999.0))),
         ),
+        ("dx-eq-neg-zero", dx_query(ElemCond::eq_num("dx", -0.0))),
+        ("dx-eq-zero", dx_query(ElemCond::eq_num("dx", 0.0))),
+        ("dx-ge-zero", dx_query(ElemCond::num("dx", QOp::Ge, 0.0))),
+        ("dx-le-neg-zero", dx_query(ElemCond::num("dx", QOp::Le, -0.0))),
+        ("dx-gt-5", dx_query(ElemCond::num("dx", QOp::Gt, 5.0))),
+        ("dx-between-zeros", dx_query(ElemCond::between("dx", -0.0, 0.0))),
+        ("dx-eq-nan", dx_query(ElemCond::eq_num("dx", f64::NAN))),
+        ("dx-ge-nan", dx_query(ElemCond::num("dx", QOp::Ge, f64::NAN))),
+        ("dx-between-nan", dx_query(ElemCond::between("dx", f64::NAN, 1000.0))),
     ]
+}
+
+fn dx_query(cond: ElemCond) -> ObjectQuery {
+    ObjectQuery::new().attr(AttrQuery::new("grid").source("ARPS").elem(cond))
 }
 
 #[test]

@@ -42,6 +42,9 @@ pub struct CatalogStats {
     pub clob_count: usize,
     /// Total CLOB bytes.
     pub clob_bytes: usize,
+    /// Heap buffers the CLOBs live in: one per ingest, since a document's
+    /// CLOBs share one (see [`minidb::clob`]).
+    pub clob_buffers: usize,
     /// Registered attribute definitions.
     pub attr_defs: usize,
     /// Registered element definitions.
@@ -223,11 +226,14 @@ impl MetadataCatalog {
         reg.counter("catalog.shred.elem_rows").add(shredded.elems.len() as u64);
         reg.counter("catalog.clob.bytes_written")
             .add(shredded.clob_rows.iter().map(|c| c.xml.len() as u64).sum());
+        // One put per document, so its CLOBs share one heap buffer.
+        let parts: Vec<&str> = shredded.clob_rows.iter().map(|c| c.xml.as_str()).collect();
+        let locators = txn.put_clobs(&parts);
         let clob_rows: Vec<Vec<Value>> = shredded
             .clob_rows
-            .into_iter()
-            .map(|c| {
-                let locator = txn.put_clob(c.xml.into_bytes());
+            .iter()
+            .zip(locators)
+            .map(|(c, locator)| {
                 vec![
                     Value::Int(object_id),
                     Value::Int(c.attr_id),
@@ -537,6 +543,7 @@ impl MetadataCatalog {
             ancestor_rows: rt.row_count("attr_anc").unwrap_or(0),
             clob_count: rt.row_count("clobs").unwrap_or(0),
             clob_bytes: rt.clobs().total_bytes(),
+            clob_buffers: rt.clobs().buffers(),
             attr_defs: defs.attrs().len(),
             elem_defs: defs.elems().len(),
             // Through `rt`, never `self.db`: a second hold of the gate on

@@ -14,8 +14,13 @@
 //!    CLOB locators already in `(schema_order, clob_seq)` order;
 //! 3. for each CLOB, closes the open wrappers that are not ancestors of
 //!    its schema order and opens the ancestors not yet open — the
-//!    difference between consecutive ancestor stacks — then appends the
-//!    CLOB's bytes, touching them only in this final step;
+//!    difference between consecutive ancestor stacks — then resolves
+//!    its locator, checks the bytes are UTF-8 and appends them,
+//!    touching them only in this final step. An ingest stores its
+//!    document's CLOBs back to back in one heap buffer
+//!    ([`minidb::clob`]), so these reads stay within one buffer and, for
+//!    a document ingested in schema order, run through it front to
+//!    back;
 //! 4. closes whatever is still open after the object's last CLOB.
 //!
 //! Everything runs under one read transaction, so a concurrent ingest

@@ -55,7 +55,7 @@ pub struct DynamicConvention {}
 /// `-0 < 0` and NaN sorts above every number, so `-0` folds into `0`
 /// and NaN is no number at all: a NULL `value_num`, a literal that
 /// matches nothing.
-pub(crate) fn stored_num(n: f64) -> Option<f64> {
+pub fn stored_num(n: f64) -> Option<f64> {
     if n.is_nan() {
         None
     } else if n == 0.0 {
@@ -66,7 +66,7 @@ pub(crate) fn stored_num(n: f64) -> Option<f64> {
 }
 
 /// [`stored_num`] of an element's text; `None` when it is no number.
-pub(crate) fn parse_num(text: &str) -> Option<f64> {
+pub fn parse_num(text: &str) -> Option<f64> {
     text.trim().parse::<f64>().ok().and_then(stored_num)
 }
 

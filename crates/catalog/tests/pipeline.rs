@@ -1,8 +1,10 @@
 //! End-to-end tests of the Fig-1 pipeline over the LEAD fixture:
 //! ingest (shred) → query (Fig 4) → response (schema-ordered XML).
 
-use catalog::lead::{fig4_query, lead_catalog, register_arps_defs, FIG3_DOCUMENT};
+use catalog::lead::{fig4_query, lead_catalog, lead_partition, register_arps_defs, FIG3_DOCUMENT};
 use catalog::prelude::*;
+use minidb::{MemVfs, WalOptions};
+use std::sync::Arc;
 use xmlkit::Document;
 
 fn cat() -> MetadataCatalog {
@@ -322,6 +324,40 @@ fn stats_reflect_hybrid_duplication() {
     assert_eq!(s.attr_rows, 5);
     // table count is fixed regardless of content
     assert_eq!(s.table_count, 9);
+}
+
+#[test]
+fn clob_buffers_track_ingests_across_restarts() {
+    let vfs = MemVfs::new();
+    let open = || {
+        MetadataCatalog::open_with(
+            Arc::new(vfs.clone()),
+            WalOptions::default(),
+            lead_partition(),
+            CatalogConfig::default(),
+        )
+        .unwrap()
+    };
+    let cat = open();
+    register_arps_defs(&cat).unwrap();
+    for i in 0..5 {
+        cat.ingest(&doc_with(250.0 * i as f64, Some(100.0), "rain")).unwrap();
+    }
+    let live = cat.stats();
+    // One buffer per ingest, however many CLOBs each document has.
+    assert_eq!(live.clob_buffers, 5);
+    assert!(live.clob_count > 5);
+    drop(cat);
+    // WAL replay puts each ingest's CLOBs back into one buffer.
+    let replayed = open();
+    assert_eq!(replayed.stats(), live);
+    // A snapshot keeps no put boundaries: its small CLOB section comes
+    // back as one buffer.
+    replayed.checkpoint().unwrap();
+    drop(replayed);
+    let reopened = open().stats();
+    assert_eq!(reopened.clob_buffers, 1);
+    assert_eq!(CatalogStats { clob_buffers: 5, ..reopened }, live);
 }
 
 #[test]

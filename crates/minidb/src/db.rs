@@ -46,6 +46,7 @@ use crate::wal::{
 };
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
@@ -253,12 +254,10 @@ impl Database {
                 if lsn <= snap_lsn {
                     continue;
                 }
-                for rec in records {
-                    db.state.get_mut().apply_record(rec).map_err(|e| {
-                        DbError::Corrupt(format!("wal replay failed at lsn {lsn}: {e}"))
-                    })?;
-                    recovered += 1;
-                }
+                recovered += records.len() as u64;
+                db.state.get_mut().apply_txn(records).map_err(|e| {
+                    DbError::Corrupt(format!("wal replay failed at lsn {lsn}: {e}"))
+                })?;
             }
             obs::global().counter("wal.recovered_records").add(recovered);
             if (bytes.len() as u64) > valid_len {
@@ -437,15 +436,6 @@ impl Database {
         t.commit()
     }
 
-    /// Store a CLOB, returning its locator. On a durable database the
-    /// put is logged (its own transaction).
-    pub fn put_clob(&self, data: Vec<u8>) -> Result<u64> {
-        let mut t = self.txn();
-        let loc = t.put_clob(data);
-        t.commit()?;
-        Ok(loc)
-    }
-
     /// Number of live rows in a table.
     pub fn row_count(&self, table: &str) -> Result<usize> {
         self.begin_read().row_count(table)
@@ -614,28 +604,38 @@ impl State {
         Ok(n)
     }
 
-    /// Apply one recovered WAL record to in-memory state (no logging).
-    pub(crate) fn apply_record(&mut self, rec: WalRecord) -> Result<()> {
-        match rec {
-            WalRecord::CreateTable { name, schema } => self.apply_create_table(&name, &schema),
-            WalRecord::DropTable { name } => self.apply_drop_table(&name),
-            WalRecord::CreateIndex { table, name, columns, unique } => {
-                self.apply_create_index(&table, &name, &columns, unique)
+    /// Apply one recovered transaction's WAL records to in-memory state
+    /// (no logging). Each run of consecutive `ClobPut` records is one
+    /// put, as the [`Txn::put_clobs`] that logged it was.
+    pub(crate) fn apply_txn(&mut self, records: Vec<WalRecord>) -> Result<()> {
+        let mut clob_run = Vec::new();
+        for rec in records {
+            if let WalRecord::ClobPut { data } = rec {
+                clob_run.push(data);
+                continue;
             }
-            WalRecord::Insert { table, rows } => self.apply_insert(&table, rows).map(|_| ()),
-            WalRecord::DeleteWhere { table, pred } => {
-                self.apply_delete_where(&table, &pred).map(|_| ())
-            }
-            WalRecord::UpdateWhere { table, pred, sets } => {
-                self.apply_update_where(&table, pred.as_ref(), &sets).map(|_| ())
-            }
-            WalRecord::Truncate { table } => self.apply_truncate(&table).map(|_| ()),
-            WalRecord::ClobPut { data } => {
-                self.clobs.put(data);
-                Ok(())
-            }
-            WalRecord::Commit { .. } => Ok(()),
+            self.clobs.put_clobs(&clob_run);
+            clob_run.clear();
+            match rec {
+                WalRecord::CreateTable { name, schema } => self.apply_create_table(&name, &schema),
+                WalRecord::DropTable { name } => self.apply_drop_table(&name),
+                WalRecord::CreateIndex { table, name, columns, unique } => {
+                    self.apply_create_index(&table, &name, &columns, unique)
+                }
+                WalRecord::Insert { table, rows } => self.apply_insert(&table, rows).map(|_| ()),
+                WalRecord::DeleteWhere { table, pred } => {
+                    self.apply_delete_where(&table, &pred).map(|_| ())
+                }
+                WalRecord::UpdateWhere { table, pred, sets } => {
+                    self.apply_update_where(&table, pred.as_ref(), &sets).map(|_| ())
+                }
+                WalRecord::Truncate { table } => self.apply_truncate(&table).map(|_| ()),
+                // A `ClobPut` joined the run above.
+                WalRecord::ClobPut { .. } | WalRecord::Commit { .. } => Ok(()),
+            }?;
         }
+        self.clobs.put_clobs(&clob_run);
+        Ok(())
     }
 
     /// The executor entry behind every public `execute*`; the caller
@@ -1187,13 +1187,16 @@ impl Txn<'_> {
         Ok(n)
     }
 
-    /// Store a CLOB, returning its locator. Like [`Txn::insert`], the
-    /// WAL record is encoded before the bytes move into the heap.
-    pub fn put_clob(&mut self, data: Vec<u8>) -> u64 {
-        let encoded = self.wal.is_some().then(|| encode_clob_put(&data));
-        let loc = self.state.clobs.put(data);
-        self.log_encoded(encoded);
-        loc
+    /// Store `parts` as consecutive CLOBs in one heap buffer, returning
+    /// their locators (see [`crate::clob`] for the layout). The WAL gets
+    /// one `ClobPut` record per part, so the log is the same as for
+    /// parts put one at a time.
+    pub fn put_clobs<P: AsRef<[u8]>>(&mut self, parts: &[P]) -> Range<u64> {
+        for p in parts {
+            let encoded = self.wal.is_some().then(|| encode_clob_put(p.as_ref()));
+            self.log_encoded(encoded);
+        }
+        self.state.clobs.put_clobs(parts)
     }
 
     /// Make the batch durable and visible: append + fsync the WAL

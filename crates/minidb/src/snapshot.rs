@@ -365,10 +365,7 @@ fn save_clobs<W: Write>(clobs: &ClobStore, enc: &mut Enc<W>) -> Result<()> {
 
 fn load_clobs<R: Read>(clobs: &mut ClobStore, dec: &mut Dec<R>) -> Result<()> {
     let n = dec.u64()?;
-    for _ in 0..n {
-        clobs.put(dec.bytes()?);
-    }
-    Ok(())
+    clobs.load((0..n).map(|_| dec.bytes()))
 }
 
 #[cfg(test)]
@@ -389,7 +386,9 @@ mod tests {
             .unwrap();
         db.execute_sql("CREATE UNIQUE INDEX t_pk ON t (id)").unwrap();
         db.execute_sql("CREATE INDEX t_by_name ON t (name, w)").unwrap();
-        let loc = db.put_clob("<xml>hello</xml>".as_bytes().to_vec()).unwrap();
+        let mut txn = db.txn();
+        let loc = txn.put_clobs(&["<xml>hello</xml>"]).start;
+        txn.commit().unwrap();
         db.insert(
             "t",
             vec![

@@ -38,7 +38,9 @@ fn snapshot_image() -> Vec<u8> {
     .unwrap();
     db.create_index("objects", "objects_id", &["id"], true).unwrap();
     for i in 0..40i64 {
-        let loc = db.put_clob(format!("<file id='{i}' size='{}'/>", i * 37).into_bytes()).unwrap();
+        let mut t = db.txn();
+        let loc = t.put_clobs(&[format!("<file id='{i}' size='{}'/>", i * 37)]).start;
+        t.commit().unwrap();
         let name = if i % 5 == 0 { Value::Null } else { Value::Str(format!("lfn/{i}")) };
         db.insert("objects", vec![vec![Value::Int(i), name, Value::Int(loc as i64)]])
             .unwrap();

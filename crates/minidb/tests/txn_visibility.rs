@@ -152,7 +152,7 @@ fn database_reads_never_see_half_a_txn() {
                 let mut t = db.txn();
                 t.insert("a", vec![vec![Value::Int(2 * i)]]).unwrap();
                 t.insert("a", vec![vec![Value::Int(2 * i + 1)]]).unwrap();
-                t.put_clob(format!("<doc>{i}</doc>").into_bytes());
+                t.put_clobs(&[format!("<doc>{i}</doc>")]);
                 t.commit().unwrap();
             }
             done.store(true, Ordering::Relaxed);

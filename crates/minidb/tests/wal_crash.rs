@@ -74,7 +74,7 @@ impl Op {
             Op::Truncate(table) => db.truncate_table(table).map(|_| ()),
             Op::IngestLike { table, doc, id } => {
                 let mut t = db.txn();
-                let loc = t.put_clob(doc.clone());
+                let loc = t.put_clobs(&[doc]).start;
                 t.insert(
                     table,
                     vec![
@@ -568,4 +568,141 @@ fn update_failing_on_a_later_row_changes_no_row() {
         vec![vec![1.into(), Value::Null, 5.into()], vec![2.into(), "x".into(), 5.into()]],
         |db| db.update_where("t", None, &[(2, name_plus_one())]),
     );
+}
+
+/// Seeded documents for the CLOB-layout tests: each is 1–6 parts, an
+/// element with 0–`max_part` bytes of text, stored by one `put_clobs`.
+fn clob_docs(seed: u64, n: usize, max_part: usize) -> Vec<Vec<Vec<u8>>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..n)
+        .map(|d| {
+            (0..rng.gen_range(1..=6usize))
+                .map(|p| {
+                    let len = rng.gen_range(0..=max_part);
+                    format!("<f d='{d}' p='{p}'>{}</f>", "x".repeat(len)).into_bytes()
+                })
+                .collect()
+        })
+        .collect()
+}
+
+fn layout_seed() -> u64 {
+    std::env::var("PROPTEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(0xC10B)
+}
+
+/// Store each document as one transaction: one put of its parts and a
+/// row locating the first. Returns each document's locators.
+fn put_docs(db: &Database, docs: &[Vec<Vec<u8>>]) -> Vec<std::ops::Range<u64>> {
+    if !db.has_table("docs") {
+        db.create_table("docs", table_schema()).unwrap();
+    }
+    docs.iter()
+        .map(|parts| {
+            let mut t = db.txn();
+            let locs = t.put_clobs(parts);
+            let row =
+                vec![Value::Int(locs.start as i64), Value::Null, Value::Int(locs.start as i64)];
+            t.insert("docs", vec![row]).unwrap();
+            t.commit().unwrap();
+            locs
+        })
+        .collect()
+}
+
+/// Places where consecutive non-empty CLOBs among `locs` do not sit
+/// back to back in memory (an empty CLOB owns no bytes and is skipped).
+/// The CLOBs of one buffer always do; two buffers may happen to as
+/// well, so this counts at most the buffer boundaries crossed.
+fn breaks(db: &Database, locs: std::ops::Range<u64>) -> usize {
+    let rt = db.begin_read();
+    let handles: Vec<_> =
+        locs.map(|l| rt.clobs().get(l).unwrap()).filter(|b| !b.is_empty()).collect();
+    handles
+        .windows(2)
+        .filter(|w| w[0].as_ptr().wrapping_add(w[0].len()) != w[1].as_ptr())
+        .count()
+}
+
+fn assert_contents(db: &Database, docs: &[Vec<Vec<u8>>], locs: &[std::ops::Range<u64>]) {
+    let rt = db.begin_read();
+    for (parts, locs) in docs.iter().zip(locs) {
+        assert_eq!(locs.end - locs.start, parts.len() as u64);
+        for (part, loc) in parts.iter().zip(locs.clone()) {
+            assert_eq!(&rt.clobs().get(loc).unwrap()[..], &part[..], "locator {loc}");
+        }
+    }
+}
+
+#[test]
+fn one_put_clobs_is_one_buffer() {
+    let docs = clob_docs(layout_seed(), 30, 300);
+    let db = Database::new();
+    let locs = put_docs(&db, &docs);
+    assert_contents(&db, &docs, &locs);
+    assert_eq!(db.begin_read().clobs().buffers(), docs.len());
+    for l in &locs {
+        assert_eq!(breaks(&db, l.clone()), 0, "document at {l:?} spans buffers");
+    }
+}
+
+#[test]
+fn wal_replay_rebuilds_one_buffer_per_put() {
+    let docs = clob_docs(layout_seed() ^ 1, 40, 300);
+    let vfs = MemVfs::new();
+    let db = open_mem(vfs.clone(), SyncPolicy::EveryCommit);
+    let locs = put_docs(&db, &docs);
+    // Two puts in one transaction, split by an insert, stay two
+    // buffers on replay.
+    let mut t = db.txn();
+    let a = t.put_clobs(&["<a>1</a>", "<a>2</a>"]);
+    t.insert("docs", vec![vec![Value::Int(-1), Value::Null, Value::Null]]).unwrap();
+    t.put_clobs(&["<b>1</b>"]);
+    t.commit().unwrap();
+    let image = digest(&db);
+    drop(db);
+
+    let recovered = open_mem(vfs.crashed_copy(), SyncPolicy::EveryCommit);
+    assert_eq!(digest(&recovered), image);
+    assert_contents(&recovered, &docs, &locs);
+    assert_eq!(recovered.begin_read().clobs().buffers(), docs.len() + 2);
+    for l in locs.iter().chain([&a]) {
+        assert_eq!(breaks(&recovered, l.clone()), 0, "document at {l:?} spans buffers");
+    }
+}
+
+#[test]
+fn checkpoint_reopen_keeps_each_documents_clobs_adjacent() {
+    // Enough bytes that the snapshot's CLOB section fills several
+    // load buffers.
+    let docs = clob_docs(layout_seed() ^ 2, 120, 1200);
+    let (snapped, tail) = docs.split_at(100);
+    let vfs = MemVfs::new();
+    let db = open_mem(vfs.clone(), SyncPolicy::EveryCommit);
+    let mut locs = put_docs(&db, snapped);
+    db.checkpoint().unwrap();
+    locs.extend(put_docs(&db, tail));
+    let image = digest(&db);
+    drop(db);
+
+    let reopened = open_mem(vfs.crashed_copy(), SyncPolicy::EveryCommit);
+    assert_eq!(digest(&reopened), image);
+    assert_contents(&reopened, &docs, &locs);
+    let (snap_locs, tail_locs) = locs.split_at(snapped.len());
+    // WAL-replayed documents: one buffer each.
+    for l in tail_locs {
+        assert_eq!(breaks(&reopened, l.clone()), 0, "document at {l:?} spans buffers");
+    }
+    // Snapshot documents: regrouped in slot order into bounded
+    // buffers, so a document is split at most once.
+    for l in snap_locs {
+        assert!(breaks(&reopened, l.clone()) <= 1, "document at {l:?} split twice");
+    }
+    let section = snap_locs[0].start..snap_locs[snap_locs.len() - 1].end;
+    let snap_buffers = reopened.begin_read().clobs().buffers() - tail.len();
+    assert!(snap_buffers > 1, "the snapshot section should need several buffers");
+    assert!(snap_buffers < snapped.len(), "snapshot buffers must track bytes, not documents");
+    assert!(breaks(&reopened, section) < snap_buffers);
 }

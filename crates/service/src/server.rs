@@ -49,7 +49,7 @@ use catalog::catalog::MetadataCatalog;
 use catalog::qparse::parse_query;
 use catalog::reqctx::RequestCtx;
 use obs::{Counter, Gauge};
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -352,7 +352,9 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     let mut reader = BufReader::new(&stream);
     // A reply is buffered and sent in one write when the loop comes
     // back to read the next command: a reply written piece by piece
-    // costs a send and a client wake-up per piece.
+    // costs a send and a client wake-up per piece. An envelope, which
+    // can outgrow the buffer, leaves at once in one vectored write
+    // (`envelope_reply`).
     let mut writer = BufWriter::new(PollWriter { stream: &stream, shared });
     let mut raw = Vec::new();
     loop {
@@ -511,12 +513,13 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             "STATS" => {
                 let s = catalog.stats();
                 let mut out = format!(
-                    "OK objects={} attrs={} elems={} clobs={} clob_bytes={} defs={}",
+                    "OK objects={} attrs={} elems={} clobs={} clob_bytes={} clob_buffers={} defs={}",
                     s.objects,
                     s.attr_rows,
                     s.elem_rows,
                     s.clob_count,
                     s.clob_bytes,
+                    s.clob_buffers,
                     s.attr_defs + s.elem_defs
                 );
                 // Full observability snapshot rides on the same line so
@@ -592,6 +595,17 @@ impl Write for PollWriter<'_> {
         }
     }
 
+    /// The socket's own vectored write, with [`PollWriter::write`]'s
+    /// retry (the default would write only the first slice).
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        loop {
+            match self.stream.write_vectored(bufs) {
+                Err(e) if is_poll_wakeup(&e) && !self.shared.stopped.load(Ordering::Relaxed) => {}
+                done => return done,
+            }
+        }
+    }
+
     fn flush(&mut self) -> std::io::Result<()> {
         self.stream.flush()
     }
@@ -644,16 +658,39 @@ fn err_reply(writer: &mut impl Write, msg: &str) -> std::io::Result<()> {
 }
 
 /// Reply to `FETCH` / `SEARCH`: `OK <len>` then the `<results>` envelope
-/// bytes, or the catalog error.
-fn envelope_reply(writer: &mut impl Write, env: catalog::Result<String>) -> std::io::Result<()> {
+/// bytes, or the catalog error. The buffer is flushed first, then the
+/// header and body leave in one vectored write: through the buffer, a
+/// body of its size or more would go out as a second write, and under
+/// `TCP_NODELAY` the header alone would wake the client.
+fn envelope_reply<W: Write>(
+    writer: &mut BufWriter<W>,
+    env: catalog::Result<String>,
+) -> std::io::Result<()> {
     match env {
         Ok(env) => {
             obs::global().counter("service.body_bytes_out").add(env.len() as u64);
-            writeln!(writer, "OK {}", env.len())?;
-            writer.write_all(env.as_bytes())
+            let head = format!("OK {}\n", env.len());
+            writer.flush()?;
+            write_all_vectored(
+                writer.get_mut(),
+                &mut [IoSlice::new(head.as_bytes()), IoSlice::new(env.as_bytes())],
+            )
         }
         Err(e) => err_reply(writer, &e.to_string()),
     }
+}
+
+/// `write_all` over several slices, each call a vectored write.
+fn write_all_vectored(w: &mut impl Write, mut bufs: &mut [IoSlice<'_>]) -> std::io::Result<()> {
+    while !bufs.is_empty() {
+        match w.write_vectored(bufs) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 /// Read a length-prefixed body where `len_str` is the decimal length,
@@ -702,9 +739,10 @@ fn one_line(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{CatalogServer, ConnGuard};
+    use super::{envelope_reply, CatalogServer, ConnGuard};
     use catalog::catalog::CatalogConfig;
     use catalog::lead::lead_catalog;
+    use std::io::{BufWriter, IoSlice, Write};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
@@ -724,5 +762,71 @@ mod tests {
         assert!(outcome.is_err());
         assert_eq!(gauge.get(), before, "panic leaked the connection gauge");
         assert_eq!(shared.connections.load(Ordering::SeqCst), 0, "panic leaked the slot");
+    }
+
+    /// Records each write call's length and what reached it; accepts at
+    /// most `limit` bytes per call.
+    struct CountingWriter {
+        writes: Vec<usize>,
+        bytes: Vec<u8>,
+        limit: usize,
+    }
+
+    impl CountingWriter {
+        fn new(limit: usize) -> CountingWriter {
+            CountingWriter { writes: Vec::new(), bytes: Vec::new(), limit }
+        }
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            let mut n = 0;
+            for b in bufs {
+                let take = b.len().min(self.limit - n);
+                self.bytes.extend_from_slice(&b[..take]);
+                n += take;
+            }
+            self.writes.push(n);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_envelope_leaves_in_one_write() {
+        let env = format!("<results>{}</results>", "x".repeat(100_000));
+        let mut w = BufWriter::new(CountingWriter::new(usize::MAX));
+        envelope_reply(&mut w, Ok(env.clone())).unwrap();
+        w.flush().unwrap();
+        let head = format!("OK {}\n", env.len());
+        assert_eq!(w.get_ref().writes, [head.len() + env.len()]);
+        assert_eq!(w.get_ref().bytes, [head.as_bytes(), env.as_bytes()].concat());
+    }
+
+    #[test]
+    fn an_envelope_after_buffered_output_keeps_its_order() {
+        let mut w = BufWriter::new(CountingWriter::new(usize::MAX));
+        w.write_all(b"OK pong\n").unwrap();
+        envelope_reply(&mut w, Ok("<results></results>".into())).unwrap();
+        w.flush().unwrap();
+        assert_eq!(w.get_ref().writes, [8, 25]);
+        assert_eq!(w.get_ref().bytes, b"OK pong\nOK 19\n<results></results>");
+    }
+
+    #[test]
+    fn a_short_vectored_write_is_resumed() {
+        let env = "y".repeat(10_000);
+        let mut w = BufWriter::new(CountingWriter::new(4096));
+        envelope_reply(&mut w, Ok(env.clone())).unwrap();
+        let want = [format!("OK {}\n", env.len()).as_bytes(), env.as_bytes()].concat();
+        assert_eq!(w.get_ref().writes, [4096, 4096, want.len() - 8192]);
+        assert_eq!(w.get_ref().bytes, want);
     }
 }

@@ -229,7 +229,12 @@ fn run() -> Result<(), String> {
             say!("attribute rows {}", s.attr_rows);
             say!("element rows   {}", s.elem_rows);
             say!("inverted rows  {}", s.ancestor_rows);
-            say!("CLOBs          {} ({} bytes)", s.clob_count, s.clob_bytes);
+            say!(
+                "CLOBs          {} ({} bytes in {} buffers)",
+                s.clob_count,
+                s.clob_bytes,
+                s.clob_buffers
+            );
             say!("definitions    {} attrs, {} elems", s.attr_defs, s.elem_defs);
             let registry = obs::global().render_text();
             if !registry.trim().is_empty() {
