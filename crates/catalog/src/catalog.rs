@@ -122,7 +122,8 @@ impl MetadataCatalog {
         &self.ordering
     }
 
-    /// The underlying database, for SQL inspection of the store.
+    /// The underlying database, for reading the store's tables with
+    /// [`minidb::Plan`]s.
     pub fn db(&self) -> &Database {
         &self.db
     }

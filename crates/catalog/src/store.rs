@@ -9,7 +9,7 @@
 //! | `clobs` | CLOB locator per top-level attribute instance | `clobs_by_obj (object_id, schema_order, clob_seq)`: response assembly walks one object's CLOBs in document order |
 //! | `schema_order` | the global ordering: order, tag, last-child order, depth | `schema_order_pk (order_id)`, unique |
 //! | `order_anc` | schema-level inverted list: ordered node → ancestors (gives the response builder each CLOB's wrapper stack) | none: the response builder reads it whole |
-//! | `attr_defs`, `elem_defs` | definition mirrors for SQL inspection | `attr_defs_pk`, `elem_defs_pk`, unique |
+//! | `attr_defs`, `elem_defs` | the attribute and element definitions: reopening a durable catalog rebuilds its registry from them (`persist.rs`) | `attr_defs_pk`, `elem_defs_pk`, unique |
 //!
 //! Every read and every delete reaches rows through minidb's access path,
 //! which walks the index its filter keys furthest; no plan names an
@@ -252,10 +252,11 @@ mod tests {
     }
 
     #[test]
-    fn sql_inspection_works() {
+    fn created_tables_start_empty() {
         let db = Database::new();
         create_tables(&db).unwrap();
-        let rs = db.execute_sql("SELECT COUNT(*) FROM attrs").unwrap();
-        assert_eq!(rs.rows[0][0], Value::Int(0));
+        let rs = db.execute(&minidb::Plan::Scan { table: "attrs".into(), filter: None }).unwrap();
+        assert_eq!(rs.columns, ["object_id", "attr_id", "seq", "clob_seq"]);
+        assert!(rs.rows.is_empty());
     }
 }

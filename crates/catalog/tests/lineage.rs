@@ -10,6 +10,7 @@
 //! to impose).
 
 use catalog::prelude::*;
+use minidb::{Expr, Plan};
 use std::sync::Arc;
 use xmlkit::schema::Schema;
 use xmlkit::Document;
@@ -98,12 +99,14 @@ fn appended_steps_extend_the_sequence() {
     assert!(p1 < p2 && p2 < p3, "{rebuilt}");
     // Appending never rewrites existing rows (E7's point): the lineage
     // attribute instances carry sequences 1, 2, 3.
+    let procstep_defs =
+        Plan::Scan { table: "attr_defs".into(), filter: Some(Expr::col_eq(1, "procstep")) };
+    let seqs = Plan::Scan { table: "attrs".into(), filter: None }
+        .hash_join(procstep_defs, vec![1], vec![0])
+        .project(vec![(Expr::col(2), "seq".into())]);
     let rs = cat
         .db()
-        .execute_sql(
-            "SELECT a.seq FROM attrs a JOIN attr_defs d ON a.attr_id = d.attr_id \
-             WHERE d.name = 'procstep' ORDER BY seq",
-        )
+        .execute(&Plan::Sort { input: Box::new(seqs), keys: vec![(0, false)] })
         .unwrap();
     let seqs: Vec<i64> = rs.rows.iter().filter_map(|r| r[0].as_i64()).collect();
     assert_eq!(seqs, vec![1, 2, 3]);

@@ -33,7 +33,7 @@
 use crate::access::for_each_matching;
 use crate::clob::ClobStore;
 use crate::error::{DbError, Result};
-use crate::exec::{run_aggregate, run_hash_join, run_semi_join, JoinKind, Plan, ResultSet};
+use crate::exec::{run_hash_join, run_semi_join, Plan, ResultSet};
 use crate::expr::Expr;
 use crate::keyset::{Key, KeySet, KeyedRows};
 use crate::limits::Deadline;
@@ -705,17 +705,6 @@ impl State {
             Plan::Values { columns, rows } => {
                 Ok(ResultSet { columns: columns.clone(), rows: rows.clone() })
             }
-            Plan::Filter { input, pred } => {
-                let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
-                let mut kept = Vec::with_capacity(rs.rows.len());
-                for r in rs.rows.drain(..) {
-                    if pred.matches(&r)? {
-                        kept.push(r);
-                    }
-                }
-                rs.rows = kept;
-                Ok(rs)
-            }
             Plan::Project { input, exprs } => {
                 let rs = self.exec_child(input, prof, path, 0, deadline)?;
                 let columns: Vec<String> = exprs.iter().map(|(_, n)| n.clone()).collect();
@@ -729,10 +718,10 @@ impl State {
                 }
                 Ok(ResultSet { columns, rows })
             }
-            Plan::HashJoin { left, right, left_keys, right_keys, kind } => {
+            Plan::HashJoin { left, right, left_keys, right_keys } => {
                 let l = self.exec_child(left, prof, path, 0, deadline)?;
                 let r = self.exec_child(right, prof, path, 1, deadline)?;
-                run_hash_join(l, r, left_keys, right_keys, *kind, deadline)
+                run_hash_join(l, r, left_keys, right_keys, deadline)
             }
             Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti } => {
                 // Generic (materializing) semi-join; keyable shapes were
@@ -741,45 +730,6 @@ impl State {
                 let b = self.exec_child(build, prof, path, 1, deadline)?;
                 obs::global().counter("minidb.semijoin.count").incr();
                 run_semi_join(p, &b, probe_keys, build_keys, *anti)
-            }
-            Plan::NestedLoopJoin { left, right, pred, kind } => {
-                let l = self.exec_child(left, prof, path, 0, deadline)?;
-                let r = self.exec_child(right, prof, path, 1, deadline)?;
-                let mut columns = l.columns.clone();
-                columns.extend(r.columns.iter().cloned());
-                let right_arity = r.columns.len();
-                let mut rows = Vec::new();
-                let mut it = 0u32;
-                for lrow in &l.rows {
-                    let mut matched = false;
-                    for rrow in &r.rows {
-                        // The one potentially quadratic operator: check
-                        // per candidate pair so a runaway cross product
-                        // hits the deadline while looping, not after
-                        // materializing.
-                        deadline.tick(&mut it)?;
-                        let mut cand = lrow.clone();
-                        cand.extend(rrow.iter().cloned());
-                        let ok = match pred {
-                            Some(p) => p.matches(&cand)?,
-                            None => true,
-                        };
-                        if ok {
-                            matched = true;
-                            rows.push(cand);
-                        }
-                    }
-                    if !matched && *kind == JoinKind::Left {
-                        let mut out = lrow.clone();
-                        out.extend(std::iter::repeat_n(Value::Null, right_arity));
-                        rows.push(out);
-                    }
-                }
-                Ok(ResultSet { columns, rows })
-            }
-            Plan::Aggregate { input, group_by, aggs } => {
-                let rs = self.exec_child(input, prof, path, 0, deadline)?;
-                run_aggregate(rs, group_by, aggs)
             }
             Plan::Sort { input, keys } => {
                 let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
@@ -1361,40 +1311,23 @@ mod tests {
     }
 
     #[test]
-    fn join_project_aggregate_pipeline() {
+    fn join_project_pipeline() {
         let db = db();
-        // SELECT dept.building, COUNT(*), SUM(salary) FROM emp JOIN dept
-        // ON emp.dept = dept.name GROUP BY building
+        // Each employee's building: emp.dept = dept.name, inner, so the
+        // "hr" employee (no dept row) drops out.
         let plan = Plan::Scan { table: "emp".into(), filter: None }
             .hash_join(Plan::Scan { table: "dept".into(), filter: None }, vec![1], vec![0])
-            .aggregate(
-                vec![4],
-                vec![
-                    crate::exec::AggCall::count_star("n"),
-                    crate::exec::AggCall::of(crate::exec::AggFunc::Sum, Expr::col(2), "total"),
-                ],
-            );
+            .project(vec![(Expr::col(0), "id".into()), (Expr::col(4), "building".into())]);
         let rs = db.execute(&plan).unwrap();
-        assert_eq!(rs.rows.len(), 2);
-        let b1 = rs.rows.iter().find(|r| r[0] == Value::Str("B1".into())).unwrap();
-        assert_eq!(b1[1], Value::Int(2));
-        assert_eq!(b1[2], Value::Int(220));
-    }
-
-    #[test]
-    fn left_join_pads_nulls() {
-        let db = db();
-        let plan = Plan::HashJoin {
-            left: Box::new(Plan::Scan { table: "emp".into(), filter: None }),
-            right: Box::new(Plan::Scan { table: "dept".into(), filter: None }),
-            left_keys: vec![1],
-            right_keys: vec![0],
-            kind: JoinKind::Left,
-        };
-        let rs = db.execute(&plan).unwrap();
-        assert_eq!(rs.rows.len(), 4);
-        let hr = rs.rows.iter().find(|r| r[1] == Value::Str("hr".into())).unwrap();
-        assert!(hr[3].is_null());
+        assert_eq!(rs.columns, vec!["id", "building"]);
+        assert_eq!(
+            rs.rows,
+            vec![
+                vec![1.into(), "B1".into()],
+                vec![2.into(), "B1".into()],
+                vec![3.into(), "B2".into()],
+            ]
+        );
     }
 
     #[test]
@@ -1420,24 +1353,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_loop_non_equi() {
-        let db = db();
-        // Pairs of employees where left salary < right salary.
-        let plan = Plan::NestedLoopJoin {
-            left: Box::new(Plan::Scan { table: "emp".into(), filter: None }),
-            right: Box::new(Plan::Scan { table: "emp".into(), filter: None }),
-            pred: Some(Expr::Cmp(
-                crate::expr::CmpOp::Lt,
-                Box::new(Expr::col(2)),
-                Box::new(Expr::col(5)),
-            )),
-            kind: JoinKind::Inner,
-        };
-        let rs = db.execute(&plan).unwrap();
-        assert_eq!(rs.rows.len(), 6);
-    }
-
-    #[test]
     fn delete_where_and_drop() {
         let db = db();
         let n = db.delete_where("emp", &Expr::col_eq(1, "eng")).unwrap();
@@ -1445,6 +1360,51 @@ mod tests {
         assert_eq!(db.row_count("emp").unwrap(), 2);
         db.drop_table("emp").unwrap();
         assert!(db.execute(&Plan::Scan { table: "emp".into(), filter: None }).is_err());
+    }
+
+    fn emp_where(db: &Database, pred: Expr) -> Vec<Row> {
+        db.execute(&Plan::Scan { table: "emp".into(), filter: Some(pred) })
+            .unwrap()
+            .rows
+    }
+
+    #[test]
+    fn update_keeps_indexes_current() {
+        let db = db();
+        db.create_index("emp", "by_dept", &["dept"], false).unwrap();
+        let n = db.update_where("emp", Some(&Expr::col_eq(0, 1)), &[(1, Expr::lit("moved"))]);
+        assert_eq!(n.unwrap(), 1);
+        // Both keys are read through the index: the new one finds the
+        // row, the old one no longer does.
+        let moved = Plan::Scan { table: "emp".into(), filter: Some(Expr::col_eq(1, "moved")) };
+        let explained = crate::explain::explain_analyze(&moved, &db).unwrap();
+        assert!(explained.contains("via index by_dept"), "{explained}");
+        assert_eq!(
+            emp_where(&db, Expr::col_eq(1, "moved")),
+            vec![vec![1.into(), "moved".into(), 100.into()]]
+        );
+        assert_eq!(
+            emp_where(&db, Expr::col_eq(1, "eng")),
+            vec![vec![2.into(), "eng".into(), 120.into()]]
+        );
+    }
+
+    #[test]
+    fn failed_update_leaves_the_row_as_it_was() {
+        let db = db();
+        let all = || db.execute(&Plan::Scan { table: "emp".into(), filter: None }).unwrap().rows;
+        let before = all();
+        // A SET whose value does not fit the column's type.
+        let err = db.update_where("emp", None, &[(2, Expr::lit("nope"))]).unwrap_err();
+        assert!(matches!(err, DbError::SchemaMismatch(_)), "{err}");
+        assert_eq!(all(), before);
+        // A SET that collides with a unique key.
+        db.create_index("emp", "pk", &["id"], true).unwrap();
+        let err = db
+            .update_where("emp", Some(&Expr::col_eq(0, 2)), &[(0, Expr::lit(1))])
+            .unwrap_err();
+        assert!(matches!(err, DbError::Duplicate(_)), "{err}");
+        assert_eq!(all(), before);
     }
 
     #[test]
@@ -1492,17 +1452,12 @@ mod tests {
         let keyed = Plan::Distinct {
             input: Box::new(probe.clone().semi_join(build.clone(), vec![0], vec![0])),
         };
-        // A Filter above the probe breaks the keyable shape, forcing
-        // the generic materializing semi-join over the same data.
-        let all_pass =
-            Expr::Cmp(crate::expr::CmpOp::Ge, Box::new(Expr::col(1)), Box::new(Expr::lit(0)));
-        let generic = Plan::Distinct {
-            input: Box::new(probe.clone().filter(all_pass).semi_join(
-                build.clone(),
-                vec![0],
-                vec![0],
-            )),
-        };
+        // A Sort above the probe breaks the keyable shape, forcing the
+        // generic materializing semi-join over the same data. Sorting on
+        // `b`, unique and ascending in scan order, keeps the row order.
+        let sorted = Plan::Sort { input: Box::new(probe.clone()), keys: vec![(1, false)] };
+        let generic =
+            Plan::Distinct { input: Box::new(sorted.semi_join(build.clone(), vec![0], vec![0])) };
         let fast = db.execute(&keyed).unwrap();
         let slow = db.execute(&generic).unwrap();
         assert!(!fast.rows.is_empty());

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-/// Error raised by the storage engine, planner, or SQL layer.
+/// Error raised by the storage engine or the plan executor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DbError {
     /// Named table does not exist.
@@ -17,9 +17,7 @@ pub enum DbError {
     SchemaMismatch(String),
     /// A uniqueness constraint was violated.
     Duplicate(String),
-    /// SQL text failed to parse.
-    Parse(String),
-    /// A plan or expression was invalid (bad column index, bad agg, ...).
+    /// A plan or expression was invalid (bad column index, key arity, ...).
     Plan(String),
     /// CLOB locator does not resolve.
     NoSuchClob(u64),
@@ -45,7 +43,6 @@ impl fmt::Display for DbError {
             DbError::NoSuchIndex(i) => write!(f, "no such index: {i}"),
             DbError::SchemaMismatch(m) => write!(f, "schema mismatch: {m}"),
             DbError::Duplicate(m) => write!(f, "duplicate key: {m}"),
-            DbError::Parse(m) => write!(f, "SQL parse error: {m}"),
             DbError::Plan(m) => write!(f, "plan error: {m}"),
             DbError::NoSuchClob(id) => write!(f, "no such CLOB: {id}"),
             DbError::Io(m) => write!(f, "storage io error: {m}"),

@@ -11,7 +11,7 @@
 use crate::access::AccessPath;
 use crate::db::{Database, ReadTxn};
 use crate::error::Result;
-use crate::exec::{AggFunc, Plan};
+use crate::exec::Plan;
 use crate::expr::{ArithOp, CmpOp, Expr};
 use crate::profile::{format_nanos, PlanProfile};
 
@@ -56,38 +56,17 @@ fn node_label(plan: &Plan) -> String {
         Plan::Values { columns, rows } => {
             format!("Values [{}] x{}", columns.join(", "), rows.len())
         }
-        Plan::Filter { pred, .. } => format!("Filter {}", expr_str(pred)),
         Plan::Project { exprs, .. } => {
             let cols: Vec<String> =
                 exprs.iter().map(|(e, n)| format!("{n}={}", expr_str(e))).collect();
             format!("Project [{}]", cols.join(", "))
         }
-        Plan::HashJoin { left_keys, right_keys, kind, .. } => {
-            format!("HashJoin {kind:?} on {left_keys:?}={right_keys:?}")
+        Plan::HashJoin { left_keys, right_keys, .. } => {
+            format!("HashJoin on {left_keys:?}={right_keys:?}")
         }
         Plan::HashSemiJoin { probe_keys, build_keys, anti, .. } => {
             let op = if *anti { "HashAntiJoin" } else { "HashSemiJoin" };
             format!("{op} on {probe_keys:?}={build_keys:?}")
-        }
-        Plan::NestedLoopJoin { pred, kind, .. } => {
-            let p = pred.as_ref().map(expr_str).unwrap_or_else(|| "true".into());
-            format!("NestedLoopJoin {kind:?} on {p}")
-        }
-        Plan::Aggregate { group_by, aggs, .. } => {
-            let fns: Vec<String> = aggs
-                .iter()
-                .map(|a| {
-                    let f = match a.func {
-                        AggFunc::Count => "count",
-                        AggFunc::Sum => "sum",
-                        AggFunc::Min => "min",
-                        AggFunc::Max => "max",
-                        AggFunc::Avg => "avg",
-                    };
-                    format!("{}({})", f, a.arg.as_ref().map(expr_str).unwrap_or_else(|| "*".into()))
-                })
-                .collect();
-            format!("Aggregate group_by={group_by:?} [{}]", fns.join(", "))
         }
         Plan::Sort { keys, .. } => format!("Sort {keys:?}"),
         Plan::Distinct { .. } => "Distinct".to_string(),
@@ -100,15 +79,11 @@ fn node_label(plan: &Plan) -> String {
 fn node_children(plan: &Plan) -> Vec<&Plan> {
     match plan {
         Plan::Scan { .. } | Plan::Values { .. } => vec![],
-        Plan::Filter { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Aggregate { input, .. }
+        Plan::Project { input, .. }
         | Plan::Sort { input, .. }
         | Plan::Distinct { input }
         | Plan::Limit { input, .. } => vec![input],
-        Plan::HashJoin { left, right, .. } | Plan::NestedLoopJoin { left, right, .. } => {
-            vec![left, right]
-        }
+        Plan::HashJoin { left, right, .. } => vec![left, right],
         Plan::HashSemiJoin { probe, build, .. } => vec![probe, build],
     }
 }
@@ -189,19 +164,21 @@ pub fn expr_str(e: &Expr) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::AggCall;
 
     #[test]
     fn renders_tree() {
-        let plan = Plan::Scan { table: "t".into(), filter: Some(Expr::col_eq(0, 1)) }
-            .hash_join(Plan::Scan { table: "u".into(), filter: None }, vec![0], vec![1])
-            .aggregate(vec![0], vec![AggCall::count_star("n")])
+        let plan = Plan::Scan { table: "t".into(), filter: Some(Expr::col_eq(0, 1)) }.hash_join(
+            Plan::Scan { table: "u".into(), filter: None },
+            vec![0],
+            vec![1],
+        );
+        let plan = Plan::Sort { input: Box::new(plan), keys: vec![(0, false)] }
             .project(vec![(Expr::col(1), "n".into())]);
         let text = explain(&plan);
         let lines: Vec<&str> = text.lines().collect();
         assert!(lines[0].starts_with("Project"));
-        assert!(lines[1].trim_start().starts_with("Aggregate"));
-        assert!(lines[2].trim_start().starts_with("HashJoin"));
+        assert!(lines[1].trim_start().starts_with("Sort [(0, false)]"));
+        assert!(lines[2].trim_start().starts_with("HashJoin on [0]=[1]"));
         assert!(lines[3].trim_start().starts_with("Scan t filter=(#0 = Int(1))"));
         assert!(lines[4].trim_start().starts_with("Scan u"));
         // Indentation increases with depth.
@@ -223,15 +200,15 @@ mod tests {
         )
         .unwrap();
         db.insert("t", (0..10).map(|i| vec![i.into(), (i % 3).into()])).unwrap();
-        let plan = Plan::Scan { table: "t".into(), filter: None }
-            .filter(Expr::col_eq(1, 0))
-            .project(vec![(Expr::col(0), "id".into())]);
+        let plan =
+            Plan::Limit { input: Box::new(Plan::Scan { table: "t".into(), filter: None }), n: 4 }
+                .project(vec![(Expr::col(0), "id".into())]);
         let text = explain_analyze(&plan, &db).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         // Same tree shape as EXPLAIN, each line annotated with stats.
         assert!(lines[0].starts_with("Project") && lines[0].contains("(rows=4 time="));
-        assert!(lines[1].trim_start().starts_with("Filter") && lines[1].contains("rows=4"));
+        assert!(lines[1].trim_start().starts_with("Limit 4") && lines[1].contains("rows=4"));
         assert!(lines[2].trim_start().starts_with("Scan t") && lines[2].contains("rows=10"));
         // The scan names its access path: no filter, no index.
         assert!(lines[2].contains("Scan t via full scan (rows=10"), "{text}");

@@ -6,8 +6,9 @@
 //!
 //! - typed heap tables with B-tree secondary indexes ([`table`])
 //! - a scalar expression language with SQL NULL semantics ([`expr`])
-//! - physical plans: scans, hash/nested-loop joins and semi-joins,
-//!   grouped aggregation, sort/distinct/limit ([`exec`])
+//! - physical plans: scans, projections, inner hash joins, hash semi-
+//!   and anti-joins, sort/distinct/limit ([`exec`]); callers build them
+//!   directly, there is no query language
 //! - one way to reach rows: a filtered scan, a delete and an update all
 //!   walk the index their filter keys furthest, or every row when none
 //!   does ([`access`]); no plan names an index
@@ -19,7 +20,6 @@
 //!   it shared ([`db`])
 //! - a write-ahead log and snapshots for durable databases ([`wal`],
 //!   [`snapshot`])
-//! - a SQL front end for ad-hoc use ([`sql`])
 //!
 //! All storage backends in the evaluation run on this same engine, so
 //! measured differences reflect storage architecture (how XML is
@@ -29,10 +29,14 @@
 //! use minidb::prelude::*;
 //!
 //! let db = Database::new();
-//! db.execute_sql("CREATE TABLE t (id INT, name TEXT)").unwrap();
-//! db.execute_sql("INSERT INTO t VALUES (1, 'ada'), (2, 'bob')").unwrap();
-//! let rs = db.execute_sql("SELECT name FROM t WHERE id = 2").unwrap();
-//! assert_eq!(rs.rows[0][0], Value::Str("bob".into()));
+//! let schema =
+//!     TableSchema::new(vec![Column::new("id", DataType::Int), Column::new("name", DataType::Text)]);
+//! db.create_table("t", schema).unwrap();
+//! db.insert("t", vec![vec![1.into(), "ada".into()], vec![2.into(), "bob".into()]]).unwrap();
+//! let plan = Plan::Scan { table: "t".into(), filter: Some(Expr::col_eq(0, 2)) }
+//!     .project(vec![(Expr::col(1), "name".into())]);
+//! let rs = db.execute(&plan).unwrap();
+//! assert_eq!(rs.rows, vec![vec![Value::Str("bob".into())]]);
 //! ```
 
 #![warn(missing_docs)]
@@ -48,7 +52,6 @@ pub mod keyset;
 pub mod limits;
 pub mod profile;
 pub mod snapshot;
-pub mod sql;
 pub mod table;
 pub mod value;
 pub mod wal;
@@ -58,7 +61,7 @@ pub mod prelude {
     pub use crate::clob::{ClobId, ClobStore};
     pub use crate::db::{Database, ReadTxn, Txn};
     pub use crate::error::{DbError, Result};
-    pub use crate::exec::{AggCall, AggFunc, JoinKind, Plan, ResultSet};
+    pub use crate::exec::{Plan, ResultSet};
     pub use crate::explain::{explain, explain_analyze};
     pub use crate::expr::{ArithOp, CmpOp, Expr};
     pub use crate::keyset::{Key, KeySet, KeyedRows};

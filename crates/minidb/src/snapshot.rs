@@ -132,27 +132,27 @@ pub(crate) struct Dec<R: Read> {
 impl<R: Read> Dec<R> {
     pub(crate) fn u8(&mut self) -> Result<u8> {
         let mut b = [0u8; 1];
-        self.r.read_exact(&mut b).map_err(io_err)?;
+        self.r.read_exact(&mut b).map_err(read_err)?;
         Ok(b[0])
     }
     pub(crate) fn u32(&mut self) -> Result<u32> {
         let mut b = [0u8; 4];
-        self.r.read_exact(&mut b).map_err(io_err)?;
+        self.r.read_exact(&mut b).map_err(read_err)?;
         Ok(u32::from_le_bytes(b))
     }
     pub(crate) fn u64(&mut self) -> Result<u64> {
         let mut b = [0u8; 8];
-        self.r.read_exact(&mut b).map_err(io_err)?;
+        self.r.read_exact(&mut b).map_err(read_err)?;
         Ok(u64::from_le_bytes(b))
     }
     pub(crate) fn i64(&mut self) -> Result<i64> {
         let mut b = [0u8; 8];
-        self.r.read_exact(&mut b).map_err(io_err)?;
+        self.r.read_exact(&mut b).map_err(read_err)?;
         Ok(i64::from_le_bytes(b))
     }
     pub(crate) fn f64(&mut self) -> Result<f64> {
         let mut b = [0u8; 8];
-        self.r.read_exact(&mut b).map_err(io_err)?;
+        self.r.read_exact(&mut b).map_err(read_err)?;
         Ok(f64::from_le_bytes(b))
     }
     pub(crate) fn bytes(&mut self) -> Result<Vec<u8>> {
@@ -164,15 +164,15 @@ impl<R: Read> Dec<R> {
         // the prefix with an up-front allocation: a corrupted length on
         // a short file fails cleanly at EOF.
         let mut buf = Vec::with_capacity(cap(len as usize));
-        let read = self.r.by_ref().take(len).read_to_end(&mut buf).map_err(io_err)?;
+        let read = self.r.by_ref().take(len).read_to_end(&mut buf).map_err(read_err)?;
         if (read as u64) < len {
-            return Err(DbError::Parse(format!("truncated payload: {read} of {len} bytes")));
+            return Err(DbError::Corrupt(format!("truncated payload: {read} of {len} bytes")));
         }
         Ok(buf)
     }
     pub(crate) fn string(&mut self) -> Result<String> {
         String::from_utf8(self.bytes()?)
-            .map_err(|_| DbError::Parse("snapshot: invalid UTF-8".into()))
+            .map_err(|_| DbError::Corrupt("snapshot: invalid UTF-8".into()))
     }
     pub(crate) fn value(&mut self) -> Result<Value> {
         Ok(match self.u8()? {
@@ -181,13 +181,19 @@ impl<R: Read> Dec<R> {
             2 => Value::Int(self.i64()?),
             3 => Value::Float(self.f64()?),
             4 => Value::Str(self.string()?),
-            t => return Err(DbError::Parse(format!("snapshot: unknown value tag {t}"))),
+            t => return Err(DbError::Corrupt(format!("snapshot: unknown value tag {t}"))),
         })
     }
 }
 
+/// A write to the encoder's sink failed.
 pub(crate) fn io_err(e: std::io::Error) -> DbError {
-    DbError::Parse(format!("snapshot io: {e}"))
+    DbError::Io(format!("snapshot write: {e}"))
+}
+
+/// A read ran short: the image ends before its framing says it does.
+fn read_err(e: std::io::Error) -> DbError {
+    DbError::Corrupt(format!("snapshot read: {e}"))
 }
 
 pub(crate) fn dtype_code(d: DataType) -> u8 {
@@ -207,7 +213,7 @@ pub(crate) fn dtype_from(code: u8) -> Result<DataType> {
         2 => DataType::Text,
         3 => DataType::Bool,
         4 => DataType::Clob,
-        t => return Err(DbError::Parse(format!("snapshot: unknown dtype {t}"))),
+        t => return Err(DbError::Corrupt(format!("snapshot: unknown dtype {t}"))),
     })
 }
 
@@ -286,7 +292,7 @@ fn read_snapshot<R: Read>(r: R) -> Result<(Database, u64)> {
     let mut trailer = [0u8; 4];
     cr.inner
         .read_exact(&mut trailer)
-        .map_err(|_| DbError::Parse("snapshot: missing checksum trailer".into()))?;
+        .map_err(|_| DbError::Corrupt("snapshot: missing checksum trailer".into()))?;
     if u32::from_le_bytes(trailer) != digest {
         return Err(DbError::Corrupt("snapshot: checksum mismatch".into()));
     }
@@ -296,13 +302,13 @@ fn read_snapshot<R: Read>(r: R) -> Result<(Database, u64)> {
 fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
     let mut dec = Dec { r };
     let mut magic = [0u8; 4];
-    dec.r.read_exact(&mut magic).map_err(io_err)?;
+    dec.r.read_exact(&mut magic).map_err(read_err)?;
     if &magic != MAGIC {
-        return Err(DbError::Parse("snapshot: bad magic".into()));
+        return Err(DbError::Corrupt("snapshot: bad magic".into()));
     }
     let version = dec.u32()?;
     if version != VERSION {
-        return Err(DbError::Parse(format!("snapshot: unsupported version {version}")));
+        return Err(DbError::Corrupt(format!("snapshot: unsupported version {version}")));
     }
     let lsn = dec.u64()?;
     // The database is still private to this function: fill its state
@@ -373,6 +379,7 @@ mod tests {
     use super::*;
     use crate::exec::Plan;
     use crate::expr::Expr;
+    use crate::table::Row;
 
     /// Snapshot `db` to bytes and parse them back.
     fn roundtrip(db: &Database) -> Database {
@@ -382,10 +389,16 @@ mod tests {
 
     fn populated() -> Database {
         let db = Database::new();
-        db.execute_sql("CREATE TABLE t (id INT NOT NULL, name TEXT, w FLOAT, ok BOOL, doc CLOB)")
-            .unwrap();
-        db.execute_sql("CREATE UNIQUE INDEX t_pk ON t (id)").unwrap();
-        db.execute_sql("CREATE INDEX t_by_name ON t (name, w)").unwrap();
+        let schema = TableSchema::new(vec![
+            Column::new("id", DataType::Int),
+            Column::nullable("name", DataType::Text),
+            Column::nullable("w", DataType::Float),
+            Column::nullable("ok", DataType::Bool),
+            Column::nullable("doc", DataType::Clob),
+        ]);
+        db.create_table("t", schema).unwrap();
+        db.create_index("t", "t_pk", &["id"], true).unwrap();
+        db.create_index("t", "t_by_name", &["name", "w"], false).unwrap();
         let mut txn = db.txn();
         let loc = txn.put_clobs(&["<xml>hello</xml>"]).start;
         txn.commit().unwrap();
@@ -404,27 +417,33 @@ mod tests {
     fn roundtrip_preserves_everything() {
         let db = populated();
         // Delete a row so tombstones exercise the live-rows-only path.
-        db.execute_sql("INSERT INTO t VALUES (3, 'temp', 0.0, false, NULL)").unwrap();
-        db.execute_sql("DELETE FROM t WHERE id = 3").unwrap();
+        db.insert("t", vec![vec![3.into(), "temp".into(), 0.0.into(), false.into(), Value::Null]])
+            .unwrap();
+        db.delete_where("t", &Expr::col_eq(0, 3)).unwrap();
 
         let loaded = roundtrip(&db);
 
         assert_eq!(loaded.table_names(), db.table_names());
         assert_eq!(loaded.row_count("t").unwrap(), 2);
+        let row = |id: i64| -> Row {
+            let by_id = Plan::Scan { table: "t".into(), filter: Some(Expr::col_eq(0, id)) };
+            let mut rows = loaded.execute(&by_id).unwrap().rows;
+            assert_eq!(rows.len(), 1, "id {id}");
+            rows.remove(0)
+        };
         // Values survive with types.
-        let rs = loaded.execute_sql("SELECT name, w, ok FROM t WHERE id = 1").unwrap();
-        assert_eq!(rs.rows[0][0], Value::Str("ada".into()));
-        assert_eq!(rs.rows[0][1], Value::Float(1.5));
-        assert_eq!(rs.rows[0][2], Value::Bool(true));
+        let one = row(1);
+        assert_eq!(one[1], Value::Str("ada".into()));
+        assert_eq!(one[2], Value::Float(1.5));
+        assert_eq!(one[3], Value::Bool(true));
         // NULLs survive.
-        let rs = loaded.execute_sql("SELECT name FROM t WHERE id = 2").unwrap();
-        assert!(rs.rows[0][0].is_null());
+        assert!(row(2)[1].is_null());
         // CLOB heap survives and locators still resolve.
-        let rs = loaded.execute_sql("SELECT doc FROM t WHERE id = 1").unwrap();
-        let loc = rs.rows[0][0].as_i64().unwrap();
+        let loc = one[4].as_i64().unwrap();
         assert_eq!(&loaded.begin_read().clobs().get(loc as u64).unwrap()[..], b"<xml>hello</xml>");
         // Indexes were rebuilt: unique constraint enforced, lookups work.
-        assert!(loaded.execute_sql("INSERT INTO t VALUES (1, 'dup', 0.0, false, NULL)").is_err());
+        let dup = vec![1.into(), "dup".into(), 0.0.into(), false.into(), Value::Null];
+        assert!(loaded.insert("t", vec![dup]).is_err());
         let lookup = Plan::Scan {
             table: "t".into(),
             filter: Some(Expr::and(Expr::col_eq(1, "ada"), Expr::col_eq(2, 1.5))),

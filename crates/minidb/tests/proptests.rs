@@ -121,34 +121,27 @@ proptest! {
         prop_assert_eq!(a.rows, b.rows);
     }
 
-    /// ORDER BY is a permutation sorted by the requested key.
+    /// `Sort` is a permutation sorted by the requested key, in the
+    /// requested direction.
     #[test]
-    fn sort_is_sorted_permutation(vals in proptest::collection::vec(-100i64..100, 1..50)) {
+    fn sort_is_sorted_permutation(
+        vals in proptest::collection::vec(-100i64..100, 1..50),
+        desc in any::<bool>(),
+    ) {
         let db = Database::new();
         db.create_table("t", TableSchema::new(vec![Column::new("x", DataType::Int)])).unwrap();
         for v in &vals {
             db.insert("t", vec![vec![Value::Int(*v)]]).unwrap();
         }
-        let rs = db.execute_sql("SELECT x FROM t ORDER BY x").unwrap();
+        let scan = Plan::Scan { table: "t".into(), filter: None };
+        let rs = db.execute(&Plan::Sort { input: Box::new(scan), keys: vec![(0, desc)] }).unwrap();
         let got: Vec<i64> = rs.rows.iter().filter_map(|r| r[0].as_i64()).collect();
         let mut want = vals.clone();
         want.sort_unstable();
-        prop_assert_eq!(got, want);
-    }
-
-    /// Aggregates agree with direct computation.
-    #[test]
-    fn aggregates_agree(vals in proptest::collection::vec(-1000i64..1000, 1..50)) {
-        let db = Database::new();
-        db.create_table("t", TableSchema::new(vec![Column::new("x", DataType::Int)])).unwrap();
-        for v in &vals {
-            db.insert("t", vec![vec![Value::Int(*v)]]).unwrap();
+        if desc {
+            want.reverse();
         }
-        let rs = db.execute_sql("SELECT COUNT(*), SUM(x), MIN(x), MAX(x) FROM t").unwrap();
-        prop_assert_eq!(rs.rows[0][0].as_i64().unwrap(), vals.len() as i64);
-        prop_assert_eq!(rs.rows[0][1].as_i64().unwrap(), vals.iter().sum::<i64>());
-        prop_assert_eq!(rs.rows[0][2].as_i64().unwrap(), *vals.iter().min().unwrap());
-        prop_assert_eq!(rs.rows[0][3].as_i64().unwrap(), *vals.iter().max().unwrap());
+        prop_assert_eq!(got, want);
     }
 }
 

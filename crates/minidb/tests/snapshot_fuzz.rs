@@ -76,8 +76,7 @@ fn empty_wal() -> Vec<u8> {
 fn intact_snapshot_loads() {
     let image = snapshot_image();
     let db = try_load(image, &empty_wal()).expect("pristine snapshot must load");
-    let rs = db.execute_sql("SELECT COUNT(*) FROM objects").unwrap();
-    assert_eq!(rs.rows[0][0], Value::Int(40));
+    assert_eq!(db.row_count("objects").unwrap(), 40);
 }
 
 #[test]
@@ -86,7 +85,8 @@ fn truncation_at_every_offset_is_a_clean_error() {
     let wal = empty_wal();
     for cut in 0..image.len() {
         match try_load(image[..cut].to_vec(), &wal) {
-            Err(_) => {}
+            Err(DbError::Corrupt(_)) => {}
+            Err(e) => panic!("snapshot truncated to {cut}/{} bytes: {e:?}", image.len()),
             Ok(_) => panic!("snapshot truncated to {cut}/{} bytes was accepted", image.len()),
         }
     }
@@ -101,7 +101,7 @@ fn bit_flip_at_every_offset_is_a_clean_error() {
         bad[pos] ^= 1 << (pos % 8);
         match try_load(bad, &wal) {
             Err(DbError::Io(m)) => panic!("flip at {pos}: surfaced as I/O error: {m}"),
-            Err(_) => {} // Parse / Corrupt / schema-level: all clean rejections
+            Err(_) => {} // Corrupt / schema-level: all clean rejections
             Ok(_) => panic!("flip at {pos} went undetected (CRC trailer must catch it)"),
         }
     }
@@ -176,7 +176,6 @@ fn on_disk_open_rejects_corruption_too() {
     assert!(open_with_snapshot(&flipped).is_err(), "bit-flipped file accepted");
 
     let db = open_with_snapshot(&image).expect("pristine file must load");
-    let rs = db.execute_sql("SELECT COUNT(*) FROM attrs").unwrap();
-    assert_eq!(rs.rows[0][0], Value::Int(40));
+    assert_eq!(db.row_count("attrs").unwrap(), 40);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -156,6 +156,11 @@ fn digest(db: &Database) -> Vec<u8> {
     db.state_image().expect("state image")
 }
 
+/// The rows of `alpha` whose `id` is `id`.
+fn alpha_where_id(id: i64) -> Plan {
+    Plan::Scan { table: "alpha".into(), filter: Some(Expr::col_eq(0, id)) }
+}
+
 fn open_mem(vfs: MemVfs, sync: SyncPolicy) -> Database {
     Database::open_with(Arc::new(vfs), WalOptions { sync }).expect("open durable db")
 }
@@ -380,7 +385,7 @@ fn recovery_truncates_torn_tail_before_new_appends() {
 
     let db2 = open_mem(vfs, SyncPolicy::EveryCommit);
     assert_eq!(db2.last_lsn(), n1 + 1);
-    let rs = db2.execute_sql("SELECT tag FROM alpha WHERE id = 999999").unwrap();
+    let rs = db2.execute(&alpha_where_id(999_999)).unwrap();
     assert_eq!(rs.rows.len(), 1);
 }
 
@@ -475,7 +480,7 @@ fn std_vfs_roundtrip_on_disk() {
     {
         let db = Database::open(&dir).unwrap();
         assert_eq!(db.last_lsn(), ops.len() as u64 + 1);
-        let rs = db.execute_sql("SELECT id FROM alpha WHERE id = -7").unwrap();
+        let rs = db.execute(&alpha_where_id(-7)).unwrap();
         assert_eq!(rs.rows.len(), 1);
         let oracle = Database::new();
         for op in &ops {

@@ -14,7 +14,9 @@
 
 use mylead::catalog::lead::{lead_catalog, DETAILED_PATH};
 use mylead::catalog::prelude::*;
+use mylead::minidb::{Expr, Plan, ResultSet, Value};
 use mylead::xmlkit::ValueType;
+use std::collections::BTreeMap;
 
 fn run_doc(member: usize, dx: f64, dzmin: f64, progress: &str) -> String {
     format!(
@@ -118,17 +120,20 @@ fn main() -> Result<()> {
     println!("\nnew soil-physics attribute (user-level, no schema change):");
     println!("nzsoil >= 10                → {:?} (expected [{id}])", cat.query(&q4)?);
 
-    // Inspect the store with plain SQL.
+    // Inspect the store: every `dx` element row, counted per value.
     println!("\nmost common grid spacings across the ensemble:");
-    print!(
-        "{}",
-        cat.db()
-            .execute_sql(
-                "SELECT e.value_num AS dx, COUNT(*) AS runs \
-                 FROM elems e JOIN elem_defs d ON e.elem_id = d.elem_id \
-                 WHERE d.name = 'dx' GROUP BY e.value_num ORDER BY runs DESC, dx"
-            )?
-            .to_text()
-    );
+    let dx_defs = Plan::Scan { table: "elem_defs".into(), filter: Some(Expr::col_eq(2, "dx")) };
+    let dx_rows = Plan::Scan { table: "elems".into(), filter: None }
+        .hash_join(dx_defs, vec![3], vec![0])
+        .project(vec![(Expr::col(6), "dx".into())]);
+    let mut runs: BTreeMap<Value, i64> = BTreeMap::new();
+    for row in cat.db().execute(&dx_rows)?.rows {
+        *runs.entry(row[0].clone()).or_default() += 1;
+    }
+    let mut rows: Vec<Vec<Value>> =
+        runs.into_iter().map(|(dx, n)| vec![dx, Value::Int(n)]).collect();
+    // Most runs first; ties keep the map's ascending dx order.
+    rows.sort_by(|a, b| b[1].cmp(&a[1]));
+    print!("{}", ResultSet { columns: vec!["dx".into(), "runs".into()], rows }.to_text());
     Ok(())
 }

@@ -15,7 +15,6 @@
 //! mylead search    -s cat.d "theme[themekey~'%rain%']"
 //! mylead fetch     -s cat.d 1 2 3
 //! mylead stats     -s cat.d [server-addr]
-//! mylead sql       -s cat.d "SELECT COUNT(*) FROM clobs"
 //! mylead serve     -s cat.d 127.0.0.1:7070
 //! ```
 //!
@@ -101,7 +100,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: mylead <init|ingest|add|query|analyze|search|fetch|stats|sql|serve> -s <dir> [args...]"
+    "usage: mylead <init|ingest|add|query|analyze|search|fetch|stats|serve> -s <dir> [args...]"
         .to_string()
 }
 
@@ -241,13 +240,6 @@ fn run() -> Result<(), String> {
                 say!("-- observability registry --");
                 say!("{}", registry.trim_end());
             }
-            Ok(())
-        }
-        "sql" => {
-            let stmt = args.rest.join(" ");
-            let cat = open_existing(&args)?;
-            let rs = cat.db().execute_sql(&stmt).map_err(|e| e.to_string())?;
-            say!("{}", rs.to_text().trim_end());
             Ok(())
         }
         "serve" => {
