@@ -1,6 +1,6 @@
 //! Property tests for the set-oriented match path: on random
 //! document/query pairs the catalog's semi-join pipelines (which the
-//! executor runs through its zero-clone keyed fast path) must agree
+//! executor runs over `(object_id, seq)` integer keys) must agree
 //! with the DOM oracles under *both* match strategies —
 //! [`dom_match::object_matches`] for [`MatchStrategy::Exact`] (XQuery
 //! semantics) and [`dom_match::object_matches_counted`] for

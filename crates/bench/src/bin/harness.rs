@@ -11,8 +11,12 @@
 //! histograms) to `BENCH_obs.json` for machine consumption, and — when
 //! the `perf` experiment ran — its match-latency entries to
 //! `BENCH_perf.json` (checked in CI by the `perfcheck` binary).
+//!
+//! The process exits with status 1 when any requested experiment fails
+//! or is unknown, after running the others.
 
 use benchkit::experiments::{self, Scale};
+use benchkit::table::Table;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -28,92 +32,73 @@ fn main() {
     }
 
     let mut perf_entries: Vec<experiments::PerfEntry> = Vec::new();
+    let mut failed: Vec<&str> = Vec::new();
     println!("mylead evaluation harness — scale: {scale:?}\n");
     for w in &wanted {
         let t0 = std::time::Instant::now();
-        match w.as_str() {
+        let print = |t: Table| println!("{}", t.render());
+        let outcome = match w.as_str() {
             "figs" => {
                 println!("== Figure reproduction index ==");
-                println!("{}", experiments::figures().render());
+                print(experiments::figures());
+                Ok(())
             }
             "e1" => {
                 println!("== E1: ingest throughput (docs/s; higher is better) ==");
-                match experiments::e1_ingest(scale) {
-                    Ok(t) => println!("{}", t.render()),
-                    Err(e) => eprintln!("e1 failed: {e}"),
-                }
+                experiments::e1_ingest(scale).map(print)
             }
             "e2" => {
                 println!("== E2: query latency by shape (per-query median; lower is better) ==");
-                match experiments::e2_query(scale) {
-                    Ok((t, abl)) => {
-                        println!("{}", t.render());
-                        println!("-- E2b: hybrid matching-strategy ablation --");
-                        println!("{}", abl.render());
-                    }
-                    Err(e) => eprintln!("e2 failed: {e}"),
-                }
+                experiments::e2_query(scale).map(|(t, abl)| {
+                    print(t);
+                    println!("-- E2b: hybrid matching-strategy ablation --");
+                    print(abl);
+                })
             }
             "e3" => {
                 println!("== E3: nested-query latency vs sub-attribute depth ==");
-                match experiments::e3_depth(scale) {
-                    Ok(t) => println!("{}", t.render()),
-                    Err(e) => eprintln!("e3 failed: {e}"),
-                }
+                experiments::e3_depth(scale).map(print)
             }
             "e4" => {
                 println!("== E4: response construction vs result size ==");
-                match experiments::e4_response(scale) {
-                    Ok(t) => println!("{}", t.render()),
-                    Err(e) => eprintln!("e4 failed: {e}"),
-                }
+                experiments::e4_response(scale).map(print)
             }
             "e5" => {
                 println!("== E5: dynamic definition growth (* = tables a schema-encoded/inlined design would need) ==");
-                match experiments::e5_dynamic(scale) {
-                    Ok(t) => println!("{}", t.render()),
-                    Err(e) => eprintln!("e5 failed: {e}"),
-                }
+                experiments::e5_dynamic(scale).map(print)
             }
             "e6" => {
                 println!("== E6: storage footprint ==");
-                match experiments::e6_storage(scale) {
-                    Ok(t) => println!("{}", t.render()),
-                    Err(e) => eprintln!("e6 failed: {e}"),
-                }
+                experiments::e6_storage(scale).map(print)
             }
             "e7" => {
                 println!("== E7: ordering maintenance on attribute insert ==");
-                match experiments::e7_ordering(scale) {
-                    Ok(t) => println!("{}", t.render()),
-                    Err(e) => eprintln!("e7 failed: {e}"),
-                }
+                experiments::e7_ordering(scale).map(print)
             }
             "e8" => {
                 println!("== E8: concurrent throughput (hybrid catalog) ==");
-                match experiments::e8_concurrent(scale) {
-                    Ok(t) => println!("{}", t.render()),
-                    Err(e) => eprintln!("e8 failed: {e}"),
-                }
+                experiments::e8_concurrent(scale).map(print)
             }
             "e9" => {
                 println!("== E9: durability cost (WAL fsync policies vs in-memory) ==");
-                match experiments::e9_durability(scale) {
-                    Ok(t) => println!("{}", t.render()),
-                    Err(e) => eprintln!("e9 failed: {e}"),
-                }
+                experiments::e9_durability(scale).map(print)
             }
             "perf" => {
                 println!("== Perf: match-plan latency (plan + semi-join pipeline per query) ==");
-                match experiments::perf(scale) {
-                    Ok((t, entries)) => {
-                        println!("{}", t.render());
-                        perf_entries = entries;
-                    }
-                    Err(e) => eprintln!("perf failed: {e}"),
-                }
+                experiments::perf(scale).map(|(t, entries)| {
+                    print(t);
+                    perf_entries = entries;
+                })
             }
-            other => eprintln!("unknown experiment: {other} (use e1..e9, figs, perf, all)"),
+            other => {
+                eprintln!("unknown experiment: {other} (use e1..e9, figs, perf, all)");
+                failed.push(w.as_str());
+                continue;
+            }
+        };
+        if let Err(e) = outcome {
+            eprintln!("{w} failed: {e}");
+            failed.push(w.as_str());
         }
         eprintln!("[{w} took {:.1}s]\n", t0.elapsed().as_secs_f64());
     }
@@ -131,5 +116,9 @@ fn main() {
                 Err(e) => eprintln!("[cannot write {path}: {e}]"),
             }
         }
+    }
+    if !failed.is_empty() {
+        eprintln!("failed: {}", failed.join(", "));
+        std::process::exit(1);
     }
 }

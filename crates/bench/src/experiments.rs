@@ -1,6 +1,6 @@
-//! The E1–E8 experiment implementations shared by the harness binary
-//! and (in reduced form) the Criterion benches. Each returns a
-//! [`Table`] whose rendering is recorded in EXPERIMENTS.md.
+//! The E1–E9 and perf experiment implementations behind the harness
+//! binary. Each returns a [`Table`] whose rendering is recorded in
+//! EXPERIMENTS.md.
 
 use crate::table::{fmt_bytes, fmt_rate, fmt_secs, Table};
 use crate::{all_backends, generator, hybrid_backend, load, median_secs};

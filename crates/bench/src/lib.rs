@@ -5,8 +5,7 @@
 //! crate *is* that evaluation: every comparative claim in the paper is
 //! turned into a measured experiment over the same engine, parser, and
 //! seeded corpus. `src/bin/harness.rs` prints the tables recorded in
-//! EXPERIMENTS.md; the Criterion benches under `benches/` measure the
-//! same pivots with statistical rigor.
+//! EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 
@@ -20,11 +19,6 @@ use catalog::catalog::CatalogConfig;
 use catalog::error::Result;
 use catalog::lead::lead_partition;
 use workload::{DocGenerator, WorkloadConfig};
-
-/// Default workload for backend comparisons.
-pub fn default_config() -> WorkloadConfig {
-    WorkloadConfig::default()
-}
 
 /// Build a fresh document generator.
 pub fn generator(cfg: WorkloadConfig) -> DocGenerator {

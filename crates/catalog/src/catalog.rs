@@ -93,6 +93,9 @@ impl MetadataCatalog {
     }
 
     /// Assemble a catalog from already-loaded parts (snapshot loading).
+    /// The definition mirror tables are where `defs` was read from, so
+    /// assembling writes nothing: a read-only open leaves the log as it
+    /// found it.
     pub(crate) fn from_parts(
         db: Database,
         partition: Partition,
@@ -100,16 +103,15 @@ impl MetadataCatalog {
         defs: DefsRegistry,
         config: CatalogConfig,
         next_object: i64,
-    ) -> Result<MetadataCatalog> {
-        store::sync_defs(&db, &defs)?;
-        Ok(MetadataCatalog {
+    ) -> MetadataCatalog {
+        MetadataCatalog {
             db,
             partition,
             ordering,
             defs: RwLock::new(defs),
             config,
             next_object: AtomicI64::new(next_object),
-        })
+        }
     }
 
     /// The partition this catalog serves.

@@ -155,9 +155,8 @@ fn key_cols() -> Vec<(Expr, String)> {
 ///
 /// The first condition probes; every further condition becomes a
 /// semi-join build side. The probe is filtered by key-set membership,
-/// never widened, and one trailing `Distinct` covers the whole chain,
-/// so the executor's set-oriented `(object_id, seq)` fast path applies
-/// end to end.
+/// never widened, and one trailing `Distinct` covers the whole chain;
+/// the executor runs all of it over `(object_id, seq)` integer keys.
 fn direct_instances_plan(node: &ResolvedNode) -> Plan {
     let cond_scan = |(elem_id, cond): &(ElemId, ElemCond)| {
         Plan::Scan { table: "elems".into(), filter: Some(elem_pred(*elem_id, cond)) }

@@ -158,7 +158,7 @@ fn rebuild(db: Database, partition: Partition, config: CatalogConfig) -> Result<
         .unwrap_or(0)
         + 1;
 
-    MetadataCatalog::from_parts(db, partition, ordering, defs, config, next_object)
+    Ok(MetadataCatalog::from_parts(db, partition, ordering, defs, config, next_object))
 }
 
 fn bad(what: &str) -> CatalogError {
@@ -188,6 +188,14 @@ mod tests {
         register_arps_defs(&cat).unwrap();
         cat
     }
+
+    /// A document carrying one `extra`/`WRF` dynamic attribute with
+    /// `x` = 5.
+    const EXTRA_DOC: &str = "<LEADresource><resourceID>x</resourceID><data>\
+        <idinfo><keywords/></idinfo><geospatial><eainfo><detailed>\
+        <enttyp><enttypl>extra</enttypl><enttypds>WRF</enttypds></enttyp>\
+        <attr><attrlabl>x</attrlabl><attrdefs>WRF</attrdefs><attrv>5</attrv></attr>\
+        </detailed></eainfo></geospatial></data></LEADresource>";
 
     /// Checkpoint `cat`, close it, and reopen its storage: the reopened
     /// catalog is rebuilt from the snapshot alone (the WAL is empty).
@@ -225,14 +233,45 @@ mod tests {
         assert_eq!(id2, id + 1);
         assert_eq!(loaded.query(&fig4_query()).unwrap(), vec![id, id2]);
         // The replayed dynamic definition accepts new documents.
-        let extra_doc = "<LEADresource><resourceID>x</resourceID><data>\
-            <idinfo><keywords/></idinfo><geospatial><eainfo><detailed>\
-            <enttyp><enttypl>extra</enttypl><enttypds>WRF</enttypds></enttyp>\
-            <attr><attrlabl>x</attrlabl><attrdefs>WRF</attrdefs><attrv>5</attrv></attr>\
-            </detailed></eainfo></geospatial></data></LEADresource>";
-        let id3 = loaded.ingest(extra_doc).unwrap();
+        let id3 = loaded.ingest(EXTRA_DOC).unwrap();
         let q = crate::qparse::parse_query("extra@WRF[x=5]").unwrap();
         assert_eq!(loaded.query(&q).unwrap(), vec![id3]);
+    }
+
+    /// Reopening a checkpointed directory only reads it: the log and
+    /// the snapshot stay byte-identical, the store still answers Fig 4,
+    /// and a definition registered after a reopen survives the next.
+    #[test]
+    fn reopening_writes_nothing() {
+        use minidb::wal::{SNAPSHOT_FILE, WAL_FILE};
+        let vfs = MemVfs::new();
+        let cat = lead_on(&vfs);
+        let id = cat.ingest(FIG3_DOCUMENT).unwrap();
+        cat.checkpoint().unwrap();
+        drop(cat);
+        let files = || (vfs.file(WAL_FILE).unwrap(), vfs.file(SNAPSHOT_FILE).unwrap());
+        let before = files();
+        for _ in 0..2 {
+            let cat = open_mem(&vfs, lead_partition()).unwrap();
+            assert_eq!(cat.query(&fig4_query()).unwrap(), vec![id]);
+            drop(cat);
+            assert!(files() == before, "a read-only open wrote to the catalog directory");
+        }
+        let cat = open_mem(&vfs, lead_partition()).unwrap();
+        let spec = DynamicAttrSpec::new("extra", "WRF").element("x", ValueType::Float);
+        cat.register_dynamic(crate::lead::DETAILED_PATH, &spec, DefLevel::Admin)
+            .unwrap();
+        let stats = cat.stats();
+        drop(cat);
+        let cat = open_mem(&vfs, lead_partition()).unwrap();
+        assert_eq!(
+            (cat.stats().attr_defs, cat.stats().elem_defs),
+            (stats.attr_defs, stats.elem_defs)
+        );
+        let q = crate::qparse::parse_query("extra@WRF[x=5]").unwrap();
+        let extra = cat.ingest(EXTRA_DOC).unwrap();
+        assert_eq!(cat.query(&q).unwrap(), vec![extra]);
+        assert_eq!(cat.query(&fig4_query()).unwrap(), vec![id]);
     }
 
     #[test]

@@ -34,7 +34,6 @@ fn explain_analyze_annotates_fig4_plan() {
         "nested sub-attribute criteria go through the inverted list:\n{text}"
     );
     assert!(text.contains("HashSemiJoin"), "match path runs as semi-joins:\n{text}");
-    assert!(text.contains(" keyed"), "semi-join pipeline takes the zero-clone keyed path:\n{text}");
 
     // The dx=1000 element condition emits exactly one instance row.
     assert!(

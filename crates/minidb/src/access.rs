@@ -1,6 +1,6 @@
 //! Access paths: how every operation reaches the rows a filter selects.
 //!
-//! A `Plan::Scan`, the keyed semi-join's fused scan, and the victim
+//! A `Plan::Scan`, the semi-join's fused scan, and the victim
 //! collection of `delete_where` and `update_where` (WAL replay
 //! included) all go through `for_each_matching`, so one choice of
 //! index serves reads and writes alike, and no plan names an index by

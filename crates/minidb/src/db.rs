@@ -33,13 +33,12 @@
 use crate::access::for_each_matching;
 use crate::clob::ClobStore;
 use crate::error::{DbError, Result};
-use crate::exec::{run_hash_join, run_semi_join, Plan, ResultSet};
+use crate::exec::{run_hash_join, Plan, ResultSet};
 use crate::expr::Expr;
-use crate::keyset::{Key, KeySet, KeyedRows};
+use crate::keyset::{row_key, Key, KeySet, KeyedRows};
 use crate::limits::Deadline;
 use crate::profile::PlanProfile;
 use crate::table::{Row, RowId, Table, TableSchema};
-use crate::value::{DataType, Value};
 use crate::wal::{
     encode_clob_put, encode_insert, encode_wal_header, scan_wal, StdVfs, Vfs, WalOptions,
     WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
@@ -52,24 +51,6 @@ use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Read the `i64` at column `c` (the keyed fast path shape-checks
-/// columns as `INT NOT NULL` up front, so this is defensive).
-fn int_at(r: &Row, c: usize) -> Result<i64> {
-    match r.get(c) {
-        Some(Value::Int(v)) => Ok(*v),
-        other => Err(DbError::Plan(format!(
-            "keyed fast path expected INT at column #{c}, got {other:?}"
-        ))),
-    }
-}
-
-/// Extract a 1- or 2-column key from a materialized row.
-fn row_key(r: &Row, cols: &[usize]) -> Result<Key> {
-    let a = int_at(r, cols[0])?;
-    let b = if cols.len() == 2 { int_at(r, cols[1])? } else { 0 };
-    Ok((a, b))
-}
-
 /// Project a key through 1 or 2 key-column positions (0 = first
 /// component, 1 = second).
 #[inline]
@@ -78,28 +59,56 @@ fn key_proj(k: Key, idxs: &[usize]) -> Key {
     (at(idxs[0]), if idxs.len() == 2 { at(idxs[1]) } else { 0 })
 }
 
-/// `true` when keys with `len` columns indexed by `idxs` are valid over
-/// a keyed input of the given arity.
-fn keys_ok(idxs: &[usize], arity: usize) -> bool {
-    (1..=2).contains(&idxs.len()) && idxs.iter().all(|&k| k < arity)
-}
-
-/// Output column names of a keyable subtree (bottoms out at the
-/// `Project` that names the key columns).
-fn keyed_columns(plan: &Plan) -> Option<Vec<String>> {
-    match plan {
-        Plan::Distinct { input } => keyed_columns(input),
-        Plan::HashSemiJoin { probe, .. } => keyed_columns(probe),
-        Plan::Project { exprs, .. } => Some(exprs.iter().map(|(_, n)| n.clone()).collect()),
-        _ => None,
+/// Check that a semi-join's key positions pick one or two of the
+/// `arity` columns of each keyed input, as many on each side.
+fn check_semi_join_keys(
+    probe_keys: &[usize],
+    probe_arity: usize,
+    build_keys: &[usize],
+    build_arity: usize,
+) -> Result<()> {
+    let ok = |idxs: &[usize], arity: usize| {
+        (1..=2).contains(&idxs.len()) && idxs.iter().all(|&k| k < arity)
+    };
+    if probe_keys.len() == build_keys.len()
+        && ok(probe_keys, probe_arity)
+        && ok(build_keys, build_arity)
+    {
+        Ok(())
+    } else {
+        Err(DbError::Plan(format!(
+            "semi-join keys {probe_keys:?}={build_keys:?} do not fit key inputs of \
+             {probe_arity} and {build_arity} columns"
+        )))
     }
 }
 
-/// Record keyed-fast-path stats for the operator at `path`.
-fn record_keyed(prof: &mut Option<PlanProfile>, start: Option<Instant>, path: &[u16], rows: usize) {
+/// The column positions of a `Project` that only picks one or two
+/// columns, the shape whose input can be read straight into keys.
+fn key_columns(exprs: &[(Expr, String)]) -> Option<Vec<usize>> {
+    if !(1..=2).contains(&exprs.len()) {
+        return None;
+    }
+    exprs
+        .iter()
+        .map(|(e, _)| if let Expr::Col(i) = e { Some(*i) } else { None })
+        .collect()
+}
+
+/// Count one executed semi-join. `minidb.semijoin.keyed` always equals
+/// `.count` now that every semi-join runs on keys; it stays because the
+/// benchmark's `match.keyed_ratio` reads it.
+fn count_semi_join() {
+    let reg = obs::global();
+    reg.counter("minidb.semijoin.count").incr();
+    reg.counter("minidb.semijoin.keyed").incr();
+}
+
+/// Record stats for the operator at `path`.
+fn record(prof: &mut Option<PlanProfile>, start: Option<Instant>, path: &[u16], rows: usize) {
     if let (Some(p), Some(s)) = (prof.as_mut(), start) {
         let nanos = s.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        p.record_keyed(path.to_vec(), rows as u64, nanos);
+        p.record(path.to_vec(), rows as u64, nanos);
     }
 }
 
@@ -398,13 +407,6 @@ impl Database {
         t.commit()
     }
 
-    /// Drop a table; errors if absent.
-    pub fn drop_table(&self, name: &str) -> Result<()> {
-        let mut t = self.txn();
-        t.drop_table(name)?;
-        t.commit()
-    }
-
     /// True when `name` exists.
     pub fn has_table(&self, name: &str) -> bool {
         self.begin_read().table(name).is_ok()
@@ -492,14 +494,6 @@ impl Database {
     ) -> Result<usize> {
         let mut t = self.txn();
         let n = t.update_where(table, pred, sets)?;
-        t.commit()?;
-        Ok(n)
-    }
-
-    /// Remove all rows of a table; returns the count removed.
-    pub fn truncate_table(&self, table: &str) -> Result<usize> {
-        let mut t = self.txn();
-        let n = t.truncate(table)?;
         t.commit()?;
         Ok(n)
     }
@@ -670,19 +664,6 @@ impl State {
         path: &mut Vec<u16>,
         deadline: &Deadline,
     ) -> Result<ResultSet> {
-        // Set-oriented fast path: `Distinct` / semi-join subtrees whose
-        // leaves project `INT NOT NULL` columns execute over compact
-        // `(i64, i64)` keys, never cloning full rows. The early return
-        // skips the generic stats recorder below — `eval_keys` records
-        // its own per-operator stats flagged as keyed.
-        if matches!(plan, Plan::Distinct { .. } | Plan::HashSemiJoin { .. })
-            && self.keyed_arity(plan).is_some()
-        {
-            if let Some(columns) = keyed_columns(plan) {
-                let keyed = self.eval_keys(plan, prof, path, deadline)?;
-                return Ok(ResultSet { columns, rows: keyed.into_rows() });
-            }
-        }
         let start = prof.as_ref().map(|_| Instant::now());
         let result = match plan {
             Plan::Scan { table, filter } => {
@@ -705,6 +686,17 @@ impl State {
             Plan::Values { columns, rows } => {
                 Ok(ResultSet { columns: columns.clone(), rows: rows.clone() })
             }
+            // The set operators run on integer keys, and so does a
+            // projection of key columns over a semi-join: a semi-join
+            // probing a wide `Scan` fuses under it wherever it stands.
+            Plan::HashSemiJoin { .. } | Plan::Distinct { .. } => {
+                self.eval_keys(plan, prof, path, deadline).map(KeyedRows::into_result_set)
+            }
+            Plan::Project { input, exprs }
+                if matches!(**input, Plan::HashSemiJoin { .. }) && key_columns(exprs).is_some() =>
+            {
+                self.eval_keys(plan, prof, path, deadline).map(KeyedRows::into_result_set)
+            }
             Plan::Project { input, exprs } => {
                 let rs = self.exec_child(input, prof, path, 0, deadline)?;
                 let columns: Vec<String> = exprs.iter().map(|(_, n)| n.clone()).collect();
@@ -723,14 +715,6 @@ impl State {
                 let r = self.exec_child(right, prof, path, 1, deadline)?;
                 run_hash_join(l, r, left_keys, right_keys, deadline)
             }
-            Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti } => {
-                // Generic (materializing) semi-join; keyable shapes were
-                // already diverted to the fast path above.
-                let p = self.exec_child(probe, prof, path, 0, deadline)?;
-                let b = self.exec_child(build, prof, path, 1, deadline)?;
-                obs::global().counter("minidb.semijoin.count").incr();
-                run_semi_join(p, &b, probe_keys, build_keys, *anti)
-            }
             Plan::Sort { input, keys } => {
                 let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
                 rs.rows.sort_by(|a, b| {
@@ -743,12 +727,6 @@ impl State {
                     }
                     std::cmp::Ordering::Equal
                 });
-                Ok(rs)
-            }
-            Plan::Distinct { input } => {
-                let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
-                let mut seen = std::collections::HashSet::new();
-                rs.rows.retain(|r| seen.insert(r.clone()));
                 Ok(rs)
             }
             Plan::Limit { input, n } => {
@@ -769,82 +747,12 @@ impl State {
         result
     }
 
-    /// `true` when every listed column of `table` is `INT NOT NULL` —
-    /// the precondition for representing its rows as `(i64, i64)` keys.
-    fn int_non_null_cols(&self, table: &str, cols: &[usize]) -> bool {
-        let Ok(t) = self.table(table) else {
-            return false;
-        };
-        cols.iter().all(|&c| {
-            t.schema
-                .columns
-                .get(c)
-                .map(|col| matches!(col.dtype, DataType::Int) && !col.nullable)
-                .unwrap_or(false)
-        })
-    }
-
-    /// Shape check for the set-oriented fast path: returns the key
-    /// arity (1 or 2) the subtree produces, or `None` when any part of
-    /// it needs generic row-at-a-time execution. Pure — nothing is
-    /// executed, so a `None` costs only the traversal.
-    fn keyed_arity(&self, plan: &Plan) -> Option<usize> {
-        match plan {
-            Plan::Distinct { input } => self.keyed_arity(input),
-            Plan::HashSemiJoin { probe, build, probe_keys, build_keys, .. } => {
-                let pa = self.keyed_arity(probe)?;
-                let ba = self.keyed_arity(build)?;
-                (keys_ok(probe_keys, pa)
-                    && keys_ok(build_keys, ba)
-                    && probe_keys.len() == build_keys.len())
-                .then_some(pa)
-            }
-            Plan::Project { input, exprs } => {
-                if exprs.is_empty() || exprs.len() > 2 {
-                    return None;
-                }
-                let mut cols = Vec::with_capacity(exprs.len());
-                for (e, _) in exprs {
-                    match e {
-                        Expr::Col(i) => cols.push(*i),
-                        _ => return None,
-                    }
-                }
-                match &**input {
-                    Plan::Scan { table, .. } => {
-                        self.int_non_null_cols(table, &cols).then_some(cols.len())
-                    }
-                    // Fused shape: project straight out of a semi-join
-                    // whose probe is a base-table scan (membership is
-                    // tested during the scan, before any projection).
-                    Plan::HashSemiJoin { probe, build, probe_keys, build_keys, .. }
-                        if matches!(&**probe, Plan::Scan { .. }) =>
-                    {
-                        let Plan::Scan { table, .. } = &**probe else {
-                            return None;
-                        };
-                        let ba = self.keyed_arity(build)?;
-                        let mut need = cols.clone();
-                        need.extend_from_slice(probe_keys);
-                        (self.int_non_null_cols(table, &need)
-                            && keys_ok(build_keys, ba)
-                            && (1..=2).contains(&probe_keys.len())
-                            && probe_keys.len() == build_keys.len())
-                        .then_some(cols.len())
-                    }
-                    other => {
-                        let a = self.keyed_arity(other)?;
-                        cols.iter().all(|&c| c < a).then_some(cols.len())
-                    }
-                }
-            }
-            _ => None,
-        }
-    }
-
-    /// Execute a keyable subtree (see [`State::keyed_arity`]) over
-    /// compact integer keys, recording keyed per-operator stats so
-    /// `EXPLAIN ANALYZE` output stays fully annotated.
+    /// Execute a semi-join or `Distinct` subtree over integer keys
+    /// ([`crate::keyset`]), recording per-operator stats so `EXPLAIN
+    /// ANALYZE` output stays fully annotated. A `Project` of one or two
+    /// columns reads a `Scan`, or a semi-join probing a `Scan`, straight
+    /// into keys in one pass; any other input runs as rows and is keyed,
+    /// which fails unless its rows are one or two non-NULL `Int`s.
     fn eval_keys(
         &self,
         plan: &Plan,
@@ -855,116 +763,129 @@ impl State {
         let start = prof.as_ref().map(|_| Instant::now());
         match plan {
             Plan::Distinct { input } => {
-                path.push(0);
-                let k = self.eval_keys(input, prof, path, deadline)?;
-                path.pop();
-                let k = k.dedup_first_occurrence();
+                let k = self.keys_child(input, prof, path, 0, deadline)?.dedup_first_occurrence();
                 deadline.check()?;
-                record_keyed(prof, start, path, k.keys.len());
+                record(prof, start, path, k.keys.len());
                 Ok(k)
             }
             Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti } => {
-                path.push(1);
-                let bk = self.eval_keys(build, prof, path, deadline)?;
-                path.pop();
-                path.push(0);
-                let mut pk = self.eval_keys(probe, prof, path, deadline)?;
-                path.pop();
+                let bk = self.keys_child(build, prof, path, 1, deadline)?;
+                let mut pk = self.keys_child(probe, prof, path, 0, deadline)?;
+                check_semi_join_keys(probe_keys, pk.arity(), build_keys, bk.arity())?;
                 let set = KeySet::build(bk.keys.iter().map(|&k| key_proj(k, build_keys)).collect());
                 pk.keys.retain(|&k| set.contains(key_proj(k, probe_keys)) != *anti);
                 deadline.check()?;
-                let reg = obs::global();
-                reg.counter("minidb.semijoin.count").incr();
-                reg.counter("minidb.semijoin.keyed").incr();
-                record_keyed(prof, start, path, pk.keys.len());
+                count_semi_join();
+                record(prof, start, path, pk.keys.len());
                 Ok(pk)
             }
             Plan::Project { input, exprs } => {
-                let mut cols = Vec::with_capacity(exprs.len());
-                for (e, _) in exprs {
-                    match e {
-                        Expr::Col(i) => cols.push(*i),
-                        other => {
-                            return Err(DbError::Plan(format!(
-                                "keyed fast path hit non-column projection {other:?}"
-                            )))
-                        }
-                    }
-                }
-                match &**input {
-                    Plan::Scan { table, filter } => {
+                let columns = || exprs.iter().map(|(_, n)| n.clone()).collect();
+                match (key_columns(exprs), &**input) {
+                    (Some(cols), Plan::Scan { table, filter }) => {
                         let t = self.table(table)?;
-                        let mut keys = Vec::new();
-                        let mut it = 0u32;
-                        for_each_matching(t, filter.as_ref(), |_, r| {
-                            deadline.tick(&mut it)?;
-                            keys.push(row_key(r, &cols)?);
-                            Ok(())
-                        })?;
-                        deadline.check()?;
+                        let (_, keys) = scan_keys(t, filter.as_ref(), &cols, None, deadline)?;
                         // One fused pass stands in for both operators.
                         path.push(0);
-                        record_keyed(prof, start, path, keys.len());
+                        record(prof, start, path, keys.len());
                         path.pop();
-                        record_keyed(prof, start, path, keys.len());
-                        Ok(KeyedRows { arity: cols.len(), keys })
+                        record(prof, start, path, keys.len());
+                        Ok(KeyedRows { columns: columns(), keys })
                     }
-                    Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti }
-                        if matches!(&**probe, Plan::Scan { .. }) =>
-                    {
+                    // A semi-join probing a base table: membership is
+                    // tested during the scan, before the projection.
+                    (
+                        Some(cols),
+                        Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti },
+                    ) if matches!(**probe, Plan::Scan { .. }) => {
                         let Plan::Scan { table, filter } = &**probe else {
                             unreachable!("guarded by the match arm");
                         };
                         path.push(0);
-                        path.push(1);
-                        let bk = self.eval_keys(build, prof, path, deadline)?;
+                        let bk = self.keys_child(build, prof, path, 1, deadline)?;
                         path.pop();
-                        path.pop();
+                        let t = self.table(table)?;
+                        let width = t.schema.columns.len();
+                        check_semi_join_keys(probe_keys, width, build_keys, bk.arity())?;
                         let set = KeySet::build(
                             bk.keys.iter().map(|&k| key_proj(k, build_keys)).collect(),
                         );
                         let scan_start = prof.as_ref().map(|_| Instant::now());
-                        let t = self.table(table)?;
-                        let mut scanned = 0usize;
-                        let mut keys = Vec::new();
-                        let mut it = 0u32;
-                        for_each_matching(t, filter.as_ref(), |_, r| {
-                            deadline.tick(&mut it)?;
-                            scanned += 1;
-                            if set.contains(row_key(r, probe_keys)?) != *anti {
-                                keys.push(row_key(r, &cols)?);
-                            }
-                            Ok(())
-                        })?;
-                        deadline.check()?;
-                        let reg = obs::global();
-                        reg.counter("minidb.semijoin.count").incr();
-                        reg.counter("minidb.semijoin.keyed").incr();
-                        path.push(0);
-                        path.push(0);
-                        record_keyed(prof, scan_start, path, scanned);
+                        let member = Some((&set, &probe_keys[..], *anti));
+                        let (scanned, keys) =
+                            scan_keys(t, filter.as_ref(), &cols, member, deadline)?;
+                        count_semi_join();
+                        path.extend([0, 0]);
+                        record(prof, scan_start, path, scanned);
                         path.pop();
-                        record_keyed(prof, start, path, keys.len());
+                        record(prof, start, path, keys.len());
                         path.pop();
-                        record_keyed(prof, start, path, keys.len());
-                        Ok(KeyedRows { arity: cols.len(), keys })
+                        record(prof, start, path, keys.len());
+                        Ok(KeyedRows { columns: columns(), keys })
                     }
-                    other => {
-                        path.push(0);
-                        let k = self.eval_keys(other, prof, path, deadline)?;
-                        path.pop();
+                    (Some(cols), Plan::Distinct { .. } | Plan::HashSemiJoin { .. }) => {
+                        let k = self.keys_child(input, prof, path, 0, deadline)?;
+                        if let Some(c) = cols.iter().find(|&&c| c >= k.arity()) {
+                            return Err(DbError::Plan(format!(
+                                "projection of column #{c} over {} key columns",
+                                k.arity()
+                            )));
+                        }
                         let keys = k.keys.iter().map(|&key| key_proj(key, &cols)).collect();
-                        let out = KeyedRows { arity: cols.len(), keys };
-                        record_keyed(prof, start, path, out.keys.len());
+                        let out = KeyedRows { columns: columns(), keys };
+                        record(prof, start, path, out.keys.len());
                         Ok(out)
                     }
+                    _ => KeyedRows::from_result_set(self.exec_node(plan, prof, path, deadline)?),
                 }
             }
-            other => Err(DbError::Plan(format!(
-                "keyed fast path reached non-keyable operator {other:?}"
-            ))),
+            _ => KeyedRows::from_result_set(self.exec_node(plan, prof, path, deadline)?),
         }
     }
+
+    /// [`State::eval_keys`] on input `input_no` of the operator at `path`.
+    fn keys_child(
+        &self,
+        plan: &Plan,
+        prof: &mut Option<PlanProfile>,
+        path: &mut Vec<u16>,
+        input_no: u16,
+        deadline: &Deadline,
+    ) -> Result<KeyedRows> {
+        path.push(input_no);
+        let result = self.eval_keys(plan, prof, path, deadline);
+        path.pop();
+        result
+    }
+}
+
+/// Read the rows of `t` that pass `filter` straight into keys at
+/// columns `cols`. With `member = (set, keys, anti)`, keep only the rows
+/// whose key at `keys` is in `set` (not in it, under `anti`). Returns
+/// the rows visited and the keys kept.
+fn scan_keys(
+    t: &Table,
+    filter: Option<&Expr>,
+    cols: &[usize],
+    member: Option<(&KeySet, &[usize], bool)>,
+    deadline: &Deadline,
+) -> Result<(usize, Vec<Key>)> {
+    let mut scanned = 0usize;
+    let mut keys = Vec::new();
+    let mut it = 0u32;
+    for_each_matching(t, filter, |_, r| {
+        deadline.tick(&mut it)?;
+        scanned += 1;
+        if let Some((set, probe_keys, anti)) = member {
+            if set.contains(row_key(r, probe_keys)?) == anti {
+                return Ok(());
+            }
+        }
+        keys.push(row_key(r, cols)?);
+        Ok(())
+    })?;
+    deadline.check()?;
+    Ok((scanned, keys))
 }
 
 impl Drop for Database {
@@ -1047,13 +968,6 @@ impl Txn<'_> {
         let name = name.into();
         self.state.apply_create_table(&name, &schema)?;
         self.log(|| WalRecord::CreateTable { name, schema });
-        Ok(())
-    }
-
-    /// Drop a table.
-    pub fn drop_table(&mut self, name: &str) -> Result<()> {
-        self.state.apply_drop_table(name)?;
-        self.log(|| WalRecord::DropTable { name: name.to_string() });
         Ok(())
     }
 
@@ -1232,8 +1146,9 @@ impl ReadTxn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::ArithOp;
     use crate::table::Column;
-    use crate::value::DataType;
+    use crate::value::{DataType, Value};
 
     fn db() -> Database {
         let db = Database::new();
@@ -1333,16 +1248,18 @@ mod tests {
     #[test]
     fn sort_distinct_limit() {
         let db = db();
+        // Employee id parity (1, 0, 1, 0), sorted descending.
+        let parity = Expr::Arith(ArithOp::Mod, Box::new(Expr::col(0)), Box::new(Expr::lit(2)));
         let plan = Plan::Sort {
             input: Box::new(
                 Plan::Scan { table: "emp".into(), filter: None }
-                    .project(vec![(Expr::col(1), "dept".into())]),
+                    .project(vec![(parity, "parity".into())]),
             ),
-            keys: vec![(0, false)],
+            keys: vec![(0, true)],
         };
         let rs = db.execute(&Plan::Distinct { input: Box::new(plan) }).unwrap();
-        assert_eq!(rs.rows.len(), 3);
-        assert_eq!(rs.rows[0][0], Value::Str("eng".into()));
+        assert_eq!(rs.columns, ["parity"]);
+        assert_eq!(rs.rows, vec![vec![Value::Int(1)], vec![Value::Int(0)]]);
         let limited = db
             .execute(&Plan::Limit {
                 input: Box::new(Plan::Scan { table: "emp".into(), filter: None }),
@@ -1353,13 +1270,12 @@ mod tests {
     }
 
     #[test]
-    fn delete_where_and_drop() {
+    fn delete_where_removes_matching_rows() {
         let db = db();
         let n = db.delete_where("emp", &Expr::col_eq(1, "eng")).unwrap();
         assert_eq!(n, 2);
         assert_eq!(db.row_count("emp").unwrap(), 2);
-        db.drop_table("emp").unwrap();
-        assert!(db.execute(&Plan::Scan { table: "emp".into(), filter: None }).is_err());
+        assert!(emp_where(&db, Expr::col_eq(1, "eng")).is_empty());
     }
 
     fn emp_where(db: &Database, pred: Expr) -> Vec<Row> {
@@ -1407,6 +1323,45 @@ mod tests {
         assert_eq!(all(), before);
     }
 
+    /// The API no longer writes `DropTable` or `Truncate` records, nor
+    /// `IN` lists, but a log that holds them still replays.
+    #[test]
+    fn log_with_drop_truncate_and_in_list_replays() {
+        use crate::wal::{write_frame, MemVfs};
+        let int_table = || TableSchema::new(vec![Column::new("id", DataType::Int)]);
+        let create = |name: &str| WalRecord::CreateTable { name: name.into(), schema: int_table() };
+        let insert = |table: &str, ids: &[i64]| WalRecord::Insert {
+            table: table.into(),
+            rows: ids.iter().map(|&i| vec![Value::Int(i)]).collect(),
+        };
+        let mut log = encode_wal_header(1).to_vec();
+        for rec in [
+            create("t"),
+            create("u"),
+            create("v"),
+            insert("t", &[1, 2, 3]),
+            insert("u", &[9]),
+            insert("v", &[5]),
+            WalRecord::Commit { lsn: 1 },
+            WalRecord::DeleteWhere {
+                table: "t".into(),
+                pred: Expr::InList(Box::new(Expr::col(0)), vec![1.into(), 4.into()]),
+            },
+            WalRecord::DropTable { name: "u".into() },
+            WalRecord::Truncate { table: "v".into() },
+            WalRecord::Commit { lsn: 2 },
+        ] {
+            write_frame(&mut log, &rec.encode());
+        }
+        let vfs = MemVfs::new();
+        vfs.overwrite(WAL_FILE, log);
+        let db = Database::open_with(Arc::new(vfs), WalOptions::default()).unwrap();
+        let t = db.execute(&Plan::Scan { table: "t".into(), filter: None }).unwrap();
+        assert_eq!(t.rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
+        assert!(!db.has_table("u"));
+        assert_eq!(db.row_count("v").unwrap(), 0);
+    }
+
     #[test]
     fn values_plan() {
         let db = Database::new();
@@ -1443,37 +1398,39 @@ mod tests {
     }
 
     #[test]
-    fn keyed_semi_join_agrees_with_generic() {
-        let db = keyed_tables();
-        let probe = Plan::Scan { table: "p".into(), filter: None }
-            .project(vec![(Expr::col(0), "a".into()), (Expr::col(1), "b".into())]);
-        let build = Plan::Scan { table: "q".into(), filter: None }
-            .project(vec![(Expr::col(0), "a".into())]);
-        let keyed = Plan::Distinct {
-            input: Box::new(probe.clone().semi_join(build.clone(), vec![0], vec![0])),
-        };
-        // A Sort above the probe breaks the keyable shape, forcing the
-        // generic materializing semi-join over the same data. Sorting on
-        // `b`, unique and ascending in scan order, keeps the row order.
-        let sorted = Plan::Sort { input: Box::new(probe.clone()), keys: vec![(1, false)] };
-        let generic =
-            Plan::Distinct { input: Box::new(sorted.semi_join(build.clone(), vec![0], vec![0])) };
-        let fast = db.execute(&keyed).unwrap();
-        let slow = db.execute(&generic).unwrap();
-        assert!(!fast.rows.is_empty());
-        assert_eq!(fast.rows, slow.rows);
-        // Anti variant: keyed and generic agree, and together they
-        // partition the distinct probe rows.
-        let keyed_anti = Plan::Distinct {
-            input: Box::new(probe.clone().anti_join(build.clone(), vec![0], vec![0])),
-        };
-        let anti = db.execute(&keyed_anti).unwrap();
-        let distinct_probe = db.execute(&Plan::Distinct { input: Box::new(probe) }).unwrap();
-        assert_eq!(anti.rows.len() + fast.rows.len(), distinct_probe.rows.len());
+    fn set_operators_reject_what_is_not_an_int_key() {
+        let db = db();
+        let emp = || Plan::Scan { table: "emp".into(), filter: None };
+        let ids = || emp().project(vec![(Expr::col(0), "id".into())]);
+        let values = |rows: Vec<Row>| Plan::Values { columns: vec!["k".into()], rows };
+        let distinct = |p: Plan| Plan::Distinct { input: Box::new(p) };
+        let rejected = [
+            // A Text key, read by the fused scan and by the row fallback.
+            distinct(emp().project(vec![(Expr::col(1), "dept".into())])),
+            ids().semi_join(emp().project(vec![(Expr::col(1), "dept".into())]), vec![0], vec![0]),
+            emp().project(vec![(Expr::col(0), "id".into())]).semi_join(
+                Plan::Sort { input: Box::new(emp()), keys: vec![] },
+                vec![0],
+                vec![1],
+            ),
+            // A NULL key on either side.
+            distinct(values(vec![vec![1.into()], vec![Value::Null]])),
+            ids().anti_join(values(vec![vec![Value::Null]]), vec![0], vec![0]),
+            // Three columns under a Distinct, or as a probe.
+            distinct(emp()),
+            emp().semi_join(ids(), vec![0], vec![0]),
+            // Key positions beyond the keyed input's columns.
+            ids().semi_join(ids(), vec![1], vec![0]),
+            distinct(ids().project(vec![(Expr::col(1), "x".into())])),
+        ];
+        for plan in &rejected {
+            let err = db.execute(plan).unwrap_err();
+            assert!(matches!(err, DbError::Plan(_)), "{plan:?}: {err}");
+        }
     }
 
     #[test]
-    fn keyed_fast_path_annotates_profile() {
+    fn semi_join_annotates_profile() {
         let db = keyed_tables();
         let plan = Plan::Distinct {
             input: Box::new(
@@ -1488,14 +1445,13 @@ mod tests {
             ),
         };
         let (rs, profile) = db.execute_profiled(&plan).unwrap();
-        let root = profile.root().unwrap();
-        assert!(root.keyed);
-        assert_eq!(root.rows_out, rs.rows.len() as u64);
-        // Every operator of the keyed subtree is annotated: Distinct,
-        // semi-join, both projects, both scans.
+        assert_eq!(profile.root().unwrap().rows_out, rs.rows.len() as u64);
+        // Every operator is annotated: Distinct, semi-join, both
+        // projects, both scans.
         assert_eq!(profile.len(), 6);
-        assert!(profile.get(&[0]).unwrap().keyed);
-        assert!(profile.get(&[0, 1]).unwrap().keyed);
+        // 15 of `p`'s 20 rows have an `a` (i % 7) among `q`'s 0..5.
+        assert_eq!(profile.get(&[0]).unwrap().rows_out, 15);
+        assert_eq!(profile.get(&[0, 1, 0]).unwrap().rows_out, 10);
     }
 
     /// Holding a read transaction and calling a `Database` read would

@@ -12,6 +12,13 @@
 //! that reads a table; it never names an index. The access path
 //! ([`crate::access`]) picks the index its filter keys, and deletes and
 //! updates select their rows the same way.
+//!
+//! The semi-join and `Distinct` are set operations over attribute
+//! instance keys (paper §4), and they run only over integer keys
+//! ([`crate::keyset`]). Each of their inputs has one or two columns,
+//! except a `Scan` that a `Project` of one or two of its columns reads
+//! straight into keys, and every key value is a non-NULL `Int`.
+//! Anything else is a [`DbError::Plan`], never a wrong answer.
 
 use crate::error::{DbError, Result};
 use crate::expr::Expr;
@@ -30,14 +37,6 @@ pub struct ResultSet {
 }
 
 impl ResultSet {
-    /// Index of the first column named `name`.
-    pub fn col(&self, name: &str) -> Result<usize> {
-        self.columns
-            .iter()
-            .position(|c| c == name)
-            .ok_or_else(|| DbError::NoSuchColumn(name.to_string()))
-    }
-
     /// Render as an aligned text table (for examples and the harness).
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.columns.iter().map(|c| c.len()).collect();
@@ -116,9 +115,13 @@ pub enum Plan {
     },
     /// Set-oriented equi-join: emit probe rows whose key appears (or,
     /// for `anti`, does not appear) in the build side's key set. No row
-    /// concatenation — output columns are exactly the probe's. NULL
-    /// keys never match (so under `anti` they are always emitted,
-    /// `NOT EXISTS` semantics).
+    /// concatenation — output columns are exactly the probe's. Runs on
+    /// integer keys: each side has one or two columns, the keys are one
+    /// or two of them (as many on each side), and a key value that is
+    /// not a non-NULL `Int` is an error. A probe that is a bare `Scan`
+    /// may be wider when a `Project` of one or two of its columns sits
+    /// on the semi-join: the scan, the membership test and the
+    /// projection then run as one pass.
     HashSemiJoin {
         /// Probe input (rows pass through).
         probe: Box<Plan>,
@@ -131,7 +134,9 @@ pub enum Plan {
         /// Emit non-matching probe rows instead of matching ones.
         anti: bool,
     },
-    /// Remove duplicate rows.
+    /// Remove duplicate rows, keeping first occurrences in order. Runs
+    /// on integer keys: the input has one or two columns, each a
+    /// non-NULL `Int`.
     Distinct {
         /// Input plan.
         input: Box<Plan>,
@@ -177,37 +182,6 @@ impl Plan {
             anti: true,
         }
     }
-}
-
-/// Execute a semi- or anti-join over materialized inputs (the generic
-/// fallback for probe/build shapes the integer-key fast path cannot
-/// handle). Probe rows pass through unchanged; NULL keys never match.
-pub(crate) fn run_semi_join(
-    probe: ResultSet,
-    build: &ResultSet,
-    probe_keys: &[usize],
-    build_keys: &[usize],
-    anti: bool,
-) -> Result<ResultSet> {
-    if probe_keys.len() != build_keys.len() {
-        return Err(DbError::Plan("semi-join key arity mismatch".into()));
-    }
-    let mut set: std::collections::HashSet<Vec<Value>> =
-        std::collections::HashSet::with_capacity(build.rows.len());
-    for row in &build.rows {
-        let key: Vec<Value> = build_keys.iter().map(|&i| row[i].clone()).collect();
-        if key.iter().any(|v| v.is_null()) {
-            continue;
-        }
-        set.insert(key);
-    }
-    let mut rows = probe.rows;
-    rows.retain(|r| {
-        let matched = !probe_keys.iter().any(|&i| r[i].is_null())
-            && set.contains(&probe_keys.iter().map(|&i| r[i].clone()).collect::<Vec<Value>>());
-        matched != anti
-    });
-    Ok(ResultSet { columns: probe.columns, rows })
 }
 
 /// Execute an inner hash join over materialized inputs. The probe
@@ -287,37 +261,6 @@ mod tests {
                 vec![1.into(), "a".into(), 1.into(), "y".into()],
             ]
         );
-    }
-
-    #[test]
-    fn semi_join_filters_without_concatenating() {
-        let probe = rs(
-            &["id", "v"],
-            vec![
-                vec![1.into(), "a".into()],
-                vec![2.into(), "b".into()],
-                vec![Value::Null, "n".into()],
-            ],
-        );
-        let build = rs(&["id"], vec![vec![1.into()], vec![1.into()], vec![3.into()]]);
-        let semi = run_semi_join(probe.clone(), &build, &[0], &[0], false).unwrap();
-        assert_eq!(semi.columns, vec!["id", "v"]);
-        // One output row per probe row (no fan-out on duplicate build keys);
-        // the NULL key never matches.
-        assert_eq!(semi.rows, vec![vec![Value::Int(1), "a".into()]]);
-        let anti = run_semi_join(probe, &build, &[0], &[0], true).unwrap();
-        // NOT EXISTS: the NULL-keyed row has no match, so it survives.
-        assert_eq!(anti.rows.len(), 2);
-        assert_eq!(anti.rows[0][0], Value::Int(2));
-        assert!(anti.rows[1][0].is_null());
-    }
-
-    #[test]
-    fn semi_join_null_in_build_key_never_matches() {
-        let probe = rs(&["k"], vec![vec![Value::Null]]);
-        let build = rs(&["k"], vec![vec![Value::Null]]);
-        let semi = run_semi_join(probe, &build, &[0], &[0], false).unwrap();
-        assert!(semi.rows.is_empty());
     }
 
     #[test]

@@ -1,12 +1,11 @@
-//! Plan rendering (`EXPLAIN` / `EXPLAIN ANALYZE`-style).
+//! Plan rendering, `EXPLAIN ANALYZE`-style.
 //!
-//! [`explain`] renders a [`Plan`] as an indented operator tree — used
-//! by tests to pin plan shapes (e.g. "the hybrid's nested query adds
-//! exactly one hash join per level") and by the examples for
-//! visibility into what the catalog actually executes.
-//! [`explain_analyze`] runs the plan and annotates the same tree with
-//! each operator's actual output rows and inclusive wall time, and
-//! names the access path each `Scan` took (see [`crate::access`]).
+//! [`explain_analyze`] runs a [`Plan`] and renders it as an indented
+//! operator tree, each line annotated with the operator's actual output
+//! rows and inclusive wall time; each `Scan` line also names the access
+//! path it took (see [`crate::access`]). Tests use it to pin plan
+//! shapes and access paths, the CLI's `analyze` command prints it, and
+//! the benchmark reads its per-scan row counts.
 
 use crate::access::AccessPath;
 use crate::db::{Database, ReadTxn};
@@ -14,13 +13,6 @@ use crate::error::Result;
 use crate::exec::Plan;
 use crate::expr::{ArithOp, CmpOp, Expr};
 use crate::profile::{format_nanos, PlanProfile};
-
-/// Render `plan` as an indented tree.
-pub fn explain(plan: &Plan) -> String {
-    let mut out = String::new();
-    walk(plan, 0, &mut out, None, &mut Vec::new());
-    out
-}
 
 /// Execute `plan` on `db` and render its tree with actual per-operator
 /// stats: `(rows=<emitted> time=<inclusive wall time>)`. Each `Scan`
@@ -37,7 +29,7 @@ pub fn explain_analyze(plan: &Plan, db: &Database) -> Result<String> {
     // second read after the profiled run names the paths it took.
     let rt = db.begin_read();
     let mut out = String::new();
-    walk(plan, 0, &mut out, Some((&profile, &rt)), &mut Vec::new());
+    walk(plan, 0, &mut out, &profile, &rt, &mut Vec::new());
     Ok(out)
 }
 
@@ -92,33 +84,27 @@ fn walk(
     plan: &Plan,
     depth: usize,
     out: &mut String,
-    prof: Option<(&PlanProfile, &ReadTxn<'_>)>,
+    profile: &PlanProfile,
+    rt: &ReadTxn<'_>,
     path: &mut Vec<u16>,
 ) {
     pad(depth, out);
     out.push_str(&node_label(plan));
-    if let Some((profile, rt)) = prof {
-        if let Plan::Scan { table, filter } = plan {
-            if let Ok(t) = rt.table(table) {
-                out.push_str(&format!(" via {}", AccessPath::choose(t, filter.as_ref())));
-            }
+    if let Plan::Scan { table, filter } = plan {
+        if let Ok(t) = rt.table(table) {
+            out.push_str(&format!(" via {}", AccessPath::choose(t, filter.as_ref())));
         }
-        match profile.get(path) {
-            Some(stats) => {
-                let keyed = if stats.keyed { " keyed" } else { "" };
-                out.push_str(&format!(
-                    " (rows={} time={}{keyed})",
-                    stats.rows_out,
-                    format_nanos(stats.nanos)
-                ));
-            }
-            None => out.push_str(" (not executed)"),
+    }
+    match profile.get(path) {
+        Some(stats) => {
+            out.push_str(&format!(" (rows={} time={})", stats.rows_out, format_nanos(stats.nanos)))
         }
+        None => out.push_str(" (not executed)"),
     }
     out.push('\n');
     for (input_no, child) in node_children(plan).into_iter().enumerate() {
         path.push(input_no as u16);
-        walk(child, depth + 1, out, prof, path);
+        walk(child, depth + 1, out, profile, rt, path);
         path.pop();
     }
 }
@@ -167,6 +153,14 @@ mod tests {
 
     #[test]
     fn renders_tree() {
+        use crate::table::{Column, TableSchema};
+        use crate::value::DataType;
+
+        let db = Database::new();
+        for t in ["t", "u"] {
+            let cols = vec![Column::new("a", DataType::Int), Column::new("b", DataType::Int)];
+            db.create_table(t, TableSchema::new(cols)).unwrap();
+        }
         let plan = Plan::Scan { table: "t".into(), filter: Some(Expr::col_eq(0, 1)) }.hash_join(
             Plan::Scan { table: "u".into(), filter: None },
             vec![0],
@@ -174,15 +168,13 @@ mod tests {
         );
         let plan = Plan::Sort { input: Box::new(plan), keys: vec![(0, false)] }
             .project(vec![(Expr::col(1), "n".into())]);
-        let text = explain(&plan);
+        let text = explain_analyze(&plan, &db).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert!(lines[0].starts_with("Project"));
-        assert!(lines[1].trim_start().starts_with("Sort [(0, false)]"));
-        assert!(lines[2].trim_start().starts_with("HashJoin on [0]=[1]"));
-        assert!(lines[3].trim_start().starts_with("Scan t filter=(#0 = Int(1))"));
-        assert!(lines[4].trim_start().starts_with("Scan u"));
-        // Indentation increases with depth.
-        assert!(lines[3].starts_with("      "));
+        assert!(lines[0].starts_with("Project [n=#1]"), "{text}");
+        assert!(lines[1].starts_with("  Sort [(0, false)]"), "{text}");
+        assert!(lines[2].starts_with("    HashJoin on [0]=[1]"), "{text}");
+        assert!(lines[3].starts_with("      Scan t filter=(#0 = Int(1))"), "{text}");
+        assert!(lines[4].starts_with("      Scan u"), "{text}");
     }
 
     #[test]

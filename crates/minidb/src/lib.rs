@@ -9,6 +9,10 @@
 //! - physical plans: scans, projections, inner hash joins, hash semi-
 //!   and anti-joins, sort/distinct/limit ([`exec`]); callers build them
 //!   directly, there is no query language
+//! - one semi-join and one `Distinct`, both over one- or two-column
+//!   integer keys ([`keyset`]): the paper matches queries with set
+//!   operations over `(object_id, seq)` instance keys, and any other
+//!   input shape is an error, not a slower path
 //! - one way to reach rows: a filtered scan, a delete and an update all
 //!   walk the index their filter keys furthest, or every row when none
 //!   does ([`access`]); no plan names an index
@@ -62,7 +66,7 @@ pub mod prelude {
     pub use crate::db::{Database, ReadTxn, Txn};
     pub use crate::error::{DbError, Result};
     pub use crate::exec::{Plan, ResultSet};
-    pub use crate::explain::{explain, explain_analyze};
+    pub use crate::explain::explain_analyze;
     pub use crate::expr::{ArithOp, CmpOp, Expr};
     pub use crate::keyset::{Key, KeySet, KeyedRows};
     pub use crate::limits::Deadline;

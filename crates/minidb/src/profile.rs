@@ -16,10 +16,6 @@ pub struct NodeStats {
     pub rows_out: u64,
     /// Inclusive wall time (operator plus its inputs), in nanoseconds.
     pub nanos: u64,
-    /// True when the operator ran on the integer-key fast path
-    /// (zero-clone key extraction / key-set semi-join) instead of
-    /// materializing full rows.
-    pub keyed: bool,
 }
 
 /// Runtime statistics for every operator of one executed plan.
@@ -30,12 +26,7 @@ pub struct PlanProfile {
 
 impl PlanProfile {
     pub(crate) fn record(&mut self, path: Vec<u16>, rows_out: u64, nanos: u64) {
-        self.stats.insert(path, NodeStats { rows_out, nanos, keyed: false });
-    }
-
-    /// Record an operator that ran on the integer-key fast path.
-    pub(crate) fn record_keyed(&mut self, path: Vec<u16>, rows_out: u64, nanos: u64) {
-        self.stats.insert(path, NodeStats { rows_out, nanos, keyed: true });
+        self.stats.insert(path, NodeStats { rows_out, nanos });
     }
 
     /// Stats for the operator at `path` (see module docs), if the

@@ -148,23 +148,6 @@ impl Value {
             _ => None,
         }
     }
-
-    /// Parse text into the closest value of `dt` (used when ingesting
-    /// XML character data into typed element tables).
-    pub fn parse_as(text: &str, dt: DataType) -> Option<Value> {
-        let t = text.trim();
-        match dt {
-            DataType::Int => t.parse::<i64>().ok().map(Value::Int),
-            DataType::Float => t.parse::<f64>().ok().map(Value::Float),
-            DataType::Bool => match t {
-                "true" | "TRUE" | "1" => Some(Value::Bool(true)),
-                "false" | "FALSE" | "0" => Some(Value::Bool(false)),
-                _ => None,
-            },
-            DataType::Text => Some(Value::Str(text.to_string())),
-            DataType::Clob => t.parse::<i64>().ok().map(Value::Int),
-        }
-    }
 }
 
 impl PartialEq for Value {
@@ -325,18 +308,6 @@ mod tests {
         assert!(DataType::Text.admits(&Value::Str("x".into())));
         assert!(DataType::Clob.admits(&Value::Int(9)));
         assert!(DataType::Bool.admits(&Value::Null));
-    }
-
-    #[test]
-    fn parse_as_types() {
-        assert_eq!(Value::parse_as(" 42 ", DataType::Int), Some(Value::Int(42)));
-        assert_eq!(Value::parse_as("100.000", DataType::Float), Some(Value::Float(100.0)));
-        assert_eq!(Value::parse_as("true", DataType::Bool), Some(Value::Bool(true)));
-        assert_eq!(Value::parse_as("x", DataType::Int), None);
-        assert_eq!(
-            Value::parse_as("keep  spaces", DataType::Text),
-            Some(Value::Str("keep  spaces".into()))
-        );
     }
 
     #[test]

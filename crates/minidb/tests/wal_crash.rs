@@ -71,7 +71,11 @@ impl Op {
             Op::Update { table, pred, set_col, set_to } => db
                 .update_where(table, Some(pred), &[(*set_col, Expr::lit(set_to.clone()))])
                 .map(|_| ()),
-            Op::Truncate(table) => db.truncate_table(table).map(|_| ()),
+            Op::Truncate(table) => {
+                let mut t = db.txn();
+                t.truncate(table)?;
+                t.commit()
+            }
             Op::IngestLike { table, doc, id } => {
                 let mut t = db.txn();
                 let loc = t.put_clobs(&[doc]).start;

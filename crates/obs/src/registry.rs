@@ -93,8 +93,10 @@ impl MetricsRegistry {
     }
 
     pub(crate) fn record_slow(&self, name: &'static str, nanos: u64, detail: Option<String>) {
-        let seq = self.slow_seq.fetch_add(1, Ordering::Relaxed);
+        // Number the event under the ring's lock, so ring order is
+        // sequence order even when spans end on several threads at once.
         let mut ring = self.slow_ring.lock();
+        let seq = self.slow_seq.fetch_add(1, Ordering::Relaxed);
         if ring.len() == SLOW_RING_CAPACITY {
             ring.pop_front();
         }

@@ -72,6 +72,6 @@ fn main() -> Result<()> {
         }
     }
     println!("\nall backends returned identical answers ✓");
-    println!("(absolute times are illustrative; `cargo bench` runs the calibrated suite)");
+    println!("(absolute times are illustrative; the bench harness runs the calibrated suite)");
     Ok(())
 }
