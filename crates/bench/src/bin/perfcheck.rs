@@ -5,10 +5,11 @@
 //! ```
 //!
 //! Fails (exit 1) when the current file is malformed, or — given a
-//! baseline — when any workload's semi-join latency regressed more than
-//! `--max-regress` times against it, or its hits differ from a baseline
-//! of the same scale (the corpus and queries are seeded, so hits are
-//! exact).
+//! baseline — when the two files differ in scale (a quick run against a
+//! full-scale baseline could only catch a slowdown of many times), when
+//! any workload's semi-join latency regressed more than `--max-regress`
+//! times against it, or when its hits differ (the corpus and queries are
+//! seeded, so hits are exact).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -25,9 +26,7 @@ struct PerfFile {
 
 /// Minimal parser for the exact shape `render_perf_json` emits — one
 /// entry object per line. Anything surprising is a hard error: the file
-/// is machine-written, so leniency only hides breakage. Rows of any
-/// other plan style (files written before the materialized plans were
-/// removed carry `"materialized"` rows) are validated, then skipped.
+/// is machine-written, so leniency only hides breakage.
 fn parse(text: &str) -> Result<PerfFile, String> {
     if !text.contains("\"schema\": \"mylead-bench-perf/v1\"") {
         return Err("missing or unknown schema marker".into());
@@ -43,7 +42,9 @@ fn parse(text: &str) -> Result<PerfFile, String> {
     let mut out = Entries::new();
     for line in text.lines().filter(|l| l.trim_start().starts_with("{\"workload\"")) {
         let workload = field(line, "workload")?.to_string();
-        let style = field(line, "style")?.to_string();
+        if field(line, "style")? != "semijoin" {
+            return Err(format!("unknown plan style in {line:?}"));
+        }
         let num = |name: &str| -> Result<f64, String> {
             let v: f64 =
                 field(line, name)?.parse().map_err(|e| format!("bad {name} in {line:?}: {e}"))?;
@@ -58,9 +59,7 @@ fn parse(text: &str) -> Result<PerfFile, String> {
         }
         let hits: usize =
             field(line, "hits")?.parse().map_err(|e| format!("bad hits in {line:?}: {e}"))?;
-        if style == "semijoin" {
-            out.insert(workload, (median_us, p95_us, p99_us, hits));
-        }
+        out.insert(workload, (median_us, p95_us, p99_us, hits));
     }
     if out.is_empty() {
         return Err("no perf entries found".into());
@@ -76,6 +75,13 @@ fn parse(text: &str) -> Result<PerfFile, String> {
 fn check(current: &PerfFile, baseline: Option<&PerfFile>, max_regress: f64) -> Vec<String> {
     let mut problems = Vec::new();
     let Some(base) = baseline else { return problems };
+    if base.scale != current.scale {
+        problems.push(format!(
+            "a {} run cannot be checked against a {} baseline",
+            current.scale, base.scale
+        ));
+        return problems;
+    }
     for (workload, &(semi, _, _, hits)) in &current.entries {
         if let Some(&(base_semi, _, _, base_hits)) = base.entries.get(workload) {
             if semi > base_semi * max_regress {
@@ -83,10 +89,9 @@ fn check(current: &PerfFile, baseline: Option<&PerfFile>, max_regress: f64) -> V
                     "{workload}: semi-join {semi:.1}us regressed >{max_regress}x vs baseline {base_semi:.1}us"
                 ));
             }
-            if base.scale == current.scale && hits != base_hits {
+            if hits != base_hits {
                 problems.push(format!(
-                    "{workload}: hits {hits} differ from the {} baseline's {base_hits}",
-                    base.scale
+                    "{workload}: hits {hits} differ from the baseline's {base_hits}"
                 ));
             }
         }
@@ -187,6 +192,7 @@ mod tests {
         // Tail fields are required and must be ordered.
         assert!(parse(&sample().replace("\"p95_us\": 55.000", "\"p95_us\": 70.000")).is_err());
         assert!(parse(&sample().replace(", \"p95_us\": 55.000", "")).is_err());
+        assert!(parse(&sample().replace("semijoin", "materialized")).is_err());
     }
 
     #[test]
@@ -196,11 +202,11 @@ mod tests {
         // Vs baseline: semi-join regressed >2x.
         assert!(!check(&slow, Some(&entries), 2.0).is_empty());
         assert!(check(&entries, Some(&entries), 2.0).is_empty());
-        // Hits differing from a same-scale baseline are a failure; a
-        // baseline of another scale has other hits by construction.
+        // Hits differing from the baseline are a failure, and so is a
+        // baseline of another scale, even with nothing slower.
         let bad_hits = parse(&sample().replacen("\"hits\": 7", "\"hits\": 3", 1)).unwrap();
         assert!(!check(&bad_hits, Some(&entries), 2.0).is_empty());
         let full = parse(&sample().replace("\"quick\"", "\"full\"")).unwrap();
-        assert!(check(&bad_hits, Some(&full), 2.0).is_empty());
+        assert!(!check(&entries, Some(&full), 2.0).is_empty());
     }
 }

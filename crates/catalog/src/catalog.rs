@@ -59,7 +59,7 @@ pub struct MetadataCatalog {
     db: Database,
     partition: Partition,
     ordering: GlobalOrdering,
-    defs: RwLock<DefsRegistry>,
+    pub(crate) defs: RwLock<DefsRegistry>,
     config: CatalogConfig,
     next_object: AtomicI64,
 }
@@ -71,29 +71,25 @@ impl MetadataCatalog {
     }
 
     /// Build a catalog into an empty database (freshly created, or a
-    /// durable database whose directory held no prior state).
+    /// durable database whose directory held no prior state) as one
+    /// transaction, so a crash leaves the directory empty or complete.
     pub(crate) fn bootstrap(
         db: Database,
         partition: Partition,
         config: CatalogConfig,
     ) -> Result<MetadataCatalog> {
-        store::create_tables(&db)?;
         let ordering = GlobalOrdering::new(&partition);
-        store::load_ordering(&db, &ordering)?;
         let defs = DefsRegistry::from_partition(&partition, &ordering);
-        store::sync_defs(&db, &defs)?;
-        Ok(MetadataCatalog {
-            db,
-            partition,
-            ordering,
-            defs: RwLock::new(defs),
-            config,
-            next_object: AtomicI64::new(1),
-        })
+        let mut txn = db.txn();
+        store::create_tables(&mut txn)?;
+        store::load_ordering(&mut txn, &ordering)?;
+        store::append_defs(&mut txn, defs.attrs(), defs.elems())?;
+        txn.commit()?;
+        Ok(Self::from_parts(db, partition, ordering, defs, config, 1))
     }
 
-    /// Assemble a catalog from already-loaded parts (snapshot loading).
-    /// The definition mirror tables are where `defs` was read from, so
+    /// Assemble a catalog from parts whose definitions are already in
+    /// the mirror tables (after bootstrap, or reread by a reopen), so
     /// assembling writes nothing: a read-only open leaves the log as it
     /// found it.
     pub(crate) fn from_parts(
@@ -142,10 +138,25 @@ impl MetadataCatalog {
             self.partition.schema().resolve_path(anchor_path).ok_or_else(|| {
                 CatalogError::Definition(format!("no schema node at {anchor_path}"))
             })?;
+        self.register_with(|defs| {
+            defs.register_dynamic(&self.partition, &self.ordering, anchor, spec, level)
+        })
+    }
+
+    /// Register definitions all or nothing: `register` works on a copy
+    /// of the registry, one transaction appends the definitions it added
+    /// to the mirror tables, and the copy becomes the registry only once
+    /// that commit succeeds. The `defs` write lock is held throughout.
+    fn register_with<T>(&self, register: impl FnOnce(&mut DefsRegistry) -> Result<T>) -> Result<T> {
         let mut defs = self.defs.write();
-        let id = defs.register_dynamic(&self.partition, &self.ordering, anchor, spec, level)?;
-        store::sync_defs(&self.db, &defs)?;
-        Ok(id)
+        let mut next = defs.clone();
+        let out = register(&mut next)?;
+        let mut txn = self.db.txn();
+        let (attrs, elems) = (defs.attrs().len(), defs.elems().len());
+        store::append_defs(&mut txn, &next.attrs()[attrs..], &next.elems()[elems..])?;
+        txn.commit()?;
+        *defs = next;
+        Ok(out)
     }
 
     /// Parse and shred a document *without* storing it (the CPU-bound
@@ -166,11 +177,11 @@ impl MetadataCatalog {
         if self.config.auto_register && !out.inferred.is_empty() {
             // Register what the document taught us, then re-shred so its
             // rows land in the query tables too.
-            {
-                let mut defs = self.defs.write();
+            self.register_with(|defs| {
                 for (anchor, spec) in &out.inferred {
                     // Races between ingest threads can register the same
-                    // spec twice; the second registration fails benignly.
+                    // spec twice; the second registration fails benignly
+                    // and registers nothing.
                     let _ = defs.register_dynamic(
                         &self.partition,
                         &self.ordering,
@@ -179,10 +190,9 @@ impl MetadataCatalog {
                         DefLevel::Admin,
                     );
                 }
-                store::sync_defs(&self.db, &defs)?;
-            }
+                Ok(())
+            })?;
             let defs = self.defs.read();
-            let shredder = Shredder::new(&self.partition, &self.ordering);
             let _span = reg.span("catalog.shred");
             return shredder.shred(&doc, &defs);
         }
@@ -327,8 +337,8 @@ impl MetadataCatalog {
         // seed and collide, and no reader sees the fragment half
         // applied. Lock order: defs before the transaction's WAL +
         // visibility locks — `register_dynamic` holds the defs write
-        // lock while it syncs the definition mirror through its own
-        // transaction, so acquiring defs after `txn()` would deadlock.
+        // lock while it appends the definition mirror rows through its
+        // own transaction, so acquiring defs after `txn()` would deadlock.
         let defs = self.defs.read();
         let mut txn = self.db.txn();
         let exists = !txn

@@ -9,12 +9,18 @@
 //! (e.g. LEAD's `enttypl`/`enttypds` and `attrlabl`/`attrdefs`). This
 //! is what lets ARPS and WRF both define a `dx` parameter without
 //! colliding and without ever touching the community schema.
+//!
+//! [`DefsRegistry::register_dynamic`] is the one way a dynamic
+//! definition enters the registry, live or on reopen (`crate::persist`
+//! re-registers the specs the mirror tables store). It checks the whole
+//! spec before it pushes anything, and ids follow push order, so the
+//! same specs registered in the same order get the same ids.
 
 use crate::error::{CatalogError, Result};
 use crate::ordering::{GlobalOrdering, OrderId};
 use crate::partition::{NodeRole, Partition};
-use std::collections::HashMap;
-use xmlkit::schema::SchemaNodeId;
+use std::collections::{HashMap, HashSet};
+use xmlkit::schema::{ChildRef, Schema, SchemaNodeId};
 use xmlkit::ValueType;
 
 /// Identifier of an attribute definition.
@@ -45,10 +51,6 @@ pub struct AttrDef {
     pub source: Option<String>,
     /// Parent attribute definition for sub-attributes.
     pub parent: Option<AttrId>,
-    /// Schema node this definition is anchored at: the node itself for
-    /// structural definitions, the dynamic root (e.g. `detailed`) for
-    /// dynamic ones.
-    pub anchor: SchemaNodeId,
     /// Global order of the anchor — where CLOBs for this attribute sit
     /// in reconstructed documents. `None` for sub-attributes.
     pub schema_order: Option<OrderId>,
@@ -121,7 +123,7 @@ impl DynamicAttrSpec {
 }
 
 /// The definition registry.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DefsRegistry {
     attrs: Vec<AttrDef>,
     elems: Vec<ElemDef>,
@@ -143,79 +145,61 @@ impl DefsRegistry {
         let mut reg = DefsRegistry::default();
         let schema = partition.schema();
         for node in schema.preorder() {
-            match partition.role(node) {
-                NodeRole::AttributeRoot { dynamic } => {
-                    let order = ordering.order_of(node).expect("attr roots are ordered");
-                    let id = reg.push_attr(AttrDef {
-                        id: 0,
-                        name: schema.node(node).name.clone(),
-                        source: None,
-                        parent: None,
-                        anchor: node,
-                        schema_order: Some(order),
-                        dynamic,
-                        queryable: !dynamic, // dynamic content is shredded
-                        // only under registered (name, source) defs
-                        level: DefLevel::Admin,
-                    });
-                    reg.attr_by_node.insert(node, id);
-                    if !dynamic {
-                        // Leaf attribute == also an element of itself.
-                        if schema.node(node).is_leaf() {
-                            let eid = reg.push_elem(ElemDef {
-                                id: 0,
-                                attr: id,
-                                name: schema.node(node).name.clone(),
-                                source: None,
-                                dtype: schema.node(node).value_type,
-                            });
-                            reg.elem_by_node.insert(node, eid);
-                        }
-                        reg.register_structural_children(partition, node, id);
-                    }
-                }
-                NodeRole::Wrapper | NodeRole::SubAttribute | NodeRole::Element => {}
+            let NodeRole::AttributeRoot { dynamic } = partition.role(node) else {
+                continue;
+            };
+            let id = reg.push_attr(AttrDef {
+                id: 0,
+                name: schema.node(node).name.clone(),
+                source: None,
+                parent: None,
+                schema_order: Some(ordering.order_of(node).expect("attr roots are ordered")),
+                dynamic,
+                queryable: !dynamic, // dynamic content is shredded
+                // only under registered (name, source) defs
+                level: DefLevel::Admin,
+            });
+            reg.attr_by_node.insert(node, id);
+            if !dynamic {
+                reg.register_structural(schema, node, id);
             }
         }
         reg
     }
 
-    fn register_structural_children(
-        &mut self,
-        partition: &Partition,
-        node: SchemaNodeId,
-        attr: AttrId,
-    ) {
-        let schema = partition.schema().clone();
-        for c in schema.node(node).children.iter() {
-            let xmlkit::schema::ChildRef::Node(child) = c else {
+    /// Push the structural definitions of `node`, part of attribute
+    /// `attr`: a leaf is an element of `attr` (so a leaf attribute is an
+    /// element of itself); an inner node's leaf children are elements,
+    /// and each other child is a sub-attribute defined the same way.
+    fn register_structural(&mut self, schema: &Schema, node: SchemaNodeId, attr: AttrId) {
+        let n = schema.node(node);
+        if n.is_leaf() {
+            let elem =
+                ElemDef { id: 0, attr, name: n.name.clone(), source: None, dtype: n.value_type };
+            let eid = self.push_elem(elem);
+            self.elem_by_node.insert(node, eid);
+            return;
+        }
+        for c in &n.children {
+            let ChildRef::Node(child) = *c else {
                 continue; // recursion only occurs under dynamic roots
             };
-            let child_node = schema.node(*child);
-            if child_node.is_leaf() {
-                let eid = self.push_elem(ElemDef {
-                    id: 0,
-                    attr,
-                    name: child_node.name.clone(),
-                    source: None,
-                    dtype: child_node.value_type,
-                });
-                self.elem_by_node.insert(*child, eid);
-            } else {
-                let sub = self.push_attr(AttrDef {
-                    id: 0,
-                    name: child_node.name.clone(),
-                    source: None,
-                    parent: Some(attr),
-                    anchor: *child,
-                    schema_order: None,
-                    dynamic: false,
-                    queryable: true,
-                    level: DefLevel::Admin,
-                });
-                self.attr_by_node.insert(*child, sub);
-                self.register_structural_children(partition, *child, sub);
+            if schema.node(child).is_leaf() {
+                self.register_structural(schema, child, attr);
+                continue;
             }
+            let sub = self.push_attr(AttrDef {
+                id: 0,
+                name: schema.node(child).name.clone(),
+                source: None,
+                parent: Some(attr),
+                schema_order: None,
+                dynamic: false,
+                queryable: true,
+                level: DefLevel::Admin,
+            });
+            self.attr_by_node.insert(child, sub);
+            self.register_structural(schema, child, sub);
         }
     }
 
@@ -236,7 +220,9 @@ impl DefsRegistry {
     }
 
     /// Register a dynamic attribute tree anchored at `anchor` (which
-    /// must be a dynamic attribute root of the partition).
+    /// must be a dynamic attribute root of the partition). All or
+    /// nothing: the whole spec is checked before the first definition is
+    /// pushed, so a rejected spec leaves the registry as it was.
     pub fn register_dynamic(
         &mut self,
         partition: &Partition,
@@ -258,36 +244,32 @@ impl DefsRegistry {
                 spec.name, spec.source
             )));
         }
-        let order = ordering.order_of(anchor);
+        check_spec(spec)?;
         let id = self.push_attr(AttrDef {
             id: 0,
             name: spec.name.clone(),
             source: Some(spec.source.clone()),
             parent: None,
-            anchor,
-            schema_order: order,
+            schema_order: ordering.order_of(anchor),
             dynamic: true,
             queryable: true,
             level: level.clone(),
         });
         self.dyn_top.insert(key, id);
-        self.register_dynamic_children(anchor, id, spec, &level)?;
+        self.register_dynamic_children(id, spec, &level);
         Ok(id)
     }
 
+    /// Push the elements and sub-attributes of a checked spec under the
+    /// fresh definition `parent`. Ids follow the spec in preorder: a
+    /// node's elements, then each sub-attribute with its own subtree.
     fn register_dynamic_children(
         &mut self,
-        anchor: SchemaNodeId,
         parent: AttrId,
         spec: &DynamicAttrSpec,
         level: &DefLevel,
-    ) -> Result<()> {
+    ) {
         for (ename, dtype) in &spec.elements {
-            if self.elem_by_attr.contains_key(&(parent, ename.clone())) {
-                return Err(CatalogError::Definition(format!(
-                    "element {ename} already defined on attribute #{parent}"
-                )));
-            }
             self.push_elem(ElemDef {
                 id: 0,
                 attr: parent,
@@ -297,93 +279,19 @@ impl DefsRegistry {
             });
         }
         for sub in &spec.subs {
-            let key = (parent, sub.name.clone(), sub.source.clone());
-            if self.dyn_sub.contains_key(&key) {
-                return Err(CatalogError::Definition(format!(
-                    "sub-attribute ({}, {}) already registered under #{parent}",
-                    sub.name, sub.source
-                )));
-            }
             let id = self.push_attr(AttrDef {
                 id: 0,
                 name: sub.name.clone(),
                 source: Some(sub.source.clone()),
                 parent: Some(parent),
-                anchor,
                 schema_order: None,
                 dynamic: true,
                 queryable: true,
                 level: level.clone(),
             });
-            self.dyn_sub.insert(key, id);
-            self.register_dynamic_children(anchor, id, sub, level)?;
+            self.dyn_sub.insert((parent, sub.name.clone(), sub.source.clone()), id);
+            self.register_dynamic_children(id, sub, level);
         }
-        Ok(())
-    }
-
-    /// Replay one dynamic attribute definition from a snapshot. The
-    /// definition must land on `expect_id` (ids are assigned
-    /// sequentially, so replay in ascending id order).
-    #[allow(clippy::too_many_arguments)]
-    pub fn replay_dynamic_attr(
-        &mut self,
-        expect_id: AttrId,
-        name: &str,
-        source: &str,
-        parent: Option<AttrId>,
-        anchor: SchemaNodeId,
-        schema_order: Option<OrderId>,
-        level: DefLevel,
-    ) -> Result<()> {
-        let id = self.push_attr(AttrDef {
-            id: 0,
-            name: name.to_string(),
-            source: Some(source.to_string()),
-            parent,
-            anchor,
-            schema_order,
-            dynamic: true,
-            queryable: true,
-            level,
-        });
-        if id != expect_id {
-            return Err(CatalogError::Definition(format!(
-                "snapshot replay assigned attribute id {id}, expected {expect_id}"
-            )));
-        }
-        match parent {
-            None => {
-                self.dyn_top.insert((anchor, name.to_string(), source.to_string()), id);
-            }
-            Some(p) => {
-                self.dyn_sub.insert((p, name.to_string(), source.to_string()), id);
-            }
-        }
-        Ok(())
-    }
-
-    /// Replay one dynamic element definition from a snapshot.
-    pub fn replay_dynamic_elem(
-        &mut self,
-        expect_id: ElemId,
-        attr: AttrId,
-        name: &str,
-        source: Option<&str>,
-        dtype: ValueType,
-    ) -> Result<()> {
-        let id = self.push_elem(ElemDef {
-            id: 0,
-            attr,
-            name: name.to_string(),
-            source: source.map(|s| s.to_string()),
-            dtype,
-        });
-        if id != expect_id {
-            return Err(CatalogError::Definition(format!(
-                "snapshot replay assigned element id {id}, expected {expect_id}"
-            )));
-        }
-        Ok(())
     }
 
     /// Attribute definition by id.
@@ -485,12 +393,33 @@ impl DefsRegistry {
     }
 }
 
+/// Reject a spec that names an element twice on one node, or one
+/// (name, source) sub-attribute twice under one parent: its
+/// registration could not push every definition it asks for.
+fn check_spec(spec: &DynamicAttrSpec) -> Result<()> {
+    let (mut elems, mut subs) = (HashSet::new(), HashSet::new());
+    let repeated = match spec.elements.iter().find(|(e, _)| !elems.insert(e)) {
+        Some((e, _)) => Some(format!("element {e}")),
+        None => spec
+            .subs
+            .iter()
+            .find(|s| !subs.insert((&s.name, &s.source)))
+            .map(|s| format!("sub-attribute ({}, {})", s.name, s.source)),
+    };
+    if let Some(what) = repeated {
+        return Err(CatalogError::Definition(format!(
+            "{what} repeated in ({}, {})",
+            spec.name, spec.source
+        )));
+    }
+    spec.subs.iter().try_for_each(check_spec)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partition::PartitionSpec;
     use std::sync::Arc;
-    use xmlkit::schema::Schema;
 
     fn setup() -> (Arc<Schema>, Partition, GlobalOrdering, DefsRegistry) {
         let s = Arc::new(

@@ -4,19 +4,24 @@
 //! lives in `minidb` tables plus the CLOB heap, so the catalog persists
 //! through the database's write-ahead log and checkpoint snapshots
 //! ([`MetadataCatalog::open`] is the only way catalog state reaches
-//! disk). Reopening rebuilds the in-memory definition registry by (a)
-//! re-deriving structural definitions from the partition (ids are
-//! deterministic) and (b) replaying the mirrored dynamic definitions in
-//! id order; a mismatch between the stored structural definitions and
-//! the supplied partition is an error (the schema the catalog serves
-//! must not silently drift).
+//! disk). A fresh directory is bootstrapped in one transaction, and each
+//! registration appends its definitions' mirror rows in one more.
+//! Reopening rebuilds the registry the way it was built: (a) re-derive
+//! the structural definitions from the partition (ids are deterministic)
+//! and cross-check their rows — the schema the catalog serves must not
+//! silently drift; (b) rebuild each stored top-level dynamic
+//! definition's spec from its rows and register it again through
+//! [`DefsRegistry::register_dynamic`], in id order. The registry must
+//! then equal the mirror row for row, ids included.
 
 use crate::catalog::{CatalogConfig, MetadataCatalog};
-use crate::defs::{DefLevel, DefsRegistry};
+use crate::defs::{DefLevel, DefsRegistry, DynamicAttrSpec};
 use crate::error::{CatalogError, Result};
 use crate::ordering::{GlobalOrdering, OrderId};
 use crate::partition::Partition;
-use minidb::{Database, Plan};
+use crate::store;
+use minidb::{Database, Plan, Value};
+use std::collections::HashMap;
 use std::path::Path;
 use xmlkit::ValueType;
 
@@ -59,24 +64,37 @@ impl MetadataCatalog {
     }
 }
 
+/// Mirror rows grouped under the definition they belong to.
+type Children<'a> = HashMap<i64, Vec<&'a [Value]>>;
+
 /// Reassemble a catalog around a recovered database: cross-check the
-/// structural definition mirror against the supplied partition, replay
-/// dynamic definitions, and continue the object-id sequence.
+/// structural definition mirror against the supplied partition,
+/// re-register each stored dynamic definition through
+/// [`DefsRegistry::register_dynamic`], and continue the object-id
+/// sequence.
 fn rebuild(db: Database, partition: Partition, config: CatalogConfig) -> Result<MetadataCatalog> {
     let ordering = GlobalOrdering::new(&partition);
     let mut defs = DefsRegistry::from_partition(&partition, &ordering);
     let structural_attrs = defs.attrs().len() as i64;
-    let structural_elems = defs.elems().len() as i64;
+    let attr_rows = sorted_rows(&db, "attr_defs")?;
+    let elem_rows = sorted_rows(&db, "elem_defs")?;
+    let mut subs = Children::new();
+    for row in &attr_rows {
+        if let Some(parent) = row[3].as_i64() {
+            subs.entry(parent).or_default().push(row);
+        }
+    }
+    let mut elems = Children::new();
+    for row in &elem_rows {
+        elems.entry(row[1].as_i64().unwrap_or_default()).or_default().push(row);
+    }
 
-    // Cross-check structural mirror rows, then replay dynamic ones.
-    let attr_rows = db.execute(&Plan::Sort {
-        input: Box::new(Plan::Scan { table: "attr_defs".into(), filter: None }),
-        keys: vec![(0, false)],
-    })?;
-    for row in &attr_rows.rows {
+    // Cross-check structural rows; re-register each top-level dynamic
+    // definition, in id order, from the spec its rows store.
+    for row in &attr_rows {
         let id = row[0].as_i64().ok_or_else(|| bad("attr_defs.attr_id"))?;
         let name = row[1].as_str().ok_or_else(|| bad("attr_defs.name"))?;
-        let dynamic = matches!(row[5], minidb::Value::Bool(true));
+        let dynamic = matches!(row[5], Value::Bool(true));
         if id <= structural_attrs {
             let known = defs.attr(id).ok_or_else(|| {
                 CatalogError::Definition(format!("snapshot attribute #{id} unknown"))
@@ -90,62 +108,29 @@ fn rebuild(db: Database, partition: Partition, config: CatalogConfig) -> Result<
             }
             continue;
         }
-        if !dynamic {
-            return Err(CatalogError::Definition(format!(
-                "snapshot attribute #{id} ({name}) is non-structural yet not dynamic"
-            )));
+        if !row[3].is_null() {
+            continue; // a sub-attribute registers with its top-level definition
         }
-        let source = row[2].as_str().ok_or_else(|| bad("attr_defs.source"))?;
-        let parent = row[3].as_i64();
-        let schema_order = row[4].as_i64().map(|o| o as OrderId);
-        let level = match row[7].as_str() {
-            Some("admin") | None => DefLevel::Admin,
-            Some(other) => match other.strip_prefix("user:") {
-                Some(u) => DefLevel::User(u.to_string()),
-                None => DefLevel::Admin,
-            },
-        };
-        // Anchor: top-level defs sit at their schema_order's node;
-        // sub-attributes share their parent's anchor.
-        let anchor = match (parent, schema_order) {
-            (Some(p), _) => {
-                defs.attr(p)
-                    .ok_or_else(|| {
-                        CatalogError::Definition(format!(
-                            "snapshot attribute #{id} references missing parent #{p}"
-                        ))
-                    })?
-                    .anchor
-            }
-            (None, Some(order)) => ordering.node(order).node,
-            (None, None) => {
-                return Err(CatalogError::Definition(format!(
-                    "snapshot attribute #{id} has neither parent nor schema order"
-                )));
-            }
-        };
-        defs.replay_dynamic_attr(id, name, source, parent, anchor, schema_order, level)?;
+        let order = row[4].as_i64().ok_or_else(|| {
+            CatalogError::Definition(format!(
+                "snapshot attribute #{id} has neither parent nor schema order"
+            ))
+        })?;
+        let user = row[7].as_str().and_then(|l| l.strip_prefix("user:"));
+        let level = user.map_or(DefLevel::Admin, |u| DefLevel::User(u.to_string()));
+        let (anchor, spec) =
+            (ordering.node(order as OrderId).node, stored_spec(row, &subs, &elems));
+        defs.register_dynamic(&partition, &ordering, anchor, &spec, level)?;
     }
-
-    let elem_rows = db.execute(&Plan::Sort {
-        input: Box::new(Plan::Scan { table: "elem_defs".into(), filter: None }),
-        keys: vec![(0, false)],
-    })?;
-    for row in &elem_rows.rows {
-        let id = row[0].as_i64().ok_or_else(|| bad("elem_defs.elem_id"))?;
-        if id <= structural_elems {
-            continue; // re-derived from the partition
-        }
-        let attr = row[1].as_i64().ok_or_else(|| bad("elem_defs.attr_id"))?;
-        let name = row[2].as_str().ok_or_else(|| bad("elem_defs.name"))?;
-        let source = row[3].as_str();
-        let dtype = match row[4].as_str() {
-            Some("int") => ValueType::Int,
-            Some("float") => ValueType::Float,
-            Some("bool") => ValueType::Bool,
-            _ => ValueType::Str,
-        };
-        defs.replay_dynamic_elem(id, attr, name, source, dtype)?;
+    // Ids follow from registration order, so the registry must now be
+    // the mirror, row for row (a stored row no spec reaches, or one
+    // that is not dynamic, makes it differ).
+    let attrs_match = defs.attrs().iter().map(store::attr_row).eq(attr_rows.iter().cloned());
+    let elems_match = defs.elems().iter().map(store::elem_row).eq(elem_rows.iter().cloned());
+    if !(attrs_match && elems_match) {
+        return Err(CatalogError::Definition(
+            "re-registering the stored definitions did not reproduce their rows and ids".into(),
+        ));
     }
 
     // Next object id continues after the largest stored one.
@@ -159,6 +144,30 @@ fn rebuild(db: Database, partition: Partition, config: CatalogConfig) -> Result<
         + 1;
 
     Ok(MetadataCatalog::from_parts(db, partition, ordering, defs, config, next_object))
+}
+
+/// Every row of `table`, in ascending order of its first column (the
+/// definition id).
+fn sorted_rows(db: &Database, table: &str) -> Result<Vec<Vec<Value>>> {
+    let scan = Plan::Scan { table: table.into(), filter: None };
+    Ok(db.execute(&Plan::Sort { input: Box::new(scan), keys: vec![(0, false)] })?.rows)
+}
+
+/// The spec stored under the dynamic definition `row`: its elements
+/// and sub-attributes, each in id order. A malformed row yields a spec
+/// whose registration cannot reproduce it.
+fn stored_spec(row: &[Value], subs: &Children, elems: &Children) -> DynamicAttrSpec {
+    let text = |v: &Value| v.as_str().unwrap_or_default().to_string();
+    let mut spec = DynamicAttrSpec::new(text(&row[1]), text(&row[2]));
+    let id = row[0].as_i64().unwrap_or_default();
+    for e in elems.get(&id).into_iter().flatten() {
+        let dtype = ValueType::from_name(&text(&e[4])).unwrap_or_default();
+        spec = spec.element(text(&e[2]), dtype);
+    }
+    for sub in subs.get(&id).into_iter().flatten() {
+        spec = spec.sub(stored_spec(sub, subs, elems));
+    }
+    spec
 }
 
 fn bad(what: &str) -> CatalogError {
@@ -272,6 +281,27 @@ mod tests {
         let extra = cat.ingest(EXTRA_DOC).unwrap();
         assert_eq!(cat.query(&q).unwrap(), vec![extra]);
         assert_eq!(cat.query(&fig4_query()).unwrap(), vec![id]);
+    }
+
+    /// A reopen re-registers the stored definitions: the registry is
+    /// the mirror row for row and still refuses a spec registered before.
+    #[test]
+    fn reopen_reregisters_the_mirror() {
+        let vfs = MemVfs::new();
+        let cat = lead_on(&vfs);
+        let spec = DynamicAttrSpec::new("extra", "WRF")
+            .element("x", ValueType::Float)
+            .sub(DynamicAttrSpec::new("inner", "WRF").element("y", ValueType::Float));
+        cat.register_dynamic(crate::lead::DETAILED_PATH, &spec, DefLevel::User("k".into()))
+            .unwrap();
+        let cat = checkpoint_reopen(cat, &vfs);
+        let defs = cat.defs.read();
+        let rows = |t: &str| sorted_rows(cat.db(), t).unwrap();
+        assert!(defs.attrs().iter().map(store::attr_row).eq(rows("attr_defs")));
+        assert!(defs.elems().iter().map(store::elem_row).eq(rows("elem_defs")));
+        drop(defs);
+        let again = cat.register_dynamic(crate::lead::DETAILED_PATH, &spec, DefLevel::Admin);
+        assert!(matches!(again, Err(CatalogError::Definition(_))));
     }
 
     #[test]

@@ -487,7 +487,10 @@ impl<'a> Shredder<'a> {
     }
 }
 
-/// Infer a registration spec from an unmatched dynamic subtree.
+/// Infer a registration spec from an unmatched dynamic subtree. A
+/// repeated label is one definition, as the shredder treats it: an
+/// element takes its first instance's type, and repeated (label,
+/// source) sub-attributes merge into one spec.
 fn infer_spec(doc: &Document, dnode: NodeId, name: &str, source: &str) -> DynamicAttrSpec {
     fn walk(doc: &Document, node: NodeId, spec: &mut DynamicAttrSpec, source: &str) {
         for child in doc.children_named(node, ATTR) {
@@ -496,10 +499,16 @@ fn infer_spec(doc: &Document, dnode: NodeId, name: &str, source: &str) -> Dynami
             };
             let src = read_child_text(doc, child, ATTRDEFS).unwrap_or_else(|| source.to_string());
             if doc.children_named(child, ATTR).next().is_some() {
-                let mut sub = DynamicAttrSpec::new(name, src.clone());
-                walk(doc, child, &mut sub, &src);
-                spec.subs.push(sub);
+                let at = spec.subs.iter().position(|s| s.name == name && s.source == src);
+                let at = at.unwrap_or_else(|| {
+                    spec.subs.push(DynamicAttrSpec::new(name, src.clone()));
+                    spec.subs.len() - 1
+                });
+                walk(doc, child, &mut spec.subs[at], &src);
             } else if let Some(vn) = doc.child_named(child, ATTRV) {
+                if spec.elements.iter().any(|(e, _)| *e == name) {
+                    continue; // typed by its first instance
+                }
                 let dtype = match parse_num(&doc.direct_text(vn)) {
                     Some(_) => ValueType::Float,
                     None => ValueType::Str,

@@ -9,7 +9,7 @@
 //! | `clobs` | CLOB locator per top-level attribute instance | `clobs_by_obj (object_id, schema_order, clob_seq)`: response assembly walks one object's CLOBs in document order |
 //! | `schema_order` | the global ordering: order, tag, last-child order, depth | `schema_order_pk (order_id)`, unique |
 //! | `order_anc` | schema-level inverted list: ordered node → ancestors (gives the response builder each CLOB's wrapper stack) | none: the response builder reads it whole |
-//! | `attr_defs`, `elem_defs` | the attribute and element definitions: reopening a durable catalog rebuilds its registry from them (`persist.rs`) | `attr_defs_pk`, `elem_defs_pk`, unique |
+//! | `attr_defs`, `elem_defs` | one row per attribute and element definition, appended by the transaction that registers it and never rewritten: reopening a durable catalog re-registers the stored dynamic definitions through `register_dynamic` (`persist.rs`) | `attr_defs_pk`, `elem_defs_pk`, unique |
 //!
 //! Every read and every delete reaches rows through minidb's access path,
 //! which walks the index its filter keys furthest; no plan names an
@@ -17,14 +17,14 @@
 //! since each one costs every ingested row an insert. A catalog
 //! directory keeps the indexes it was created with.
 
-use crate::defs::DefsRegistry;
+use crate::defs::{AttrDef, DefLevel, ElemDef};
 use crate::error::Result;
 use crate::ordering::GlobalOrdering;
-use minidb::{Column, DataType, Database, TableSchema, Value};
+use minidb::{Column, DataType, TableSchema, Txn, Value};
 
-/// Create all catalog tables and indexes inside `db`.
-pub fn create_tables(db: &Database) -> Result<()> {
-    db.create_table(
+/// Create all catalog tables and indexes in `txn`.
+pub fn create_tables(txn: &mut Txn<'_>) -> Result<()> {
+    txn.create_table(
         "objects",
         TableSchema::new(vec![
             Column::new("object_id", DataType::Int),
@@ -32,9 +32,9 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::nullable("name", DataType::Text),
         ]),
     )?;
-    db.create_index("objects", "objects_pk", &["object_id"], true)?;
+    txn.create_index("objects", "objects_pk", &["object_id"], true)?;
 
-    db.create_table(
+    txn.create_table(
         "attrs",
         TableSchema::new(vec![
             Column::new("object_id", DataType::Int),
@@ -43,10 +43,10 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::nullable("clob_seq", DataType::Int),
         ]),
     )?;
-    db.create_index("attrs", "attrs_pk", &["object_id", "attr_id", "seq"], true)?;
-    db.create_index("attrs", "attrs_by_def", &["attr_id"], false)?;
+    txn.create_index("attrs", "attrs_pk", &["object_id", "attr_id", "seq"], true)?;
+    txn.create_index("attrs", "attrs_by_def", &["attr_id"], false)?;
 
-    db.create_table(
+    txn.create_table(
         "elems",
         TableSchema::new(vec![
             Column::new("object_id", DataType::Int),
@@ -65,9 +65,9 @@ pub fn create_tables(db: &Database) -> Result<()> {
     // every string row of its element. It is the table's only index:
     // no read filters `elems` by object (`delete_object` scans), and
     // each index costs every ingested row an insert.
-    db.create_index("elems", "elems_by_def", &["elem_id", "value_num", "value_str"], false)?;
+    txn.create_index("elems", "elems_by_def", &["elem_id", "value_num", "value_str"], false)?;
 
-    db.create_table(
+    txn.create_table(
         "attr_anc",
         TableSchema::new(vec![
             Column::new("object_id", DataType::Int),
@@ -83,9 +83,9 @@ pub fn create_tables(db: &Database) -> Result<()> {
     // when the query asks for direct children, so one index keys all
     // three. No read filters `attr_anc` by object (`delete_object`
     // scans).
-    db.create_index("attr_anc", "anc_by_link", &["attr_id", "anc_attr_id", "distance"], false)?;
+    txn.create_index("attr_anc", "anc_by_link", &["attr_id", "anc_attr_id", "distance"], false)?;
 
-    db.create_table(
+    txn.create_table(
         "clobs",
         TableSchema::new(vec![
             Column::new("object_id", DataType::Int),
@@ -95,9 +95,9 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::new("clob", DataType::Clob),
         ]),
     )?;
-    db.create_index("clobs", "clobs_by_obj", &["object_id", "schema_order", "clob_seq"], false)?;
+    txn.create_index("clobs", "clobs_by_obj", &["object_id", "schema_order", "clob_seq"], false)?;
 
-    db.create_table(
+    txn.create_table(
         "schema_order",
         TableSchema::new(vec![
             Column::new("order_id", DataType::Int),
@@ -107,9 +107,9 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::new("is_attr", DataType::Bool),
         ]),
     )?;
-    db.create_index("schema_order", "schema_order_pk", &["order_id"], true)?;
+    txn.create_index("schema_order", "schema_order_pk", &["order_id"], true)?;
 
-    db.create_table(
+    txn.create_table(
         "order_anc",
         TableSchema::new(vec![
             Column::new("order_id", DataType::Int),
@@ -117,7 +117,7 @@ pub fn create_tables(db: &Database) -> Result<()> {
         ]),
     )?;
 
-    db.create_table(
+    txn.create_table(
         "attr_defs",
         TableSchema::new(vec![
             Column::new("attr_id", DataType::Int),
@@ -130,9 +130,9 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::new("level", DataType::Text),
         ]),
     )?;
-    db.create_index("attr_defs", "attr_defs_pk", &["attr_id"], true)?;
+    txn.create_index("attr_defs", "attr_defs_pk", &["attr_id"], true)?;
 
-    db.create_table(
+    txn.create_table(
         "elem_defs",
         TableSchema::new(vec![
             Column::new("elem_id", DataType::Int),
@@ -142,12 +142,12 @@ pub fn create_tables(db: &Database) -> Result<()> {
             Column::new("dtype", DataType::Text),
         ]),
     )?;
-    db.create_index("elem_defs", "elem_defs_pk", &["elem_id"], true)?;
+    txn.create_index("elem_defs", "elem_defs_pk", &["elem_id"], true)?;
     Ok(())
 }
 
 /// Load the global ordering into `schema_order` and `order_anc`.
-pub fn load_ordering(db: &Database, ordering: &GlobalOrdering) -> Result<()> {
+pub fn load_ordering(txn: &mut Txn<'_>, ordering: &GlobalOrdering) -> Result<()> {
     let rows: Vec<Vec<Value>> = ordering
         .nodes()
         .iter()
@@ -161,100 +161,84 @@ pub fn load_ordering(db: &Database, ordering: &GlobalOrdering) -> Result<()> {
             ]
         })
         .collect();
-    db.insert("schema_order", rows)?;
+    txn.insert("schema_order", rows)?;
     let anc_rows: Vec<Vec<Value>> = ordering
         .ancestor_pairs()
         .into_iter()
         .map(|(n, a)| vec![Value::Int(n as i64), Value::Int(a as i64)])
         .collect();
-    db.insert("order_anc", anc_rows)?;
+    txn.insert("order_anc", anc_rows)?;
     Ok(())
 }
 
-/// Mirror (or re-mirror) the definitions into `attr_defs`/`elem_defs`.
-/// Idempotent: replaces existing mirror rows. One transaction, so a
-/// durable catalog never recovers a half-refreshed mirror.
-pub fn sync_defs(db: &Database, defs: &DefsRegistry) -> Result<()> {
-    let attr_rows: Vec<Vec<Value>> = defs
-        .attrs()
-        .iter()
-        .map(|a| {
-            vec![
-                Value::Int(a.id),
-                Value::Str(a.name.clone()),
-                a.source.clone().map(Value::Str).unwrap_or(Value::Null),
-                a.parent.map(Value::Int).unwrap_or(Value::Null),
-                a.schema_order.map(|o| Value::Int(o as i64)).unwrap_or(Value::Null),
-                Value::Bool(a.dynamic),
-                Value::Bool(a.queryable),
-                Value::Str(match &a.level {
-                    crate::defs::DefLevel::Admin => "admin".to_string(),
-                    crate::defs::DefLevel::User(u) => format!("user:{u}"),
-                }),
-            ]
-        })
-        .collect();
-    let elem_rows: Vec<Vec<Value>> = defs
-        .elems()
-        .iter()
-        .map(|e| {
-            vec![
-                Value::Int(e.id),
-                Value::Int(e.attr),
-                Value::Str(e.name.clone()),
-                e.source.clone().map(Value::Str).unwrap_or(Value::Null),
-                Value::Str(e.dtype.name().to_string()),
-            ]
-        })
-        .collect();
-    let mut txn = db.txn();
-    txn.truncate("attr_defs")?;
-    if !attr_rows.is_empty() {
-        txn.insert("attr_defs", attr_rows)?;
+/// Append the mirror rows of newly registered definitions to
+/// `attr_defs` and `elem_defs`. Rows are never rewritten: a definition's
+/// row is written once, in the transaction that registers it.
+pub(crate) fn append_defs(txn: &mut Txn<'_>, attrs: &[AttrDef], elems: &[ElemDef]) -> Result<()> {
+    if !attrs.is_empty() {
+        txn.insert("attr_defs", attrs.iter().map(attr_row).collect())?;
     }
-    txn.truncate("elem_defs")?;
-    if !elem_rows.is_empty() {
-        txn.insert("elem_defs", elem_rows)?;
+    if !elems.is_empty() {
+        txn.insert("elem_defs", elems.iter().map(elem_row).collect())?;
     }
-    txn.commit()?;
     Ok(())
+}
+
+/// The `attr_defs` row of an attribute definition.
+pub(crate) fn attr_row(a: &AttrDef) -> Vec<Value> {
+    vec![
+        Value::Int(a.id),
+        Value::Str(a.name.clone()),
+        a.source.clone().map(Value::Str).unwrap_or(Value::Null),
+        a.parent.map(Value::Int).unwrap_or(Value::Null),
+        a.schema_order.map(|o| Value::Int(o as i64)).unwrap_or(Value::Null),
+        Value::Bool(a.dynamic),
+        Value::Bool(a.queryable),
+        Value::Str(match &a.level {
+            DefLevel::Admin => "admin".to_string(),
+            DefLevel::User(u) => format!("user:{u}"),
+        }),
+    ]
+}
+
+/// The `elem_defs` row of an element definition.
+pub(crate) fn elem_row(e: &ElemDef) -> Vec<Value> {
+    vec![
+        Value::Int(e.id),
+        Value::Int(e.attr),
+        Value::Str(e.name.clone()),
+        e.source.clone().map(Value::Str).unwrap_or(Value::Null),
+        Value::Str(e.dtype.name().to_string()),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ordering::GlobalOrdering;
+    use crate::defs::DefsRegistry;
     use crate::partition::{Partition, PartitionSpec};
+    use minidb::Database;
     use std::sync::Arc;
     use xmlkit::schema::Schema;
 
     #[test]
-    fn create_load_sync() {
+    fn create_load_append() {
         let db = Database::new();
-        create_tables(&db).unwrap();
-        assert!(db.has_table("attrs"));
-        assert!(db.has_table("clobs"));
-
         let s = Arc::new(Schema::parse_dsl("r { a { x } }").unwrap());
         let p = Partition::new(s, &PartitionSpec::default().attr("/r/a")).unwrap();
         let o = GlobalOrdering::new(&p);
-        load_ordering(&db, &o).unwrap();
+        let defs = DefsRegistry::from_partition(&p, &o);
+        let mut txn = db.txn();
+        create_tables(&mut txn).unwrap();
+        load_ordering(&mut txn, &o).unwrap();
+        append_defs(&mut txn, defs.attrs(), defs.elems()).unwrap();
+        txn.commit().unwrap();
+        assert!(db.has_table("attrs"));
+        assert!(db.has_table("clobs"));
         assert_eq!(db.row_count("schema_order").unwrap(), 2);
         assert_eq!(db.row_count("order_anc").unwrap(), 1);
-
-        let defs = DefsRegistry::from_partition(&p, &o);
-        sync_defs(&db, &defs).unwrap();
         assert_eq!(db.row_count("attr_defs").unwrap(), 1);
         assert_eq!(db.row_count("elem_defs").unwrap(), 1);
-        // re-sync is idempotent
-        sync_defs(&db, &defs).unwrap();
-        assert_eq!(db.row_count("attr_defs").unwrap(), 1);
-    }
-
-    #[test]
-    fn created_tables_start_empty() {
-        let db = Database::new();
-        create_tables(&db).unwrap();
         let rs = db.execute(&minidb::Plan::Scan { table: "attrs".into(), filter: None }).unwrap();
         assert_eq!(rs.columns, ["object_id", "attr_id", "seq", "clob_seq"]);
         assert!(rs.rows.is_empty());

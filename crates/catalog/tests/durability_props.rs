@@ -146,6 +146,49 @@ proptest! {
     }
 }
 
+/// A fresh catalog's bootstrap is one commit, so a crash anywhere in
+/// its write leaves a directory that is either empty (and bootstraps
+/// again) or complete: never tables without their ordering rows or
+/// definition mirror. Each cut directory must reopen and serve Fig 4
+/// with its wrapper tags.
+#[test]
+fn crash_during_bootstrap_leaves_empty_or_complete() {
+    let open = |vfs: Arc<dyn minidb::Vfs>| {
+        MetadataCatalog::open_with(
+            vfs,
+            WalOptions::default(),
+            lead_partition(),
+            CatalogConfig::default(),
+        )
+    };
+    let fresh = MemVfs::new();
+    let complete = {
+        let cat = open(Arc::new(fresh.clone())).unwrap();
+        assert_eq!(cat.db().last_lsn(), 1, "bootstrap must be one commit");
+        cat.db().state_image().unwrap()
+    };
+    let empty = minidb::Database::new().state_image().unwrap();
+    // The log's header, then the bootstrap transaction: every byte
+    // the bootstrap writes.
+    let written = fresh.file(WAL_FILE).unwrap().len() as u64;
+    for cut in (0..written).step_by(7) {
+        let faulty = minidb::FaultyVfs::new(MemVfs::new()).crash_after_bytes(cut);
+        assert!(open(Arc::new(faulty.clone())).is_err(), "cut {cut}: the open must fail");
+        let crashed = faulty.inner().crashed_copy();
+        let image = minidb::Database::open_with(Arc::new(crashed.clone()), WalOptions::default())
+            .unwrap_or_else(|e| panic!("cut {cut}: {e}"))
+            .state_image()
+            .unwrap();
+        assert!(image == empty || image == complete, "cut {cut}: neither empty nor complete");
+        let cat = open(Arc::new(crashed)).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
+        register_arps_defs(&cat).unwrap();
+        let id = cat.ingest(FIG3_DOCUMENT).unwrap();
+        assert_eq!(cat.query(&fig4_query()).unwrap(), vec![id], "cut {cut}");
+        let doc = cat.fetch_documents(&[id]).unwrap().remove(0).1;
+        assert!(doc.starts_with("<LEADresource>"), "cut {cut}: {}", &doc[..40.min(doc.len())]);
+    }
+}
+
 /// Checkpoint + tail replay end to end at the catalog level, including
 /// the `wal.recovered_records` observability counter.
 #[test]

@@ -1,11 +1,13 @@
 //! End-to-end tests of the Fig-1 pipeline over the LEAD fixture:
 //! ingest (shred) → query (Fig 4) → response (schema-ordered XML).
 
-use catalog::lead::{fig4_query, lead_catalog, lead_partition, register_arps_defs, FIG3_DOCUMENT};
+use catalog::lead::{
+    fig4_query, lead_catalog, lead_partition, register_arps_defs, DETAILED_PATH, FIG3_DOCUMENT,
+};
 use catalog::prelude::*;
 use minidb::{Expr, MemVfs, Plan, WalOptions};
 use std::sync::Arc;
-use xmlkit::Document;
+use xmlkit::{Document, ValueType};
 
 fn cat() -> MetadataCatalog {
     lead_catalog(CatalogConfig::default()).unwrap()
@@ -237,6 +239,53 @@ fn auto_register_learns_new_dynamic_attributes() {
             .elem(ElemCond::eq_str("scheme", "thompson")),
     );
     assert_eq!(cat.query(&q).unwrap(), vec![id]);
+}
+
+/// A rejected spec registers nothing — no definition and no mirror row
+/// — so the corrected spec registers afterwards.
+#[test]
+fn a_rejected_registration_leaves_nothing_behind() {
+    let cat = cat();
+    let counts = |cat: &MetadataCatalog| {
+        let (s, db) = (cat.stats(), cat.db());
+        let rows = |t| db.row_count(t).unwrap();
+        (s.attr_defs, s.elem_defs, rows("attr_defs"), rows("elem_defs"))
+    };
+    let before = counts(&cat);
+    let inner = DynamicAttrSpec::new("inner", "WRF").element("y", ValueType::Float);
+    let spec = DynamicAttrSpec::new("extra", "WRF").element("x", ValueType::Float);
+    let repeated_elem = spec.clone().sub(inner.clone().element("y", ValueType::Str));
+    let repeated_sub = spec.clone().sub(inner.clone()).sub(inner.clone());
+    for bad in [repeated_elem, repeated_sub] {
+        let err = cat.register_dynamic(DETAILED_PATH, &bad, DefLevel::Admin);
+        assert!(matches!(err, Err(CatalogError::Definition(_))), "{err:?}");
+        assert_eq!(counts(&cat), before);
+    }
+    cat.register_dynamic(DETAILED_PATH, &spec.sub(inner), DefLevel::Admin).unwrap();
+    assert_eq!(counts(&cat), (before.0 + 2, before.1 + 2, before.2 + 2, before.3 + 2));
+}
+
+/// A learned definition covers every instance in the document that
+/// taught it: a repeated element and a sub-attribute after it.
+#[test]
+fn auto_register_learns_repeated_labels_once() {
+    let config = CatalogConfig { auto_register: true };
+    let cat = MetadataCatalog::new(catalog::lead::lead_partition(), config).unwrap();
+    let attr_defs = cat.stats().attr_defs;
+    let doc = "<LEADresource><resourceID>x</resourceID><data>\
+        <idinfo><keywords/></idinfo>\
+        <geospatial><eainfo><detailed>\
+        <enttyp><enttypl>extra</enttypl><enttypds>WRF</enttypds></enttyp>\
+        <attr><attrlabl>x</attrlabl><attrdefs>WRF</attrdefs><attrv>5</attrv></attr>\
+        <attr><attrlabl>x</attrlabl><attrdefs>WRF</attrdefs><attrv>6</attrv></attr>\
+        <attr><attrlabl>inner</attrlabl><attrdefs>WRF</attrdefs>\
+        <attr><attrlabl>y</attrlabl><attrdefs>WRF</attrdefs><attrv>7</attrv></attr></attr>\
+        </detailed></eainfo></geospatial></data></LEADresource>";
+    let id = cat.ingest(doc).unwrap();
+    for q in ["extra@WRF[x=6]", "extra@WRF{inner@WRF[y=7]}"] {
+        assert_eq!(cat.query(&parse_query(q).unwrap()).unwrap(), vec![id], "{q}");
+    }
+    assert_eq!(cat.stats().attr_defs, attr_defs + 2);
 }
 
 #[test]

@@ -257,6 +257,14 @@ impl Database {
         //    suffix so later appends cannot resurrect it.
         let writer = if let Some(bytes) = vfs.read(WAL_FILE)? {
             let scan = scan_wal(&bytes)?;
+            // A log starting past the snapshot's next LSN lost the acked
+            // commits in between (an older snapshot beside a newer log).
+            if scan.base_lsn > snap_lsn + 1 {
+                return Err(DbError::Corrupt(format!(
+                    "wal starts at lsn {} but the snapshot ends at lsn {snap_lsn}",
+                    scan.base_lsn
+                )));
+            }
             let mut recovered = 0u64;
             let valid_len = scan.valid_len;
             for (lsn, records) in scan.txns {

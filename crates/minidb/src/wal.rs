@@ -42,7 +42,11 @@
 //! the end of the last committed transaction (dropping orphaned
 //! uncommitted records so a later commit can never adopt them), and
 //! reopens it for appending. Every crash window between those renames
-//! recovers to a consistent committed prefix.
+//! recovers to a consistent committed prefix. A rename is durable when
+//! it returns (`StdVfs` fsyncs the directory), so the snapshot swap
+//! reaches the disk before the WAL swap. A log whose `base_lsn` is past
+//! the snapshot's LSN + 1 would skip the commits in between, so
+//! recovery refuses it as [`DbError::Corrupt`].
 
 use crate::error::{DbError, Result};
 use crate::expr::{ArithOp, CmpOp, Expr};
@@ -132,7 +136,8 @@ pub trait Vfs: Send + Sync {
     fn create(&self, name: &str) -> Result<Box<dyn DurableFile>>;
     /// Open an existing file for append.
     fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>>;
-    /// Atomically replace `to` with `from`.
+    /// Atomically replace `to` with `from`; once this returns, the new
+    /// name survives a crash.
     fn rename(&self, from: &str, to: &str) -> Result<()>;
     /// Truncate a file to `len` bytes.
     fn set_len(&self, name: &str, len: u64) -> Result<()>;
@@ -219,7 +224,11 @@ impl Vfs for StdVfs {
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        std::fs::rename(self.path(from), self.path(to)).map_err(|e| vfs_err("rename", from, e))
+        std::fs::rename(self.path(from), self.path(to)).map_err(|e| vfs_err("rename", from, e))?;
+        let shown = self.dir.display().to_string();
+        std::fs::File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| vfs_err("fsync", &shown, e))
     }
 
     fn set_len(&self, name: &str, len: u64) -> Result<()> {
@@ -878,7 +887,6 @@ pub(crate) struct WalScan {
     /// LSN the next commit should carry.
     pub next_lsn: u64,
     /// `base_lsn` from the file header.
-    #[allow(dead_code)]
     pub base_lsn: u64,
 }
 

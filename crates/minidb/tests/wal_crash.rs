@@ -467,6 +467,32 @@ fn crash_between_checkpoint_renames_recovers_everything() {
     assert_eq!(digest(&recovered), digest(&oracle));
 }
 
+/// A snapshot older than the log's start has lost the commits between
+/// them, so opening must refuse rather than serve it without them.
+#[test]
+fn a_snapshot_older_than_the_log_is_refused() {
+    let vfs = MemVfs::new();
+    let db = open_mem(vfs.clone(), SyncPolicy::EveryCommit);
+    db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
+        .unwrap();
+    db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
+    db.checkpoint().unwrap();
+    let older = vfs.file(SNAPSHOT_FILE).unwrap();
+    for id in 2..=3 {
+        db.insert("t", vec![vec![Value::Int(id)]]).unwrap();
+    }
+    db.checkpoint().unwrap();
+    drop(db);
+    assert_eq!(open_mem(vfs.crashed_copy(), SyncPolicy::EveryCommit).row_count("t").unwrap(), 3);
+
+    vfs.overwrite(SNAPSHOT_FILE, older);
+    match Database::open_with(Arc::new(vfs), WalOptions::default()) {
+        Err(DbError::Corrupt(msg)) => assert!(msg.contains("lsn"), "{msg}"),
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(db) => panic!("opened with {} of 3 acked rows", db.row_count("t").unwrap()),
+    }
+}
+
 #[test]
 fn std_vfs_roundtrip_on_disk() {
     let dir = std::env::temp_dir().join(format!("minidb-waldir-{}", std::process::id()));

@@ -352,9 +352,9 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
     let mut reader = BufReader::new(&stream);
     // A reply is buffered and sent in one write when the loop comes
     // back to read the next command: a reply written piece by piece
-    // costs a send and a client wake-up per piece. An envelope, which
-    // can outgrow the buffer, leaves at once in one vectored write
-    // (`envelope_reply`).
+    // costs a send and a client wake-up per piece. A sized body (an
+    // envelope or the `SLOWLOG` dump), which can outgrow the buffer,
+    // leaves at once in one vectored write (`sized_reply`).
     let mut writer = BufWriter::new(PollWriter { stream: &stream, shared });
     let mut raw = Vec::new();
     loop {
@@ -500,14 +500,14 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                     continue;
                 };
                 match shared.with_permit(|| catalog.fetch_envelope_ctx(&ids, &req_ctx(rest))) {
-                    Ok(env) => envelope_reply(&mut writer, env)?,
+                    Ok(env) => sized_reply(&mut writer, env)?,
                     Err(shed) => writeln!(writer, "ERR {shed}")?,
                 }
             }
             "SEARCH" => match shared.with_permit(|| {
                 parse_query(rest).and_then(|q| catalog.search_envelope_ctx(&q, &req_ctx(rest)))
             }) {
-                Ok(env) => envelope_reply(&mut writer, env)?,
+                Ok(env) => sized_reply(&mut writer, env)?,
                 Err(shed) => writeln!(writer, "ERR {shed}")?,
             },
             "STATS" => {
@@ -535,18 +535,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             },
             "SLOWLOG" => {
                 if rest.is_empty() {
-                    let mut out = String::new();
-                    for ev in reg.slow_events() {
-                        out.push_str(&format!(
-                            "seq={} name={} time_us={} detail={}\n",
-                            ev.seq,
-                            ev.name,
-                            ev.nanos / 1_000,
-                            one_line(ev.detail.as_deref().unwrap_or("-")),
-                        ));
-                    }
-                    writeln!(writer, "OK {}", out.len())?;
-                    writer.write_all(out.as_bytes())?;
+                    sized_reply(&mut writer, Ok(slowlog_dump(reg)))?;
                 } else {
                     match rest.trim().parse::<u64>() {
                         Ok(ms) => {
@@ -657,23 +646,39 @@ fn err_reply(writer: &mut impl Write, msg: &str) -> std::io::Result<()> {
     writeln!(writer, "ERR {}", one_line(msg))
 }
 
-/// Reply to `FETCH` / `SEARCH`: `OK <len>` then the `<results>` envelope
-/// bytes, or the catalog error. The buffer is flushed first, then the
-/// header and body leave in one vectored write: through the buffer, a
-/// body of its size or more would go out as a second write, and under
-/// `TCP_NODELAY` the header alone would wake the client.
-fn envelope_reply<W: Write>(
+/// The `SLOWLOG` body: one line per event in the slow ring.
+fn slowlog_dump(reg: &obs::MetricsRegistry) -> String {
+    let mut out = String::new();
+    for ev in reg.slow_events() {
+        out.push_str(&format!(
+            "seq={} name={} time_us={} detail={}\n",
+            ev.seq,
+            ev.name,
+            ev.nanos / 1_000,
+            one_line(ev.detail.as_deref().unwrap_or("-")),
+        ));
+    }
+    out
+}
+
+/// Reply with a sized body — the `<results>` envelope of `FETCH` /
+/// `SEARCH`, or the `SLOWLOG` dump: `OK <len>` then the body bytes, or
+/// the catalog error. The buffer is flushed first, then the header and
+/// body leave in one vectored write: through the buffer, a body of its
+/// size or more would go out as a second write, and under `TCP_NODELAY`
+/// the header alone would wake the client.
+fn sized_reply<W: Write>(
     writer: &mut BufWriter<W>,
-    env: catalog::Result<String>,
+    body: catalog::Result<String>,
 ) -> std::io::Result<()> {
-    match env {
-        Ok(env) => {
-            obs::global().counter("service.body_bytes_out").add(env.len() as u64);
-            let head = format!("OK {}\n", env.len());
+    match body {
+        Ok(body) => {
+            obs::global().counter("service.body_bytes_out").add(body.len() as u64);
+            let head = format!("OK {}\n", body.len());
             writer.flush()?;
             write_all_vectored(
                 writer.get_mut(),
-                &mut [IoSlice::new(head.as_bytes()), IoSlice::new(env.as_bytes())],
+                &mut [IoSlice::new(head.as_bytes()), IoSlice::new(body.as_bytes())],
             )
         }
         Err(e) => err_reply(writer, &e.to_string()),
@@ -739,7 +744,7 @@ fn one_line(s: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::{envelope_reply, CatalogServer, ConnGuard};
+    use super::{sized_reply, slowlog_dump, CatalogServer, ConnGuard};
     use catalog::catalog::CatalogConfig;
     use catalog::lead::lead_catalog;
     use std::io::{BufWriter, IoSlice, Write};
@@ -802,19 +807,29 @@ mod tests {
     #[test]
     fn a_large_envelope_leaves_in_one_write() {
         let env = format!("<results>{}</results>", "x".repeat(100_000));
-        let mut w = BufWriter::new(CountingWriter::new(usize::MAX));
-        envelope_reply(&mut w, Ok(env.clone())).unwrap();
-        w.flush().unwrap();
-        let head = format!("OK {}\n", env.len());
-        assert_eq!(w.get_ref().writes, [head.len() + env.len()]);
-        assert_eq!(w.get_ref().bytes, [head.as_bytes(), env.as_bytes()].concat());
+        // A `SLOWLOG` dump larger than the writer's buffer.
+        let reg = obs::MetricsRegistry::new();
+        reg.set_slow_threshold(std::time::Duration::from_nanos(1));
+        for _ in 0..64 {
+            reg.span("catalog.search").set_detail("q".repeat(200));
+        }
+        let dump = slowlog_dump(&reg);
+        assert!(dump.len() > 8 * 1024, "{}", dump.len());
+        for body in [env, dump] {
+            let mut w = BufWriter::new(CountingWriter::new(usize::MAX));
+            sized_reply(&mut w, Ok(body.clone())).unwrap();
+            w.flush().unwrap();
+            let head = format!("OK {}\n", body.len());
+            assert_eq!(w.get_ref().writes, [head.len() + body.len()]);
+            assert_eq!(w.get_ref().bytes, [head.as_bytes(), body.as_bytes()].concat());
+        }
     }
 
     #[test]
     fn an_envelope_after_buffered_output_keeps_its_order() {
         let mut w = BufWriter::new(CountingWriter::new(usize::MAX));
         w.write_all(b"OK pong\n").unwrap();
-        envelope_reply(&mut w, Ok("<results></results>".into())).unwrap();
+        sized_reply(&mut w, Ok("<results></results>".into())).unwrap();
         w.flush().unwrap();
         assert_eq!(w.get_ref().writes, [8, 25]);
         assert_eq!(w.get_ref().bytes, b"OK pong\nOK 19\n<results></results>");
@@ -824,7 +839,7 @@ mod tests {
     fn a_short_vectored_write_is_resumed() {
         let env = "y".repeat(10_000);
         let mut w = BufWriter::new(CountingWriter::new(4096));
-        envelope_reply(&mut w, Ok(env.clone())).unwrap();
+        sized_reply(&mut w, Ok(env.clone())).unwrap();
         let want = [format!("OK {}\n", env.len()).as_bytes(), env.as_bytes()].concat();
         assert_eq!(w.get_ref().writes, [4096, 4096, want.len() - 8192]);
         assert_eq!(w.get_ref().bytes, want);

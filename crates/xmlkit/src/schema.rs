@@ -87,6 +87,13 @@ impl ValueType {
             ValueType::Bool => "bool",
         }
     }
+
+    /// The type whose [`ValueType::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<ValueType> {
+        [ValueType::Str, ValueType::Int, ValueType::Float, ValueType::Bool]
+            .into_iter()
+            .find(|t| t.name() == name)
+    }
 }
 
 /// A child slot of a schema node.
@@ -463,19 +470,10 @@ impl<'a> DslParser<'a> {
                     break;
                 }
             }
-            vt = match &self.src[tstart..self.pos] {
-                "str" => ValueType::Str,
-                "int" => ValueType::Int,
-                "float" => ValueType::Float,
-                "bool" => ValueType::Bool,
-                other => {
-                    return Err(XmlError::at(
-                        ErrorKind::BadSchema,
-                        tstart,
-                        format!("unknown type {other}"),
-                    ));
-                }
-            };
+            let name = &self.src[tstart..self.pos];
+            vt = ValueType::from_name(name).ok_or_else(|| {
+                XmlError::at(ErrorKind::BadSchema, tstart, format!("unknown type {name}"))
+            })?;
         }
         let card = match self.peek() {
             Some('?') => {
