@@ -10,7 +10,7 @@ use crate::CatalogBackend;
 use catalog::error::Result;
 use catalog::query::ObjectQuery;
 use catalog::shred::DynamicConvention;
-use minidb::{Column, DataType, Database, DbError, Expr, Plan, TableSchema, Value};
+use minidb::{Column, DataType, Database, Expr, Plan, TableSchema, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
 use xmlkit::dom::Document;
 
@@ -59,7 +59,7 @@ impl CatalogBackend for ClobOnlyBackend {
         let mut out = Vec::new();
         for row in &rs.rows {
             let (Some(id), Some(loc)) = (row[0].as_i64(), row[1].as_i64()) else { continue };
-            let doc = Document::parse(clob_text(&rt.clobs().get(loc as u64)?, loc)?)?;
+            let doc = Document::parse(rt.clobs().get(loc as u64)?)?;
             if object_matches(&doc, q, &DynamicConvention {}) {
                 out.push(id);
             }
@@ -76,7 +76,7 @@ impl CatalogBackend for ClobOnlyBackend {
                 .execute(&Plan::Scan { table: "docs".into(), filter: Some(Expr::col_eq(0, id)) })?;
             if let Some(row) = rs.rows.first() {
                 if let Some(loc) = row[1].as_i64() {
-                    out.push((id, clob_text(&rt.clobs().get(loc as u64)?, loc)?.to_owned()));
+                    out.push((id, rt.clobs().get(loc as u64)?.to_owned()));
                 }
             }
         }
@@ -90,12 +90,6 @@ impl CatalogBackend for ClobOnlyBackend {
     fn table_count(&self) -> usize {
         self.db.table_names().len()
     }
-}
-
-/// A stored document's text; bytes that are not UTF-8 mean the locator
-/// does not name a document.
-fn clob_text(bytes: &[u8], loc: i64) -> Result<&str> {
-    Ok(std::str::from_utf8(bytes).map_err(|_| DbError::NoSuchClob(loc as u64))?)
 }
 
 #[cfg(test)]

@@ -444,7 +444,10 @@ pub struct PerfEntry {
 /// entries feed `BENCH_perf.json`.
 pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
     let n = scale.pick(150, 1500);
-    let reps = scale.pick(6, 15);
+    // Quick runs time many cheap queries over the small corpus: enough
+    // samples that p95 and p99 are different ranks, and a per-pass mean
+    // that a few slow queries do not swing.
+    let reps = scale.pick(64, 15);
     let workloads: Vec<(&str, WorkloadConfig, QueryShape)> = vec![
         ("fig4-nested-d1", WorkloadConfig { sub_depth: 1, ..default() }, QueryShape::Nested(1)),
         (
@@ -473,7 +476,7 @@ pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
         let mut hits = 0usize;
         let mut pass_secs = Vec::new();
         let mut samples_us = Vec::new();
-        for _ in 0..scale.pick(3, 5) {
+        for _ in 0..scale.pick(11, 5) {
             hits = 0;
             let pass0 = std::time::Instant::now();
             for q in &queries {

@@ -14,13 +14,14 @@
 //!    CLOB locators already in `(schema_order, clob_seq)` order;
 //! 3. for each CLOB, closes the open wrappers that are not ancestors of
 //!    its schema order and opens the ancestors not yet open — the
-//!    difference between consecutive ancestor stacks — then resolves
-//!    its locator, checks the bytes are UTF-8 and appends them,
-//!    touching them only in this final step. An ingest stores its
-//!    document's CLOBs back to back in one heap buffer
-//!    ([`minidb::clob`]), so these reads stay within one buffer and, for
-//!    a document ingested in schema order, run through it front to
-//!    back;
+//!    difference between consecutive ancestor stacks, both found by
+//!    indexing arrays with the order — then resolves its locator to the
+//!    text the heap holds ([`minidb::clob`] stores CLOBs as text,
+//!    checked as UTF-8 once, on the way in) and appends it, touching
+//!    CLOB bytes only in this final step. An ingest stores its
+//!    document's CLOBs back to back in one heap buffer, so these reads
+//!    stay within one buffer and, for a document ingested in schema
+//!    order, run through it front to back;
 //! 4. closes whatever is still open after the object's last CLOB.
 //!
 //! Everything runs under one read transaction, so a concurrent ingest
@@ -30,7 +31,6 @@ use crate::error::Result;
 use crate::reqctx::RequestCtx;
 use minidb::table::Index;
 use minidb::{Database, DbError, ReadTxn, Table, Value};
-use std::collections::HashMap;
 use std::ops::Bound;
 
 /// Reconstruct schema-ordered XML documents for `object_ids`.
@@ -107,38 +107,47 @@ fn distinct_sorted(object_ids: &[i64]) -> Vec<i64> {
 
 /// The global ordering as read from `schema_order` and `order_anc`,
 /// plus the `clobs` table and its per-object index, for one request's
-/// read transaction.
+/// read transaction. Orders are a dense pre-order numbering, so both
+/// maps are arrays indexed by order.
 struct Assembler<'r> {
     rt: &'r ReadTxn<'r>,
     clobs: &'r Table,
     by_obj: &'r Index,
-    /// order → wrapper tag.
-    tags: HashMap<i64, &'r str>,
+    /// order → wrapper tag (`None` for an order without one).
+    tags: Vec<Option<&'r str>>,
     /// order → ancestor orders that have a tag, root first.
-    ancestors: HashMap<i64, Vec<i64>>,
+    ancestors: Vec<Vec<usize>>,
 }
 
 impl<'r> Assembler<'r> {
     fn new(rt: &'r ReadTxn<'r>) -> Result<Assembler<'r>> {
-        // schema_order: order_id=0 tag=1 last_child=2 depth=3 is_attr=4
-        let mut tags = HashMap::new();
-        for (_, row) in rt.table("schema_order")?.scan() {
+        // schema_order: order_id=0 tag=1 last_child=2 depth=3 is_attr=4.
+        // Orders number the rows 1..=n.
+        let schema_order = rt.table("schema_order")?;
+        let n = schema_order.len();
+        let mut tags = vec![None; n + 1];
+        for (_, row) in schema_order.scan() {
             if let (Some(order), Some(tag)) = (row[0].as_i64(), row[1].as_str()) {
-                tags.insert(order, tag);
+                let Some(slot) = usize::try_from(order).ok().and_then(|o| tags.get_mut(o)) else {
+                    return Err(
+                        DbError::Corrupt(format!("schema order {order} outside 1..={n}")).into()
+                    );
+                };
+                *slot = Some(tag);
             }
         }
         // order_anc: order_id=0 anc_order=1. Pre-order numbering puts
         // every ancestor before its descendants, so sorting by order
         // lists a node's ancestors root first.
-        let mut ancestors: HashMap<i64, Vec<i64>> = HashMap::new();
+        let mut ancestors = vec![Vec::new(); tags.len()];
         for (_, row) in rt.table("order_anc")?.scan() {
-            if let (Some(order), Some(anc)) = (row[0].as_i64(), row[1].as_i64()) {
-                if tags.contains_key(&anc) {
-                    ancestors.entry(order).or_default().push(anc);
+            if let (Some(order), Some(anc)) = (order_of(&row[0]), order_of(&row[1])) {
+                if let (Some(list), Some(Some(_))) = (ancestors.get_mut(order), tags.get(anc)) {
+                    list.push(anc);
                 }
             }
         }
-        for list in ancestors.values_mut() {
+        for list in &mut ancestors {
             list.sort_unstable();
             list.dedup();
         }
@@ -148,22 +157,22 @@ impl<'r> Assembler<'r> {
     }
 
     /// Append object `id`'s document to `out` (nothing when it has no
-    /// CLOBs). A locator that does not resolve, or CLOB bytes that are
-    /// not UTF-8, is store corruption: the request fails rather than
-    /// return a document silently missing a fragment.
+    /// CLOBs). A locator that does not resolve is store corruption: the
+    /// request fails rather than return a document silently missing a
+    /// fragment.
     fn write_document(&self, id: i64, out: &mut String) -> Result<()> {
-        let mut open: Vec<i64> = Vec::new();
+        let mut open: Vec<usize> = Vec::new();
         // clobs: object_id=0 attr_id=1 schema_order=2 clob_seq=3 clob=4
         let key = [Value::Int(id)];
         for rid in self.by_obj.walk(&key, Bound::Unbounded, Bound::Unbounded) {
             let Some(row) = self.clobs.get(rid) else { continue };
-            let (Some(order), Some(loc)) = (row[2].as_i64(), row[4].as_i64()) else {
+            let (Some(order), Some(loc)) = (order_of(&row[2]), row[4].as_i64()) else {
                 return Err(DbError::Corrupt(format!(
                     "object {id}: CLOB row without a schema order or locator"
                 ))
                 .into());
             };
-            let wanted = self.ancestors.get(&order).map(Vec::as_slice).unwrap_or(&[]);
+            let wanted = self.ancestors.get(order).map_or(&[][..], Vec::as_slice);
             let common = open.iter().zip(wanted).take_while(|(a, b)| a == b).count();
             while open.len() > common {
                 let order = open.pop().expect("longer than the common prefix");
@@ -173,8 +182,7 @@ impl<'r> Assembler<'r> {
                 self.tag(out, "<", anc);
                 open.push(anc);
             }
-            let bytes = self.rt.clobs().get(loc as u64)?;
-            out.push_str(std::str::from_utf8(&bytes).map_err(|_| DbError::NoSuchClob(loc as u64))?);
+            out.push_str(self.rt.clobs().get(loc as u64)?);
         }
         while let Some(order) = open.pop() {
             self.tag(out, "</", order);
@@ -182,10 +190,16 @@ impl<'r> Assembler<'r> {
         Ok(())
     }
 
-    /// Write `<tag>` or `</tag>` for the wrapper at `order`.
-    fn tag(&self, out: &mut String, opener: &str, order: i64) {
+    /// Write `<tag>` or `</tag>` for the wrapper at `order`, which is
+    /// an ancestor list entry and so has a tag.
+    fn tag(&self, out: &mut String, opener: &str, order: usize) {
         out.push_str(opener);
-        out.push_str(self.tags[&order]);
+        out.push_str(self.tags[order].expect("ancestor orders have tags"));
         out.push('>');
     }
+}
+
+/// A schema order read from a row, as an array index.
+fn order_of(v: &Value) -> Option<usize> {
+    v.as_i64().and_then(|o| usize::try_from(o).ok())
 }

@@ -1,24 +1,31 @@
 //! Character Large Object heap.
 //!
 //! Relational rows store CLOBs as integer *locators* (column type
-//! [`crate::value::DataType::Clob`]); the bytes themselves live in this
-//! append-only heap as [`Bytes`] handles. Fetching a CLOB clones a
-//! reference-counted handle, never the text — which is what makes the
-//! hybrid catalog's response building cheap: query plans join over
-//! locators and only the final response assembly touches bytes (the
+//! [`crate::value::DataType::Clob`]); the text itself lives in this
+//! append-only heap. Fetching a CLOB borrows its text as a `&str`: no
+//! copy, no reference-count bump and no UTF-8 check — which is what
+//! makes the hybrid catalog's response building cheap: query plans join
+//! over locators and only the final response assembly touches text (the
 //! paper's point that "the join can utilize the index without accessing
 //! the CLOBs until needed in the final join").
+//!
+//! # Text, checked once
+//!
+//! The heap holds text. UTF-8 is guaranteed by type where a put comes
+//! from the program ([`crate::db::Txn::put_clobs`] takes `&str`-like
+//! parts), and checked once where it comes from disk: WAL replay and
+//! snapshot load refuse a CLOB that is not UTF-8 with
+//! [`DbError::Corrupt`], so the open fails instead of some later reply.
+//! A reader therefore never re-checks what it fetches.
 //!
 //! # Layout
 //!
 //! One put stores all its parts in one buffer, allocated at exactly
 //! their total size, and gives them consecutive locators; each locator's
-//! slot is a [`Bytes::slice`] of that buffer. A catalog puts a
-//! document's CLOBs in one call, in the `(schema order, sibling
-//! sequence)` order the response splices them in, so reconstructing a
-//! document reads one buffer front to back instead of chasing one
-//! allocation per fragment. A slice keeps its whole buffer alive, so a
-//! handle fetched from the heap stays valid however long it is held.
+//! slot is a byte range of that buffer. A catalog puts a document's
+//! CLOBs in one call, in the `(schema order, sibling sequence)` order
+//! the response splices them in, so reconstructing a document reads one
+//! buffer front to back instead of chasing one allocation per fragment.
 //!
 //! The layout survives a restart without changing either on-disk
 //! format, which still carry one entry per slot. WAL replay hands each
@@ -30,13 +37,13 @@
 //!
 //! The heap has no lock of its own: it lives beside the tables inside
 //! the database's visibility gate ([`crate::db`]), so a put is ordered
-//! by the [`crate::db::Txn`] that makes it and a reader sees the heap
-//! through its [`crate::db::ReadTxn`]. A fetched [`Bytes`] handle stays
-//! valid after the gate is released.
+//! by the [`crate::db::Txn`] that makes it and a reader borrows the
+//! text through its [`crate::db::ReadTxn`], for as long as it holds the
+//! gate.
 
 use crate::error::{DbError, Result};
-use bytes::Bytes;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Locator of a CLOB within a [`ClobStore`].
 pub type ClobId = u64;
@@ -44,12 +51,21 @@ pub type ClobId = u64;
 /// Snapshot load closes a buffer once its slots reach this many bytes.
 const LOAD_BUFFER_BYTES: usize = 64 * 1024;
 
+/// One CLOB: a byte range, on part boundaries, of its put's buffer.
+#[derive(Debug)]
+struct Slot {
+    buf: Arc<String>,
+    range: Range<usize>,
+}
+
 /// Append-only CLOB heap.
 #[derive(Debug, Default)]
 pub struct ClobStore {
-    slots: Vec<Bytes>,
+    slots: Vec<Slot>,
     /// Buffers allocated, one per non-empty put.
     buffers: usize,
+    /// Sum of the slot lengths.
+    bytes: usize,
 }
 
 impl ClobStore {
@@ -61,36 +77,39 @@ impl ClobStore {
     /// Store `parts` in one exact-size buffer, returning their
     /// consecutive locators (an empty range, and no buffer, when there
     /// are no parts).
-    pub(crate) fn put_clobs<P: AsRef<[u8]>>(&mut self, parts: &[P]) -> Range<ClobId> {
+    pub(crate) fn put_clobs<P: AsRef<str>>(&mut self, parts: &[P]) -> Range<ClobId> {
         let first = self.slots.len() as ClobId;
         if parts.is_empty() {
             return first..first;
         }
         let total = parts.iter().map(|p| p.as_ref().len()).sum();
-        let mut joined = Vec::with_capacity(total);
+        let mut joined = String::with_capacity(total);
         for p in parts {
-            joined.extend_from_slice(p.as_ref());
+            joined.push_str(p.as_ref());
         }
-        let buf = Bytes::from(joined);
+        let buf = Arc::new(joined);
         let mut start = 0;
         for p in parts {
             let end = start + p.as_ref().len();
-            self.slots.push(buf.slice(start..end));
+            self.slots.push(Slot { buf: Arc::clone(&buf), range: start..end });
             start = end;
         }
         self.buffers += 1;
+        self.bytes += total;
         first..self.slots.len() as ClobId
     }
 
     /// Append a snapshot's slots, in slot order, grouping consecutive
-    /// slots into buffers of about `LOAD_BUFFER_BYTES`.
-    pub(crate) fn load(&mut self, slots: impl IntoIterator<Item = Result<Vec<u8>>>) -> Result<()> {
+    /// slots into buffers of about `LOAD_BUFFER_BYTES`. The load stops
+    /// at the first slot that failed to decode (one that is not UTF-8
+    /// among them).
+    pub(crate) fn load(&mut self, slots: impl IntoIterator<Item = Result<String>>) -> Result<()> {
         let mut run = Vec::new();
         let mut run_bytes = 0;
-        for data in slots {
-            let data = data?;
-            run_bytes += data.len();
-            run.push(data);
+        for text in slots {
+            let text = text?;
+            run_bytes += text.len();
+            run.push(text);
             if run_bytes >= LOAD_BUFFER_BYTES {
                 self.put_clobs(&run);
                 run.clear();
@@ -101,9 +120,10 @@ impl ClobStore {
         Ok(())
     }
 
-    /// Fetch by locator (cheap handle clone).
-    pub fn get(&self, id: ClobId) -> Result<Bytes> {
-        self.slots.get(id as usize).cloned().ok_or(DbError::NoSuchClob(id))
+    /// The text of the CLOB at `id`, borrowed from the heap.
+    pub fn get(&self, id: ClobId) -> Result<&str> {
+        let slot = self.slots.get(id as usize).ok_or(DbError::NoSuchClob(id))?;
+        Ok(&slot.buf[slot.range.clone()])
     }
 
     /// Number of stored CLOBs.
@@ -123,9 +143,10 @@ impl ClobStore {
     }
 
     /// Total stored bytes, for storage accounting: the sum of the slot
-    /// lengths, which equals the sum of the exact-size buffers.
+    /// lengths, which equals the sum of the exact-size buffers. Kept as
+    /// a running count, so reading it walks no slot.
     pub fn total_bytes(&self) -> usize {
-        self.slots.iter().map(|b| b.len()).sum()
+        self.bytes
     }
 }
 
@@ -133,14 +154,19 @@ impl ClobStore {
 mod tests {
     use super::*;
 
+    /// The byte count the slots add up to, walked the slow way.
+    fn slot_bytes(s: &ClobStore) -> usize {
+        (0..s.len() as ClobId).map(|id| s.get(id).unwrap().len()).sum()
+    }
+
     #[test]
     fn put_get_roundtrip() {
         let mut s = ClobStore::new();
         let a = s.put_clobs(&["hello"]);
-        let b = s.put_clobs(&[b"<x/>".to_vec()]);
+        let b = s.put_clobs(&["<x/>".to_string()]);
         assert_eq!((a.clone(), b.clone()), (0..1, 1..2));
-        assert_eq!(s.get(a.start).unwrap(), Bytes::from_static(b"hello"));
-        assert_eq!(s.get(b.start).unwrap(), Bytes::from_static(b"<x/>"));
+        assert_eq!(s.get(a.start).unwrap(), "hello");
+        assert_eq!(s.get(b.start).unwrap(), "<x/>");
         assert_eq!(s.len(), 2);
         assert_eq!(s.total_bytes(), 9);
     }
@@ -152,62 +178,66 @@ mod tests {
     }
 
     #[test]
-    fn handles_share_storage() {
+    fn reads_borrow_the_stored_text() {
         let mut s = ClobStore::new();
-        let id = s.put_clobs(&[vec![1u8; 1024]]).start;
-        let h1 = s.get(id).unwrap();
-        let h2 = s.get(id).unwrap();
-        assert_eq!(h1.as_ptr(), h2.as_ptr());
+        let id = s.put_clobs(&["x".repeat(1024)]).start;
+        let (t1, t2) = (s.get(id).unwrap(), s.get(id).unwrap());
+        assert_eq!(t1.as_ptr(), t2.as_ptr());
     }
 
     #[test]
     fn one_put_is_one_buffer() {
         let mut s = ClobStore::new();
         let first = s.put_clobs(&["<a>1</a>"]);
-        let parts = ["<b>two</b>", "", "<c>three</c>"];
+        let parts = ["<b>two</b>", "", "<c>thrée</c>"];
         let locs = s.put_clobs(&parts);
         assert_eq!(locs, 1..4);
         assert_eq!(s.buffers(), 2);
-        assert_eq!(s.total_bytes(), 8 + 10 + 12);
+        assert_eq!(s.total_bytes(), 8 + 10 + 13);
         // The parts sit back to back in one allocation.
         let b = s.get(1).unwrap();
         let c = s.get(3).unwrap();
         assert_eq!(b.as_ptr().wrapping_add(b.len()), c.as_ptr());
         for (loc, want) in locs.zip(parts) {
-            assert_eq!(&s.get(loc).unwrap()[..], want.as_bytes());
+            assert_eq!(s.get(loc).unwrap(), want);
         }
-        assert_eq!(&s.get(first.start).unwrap()[..], b"<a>1</a>");
+        assert_eq!(s.get(first.start).unwrap(), "<a>1</a>");
         // An empty put stores nothing and allocates nothing.
         assert_eq!(s.put_clobs::<&str>(&[]), 4..4);
         assert_eq!((s.len(), s.buffers()), (4, 2));
     }
 
     #[test]
-    fn a_handle_outlives_the_heap() {
-        let mut s = ClobStore::new();
-        s.put_clobs(&["<a/>", "<b/>"]);
-        let kept = s.get(1).unwrap();
-        drop(s);
-        assert_eq!(&kept[..], b"<b/>");
-    }
-
-    #[test]
     fn load_groups_slots_into_bounded_buffers() {
-        let big = vec![b'x'; LOAD_BUFFER_BYTES / 2];
-        let slots = [big.clone(), big.clone(), b"tail".to_vec(), big.clone(), big];
+        let big = "x".repeat(LOAD_BUFFER_BYTES / 2);
+        let slots = [big.clone(), big.clone(), "tail".to_string(), big.clone(), big];
         let mut s = ClobStore::new();
         s.load(slots.iter().cloned().map(Ok)).unwrap();
         assert_eq!(s.len(), 5);
         // Slots 0–1 fill one buffer, 2–4 the next.
         assert_eq!(s.buffers(), 2);
         for (i, want) in slots.iter().enumerate() {
-            assert_eq!(&s.get(i as ClobId).unwrap()[..], &want[..]);
+            assert_eq!(s.get(i as ClobId).unwrap(), want);
         }
         let (a, b) = (s.get(2).unwrap(), s.get(3).unwrap());
         assert_eq!(a.as_ptr().wrapping_add(a.len()), b.as_ptr());
         // A load stops at the first bad slot.
         let mut s = ClobStore::new();
-        let bad = [Ok(b"ok".to_vec()), Err(DbError::Corrupt("torn".into()))];
+        let bad = [Ok("ok".to_string()), Err(DbError::Corrupt("torn".into()))];
         assert!(s.load(bad).is_err());
+    }
+
+    #[test]
+    fn byte_count_tracks_puts_and_loads() {
+        let mut s = ClobStore::new();
+        s.put_clobs(&["<a>1</a>", "", "<b>ü</b>"]);
+        s.put_clobs::<&str>(&[]);
+        s.put_clobs(&["<c/>"]);
+        assert_eq!(s.total_bytes(), slot_bytes(&s));
+        assert_eq!(s.total_bytes(), 8 + 9 + 4);
+        let big = "y".repeat(LOAD_BUFFER_BYTES - 1);
+        s.load([big.clone(), "zz".to_string(), big].map(Ok)).unwrap();
+        assert_eq!(s.total_bytes(), slot_bytes(&s));
+        assert_eq!(s.total_bytes(), 21 + 2 * (LOAD_BUFFER_BYTES - 1) + 2);
     }
 }

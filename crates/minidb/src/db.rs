@@ -612,8 +612,8 @@ impl State {
     pub(crate) fn apply_txn(&mut self, records: Vec<WalRecord>) -> Result<()> {
         let mut clob_run = Vec::new();
         for rec in records {
-            if let WalRecord::ClobPut { data } = rec {
-                clob_run.push(data);
+            if let WalRecord::ClobPut { text } = rec {
+                clob_run.push(text);
                 continue;
             }
             self.clobs.put_clobs(&clob_run);
@@ -1063,7 +1063,7 @@ impl Txn<'_> {
     /// their locators (see [`crate::clob`] for the layout). The WAL gets
     /// one `ClobPut` record per part, so the log is the same as for
     /// parts put one at a time.
-    pub fn put_clobs<P: AsRef<[u8]>>(&mut self, parts: &[P]) -> Range<u64> {
+    pub fn put_clobs<P: AsRef<str>>(&mut self, parts: &[P]) -> Range<u64> {
         for p in parts {
             let encoded = self.wal.is_some().then(|| encode_clob_put(p.as_ref()));
             self.log_encoded(encoded);
@@ -1139,8 +1139,8 @@ impl ReadTxn<'_> {
         v
     }
 
-    /// The CLOB heap, read-only. A [`ClobStore::get`] handle stays valid
-    /// after the batch ends, so CLOB bytes can be resolved outside it.
+    /// The CLOB heap, read-only: [`ClobStore::get`] borrows a CLOB's
+    /// text for as long as this read transaction holds the gate.
     pub fn clobs(&self) -> &ClobStore {
         &self.state.clobs
     }

@@ -172,7 +172,7 @@ impl<R: Read> Dec<R> {
     }
     pub(crate) fn string(&mut self) -> Result<String> {
         String::from_utf8(self.bytes()?)
-            .map_err(|_| DbError::Corrupt("snapshot: invalid UTF-8".into()))
+            .map_err(|e| DbError::Corrupt(format!("string is not UTF-8: {e}")))
     }
     pub(crate) fn value(&mut self) -> Result<Value> {
         Ok(match self.u8()? {
@@ -363,15 +363,14 @@ fn save_clobs<W: Write>(clobs: &ClobStore, enc: &mut Enc<W>) -> Result<()> {
     let n = clobs.len();
     enc.u64(n as u64)?;
     for id in 0..n as u64 {
-        let b = clobs.get(id)?;
-        enc.bytes(&b)?;
+        enc.string(clobs.get(id)?)?;
     }
     Ok(())
 }
 
 fn load_clobs<R: Read>(clobs: &mut ClobStore, dec: &mut Dec<R>) -> Result<()> {
     let n = dec.u64()?;
-    clobs.load((0..n).map(|_| dec.bytes()))
+    clobs.load((0..n).map(|_| dec.string()))
 }
 
 #[cfg(test)]
@@ -440,7 +439,7 @@ mod tests {
         assert!(row(2)[1].is_null());
         // CLOB heap survives and locators still resolve.
         let loc = one[4].as_i64().unwrap();
-        assert_eq!(&loaded.begin_read().clobs().get(loc as u64).unwrap()[..], b"<xml>hello</xml>");
+        assert_eq!(loaded.begin_read().clobs().get(loc as u64).unwrap(), "<xml>hello</xml>");
         // Indexes were rebuilt: unique constraint enforced, lookups work.
         let dup = vec![1.into(), "dup".into(), 0.0.into(), false.into(), Value::Null];
         assert!(loaded.insert("t", vec![dup]).is_err());

@@ -525,7 +525,9 @@ pub(crate) enum WalRecord {
     Truncate { table: String },
     /// Append a CLOB; replay re-assigns the same locator because WAL
     /// order equals apply order (the writer lock is held while applying).
-    ClobPut { data: Vec<u8> },
+    /// Its text is checked as UTF-8 when the record decodes, so a log
+    /// holding a CLOB that is not text fails recovery.
+    ClobPut { text: String },
     /// Transaction terminator; everything since the previous commit
     /// becomes atomic and durable.
     Commit { lsn: u64 },
@@ -686,9 +688,9 @@ fn write_insert<W: Write>(enc: &mut Enc<W>, table: &str, rows: &[Row]) -> Result
     Ok(())
 }
 
-fn write_clob_put<W: Write>(enc: &mut Enc<W>, data: &[u8]) -> Result<()> {
+fn write_clob_put<W: Write>(enc: &mut Enc<W>, text: &str) -> Result<()> {
     enc.u8(8)?;
-    enc.bytes(data)
+    enc.string(text)
 }
 
 /// Encode with `write` into a fresh buffer.
@@ -704,9 +706,9 @@ pub(crate) fn encode_insert(table: &str, rows: &[Row]) -> Vec<u8> {
     encode_with(|enc| write_insert(enc, table, rows))
 }
 
-/// The encoded [`WalRecord::ClobPut`] of `data` (see [`encode_insert`]).
-pub(crate) fn encode_clob_put(data: &[u8]) -> Vec<u8> {
-    encode_with(|enc| write_clob_put(enc, data))
+/// The encoded [`WalRecord::ClobPut`] of `text` (see [`encode_insert`]).
+pub(crate) fn encode_clob_put(text: &str) -> Vec<u8> {
+    encode_with(|enc| write_clob_put(enc, text))
 }
 
 impl WalRecord {
@@ -769,7 +771,7 @@ impl WalRecord {
                 enc.u8(7)?;
                 enc.string(table)
             }
-            WalRecord::ClobPut { data } => write_clob_put(enc, data),
+            WalRecord::ClobPut { text } => write_clob_put(enc, text),
             WalRecord::Commit { lsn } => {
                 enc.u8(9)?;
                 enc.u64(*lsn)
@@ -846,7 +848,7 @@ impl WalRecord {
                 WalRecord::UpdateWhere { table, pred, sets }
             }
             7 => WalRecord::Truncate { table: dec.string()? },
-            8 => WalRecord::ClobPut { data: dec.bytes()? },
+            8 => WalRecord::ClobPut { text: dec.string()? },
             9 => WalRecord::Commit { lsn: dec.u64()? },
             t => return Err(DbError::Corrupt(format!("wal: unknown record tag {t}"))),
         })
@@ -1040,8 +1042,12 @@ impl WalWriter {
         if self.unsynced == 0 {
             return Ok(());
         }
-        self.file.sync()?;
-        obs::global().counter("wal.fsyncs").incr();
+        let reg = obs::global();
+        {
+            let _fsync = reg.span("wal.fsync");
+            self.file.sync()?;
+        }
+        reg.counter("wal.fsyncs").incr();
         self.unsynced = 0;
         Ok(())
     }
@@ -1111,7 +1117,7 @@ mod tests {
             },
             WalRecord::UpdateWhere { table: "t".into(), pred: None, sets: vec![] },
             WalRecord::Truncate { table: "t".into() },
-            WalRecord::ClobPut { data: b"<x/>".to_vec() },
+            WalRecord::ClobPut { text: "<x/>".into() },
             WalRecord::Commit { lsn: 42 },
         ];
         for rec in recs {
@@ -1139,7 +1145,7 @@ mod tests {
         w(&[
             WalRecord::Insert { table: "t".into(), rows: vec![vec![Value::Int(1)]] },
             WalRecord::Commit { lsn: 1 },
-            WalRecord::ClobPut { data: b"abc".to_vec() },
+            WalRecord::ClobPut { text: "abc".into() },
             WalRecord::Insert { table: "t".into(), rows: vec![vec![Value::Int(2)]] },
             WalRecord::Commit { lsn: 2 },
         ]);

@@ -5,7 +5,8 @@
 //! of the resulting WAL and asserts that recovery yields exactly the
 //! committed prefix — checked against an uncrashed oracle database
 //! that replayed only the committed operations. Companion tests cover
-//! torn-tail discard vs. hard corruption, group-commit loss windows,
+//! torn-tail discard vs. hard corruption (a CLOB that is not UTF-8, in
+//! the log or in the snapshot, among it), group-commit loss windows,
 //! injected fsync failures and short writes, and checkpoint tail
 //! replay.
 
@@ -45,7 +46,7 @@ enum Op {
     /// reference its locator, atomically.
     IngestLike {
         table: String,
-        doc: Vec<u8>,
+        doc: String,
         id: i64,
     },
 }
@@ -119,11 +120,7 @@ fn workload(seed: u64, n_ops: usize) -> Vec<Op> {
             }
             45..=64 => {
                 next_id += 2;
-                Op::IngestLike {
-                    table,
-                    doc: format!("<doc id='{next_id}'/>").into_bytes(),
-                    id: next_id - 2,
-                }
+                Op::IngestLike { table, doc: format!("<doc id='{next_id}'/>"), id: next_id - 2 }
             }
             65..=79 => {
                 // Delete a pseudo-random id band (often matches nothing).
@@ -493,6 +490,69 @@ fn a_snapshot_older_than_the_log_is_refused() {
     }
 }
 
+/// Where `needle` first occurs in `haystack`.
+fn find(haystack: &[u8], needle: &[u8]) -> usize {
+    haystack
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("marker present")
+}
+
+/// A WAL whose `ClobPut` holds bytes that are not UTF-8 fails recovery,
+/// instead of opening and failing whichever reply reaches that CLOB.
+#[test]
+fn a_wal_clob_that_is_not_utf8_is_refused() {
+    let vfs = MemVfs::new();
+    let db = open_mem(vfs.clone(), SyncPolicy::EveryCommit);
+    let mut t = db.txn();
+    t.put_clobs(&["<x>@@</x>"]);
+    t.commit().unwrap();
+    drop(db);
+    // The transaction's first frame is the `ClobPut`, right after the
+    // 20-byte header: u32 len | u32 crc32(len) | u32 crc32(payload) |
+    // payload. Swap the marker for invalid UTF-8 and re-seal the
+    // payload checksum, so only the text is wrong.
+    let mut log = vfs.file(WAL_FILE).unwrap();
+    let at = find(&log, b"@@");
+    log[at..at + 2].copy_from_slice(&[0xff, 0xfe]);
+    let len = u32::from_le_bytes(log[20..24].try_into().unwrap()) as usize;
+    let crc = minidb::wal::crc32(&log[32..32 + len]);
+    log[28..32].copy_from_slice(&crc.to_le_bytes());
+    vfs.overwrite(WAL_FILE, log);
+    match Database::open_with(Arc::new(vfs), WalOptions::default()) {
+        Err(DbError::Corrupt(msg)) => assert!(msg.contains("UTF-8"), "{msg}"),
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(db) => panic!("opened with {} CLOBs", db.begin_read().clobs().len()),
+    }
+}
+
+/// A snapshot whose CLOB slot holds bytes that are not UTF-8 is refused
+/// on open, like any other corrupt snapshot.
+#[test]
+fn a_snapshot_clob_that_is_not_utf8_is_refused() {
+    let vfs = MemVfs::new();
+    let db = open_mem(vfs.clone(), SyncPolicy::EveryCommit);
+    let mut t = db.txn();
+    t.put_clobs(&["<x>1</x>", "<x>@@</x>"]);
+    t.commit().unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+    // Swap the marker for invalid UTF-8 and re-seal the trailing CRC32,
+    // so only the text is wrong.
+    let mut snap = vfs.file(SNAPSHOT_FILE).unwrap();
+    let at = find(&snap, b"@@");
+    snap[at..at + 2].copy_from_slice(&[0xff, 0xfe]);
+    let body = snap.len() - 4;
+    let crc = minidb::wal::crc32(&snap[..body]);
+    snap[body..].copy_from_slice(&crc.to_le_bytes());
+    vfs.overwrite(SNAPSHOT_FILE, snap);
+    match Database::open_with(Arc::new(vfs), WalOptions::default()) {
+        Err(DbError::Corrupt(msg)) => assert!(msg.contains("UTF-8"), "{msg}"),
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(db) => panic!("opened with {} CLOBs", db.begin_read().clobs().len()),
+    }
+}
+
 #[test]
 fn std_vfs_roundtrip_on_disk() {
     let dir = std::env::temp_dir().join(format!("minidb-waldir-{}", std::process::id()));
@@ -607,14 +667,14 @@ fn update_failing_on_a_later_row_changes_no_row() {
 
 /// Seeded documents for the CLOB-layout tests: each is 1–6 parts, an
 /// element with 0–`max_part` bytes of text, stored by one `put_clobs`.
-fn clob_docs(seed: u64, n: usize, max_part: usize) -> Vec<Vec<Vec<u8>>> {
+fn clob_docs(seed: u64, n: usize, max_part: usize) -> Vec<Vec<String>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)
         .map(|d| {
             (0..rng.gen_range(1..=6usize))
                 .map(|p| {
                     let len = rng.gen_range(0..=max_part);
-                    format!("<f d='{d}' p='{p}'>{}</f>", "x".repeat(len)).into_bytes()
+                    format!("<f d='{d}' p='{p}'>{}</f>", "x".repeat(len))
                 })
                 .collect()
         })
@@ -630,7 +690,7 @@ fn layout_seed() -> u64 {
 
 /// Store each document as one transaction: one put of its parts and a
 /// row locating the first. Returns each document's locators.
-fn put_docs(db: &Database, docs: &[Vec<Vec<u8>>]) -> Vec<std::ops::Range<u64>> {
+fn put_docs(db: &Database, docs: &[Vec<String>]) -> Vec<std::ops::Range<u64>> {
     if !db.has_table("docs") {
         db.create_table("docs", table_schema()).unwrap();
     }
@@ -661,12 +721,12 @@ fn breaks(db: &Database, locs: std::ops::Range<u64>) -> usize {
         .count()
 }
 
-fn assert_contents(db: &Database, docs: &[Vec<Vec<u8>>], locs: &[std::ops::Range<u64>]) {
+fn assert_contents(db: &Database, docs: &[Vec<String>], locs: &[std::ops::Range<u64>]) {
     let rt = db.begin_read();
     for (parts, locs) in docs.iter().zip(locs) {
         assert_eq!(locs.end - locs.start, parts.len() as u64);
         for (part, loc) in parts.iter().zip(locs.clone()) {
-            assert_eq!(&rt.clobs().get(loc).unwrap()[..], &part[..], "locator {loc}");
+            assert_eq!(rt.clobs().get(loc).unwrap(), part, "locator {loc}");
         }
     }
 }

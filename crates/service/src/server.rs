@@ -37,18 +37,20 @@
 //! connection, unknown}`), body-byte accounting, an open-connection
 //! gauge (`service.connections`), permit health (`service.pool.size`
 //! permits, `service.pool.busy` permits held, `service.pool.queue_depth`
-//! requests waiting for a permit; `service.pool.dispatched` permits
-//! granted, `service.pool.rejected` connections refused at the cap,
-//! `service.pool.panics`), shedding (`service.shed.{queue_wait,
-//! draining}`), and drain outcomes (`service.draining` gauge;
-//! `service.drain.{clean, forced, checkpoints}` counters). `STATS`
+//! requests waiting for a permit, the `service.pool.queue_wait`
+//! histogram of how long each of them waited;
+//! `service.pool.dispatched` permits granted, `service.pool.rejected`
+//! connections refused at the cap, `service.pool.panics`), shedding
+//! (`service.shed.{queue_wait, draining}`), and drain outcomes
+//! (`service.draining` gauge; `service.drain.{clean, forced,
+//! checkpoints}` counters). `STATS`
 //! returns the full registry snapshot; `SLOWLOG` reads (and `SLOWLOG
 //! <ms>` configures) the slow-query ring.
 
 use catalog::catalog::MetadataCatalog;
 use catalog::qparse::parse_query;
 use catalog::reqctx::RequestCtx;
-use obs::{Counter, Gauge};
+use obs::{Counter, Gauge, Histogram};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -106,6 +108,8 @@ struct Shared {
     freed: Condvar,
     busy: Arc<Gauge>,
     waiting: Arc<Gauge>,
+    /// How long each request that found every permit held waited.
+    queue_wait: Arc<Histogram>,
     granted: Arc<Counter>,
 }
 
@@ -119,11 +123,13 @@ impl Shared {
         let mut held = self.held.lock().expect("permits poisoned");
         if *held >= WORKERS && !draining() {
             self.waiting.add(1);
+            let queued = Instant::now();
             held = self
                 .freed
                 .wait_timeout_while(held, QUEUE_WAIT, |h| *h >= WORKERS && !draining())
                 .expect("permits poisoned")
                 .0;
+            self.queue_wait.record(queued.elapsed().as_nanos() as u64);
             self.waiting.add(-1);
         }
         if draining() {
@@ -207,6 +213,7 @@ impl CatalogServer {
             freed: Condvar::new(),
             busy: reg.gauge("service.pool.busy"),
             waiting: reg.gauge("service.pool.queue_depth"),
+            queue_wait: reg.histogram("service.pool.queue_wait"),
             granted: reg.counter("service.pool.dispatched"),
         });
         let acceptor = shared.clone();

@@ -1,13 +1,15 @@
 //! Regression tests for the service-layer observability: request and
-//! error counters, the registry-backed `STATS` reply, and the slow log.
+//! error counters, the registry-backed `STATS` reply (WAL fsync and
+//! permit queue-wait latencies among it), and the slow log.
 //!
 //! All assertions on `obs::global()` use deltas with `>=` bounds —
 //! the registry is process-wide and other tests in this binary (or
 //! parallel connections) may bump the same metrics.
 
-use catalog::catalog::CatalogConfig;
-use catalog::lead::{lead_catalog, FIG3_DOCUMENT};
-use service::{CatalogClient, CatalogServer};
+use catalog::catalog::{CatalogConfig, MetadataCatalog};
+use catalog::lead::{lead_catalog, lead_partition, register_arps_defs, FIG3_DOCUMENT};
+use minidb::{MemVfs, WalOptions};
+use service::{CatalogClient, CatalogServer, WORKERS};
 use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -121,6 +123,55 @@ fn stats_returns_registry_snapshot_after_workload() {
             assert!(get(&key).unwrap_or(0) >= 1, "{key} missing from stats: {stats:?}");
         }
     }
+}
+
+/// `STATS` reports how long WAL fsyncs take and how long requests wait
+/// for a permit, not only how many there were.
+#[test]
+fn stats_reports_fsync_and_queue_wait_histograms() {
+    let cat = MetadataCatalog::open_with(
+        Arc::new(MemVfs::new()),
+        WalOptions::default(),
+        lead_partition(),
+        CatalogConfig::default(),
+    )
+    .unwrap();
+    register_arps_defs(&cat).unwrap();
+    let cat = Arc::new(cat);
+    let server = CatalogServer::start(cat.clone(), "127.0.0.1:0").unwrap();
+    let mut c = CatalogClient::connect(server.addr()).unwrap();
+    let count = |stats: &[(String, u64)], name: &str| {
+        let key = format!("{name}.count");
+        stats.iter().find(|(n, _)| *n == key).map_or(0, |(_, v)| *v)
+    };
+
+    // An ingest into a durable catalog commits, and every commit
+    // fsyncs under the default policy.
+    let fsyncs = obs::global().histogram("wal.fsync").count();
+    c.ingest(FIG3_DOCUMENT).unwrap();
+    let stats = c.stats().unwrap();
+    assert!(count(&stats, "wal.fsync") > fsyncs, "stats: {stats:?}");
+
+    // An open transaction holds the visibility gate, so each permitted
+    // QUERY blocks with its permit held and one more must queue.
+    let waits = obs::global().histogram("service.pool.queue_wait").count();
+    let txn = cat.db().txn();
+    let clients: Vec<_> = (0..=WORKERS)
+        .map(|_| {
+            let addr = server.addr();
+            std::thread::spawn(move || {
+                CatalogClient::connect(addr).unwrap().query("grid@ARPS[dx=1000]").unwrap()
+            })
+        })
+        .collect();
+    let depth = obs::global().gauge("service.pool.queue_depth");
+    assert!(wait_for(|| depth.get() >= 1), "no request queued for a permit");
+    drop(txn);
+    for client in clients {
+        assert_eq!(client.join().unwrap(), vec![1]);
+    }
+    let stats = c.stats().unwrap();
+    assert!(count(&stats, "service.pool.queue_wait") > waits, "stats: {stats:?}");
 }
 
 #[test]
