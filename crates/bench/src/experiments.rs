@@ -9,6 +9,7 @@ use baselines::CatalogBackend;
 use catalog::catalog::CatalogConfig;
 use catalog::engine::MatchStrategy;
 use catalog::error::Result;
+use obs::names;
 use workload::{DocGenerator, QueryGenerator, QueryShape, WorkloadConfig};
 
 /// Experiment scale: `Quick` for smoke runs, `Full` for the recorded
@@ -561,9 +562,8 @@ pub fn e9_durability(scale: Scale) -> Result<Table> {
             CatalogConfig::default(),
         )?;
         generator.register_defs(&cat)?;
-        let reg = obs::global();
-        let fsyncs0 = reg.counter("wal.fsyncs").get();
-        let bytes0 = reg.counter("wal.bytes").get();
+        let fsyncs0 = names::WAL_FSYNCS.get();
+        let bytes0 = names::WAL_BYTES.get();
         let t0 = std::time::Instant::now();
         for d in &corpus {
             cat.ingest(d)?;
@@ -577,8 +577,8 @@ pub fn e9_durability(scale: Scale) -> Result<Table> {
             n.to_string(),
             fmt_secs(secs),
             fmt_rate(n as f64 / secs),
-            (reg.counter("wal.fsyncs").get() - fsyncs0).to_string(),
-            fmt_bytes((reg.counter("wal.bytes").get() - bytes0) as usize),
+            (names::WAL_FSYNCS.get() - fsyncs0).to_string(),
+            fmt_bytes((names::WAL_BYTES.get() - bytes0) as usize),
             fmt_secs(ck),
         ]);
         drop(cat);

@@ -12,6 +12,7 @@ use crate::response;
 use crate::shred::{ShreddedDoc, Shredder};
 use crate::store;
 use minidb::{Database, Expr, Plan, Value};
+use obs::names;
 use parking_lot::RwLock;
 use std::sync::atomic::{AtomicI64, Ordering as AtomicOrdering};
 use xmlkit::dom::Document;
@@ -162,15 +163,14 @@ impl MetadataCatalog {
     /// Parse and shred a document *without* storing it (the CPU-bound
     /// half of ingest; used by parallel ingest pipelines).
     pub fn shred_only(&self, xml: &str) -> Result<ShreddedDoc> {
-        let reg = obs::global();
         let doc = {
-            let _span = reg.span("catalog.parse");
+            let _span = names::CATALOG_PARSE.span();
             Document::parse(xml)?
         };
         let defs = self.defs.read();
         let shredder = Shredder::new(&self.partition, &self.ordering);
         let out = {
-            let _span = reg.span("catalog.shred");
+            let _span = names::CATALOG_SHRED.span();
             shredder.shred(&doc, &defs)?
         };
         drop(defs);
@@ -193,7 +193,7 @@ impl MetadataCatalog {
                 Ok(())
             })?;
             let defs = self.defs.read();
-            let _span = reg.span("catalog.shred");
+            let _span = names::CATALOG_SHRED.span();
             return shredder.shred(&doc, &defs);
         }
         Ok(out)
@@ -233,11 +233,10 @@ impl MetadataCatalog {
     /// Insert a shredded batch's rows under an existing object id, into
     /// an open transaction.
     fn apply_rows(txn: &mut minidb::Txn<'_>, object_id: i64, shredded: ShreddedDoc) -> Result<()> {
-        let reg = obs::global();
-        let _span = reg.span("catalog.apply");
-        reg.counter("catalog.shred.attr_rows").add(shredded.attrs.len() as u64);
-        reg.counter("catalog.shred.elem_rows").add(shredded.elems.len() as u64);
-        reg.counter("catalog.clob.bytes_written")
+        let _span = names::CATALOG_APPLY.span();
+        names::CATALOG_SHRED_ATTR_ROWS.add(shredded.attrs.len() as u64);
+        names::CATALOG_SHRED_ELEM_ROWS.add(shredded.elems.len() as u64);
+        names::CATALOG_CLOB_BYTES_WRITTEN
             .add(shredded.clob_rows.iter().map(|c| c.xml.len() as u64).sum());
         // One put per document, so its CLOBs share one heap buffer.
         let parts: Vec<&str> = shredded.clob_rows.iter().map(|c| c.xml.as_str()).collect();
@@ -391,19 +390,19 @@ impl MetadataCatalog {
 
     /// Ingest one document: parse, shred, store.
     pub fn ingest(&self, xml: &str) -> Result<i64> {
-        let _span = obs::global().span("catalog.ingest");
+        let _span = names::CATALOG_INGEST.span();
         let shredded = self.shred_only(xml)?;
         let id = self.store(shredded, None, None)?;
-        obs::global().counter("catalog.ingest.docs").incr();
+        names::CATALOG_INGEST_DOCS.incr();
         Ok(id)
     }
 
     /// Ingest with provenance metadata.
     pub fn ingest_as(&self, xml: &str, owner: &str, name: &str) -> Result<i64> {
-        let _span = obs::global().span("catalog.ingest");
+        let _span = names::CATALOG_INGEST.span();
         let shredded = self.shred_only(xml)?;
         let id = self.store(shredded, Some(owner), Some(name))?;
-        obs::global().counter("catalog.ingest.docs").incr();
+        names::CATALOG_INGEST_DOCS.incr();
         Ok(id)
     }
 
@@ -440,7 +439,7 @@ impl MetadataCatalog {
     /// [`MetadataCatalog::register_dynamic`].
     fn plan(&self, q: &ObjectQuery, strategy: MatchStrategy) -> Result<Plan> {
         let defs = self.defs.read();
-        let _span = obs::global().span("catalog.query.plan_build");
+        let _span = names::CATALOG_QUERY_PLAN_BUILD.span();
         crate::engine::build_query_plan(&defs, q, strategy)
     }
 
@@ -476,7 +475,7 @@ impl MetadataCatalog {
 
     /// Reconstruct schema-ordered documents for `object_ids`.
     pub fn fetch_documents(&self, object_ids: &[i64]) -> Result<Vec<(i64, String)>> {
-        let _span = obs::global().span("catalog.response_build");
+        let _span = names::CATALOG_RESPONSE_BUILD.span();
         response::build_documents(&self.db, object_ids)
     }
 
@@ -484,7 +483,7 @@ impl MetadataCatalog {
     /// reply body of both `FETCH` and `SEARCH`. Document reconstruction,
     /// including CLOB byte resolution, respects `ctx`'s deadline.
     pub fn fetch_envelope_ctx(&self, object_ids: &[i64], ctx: &RequestCtx) -> Result<String> {
-        let _span = obs::global().span("catalog.response_build");
+        let _span = names::CATALOG_RESPONSE_BUILD.span();
         response::build_response_envelope_ctx(&self.db, object_ids, ctx)
             .map_err(|e| ctx.note_cancelled(e))
     }

@@ -26,6 +26,7 @@ use crate::query::{AttrQuery, ElemCond, ObjectQuery, QOp, QValue};
 use crate::reqctx::RequestCtx;
 use crate::shred::{parse_num, stored_num};
 use minidb::{CmpOp, Database, Expr, Plan, Value};
+use obs::names;
 
 /// Matching strategy (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -284,11 +285,10 @@ pub(crate) fn ids_from_rows(rs: minidb::ResultSet) -> Vec<i64> {
 /// sorted matching object ids. The executor checks `ctx`'s deadline
 /// cooperatively.
 pub fn execute_match_plan(db: &Database, plan: &Plan, ctx: &RequestCtx) -> Result<Vec<i64>> {
-    let reg = obs::global();
     let rs = {
-        let _span = reg.span("catalog.query.match");
+        let _span = names::CATALOG_QUERY_MATCH.span();
         db.execute_with(plan, ctx.deadline)?
     };
-    reg.counter("catalog.query.count").incr();
+    names::CATALOG_QUERY_COUNT.incr();
     Ok(ids_from_rows(rs))
 }

@@ -283,6 +283,45 @@ mod tests {
         assert_eq!(cat.query(&fig4_query()).unwrap(), vec![id]);
     }
 
+    /// A checkpoint with nothing to write touches no file: reopened over
+    /// a file system whose first fsync fails, it still succeeds with the
+    /// snapshot's LSN. One commit makes the next checkpoint write again.
+    #[test]
+    fn an_idle_checkpoint_writes_nothing() {
+        use minidb::wal::{SNAPSHOT_FILE, WAL_FILE};
+        use minidb::FaultyVfs;
+        let vfs = MemVfs::new();
+        let cat = lead_on(&vfs);
+        cat.ingest(FIG3_DOCUMENT).unwrap();
+        let lsn = cat.checkpoint().unwrap();
+        drop(cat);
+
+        let faulty = FaultyVfs::new(vfs.crashed_copy()).fail_sync_at(1);
+        let cat = MetadataCatalog::open_with(
+            Arc::new(faulty.clone()),
+            WalOptions::default(),
+            lead_partition(),
+            CatalogConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(cat.checkpoint().unwrap(), lsn);
+        assert!(!faulty.is_crashed(), "an idle checkpoint synced a file");
+        drop(cat);
+
+        let copy = vfs.crashed_copy();
+        let files = || (copy.file(WAL_FILE).unwrap(), copy.file(SNAPSHOT_FILE).unwrap());
+        let cat = open_mem(&copy, lead_partition()).unwrap();
+        let before = files();
+        assert_eq!(cat.checkpoint().unwrap(), lsn);
+        assert!(files() == before, "an idle checkpoint rewrote a file");
+        cat.ingest(EXTRA_DOC).unwrap();
+        assert_eq!(cat.checkpoint().unwrap(), lsn + 1);
+        let after = files();
+        assert!(after.1 != before.1, "a checkpoint after a commit wrote no snapshot");
+        assert_eq!(cat.checkpoint().unwrap(), lsn + 1);
+        assert!(files() == after, "the checkpoint after it was not idle");
+    }
+
     /// A reopen re-registers the stored definitions: the registry is
     /// the mirror row for row and still refuses a spec registered before.
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::error::{CatalogError, Result};
 use minidb::limits::Deadline;
+use obs::names;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -72,14 +73,14 @@ impl RequestCtx {
         if !matches!(err, CatalogError::DeadlineExceeded(_)) {
             return err;
         }
-        let metric = "catalog.cancelled.deadline";
-        let reg = obs::global();
-        reg.counter(metric).incr();
+        let metric = &names::CATALOG_CANCELLED_DEADLINE;
+        metric.incr();
         let detail = match &self.detail {
             Some(d) => format!("q={} deadline: {d}", self.query_id),
             None => format!("q={} deadline", self.query_id),
         };
-        reg.record_event(metric, self.deadline.elapsed().as_nanos() as u64, Some(detail));
+        let nanos = self.deadline.elapsed().as_nanos() as u64;
+        obs::global().record_event(metric.name(), nanos, Some(detail));
         err
     }
 }
@@ -112,12 +113,11 @@ mod tests {
         let ctx = RequestCtx::deadline_in(Duration::ZERO).describe("/exp[user='ada']");
         std::thread::sleep(Duration::from_millis(1));
         let err = ctx.check().unwrap_err();
-        let reg = obs::global();
-        let before = reg.counter("catalog.cancelled.deadline").get();
+        let before = names::CATALOG_CANCELLED_DEADLINE.get();
         let err = ctx.note_cancelled(err);
         assert!(matches!(err, CatalogError::DeadlineExceeded(_)));
-        assert_eq!(reg.counter("catalog.cancelled.deadline").get(), before + 1);
-        let seen = reg.slow_events().iter().any(|e| {
+        assert_eq!(names::CATALOG_CANCELLED_DEADLINE.get(), before + 1);
+        let seen = obs::global().slow_events().iter().any(|e| {
             e.name == "catalog.cancelled.deadline"
                 && e.detail.as_deref().is_some_and(|d| d.contains("/exp[user='ada']"))
         });
@@ -127,10 +127,9 @@ mod tests {
     #[test]
     fn non_governance_errors_pass_through_untouched() {
         let ctx = RequestCtx::unbounded();
-        let reg = obs::global();
-        let before = reg.counter("catalog.cancelled.deadline").get();
+        let before = names::CATALOG_CANCELLED_DEADLINE.get();
         let err = ctx.note_cancelled(CatalogError::NoSuchObject(7));
         assert!(matches!(err, CatalogError::NoSuchObject(7)));
-        assert_eq!(reg.counter("catalog.cancelled.deadline").get(), before);
+        assert_eq!(names::CATALOG_CANCELLED_DEADLINE.get(), before);
     }
 }

@@ -214,7 +214,7 @@ fn checkpoint_then_crash_recovers_acked_ingests() {
     }
     drop(cat); // crash: no checkpoint after the last three ingests
 
-    let before = obs::global().counter("wal.recovered_records").get();
+    let before = obs::names::WAL_RECOVERED_RECORDS.get();
     let recovered = MetadataCatalog::open_with(
         Arc::new(vfs.crashed_copy()),
         WalOptions::default(),
@@ -222,7 +222,7 @@ fn checkpoint_then_crash_recovers_acked_ingests() {
         CatalogConfig::default(),
     )
     .unwrap();
-    let replayed = obs::global().counter("wal.recovered_records").get() - before;
+    let replayed = obs::names::WAL_RECOVERED_RECORDS.get() - before;
     assert!(replayed > 0, "the post-checkpoint tail must replay through the WAL");
     assert_eq!(recovered.stats().objects, 8);
     assert_eq!(recovered.query(&fig4_query()).unwrap(), ids);

@@ -644,7 +644,7 @@ fn request_deadline_governs_query_fetch_and_search() {
     let cat = cat();
     let id = cat.ingest(FIG3_DOCUMENT).unwrap();
     let q = fig4_query();
-    let cancelled = || obs::global().counter("catalog.cancelled.deadline").get();
+    let cancelled = || obs::names::CATALOG_CANCELLED_DEADLINE.get();
 
     // An already-expired deadline: every entry point is cancelled and
     // counted once, whatever the host's speed.

@@ -43,12 +43,13 @@ use crate::wal::{
     encode_clob_put, encode_insert, encode_wal_header, scan_wal, StdVfs, Vfs, WalOptions,
     WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
 };
+use obs::names;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Project a key through 1 or 2 key-column positions (0 = first
@@ -99,9 +100,8 @@ fn key_columns(exprs: &[(Expr, String)]) -> Option<Vec<usize>> {
 /// `.count` now that every semi-join runs on keys; it stays because the
 /// benchmark's `match.keyed_ratio` reads it.
 fn count_semi_join() {
-    let reg = obs::global();
-    reg.counter("minidb.semijoin.count").incr();
-    reg.counter("minidb.semijoin.keyed").incr();
+    names::MINIDB_SEMIJOIN_COUNT.incr();
+    names::MINIDB_SEMIJOIN_KEYED.incr();
 }
 
 /// Record stats for the operator at `path`.
@@ -112,33 +112,50 @@ fn record(prof: &mut Option<PlanProfile>, start: Option<Instant>, path: &[u16], 
     }
 }
 
-/// Wait and hold times of the visibility gate, per side: `*_wait` runs
-/// from asking for the gate to getting it, `*_hold` from getting it to
-/// releasing it (a [`Txn`] or [`ReadTxn`] dropping). The handles are
-/// fetched from the registry once, so taking the gate does no map
-/// lookup.
-struct GateMetrics {
-    read_wait: Arc<obs::Histogram>,
-    read_hold: Arc<obs::Histogram>,
-    write_wait: Arc<obs::Histogram>,
-    write_hold: Arc<obs::Histogram>,
-}
-
-fn gate_metrics() -> &'static GateMetrics {
-    static METRICS: OnceLock<GateMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| {
-        let reg = obs::global();
-        GateMetrics {
-            read_wait: reg.histogram("minidb.gate.read_wait"),
-            read_hold: reg.histogram("minidb.gate.read_hold"),
-            write_wait: reg.histogram("minidb.gate.write_wait"),
-            write_hold: reg.histogram("minidb.gate.write_hold"),
-        }
-    })
-}
-
 fn nanos_between(from: Instant, to: Instant) -> u64 {
     to.duration_since(from).as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Stages of a written checkpoint, as indexes into [`CheckpointStages`].
+const ENCODE: usize = 0;
+const WRITE: usize = 1;
+const SYNC: usize = 2;
+
+/// A written checkpoint's wall time per stage (encode, write, sync). The
+/// steps of one stage are not contiguous, so each step's time is added
+/// to its stage as it ends, and [`CheckpointStages::finish`] records each
+/// stage's sum once the checkpoint is written: the three histograms count
+/// written checkpoints, not steps (a checkpoint that fails part-way
+/// records none), and together cover `wal.checkpoint` except for the
+/// writer-lock wait.
+struct CheckpointStages {
+    last: Instant,
+    nanos: [u64; 3],
+}
+
+impl CheckpointStages {
+    fn start() -> CheckpointStages {
+        CheckpointStages { last: Instant::now(), nanos: [0; 3] }
+    }
+
+    /// Charge the time since the previous step ended to `stage`.
+    fn end(&mut self, stage: usize) {
+        let now = Instant::now();
+        self.nanos[stage] += nanos_between(self.last, now);
+        self.last = now;
+    }
+
+    /// Record each stage's sum: called once the checkpoint is written.
+    fn finish(self) {
+        let stages = [
+            &names::WAL_CHECKPOINT_ENCODE,
+            &names::WAL_CHECKPOINT_WRITE,
+            &names::WAL_CHECKPOINT_SYNC,
+        ];
+        for (histogram, nanos) in stages.into_iter().zip(self.nanos) {
+            histogram.record(nanos);
+        }
+    }
 }
 
 /// Durable-mode state: the VFS the database lives on plus the
@@ -248,9 +265,14 @@ impl Database {
     /// and fault injection ([`crate::wal::FaultyVfs`]).
     pub fn open_with(vfs: Arc<dyn Vfs>, opts: WalOptions) -> Result<Database> {
         // 1. Snapshot, if any.
-        let (mut db, snap_lsn) = match vfs.read(SNAPSHOT_FILE)? {
-            Some(bytes) => crate::snapshot::load_snapshot_bytes(&bytes)?,
-            None => (Database::new(), 0),
+        // A checkpoint is idle while the snapshot on disk covers the
+        // last commit and the log holds no transaction.
+        let (mut db, snap_lsn, snapshotted) = match vfs.read(SNAPSHOT_FILE)? {
+            Some(bytes) => {
+                let (db, lsn) = crate::snapshot::load_snapshot_bytes(&bytes)?;
+                (db, lsn, true)
+            }
+            None => (Database::new(), 0, false),
         };
         // 2. WAL tail: replay committed transactions newer than the
         //    snapshot, then truncate away any torn / uncommitted
@@ -267,6 +289,9 @@ impl Database {
             }
             let mut recovered = 0u64;
             let valid_len = scan.valid_len;
+            // Transactions at or below the snapshot's LSN (a crash
+            // between the checkpoint's renames) still make the log busy.
+            let logged = !scan.txns.is_empty();
             for (lsn, records) in scan.txns {
                 if lsn <= snap_lsn {
                     continue;
@@ -276,7 +301,7 @@ impl Database {
                     DbError::Corrupt(format!("wal replay failed at lsn {lsn}: {e}"))
                 })?;
             }
-            obs::global().counter("wal.recovered_records").add(recovered);
+            names::WAL_RECOVERED_RECORDS.add(recovered);
             if (bytes.len() as u64) > valid_len {
                 vfs.set_len(WAL_FILE, valid_len)?;
             }
@@ -285,6 +310,7 @@ impl Database {
                 next_lsn: scan.next_lsn.max(snap_lsn + 1),
                 policy: opts.sync,
                 unsynced: 0,
+                snapshot_current: snapshotted && !logged,
             }
         } else {
             // Fresh log, installed atomically (tmp + rename) so a
@@ -301,6 +327,7 @@ impl Database {
                 next_lsn: base,
                 policy: opts.sync,
                 unsynced: 0,
+                snapshot_current: snapshotted,
             }
         };
         db.dur = Some(Durability { vfs, writer: Mutex::new(writer) });
@@ -351,7 +378,7 @@ impl Database {
         let waited = Instant::now();
         let state = self.state.write();
         let acquired = Instant::now();
-        gate_metrics().write_wait.record(nanos_between(waited, acquired));
+        names::MINIDB_GATE_WRITE_WAIT.record(nanos_between(waited, acquired));
         Txn { db: self, wal, state, pending: Vec::new(), dirty: false, acquired, _mark: mark }
     }
 
@@ -364,7 +391,7 @@ impl Database {
         let waited = Instant::now();
         let state = self.state.read();
         let acquired = Instant::now();
-        gate_metrics().read_wait.record(nanos_between(waited, acquired));
+        names::MINIDB_GATE_READ_WAIT.record(nanos_between(waited, acquired));
         ReadTxn { db: self, state, acquired, _mark: mark }
     }
 
@@ -380,31 +407,47 @@ impl Database {
     /// the log stays short. Returns the stamped LSN. Commits are
     /// excluded for the duration (writer lock held); the state is read
     /// under a shared hold of the gate, so queries keep running.
+    ///
+    /// A checkpoint with nothing to write — the snapshot on disk is
+    /// stamped with the last committed LSN and the log holds no
+    /// transaction — returns that LSN without touching a file.
     pub fn checkpoint(&self) -> Result<u64> {
         let Some(dur) = &self.dur else {
             return Err(DbError::Io("checkpoint: database is not durable".into()));
         };
-        let reg = obs::global();
-        let _span = reg.span("wal.checkpoint");
+        let _span = names::WAL_CHECKPOINT.span();
         let mut w = dur.writer.lock();
+        let lsn = w.next_lsn.saturating_sub(1);
+        if w.snapshot_current {
+            return Ok(lsn);
+        }
+        let mut stages = CheckpointStages::start();
         // Batched commits must be on disk before the snapshot claims
         // to cover them.
         w.sync()?;
-        let lsn = w.next_lsn.saturating_sub(1);
+        stages.end(SYNC);
         let snap = self.snapshot_bytes(lsn)?;
+        stages.end(ENCODE);
         let mut f = dur.vfs.create(SNAPSHOT_TMP)?;
         f.append(&snap)?;
+        stages.end(WRITE);
         f.sync()?;
+        stages.end(SYNC);
         drop(f);
         dur.vfs.rename(SNAPSHOT_TMP, SNAPSHOT_FILE)?;
         let mut f = dur.vfs.create(WAL_TMP)?;
         f.append(&encode_wal_header(lsn + 1))?;
+        stages.end(WRITE);
         f.sync()?;
+        stages.end(SYNC);
         drop(f);
         dur.vfs.rename(WAL_TMP, WAL_FILE)?;
         w.file = dur.vfs.open_append(WAL_FILE)?;
+        stages.end(WRITE);
+        stages.finish();
         w.unsynced = 0;
-        reg.counter("wal.checkpoints").incr();
+        w.snapshot_current = true;
+        names::WAL_CHECKPOINTS.incr();
         Ok(lsn)
     }
 
@@ -941,7 +984,7 @@ pub struct Txn<'a> {
 
 impl Drop for Txn<'_> {
     fn drop(&mut self) {
-        gate_metrics().write_hold.record(nanos_between(self.acquired, Instant::now()));
+        names::MINIDB_GATE_WRITE_HOLD.record(nanos_between(self.acquired, Instant::now()));
     }
 }
 
@@ -1083,7 +1126,7 @@ impl Txn<'_> {
         }
         if self.dirty {
             self.db.watermark.fetch_add(1, AtomicOrdering::SeqCst);
-            obs::global().counter("minidb.txn.commits").incr();
+            names::MINIDB_TXN_COMMITS.incr();
         }
         Ok(())
     }
@@ -1106,7 +1149,7 @@ pub struct ReadTxn<'a> {
 
 impl Drop for ReadTxn<'_> {
     fn drop(&mut self) {
-        gate_metrics().read_hold.record(nanos_between(self.acquired, Instant::now()));
+        names::MINIDB_GATE_READ_HOLD.record(nanos_between(self.acquired, Instant::now()));
     }
 }
 
@@ -1479,20 +1522,44 @@ mod tests {
     #[test]
     fn gate_wait_and_hold_are_recorded() {
         let db = db();
-        let m = gate_metrics();
-        let counts = |m: &GateMetrics| {
-            [m.read_wait.count(), m.read_hold.count(), m.write_wait.count(), m.write_hold.count()]
+        let counts = || {
+            [
+                names::MINIDB_GATE_READ_WAIT.count(),
+                names::MINIDB_GATE_READ_HOLD.count(),
+                names::MINIDB_GATE_WRITE_WAIT.count(),
+                names::MINIDB_GATE_WRITE_HOLD.count(),
+            ]
         };
-        // Other tests share the process-global registry and run in
+        // Other tests share the process-global instruments and run in
         // parallel, so only lower bounds hold.
-        let before = counts(m);
+        let before = counts();
         let rt = db.begin_read();
-        assert!(m.read_wait.count() > before[0]);
+        assert!(names::MINIDB_GATE_READ_WAIT.count() > before[0]);
         drop(rt);
         db.txn().commit().unwrap();
-        let after = counts(m);
+        let after = counts();
         for (b, a) in before.iter().zip(after) {
             assert!(a > *b, "before {before:?} after {after:?}");
+        }
+    }
+
+    /// A written checkpoint records each of its stages once. Other
+    /// tests checkpoint in parallel, so only lower bounds hold.
+    #[test]
+    fn a_checkpoint_records_its_stages() {
+        let stages = [
+            &names::WAL_CHECKPOINT_ENCODE,
+            &names::WAL_CHECKPOINT_WRITE,
+            &names::WAL_CHECKPOINT_SYNC,
+        ];
+        let before = stages.map(|h| h.count());
+        let vfs = Arc::new(crate::wal::MemVfs::new());
+        let db = Database::open_with(vfs, crate::wal::WalOptions::default()).unwrap();
+        db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
+            .unwrap();
+        db.checkpoint().unwrap();
+        for (h, b) in stages.iter().zip(before) {
+            assert!(h.count() > b, "{} recorded nothing", h.name());
         }
     }
 

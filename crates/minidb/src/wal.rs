@@ -52,6 +52,7 @@ use crate::error::{DbError, Result};
 use crate::expr::{ArithOp, CmpOp, Expr};
 use crate::snapshot::{dtype_code, dtype_from, Dec, Enc};
 use crate::table::{Column, Row, TableSchema};
+use obs::names;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::Write;
@@ -1008,6 +1009,10 @@ pub(crate) struct WalWriter {
     pub(crate) policy: SyncPolicy,
     /// Commits appended since the last successful sync.
     pub(crate) unsynced: u32,
+    /// True while the snapshot on disk is stamped with the last committed
+    /// LSN and this log holds no transaction, so a checkpoint would
+    /// rewrite the same snapshot (see [`crate::db::Database::checkpoint`]).
+    pub(crate) snapshot_current: bool,
 }
 
 impl WalWriter {
@@ -1020,10 +1025,11 @@ impl WalWriter {
             write_frame(&mut buf, r);
         }
         write_frame(&mut buf, &WalRecord::Commit { lsn }.encode());
+        // Even a failed append may have left a transaction's bytes.
+        self.snapshot_current = false;
         self.file.append(&buf)?;
-        let reg = obs::global();
-        reg.counter("wal.appends").add(records.len() as u64 + 1);
-        reg.counter("wal.bytes").add(buf.len() as u64);
+        names::WAL_APPENDS.add(records.len() as u64 + 1);
+        names::WAL_BYTES.add(buf.len() as u64);
         self.next_lsn += 1;
         self.unsynced += 1;
         match self.policy {
@@ -1042,12 +1048,11 @@ impl WalWriter {
         if self.unsynced == 0 {
             return Ok(());
         }
-        let reg = obs::global();
         {
-            let _fsync = reg.span("wal.fsync");
+            let _fsync = names::WAL_FSYNC.span();
             self.file.sync()?;
         }
-        reg.counter("wal.fsyncs").incr();
+        names::WAL_FSYNCS.incr();
         self.unsynced = 0;
         Ok(())
     }

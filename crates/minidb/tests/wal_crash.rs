@@ -408,9 +408,9 @@ fn checkpoint_truncates_log_and_tail_replays() {
     }
     drop(db);
 
-    let before = obs::global().counter("wal.recovered_records").get();
+    let before = obs::names::WAL_RECOVERED_RECORDS.get();
     let recovered = open_mem(vfs.crashed_copy(), SyncPolicy::EveryCommit);
-    let tail_records = obs::global().counter("wal.recovered_records").get() - before;
+    let tail_records = obs::names::WAL_RECOVERED_RECORDS.get() - before;
     assert_eq!(recovered.last_lsn(), ops.len() as u64);
     // Only the 40 post-checkpoint transactions replayed (each carries
     // at least one record; other tests may add counts in parallel, so

@@ -1,41 +1,45 @@
 //! Observability layer for the myLEAD catalog stack.
 //!
-//! Dependency-light (std + `parking_lot`): a process-global
-//! [`MetricsRegistry`] of named [`Counter`]s, [`Gauge`]s, and
-//! log-scaled latency [`Histogram`]s, plus [`Span`] timers that feed
-//! histograms and a bounded ring of slow-operation events.
+//! Dependency-light (std + `parking_lot`): [`Counter`]s, [`Gauge`]s
+//! and log-scaled latency [`Histogram`]s, [`Span`] timers that feed
+//! histograms, and a bounded ring of slow-operation events kept by a
+//! [`MetricsRegistry`].
 //!
-//! # Naming
+//! # The catalogue
 //!
-//! Metric and span names follow `layer.operation[.qualifier]`, e.g.
-//! `catalog.shred`, `minidb.execute`, `service.request.query`,
-//! `service.errors.oversized`. Dots sort related metrics together in
-//! snapshots; every layer creates its instruments lazily through the
-//! registry, so an idle layer contributes nothing.
+//! Every instrument the stack records is a static in [`names`], named
+//! `layer.operation[.qualifier]` (`catalog.shred`,
+//! `service.request.query`, `service.errors.oversized`). Layers record
+//! through those handles; [`names::ALL`] lists them, and the snapshot
+//! `STATS` returns walks that list, so it reports every instrument,
+//! zeros included, sorted by name.
 //!
 //! # Reading latencies
 //!
 //! Histograms bucket durations on a log scale (four sub-buckets per
 //! power of two, ≤ 12.5% representative error). Snapshots report
-//! `count`, `p50_us`, `p95_us`, `p99_us`, and `max_us` per histogram.
+//! `count`, `p50_us`, `p95_us`, `p99_us`, `max_us` and `sum_ms` per
+//! histogram.
 //!
 //! # Typical use
 //!
 //! ```
-//! let reg = obs::MetricsRegistry::new();
-//! reg.counter("catalog.ingest.docs").incr();
+//! use obs::names;
+//!
+//! let docs = names::CATALOG_INGEST_DOCS.get();
 //! {
-//!     let _span = reg.span("catalog.shred");
+//!     let _span = names::CATALOG_SHRED.span();
 //!     // ... timed work ...
 //! }
-//! assert_eq!(reg.counter("catalog.ingest.docs").get(), 1);
-//! assert_eq!(reg.histogram("catalog.shred").count(), 1);
+//! names::CATALOG_INGEST_DOCS.incr();
+//! assert!(names::CATALOG_INGEST_DOCS.get() > docs);
+//! assert!(names::CATALOG_SHRED.count() >= 1);
 //! ```
 //!
-//! Layers that should share one view of the process use
-//! [`global()`].
+//! Spans that cross the slow threshold land in [`global()`]'s ring.
 
 mod metrics;
+pub mod names;
 mod registry;
 mod span;
 
@@ -43,10 +47,9 @@ pub use metrics::{Counter, Gauge, Histogram};
 pub use registry::{MetricsRegistry, SlowEvent};
 pub use span::Span;
 
-use std::sync::OnceLock;
-
-/// The process-global registry shared by all instrumented layers.
+/// The process-global registry: the slow ring every span reports to,
+/// and the snapshot `STATS` returns.
 pub fn global() -> &'static MetricsRegistry {
-    static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-    GLOBAL.get_or_init(MetricsRegistry::new)
+    static GLOBAL: MetricsRegistry = MetricsRegistry::new();
+    &GLOBAL
 }

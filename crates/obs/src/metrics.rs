@@ -1,17 +1,28 @@
 //! Lock-free instruments: counters, gauges, and log-scaled latency
-//! histograms.
+//! histograms. Each carries its `layer.operation` name and is
+//! const-constructed, so the catalogue in [`crate::names`] is a list of
+//! statics.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
+use crate::span::Span;
+
 /// Monotonically increasing event count.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Counter {
+    name: &'static str,
     value: AtomicU64,
 }
 
 impl Counter {
-    pub(crate) fn new() -> Counter {
-        Counter { value: AtomicU64::new(0) }
+    /// A zeroed counter named `name`.
+    pub const fn new(name: &'static str) -> Counter {
+        Counter { name, value: AtomicU64::new(0) }
+    }
+
+    /// The `layer.operation` name `STATS` reports it under.
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Add one.
@@ -31,14 +42,21 @@ impl Counter {
 }
 
 /// Instantaneous signed level (queue depths, open connections).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Gauge {
+    name: &'static str,
     value: AtomicI64,
 }
 
 impl Gauge {
-    pub(crate) fn new() -> Gauge {
-        Gauge { value: AtomicI64::new(0) }
+    /// A zeroed gauge named `name`.
+    pub const fn new(name: &'static str) -> Gauge {
+        Gauge { name, value: AtomicI64::new(0) }
+    }
+
+    /// The `layer.operation` name `STATS` reports it under.
+    pub fn name(&self) -> &'static str {
+        self.name
     }
 
     /// Replace the level.
@@ -70,7 +88,8 @@ const BUCKETS: usize = 252;
 /// latency percentiles.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: Box<[AtomicU64; BUCKETS]>,
+    name: &'static str,
+    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
@@ -99,13 +118,27 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
 }
 
 impl Histogram {
-    pub(crate) fn new() -> Histogram {
+    /// An empty histogram named `name`.
+    pub const fn new(name: &'static str) -> Histogram {
         Histogram {
-            buckets: Box::new([0u64; BUCKETS].map(AtomicU64::new)),
+            name,
+            buckets: [const { AtomicU64::new(0) }; BUCKETS],
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
+    }
+
+    /// The `layer.operation` name `STATS` reports it under, and the
+    /// name its slow spans carry in the slow ring.
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// Start timing a region: the [`Span`] records its wall time here
+    /// when dropped.
+    pub fn span(&self) -> Span<'_> {
+        Span::start(self)
     }
 
     /// Record one duration in nanoseconds.
@@ -159,12 +192,12 @@ mod tests {
 
     #[test]
     fn counter_and_gauge_basics() {
-        let c = Counter::new();
+        let c = Counter::new("t.count");
         c.incr();
         c.add(4);
         assert_eq!(c.get(), 5);
 
-        let g = Gauge::new();
+        let g = Gauge::new("t.level");
         g.set(10);
         g.add(-3);
         assert_eq!(g.get(), 7);
@@ -191,7 +224,7 @@ mod tests {
 
     #[test]
     fn quantiles_are_ordered_and_bounded() {
-        let h = Histogram::new();
+        let h = Histogram::new("t.lat");
         assert_eq!(h.quantile(0.5), None);
         for v in 1..=1000u64 {
             h.record(v * 1_000); // 1us .. 1ms
@@ -209,7 +242,7 @@ mod tests {
 
     #[test]
     fn extreme_values_do_not_panic() {
-        let h = Histogram::new();
+        let h = Histogram::new("t.lat");
         h.record(0);
         h.record(u64::MAX);
         assert_eq!(h.count(), 2);

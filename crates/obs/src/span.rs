@@ -2,25 +2,25 @@
 
 use std::time::Instant;
 
-use crate::registry::MetricsRegistry;
+use crate::metrics::Histogram;
 
 /// Times a region of code; on drop, records the elapsed wall time
-/// into the histogram named after the span and — when the registry's
-/// slow threshold is set and exceeded — into the slow-event ring.
+/// into its histogram and — when the global registry's slow threshold
+/// is set and exceeded — into the slow-event ring under the
+/// histogram's name.
 ///
-/// Created via [`MetricsRegistry::span`]. Attach context for the slow
-/// log (e.g. the query text) with [`Span::set_detail`].
+/// Started by [`Histogram::span`]. Attach context for the slow log
+/// (e.g. the query text) with [`Span::set_detail`].
 #[must_use = "a span measures until dropped; binding it to _ drops it immediately"]
 pub struct Span<'a> {
-    registry: &'a MetricsRegistry,
-    name: &'static str,
+    histogram: &'a Histogram,
     start: Instant,
     detail: Option<String>,
 }
 
 impl<'a> Span<'a> {
-    pub(crate) fn start(registry: &'a MetricsRegistry, name: &'static str) -> Span<'a> {
-        Span { registry, name, start: Instant::now(), detail: None }
+    pub(crate) fn start(histogram: &'a Histogram) -> Span<'a> {
+        Span { histogram, start: Instant::now(), detail: None }
     }
 
     /// Attach context shown in the slow log if this span is slow.
@@ -37,10 +37,11 @@ impl<'a> Span<'a> {
 impl Drop for Span<'_> {
     fn drop(&mut self) {
         let nanos = self.elapsed_nanos();
-        self.registry.histogram(self.name).record(nanos);
-        let threshold = self.registry.slow_threshold_nanos();
+        self.histogram.record(nanos);
+        let registry = crate::global();
+        let threshold = registry.slow_threshold_nanos();
         if threshold > 0 && nanos >= threshold {
-            self.registry.record_slow(self.name, nanos, self.detail.take());
+            registry.record_event(self.histogram.name(), nanos, self.detail.take());
         }
     }
 }
@@ -49,36 +50,54 @@ impl Drop for Span<'_> {
 mod tests {
     use std::time::Duration;
 
-    use crate::MetricsRegistry;
+    use crate::Histogram;
 
     #[test]
     fn span_feeds_histogram() {
-        let reg = MetricsRegistry::new();
+        let h = Histogram::new("layer.op");
         {
-            let _span = reg.span("layer.op");
+            let _span = h.span();
             std::thread::sleep(Duration::from_millis(2));
         }
-        let h = reg.histogram("layer.op");
         assert_eq!(h.count(), 1);
         assert!(h.max_nanos() >= 2_000_000, "slept 2ms, saw {}", h.max_nanos());
     }
 
+    /// The only test in this crate that sets the global slow threshold;
+    /// it looks for its own events by name, so other tests' spans
+    /// cannot disturb it.
     #[test]
     fn slow_span_lands_in_ring_with_detail() {
-        let reg = MetricsRegistry::new();
+        static SLOW: Histogram = Histogram::new("test.span.slow");
+        static FAST: Histogram = Histogram::new("test.span.fast");
+        static OFF: Histogram = Histogram::new("test.span.off");
+        let reg = crate::global();
+        let mine = |name: &str| {
+            reg.slow_events().into_iter().filter(|e| e.name == name).collect::<Vec<_>>()
+        };
+        // Disabled by default: spans never enter the ring.
+        assert_eq!(reg.slow_threshold_nanos(), 0);
+        {
+            let _span = OFF.span();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(OFF.count(), 1);
+        assert!(mine("test.span.off").is_empty());
+
         reg.set_slow_threshold(Duration::from_nanos(1));
         {
-            let mut span = reg.span("layer.slow");
+            let mut span = SLOW.span();
             span.set_detail("SELECT everything");
         }
-        let events = reg.slow_events();
+        let events = mine("test.span.slow");
         assert_eq!(events.len(), 1);
-        assert_eq!(events[0].name, "layer.slow");
         assert_eq!(events[0].detail.as_deref(), Some("SELECT everything"));
 
         // Fast spans stay out when the threshold is high.
         reg.set_slow_threshold(Duration::from_secs(60));
-        drop(reg.span("layer.fast"));
-        assert_eq!(reg.slow_events().len(), 1);
+        drop(FAST.span());
+        reg.set_slow_threshold(Duration::ZERO);
+        assert!(mine("test.span.fast").is_empty());
+        assert_eq!(FAST.count(), 1);
     }
 }

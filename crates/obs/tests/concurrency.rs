@@ -1,48 +1,45 @@
-//! Correctness of the registry under concurrent writers, and
-//! histogram quantile accuracy bounds.
+//! Correctness of the instruments and the slow ring under concurrent
+//! writers, and histogram quantile accuracy bounds. Each test records
+//! into instruments of its own, so tests running in parallel in this
+//! binary cannot disturb one another's counts.
 
 use std::time::Duration;
 
-use obs::MetricsRegistry;
+use obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 const THREADS: usize = 8;
 const PER_THREAD: u64 = 10_000;
 
 #[test]
 fn counters_are_exact_under_contention() {
-    let reg = MetricsRegistry::new();
+    static HITS: Counter = Counter::new("test.hits");
+    static OTHER: Counter = Counter::new("test.other");
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             scope.spawn(|| {
-                let c = reg.counter("test.hits");
                 for _ in 0..PER_THREAD {
-                    c.incr();
+                    HITS.incr();
                 }
-                // Interleave fresh lookups with held handles to cover
-                // the read-lock fast path and the create path.
-                reg.counter("test.other").add(2);
+                OTHER.add(2);
             });
         }
     });
-    assert_eq!(reg.counter("test.hits").get(), THREADS as u64 * PER_THREAD);
-    assert_eq!(reg.counter("test.other").get(), THREADS as u64 * 2);
+    assert_eq!(HITS.get(), THREADS as u64 * PER_THREAD);
+    assert_eq!(OTHER.get(), THREADS as u64 * 2);
 }
 
 #[test]
 fn histogram_count_and_sum_are_exact_under_contention() {
-    let reg = MetricsRegistry::new();
-    let reg = &reg;
+    let h = &Histogram::new("test.lat");
     std::thread::scope(|scope| {
         for t in 0..THREADS as u64 {
             scope.spawn(move || {
-                let h = reg.histogram("test.lat");
                 for i in 0..PER_THREAD {
                     h.record(t * PER_THREAD + i);
                 }
             });
         }
     });
-    let h = reg.histogram("test.lat");
     let n = THREADS as u64 * PER_THREAD;
     assert_eq!(h.count(), n);
     assert_eq!(h.sum_nanos(), n * (n - 1) / 2, "sum of 0..n");
@@ -51,11 +48,10 @@ fn histogram_count_and_sum_are_exact_under_contention() {
 
 #[test]
 fn gauge_adds_balance_out() {
-    let reg = MetricsRegistry::new();
+    let g = Gauge::new("test.inflight");
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             scope.spawn(|| {
-                let g = reg.gauge("test.inflight");
                 for _ in 0..PER_THREAD {
                     g.add(1);
                     g.add(-1);
@@ -63,29 +59,52 @@ fn gauge_adds_balance_out() {
             });
         }
     });
-    assert_eq!(reg.gauge("test.inflight").get(), 0);
+    assert_eq!(g.get(), 0);
 }
 
 #[test]
-fn slow_ring_stays_bounded_under_concurrent_spans() {
+fn slow_ring_keeps_sequence_order_under_concurrent_events() {
     let reg = MetricsRegistry::new();
-    reg.set_slow_threshold(Duration::from_nanos(1));
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
             scope.spawn(|| {
                 for i in 0..500 {
-                    let mut span = reg.span("test.op");
-                    span.set_detail(format!("op {i}"));
+                    reg.record_event("test.op", i, Some(format!("op {i}")));
                 }
             });
         }
     });
     let events = reg.slow_events();
-    assert!(events.len() <= 128, "ring overflowed: {}", events.len());
-    assert!(!events.is_empty());
+    assert_eq!(events.len(), 128, "the ring keeps exactly its capacity");
     // Sequence numbers strictly increase oldest -> newest.
     assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
-    assert_eq!(reg.histogram("test.op").count(), THREADS as u64 * 500);
+    assert_eq!(events.last().unwrap().seq, THREADS as u64 * 500 - 1);
+}
+
+/// Spans ending on many threads at once reach the global ring in
+/// sequence order. The only test in this binary that touches the
+/// global ring or its threshold.
+#[test]
+fn slow_ring_stays_bounded_under_concurrent_spans() {
+    static OP: Histogram = Histogram::new("test.span_op");
+    let reg = obs::global();
+    reg.set_slow_threshold(Duration::from_nanos(1));
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            scope.spawn(|| {
+                for i in 0..500 {
+                    let mut span = OP.span();
+                    span.set_detail(format!("op {i}"));
+                }
+            });
+        }
+    });
+    reg.set_slow_threshold(Duration::ZERO);
+    let events = reg.slow_events();
+    assert!(events.len() <= 128, "ring overflowed: {}", events.len());
+    assert!(events.iter().any(|e| e.name == "test.span_op"));
+    assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
+    assert_eq!(OP.count(), THREADS as u64 * 500);
 }
 
 /// The histogram's bucket scheme promises ≤ 12.5% representative
@@ -93,8 +112,7 @@ fn slow_ring_stays_bounded_under_concurrent_spans() {
 /// distribution.
 #[test]
 fn quantile_error_is_within_bucket_resolution() {
-    let reg = MetricsRegistry::new();
-    let h = reg.histogram("test.dist");
+    let h = Histogram::new("test.dist");
     // Log-uniform-ish spread across five decades.
     let mut values: Vec<u64> = Vec::new();
     for decade in 0..5u32 {

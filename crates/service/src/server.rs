@@ -30,27 +30,15 @@
 //! end threads parked on idle or trickling clients, or blocked writing
 //! to a client that stopped reading.
 //!
-//! Every request is instrumented through [`obs::global`]: request
-//! counters and latency histograms per operation
-//! (`service.requests.<op>`, `service.request.<op>`), error counters
-//! by kind (`service.errors.{malformed, oversized, catalog,
-//! connection, unknown}`), body-byte accounting, an open-connection
-//! gauge (`service.connections`), permit health (`service.pool.size`
-//! permits, `service.pool.busy` permits held, `service.pool.queue_depth`
-//! requests waiting for a permit, the `service.pool.queue_wait`
-//! histogram of how long each of them waited;
-//! `service.pool.dispatched` permits granted, `service.pool.rejected`
-//! connections refused at the cap, `service.pool.panics`), shedding
-//! (`service.shed.{queue_wait, draining}`), and drain outcomes
-//! (`service.draining` gauge; `service.drain.{clean, forced,
-//! checkpoints}` counters). `STATS`
-//! returns the full registry snapshot; `SLOWLOG` reads (and `SLOWLOG
-//! <ms>` configures) the slow-query ring.
+//! Every request, error, permit, shed and drain is recorded through the
+//! `service.*` instruments of [`obs::names`], which documents each one.
+//! `STATS` returns the whole catalogue's snapshot; `SLOWLOG` reads (and
+//! `SLOWLOG <ms>` configures) the slow-query ring.
 
 use catalog::catalog::MetadataCatalog;
 use catalog::qparse::parse_query;
 use catalog::reqctx::RequestCtx;
-use obs::{Counter, Gauge, Histogram};
+use obs::{names, Histogram};
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -106,11 +94,6 @@ struct Shared {
     /// the start of a drain.
     held: Mutex<usize>,
     freed: Condvar,
-    busy: Arc<Gauge>,
-    waiting: Arc<Gauge>,
-    /// How long each request that found every permit held waited.
-    queue_wait: Arc<Histogram>,
-    granted: Arc<Counter>,
 }
 
 impl Shared {
@@ -122,28 +105,28 @@ impl Shared {
         let draining = || self.draining.load(Ordering::SeqCst);
         let mut held = self.held.lock().expect("permits poisoned");
         if *held >= WORKERS && !draining() {
-            self.waiting.add(1);
+            names::SERVICE_POOL_QUEUE_DEPTH.add(1);
             let queued = Instant::now();
             held = self
                 .freed
                 .wait_timeout_while(held, QUEUE_WAIT, |h| *h >= WORKERS && !draining())
                 .expect("permits poisoned")
                 .0;
-            self.queue_wait.record(queued.elapsed().as_nanos() as u64);
-            self.waiting.add(-1);
+            names::SERVICE_POOL_QUEUE_WAIT.record(queued.elapsed().as_nanos() as u64);
+            names::SERVICE_POOL_QUEUE_DEPTH.add(-1);
         }
         if draining() {
-            obs::global().counter("service.shed.draining").incr();
+            names::SERVICE_SHED_DRAINING.incr();
             return Err("busy draining");
         }
         if *held >= WORKERS {
-            obs::global().counter("service.shed.queue_wait").incr();
+            names::SERVICE_SHED_QUEUE_WAIT.incr();
             return Err("busy queue-wait exceeded");
         }
         *held += 1;
         drop(held);
-        self.busy.add(1);
-        self.granted.incr();
+        names::SERVICE_POOL_BUSY.add(1);
+        names::SERVICE_POOL_DISPATCHED.incr();
         let _permit = Permit(self);
         Ok(f())
     }
@@ -158,7 +141,7 @@ impl Drop for Permit<'_> {
         // A decrement leaves the count valid even under a poisoned
         // lock, and a drop must not panic.
         *self.0.held.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
-        self.0.busy.add(-1);
+        names::SERVICE_POOL_BUSY.add(-1);
         self.0.freed.notify_one();
     }
 }
@@ -171,14 +154,14 @@ struct ConnGuard(Arc<Shared>);
 impl ConnGuard {
     fn new(shared: Arc<Shared>) -> ConnGuard {
         shared.connections.fetch_add(1, Ordering::SeqCst);
-        obs::global().gauge("service.connections").add(1);
+        names::SERVICE_CONNECTIONS.add(1);
         ConnGuard(shared)
     }
 }
 
 impl Drop for ConnGuard {
     fn drop(&mut self) {
-        obs::global().gauge("service.connections").add(-1);
+        names::SERVICE_CONNECTIONS.add(-1);
         self.0.connections.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -202,8 +185,7 @@ impl CatalogServer {
         let bound = listener.local_addr()?;
         // Nonblocking accept loop so `stop` is honored promptly.
         listener.set_nonblocking(true)?;
-        let reg = obs::global();
-        reg.gauge("service.pool.size").set(WORKERS as i64);
+        names::SERVICE_POOL_SIZE.set(WORKERS as i64);
         let shared = Arc::new(Shared {
             catalog,
             draining: AtomicBool::new(false),
@@ -211,10 +193,6 @@ impl CatalogServer {
             connections: AtomicUsize::new(0),
             held: Mutex::new(0),
             freed: Condvar::new(),
-            busy: reg.gauge("service.pool.busy"),
-            waiting: reg.gauge("service.pool.queue_depth"),
-            queue_wait: reg.histogram("service.pool.queue_wait"),
-            granted: reg.counter("service.pool.dispatched"),
         });
         let acceptor = shared.clone();
         let accept_thread = std::thread::spawn(move || accept_loop(&listener, &acceptor));
@@ -233,9 +211,8 @@ impl CatalogServer {
     /// Idempotent.
     pub fn stop(&mut self) {
         let Some(accept_thread) = self.accept_thread.take() else { return };
-        let reg = obs::global();
         let shared = &*self.shared;
-        reg.gauge("service.draining").set(1);
+        names::SERVICE_DRAINING.set(1);
         // 1. Drain: the accept loop ends, and permit waiters wake to
         // shed. The flag flips under the permit lock so no waiter
         // misses the wake-up.
@@ -250,11 +227,11 @@ impl CatalogServer {
         let deadline = Instant::now() + DRAIN_TIMEOUT;
         loop {
             if *shared.held.lock().expect("permits poisoned") == 0 {
-                reg.counter("service.drain.clean").incr();
+                names::SERVICE_DRAIN_CLEAN.incr();
                 break;
             }
             if Instant::now() >= deadline {
-                reg.counter("service.drain.forced").incr();
+                names::SERVICE_DRAIN_FORCED.incr();
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
@@ -272,9 +249,9 @@ impl CatalogServer {
         // 4. Durable catalogs checkpoint on the way out, so restart
         // recovery replays a short WAL and loses nothing acked.
         if self.shared.catalog.is_durable() && self.shared.catalog.checkpoint().is_ok() {
-            reg.counter("service.drain.checkpoints").incr();
+            names::SERVICE_DRAIN_CHECKPOINTS.incr();
         }
-        reg.gauge("service.draining").set(0);
+        names::SERVICE_DRAINING.set(0);
     }
 }
 
@@ -287,12 +264,11 @@ impl Drop for CatalogServer {
 /// Accept until the server drains, giving each connection its own
 /// thread while fewer than [`MAX_CONNECTIONS`] are open.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let reg = obs::global();
     while !shared.draining.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((mut stream, _)) => {
                 if shared.connections.load(Ordering::SeqCst) >= MAX_CONNECTIONS {
-                    reg.counter("service.pool.rejected").incr();
+                    names::SERVICE_POOL_REJECTED.incr();
                     let _ = writeln!(stream, "ERR busy");
                     continue;
                 }
@@ -300,14 +276,14 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 let spawned =
                     std::thread::Builder::new().spawn(move || connection_thread(stream, conn));
                 if spawned.is_err() {
-                    reg.counter("service.errors.connection").incr();
+                    names::SERVICE_ERRORS_CONNECTION.incr();
                 }
             }
             // A failed accept (an aborted handshake, fd exhaustion) is
             // counted, then the loop backs off and keeps accepting.
             Err(e) => {
                 if e.kind() != ErrorKind::WouldBlock {
-                    reg.counter("service.errors.connection").incr();
+                    names::SERVICE_ERRORS_CONNECTION.incr();
                 }
                 std::thread::sleep(Duration::from_millis(5));
             }
@@ -319,39 +295,37 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 /// ends only its own connection, and its guards release the permit and
 /// the connection slot while unwinding.
 fn connection_thread(stream: TcpStream, conn: ConnGuard) {
-    let reg = obs::global();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         serve_connection(stream, &conn.0)
     }));
     match outcome {
         // Connection-level I/O failures (torn reads, resets, non-UTF-8
         // lines) are accounted, not silently dropped.
-        Ok(Err(_)) => reg.counter("service.errors.connection").incr(),
+        Ok(Err(_)) => names::SERVICE_ERRORS_CONNECTION.incr(),
         Ok(Ok(())) => {}
-        Err(_) => reg.counter("service.pool.panics").incr(),
+        Err(_) => names::SERVICE_POOL_PANICS.incr(),
     }
 }
 
-/// Static metric names per operation, so spans and counters never
-/// allocate on the hot path.
-fn op_metric_names(cmd: &str) -> (&'static str, &'static str) {
+/// The `service.request.<op>` latency histogram of a command; its
+/// `.count` is the number of such requests.
+fn request_histogram(cmd: &str) -> &'static Histogram {
     match cmd {
-        "PING" => ("service.requests.ping", "service.request.ping"),
-        "QUIT" => ("service.requests.quit", "service.request.quit"),
-        "INGEST" => ("service.requests.ingest", "service.request.ingest"),
-        "ADD" => ("service.requests.add", "service.request.add"),
-        "QUERY" => ("service.requests.query", "service.request.query"),
-        "FETCH" => ("service.requests.fetch", "service.request.fetch"),
-        "SEARCH" => ("service.requests.search", "service.request.search"),
-        "STATS" => ("service.requests.stats", "service.request.stats"),
-        "SLOWLOG" => ("service.requests.slowlog", "service.request.slowlog"),
-        "CHECKPOINT" => ("service.requests.checkpoint", "service.request.checkpoint"),
-        _ => ("service.requests.unknown", "service.request.unknown"),
+        "PING" => &names::SERVICE_REQUEST_PING,
+        "QUIT" => &names::SERVICE_REQUEST_QUIT,
+        "INGEST" => &names::SERVICE_REQUEST_INGEST,
+        "ADD" => &names::SERVICE_REQUEST_ADD,
+        "QUERY" => &names::SERVICE_REQUEST_QUERY,
+        "FETCH" => &names::SERVICE_REQUEST_FETCH,
+        "SEARCH" => &names::SERVICE_REQUEST_SEARCH,
+        "STATS" => &names::SERVICE_REQUEST_STATS,
+        "SLOWLOG" => &names::SERVICE_REQUEST_SLOWLOG,
+        "CHECKPOINT" => &names::SERVICE_REQUEST_CHECKPOINT,
+        _ => &names::SERVICE_REQUEST_UNKNOWN,
     }
 }
 
 fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
-    let reg = obs::global();
     let catalog = &*shared.catalog;
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(READ_POLL))?;
@@ -371,7 +345,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             return Ok(());
         }
         if raw.len() > MAX_LINE {
-            reg.counter("service.errors.oversized").incr();
+            names::SERVICE_ERRORS_OVERSIZED.incr();
             writeln!(writer, "ERR command line exceeds the {MAX_LINE}-byte limit")?;
             return writer.flush();
         }
@@ -394,7 +368,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             match ms_str.parse::<u64>() {
                 Ok(ms) if ms > 0 => explicit_deadline_ms = Some(ms),
                 _ => {
-                    reg.counter("service.errors.malformed").incr();
+                    names::SERVICE_ERRORS_MALFORMED.incr();
                     // The wrapped command's body is already on its way:
                     // read it, or its bytes would run as commands.
                     let (wrapped, args) = rem.split_once(' ').unwrap_or((rem, ""));
@@ -416,9 +390,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             };
         }
         let cmd = cmd_raw.to_ascii_uppercase();
-        let (requests_counter, latency_span) = op_metric_names(&cmd);
-        reg.counter(requests_counter).incr();
-        let mut span = reg.span(latency_span);
+        let mut span = request_histogram(&cmd).span();
         if matches!(cmd.as_str(), "QUERY" | "SEARCH") && !rest.is_empty() {
             span.set_detail(rest);
         }
@@ -461,7 +433,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             }
             "ADD" => {
                 let Some((id_str, len_str)) = rest.split_once(' ') else {
-                    reg.counter("service.errors.malformed").incr();
+                    names::SERVICE_ERRORS_MALFORMED.incr();
                     writeln!(writer, "ERR ADD needs <object-id> <len>")?;
                     continue;
                 };
@@ -475,7 +447,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                     }
                 };
                 let Ok(id) = id_str.parse::<i64>() else {
-                    reg.counter("service.errors.malformed").incr();
+                    names::SERVICE_ERRORS_MALFORMED.incr();
                     writeln!(writer, "ERR bad object id")?;
                     continue;
                 };
@@ -502,7 +474,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                     .map(|s| s.trim().parse::<i64>())
                     .collect();
                 let Ok(ids) = ids else {
-                    reg.counter("service.errors.malformed").incr();
+                    names::SERVICE_ERRORS_MALFORMED.incr();
                     writeln!(writer, "ERR bad id list")?;
                     continue;
                 };
@@ -531,7 +503,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                 );
                 // Full observability snapshot rides on the same line so
                 // existing `k=v` parsers pick it up unchanged.
-                for (name, value) in reg.snapshot_kv() {
+                for (name, value) in obs::global().snapshot_kv() {
                     out.push_str(&format!(" {name}={value}"));
                 }
                 writeln!(writer, "{out}")?;
@@ -542,22 +514,22 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             },
             "SLOWLOG" => {
                 if rest.is_empty() {
-                    sized_reply(&mut writer, Ok(slowlog_dump(reg)))?;
+                    sized_reply(&mut writer, Ok(slowlog_dump(obs::global())))?;
                 } else {
                     match rest.trim().parse::<u64>() {
                         Ok(ms) => {
-                            reg.set_slow_threshold(std::time::Duration::from_millis(ms));
+                            obs::global().set_slow_threshold(Duration::from_millis(ms));
                             writeln!(writer, "OK threshold_ms={ms}")?;
                         }
                         Err(_) => {
-                            reg.counter("service.errors.malformed").incr();
+                            names::SERVICE_ERRORS_MALFORMED.incr();
                             writeln!(writer, "ERR bad threshold {rest:?}")?;
                         }
                     }
                 }
             }
             other => {
-                reg.counter("service.errors.unknown").incr();
+                names::SERVICE_ERRORS_UNKNOWN.incr();
                 writeln!(writer, "ERR unknown command {other}")?;
             }
         }
@@ -649,7 +621,7 @@ fn read_command(
 /// Reply `ERR <one-line message>` for a failed catalog operation and
 /// count it.
 fn err_reply(writer: &mut impl Write, msg: &str) -> std::io::Result<()> {
-    obs::global().counter("service.errors.catalog").incr();
+    names::SERVICE_ERRORS_CATALOG.incr();
     writeln!(writer, "ERR {}", one_line(msg))
 }
 
@@ -680,7 +652,7 @@ fn sized_reply<W: Write>(
 ) -> std::io::Result<()> {
     match body {
         Ok(body) => {
-            obs::global().counter("service.body_bytes_out").add(body.len() as u64);
+            names::SERVICE_BODY_BYTES_OUT.add(body.len() as u64);
             let head = format!("OK {}\n", body.len());
             writer.flush()?;
             write_all_vectored(
@@ -714,9 +686,8 @@ fn read_body(
     len_str: &str,
     shared: &Shared,
 ) -> std::result::Result<String, String> {
-    let reg = obs::global();
     let malformed = |msg: String| {
-        reg.counter("service.errors.malformed").incr();
+        names::SERVICE_ERRORS_MALFORMED.incr();
         msg
     };
     let len: usize = len_str
@@ -724,14 +695,14 @@ fn read_body(
         .parse()
         .map_err(|_| malformed(format!("bad length {len_str:?}")))?;
     if len > MAX_BODY {
-        reg.counter("service.errors.oversized").incr();
+        names::SERVICE_ERRORS_OVERSIZED.incr();
         return Err(format!("body of {len} bytes exceeds the {MAX_BODY}-byte limit"));
     }
     let mut buf = vec![0u8; len];
     let mut filled = 0;
     while filled < len {
         if shared.stopped.load(Ordering::Relaxed) {
-            reg.counter("service.shed.draining").incr();
+            names::SERVICE_SHED_DRAINING.incr();
             return Err("busy draining".into());
         }
         match reader.read(&mut buf[filled..]) {
@@ -741,7 +712,7 @@ fn read_body(
             Err(e) => return Err(malformed(format!("short body: {e}"))),
         }
     }
-    reg.counter("service.body_bytes_in").add(len as u64);
+    names::SERVICE_BODY_BYTES_IN.add(len as u64);
     String::from_utf8(buf).map_err(|_| malformed("body is not UTF-8".to_string()))
 }
 
@@ -765,7 +736,7 @@ mod tests {
         let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
         let server = CatalogServer::start(cat, "127.0.0.1:0").expect("server starts");
         let shared = server.shared.clone();
-        let gauge = obs::global().gauge("service.connections");
+        let gauge = &obs::names::SERVICE_CONNECTIONS;
         let before = gauge.get();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let _guard = ConnGuard::new(shared.clone());
@@ -816,9 +787,8 @@ mod tests {
         let env = format!("<results>{}</results>", "x".repeat(100_000));
         // A `SLOWLOG` dump larger than the writer's buffer.
         let reg = obs::MetricsRegistry::new();
-        reg.set_slow_threshold(std::time::Duration::from_nanos(1));
         for _ in 0..64 {
-            reg.span("catalog.search").set_detail("q".repeat(200));
+            reg.record_event("catalog.search", 1, Some("q".repeat(200)));
         }
         let dump = slowlog_dump(&reg);
         assert!(dump.len() > 8 * 1024, "{}", dump.len());

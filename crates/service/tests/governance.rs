@@ -118,7 +118,7 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
     let server = CatalogServer::start(cat, "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
-    let cancelled_before = obs::global().counter("catalog.cancelled.deadline").get();
+    let cancelled_before = obs::names::CATALOG_CANCELLED_DEADLINE.get();
 
     // Concurrent small queries on another permit must keep
     // succeeding while the first permit's request is being cancelled.
@@ -164,7 +164,7 @@ fn deadline_cancellation_is_bounded_while_small_queries_succeed() {
     let small_ok = small.join().unwrap();
     assert!(small_ok > 0, "the concurrent small-query client must make progress");
 
-    let cancelled_after = obs::global().counter("catalog.cancelled.deadline").get();
+    let cancelled_after = obs::names::CATALOG_CANCELLED_DEADLINE.get();
     assert!(
         cancelled_after >= cancelled_before + 5,
         "every cancelled round must be counted: before={cancelled_before} after={cancelled_after}"
@@ -186,7 +186,7 @@ fn overload_sheds_are_typed_busy_not_hangs() {
     let cat = Arc::new(lead_catalog(CatalogConfig::default()).unwrap());
     cat.ingest(FIG3_DOCUMENT).unwrap();
     let server = CatalogServer::start(cat.clone(), "127.0.0.1:0").unwrap();
-    let shed = || obs::global().counter("service.shed.queue_wait").get();
+    let shed = || obs::names::SERVICE_SHED_QUEUE_WAIT.get();
     let shed_before = shed();
 
     // An open transaction holds the commit-visibility gate, so each
@@ -201,7 +201,7 @@ fn overload_sheds_are_typed_busy_not_hangs() {
         .collect();
     // The gauge is process-wide, so it can only show that enough
     // permits are held somewhere; the sleep gives the last holders time.
-    let busy = obs::global().gauge("service.pool.busy");
+    let busy = &obs::names::SERVICE_POOL_BUSY;
     let started = Instant::now();
     while busy.get() < WORKERS as i64 && started.elapsed() < Duration::from_secs(5) {
         std::thread::sleep(Duration::from_millis(10));
@@ -298,7 +298,7 @@ fn idle_and_slow_body_clients_do_not_starve_active_clients() {
     println!("active client p99 over 200 QUERYs: {p99:?}");
     assert!(p99 < Duration::from_millis(500), "active client p99 {p99:?} must stay < 500 ms");
 
-    let clean = || obs::global().counter("service.drain.clean").get();
+    let clean = || obs::names::SERVICE_DRAIN_CLEAN.get();
     let clean_before = clean();
     let started = Instant::now();
     server.stop();
@@ -373,7 +373,7 @@ fn graceful_shutdown_under_load_loses_no_acked_ingest() {
     let mut server = CatalogServer::start(Arc::new(cat), "127.0.0.1:0").unwrap();
     let addr = server.addr();
 
-    let checkpoints_before = obs::global().counter("service.drain.checkpoints").get();
+    let checkpoints_before = obs::names::SERVICE_DRAIN_CHECKPOINTS.get();
 
     // Writers hammer INGEST until the server goes away, recording
     // every acknowledged object id. RetryClient absorbs transient
@@ -411,7 +411,7 @@ fn graceful_shutdown_under_load_loses_no_acked_ingest() {
     );
 
     // The graceful drain checkpointed the durable catalog.
-    let checkpoints_after = obs::global().counter("service.drain.checkpoints").get();
+    let checkpoints_after = obs::names::SERVICE_DRAIN_CHECKPOINTS.get();
     assert!(
         checkpoints_after > checkpoints_before,
         "graceful drain must checkpoint a durable catalog"

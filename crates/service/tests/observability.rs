@@ -1,14 +1,15 @@
-//! Regression tests for the service-layer observability: request and
-//! error counters, the registry-backed `STATS` reply (WAL fsync and
+//! Regression tests for the service-layer observability: request
+//! histograms and error counters, the `STATS` reply (WAL fsync and
 //! permit queue-wait latencies among it), and the slow log.
 //!
-//! All assertions on `obs::global()` use deltas with `>=` bounds —
-//! the registry is process-wide and other tests in this binary (or
-//! parallel connections) may bump the same metrics.
+//! All assertions on the `obs::names` instruments use deltas with `>=`
+//! bounds — the instruments are process-wide and other tests in this
+//! binary (or parallel connections) may bump the same metrics.
 
 use catalog::catalog::{CatalogConfig, MetadataCatalog};
 use catalog::lead::{lead_catalog, lead_partition, register_arps_defs, FIG3_DOCUMENT};
 use minidb::{MemVfs, WalOptions};
+use obs::names;
 use service::{CatalogClient, CatalogServer, WORKERS};
 use std::io::Write;
 use std::net::TcpStream;
@@ -19,10 +20,6 @@ fn start() -> (CatalogServer, CatalogClient) {
     let server = CatalogServer::start(cat, "127.0.0.1:0").unwrap();
     let client = CatalogClient::connect(server.addr()).unwrap();
     (server, client)
-}
-
-fn counter(name: &'static str) -> u64 {
-    obs::global().counter(name).get()
 }
 
 /// Poll until `cond` holds or ~2s elapse; server-side counters are
@@ -40,23 +37,22 @@ fn wait_for(cond: impl Fn() -> bool) -> bool {
 #[test]
 fn request_counters_track_operations() {
     let (_server, mut c) = start();
-    let pings = counter("service.requests.ping");
-    let queries = counter("service.requests.query");
+    let pings = names::SERVICE_REQUEST_PING.count();
+    let queries = names::SERVICE_REQUEST_QUERY.count();
     c.ping().unwrap();
     c.ingest(FIG3_DOCUMENT).unwrap();
     c.query("grid@ARPS[dx=1000]").unwrap();
     c.query("grid@ARPS[dx=1000]").unwrap();
-    assert!(wait_for(|| counter("service.requests.ping") > pings));
-    assert!(wait_for(|| counter("service.requests.query") >= queries + 2));
-    // The latency histogram saw the same requests (the span records on
-    // drop, just after the reply is flushed — hence the wait).
-    assert!(wait_for(|| obs::global().histogram("service.request.query").count() >= 2));
+    // The span records on drop, around when the reply is flushed —
+    // hence the wait.
+    assert!(wait_for(|| names::SERVICE_REQUEST_PING.count() > pings));
+    assert!(wait_for(|| names::SERVICE_REQUEST_QUERY.count() >= queries + 2));
 }
 
 #[test]
 fn connection_errors_are_counted_not_dropped() {
     let (server, _c) = start();
-    let before = counter("service.errors.connection");
+    let before = names::SERVICE_ERRORS_CONNECTION.get();
     // Raw non-UTF-8 line: read_line fails with InvalidData, so
     // serve_connection returns Err — which must be accounted, not
     // swallowed.
@@ -64,7 +60,7 @@ fn connection_errors_are_counted_not_dropped() {
     raw.write_all(b"\xff\xfe\n").unwrap();
     drop(raw);
     assert!(
-        wait_for(|| counter("service.errors.connection") > before),
+        wait_for(|| names::SERVICE_ERRORS_CONNECTION.get() > before),
         "serve_connection error was discarded instead of counted"
     );
 }
@@ -73,10 +69,10 @@ fn connection_errors_are_counted_not_dropped() {
 fn error_kinds_are_classified() {
     let (server, mut c) = start();
     let addr = server.addr();
-    let malformed = counter("service.errors.malformed");
-    let oversized = counter("service.errors.oversized");
-    let unknown = counter("service.errors.unknown");
-    let catalog_errs = counter("service.errors.catalog");
+    let malformed = names::SERVICE_ERRORS_MALFORMED.get();
+    let oversized = names::SERVICE_ERRORS_OVERSIZED.get();
+    let unknown = names::SERVICE_ERRORS_UNKNOWN.get();
+    let catalog_errs = names::SERVICE_ERRORS_CATALOG.get();
 
     // Catalog error: ADD to an object that does not exist.
     c.add_attribute(999, "<theme/>").unwrap_err();
@@ -93,10 +89,10 @@ fn error_kinds_are_classified() {
     raw.write_all(b"FROBNICATE now\n").unwrap();
     drop(raw);
 
-    assert!(wait_for(|| counter("service.errors.malformed") > malformed));
-    assert!(wait_for(|| counter("service.errors.oversized") > oversized));
-    assert!(wait_for(|| counter("service.errors.unknown") > unknown));
-    assert!(wait_for(|| counter("service.errors.catalog") > catalog_errs));
+    assert!(wait_for(|| names::SERVICE_ERRORS_MALFORMED.get() > malformed));
+    assert!(wait_for(|| names::SERVICE_ERRORS_OVERSIZED.get() > oversized));
+    assert!(wait_for(|| names::SERVICE_ERRORS_UNKNOWN.get() > unknown));
+    assert!(wait_for(|| names::SERVICE_ERRORS_CATALOG.get() > catalog_errs));
 }
 
 #[test]
@@ -111,7 +107,7 @@ fn stats_returns_registry_snapshot_after_workload() {
     // Registry pairs cover ingest, query, and service layers.
     assert!(get("catalog.ingest.docs").unwrap_or(0) >= 1, "stats: {stats:?}");
     assert!(get("catalog.query.count").unwrap_or(0) >= 1, "stats: {stats:?}");
-    assert!(get("service.requests.ingest").unwrap_or(0) >= 1, "stats: {stats:?}");
+    assert!(get("service.request.ingest.count").unwrap_or(0) >= 1, "stats: {stats:?}");
     assert!(get("catalog.shred.attr_rows").unwrap_or(0) >= 1, "stats: {stats:?}");
     // Histograms are expanded into quantile keys.
     assert!(stats.iter().any(|(n, _)| n == "service.request.ingest.p50_us"), "stats: {stats:?}");
@@ -122,6 +118,27 @@ fn stats_returns_registry_snapshot_after_workload() {
             let key = format!("minidb.gate.{side}_{phase}.count");
             assert!(get(&key).unwrap_or(0) >= 1, "{key} missing from stats: {stats:?}");
         }
+    }
+}
+
+/// `STATS` lists every instrument of the catalogue, touched or not,
+/// and nothing outside it.
+#[test]
+fn stats_lists_the_whole_catalogue() {
+    let (_server, mut c) = start();
+    let stats = c.stats().unwrap();
+    let keys: Vec<&str> = stats.iter().map(|(n, _)| n.as_str()).collect();
+    for i in names::ALL {
+        let key = match i {
+            obs::names::Instrument::Histogram(h) => format!("{}.count", h.name()),
+            other => other.name().to_string(),
+        };
+        assert!(keys.contains(&key.as_str()), "{key} missing from stats: {keys:?}");
+    }
+    let storage = ["objects", "attrs", "elems", "clobs", "clob_bytes", "clob_buffers", "defs"];
+    let registry: Vec<(String, u64)> = obs::global().snapshot_kv();
+    for key in keys.iter().filter(|k| !storage.contains(k)) {
+        assert!(registry.iter().any(|(n, _)| n == key), "{key} is not a catalogue key");
     }
 }
 
@@ -147,14 +164,14 @@ fn stats_reports_fsync_and_queue_wait_histograms() {
 
     // An ingest into a durable catalog commits, and every commit
     // fsyncs under the default policy.
-    let fsyncs = obs::global().histogram("wal.fsync").count();
+    let fsyncs = names::WAL_FSYNC.count();
     c.ingest(FIG3_DOCUMENT).unwrap();
     let stats = c.stats().unwrap();
     assert!(count(&stats, "wal.fsync") > fsyncs, "stats: {stats:?}");
 
     // An open transaction holds the visibility gate, so each permitted
     // QUERY blocks with its permit held and one more must queue.
-    let waits = obs::global().histogram("service.pool.queue_wait").count();
+    let waits = names::SERVICE_POOL_QUEUE_WAIT.count();
     let txn = cat.db().txn();
     let clients: Vec<_> = (0..=WORKERS)
         .map(|_| {
@@ -164,7 +181,7 @@ fn stats_reports_fsync_and_queue_wait_histograms() {
             })
         })
         .collect();
-    let depth = obs::global().gauge("service.pool.queue_depth");
+    let depth = &names::SERVICE_POOL_QUEUE_DEPTH;
     assert!(wait_for(|| depth.get() >= 1), "no request queued for a permit");
     drop(txn);
     for client in clients {
@@ -185,7 +202,7 @@ fn slowlog_threshold_captures_slow_queries() {
     {
         let reg = obs::global();
         reg.set_slow_threshold(std::time::Duration::from_nanos(1));
-        let mut span = reg.span("service.request.query");
+        let mut span = names::SERVICE_REQUEST_QUERY.span();
         span.set_detail("slowlog-wire-test");
         std::thread::sleep(std::time::Duration::from_millis(2));
         drop(span);

@@ -113,7 +113,7 @@ fn bad_deadline_still_consumes_the_body() {
 #[test]
 fn overlong_command_line_is_refused_and_closed() {
     let server = start();
-    let oversized = || obs::global().counter("service.errors.oversized").get();
+    let oversized = || obs::names::SERVICE_ERRORS_OVERSIZED.get();
     let before = oversized();
     let mut c = Raw::connect(&server);
     // One byte past the 1 MiB cap and no `\n`: the server has read
@@ -135,7 +135,7 @@ fn overlong_command_line_is_refused_and_closed() {
 fn deadline_prefix_must_be_a_positive_number() {
     let server = start();
     let mut c = Raw::connect(&server);
-    let malformed = || obs::global().counter("service.errors.malformed").get();
+    let malformed = || obs::names::SERVICE_ERRORS_MALFORMED.get();
     let before = malformed();
     // `DEADLINE 0` would otherwise lift the server's default deadline.
     for ms in ["abc", "0"] {
@@ -192,7 +192,7 @@ fn pipelined_requests_are_answered_in_order() {
 #[test]
 fn connection_cap_rejects_with_busy_and_frees_on_quit() {
     let server = start();
-    let rejected_before = obs::global().counter("service.pool.rejected").get();
+    let rejected_before = obs::names::SERVICE_POOL_REJECTED.get();
     // Fill every connection slot; a PING round trip on the last one
     // proves the accept thread has counted them all.
     let _open: Vec<TcpStream> = (1..MAX_CONNECTIONS)

@@ -235,11 +235,8 @@ fn run() -> Result<(), String> {
                 s.clob_buffers
             );
             say!("definitions    {} attrs, {} elems", s.attr_defs, s.elem_defs);
-            let registry = obs::global().render_text();
-            if !registry.trim().is_empty() {
-                say!("-- observability registry --");
-                say!("{}", registry.trim_end());
-            }
+            say!("-- observability registry --");
+            say!("{}", obs::global().render_text().trim_end());
             Ok(())
         }
         "serve" => {
