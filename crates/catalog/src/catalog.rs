@@ -390,18 +390,27 @@ impl MetadataCatalog {
 
     /// Ingest one document: parse, shred, store.
     pub fn ingest(&self, xml: &str) -> Result<i64> {
-        let _span = names::CATALOG_INGEST.span();
-        let shredded = self.shred_only(xml)?;
-        let id = self.store(shredded, None, None)?;
-        names::CATALOG_INGEST_DOCS.incr();
-        Ok(id)
+        self.ingest_one(|| self.shred_only(xml), None, None)
     }
 
     /// Ingest with provenance metadata.
     pub fn ingest_as(&self, xml: &str, owner: &str, name: &str) -> Result<i64> {
+        self.ingest_one(|| self.shred_only(xml), Some(owner), Some(name))
+    }
+
+    /// The one path every ingested document is stored through, timed by
+    /// `catalog.ingest` and counted by `catalog.ingest.docs`. `shred`
+    /// runs inside the span: it parses and shreds the document, or, in a
+    /// parallel [`MetadataCatalog::ingest_batch`], hands over what a
+    /// worker already shredded.
+    fn ingest_one(
+        &self,
+        shred: impl FnOnce() -> Result<ShreddedDoc>,
+        owner: Option<&str>,
+        name: Option<&str>,
+    ) -> Result<i64> {
         let _span = names::CATALOG_INGEST.span();
-        let shredded = self.shred_only(xml)?;
-        let id = self.store(shredded, Some(owner), Some(name))?;
+        let id = self.store(shred()?, owner, name)?;
         names::CATALOG_INGEST_DOCS.incr();
         Ok(id)
     }
@@ -426,7 +435,7 @@ impl MetadataCatalog {
         let mut ids = Vec::with_capacity(docs.len());
         for batch in results {
             for shredded in batch? {
-                ids.push(self.store(shredded, None, None)?);
+                ids.push(self.ingest_one(|| Ok(shredded), None, None)?);
             }
         }
         Ok(ids)

@@ -400,13 +400,11 @@ fn clob_buffers_track_ingests_across_restarts() {
     // WAL replay puts each ingest's CLOBs back into one buffer.
     let replayed = open();
     assert_eq!(replayed.stats(), live);
-    // A snapshot keeps no put boundaries: its small CLOB section comes
-    // back as one buffer.
+    // A snapshot logs each buffer as one put, so its ingests come back
+    // one buffer each too.
     replayed.checkpoint().unwrap();
     drop(replayed);
-    let reopened = open().stats();
-    assert_eq!(reopened.clob_buffers, 1);
-    assert_eq!(CatalogStats { clob_buffers: 5, ..reopened }, live);
+    assert_eq!(open().stats(), live);
 }
 
 #[test]

@@ -13,8 +13,8 @@
 //!
 //! The heap holds text. UTF-8 is guaranteed by type where a put comes
 //! from the program ([`crate::db::Txn::put_clobs`] takes `&str`-like
-//! parts), and checked once where it comes from disk: WAL replay and
-//! snapshot load refuse a CLOB that is not UTF-8 with
+//! parts), and checked once where it comes from disk: replay, of the WAL
+//! and of a snapshot alike, refuses a CLOB that is not UTF-8 with
 //! [`DbError::Corrupt`], so the open fails instead of some later reply.
 //! A reader therefore never re-checks what it fetches.
 //!
@@ -27,13 +27,11 @@
 //! the response splices them in, so reconstructing a document reads one
 //! buffer front to back instead of chasing one allocation per fragment.
 //!
-//! The layout survives a restart without changing either on-disk
-//! format, which still carry one entry per slot. WAL replay hands each
-//! committed transaction's run of consecutive `ClobPut` records to one
-//! put, which rebuilds the buffer the logging put made. A snapshot
-//! keeps no put boundaries, so `ClobStore::load` regroups its slots,
-//! in slot order, into buffers of about 64 KiB: a
-//! document's CLOBs stay adjacent, at most split across two buffers.
+//! The layout survives a restart by one rule: one put is one
+//! `ClobPut` record, in the WAL and in a snapshot alike. A transaction
+//! logs each of its puts as one record, and a checkpoint logs each
+//! buffer (`ClobStore::puts`) as one record, so replay rebuilds every
+//! buffer the original put made.
 //!
 //! The heap has no lock of its own: it lives beside the tables inside
 //! the database's visibility gate ([`crate::db`]), so a put is ordered
@@ -47,9 +45,6 @@ use std::sync::Arc;
 
 /// Locator of a CLOB within a [`ClobStore`].
 pub type ClobId = u64;
-
-/// Snapshot load closes a buffer once its slots reach this many bytes.
-const LOAD_BUFFER_BYTES: usize = 64 * 1024;
 
 /// One CLOB: a byte range, on part boundaries, of its put's buffer.
 #[derive(Debug)]
@@ -99,25 +94,12 @@ impl ClobStore {
         first..self.slots.len() as ClobId
     }
 
-    /// Append a snapshot's slots, in slot order, grouping consecutive
-    /// slots into buffers of about `LOAD_BUFFER_BYTES`. The load stops
-    /// at the first slot that failed to decode (one that is not UTF-8
-    /// among them).
-    pub(crate) fn load(&mut self, slots: impl IntoIterator<Item = Result<String>>) -> Result<()> {
-        let mut run = Vec::new();
-        let mut run_bytes = 0;
-        for text in slots {
-            let text = text?;
-            run_bytes += text.len();
-            run.push(text);
-            if run_bytes >= LOAD_BUFFER_BYTES {
-                self.put_clobs(&run);
-                run.clear();
-                run_bytes = 0;
-            }
-        }
-        self.put_clobs(&run);
-        Ok(())
+    /// The heap's puts in locator order, each as its parts' texts: what
+    /// a checkpoint logs, one `ClobPut` per buffer.
+    pub(crate) fn puts(&self) -> impl Iterator<Item = impl ExactSizeIterator<Item = &str>> {
+        self.slots
+            .chunk_by(|a, b| Arc::ptr_eq(&a.buf, &b.buf))
+            .map(|put| put.iter().map(|slot| &slot.buf[slot.range.clone()]))
     }
 
     /// The text of the CLOB at `id`, borrowed from the heap.
@@ -137,7 +119,7 @@ impl ClobStore {
     }
 
     /// Number of buffers the CLOBs live in: one per put that stored
-    /// anything, plus the buffers a snapshot load made.
+    /// anything.
     pub fn buffers(&self) -> usize {
         self.buffers
     }
@@ -208,36 +190,24 @@ mod tests {
     }
 
     #[test]
-    fn load_groups_slots_into_bounded_buffers() {
-        let big = "x".repeat(LOAD_BUFFER_BYTES / 2);
-        let slots = [big.clone(), big.clone(), "tail".to_string(), big.clone(), big];
+    fn puts_are_the_buffers() {
         let mut s = ClobStore::new();
-        s.load(slots.iter().cloned().map(Ok)).unwrap();
-        assert_eq!(s.len(), 5);
-        // Slots 0–1 fill one buffer, 2–4 the next.
-        assert_eq!(s.buffers(), 2);
-        for (i, want) in slots.iter().enumerate() {
-            assert_eq!(s.get(i as ClobId).unwrap(), want);
-        }
-        let (a, b) = (s.get(2).unwrap(), s.get(3).unwrap());
-        assert_eq!(a.as_ptr().wrapping_add(a.len()), b.as_ptr());
-        // A load stops at the first bad slot.
-        let mut s = ClobStore::new();
-        let bad = [Ok("ok".to_string()), Err(DbError::Corrupt("torn".into()))];
-        assert!(s.load(bad).is_err());
+        s.put_clobs(&["<a>1</a>", "", "<b/>"]);
+        s.put_clobs::<&str>(&[]);
+        s.put_clobs(&[""]);
+        s.put_clobs(&["<c/>"]);
+        let puts: Vec<Vec<&str>> = s.puts().map(Iterator::collect).collect();
+        assert_eq!(puts, [vec!["<a>1</a>", "", "<b/>"], vec![""], vec!["<c/>"]]);
+        assert_eq!(puts.len(), s.buffers());
     }
 
     #[test]
-    fn byte_count_tracks_puts_and_loads() {
+    fn byte_count_tracks_puts() {
         let mut s = ClobStore::new();
         s.put_clobs(&["<a>1</a>", "", "<b>ü</b>"]);
         s.put_clobs::<&str>(&[]);
         s.put_clobs(&["<c/>"]);
         assert_eq!(s.total_bytes(), slot_bytes(&s));
         assert_eq!(s.total_bytes(), 8 + 9 + 4);
-        let big = "y".repeat(LOAD_BUFFER_BYTES - 1);
-        s.load([big.clone(), "zz".to_string(), big].map(Ok)).unwrap();
-        assert_eq!(s.total_bytes(), slot_bytes(&s));
-        assert_eq!(s.total_bytes(), 21 + 2 * (LOAD_BUFFER_BYTES - 1) + 2);
     }
 }

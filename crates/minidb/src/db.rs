@@ -40,8 +40,8 @@ use crate::limits::Deadline;
 use crate::profile::PlanProfile;
 use crate::table::{Row, RowId, Table, TableSchema};
 use crate::wal::{
-    encode_clob_put, encode_insert, encode_wal_header, scan_wal, StdVfs, Vfs, WalOptions,
-    WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
+    encode_wal_header, encode_with, in_file, scan_wal, write_clob_put, write_insert, Enc, StdVfs,
+    Vfs, WalOptions, WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
 };
 use obs::names;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -254,7 +254,7 @@ impl Database {
     }
 
     /// Open (or create) a durable database rooted at directory `dir`:
-    /// recover the snapshot plus the committed WAL tail, then keep
+    /// replay the snapshot plus the committed WAL tail, then keep
     /// logging every mutation through the WAL (fsync on commit).
     pub fn open(dir: impl AsRef<Path>) -> Result<Database> {
         Database::open_with(Arc::new(StdVfs::new(dir.as_ref())?), WalOptions::default())
@@ -264,21 +264,21 @@ impl Database {
     /// the entry point for in-memory crash testing ([`crate::wal::MemVfs`])
     /// and fault injection ([`crate::wal::FaultyVfs`]).
     pub fn open_with(vfs: Arc<dyn Vfs>, opts: WalOptions) -> Result<Database> {
-        // 1. Snapshot, if any.
-        // A checkpoint is idle while the snapshot on disk covers the
-        // last commit and the log holds no transaction.
-        let (mut db, snap_lsn, snapshotted) = match vfs.read(SNAPSHOT_FILE)? {
-            Some(bytes) => {
-                let (db, lsn) = crate::snapshot::load_snapshot_bytes(&bytes)?;
-                (db, lsn, true)
-            }
-            None => (Database::new(), 0, false),
+        // 1. Snapshot, if any: one logged transaction, replayed like the
+        //    WAL's. A checkpoint is idle while the snapshot on disk
+        //    covers the last commit and the log holds no transaction.
+        let mut db = Database::new();
+        let snapshot = vfs.read(SNAPSHOT_FILE)?;
+        let snapshotted = snapshot.is_some();
+        let snap_lsn = match snapshot {
+            Some(bytes) => db.state.get_mut().replay_snapshot(&bytes)?,
+            None => 0,
         };
         // 2. WAL tail: replay committed transactions newer than the
         //    snapshot, then truncate away any torn / uncommitted
         //    suffix so later appends cannot resurrect it.
         let writer = if let Some(bytes) = vfs.read(WAL_FILE)? {
-            let scan = scan_wal(&bytes)?;
+            let scan = scan_wal(&bytes).map_err(|e| in_file(WAL_FILE, e))?;
             // A log starting past the snapshot's next LSN lost the acked
             // commits in between (an older snapshot beside a newer log).
             if scan.base_lsn > snap_lsn + 1 {
@@ -298,7 +298,7 @@ impl Database {
                 }
                 recovered += records.len() as u64;
                 db.state.get_mut().apply_txn(records).map_err(|e| {
-                    DbError::Corrupt(format!("wal replay failed at lsn {lsn}: {e}"))
+                    DbError::Corrupt(format!("{WAL_FILE}: replay failed at lsn {lsn}: {e}"))
                 })?;
             }
             names::WAL_RECOVERED_RECORDS.add(recovered);
@@ -334,12 +334,6 @@ impl Database {
         Ok(db)
     }
 
-    /// The state, through exclusive ownership of the database (no gate
-    /// needed): how snapshot load fills a database nobody else sees yet.
-    pub(crate) fn state_mut(&mut self) -> &mut State {
-        self.state.get_mut()
-    }
-
     /// `true` when this database was opened durably.
     pub fn is_durable(&self) -> bool {
         self.dur.is_some()
@@ -355,12 +349,13 @@ impl Database {
     }
 
     /// Serialize the full logical state — schemas, index definitions,
-    /// live rows, CLOB heap — to an in-memory snapshot image. Two
-    /// databases with identical logical contents produce identical
-    /// images, which makes this a deep-equality probe for recovery
-    /// tests and replica divergence checks.
+    /// live rows, the CLOB heap and its buffers — to an in-memory
+    /// snapshot image (stamped with LSN 0). Two databases with identical
+    /// logical contents produce identical images, which makes this a
+    /// deep-equality probe for recovery tests and replica divergence
+    /// checks.
     pub fn state_image(&self) -> Result<Vec<u8>> {
-        self.snapshot_bytes(0)
+        Ok(self.snapshot_bytes(0))
     }
 
     /// Start a transaction: a batch of mutations made atomic and
@@ -426,7 +421,7 @@ impl Database {
         // to cover them.
         w.sync()?;
         stages.end(SYNC);
-        let snap = self.snapshot_bytes(lsn)?;
+        let snap = self.snapshot_bytes(lsn);
         stages.end(ENCODE);
         let mut f = dur.vfs.create(SNAPSHOT_TMP)?;
         f.append(&snap)?;
@@ -570,13 +565,6 @@ impl State {
         Ok(())
     }
 
-    pub(crate) fn apply_drop_table(&mut self, name: &str) -> Result<()> {
-        self.tables
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| DbError::NoSuchTable(name.to_string()))
-    }
-
     pub(crate) fn apply_create_index(
         &mut self,
         table: &str,
@@ -642,28 +630,12 @@ impl State {
         Ok(n)
     }
 
-    pub(crate) fn apply_truncate(&mut self, table: &str) -> Result<usize> {
-        let t = self.table_mut(table)?;
-        let n = t.len();
-        t.truncate();
-        Ok(n)
-    }
-
-    /// Apply one recovered transaction's WAL records to in-memory state
-    /// (no logging). Each run of consecutive `ClobPut` records is one
-    /// put, as the [`Txn::put_clobs`] that logged it was.
+    /// Apply one recovered transaction's records to in-memory state (no
+    /// logging): a WAL transaction, or a snapshot's one transaction.
     pub(crate) fn apply_txn(&mut self, records: Vec<WalRecord>) -> Result<()> {
-        let mut clob_run = Vec::new();
         for rec in records {
-            if let WalRecord::ClobPut { text } = rec {
-                clob_run.push(text);
-                continue;
-            }
-            self.clobs.put_clobs(&clob_run);
-            clob_run.clear();
             match rec {
                 WalRecord::CreateTable { name, schema } => self.apply_create_table(&name, &schema),
-                WalRecord::DropTable { name } => self.apply_drop_table(&name),
                 WalRecord::CreateIndex { table, name, columns, unique } => {
                     self.apply_create_index(&table, &name, &columns, unique)
                 }
@@ -674,12 +646,13 @@ impl State {
                 WalRecord::UpdateWhere { table, pred, sets } => {
                     self.apply_update_where(&table, pred.as_ref(), &sets).map(|_| ())
                 }
-                WalRecord::Truncate { table } => self.apply_truncate(&table).map(|_| ()),
-                // A `ClobPut` joined the run above.
-                WalRecord::ClobPut { .. } | WalRecord::Commit { .. } => Ok(()),
+                WalRecord::ClobPut { parts } => {
+                    self.clobs.put_clobs(&parts);
+                    Ok(())
+                }
+                WalRecord::Commit { .. } => Ok(()),
             }?;
         }
-        self.clobs.put_clobs(&clob_run);
         Ok(())
     }
 
@@ -989,10 +962,15 @@ impl Drop for Txn<'_> {
 }
 
 impl Txn<'_> {
+    /// The WAL record `write` encodes, on a durable database only.
+    fn encode(&self, write: impl FnOnce(&mut Enc)) -> Option<Vec<u8>> {
+        self.wal.is_some().then(|| encode_with(write))
+    }
+
     /// Record an op that applied: mark the transaction dirty and, on a
     /// durable database, queue its WAL record.
     fn log(&mut self, rec: impl FnOnce() -> WalRecord) {
-        let encoded = self.wal.is_some().then(|| rec().encode());
+        let encoded = self.encode(|enc| rec().write(enc));
         self.log_encoded(encoded);
     }
 
@@ -1066,7 +1044,7 @@ impl Txn<'_> {
     /// the rows are then moved into the table; a failed insert logs
     /// nothing.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let encoded = self.wal.is_some().then(|| encode_insert(table, &rows));
+        let encoded = self.encode(|enc| write_insert(enc, table, rows.iter()));
         let n = self.state.apply_insert(table, rows)?;
         self.log_encoded(encoded);
         Ok(n)
@@ -1095,20 +1073,13 @@ impl Txn<'_> {
         Ok(n)
     }
 
-    /// Remove all rows of a table; returns the count removed.
-    pub fn truncate(&mut self, table: &str) -> Result<usize> {
-        let n = self.state.apply_truncate(table)?;
-        self.log(|| WalRecord::Truncate { table: table.to_string() });
-        Ok(n)
-    }
-
     /// Store `parts` as consecutive CLOBs in one heap buffer, returning
     /// their locators (see [`crate::clob`] for the layout). The WAL gets
-    /// one `ClobPut` record per part, so the log is the same as for
-    /// parts put one at a time.
+    /// one `ClobPut` record for the put, so replay rebuilds the buffer;
+    /// a put of no parts stores and logs nothing.
     pub fn put_clobs<P: AsRef<str>>(&mut self, parts: &[P]) -> Range<u64> {
-        for p in parts {
-            let encoded = self.wal.is_some().then(|| encode_clob_put(p.as_ref()));
+        if !parts.is_empty() {
+            let encoded = self.encode(|enc| write_clob_put(enc, parts.iter().map(AsRef::as_ref)));
             self.log_encoded(encoded);
         }
         self.state.clobs.put_clobs(parts)
@@ -1372,45 +1343,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, DbError::Duplicate(_)), "{err}");
         assert_eq!(all(), before);
-    }
-
-    /// The API no longer writes `DropTable` or `Truncate` records, nor
-    /// `IN` lists, but a log that holds them still replays.
-    #[test]
-    fn log_with_drop_truncate_and_in_list_replays() {
-        use crate::wal::{write_frame, MemVfs};
-        let int_table = || TableSchema::new(vec![Column::new("id", DataType::Int)]);
-        let create = |name: &str| WalRecord::CreateTable { name: name.into(), schema: int_table() };
-        let insert = |table: &str, ids: &[i64]| WalRecord::Insert {
-            table: table.into(),
-            rows: ids.iter().map(|&i| vec![Value::Int(i)]).collect(),
-        };
-        let mut log = encode_wal_header(1).to_vec();
-        for rec in [
-            create("t"),
-            create("u"),
-            create("v"),
-            insert("t", &[1, 2, 3]),
-            insert("u", &[9]),
-            insert("v", &[5]),
-            WalRecord::Commit { lsn: 1 },
-            WalRecord::DeleteWhere {
-                table: "t".into(),
-                pred: Expr::InList(Box::new(Expr::col(0)), vec![1.into(), 4.into()]),
-            },
-            WalRecord::DropTable { name: "u".into() },
-            WalRecord::Truncate { table: "v".into() },
-            WalRecord::Commit { lsn: 2 },
-        ] {
-            write_frame(&mut log, &rec.encode());
-        }
-        let vfs = MemVfs::new();
-        vfs.overwrite(WAL_FILE, log);
-        let db = Database::open_with(Arc::new(vfs), WalOptions::default()).unwrap();
-        let t = db.execute(&Plan::Scan { table: "t".into(), filter: None }).unwrap();
-        assert_eq!(t.rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
-        assert!(!db.has_table("u"));
-        assert_eq!(db.row_count("v").unwrap(), 0);
     }
 
     #[test]

@@ -143,7 +143,6 @@ pub fn expr_str(e: &Expr) -> String {
         Expr::Between(x, lo, hi) => {
             format!("({} BETWEEN {} AND {})", expr_str(x), expr_str(lo), expr_str(hi))
         }
-        Expr::InList(x, list) => format!("({} IN {list:?})", expr_str(x)),
     }
 }
 

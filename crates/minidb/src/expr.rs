@@ -79,8 +79,6 @@ pub enum Expr {
     IsNull(Box<Expr>),
     /// `x BETWEEN lo AND hi` (inclusive).
     Between(Box<Expr>, Box<Expr>, Box<Expr>),
-    /// `x IN (v1, v2, ...)`.
-    InList(Box<Expr>, Vec<Value>),
 }
 
 impl Expr {
@@ -168,13 +166,6 @@ impl Expr {
                     }
                     _ => Ok(Value::Null),
                 }
-            }
-            Expr::InList(x, list) => {
-                let vx = x.eval(row)?;
-                if vx.is_null() {
-                    return Ok(Value::Null);
-                }
-                Ok(Value::Bool(list.iter().any(|v| vx.sql_cmp(v) == Some(Ordering::Equal))))
             }
         }
     }
@@ -323,16 +314,12 @@ mod tests {
     }
 
     #[test]
-    fn is_null_between_in() {
+    fn is_null_and_between() {
         assert!(Expr::IsNull(Box::new(Expr::col(2))).matches(&row()).unwrap());
         assert!(!Expr::IsNull(Box::new(Expr::col(0))).matches(&row()).unwrap());
         let between =
             Expr::Between(Box::new(Expr::col(0)), Box::new(Expr::lit(5)), Box::new(Expr::lit(15)));
         assert!(between.matches(&row()).unwrap());
-        let inlist = Expr::InList(Box::new(Expr::col(0)), vec![1.into(), 10.into()]);
-        assert!(inlist.matches(&row()).unwrap());
-        let in_null = Expr::InList(Box::new(Expr::col(2)), vec![1.into()]);
-        assert_eq!(in_null.eval(&row()).unwrap(), Value::Null);
     }
 
     #[test]

@@ -1,376 +1,99 @@
-//! Database snapshots: the binary image checkpoints write and recovery
-//! reads.
+//! Database snapshots: the whole state written as one logged
+//! transaction.
 //!
 //! The engine is in-memory; a durable database (see [`crate::wal`])
-//! survives restarts by checkpointing its whole state to a compact
-//! binary snapshot (tables with schemas and live rows, indexes as
-//! definitions that are rebuilt on load, and the CLOB heap) and
-//! replaying the WAL tail on top of it. [`Database::open_with`] is the
-//! only reader of a snapshot on disk; checkpoints install it atomically
-//! (tmp file + fsync + rename). The format is versioned and
-//! length-prefixed throughout; loads validate every tag and bound, and
-//! the whole image is covered by a trailing CRC32 so any bit flip
-//! surfaces as a clean [`DbError`] rather than silently-wrong data.
+//! survives restarts by checkpointing its whole state to a snapshot and
+//! replaying the WAL tail on top of it. A snapshot (`snapshot.mdb`) is
+//! a file in the log's own format, holding exactly one committed
+//! transaction stamped with the LSN `L` it covers:
+//!
+//! ```text
+//! header (base_lsn = L)
+//! per table, by name: CreateTable | Insert × ⌈rows / ROWS_PER_INSERT⌉ | CreateIndex × indexes
+//! per CLOB heap buffer: ClobPut
+//! Commit{L}
+//! ```
+//!
+//! Indexes come after the rows, so a unique index validates them once;
+//! each buffer is one `ClobPut`, so a reopened heap keeps one buffer per
+//! put ([`crate::clob`]). [`Database::open_with`] replays the file with
+//! the same `scan_wal` and `State::apply_txn` it runs on the WAL, so
+//! there is one decoder and one replay path. Checkpoints install a
+//! snapshot whole (tmp file + fsync + rename), so anything but one
+//! complete transaction stamped `L` — a torn tail among it — is
+//! [`DbError::Corrupt`]; every frame is checksummed, so any bit flip is
+//! too.
 
-use crate::clob::ClobStore;
-use crate::db::{Database, ReadTxn};
+use crate::db::{Database, ReadTxn, State};
 use crate::error::{DbError, Result};
-use crate::table::{Column, TableSchema};
-use crate::value::{DataType, Value};
-use std::io::{Read, Write};
+use crate::table::Row;
+use crate::wal::{
+    append_frame, encode_wal_header, in_file, scan_wal, write_clob_put, write_insert, WalRecord,
+    SNAPSHOT_FILE,
+};
 
-const MAGIC: &[u8; 4] = b"MDB1";
+/// Rows per `Insert` record, so no frame grows with its table.
+const ROWS_PER_INSERT: usize = 1024;
 
-/// Snapshot format version. Version 2 added the u64 LSN stamp after
-/// the version word (see [`crate::wal`]) — recovery replays only WAL
-/// transactions newer than the snapshot's LSN — and the trailing
-/// CRC32 over everything before it.
-const VERSION: u32 = 2;
-
-/// Streams writes through an incremental CRC32 so the snapshot can be
-/// stamped with a trailer checksum without a second pass.
-struct CrcWriter<W: Write> {
-    inner: W,
-    crc: u32,
-}
-
-impl<W: Write> Write for CrcWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc = crate::wal::crc32_accum(self.crc, &buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// Streams reads through an incremental CRC32 for trailer validation.
-struct CrcReader<R: Read> {
-    inner: R,
-    crc: u32,
-}
-
-impl<R: Read> Read for CrcReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc = crate::wal::crc32_accum(self.crc, &buf[..n]);
-        Ok(n)
-    }
-}
-
-/// Hard ceiling on any single length-prefixed payload. Loads of
-/// corrupted files must fail with a clean error, never an OOM-sized
-/// allocation.
-const MAX_CHUNK: u64 = 1 << 30;
-
-/// Clamp for `Vec::with_capacity` on decoded counts: trust the count
-/// only after the elements actually decode.
-fn cap(n: usize) -> usize {
-    n.min(4096)
-}
-
-/// Writer half of the snapshot codec (shared with the WAL record
-/// codec in [`crate::wal`]).
-pub(crate) struct Enc<W: Write> {
-    pub(crate) w: W,
-}
-
-impl<W: Write> Enc<W> {
-    pub(crate) fn u8(&mut self, v: u8) -> Result<()> {
-        self.w.write_all(&[v]).map_err(io_err)
-    }
-    pub(crate) fn u32(&mut self, v: u32) -> Result<()> {
-        self.w.write_all(&v.to_le_bytes()).map_err(io_err)
-    }
-    pub(crate) fn u64(&mut self, v: u64) -> Result<()> {
-        self.w.write_all(&v.to_le_bytes()).map_err(io_err)
-    }
-    pub(crate) fn i64(&mut self, v: i64) -> Result<()> {
-        self.w.write_all(&v.to_le_bytes()).map_err(io_err)
-    }
-    pub(crate) fn f64(&mut self, v: f64) -> Result<()> {
-        self.w.write_all(&v.to_le_bytes()).map_err(io_err)
-    }
-    pub(crate) fn bytes(&mut self, b: &[u8]) -> Result<()> {
-        self.u64(b.len() as u64)?;
-        self.w.write_all(b).map_err(io_err)
-    }
-    pub(crate) fn string(&mut self, s: &str) -> Result<()> {
-        self.bytes(s.as_bytes())
-    }
-    pub(crate) fn value(&mut self, v: &Value) -> Result<()> {
-        match v {
-            Value::Null => self.u8(0),
-            Value::Bool(b) => {
-                self.u8(1)?;
-                self.u8(*b as u8)
+impl ReadTxn<'_> {
+    /// The state this batch reads, as a snapshot stamped with `lsn`.
+    /// Rows and CLOB text are encoded from the state into the output
+    /// buffer, never cloned.
+    pub(crate) fn snapshot(&self, lsn: u64) -> Vec<u8> {
+        let mut buf = encode_wal_header(lsn).to_vec();
+        for name in self.table_names() {
+            let t = self.table(&name).expect("a listed table exists");
+            let create = WalRecord::CreateTable { name: name.clone(), schema: t.schema.clone() };
+            append_frame(&mut buf, |enc| create.write(enc));
+            let rows: Vec<&Row> = t.scan().map(|(_, row)| row).collect();
+            for chunk in rows.chunks(ROWS_PER_INSERT) {
+                append_frame(&mut buf, |enc| write_insert(enc, &name, chunk.iter().copied()));
             }
-            Value::Int(i) => {
-                self.u8(2)?;
-                self.i64(*i)
-            }
-            Value::Float(f) => {
-                self.u8(3)?;
-                self.f64(*f)
-            }
-            Value::Str(s) => {
-                self.u8(4)?;
-                self.string(s)
+            for idx in t.indexes() {
+                let index = WalRecord::CreateIndex {
+                    table: name.clone(),
+                    name: idx.name.clone(),
+                    columns: idx.columns.clone(),
+                    unique: idx.unique,
+                };
+                append_frame(&mut buf, |enc| index.write(enc));
             }
         }
-    }
-}
-
-/// Reader half of the snapshot codec (shared with the WAL record
-/// codec in [`crate::wal`]). All length-prefixed reads are bounded.
-pub(crate) struct Dec<R: Read> {
-    pub(crate) r: R,
-}
-
-impl<R: Read> Dec<R> {
-    pub(crate) fn u8(&mut self) -> Result<u8> {
-        let mut b = [0u8; 1];
-        self.r.read_exact(&mut b).map_err(read_err)?;
-        Ok(b[0])
-    }
-    pub(crate) fn u32(&mut self) -> Result<u32> {
-        let mut b = [0u8; 4];
-        self.r.read_exact(&mut b).map_err(read_err)?;
-        Ok(u32::from_le_bytes(b))
-    }
-    pub(crate) fn u64(&mut self) -> Result<u64> {
-        let mut b = [0u8; 8];
-        self.r.read_exact(&mut b).map_err(read_err)?;
-        Ok(u64::from_le_bytes(b))
-    }
-    pub(crate) fn i64(&mut self) -> Result<i64> {
-        let mut b = [0u8; 8];
-        self.r.read_exact(&mut b).map_err(read_err)?;
-        Ok(i64::from_le_bytes(b))
-    }
-    pub(crate) fn f64(&mut self) -> Result<f64> {
-        let mut b = [0u8; 8];
-        self.r.read_exact(&mut b).map_err(read_err)?;
-        Ok(f64::from_le_bytes(b))
-    }
-    pub(crate) fn bytes(&mut self) -> Result<Vec<u8>> {
-        let len = self.u64()?;
-        if len > MAX_CHUNK {
-            return Err(DbError::Corrupt(format!("implausible {len}-byte length prefix")));
+        for put in self.clobs().puts() {
+            append_frame(&mut buf, |enc| write_clob_put(enc, put));
         }
-        // Grow incrementally via a bounded reader instead of trusting
-        // the prefix with an up-front allocation: a corrupted length on
-        // a short file fails cleanly at EOF.
-        let mut buf = Vec::with_capacity(cap(len as usize));
-        let read = self.r.by_ref().take(len).read_to_end(&mut buf).map_err(read_err)?;
-        if (read as u64) < len {
-            return Err(DbError::Corrupt(format!("truncated payload: {read} of {len} bytes")));
+        append_frame(&mut buf, |enc| WalRecord::Commit { lsn }.write(enc));
+        buf
+    }
+}
+
+impl State {
+    /// Replay snapshot `bytes` into this empty state; returns the LSN
+    /// the snapshot covers.
+    pub(crate) fn replay_snapshot(&mut self, bytes: &[u8]) -> Result<u64> {
+        let corrupt = |m: String| DbError::Corrupt(format!("{SNAPSHOT_FILE}: {m}"));
+        let scan = scan_wal(bytes).map_err(|e| in_file(SNAPSHOT_FILE, e))?;
+        let whole = scan.valid_len == bytes.len() as u64;
+        match <[_; 1]>::try_from(scan.txns) {
+            Ok([(lsn, records)]) if whole && lsn == scan.base_lsn => {
+                self.apply_txn(records).map_err(|e| corrupt(format!("replay failed: {e}")))?;
+                Ok(lsn)
+            }
+            _ => Err(corrupt(format!(
+                "not one complete transaction stamped with lsn {}",
+                scan.base_lsn
+            ))),
         }
-        Ok(buf)
     }
-    pub(crate) fn string(&mut self) -> Result<String> {
-        String::from_utf8(self.bytes()?)
-            .map_err(|e| DbError::Corrupt(format!("string is not UTF-8: {e}")))
-    }
-    pub(crate) fn value(&mut self) -> Result<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(self.i64()?),
-            3 => Value::Float(self.f64()?),
-            4 => Value::Str(self.string()?),
-            t => return Err(DbError::Corrupt(format!("snapshot: unknown value tag {t}"))),
-        })
-    }
-}
-
-/// A write to the encoder's sink failed.
-pub(crate) fn io_err(e: std::io::Error) -> DbError {
-    DbError::Io(format!("snapshot write: {e}"))
-}
-
-/// A read ran short: the image ends before its framing says it does.
-fn read_err(e: std::io::Error) -> DbError {
-    DbError::Corrupt(format!("snapshot read: {e}"))
-}
-
-pub(crate) fn dtype_code(d: DataType) -> u8 {
-    match d {
-        DataType::Int => 0,
-        DataType::Float => 1,
-        DataType::Text => 2,
-        DataType::Bool => 3,
-        DataType::Clob => 4,
-    }
-}
-
-pub(crate) fn dtype_from(code: u8) -> Result<DataType> {
-    Ok(match code {
-        0 => DataType::Int,
-        1 => DataType::Float,
-        2 => DataType::Text,
-        3 => DataType::Bool,
-        4 => DataType::Clob,
-        t => return Err(DbError::Corrupt(format!("snapshot: unknown dtype {t}"))),
-    })
 }
 
 impl Database {
-    /// Serialize the snapshot (header stamped with `lsn`) to a byte
-    /// buffer, reading one committed state under a shared hold of the
-    /// visibility gate (used by checkpoints and [`Database::state_image`]).
-    pub(crate) fn snapshot_bytes(&self, lsn: u64) -> Result<Vec<u8>> {
-        let mut buf = Vec::new();
-        self.begin_read().write_snapshot(&mut buf, lsn)?;
-        Ok(buf)
+    /// The committed state as a snapshot stamped with `lsn`, read under
+    /// a shared hold of the visibility gate (used by checkpoints and
+    /// [`Database::state_image`]).
+    pub(crate) fn snapshot_bytes(&self, lsn: u64) -> Vec<u8> {
+        self.begin_read().snapshot(lsn)
     }
-}
-
-impl ReadTxn<'_> {
-    /// Serialize the snapshot (header stamped with `lsn`) to any
-    /// writer, appending a CRC32 trailer over everything before it.
-    fn write_snapshot<W: Write>(&self, w: W, lsn: u64) -> Result<()> {
-        let mut cw = CrcWriter { inner: w, crc: 0xFFFF_FFFF };
-        self.write_snapshot_body(&mut cw, lsn)?;
-        let digest = cw.crc ^ 0xFFFF_FFFF;
-        cw.inner.write_all(&digest.to_le_bytes()).map_err(io_err)
-    }
-
-    fn write_snapshot_body<W: Write>(&self, w: W, lsn: u64) -> Result<()> {
-        let mut enc = Enc { w };
-        enc.w.write_all(MAGIC).map_err(io_err)?;
-        enc.u32(VERSION)?;
-        enc.u64(lsn)?;
-
-        let names = self.table_names();
-        enc.u32(names.len() as u32)?;
-        for name in &names {
-            let guard = self.table(name)?;
-            enc.string(name)?;
-            // Schema.
-            enc.u32(guard.schema.columns.len() as u32)?;
-            for c in &guard.schema.columns {
-                enc.string(&c.name)?;
-                enc.u8(dtype_code(c.dtype))?;
-                enc.u8(c.nullable as u8)?;
-            }
-            // Index definitions (rebuilt on load).
-            enc.u32(guard.indexes().len() as u32)?;
-            for idx in guard.indexes() {
-                enc.string(&idx.name)?;
-                enc.u8(idx.unique as u8)?;
-                enc.u32(idx.columns.len() as u32)?;
-                for &c in &idx.columns {
-                    enc.u32(c as u32)?;
-                }
-            }
-            // Live rows.
-            enc.u64(guard.len() as u64)?;
-            for (_, row) in guard.scan() {
-                for v in row {
-                    enc.value(v)?;
-                }
-            }
-        }
-        // CLOB heap.
-        save_clobs(self.clobs(), &mut enc)
-    }
-}
-
-/// Parse snapshot bytes into a fresh (non-durable) database plus the
-/// stamped LSN. Recovery attaches the WAL afterwards.
-pub(crate) fn load_snapshot_bytes(bytes: &[u8]) -> Result<(Database, u64)> {
-    read_snapshot(bytes)
-}
-
-fn read_snapshot<R: Read>(r: R) -> Result<(Database, u64)> {
-    let mut cr = CrcReader { inner: r, crc: 0xFFFF_FFFF };
-    let parsed = read_snapshot_body(&mut cr)?;
-    let digest = cr.crc ^ 0xFFFF_FFFF;
-    let mut trailer = [0u8; 4];
-    cr.inner
-        .read_exact(&mut trailer)
-        .map_err(|_| DbError::Corrupt("snapshot: missing checksum trailer".into()))?;
-    if u32::from_le_bytes(trailer) != digest {
-        return Err(DbError::Corrupt("snapshot: checksum mismatch".into()));
-    }
-    Ok(parsed)
-}
-
-fn read_snapshot_body<R: Read>(r: R) -> Result<(Database, u64)> {
-    let mut dec = Dec { r };
-    let mut magic = [0u8; 4];
-    dec.r.read_exact(&mut magic).map_err(read_err)?;
-    if &magic != MAGIC {
-        return Err(DbError::Corrupt("snapshot: bad magic".into()));
-    }
-    let version = dec.u32()?;
-    if version != VERSION {
-        return Err(DbError::Corrupt(format!("snapshot: unsupported version {version}")));
-    }
-    let lsn = dec.u64()?;
-    // The database is still private to this function: fill its state
-    // through `&mut`, without taking the gate.
-    let mut db = Database::new();
-    let state = db.state_mut();
-    let n_tables = dec.u32()?;
-    for _ in 0..n_tables {
-        let name = dec.string()?;
-        let n_cols = dec.u32()?;
-        let mut cols = Vec::with_capacity(cap(n_cols as usize));
-        for _ in 0..n_cols {
-            let cname = dec.string()?;
-            let dtype = dtype_from(dec.u8()?)?;
-            let nullable = dec.u8()? != 0;
-            cols.push(Column { name: cname, dtype, nullable });
-        }
-        let arity = cols.len();
-        state.apply_create_table(&name, &TableSchema::new(cols))?;
-        // Indexes: recorded now, created after rows are inserted so
-        // unique indexes validate the loaded data once.
-        let n_idx = dec.u32()?;
-        let mut idx_defs = Vec::with_capacity(cap(n_idx as usize));
-        for _ in 0..n_idx {
-            let iname = dec.string()?;
-            let unique = dec.u8()? != 0;
-            let n_keys = dec.u32()?;
-            let mut keys = Vec::with_capacity(cap(n_keys as usize));
-            for _ in 0..n_keys {
-                keys.push(dec.u32()? as usize);
-            }
-            idx_defs.push((iname, unique, keys));
-        }
-        let n_rows = dec.u64()?;
-        let table = state.table_mut(&name)?;
-        for _ in 0..n_rows {
-            let mut row = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                row.push(dec.value()?);
-            }
-            table.insert(row)?;
-        }
-        for (iname, unique, keys) in idx_defs {
-            table.create_index(iname, keys, unique)?;
-        }
-    }
-    load_clobs(&mut state.clobs, &mut dec)?;
-    Ok((db, lsn))
-}
-
-fn save_clobs<W: Write>(clobs: &ClobStore, enc: &mut Enc<W>) -> Result<()> {
-    let n = clobs.len();
-    enc.u64(n as u64)?;
-    for id in 0..n as u64 {
-        enc.string(clobs.get(id)?)?;
-    }
-    Ok(())
-}
-
-fn load_clobs<R: Read>(clobs: &mut ClobStore, dec: &mut Dec<R>) -> Result<()> {
-    let n = dec.u64()?;
-    clobs.load((0..n).map(|_| dec.string()))
 }
 
 #[cfg(test)]
@@ -378,12 +101,22 @@ mod tests {
     use super::*;
     use crate::exec::Plan;
     use crate::expr::Expr;
-    use crate::table::Row;
+    use crate::table::{Column, TableSchema};
+    use crate::value::{DataType, Value};
+    use crate::wal::{write_frame, MemVfs, WalOptions, WAL_FILE};
+    use obs::names;
+    use std::sync::Arc;
 
-    /// Snapshot `db` to bytes and parse them back.
+    /// Open a database from snapshot `bytes` alone.
+    fn open_snapshot(bytes: Vec<u8>) -> Result<Database> {
+        let vfs = MemVfs::new();
+        vfs.overwrite(SNAPSHOT_FILE, bytes);
+        Database::open_with(Arc::new(vfs), WalOptions::default())
+    }
+
+    /// Snapshot `db` and open the snapshot.
     fn roundtrip(db: &Database) -> Database {
-        let bytes = db.snapshot_bytes(0).unwrap();
-        load_snapshot_bytes(&bytes).unwrap().0
+        open_snapshot(db.snapshot_bytes(0)).unwrap()
     }
 
     fn populated() -> Database {
@@ -470,8 +203,8 @@ mod tests {
 
     #[test]
     fn bad_files_rejected() {
-        assert!(load_snapshot_bytes(b"NOPEgarbage").is_err());
-        assert!(load_snapshot_bytes(b"MD").is_err());
+        assert!(open_snapshot(b"NOPEgarbage".to_vec()).is_err());
+        assert!(open_snapshot(b"MD".to_vec()).is_err());
         // On disk: a path that is a file, not a durable directory,
         // cannot be opened.
         let path = std::env::temp_dir().join(format!("minidb-snap-bad-{}", std::process::id()));
@@ -489,7 +222,87 @@ mod tests {
 
     #[test]
     fn truncated_file_rejected() {
-        let bytes = populated().snapshot_bytes(0).unwrap();
-        assert!(load_snapshot_bytes(&bytes[..bytes.len() / 2]).is_err());
+        let bytes = populated().snapshot_bytes(0);
+        assert!(open_snapshot(bytes[..bytes.len() / 2].to_vec()).is_err());
+    }
+
+    /// The records of a snapshot's one transaction.
+    fn records(bytes: &[u8]) -> Vec<WalRecord> {
+        let mut scan = scan_wal(bytes).unwrap();
+        assert_eq!(scan.txns.len(), 1);
+        scan.txns.remove(0).1
+    }
+
+    #[test]
+    fn rows_are_logged_in_bounded_chunks() {
+        let db = Database::new();
+        db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
+            .unwrap();
+        db.create_index("t", "t_pk", &["id"], true).unwrap();
+        let n = 2 * ROWS_PER_INSERT + 1;
+        db.insert("t", (0..n as i64).map(|i| vec![Value::Int(i)])).unwrap();
+        let recs = records(&db.snapshot_bytes(0));
+        let chunks: Vec<usize> = recs
+            .iter()
+            .filter_map(|r| match r {
+                WalRecord::Insert { rows, .. } => Some(rows.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(chunks, [ROWS_PER_INSERT, ROWS_PER_INSERT, 1]);
+        // The index is created after every row.
+        assert!(matches!(recs.last(), Some(WalRecord::CreateIndex { .. })));
+        assert_eq!(roundtrip(&db).row_count("t").unwrap(), n);
+    }
+
+    #[test]
+    fn a_snapshot_is_exactly_one_transaction_stamped_with_its_base() {
+        let image = populated().snapshot_bytes(7);
+        assert!(open_snapshot(image.clone()).is_ok());
+        // A second committed transaction after the first.
+        let mut two = image.clone();
+        write_frame(&mut two, &WalRecord::Commit { lsn: 8 }.encode());
+        // No commit at all: the last frame dropped.
+        let commit_frame = WalRecord::Commit { lsn: 7 }.encode().len() + 12;
+        let uncommitted = image[..image.len() - commit_frame].to_vec();
+        // A commit stamped with an LSN other than the header's.
+        let mut restamped = image[..image.len() - commit_frame].to_vec();
+        write_frame(&mut restamped, &WalRecord::Commit { lsn: 9 }.encode());
+        for bad in [two, uncommitted, restamped] {
+            match open_snapshot(bad) {
+                Err(DbError::Corrupt(m)) => assert!(m.contains(SNAPSHOT_FILE), "{m}"),
+                Err(e) => panic!("expected Corrupt, got {e}"),
+                Ok(_) => panic!("accepted"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_checkpoint_at_lsn_zero_with_no_tables_reopens() {
+        let vfs = MemVfs::new();
+        let open = || Database::open_with(Arc::new(vfs.clone()), WalOptions::default()).unwrap();
+        assert_eq!(open().checkpoint().unwrap(), 0);
+        let db = open();
+        assert_eq!(db.last_lsn(), 0);
+        assert!(db.table_names().is_empty());
+    }
+
+    /// `wal.recovered_records` counts WAL records only. No other test
+    /// in this binary replays a non-empty log, so the count is exact.
+    #[test]
+    fn snapshot_replay_is_not_counted_as_recovered() {
+        let vfs = MemVfs::new();
+        let db = Database::open_with(Arc::new(vfs.clone()), WalOptions::default()).unwrap();
+        db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
+            .unwrap();
+        db.insert("t", (0..10).map(|i| vec![Value::Int(i)])).unwrap();
+        db.checkpoint().unwrap();
+        db.insert("t", vec![vec![Value::Int(10)]]).unwrap();
+        drop(db);
+        assert!(vfs.file(WAL_FILE).unwrap().len() > 20);
+        let before = names::WAL_RECOVERED_RECORDS.get();
+        let db = Database::open_with(Arc::new(vfs), WalOptions::default()).unwrap();
+        assert_eq!(db.row_count("t").unwrap(), 11);
+        assert_eq!(names::WAL_RECOVERED_RECORDS.get() - before, 1);
     }
 }

@@ -319,15 +319,6 @@ impl Table {
         self.rows.iter().enumerate().filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
     }
 
-    /// Remove every row but keep schema and indexes.
-    pub fn truncate(&mut self) {
-        self.rows.clear();
-        self.live = 0;
-        for idx in &mut self.indexes {
-            idx.map.clear();
-        }
-    }
-
     /// Rough memory footprint in bytes (rows only), for storage
     /// accounting in the evaluation.
     pub fn approx_bytes(&self) -> usize {
@@ -468,17 +459,5 @@ mod tests {
         assert_eq!(t.index("by_age").unwrap().get(&[36.into()]).len(), 1);
         assert_eq!(t.index("by_age").unwrap().get(&[40.into()]).len(), 1);
         assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn truncate_clears_rows_and_indexes() {
-        let mut t = people();
-        t.create_index("by_age", vec![2], false).unwrap();
-        t.truncate();
-        assert!(t.is_empty());
-        let idx = t.index("by_age").unwrap();
-        assert_eq!(idx.walk(&[], Bound::Unbounded, Bound::Unbounded).count(), 0);
-        t.insert(vec![9.into(), "z".into(), 1.into()]).unwrap();
-        assert_eq!(t.index("by_age").unwrap().get(&[1.into()]).len(), 1);
     }
 }

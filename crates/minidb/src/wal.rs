@@ -6,18 +6,23 @@
 //! periodically checkpointing the whole database to a snapshot so the
 //! log can be truncated.
 //!
-//! # WAL format
+//! # Log format
 //!
-//! A WAL file is a 20-byte header followed by a sequence of frames:
+//! The WAL (`wal.log`) and the snapshot (`snapshot.mdb`) share one
+//! format: a 20-byte header followed by a sequence of frames.
 //!
 //! ```text
-//! header: "MWL1" | u32 version | u64 base_lsn | u32 crc32(first 16 bytes)
+//! header: "MWL1" | u32 version (2) | u64 base_lsn | u32 crc32(first 16 bytes)
 //! frame:  u32 len | u32 crc32(len) | u32 crc32(payload) | payload
 //! ```
 //!
-//! Each payload is one `WalRecord`. A transaction is a run of
-//! operation records terminated by `Commit{lsn}`; recovery applies only
-//! complete committed transactions, in LSN order.
+//! Each payload is one `WalRecord`: `CreateTable`, `CreateIndex`,
+//! `Insert`, `DeleteWhere`, `UpdateWhere`, `ClobPut` (one put's parts)
+//! or `Commit{lsn}`. A transaction is a run of operation records
+//! terminated by `Commit{lsn}`; recovery applies only complete committed
+//! transactions, in LSN order. A snapshot is exactly one transaction,
+//! the whole state ([`crate::snapshot`]). A version-1 log or an `MDB1`
+//! snapshot, the formats before this one, is refused as corrupt.
 //!
 //! The double checksum makes torn tails and corruption distinguishable
 //! under the prefix-tearing crash model (appends may be lost from the
@@ -25,7 +30,8 @@
 //!
 //! - fewer than 12 bytes left, or fewer than `len` payload bytes left:
 //!   **torn tail** — the crash interrupted the final append; the tail
-//!   is silently discarded.
+//!   is silently discarded (in the WAL; a snapshot is installed whole,
+//!   so a torn one is corrupt).
 //! - header checksum mismatch on a fully-present frame header, or
 //!   payload checksum mismatch on a fully-present payload: **hard
 //!   corruption** ([`DbError::Corrupt`]). The header checksum covers
@@ -37,8 +43,9 @@
 //! A checkpoint (holding the WAL writer lock, so no commits interleave)
 //! writes the snapshot stamped with the last committed LSN via
 //! tmp-file + rename, then swaps in a fresh WAL whose header carries
-//! `base_lsn = lsn + 1`. Recovery loads the snapshot, replays only WAL
-//! transactions with `lsn > snapshot lsn`, truncates the log back to
+//! `base_lsn = lsn + 1`. Recovery replays the snapshot, then replays
+//! only WAL transactions with `lsn > snapshot lsn`, both through
+//! `scan_wal` and `State::apply_txn`; it truncates the log back to
 //! the end of the last committed transaction (dropping orphaned
 //! uncommitted records so a later commit can never adopt them), and
 //! reopens it for appending. Every crash window between those renames
@@ -50,8 +57,8 @@
 
 use crate::error::{DbError, Result};
 use crate::expr::{ArithOp, CmpOp, Expr};
-use crate::snapshot::{dtype_code, dtype_from, Dec, Enc};
 use crate::table::{Column, Row, TableSchema};
+use crate::value::{DataType, Value};
 use obs::names;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -68,8 +75,10 @@ pub(crate) const SNAPSHOT_TMP: &str = "snapshot.tmp";
 pub(crate) const WAL_TMP: &str = "wal.tmp";
 
 const WAL_MAGIC: &[u8; 4] = b"MWL1";
-const WAL_VERSION: u32 = 1;
-/// Fixed size of the WAL file header.
+/// Format version 2 made the snapshot a log and a `ClobPut` one put;
+/// version 1 files (and `MDB1` snapshots) are refused.
+const WAL_VERSION: u32 = 2;
+/// Fixed size of the file header.
 pub(crate) const WAL_HEADER_LEN: usize = 20;
 /// Frame prefix: length word plus its checksum plus the payload checksum.
 const FRAME_HEADER_LEN: usize = 12;
@@ -101,17 +110,11 @@ static CRC_TABLE: [u32; 256] = build_crc_table();
 
 /// CRC32 of `data` (IEEE polynomial, as used by zip/png).
 pub fn crc32(data: &[u8]) -> u32 {
-    crc32_accum(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
-}
-
-/// Incremental CRC32 step over raw (pre-inversion) state, for
-/// streaming checksums; seed with `0xFFFF_FFFF` and invert at the end.
-pub(crate) fn crc32_accum(state: u32, data: &[u8]) -> u32 {
-    let mut c = state;
+    let mut c = 0xFFFF_FFFF;
     for &b in data {
         c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c
+    c ^ 0xFFFF_FFFF
 }
 
 // ---------------------------------------------------------------------------
@@ -506,14 +509,12 @@ impl Vfs for FaultyVfs {
 // Records.
 
 /// One logged mutation. Records are content-based — predicates and
-/// values, never row ids — because snapshot load compacts tombstoned
-/// row ids, so physical ids are not stable across recovery.
+/// values, never row ids — because a checkpoint logs only live rows, so
+/// physical ids are not stable across recovery.
 #[derive(Debug, Clone)]
 pub(crate) enum WalRecord {
     /// DDL: create a table.
     CreateTable { name: String, schema: TableSchema },
-    /// DDL: drop a table.
-    DropTable { name: String },
     /// DDL: create an index over resolved column positions.
     CreateIndex { table: String, name: String, columns: Vec<usize>, unique: bool },
     /// Insert fully-shaped rows.
@@ -522,16 +523,126 @@ pub(crate) enum WalRecord {
     DeleteWhere { table: String, pred: Expr },
     /// Update matching rows: `sets` are (column, value-expression).
     UpdateWhere { table: String, pred: Option<Expr>, sets: Vec<(usize, Expr)> },
-    /// Remove all rows of a table.
-    Truncate { table: String },
-    /// Append a CLOB; replay re-assigns the same locator because WAL
-    /// order equals apply order (the writer lock is held while applying).
-    /// Its text is checked as UTF-8 when the record decodes, so a log
-    /// holding a CLOB that is not text fails recovery.
-    ClobPut { text: String },
+    /// One CLOB put: its parts, stored in one heap buffer. Replay
+    /// re-assigns the same locators because log order equals apply order
+    /// (the writer lock is held while applying). The parts are checked
+    /// as UTF-8 when the record decodes, so a file holding a CLOB that is
+    /// not text fails recovery.
+    ClobPut { parts: Vec<String> },
     /// Transaction terminator; everything since the previous commit
     /// becomes atomic and durable.
     Commit { lsn: u64 },
+}
+
+/// Appends a record's fields, little-endian, to a buffer.
+pub(crate) struct Enc<'a>(&'a mut Vec<u8>);
+
+impl Enc<'_> {
+    fn u8(&mut self, v: u8) {
+        self.0.push(v);
+    }
+    fn u32(&mut self, v: u32) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    fn u64(&mut self, v: u64) {
+        self.0.extend_from_slice(&v.to_le_bytes());
+    }
+    fn string(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.0.extend_from_slice(s.as_bytes());
+    }
+    fn value(&mut self, v: &Value) {
+        match v {
+            Value::Null => self.u8(0),
+            Value::Bool(b) => {
+                self.u8(1);
+                self.u8(*b as u8);
+            }
+            Value::Int(i) => {
+                self.u8(2);
+                self.0.extend_from_slice(&i.to_le_bytes());
+            }
+            Value::Float(f) => {
+                self.u8(3);
+                self.0.extend_from_slice(&f.to_le_bytes());
+            }
+            Value::Str(s) => {
+                self.u8(4);
+                self.string(s);
+            }
+        }
+    }
+}
+
+/// Reads a record's fields. Every read is bounded by the bytes left, so
+/// a corrupt count or length fails cleanly instead of allocating for it.
+struct Dec<'a>(&'a [u8]);
+
+/// Clamp for `Vec::with_capacity` on decoded counts: trust a count only
+/// as its elements decode.
+fn cap(n: u32) -> usize {
+    (n as usize).min(4096)
+}
+
+impl<'a> Dec<'a> {
+    fn take(&mut self, n: u64) -> Result<&'a [u8]> {
+        let left = self.0.len() as u64;
+        if n > left {
+            return Err(DbError::Corrupt(format!("record needs {n} more bytes, has {left}")));
+        }
+        let (head, rest) = self.0.split_at(n as usize);
+        self.0 = rest;
+        Ok(head)
+    }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        Ok(self.take(N as u64)?.try_into().expect("N bytes"))
+    }
+    fn u8(&mut self) -> Result<u8> {
+        Ok(self.array::<1>()?[0])
+    }
+    fn u32(&mut self) -> Result<u32> {
+        Ok(u32::from_le_bytes(self.array()?))
+    }
+    fn u64(&mut self) -> Result<u64> {
+        Ok(u64::from_le_bytes(self.array()?))
+    }
+    fn string(&mut self) -> Result<String> {
+        let len = self.u64()?;
+        std::str::from_utf8(self.take(len)?)
+            .map(str::to_owned)
+            .map_err(|e| DbError::Corrupt(format!("string is not UTF-8: {e}")))
+    }
+    fn value(&mut self) -> Result<Value> {
+        Ok(match self.u8()? {
+            0 => Value::Null,
+            1 => Value::Bool(self.u8()? != 0),
+            2 => Value::Int(i64::from_le_bytes(self.array()?)),
+            3 => Value::Float(f64::from_le_bytes(self.array()?)),
+            4 => Value::Str(self.string()?),
+            t => return Err(DbError::Corrupt(format!("unknown value tag {t}"))),
+        })
+    }
+}
+
+fn dtype_code(d: DataType) -> u8 {
+    match d {
+        DataType::Int => 0,
+        DataType::Float => 1,
+        DataType::Text => 2,
+        DataType::Bool => 3,
+        DataType::Clob => 4,
+    }
+}
+
+fn dtype_from(code: u8) -> Result<DataType> {
+    Ok(match code {
+        0 => DataType::Int,
+        1 => DataType::Float,
+        2 => DataType::Text,
+        3 => DataType::Bool,
+        4 => DataType::Clob,
+        t => return Err(DbError::Corrupt(format!("unknown dtype {t}"))),
+    })
 }
 
 fn cmp_code(op: CmpOp) -> u8 {
@@ -553,7 +664,7 @@ fn cmp_from(c: u8) -> Result<CmpOp> {
         3 => CmpOp::Le,
         4 => CmpOp::Gt,
         5 => CmpOp::Ge,
-        t => return Err(DbError::Corrupt(format!("wal: unknown cmp op {t}"))),
+        t => return Err(DbError::Corrupt(format!("unknown cmp op {t}"))),
     })
 }
 
@@ -574,74 +685,65 @@ fn arith_from(c: u8) -> Result<ArithOp> {
         2 => ArithOp::Mul,
         3 => ArithOp::Div,
         4 => ArithOp::Mod,
-        t => return Err(DbError::Corrupt(format!("wal: unknown arith op {t}"))),
+        t => return Err(DbError::Corrupt(format!("unknown arith op {t}"))),
     })
 }
 
-fn write_expr<W: Write>(enc: &mut Enc<W>, e: &Expr) -> Result<()> {
+fn write_expr(enc: &mut Enc, e: &Expr) {
     match e {
         Expr::Col(i) => {
-            enc.u8(0)?;
-            enc.u64(*i as u64)
+            enc.u8(0);
+            enc.u64(*i as u64);
         }
         Expr::Lit(v) => {
-            enc.u8(1)?;
-            enc.value(v)
+            enc.u8(1);
+            enc.value(v);
         }
         Expr::Cmp(op, a, b) => {
-            enc.u8(2)?;
-            enc.u8(cmp_code(*op))?;
-            write_expr(enc, a)?;
-            write_expr(enc, b)
+            enc.u8(2);
+            enc.u8(cmp_code(*op));
+            write_expr(enc, a);
+            write_expr(enc, b);
         }
         Expr::And(a, b) => {
-            enc.u8(3)?;
-            write_expr(enc, a)?;
-            write_expr(enc, b)
+            enc.u8(3);
+            write_expr(enc, a);
+            write_expr(enc, b);
         }
         Expr::Or(a, b) => {
-            enc.u8(4)?;
-            write_expr(enc, a)?;
-            write_expr(enc, b)
+            enc.u8(4);
+            write_expr(enc, a);
+            write_expr(enc, b);
         }
         Expr::Not(a) => {
-            enc.u8(5)?;
-            write_expr(enc, a)
+            enc.u8(5);
+            write_expr(enc, a);
         }
         Expr::Arith(op, a, b) => {
-            enc.u8(6)?;
-            enc.u8(arith_code(*op))?;
-            write_expr(enc, a)?;
-            write_expr(enc, b)
+            enc.u8(6);
+            enc.u8(arith_code(*op));
+            write_expr(enc, a);
+            write_expr(enc, b);
         }
         Expr::Like(a, pat) => {
-            enc.u8(7)?;
-            write_expr(enc, a)?;
-            enc.string(pat)
+            enc.u8(7);
+            write_expr(enc, a);
+            enc.string(pat);
         }
         Expr::IsNull(a) => {
-            enc.u8(8)?;
-            write_expr(enc, a)
+            enc.u8(8);
+            write_expr(enc, a);
         }
         Expr::Between(a, lo, hi) => {
-            enc.u8(9)?;
-            write_expr(enc, a)?;
-            write_expr(enc, lo)?;
-            write_expr(enc, hi)
-        }
-        Expr::InList(a, vs) => {
-            enc.u8(10)?;
-            write_expr(enc, a)?;
-            enc.u32(vs.len() as u32)?;
-            for v in vs {
-                enc.value(v)?;
-            }
-            Ok(())
+            enc.u8(9);
+            write_expr(enc, a);
+            write_expr(enc, lo);
+            write_expr(enc, hi);
         }
     }
 }
 
-fn read_expr<R: std::io::Read>(dec: &mut Dec<R>) -> Result<Expr> {
+fn read_expr(dec: &mut Dec) -> Result<Expr> {
     Ok(match dec.u8()? {
         0 => Expr::Col(dec.u64()? as usize),
         1 => Expr::Lit(dec.value()?),
@@ -663,141 +765,120 @@ fn read_expr<R: std::io::Read>(dec: &mut Dec<R>) -> Result<Expr> {
             Box::new(read_expr(dec)?),
             Box::new(read_expr(dec)?),
         ),
-        10 => {
-            let a = Box::new(read_expr(dec)?);
-            let n = dec.u32()?;
-            let mut vs = Vec::with_capacity((n as usize).min(4096));
-            for _ in 0..n {
-                vs.push(dec.value()?);
-            }
-            Expr::InList(a, vs)
-        }
-        t => return Err(DbError::Corrupt(format!("wal: unknown expr tag {t}"))),
+        t => return Err(DbError::Corrupt(format!("unknown expr tag {t}"))),
     })
 }
 
-fn write_insert<W: Write>(enc: &mut Enc<W>, table: &str, rows: &[Row]) -> Result<()> {
-    enc.u8(4)?;
-    enc.string(table)?;
-    enc.u32(rows.len() as u32)?;
+/// Write a [`WalRecord::Insert`] of borrowed `rows`, so a transaction
+/// can log rows before moving them into the table and a checkpoint can
+/// log a table's rows without copying them.
+pub(crate) fn write_insert<'r>(
+    enc: &mut Enc,
+    table: &str,
+    rows: impl ExactSizeIterator<Item = &'r Row>,
+) {
+    enc.u8(4);
+    enc.string(table);
+    enc.u32(rows.len() as u32);
     for row in rows {
-        enc.u32(row.len() as u32)?;
+        enc.u32(row.len() as u32);
         for v in row {
-            enc.value(v)?;
+            enc.value(v);
         }
     }
-    Ok(())
 }
 
-fn write_clob_put<W: Write>(enc: &mut Enc<W>, text: &str) -> Result<()> {
-    enc.u8(8)?;
-    enc.string(text)
+/// Write a [`WalRecord::ClobPut`] of borrowed `parts` (see
+/// [`write_insert`]).
+pub(crate) fn write_clob_put<'p>(enc: &mut Enc, parts: impl ExactSizeIterator<Item = &'p str>) {
+    enc.u8(8);
+    enc.u32(parts.len() as u32);
+    for p in parts {
+        enc.string(p);
+    }
 }
 
-/// Encode with `write` into a fresh buffer.
-fn encode_with(write: impl FnOnce(&mut Enc<Vec<u8>>) -> Result<()>) -> Vec<u8> {
-    let mut enc = Enc { w: Vec::new() };
-    write(&mut enc).expect("encoding to Vec cannot fail");
-    enc.w
-}
-
-/// The encoded [`WalRecord::Insert`] of `rows`, made from borrowed rows
-/// so a transaction can log them before moving them into the table.
-pub(crate) fn encode_insert(table: &str, rows: &[Row]) -> Vec<u8> {
-    encode_with(|enc| write_insert(enc, table, rows))
-}
-
-/// The encoded [`WalRecord::ClobPut`] of `text` (see [`encode_insert`]).
-pub(crate) fn encode_clob_put(text: &str) -> Vec<u8> {
-    encode_with(|enc| write_clob_put(enc, text))
+/// A record payload, written by `write` into a fresh buffer.
+pub(crate) fn encode_with(write: impl FnOnce(&mut Enc)) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write(&mut Enc(&mut buf));
+    buf
 }
 
 impl WalRecord {
+    /// The record's payload in a fresh buffer (tests build logs by hand).
+    #[cfg(test)]
     pub(crate) fn encode(&self) -> Vec<u8> {
         encode_with(|enc| self.write(enc))
     }
 
-    fn write<W: Write>(&self, enc: &mut Enc<W>) -> Result<()> {
+    pub(crate) fn write(&self, enc: &mut Enc) {
         match self {
             WalRecord::CreateTable { name, schema } => {
-                enc.u8(1)?;
-                enc.string(name)?;
-                enc.u32(schema.columns.len() as u32)?;
+                enc.u8(1);
+                enc.string(name);
+                enc.u32(schema.columns.len() as u32);
                 for c in &schema.columns {
-                    enc.string(&c.name)?;
-                    enc.u8(dtype_code(c.dtype))?;
-                    enc.u8(c.nullable as u8)?;
+                    enc.string(&c.name);
+                    enc.u8(dtype_code(c.dtype));
+                    enc.u8(c.nullable as u8);
                 }
-                Ok(())
-            }
-            WalRecord::DropTable { name } => {
-                enc.u8(2)?;
-                enc.string(name)
             }
             WalRecord::CreateIndex { table, name, columns, unique } => {
-                enc.u8(3)?;
-                enc.string(table)?;
-                enc.string(name)?;
-                enc.u8(*unique as u8)?;
-                enc.u32(columns.len() as u32)?;
+                enc.u8(3);
+                enc.string(table);
+                enc.string(name);
+                enc.u8(*unique as u8);
+                enc.u32(columns.len() as u32);
                 for &c in columns {
-                    enc.u32(c as u32)?;
+                    enc.u32(c as u32);
                 }
-                Ok(())
             }
-            WalRecord::Insert { table, rows } => write_insert(enc, table, rows),
+            WalRecord::Insert { table, rows } => write_insert(enc, table, rows.iter()),
             WalRecord::DeleteWhere { table, pred } => {
-                enc.u8(5)?;
-                enc.string(table)?;
-                write_expr(enc, pred)
+                enc.u8(5);
+                enc.string(table);
+                write_expr(enc, pred);
             }
             WalRecord::UpdateWhere { table, pred, sets } => {
-                enc.u8(6)?;
-                enc.string(table)?;
+                enc.u8(6);
+                enc.string(table);
                 match pred {
-                    None => enc.u8(0)?,
+                    None => enc.u8(0),
                     Some(p) => {
-                        enc.u8(1)?;
-                        write_expr(enc, p)?;
+                        enc.u8(1);
+                        write_expr(enc, p);
                     }
                 }
-                enc.u32(sets.len() as u32)?;
+                enc.u32(sets.len() as u32);
                 for (col, e) in sets {
-                    enc.u32(*col as u32)?;
-                    write_expr(enc, e)?;
+                    enc.u32(*col as u32);
+                    write_expr(enc, e);
                 }
-                Ok(())
             }
-            WalRecord::Truncate { table } => {
-                enc.u8(7)?;
-                enc.string(table)
-            }
-            WalRecord::ClobPut { text } => write_clob_put(enc, text),
+            WalRecord::ClobPut { parts } => write_clob_put(enc, parts.iter().map(String::as_str)),
             WalRecord::Commit { lsn } => {
-                enc.u8(9)?;
-                enc.u64(*lsn)
+                enc.u8(9);
+                enc.u64(*lsn);
             }
         }
     }
 
     pub(crate) fn decode(bytes: &[u8]) -> Result<WalRecord> {
-        let mut dec = Dec { r: bytes };
+        let mut dec = Dec(bytes);
         let rec = Self::read(&mut dec)?;
-        if !dec.r.is_empty() {
-            return Err(DbError::Corrupt(format!(
-                "wal: {} trailing bytes after record",
-                dec.r.len()
-            )));
+        if !dec.0.is_empty() {
+            return Err(DbError::Corrupt(format!("{} trailing bytes after record", dec.0.len())));
         }
         Ok(rec)
     }
 
-    fn read<R: std::io::Read>(dec: &mut Dec<R>) -> Result<WalRecord> {
+    fn read(dec: &mut Dec) -> Result<WalRecord> {
         Ok(match dec.u8()? {
             1 => {
                 let name = dec.string()?;
                 let n = dec.u32()?;
-                let mut columns = Vec::with_capacity((n as usize).min(4096));
+                let mut columns = Vec::with_capacity(cap(n));
                 for _ in 0..n {
                     let cname = dec.string()?;
                     let dtype = dtype_from(dec.u8()?)?;
@@ -806,13 +887,12 @@ impl WalRecord {
                 }
                 WalRecord::CreateTable { name, schema: TableSchema { columns } }
             }
-            2 => WalRecord::DropTable { name: dec.string()? },
             3 => {
                 let table = dec.string()?;
                 let name = dec.string()?;
                 let unique = dec.u8()? != 0;
                 let n = dec.u32()?;
-                let mut columns = Vec::with_capacity((n as usize).min(4096));
+                let mut columns = Vec::with_capacity(cap(n));
                 for _ in 0..n {
                     columns.push(dec.u32()? as usize);
                 }
@@ -821,10 +901,10 @@ impl WalRecord {
             4 => {
                 let table = dec.string()?;
                 let n = dec.u32()?;
-                let mut rows = Vec::with_capacity((n as usize).min(4096));
+                let mut rows = Vec::with_capacity(cap(n));
                 for _ in 0..n {
                     let arity = dec.u32()?;
-                    let mut row = Vec::with_capacity((arity as usize).min(4096));
+                    let mut row = Vec::with_capacity(cap(arity));
                     for _ in 0..arity {
                         row.push(dec.value()?);
                     }
@@ -838,20 +918,26 @@ impl WalRecord {
                 let pred = match dec.u8()? {
                     0 => None,
                     1 => Some(read_expr(dec)?),
-                    t => return Err(DbError::Corrupt(format!("wal: bad pred flag {t}"))),
+                    t => return Err(DbError::Corrupt(format!("bad pred flag {t}"))),
                 };
                 let n = dec.u32()?;
-                let mut sets = Vec::with_capacity((n as usize).min(4096));
+                let mut sets = Vec::with_capacity(cap(n));
                 for _ in 0..n {
                     let col = dec.u32()? as usize;
                     sets.push((col, read_expr(dec)?));
                 }
                 WalRecord::UpdateWhere { table, pred, sets }
             }
-            7 => WalRecord::Truncate { table: dec.string()? },
-            8 => WalRecord::ClobPut { text: dec.string()? },
+            8 => {
+                let n = dec.u32()?;
+                let mut parts = Vec::with_capacity(cap(n));
+                for _ in 0..n {
+                    parts.push(dec.string()?);
+                }
+                WalRecord::ClobPut { parts }
+            }
             9 => WalRecord::Commit { lsn: dec.u64()? },
-            t => return Err(DbError::Corrupt(format!("wal: unknown record tag {t}"))),
+            t => return Err(DbError::Corrupt(format!("unknown record tag {t}"))),
         })
     }
 }
@@ -859,16 +945,25 @@ impl WalRecord {
 // ---------------------------------------------------------------------------
 // Framing.
 
-/// Append one framed payload to `buf`.
-pub(crate) fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    let len = payload.len() as u32;
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&crc32(&len.to_le_bytes()).to_le_bytes());
-    buf.extend_from_slice(&crc32(payload).to_le_bytes());
-    buf.extend_from_slice(payload);
+/// Append one frame to `buf`, its payload written in place by `write`.
+pub(crate) fn append_frame(buf: &mut Vec<u8>, write: impl FnOnce(&mut Enc)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    write(&mut Enc(buf));
+    let body = start + FRAME_HEADER_LEN;
+    let len = ((buf.len() - body) as u32).to_le_bytes();
+    let pcrc = crc32(&buf[body..]);
+    buf[start..start + 4].copy_from_slice(&len);
+    buf[start + 4..start + 8].copy_from_slice(&crc32(&len).to_le_bytes());
+    buf[start + 8..body].copy_from_slice(&pcrc.to_le_bytes());
 }
 
-/// Encode the 20-byte WAL file header.
+/// Append one frame holding the encoded `payload` to `buf`.
+pub(crate) fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) {
+    append_frame(buf, |enc| enc.0.extend_from_slice(payload));
+}
+
+/// Encode the 20-byte file header.
 pub(crate) fn encode_wal_header(base_lsn: u64) -> [u8; WAL_HEADER_LEN] {
     let mut h = [0u8; WAL_HEADER_LEN];
     h[..4].copy_from_slice(WAL_MAGIC);
@@ -877,6 +972,14 @@ pub(crate) fn encode_wal_header(base_lsn: u64) -> [u8; WAL_HEADER_LEN] {
     let crc = crc32(&h[..16]);
     h[16..20].copy_from_slice(&crc.to_le_bytes());
     h
+}
+
+/// `e`, naming the file it was found in when it is corruption.
+pub(crate) fn in_file(name: &str, e: DbError) -> DbError {
+    match e {
+        DbError::Corrupt(m) => DbError::Corrupt(format!("{name}: {m}")),
+        e => e,
+    }
 }
 
 /// Result of scanning a WAL file for recovery.
@@ -893,24 +996,31 @@ pub(crate) struct WalScan {
     pub base_lsn: u64,
 }
 
-/// Scan a whole WAL file. Torn tails are tolerated (the incomplete
-/// suffix is reported via `valid_len`, not an error); anything that is
-/// provably wrong — checksum mismatch on fully-present bytes, unknown
-/// tags, non-monotonic LSNs — is [`DbError::Corrupt`].
+/// Scan a whole log-format file (the WAL or a snapshot). Torn tails
+/// are tolerated (the incomplete suffix is reported via `valid_len`, not
+/// an error); anything that is provably wrong — checksum mismatch on
+/// fully-present bytes, unknown tags, non-monotonic LSNs, another
+/// format — is [`DbError::Corrupt`].
 pub(crate) fn scan_wal(bytes: &[u8]) -> Result<WalScan> {
     if bytes.len() < WAL_HEADER_LEN {
-        return Err(DbError::Corrupt(format!("wal: truncated header ({} bytes)", bytes.len())));
+        return Err(DbError::Corrupt(format!("truncated header ({} bytes)", bytes.len())));
     }
     if &bytes[..4] != WAL_MAGIC {
-        return Err(DbError::Corrupt("wal: bad magic".into()));
+        return Err(DbError::Corrupt(format!(
+            "unsupported format: magic {:?}, this build reads {:?} version {WAL_VERSION}",
+            String::from_utf8_lossy(&bytes[..4]),
+            String::from_utf8_lossy(WAL_MAGIC)
+        )));
     }
     let stored = u32::from_le_bytes(bytes[16..20].try_into().expect("4 bytes"));
     if crc32(&bytes[..16]) != stored {
-        return Err(DbError::Corrupt("wal: header checksum mismatch".into()));
+        return Err(DbError::Corrupt("header checksum mismatch".into()));
     }
     let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
     if version != WAL_VERSION {
-        return Err(DbError::Corrupt(format!("wal: unsupported version {version}")));
+        return Err(DbError::Corrupt(format!(
+            "unsupported format: version {version}, this build reads version {WAL_VERSION}"
+        )));
     }
     let base_lsn = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
 
@@ -928,12 +1038,12 @@ pub(crate) fn scan_wal(bytes: &[u8]) -> Result<WalScan> {
         let hcrc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().expect("4 bytes"));
         if crc32(&len_bytes) != hcrc {
             return Err(DbError::Corrupt(format!(
-                "wal: frame header checksum mismatch at offset {off}"
+                "frame header checksum mismatch at offset {off}"
             )));
         }
         let len = u32::from_le_bytes(len_bytes);
         if len > MAX_RECORD {
-            return Err(DbError::Corrupt(format!("wal: implausible record length {len}")));
+            return Err(DbError::Corrupt(format!("implausible record length {len}")));
         }
         if rem - FRAME_HEADER_LEN < len as usize {
             break; // torn payload
@@ -941,7 +1051,7 @@ pub(crate) fn scan_wal(bytes: &[u8]) -> Result<WalScan> {
         let pcrc = u32::from_le_bytes(bytes[off + 8..off + 12].try_into().expect("4 bytes"));
         let payload = &bytes[off + FRAME_HEADER_LEN..off + FRAME_HEADER_LEN + len as usize];
         if crc32(payload) != pcrc {
-            return Err(DbError::Corrupt(format!("wal: record checksum mismatch at offset {off}")));
+            return Err(DbError::Corrupt(format!("record checksum mismatch at offset {off}")));
         }
         let rec = WalRecord::decode(payload)?;
         off += FRAME_HEADER_LEN + len as usize;
@@ -950,13 +1060,13 @@ pub(crate) fn scan_wal(bytes: &[u8]) -> Result<WalScan> {
                 if let Some(prev) = last_lsn {
                     if lsn <= prev {
                         return Err(DbError::Corrupt(format!(
-                            "wal: non-monotonic commit lsn {lsn} after {prev}"
+                            "non-monotonic commit lsn {lsn} after {prev}"
                         )));
                     }
                 }
                 if lsn < base_lsn {
                     return Err(DbError::Corrupt(format!(
-                        "wal: commit lsn {lsn} below base {base_lsn}"
+                        "commit lsn {lsn} below base {base_lsn}"
                     )));
                 }
                 last_lsn = Some(lsn);
@@ -1024,7 +1134,7 @@ impl WalWriter {
         for r in records {
             write_frame(&mut buf, r);
         }
-        write_frame(&mut buf, &WalRecord::Commit { lsn }.encode());
+        append_frame(&mut buf, |enc| WalRecord::Commit { lsn }.write(enc));
         // Even a failed append may have left a transaction's bytes.
         self.snapshot_current = false;
         self.file.append(&buf)?;
@@ -1083,7 +1193,6 @@ mod tests {
                     ],
                 },
             },
-            WalRecord::DropTable { name: "u".into() },
             WalRecord::CreateIndex {
                 table: "t".into(),
                 name: "t_pk".into(),
@@ -1117,12 +1226,16 @@ mod tests {
             },
             WalRecord::UpdateWhere {
                 table: "t".into(),
-                pred: Some(Expr::InList(Box::new(Expr::col(0)), vec![1.into(), 2.into()])),
+                pred: Some(Expr::Not(Box::new(Expr::Cmp(
+                    CmpOp::Le,
+                    Box::new(Expr::col(0)),
+                    Box::new(Expr::lit(2.5)),
+                )))),
                 sets: vec![(1, Expr::Like(Box::new(Expr::col(1)), "a%".into()))],
             },
             WalRecord::UpdateWhere { table: "t".into(), pred: None, sets: vec![] },
-            WalRecord::Truncate { table: "t".into() },
-            WalRecord::ClobPut { text: "<x/>".into() },
+            WalRecord::ClobPut { parts: vec!["<x/>".into(), String::new(), "<y>ü</y>".into()] },
+            WalRecord::ClobPut { parts: vec![] },
             WalRecord::Commit { lsn: 42 },
         ];
         for rec in recs {
@@ -1130,6 +1243,19 @@ mod tests {
             let back = WalRecord::decode(&bytes).unwrap();
             // Codec is canonical: decode(encode(r)) re-encodes identically.
             assert_eq!(back.encode(), bytes, "roundtrip drift for {rec:?}");
+        }
+    }
+
+    #[test]
+    fn retired_tags_are_unknown() {
+        // Record tags 2 and 7 were `DropTable` and `Truncate`; expression
+        // tag 10 was an `IN` list (in a `DeleteWhere` on table "t").
+        let delete_in = [&[5u8][..], &1u64.to_le_bytes(), b"t", &[10]].concat();
+        for bytes in [vec![2u8], vec![7], delete_in] {
+            match WalRecord::decode(&bytes) {
+                Err(DbError::Corrupt(m)) => assert!(m.contains("unknown"), "{m}"),
+                other => panic!("{bytes:?} decoded as {other:?}"),
+            }
         }
     }
 
@@ -1150,7 +1276,7 @@ mod tests {
         w(&[
             WalRecord::Insert { table: "t".into(), rows: vec![vec![Value::Int(1)]] },
             WalRecord::Commit { lsn: 1 },
-            WalRecord::ClobPut { text: "abc".into() },
+            WalRecord::ClobPut { parts: vec!["abc".into()] },
             WalRecord::Insert { table: "t".into(), rows: vec![vec![Value::Int(2)]] },
             WalRecord::Commit { lsn: 2 },
         ]);

@@ -1,11 +1,14 @@
 //! Snapshot robustness fuzzing: truncated, bit-flipped, and
-//! length-bombed `MDB1` images must fail with a clean [`DbError`] —
-//! never a panic, never an attempt at an OOM-sized allocation.
+//! length-bombed snapshots must fail with a clean [`DbError`] — never a
+//! panic, never an attempt at an OOM-sized allocation.
 //!
-//! The snapshot format carries a trailing CRC32 over the whole image,
-//! so every single-bit flip is *provably* detected: either the parse
-//! trips over broken framing first, or the trailer check refuses the
-//! image.
+//! A snapshot is a file in the log's format holding one committed
+//! transaction (`minidb::snapshot`). Its header and every frame's
+//! length word and payload carry a CRC32, so every single-bit flip is
+//! *provably* detected; and since a checkpoint installs the file whole,
+//! a truncated one (a torn tail, in a log) is refused as corrupt too.
+//! `random_corruption_never_panics` draws its corruption from
+//! `PROPTEST_SEED` when set.
 
 use minidb::prelude::*;
 use minidb::wal::{MemVfs, SNAPSHOT_FILE, WAL_FILE};
@@ -102,7 +105,7 @@ fn bit_flip_at_every_offset_is_a_clean_error() {
         match try_load(bad, &wal) {
             Err(DbError::Io(m)) => panic!("flip at {pos}: surfaced as I/O error: {m}"),
             Err(_) => {} // Corrupt / schema-level: all clean rejections
-            Ok(_) => panic!("flip at {pos} went undetected (CRC trailer must catch it)"),
+            Ok(_) => panic!("flip at {pos} went undetected (a frame CRC must catch it)"),
         }
     }
 }
@@ -113,7 +116,7 @@ fn huge_length_prefixes_are_rejected_without_allocating() {
     let wal = empty_wal();
     // Splat 0xFF over 8 bytes at a spread of interior positions: any
     // length prefix it lands on becomes ~2^64 and must be refused by
-    // the bounded decoder (and everything else by the CRC trailer) —
+    // the bounded decoder (and everything else by the frame checksums) —
     // quickly, and without a giant `Vec::with_capacity`.
     for start in (16..image.len().saturating_sub(8)).step_by(61) {
         let mut bad = image.clone();

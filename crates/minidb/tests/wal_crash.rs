@@ -7,8 +7,9 @@
 //! that replayed only the committed operations. Companion tests cover
 //! torn-tail discard vs. hard corruption (a CLOB that is not UTF-8, in
 //! the log or in the snapshot, among it), group-commit loss windows,
-//! injected fsync failures and short writes, and checkpoint tail
-//! replay.
+//! injected fsync failures and short writes, checkpoint tail replay,
+//! the CLOB layout across a restart, and the refusal of directories in
+//! the format before version 2.
 
 use minidb::prelude::*;
 use minidb::wal::{
@@ -41,7 +42,6 @@ enum Op {
         set_col: usize,
         set_to: String,
     },
-    Truncate(String),
     /// A multi-record transaction: put a CLOB and insert rows that
     /// reference its locator, atomically.
     IngestLike {
@@ -72,11 +72,6 @@ impl Op {
             Op::Update { table, pred, set_col, set_to } => db
                 .update_where(table, Some(pred), &[(*set_col, Expr::lit(set_to.clone()))])
                 .map(|_| ()),
-            Op::Truncate(table) => {
-                let mut t = db.txn();
-                t.truncate(table)?;
-                t.commit()
-            }
             Op::IngestLike { table, doc, id } => {
                 let mut t = db.txn();
                 let loc = t.put_clobs(&[doc]).start;
@@ -94,8 +89,8 @@ impl Op {
 }
 
 /// Deterministic ≥200-op workload: a couple of tables, inserts,
-/// deletes, updates, occasional truncates, index creation, and
-/// multi-record ingest-like transactions.
+/// deletes, updates, occasional deletes of every row, index creation,
+/// and multi-record ingest-like transactions.
 fn workload(seed: u64, n_ops: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut ops = vec![Op::CreateTable("alpha".into()), Op::CreateTable("beta".into())];
@@ -144,15 +139,16 @@ fn workload(seed: u64, n_ops: usize) -> Vec<Op> {
                 n_idx += 1;
                 Op::CreateIndex { table, name: format!("idx_{n_idx}") }
             }
-            _ => Op::Truncate(table),
+            // Empty the table.
+            _ => Op::Delete { table, pred: Expr::lit(true) },
         };
         ops.push(op);
     }
     ops
 }
 
-/// Full state digest via the snapshot codec: table names, schemas,
-/// index definitions, live rows, and the CLOB heap.
+/// Full state digest via the snapshot image: table names, schemas,
+/// index definitions, live rows, and the CLOB heap with its buffers.
 fn digest(db: &Database) -> Vec<u8> {
     db.state_image().expect("state image")
 }
@@ -498,6 +494,36 @@ fn find(haystack: &[u8], needle: &[u8]) -> usize {
         .expect("marker present")
 }
 
+/// Swap the `@@` marker in a log-format file (the WAL or a snapshot)
+/// for bytes that are not UTF-8 and re-seal the payload checksum of the
+/// frame holding it, so only the text is wrong. Frames follow the
+/// 20-byte header: u32 len | u32 crc32(len) | u32 crc32(payload) |
+/// payload.
+fn break_utf8(file: &mut [u8]) {
+    let at = find(file, b"@@");
+    file[at..at + 2].copy_from_slice(&[0xff, 0xfe]);
+    let mut off = 20;
+    loop {
+        let len = u32::from_le_bytes(file[off..off + 4].try_into().unwrap()) as usize;
+        let payload = off + 12..off + 12 + len;
+        if payload.contains(&at) {
+            let crc = minidb::wal::crc32(&file[payload]);
+            file[off + 8..off + 12].copy_from_slice(&crc.to_le_bytes());
+            return;
+        }
+        off = payload.end;
+    }
+}
+
+/// Open `vfs` and require a `Corrupt` error mentioning `needle`.
+fn assert_refused(vfs: MemVfs, needle: &str) {
+    match Database::open_with(Arc::new(vfs), WalOptions::default()) {
+        Err(DbError::Corrupt(msg)) => assert!(msg.contains(needle), "{msg}"),
+        Err(e) => panic!("expected Corrupt, got {e}"),
+        Ok(db) => panic!("opened with {} CLOBs", db.begin_read().clobs().len()),
+    }
+}
+
 /// A WAL whose `ClobPut` holds bytes that are not UTF-8 fails recovery,
 /// instead of opening and failing whichever reply reaches that CLOB.
 #[test]
@@ -508,26 +534,14 @@ fn a_wal_clob_that_is_not_utf8_is_refused() {
     t.put_clobs(&["<x>@@</x>"]);
     t.commit().unwrap();
     drop(db);
-    // The transaction's first frame is the `ClobPut`, right after the
-    // 20-byte header: u32 len | u32 crc32(len) | u32 crc32(payload) |
-    // payload. Swap the marker for invalid UTF-8 and re-seal the
-    // payload checksum, so only the text is wrong.
     let mut log = vfs.file(WAL_FILE).unwrap();
-    let at = find(&log, b"@@");
-    log[at..at + 2].copy_from_slice(&[0xff, 0xfe]);
-    let len = u32::from_le_bytes(log[20..24].try_into().unwrap()) as usize;
-    let crc = minidb::wal::crc32(&log[32..32 + len]);
-    log[28..32].copy_from_slice(&crc.to_le_bytes());
+    break_utf8(&mut log);
     vfs.overwrite(WAL_FILE, log);
-    match Database::open_with(Arc::new(vfs), WalOptions::default()) {
-        Err(DbError::Corrupt(msg)) => assert!(msg.contains("UTF-8"), "{msg}"),
-        Err(e) => panic!("expected Corrupt, got {e}"),
-        Ok(db) => panic!("opened with {} CLOBs", db.begin_read().clobs().len()),
-    }
+    assert_refused(vfs, "UTF-8");
 }
 
-/// A snapshot whose CLOB slot holds bytes that are not UTF-8 is refused
-/// on open, like any other corrupt snapshot.
+/// A snapshot whose CLOB holds bytes that are not UTF-8 is refused on
+/// open, like any other corrupt snapshot.
 #[test]
 fn a_snapshot_clob_that_is_not_utf8_is_refused() {
     let vfs = MemVfs::new();
@@ -537,20 +551,37 @@ fn a_snapshot_clob_that_is_not_utf8_is_refused() {
     t.commit().unwrap();
     db.checkpoint().unwrap();
     drop(db);
-    // Swap the marker for invalid UTF-8 and re-seal the trailing CRC32,
-    // so only the text is wrong.
     let mut snap = vfs.file(SNAPSHOT_FILE).unwrap();
-    let at = find(&snap, b"@@");
-    snap[at..at + 2].copy_from_slice(&[0xff, 0xfe]);
-    let body = snap.len() - 4;
-    let crc = minidb::wal::crc32(&snap[..body]);
-    snap[body..].copy_from_slice(&crc.to_le_bytes());
+    break_utf8(&mut snap);
     vfs.overwrite(SNAPSHOT_FILE, snap);
-    match Database::open_with(Arc::new(vfs), WalOptions::default()) {
-        Err(DbError::Corrupt(msg)) => assert!(msg.contains("UTF-8"), "{msg}"),
-        Err(e) => panic!("expected Corrupt, got {e}"),
-        Ok(db) => panic!("opened with {} CLOBs", db.begin_read().clobs().len()),
-    }
+    assert_refused(vfs, "UTF-8");
+}
+
+/// A directory in the format before version 2 (a version-1 log, an
+/// `MDB1` snapshot) is refused, naming what was found, never replayed
+/// as if it were the new format.
+#[test]
+fn a_directory_in_the_old_format_is_refused() {
+    // A version-1 log header: "MWL1" | u32 1 | u64 base_lsn 1 | crc32.
+    let mut v1 = [&b"MWL1"[..], &1u32.to_le_bytes(), &1u64.to_le_bytes()].concat();
+    let crc = minidb::wal::crc32(&v1);
+    v1.extend_from_slice(&crc.to_le_bytes());
+    let vfs = MemVfs::new();
+    vfs.overwrite(WAL_FILE, v1);
+    assert_refused(vfs, "version 1");
+
+    // An `MDB1` snapshot of an empty database: magic | u32 version 2 |
+    // u64 lsn | u32 no tables | u64 no CLOBs | crc32 trailer, beside
+    // a valid log.
+    let mut mdb1 =
+        [&b"MDB1"[..], &2u32.to_le_bytes(), &0u64.to_le_bytes(), &0u32.to_le_bytes(), &[0; 8]]
+            .concat();
+    let crc = minidb::wal::crc32(&mdb1);
+    mdb1.extend_from_slice(&crc.to_le_bytes());
+    let vfs = MemVfs::new();
+    drop(open_mem(vfs.clone(), SyncPolicy::EveryCommit));
+    vfs.overwrite(SNAPSHOT_FILE, mdb1);
+    assert_refused(vfs, "MDB1");
 }
 
 #[test]
@@ -770,8 +801,6 @@ fn wal_replay_rebuilds_one_buffer_per_put() {
 
 #[test]
 fn checkpoint_reopen_keeps_each_documents_clobs_adjacent() {
-    // Enough bytes that the snapshot's CLOB section fills several
-    // load buffers.
     let docs = clob_docs(layout_seed() ^ 2, 120, 1200);
     let (snapped, tail) = docs.split_at(100);
     let vfs = MemVfs::new();
@@ -785,19 +814,9 @@ fn checkpoint_reopen_keeps_each_documents_clobs_adjacent() {
     let reopened = open_mem(vfs.crashed_copy(), SyncPolicy::EveryCommit);
     assert_eq!(digest(&reopened), image);
     assert_contents(&reopened, &docs, &locs);
-    let (snap_locs, tail_locs) = locs.split_at(snapped.len());
-    // WAL-replayed documents: one buffer each.
-    for l in tail_locs {
+    // Snapshotted and WAL-replayed documents alike: one buffer each.
+    assert_eq!(reopened.begin_read().clobs().buffers(), docs.len());
+    for l in &locs {
         assert_eq!(breaks(&reopened, l.clone()), 0, "document at {l:?} spans buffers");
     }
-    // Snapshot documents: regrouped in slot order into bounded
-    // buffers, so a document is split at most once.
-    for l in snap_locs {
-        assert!(breaks(&reopened, l.clone()) <= 1, "document at {l:?} split twice");
-    }
-    let section = snap_locs[0].start..snap_locs[snap_locs.len() - 1].end;
-    let snap_buffers = reopened.begin_read().clobs().buffers() - tail.len();
-    assert!(snap_buffers > 1, "the snapshot section should need several buffers");
-    assert!(snap_buffers < snapped.len(), "snapshot buffers must track bytes, not documents");
-    assert!(breaks(&reopened, section) < snap_buffers);
 }

@@ -369,10 +369,14 @@ fn serve_connection(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                 Ok(ms) if ms > 0 => explicit_deadline_ms = Some(ms),
                 _ => {
                     names::SERVICE_ERRORS_MALFORMED.incr();
+                    let (wrapped, args) = rem.split_once(' ').unwrap_or((rem, ""));
+                    let wrapped = wrapped.to_ascii_uppercase();
+                    // Counted as a request of the wrapped command (of
+                    // `unknown` when there is none).
+                    let _span = request_histogram(&wrapped).span();
                     // The wrapped command's body is already on its way:
                     // read it, or its bytes would run as commands.
-                    let (wrapped, args) = rem.split_once(' ').unwrap_or((rem, ""));
-                    let body_len = match wrapped.to_ascii_uppercase().as_str() {
+                    let body_len = match wrapped.as_str() {
                         "INGEST" => Some(args),
                         "ADD" => args.split_once(' ').map(|(_, len)| len),
                         _ => None,

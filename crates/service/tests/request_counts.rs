@@ -1,7 +1,8 @@
 //! Each request is counted once, by its `service.request.<op>` latency
 //! histogram, on every exit path of the request loop: a reply, a
-//! malformed request answered with `continue`, an unknown command and
-//! `QUIT`'s return. The only test in this binary, so the process-wide
+//! malformed request answered with `continue` (a malformed `DEADLINE`
+//! prefix among them, counted under the command it wraps), an unknown
+//! command and `QUIT`'s return. The only test in this binary, so the process-wide
 //! histograms move by exactly the requests it sends.
 
 use catalog::catalog::CatalogConfig;
@@ -49,11 +50,15 @@ fn each_request_counts_once_in_its_latency_histogram() {
     assert!(ask("QUERY grid@ARPS[dx=1000]").starts_with("OK 0"));
     assert_eq!(ask("FETCH 1,two"), "ERR bad id list\n");
     assert!(ask("FROBNICATE now").starts_with("ERR unknown command"));
+    assert_eq!(ask("DEADLINE soon QUERY grid@ARPS[dx=1000]"), "ERR bad deadline \"soon\"\n");
+    assert_eq!(ask("DEADLINE 0"), "ERR bad deadline \"0\"\n");
     assert_eq!(ask("QUIT"), "OK bye\n");
 
-    let sent = ["ping", "query", "fetch", "unknown", "quit"];
-    let expected: Vec<(&str, u64)> =
-        before.iter().map(|&(op, n)| (op, n + u64::from(sent.contains(&op)))).collect();
+    let sent = ["ping", "query", "fetch", "unknown", "query", "unknown", "quit"];
+    let expected: Vec<(&str, u64)> = before
+        .iter()
+        .map(|&(op, n)| (op, n + sent.iter().filter(|&&s| s == op).count() as u64))
+        .collect();
     // `QUIT` replies before its span ends, so its count may trail the
     // reply by a moment.
     for _ in 0..200 {
