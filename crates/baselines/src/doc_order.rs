@@ -9,7 +9,7 @@
 //! with this module.
 
 use catalog::error::Result;
-use minidb::{ArithOp, CmpOp, Column, DataType, Database, Expr, Plan, TableSchema, Value};
+use minidb::{CmpOp, Column, DataType, Database, Expr, Plan, TableSchema, Value};
 use std::sync::atomic::{AtomicI64, Ordering};
 use xmlkit::dom::{Document, NodeKind};
 
@@ -86,27 +86,27 @@ impl DocOrderStore {
         // Count fragment elements to compute the shift width.
         let frag_len = frag.descendants(frag.root()).count() as i64;
 
-        // Renumber the tail (the expensive part) in two passes, so the
-        // unique (object, pos) index never sees a transient collision:
-        // first move every shifted node to its negated new position
-        // (`pos := -frag_len - pos`), then flip the signs back.
-        let pos = || Box::new(Expr::col(1));
-        let lit = |v: i64| Box::new(Expr::lit(v));
-        let nodes_where = |op, v| Expr::and(Expr::col_eq(0, object), Expr::Cmp(op, pos(), lit(v)));
+        // Renumber the tail (the expensive part): read every node at or
+        // after `at`, delete them, and re-insert them shifted by the
+        // fragment's width, together with the fragment's own rows. The
+        // delete runs before the insert, so the unique (object, pos)
+        // index never sees two rows at one position.
+        let tail = Expr::and(
+            Expr::col_eq(0, object),
+            Expr::Cmp(CmpOp::Ge, Box::new(Expr::col(1)), Box::new(Expr::lit(at))),
+        );
         let mut txn = self.db.txn();
-        let shifted = txn.update_where(
-            "nodes",
-            Some(&nodes_where(CmpOp::Ge, at)),
-            &[(1, Expr::Arith(ArithOp::Sub, lit(-frag_len), pos()))],
-        )?;
-        txn.update_where(
-            "nodes",
-            Some(&nodes_where(CmpOp::Lt, 0)),
-            &[(1, Expr::Arith(ArithOp::Sub, lit(0), pos()))],
-        )?;
+        let mut rows = txn
+            .execute(&Plan::Scan { table: "nodes".into(), filter: Some(tail.clone()) })?
+            .rows;
+        let shifted = txn.delete_where("nodes", &tail)?;
+        for row in &mut rows {
+            if let Value::Int(p) = &mut row[1] {
+                *p += frag_len;
+            }
+        }
 
-        // Insert the fragment's rows at the gap.
-        let mut rows = Vec::new();
+        // The fragment's rows fill the gap.
         let mut pos = at - 1;
         let mut stack = vec![(frag.root(), depth)];
         while let Some((node, d)) = stack.pop() {

@@ -172,20 +172,14 @@ impl InliningBackend {
             table_names,
         };
         if let Ok((anchor_table, rec_table, _)) = backend.dynamic_tables() {
-            let name_col = backend.col(&rec_table, ATTRLABL);
             let mut txn = backend.db.txn();
-            txn.create_index_at(
-                &rec_table,
-                &format!("{rec_table}_by_label"),
-                vec![name_col],
-                false,
-            )?;
+            txn.create_index(&rec_table, &format!("{rec_table}_by_label"), &[ATTRLABL], false)?;
             let head_col = format!("{ENTTYP}_{ENTTYPL}");
-            if let Some(&hc) = backend.col_index.get(&(anchor_table.clone(), head_col)) {
-                txn.create_index_at(
+            if backend.col_index.contains_key(&(anchor_table.clone(), head_col.clone())) {
+                txn.create_index(
                     &anchor_table,
                     &format!("{anchor_table}_by_head"),
-                    vec![hc],
+                    &[&head_col],
                     false,
                 )?;
             }
@@ -651,15 +645,12 @@ impl InliningBackend {
                     }
                     Some(Placement::Table(table)) => !self
                         .db
-                        .execute(&Plan::Limit {
-                            input: Box::new(Plan::Scan {
-                                table,
-                                filter: Some(Expr::and(
-                                    Expr::col_eq(0, object),
-                                    Expr::col_eq(2, parent_row),
-                                )),
-                            }),
-                            n: 1,
+                        .execute(&Plan::Scan {
+                            table,
+                            filter: Some(Expr::and(
+                                Expr::col_eq(0, object),
+                                Expr::col_eq(2, parent_row),
+                            )),
                         })?
                         .rows
                         .is_empty(),

@@ -1,5 +1,6 @@
-//! Evaluation harness: prints the E1–E8 tables recorded in
-//! EXPERIMENTS.md.
+//! Evaluation harness: prints the tables recorded in EXPERIMENTS.md —
+//! the figure reproduction index (`figs`), experiments `e1`–`e9` and the
+//! `perf` match-latency benchmark. `all` (or no name) runs every one.
 //!
 //! ```sh
 //! cargo run --release -p mylead-bench --bin harness -- all

@@ -417,26 +417,40 @@ impl MetadataCatalog {
 
     /// Ingest many documents, shredding in parallel on `threads` worker
     /// threads (parse + shred run outside the database's lock; only
-    /// `apply` serializes on the store).
+    /// `apply` serializes on the store). Documents are stored in corpus
+    /// order up to the first that fails to parse, shred or store, whose
+    /// error is returned; the documents before it stay stored, whatever
+    /// `threads` is.
     pub fn ingest_batch(&self, docs: &[String], threads: usize) -> Result<Vec<i64>> {
         if threads <= 1 || docs.len() < 2 {
             return docs.iter().map(|d| self.ingest(d)).collect();
         }
         let chunk = docs.len().div_ceil(threads);
-        let results: Vec<Result<Vec<ShreddedDoc>>> = std::thread::scope(|scope| {
+        // Each worker shreds its chunk up to and including its first
+        // failure, one result per document: the documents after a
+        // failure are never stored, so shredding them is wasted (and,
+        // under `auto_register`, could register their definitions).
+        let results: Vec<Vec<Result<ShreddedDoc>>> = std::thread::scope(|scope| {
             let mut handles = Vec::new();
             for part in docs.chunks(chunk) {
                 handles.push(scope.spawn(move || {
-                    part.iter().map(|d| self.shred_only(d)).collect::<Result<Vec<_>>>()
+                    let mut out = Vec::with_capacity(part.len());
+                    for d in part {
+                        let shredded = self.shred_only(d);
+                        let failed = shredded.is_err();
+                        out.push(shredded);
+                        if failed {
+                            break;
+                        }
+                    }
+                    out
                 }));
             }
             handles.into_iter().map(|h| h.join().expect("shred worker panicked")).collect()
         });
         let mut ids = Vec::with_capacity(docs.len());
-        for batch in results {
-            for shredded in batch? {
-                ids.push(self.ingest_one(|| Ok(shredded), None, None)?);
-            }
+        for shredded in results.into_iter().flatten() {
+            ids.push(self.ingest_one(|| shredded, None, None)?);
         }
         Ok(ids)
     }
@@ -543,10 +557,11 @@ impl MetadataCatalog {
         self.db.is_durable()
     }
 
-    /// Checkpoint a durable catalog: snapshot the whole store and
-    /// truncate the WAL. Returns the checkpointed LSN. No-op error-free
-    /// path does not exist for in-memory catalogs — those return the
-    /// underlying engine error.
+    /// Checkpoint a durable catalog: write a snapshot of the whole store,
+    /// then swap in a fresh, empty WAL. Returns the checkpointed LSN. An
+    /// idle checkpoint (nothing committed since the last one) writes
+    /// nothing and returns the same LSN. An in-memory catalog has no log
+    /// to checkpoint and returns the engine's error.
     pub fn checkpoint(&self) -> Result<u64> {
         self.db.checkpoint().map_err(Into::into)
     }
@@ -573,7 +588,8 @@ impl MetadataCatalog {
         }
     }
 
-    /// Approximate total storage bytes (rows + CLOB heap).
+    /// Approximate storage bytes: the row values of every table plus the
+    /// CLOB text. Indexes are not counted.
     pub fn approx_bytes(&self) -> usize {
         self.db.approx_bytes()
     }

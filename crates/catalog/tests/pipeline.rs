@@ -336,6 +336,21 @@ fn parallel_ingest_matches_serial() {
 }
 
 #[test]
+fn a_failing_document_stops_the_batch_at_the_same_prefix_at_any_thread_count() {
+    let good = || doc_with(1000.0, Some(100.0), "k");
+    let docs = vec![good(), "<LEADresource><unclosed>".to_string(), good(), good()];
+    let stored = |threads: usize| {
+        let cat = cat();
+        assert!(cat.ingest_batch(&docs, threads).is_err(), "threads = {threads}");
+        cat.stats().objects
+    };
+    // Only the document before the bad one is stored.
+    assert_eq!(stored(1), 1);
+    assert_eq!(stored(2), 1);
+    assert_eq!(stored(4), 1);
+}
+
+#[test]
 fn concurrent_query_and_ingest() {
     let cat = std::sync::Arc::new(cat());
     cat.ingest(FIG3_DOCUMENT).unwrap();

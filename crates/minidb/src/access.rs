@@ -1,10 +1,9 @@
 //! Access paths: how every operation reaches the rows a filter selects.
 //!
 //! A `Plan::Scan`, the semi-join's fused scan, and the victim
-//! collection of `delete_where` and `update_where` (WAL replay
-//! included) all go through `for_each_matching`, so one choice of
-//! index serves reads and writes alike, and no plan names an index by
-//! hand.
+//! collection of `delete_where` (WAL replay included) all go through
+//! `for_each_matching`, so one choice of index serves reads and writes
+//! alike, and no plan names an index by hand.
 //!
 //! A scan filter is a tree of conjuncts. The ones an index can key on
 //! are `col = lit`, `col IS NULL` (an equality on the NULL key) and a

@@ -14,10 +14,10 @@
 //! op to the shared state as it goes and keeps no undo, so the ops before
 //! one that fails, or before a failed WAL append or fsync in
 //! [`Txn::commit`], stay visible although nothing was logged. A delete
-//! or update that fails on its predicate or a `SET` value changes no
-//! row: both collect their victims through the access path
-//! ([`crate::access`]) and compute every new row before the first
-//! change.
+//! that fails on its predicate changes no row: it collects its victims
+//! through the access path ([`crate::access`]) before the first change.
+//! A transaction's ops are table and index creation, inserts, deletes
+//! by predicate and CLOB puts; no op rewrites a row in place.
 //! Committed transactions publish a monotonically increasing
 //! *watermark* ([`Database::commit_watermark`]) that readers can use to
 //! tell snapshots apart.
@@ -38,7 +38,7 @@ use crate::expr::Expr;
 use crate::keyset::{row_key, Key, KeySet, KeyedRows};
 use crate::limits::Deadline;
 use crate::profile::PlanProfile;
-use crate::table::{Row, RowId, Table, TableSchema};
+use crate::table::{Row, Table, TableSchema};
 use crate::wal::{
     encode_wal_header, encode_with, in_file, scan_wal, write_clob_put, write_insert, Enc, StdVfs,
     Vfs, WalOptions, WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
@@ -489,7 +489,8 @@ impl Database {
         self.begin_read().row_count(table)
     }
 
-    /// Rough byte footprint of all tables plus the CLOB heap.
+    /// Rough byte footprint: the row values of every table plus the
+    /// CLOB text. Indexes are not counted.
     pub fn approx_bytes(&self) -> usize {
         let rt = self.begin_read();
         let rows: usize = rt.state.tables.values().map(Table::approx_bytes).sum();
@@ -525,21 +526,6 @@ impl Database {
     pub fn delete_where(&self, table: &str, pred: &Expr) -> Result<usize> {
         let mut t = self.txn();
         let n = t.delete_where(table, pred)?;
-        t.commit()?;
-        Ok(n)
-    }
-
-    /// Update rows matching `pred` (all rows when `None`): each
-    /// `(column, expr)` in `sets` is evaluated against the old row.
-    /// Returns the number of updated rows.
-    pub fn update_where(
-        &self,
-        table: &str,
-        pred: Option<&Expr>,
-        sets: &[(usize, Expr)],
-    ) -> Result<usize> {
-        let mut t = self.txn();
-        let n = t.update_where(table, pred, sets)?;
         t.commit()?;
         Ok(n)
     }
@@ -599,37 +585,6 @@ impl State {
         Ok(victims.len())
     }
 
-    /// Update the rows matching `pred` (all rows when `None`); returns
-    /// the count. Every victim's new row is computed from its old one
-    /// and checked against the schema before any row changes, so a
-    /// predicate or `SET` expression that fails on some row fails the op
-    /// with the table untouched. Rows change in slot order; only a unique
-    /// violation can still stop the op partway.
-    pub(crate) fn apply_update_where(
-        &mut self,
-        table: &str,
-        pred: Option<&Expr>,
-        sets: &[(usize, Expr)],
-    ) -> Result<usize> {
-        let t = self.table_mut(table)?;
-        let mut victims: Vec<(RowId, Row)> = Vec::new();
-        for_each_matching(t, pred, |rid, row| {
-            let mut new_row = row.clone();
-            for (c, e) in sets {
-                new_row[*c] = e.eval(row)?;
-            }
-            t.schema.check(&new_row)?;
-            victims.push((rid, new_row));
-            Ok(())
-        })?;
-        victims.sort_unstable_by_key(|&(rid, _)| rid);
-        let n = victims.len();
-        for (rid, new_row) in victims {
-            t.update(rid, |row| *row = new_row)?;
-        }
-        Ok(n)
-    }
-
     /// Apply one recovered transaction's records to in-memory state (no
     /// logging): a WAL transaction, or a snapshot's one transaction.
     pub(crate) fn apply_txn(&mut self, records: Vec<WalRecord>) -> Result<()> {
@@ -642,9 +597,6 @@ impl State {
                 WalRecord::Insert { table, rows } => self.apply_insert(&table, rows).map(|_| ()),
                 WalRecord::DeleteWhere { table, pred } => {
                     self.apply_delete_where(&table, &pred).map(|_| ())
-                }
-                WalRecord::UpdateWhere { table, pred, sets } => {
-                    self.apply_update_where(&table, pred.as_ref(), &sets).map(|_| ())
                 }
                 WalRecord::ClobPut { parts } => {
                     self.clobs.put_clobs(&parts);
@@ -751,11 +703,6 @@ impl State {
                     }
                     std::cmp::Ordering::Equal
                 });
-                Ok(rs)
-            }
-            Plan::Limit { input, n } => {
-                let mut rs = self.exec_child(input, prof, path, 0, deadline)?;
-                rs.rows.truncate(*n);
                 Ok(rs)
             }
         };
@@ -1022,24 +969,6 @@ impl Txn<'_> {
         Ok(())
     }
 
-    /// Create an index over already-resolved column positions.
-    pub fn create_index_at(
-        &mut self,
-        table: &str,
-        index: &str,
-        columns: Vec<usize>,
-        unique: bool,
-    ) -> Result<()> {
-        self.state.apply_create_index(table, index, &columns, unique)?;
-        self.log(|| WalRecord::CreateIndex {
-            table: table.to_string(),
-            name: index.to_string(),
-            columns,
-            unique,
-        });
-        Ok(())
-    }
-
     /// Insert fully-shaped rows. The WAL record is encoded first and
     /// the rows are then moved into the table; a failed insert logs
     /// nothing.
@@ -1054,22 +983,6 @@ impl Txn<'_> {
     pub fn delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
         let n = self.state.apply_delete_where(table, pred)?;
         self.log(|| WalRecord::DeleteWhere { table: table.to_string(), pred: pred.clone() });
-        Ok(n)
-    }
-
-    /// Update rows matching `pred` (all when `None`); returns the count.
-    pub fn update_where(
-        &mut self,
-        table: &str,
-        pred: Option<&Expr>,
-        sets: &[(usize, Expr)],
-    ) -> Result<usize> {
-        let n = self.state.apply_update_where(table, pred, sets)?;
-        self.log(|| WalRecord::UpdateWhere {
-            table: table.to_string(),
-            pred: pred.cloned(),
-            sets: sets.to_vec(),
-        });
         Ok(n)
     }
 
@@ -1168,7 +1081,6 @@ impl ReadTxn<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::ArithOp;
     use crate::table::Column;
     use crate::value::{DataType, Value};
 
@@ -1268,27 +1180,17 @@ mod tests {
     }
 
     #[test]
-    fn sort_distinct_limit() {
-        let db = db();
+    fn sort_then_distinct() {
+        let db = Database::new();
         // Employee id parity (1, 0, 1, 0), sorted descending.
-        let parity = Expr::Arith(ArithOp::Mod, Box::new(Expr::col(0)), Box::new(Expr::lit(2)));
-        let plan = Plan::Sort {
-            input: Box::new(
-                Plan::Scan { table: "emp".into(), filter: None }
-                    .project(vec![(parity, "parity".into())]),
-            ),
-            keys: vec![(0, true)],
+        let parity = Plan::Values {
+            columns: vec!["parity".into()],
+            rows: (1..=4i64).map(|id| vec![(id % 2).into()]).collect(),
         };
+        let plan = Plan::Sort { input: Box::new(parity), keys: vec![(0, true)] };
         let rs = db.execute(&Plan::Distinct { input: Box::new(plan) }).unwrap();
         assert_eq!(rs.columns, ["parity"]);
         assert_eq!(rs.rows, vec![vec![Value::Int(1)], vec![Value::Int(0)]]);
-        let limited = db
-            .execute(&Plan::Limit {
-                input: Box::new(Plan::Scan { table: "emp".into(), filter: None }),
-                n: 2,
-            })
-            .unwrap();
-        assert_eq!(limited.rows.len(), 2);
     }
 
     #[test]
@@ -1304,45 +1206,6 @@ mod tests {
         db.execute(&Plan::Scan { table: "emp".into(), filter: Some(pred) })
             .unwrap()
             .rows
-    }
-
-    #[test]
-    fn update_keeps_indexes_current() {
-        let db = db();
-        db.create_index("emp", "by_dept", &["dept"], false).unwrap();
-        let n = db.update_where("emp", Some(&Expr::col_eq(0, 1)), &[(1, Expr::lit("moved"))]);
-        assert_eq!(n.unwrap(), 1);
-        // Both keys are read through the index: the new one finds the
-        // row, the old one no longer does.
-        let moved = Plan::Scan { table: "emp".into(), filter: Some(Expr::col_eq(1, "moved")) };
-        let explained = crate::explain::explain_analyze(&moved, &db).unwrap();
-        assert!(explained.contains("via index by_dept"), "{explained}");
-        assert_eq!(
-            emp_where(&db, Expr::col_eq(1, "moved")),
-            vec![vec![1.into(), "moved".into(), 100.into()]]
-        );
-        assert_eq!(
-            emp_where(&db, Expr::col_eq(1, "eng")),
-            vec![vec![2.into(), "eng".into(), 120.into()]]
-        );
-    }
-
-    #[test]
-    fn failed_update_leaves_the_row_as_it_was() {
-        let db = db();
-        let all = || db.execute(&Plan::Scan { table: "emp".into(), filter: None }).unwrap().rows;
-        let before = all();
-        // A SET whose value does not fit the column's type.
-        let err = db.update_where("emp", None, &[(2, Expr::lit("nope"))]).unwrap_err();
-        assert!(matches!(err, DbError::SchemaMismatch(_)), "{err}");
-        assert_eq!(all(), before);
-        // A SET that collides with a unique key.
-        db.create_index("emp", "pk", &["id"], true).unwrap();
-        let err = db
-            .update_where("emp", Some(&Expr::col_eq(0, 2)), &[(0, Expr::lit(1))])
-            .unwrap_err();
-        assert!(matches!(err, DbError::Duplicate(_)), "{err}");
-        assert_eq!(all(), before);
     }
 
     #[test]

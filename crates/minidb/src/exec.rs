@@ -7,11 +7,10 @@
 //!
 //! The operator set is exactly what the hybrid catalog's Fig-4 query
 //! pipeline and the baselines need: `Scan`, literal `Values`,
-//! `Project`, the inner hash join, the hash semi- and anti-join, and
-//! sort/distinct/limit. `Scan` is the only leaf
-//! that reads a table; it never names an index. The access path
-//! ([`crate::access`]) picks the index its filter keys, and deletes and
-//! updates select their rows the same way.
+//! `Project`, the inner hash join, the hash semi- and anti-join, `Sort`
+//! and `Distinct`. `Scan` is the only leaf that reads a table; it never
+//! names an index. The access path ([`crate::access`]) picks the index
+//! its filter keys, and deletes select their rows the same way.
 //!
 //! The semi-join and `Distinct` are set operations over attribute
 //! instance keys (paper §4), and they run only over integer keys
@@ -140,13 +139,6 @@ pub enum Plan {
     Distinct {
         /// Input plan.
         input: Box<Plan>,
-    },
-    /// Keep the first `n` rows.
-    Limit {
-        /// Input plan.
-        input: Box<Plan>,
-        /// Row cap.
-        n: usize,
     },
 }
 

@@ -11,7 +11,7 @@ use crate::access::AccessPath;
 use crate::db::{Database, ReadTxn};
 use crate::error::Result;
 use crate::exec::Plan;
-use crate::expr::{ArithOp, CmpOp, Expr};
+use crate::expr::{CmpOp, Expr};
 use crate::profile::{format_nanos, PlanProfile};
 
 /// Execute `plan` on `db` and render its tree with actual per-operator
@@ -62,7 +62,6 @@ fn node_label(plan: &Plan) -> String {
         }
         Plan::Sort { keys, .. } => format!("Sort {keys:?}"),
         Plan::Distinct { .. } => "Distinct".to_string(),
-        Plan::Limit { n, .. } => format!("Limit {n}"),
     }
 }
 
@@ -71,10 +70,9 @@ fn node_label(plan: &Plan) -> String {
 fn node_children(plan: &Plan) -> Vec<&Plan> {
     match plan {
         Plan::Scan { .. } | Plan::Values { .. } => vec![],
-        Plan::Project { input, .. }
-        | Plan::Sort { input, .. }
-        | Plan::Distinct { input }
-        | Plan::Limit { input, .. } => vec![input],
+        Plan::Project { input, .. } | Plan::Sort { input, .. } | Plan::Distinct { input } => {
+            vec![input]
+        }
         Plan::HashJoin { left, right, .. } => vec![left, right],
         Plan::HashSemiJoin { probe, build, .. } => vec![probe, build],
     }
@@ -128,16 +126,6 @@ pub fn expr_str(e: &Expr) -> String {
         Expr::And(a, b) => format!("({} AND {})", expr_str(a), expr_str(b)),
         Expr::Or(a, b) => format!("({} OR {})", expr_str(a), expr_str(b)),
         Expr::Not(a) => format!("NOT {}", expr_str(a)),
-        Expr::Arith(op, a, b) => {
-            let o = match op {
-                ArithOp::Add => "+",
-                ArithOp::Sub => "-",
-                ArithOp::Mul => "*",
-                ArithOp::Div => "/",
-                ArithOp::Mod => "%",
-            };
-            format!("({} {o} {})", expr_str(a), expr_str(b))
-        }
         Expr::Like(a, p) => format!("({} LIKE {p:?})", expr_str(a)),
         Expr::IsNull(a) => format!("({} IS NULL)", expr_str(a)),
         Expr::Between(x, lo, hi) => {
@@ -191,15 +179,20 @@ mod tests {
         )
         .unwrap();
         db.insert("t", (0..10).map(|i| vec![i.into(), (i % 3).into()])).unwrap();
-        let plan =
-            Plan::Limit { input: Box::new(Plan::Scan { table: "t".into(), filter: None }), n: 4 }
-                .project(vec![(Expr::col(0), "id".into())]);
+        let plan = Plan::Distinct {
+            input: Box::new(
+                Plan::Scan { table: "t".into(), filter: None }
+                    .project(vec![(Expr::col(1), "k".into())]),
+            ),
+        };
         let text = explain_analyze(&plan, &db).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
         // Same tree shape as EXPLAIN, each line annotated with stats.
-        assert!(lines[0].starts_with("Project") && lines[0].contains("(rows=4 time="));
-        assert!(lines[1].trim_start().starts_with("Limit 4") && lines[1].contains("rows=4"));
+        assert!(lines[0].starts_with("Distinct") && lines[0].contains("(rows=3 time="));
+        assert!(
+            lines[1].trim_start().starts_with("Project [k=#1]") && lines[1].contains("rows=10")
+        );
         assert!(lines[2].trim_start().starts_with("Scan t") && lines[2].contains("rows=10"));
         // The scan names its access path: no filter, no index.
         assert!(lines[2].contains("Scan t via full scan (rows=10"), "{text}");

@@ -1,8 +1,9 @@
 //! Scalar expression AST and evaluator.
 //!
 //! Expressions reference row positions (`Col(i)`), so the planner binds
-//! names to positions once and evaluation on the hot path is
-//! allocation-free except for string-producing operators.
+//! names to positions once. They only test rows (compare, combine,
+//! match a pattern); none computes a new value, because no caller ever
+//! rewrites a row.
 
 use crate::error::{DbError, Result};
 use crate::table::Row;
@@ -40,21 +41,6 @@ impl CmpOp {
     }
 }
 
-/// Arithmetic operators.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ArithOp {
-    /// `+`
-    Add,
-    /// `-`
-    Sub,
-    /// `*`
-    Mul,
-    /// `/`
-    Div,
-    /// `%`
-    Mod,
-}
-
 /// A scalar expression over one row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
@@ -70,9 +56,6 @@ pub enum Expr {
     Or(Box<Expr>, Box<Expr>),
     /// Logical NOT.
     Not(Box<Expr>),
-    /// Arithmetic; NULL-propagating; integer ops stay integer unless a
-    /// float participates.
-    Arith(ArithOp, Box<Expr>, Box<Expr>),
     /// SQL `LIKE` with `%` and `_` wildcards.
     Like(Box<Expr>, String),
     /// `IS NULL`.
@@ -139,14 +122,6 @@ impl Expr {
                 Ok(Value::Bool(b.eval(row)?.truthy()))
             }
             Expr::Not(a) => Ok(Value::Bool(!a.eval(row)?.truthy())),
-            Expr::Arith(op, a, b) => {
-                let va = a.eval(row)?;
-                let vb = b.eval(row)?;
-                if va.is_null() || vb.is_null() {
-                    return Ok(Value::Null);
-                }
-                arith(*op, &va, &vb)
-            }
             Expr::Like(a, pattern) => {
                 let v = a.eval(row)?;
                 match v {
@@ -173,62 +148,6 @@ impl Expr {
     /// Evaluate as a WHERE predicate (NULL → false).
     pub fn matches(&self, row: &Row) -> Result<bool> {
         Ok(self.eval(row)?.truthy())
-    }
-}
-
-fn arith(op: ArithOp, a: &Value, b: &Value) -> Result<Value> {
-    use Value::*;
-    // String concatenation via Add.
-    if let (ArithOp::Add, Str(x), Str(y)) = (op, a, b) {
-        let mut s = String::with_capacity(x.len() + y.len());
-        s.push_str(x);
-        s.push_str(y);
-        return Ok(Str(s));
-    }
-    match (a, b) {
-        (Int(x), Int(y)) => Ok(match op {
-            ArithOp::Add => Int(x.wrapping_add(*y)),
-            ArithOp::Sub => Int(x.wrapping_sub(*y)),
-            ArithOp::Mul => Int(x.wrapping_mul(*y)),
-            ArithOp::Div => {
-                if *y == 0 {
-                    Null
-                } else {
-                    Int(x / y)
-                }
-            }
-            ArithOp::Mod => {
-                if *y == 0 {
-                    Null
-                } else {
-                    Int(x % y)
-                }
-            }
-        }),
-        _ => {
-            let (Some(x), Some(y)) = (a.as_f64(), b.as_f64()) else {
-                return Err(DbError::Plan(format!("cannot apply arithmetic to {a:?} and {b:?}")));
-            };
-            Ok(match op {
-                ArithOp::Add => Float(x + y),
-                ArithOp::Sub => Float(x - y),
-                ArithOp::Mul => Float(x * y),
-                ArithOp::Div => {
-                    if y == 0.0 {
-                        Null
-                    } else {
-                        Float(x / y)
-                    }
-                }
-                ArithOp::Mod => {
-                    if y == 0.0 {
-                        Null
-                    } else {
-                        Float(x % y)
-                    }
-                }
-            })
-        }
     }
 }
 
@@ -284,20 +203,6 @@ mod tests {
         assert!(!Expr::and(t.clone(), f.clone()).matches(&row()).unwrap());
         assert!(Expr::Or(Box::new(f.clone()), Box::new(t.clone())).matches(&row()).unwrap());
         assert!(Expr::Not(Box::new(f)).matches(&row()).unwrap());
-    }
-
-    #[test]
-    fn arithmetic() {
-        let add = Expr::Arith(ArithOp::Add, Box::new(Expr::col(0)), Box::new(Expr::lit(5)));
-        assert_eq!(add.eval(&row()).unwrap(), Value::Int(15));
-        let fdiv = Expr::Arith(ArithOp::Div, Box::new(Expr::col(3)), Box::new(Expr::lit(0.5)));
-        assert_eq!(fdiv.eval(&row()).unwrap(), Value::Float(5.0));
-        let div0 = Expr::Arith(ArithOp::Div, Box::new(Expr::lit(1)), Box::new(Expr::lit(0)));
-        assert_eq!(div0.eval(&row()).unwrap(), Value::Null);
-        let nullprop = Expr::Arith(ArithOp::Add, Box::new(Expr::col(2)), Box::new(Expr::lit(1)));
-        assert_eq!(nullprop.eval(&row()).unwrap(), Value::Null);
-        let concat = Expr::Arith(ArithOp::Add, Box::new(Expr::lit("a")), Box::new(Expr::lit("b")));
-        assert_eq!(concat.eval(&row()).unwrap(), Value::Str("ab".into()));
     }
 
     #[test]

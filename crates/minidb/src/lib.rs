@@ -7,15 +7,18 @@
 //! - typed heap tables with B-tree secondary indexes ([`table`])
 //! - a scalar expression language with SQL NULL semantics ([`expr`])
 //! - physical plans: scans, projections, inner hash joins, hash semi-
-//!   and anti-joins, sort/distinct/limit ([`exec`]); callers build them
+//!   and anti-joins, sort and distinct ([`exec`]); callers build them
 //!   directly, there is no query language
 //! - one semi-join and one `Distinct`, both over one- or two-column
 //!   integer keys ([`keyset`]): the paper matches queries with set
 //!   operations over `(object_id, seq)` instance keys, and any other
 //!   input shape is an error, not a slower path
-//! - one way to reach rows: a filtered scan, a delete and an update all
-//!   walk the index their filter keys furthest, or every row when none
-//!   does ([`access`]); no plan names an index
+//! - writes are inserts and deletes only: no row is ever rewritten in
+//!   place, so a transaction creates tables and indexes, inserts rows,
+//!   deletes rows by predicate and puts CLOBs ([`db`])
+//! - one way to reach rows: a filtered scan and a delete both walk the
+//!   index their filter keys furthest, or every row when none does
+//!   ([`access`]); no plan names an index
 //! - a CLOB heap addressed by locators so plans can join over CLOB
 //!   references without touching the bytes ([`clob`])
 //! - one lock over all of it: the tables and the CLOB heap sit behind a
@@ -67,7 +70,7 @@ pub mod prelude {
     pub use crate::error::{DbError, Result};
     pub use crate::exec::{Plan, ResultSet};
     pub use crate::explain::explain_analyze;
-    pub use crate::expr::{ArithOp, CmpOp, Expr};
+    pub use crate::expr::{CmpOp, Expr};
     pub use crate::keyset::{Key, KeySet, KeyedRows};
     pub use crate::limits::Deadline;
     pub use crate::profile::{NodeStats, PlanProfile};

@@ -5,8 +5,8 @@
 //! read only by walking it ([`Index::walk`]: a key prefix plus an
 //! optional range on the next key column), which is how
 //! [`crate::access`] reaches the rows a filter selects. Index
-//! maintenance happens inside `insert`/`delete`/`update`, so readers
-//! can always trust them.
+//! maintenance happens inside `insert`/`delete`, so readers can always
+//! trust them. A row is never rewritten in place.
 
 use crate::error::{DbError, Result};
 use crate::value::{DataType, Value};
@@ -283,37 +283,6 @@ impl Table {
         true
     }
 
-    /// Update a row in place through `f`; index entries are refreshed.
-    /// The RowId stays stable; on constraint violation the old row is
-    /// restored and an error returned.
-    pub fn update(&mut self, rid: RowId, f: impl FnOnce(&mut Row)) -> Result<bool> {
-        let Some(Some(old)) = self.rows.get(rid).cloned() else {
-            return Ok(false);
-        };
-        let mut new_row = old.clone();
-        f(&mut new_row);
-        self.schema.check(&new_row)?;
-        // Remove old index entries so the unique check doesn't see the
-        // row's own previous key.
-        self.delete(rid);
-        let violation = self
-            .indexes
-            .iter()
-            .find(|idx| idx.unique && !idx.get(&idx.key_of(&new_row)).is_empty())
-            .map(|idx| idx.name.clone());
-        let row_to_store = if violation.is_some() { &old } else { &new_row };
-        for idx in &mut self.indexes {
-            let key = idx.key_of(row_to_store);
-            idx.map.entry(key).or_default().push(rid);
-        }
-        self.rows[rid] = Some(row_to_store.clone());
-        self.live += 1;
-        match violation {
-            Some(name) => Err(DbError::Duplicate(format!("index {name} on update"))),
-            None => Ok(true),
-        }
-    }
-
     /// Iterate live rows as `(RowId, &Row)`.
     pub fn scan(&self) -> impl Iterator<Item = (RowId, &Row)> {
         self.rows.iter().enumerate().filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
@@ -449,15 +418,5 @@ mod tests {
         let one = [Value::Int(1)];
         assert_eq!(idx.walk(&one, Bound::Unbounded, Bound::Unbounded).count(), 4);
         assert_eq!(idx.get(&[1.into(), 2.into()]).len(), 1);
-    }
-
-    #[test]
-    fn update_refreshes_indexes() {
-        let mut t = people();
-        t.create_index("by_age", vec![2], false).unwrap();
-        t.update(0, |r| r[2] = 40.into()).unwrap();
-        assert_eq!(t.index("by_age").unwrap().get(&[36.into()]).len(), 1);
-        assert_eq!(t.index("by_age").unwrap().get(&[40.into()]).len(), 1);
-        assert_eq!(t.len(), 3);
     }
 }

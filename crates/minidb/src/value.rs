@@ -123,15 +123,6 @@ impl Value {
         }
     }
 
-    /// Numeric view, if any.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(f) => Some(*f),
-            _ => None,
-        }
-    }
-
     /// Integer view, if any (floats with integral value included).
     pub fn as_i64(&self) -> Option<i64> {
         match self {

@@ -3,8 +3,8 @@
 //!
 //! The engine stays in-memory; durability comes from logging every
 //! mutation before acknowledging it (see [`crate::db::Txn`]) and
-//! periodically checkpointing the whole database to a snapshot so the
-//! log can be truncated.
+//! periodically checkpointing the whole database to a snapshot so a
+//! fresh, empty log can replace the old one.
 //!
 //! # Log format
 //!
@@ -17,8 +17,9 @@
 //! ```
 //!
 //! Each payload is one `WalRecord`: `CreateTable`, `CreateIndex`,
-//! `Insert`, `DeleteWhere`, `UpdateWhere`, `ClobPut` (one put's parts)
-//! or `Commit{lsn}`. A transaction is a run of operation records
+//! `Insert`, `DeleteWhere`, `ClobPut` (one put's parts) or
+//! `Commit{lsn}`. There is no update record: the engine never rewrites
+//! a row in place. A transaction is a run of operation records
 //! terminated by `Commit{lsn}`; recovery applies only complete committed
 //! transactions, in LSN order. A snapshot is exactly one transaction,
 //! the whole state ([`crate::snapshot`]). A version-1 log or an `MDB1`
@@ -56,7 +57,7 @@
 //! recovery refuses it as [`DbError::Corrupt`].
 
 use crate::error::{DbError, Result};
-use crate::expr::{ArithOp, CmpOp, Expr};
+use crate::expr::{CmpOp, Expr};
 use crate::table::{Column, Row, TableSchema};
 use crate::value::{DataType, Value};
 use obs::names;
@@ -521,8 +522,6 @@ pub(crate) enum WalRecord {
     Insert { table: String, rows: Vec<Row> },
     /// Delete every row matching the predicate.
     DeleteWhere { table: String, pred: Expr },
-    /// Update matching rows: `sets` are (column, value-expression).
-    UpdateWhere { table: String, pred: Option<Expr>, sets: Vec<(usize, Expr)> },
     /// One CLOB put: its parts, stored in one heap buffer. Replay
     /// re-assigns the same locators because log order equals apply order
     /// (the writer lock is held while applying). The parts are checked
@@ -668,27 +667,6 @@ fn cmp_from(c: u8) -> Result<CmpOp> {
     })
 }
 
-fn arith_code(op: ArithOp) -> u8 {
-    match op {
-        ArithOp::Add => 0,
-        ArithOp::Sub => 1,
-        ArithOp::Mul => 2,
-        ArithOp::Div => 3,
-        ArithOp::Mod => 4,
-    }
-}
-
-fn arith_from(c: u8) -> Result<ArithOp> {
-    Ok(match c {
-        0 => ArithOp::Add,
-        1 => ArithOp::Sub,
-        2 => ArithOp::Mul,
-        3 => ArithOp::Div,
-        4 => ArithOp::Mod,
-        t => return Err(DbError::Corrupt(format!("unknown arith op {t}"))),
-    })
-}
-
 fn write_expr(enc: &mut Enc, e: &Expr) {
     match e {
         Expr::Col(i) => {
@@ -719,12 +697,6 @@ fn write_expr(enc: &mut Enc, e: &Expr) {
             enc.u8(5);
             write_expr(enc, a);
         }
-        Expr::Arith(op, a, b) => {
-            enc.u8(6);
-            enc.u8(arith_code(*op));
-            write_expr(enc, a);
-            write_expr(enc, b);
-        }
         Expr::Like(a, pat) => {
             enc.u8(7);
             write_expr(enc, a);
@@ -754,10 +726,6 @@ fn read_expr(dec: &mut Dec) -> Result<Expr> {
         3 => Expr::And(Box::new(read_expr(dec)?), Box::new(read_expr(dec)?)),
         4 => Expr::Or(Box::new(read_expr(dec)?), Box::new(read_expr(dec)?)),
         5 => Expr::Not(Box::new(read_expr(dec)?)),
-        6 => {
-            let op = arith_from(dec.u8()?)?;
-            Expr::Arith(op, Box::new(read_expr(dec)?), Box::new(read_expr(dec)?))
-        }
         7 => Expr::Like(Box::new(read_expr(dec)?), dec.string()?),
         8 => Expr::IsNull(Box::new(read_expr(dec)?)),
         9 => Expr::Between(
@@ -840,22 +808,6 @@ impl WalRecord {
                 enc.string(table);
                 write_expr(enc, pred);
             }
-            WalRecord::UpdateWhere { table, pred, sets } => {
-                enc.u8(6);
-                enc.string(table);
-                match pred {
-                    None => enc.u8(0),
-                    Some(p) => {
-                        enc.u8(1);
-                        write_expr(enc, p);
-                    }
-                }
-                enc.u32(sets.len() as u32);
-                for (col, e) in sets {
-                    enc.u32(*col as u32);
-                    write_expr(enc, e);
-                }
-            }
             WalRecord::ClobPut { parts } => write_clob_put(enc, parts.iter().map(String::as_str)),
             WalRecord::Commit { lsn } => {
                 enc.u8(9);
@@ -913,21 +865,6 @@ impl WalRecord {
                 WalRecord::Insert { table, rows }
             }
             5 => WalRecord::DeleteWhere { table: dec.string()?, pred: read_expr(dec)? },
-            6 => {
-                let table = dec.string()?;
-                let pred = match dec.u8()? {
-                    0 => None,
-                    1 => Some(read_expr(dec)?),
-                    t => return Err(DbError::Corrupt(format!("bad pred flag {t}"))),
-                };
-                let n = dec.u32()?;
-                let mut sets = Vec::with_capacity(cap(n));
-                for _ in 0..n {
-                    let col = dec.u32()? as usize;
-                    sets.push((col, read_expr(dec)?));
-                }
-                WalRecord::UpdateWhere { table, pred, sets }
-            }
             8 => {
                 let n = dec.u32()?;
                 let mut parts = Vec::with_capacity(cap(n));
@@ -1208,32 +1145,24 @@ mod tests {
             },
             WalRecord::DeleteWhere {
                 table: "t".into(),
-                pred: Expr::and(
+                pred: Expr::all([
                     Expr::col_eq(0, 1),
                     Expr::Or(
                         Box::new(Expr::IsNull(Box::new(Expr::col(1)))),
                         Box::new(Expr::Between(
-                            Box::new(Expr::Arith(
-                                ArithOp::Add,
-                                Box::new(Expr::col(0)),
-                                Box::new(Expr::lit(1)),
-                            )),
+                            Box::new(Expr::col(0)),
                             Box::new(Expr::lit(0)),
                             Box::new(Expr::lit(10)),
                         )),
                     ),
-                ),
+                    Expr::Not(Box::new(Expr::Cmp(
+                        CmpOp::Le,
+                        Box::new(Expr::col(0)),
+                        Box::new(Expr::lit(2.5)),
+                    ))),
+                    Expr::Like(Box::new(Expr::col(1)), "a%".into()),
+                ]),
             },
-            WalRecord::UpdateWhere {
-                table: "t".into(),
-                pred: Some(Expr::Not(Box::new(Expr::Cmp(
-                    CmpOp::Le,
-                    Box::new(Expr::col(0)),
-                    Box::new(Expr::lit(2.5)),
-                )))),
-                sets: vec![(1, Expr::Like(Box::new(Expr::col(1)), "a%".into()))],
-            },
-            WalRecord::UpdateWhere { table: "t".into(), pred: None, sets: vec![] },
             WalRecord::ClobPut { parts: vec!["<x/>".into(), String::new(), "<y>ü</y>".into()] },
             WalRecord::ClobPut { parts: vec![] },
             WalRecord::Commit { lsn: 42 },
@@ -1248,10 +1177,11 @@ mod tests {
 
     #[test]
     fn retired_tags_are_unknown() {
-        // Record tags 2 and 7 were `DropTable` and `Truncate`; expression
-        // tag 10 was an `IN` list (in a `DeleteWhere` on table "t").
-        let delete_in = [&[5u8][..], &1u64.to_le_bytes(), b"t", &[10]].concat();
-        for bytes in [vec![2u8], vec![7], delete_in] {
+        // Record tags 2, 6 and 7 were `DropTable`, `UpdateWhere` and
+        // `Truncate`; expression tags 6 and 10 were arithmetic and an `IN`
+        // list (here in a `DeleteWhere` on table "t").
+        let delete_with = |tag: u8| [&[5u8][..], &1u64.to_le_bytes(), b"t", &[tag]].concat();
+        for bytes in [vec![2u8], vec![6], vec![7], delete_with(6), delete_with(10)] {
             match WalRecord::decode(&bytes) {
                 Err(DbError::Corrupt(m)) => assert!(m.contains("unknown"), "{m}"),
                 other => panic!("{bytes:?} decoded as {other:?}"),

@@ -36,12 +36,6 @@ enum Op {
         table: String,
         pred: Expr,
     },
-    Update {
-        table: String,
-        pred: Expr,
-        set_col: usize,
-        set_to: String,
-    },
     /// A multi-record transaction: put a CLOB and insert rows that
     /// reference its locator, atomically.
     IngestLike {
@@ -69,9 +63,6 @@ impl Op {
             Op::CreateIndex { table, name } => db.create_index(table, name, &["id"], false),
             Op::Insert { table, rows } => db.insert(table, rows.clone()).map(|_| ()),
             Op::Delete { table, pred } => db.delete_where(table, pred).map(|_| ()),
-            Op::Update { table, pred, set_col, set_to } => db
-                .update_where(table, Some(pred), &[(*set_col, Expr::lit(set_to.clone()))])
-                .map(|_| ()),
             Op::IngestLike { table, doc, id } => {
                 let mut t = db.txn();
                 let loc = t.put_clobs(&[doc]).start;
@@ -89,7 +80,7 @@ impl Op {
 }
 
 /// Deterministic ≥200-op workload: a couple of tables, inserts,
-/// deletes, updates, occasional deletes of every row, index creation,
+/// deletes, occasional deletes of every row, index creation,
 /// and multi-record ingest-like transactions.
 fn workload(seed: u64, n_ops: usize) -> Vec<Op> {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -117,7 +108,7 @@ fn workload(seed: u64, n_ops: usize) -> Vec<Op> {
                 next_id += 2;
                 Op::IngestLike { table, doc: format!("<doc id='{next_id}'/>"), id: next_id - 2 }
             }
-            65..=79 => {
+            65..=92 => {
                 // Delete a pseudo-random id band (often matches nothing).
                 let lo = rng.gen_range(0..next_id.max(1));
                 Op::Delete {
@@ -129,12 +120,6 @@ fn workload(seed: u64, n_ops: usize) -> Vec<Op> {
                     ),
                 }
             }
-            80..=92 => Op::Update {
-                table,
-                pred: Expr::col_eq(1, format!("t{}", rng.gen_range(0..10u32))),
-                set_col: 1,
-                set_to: format!("u{}", rng.gen_range(0..5u32)),
-            },
             93..=95 => {
                 n_idx += 1;
                 Op::CreateIndex { table, name: format!("idx_{n_idx}") }
@@ -637,15 +622,13 @@ fn second_open_of_a_live_directory_is_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Runs `fail` (a write that must fail) against a durable two-row
-/// table and checks that no row changed: in memory, after a crash and
-/// recovery from the WAL, and after a checkpoint and a reopen (a
-/// checkpoint snapshots memory, so a row changed there would become
-/// durable although the write reported failure).
-fn assert_failed_write_changes_nothing(
-    rows: Vec<Row>,
-    fail: impl FnOnce(&Database) -> Result<usize>,
-) {
+/// A delete whose predicate fails on the second row changes no row: in
+/// memory, after a crash and recovery from the WAL, and after a
+/// checkpoint and a reopen (a checkpoint snapshots memory, so a row
+/// changed there would become durable although the delete reported
+/// failure).
+#[test]
+fn delete_failing_on_a_later_row_changes_no_row() {
     let vfs = MemVfs::new();
     let db = open_mem(vfs.clone(), SyncPolicy::EveryCommit);
     let schema = TableSchema::new(vec![
@@ -654,46 +637,28 @@ fn assert_failed_write_changes_nothing(
         Column::nullable("n", DataType::Int),
     ]);
     db.create_table("t", schema).unwrap();
-    db.insert("t", rows).unwrap();
+    db.insert(
+        "t",
+        vec![vec![1.into(), "a".into(), 5.into()], vec![2.into(), "x".into(), 5.into()]],
+    )
+    .unwrap();
     let rows = |db: &Database| {
         db.execute(&Plan::Scan { table: "t".into(), filter: None }).expect("scan").rows
     };
     let before = rows(&db);
-    let err = fail(&db).expect_err("the write fails on the second row");
-    assert!(err.to_string().contains("arithmetic"), "{err}");
+    // `id = 1` decides the first row before the right-hand side runs;
+    // on the second row the out-of-range column fails.
+    let pred = Expr::Or(
+        Box::new(Expr::col_eq(0, 1)),
+        Box::new(Expr::Cmp(CmpOp::Eq, Box::new(Expr::col(99)), Box::new(Expr::lit(2)))),
+    );
+    let err = db.delete_where("t", &pred).expect_err("the delete fails on the second row");
+    assert!(err.to_string().contains("out of range"), "{err}");
     assert_eq!(rows(&db), before, "in memory");
     assert_eq!(rows(&open_mem(vfs.crashed_copy(), SyncPolicy::EveryCommit)), before, "recovered");
     db.checkpoint().unwrap();
     drop(db);
     assert_eq!(rows(&open_mem(vfs, SyncPolicy::EveryCommit)), before, "after a checkpoint");
-}
-
-/// `name + 1` fails on a string; NULL + 1 is NULL.
-fn name_plus_one() -> Expr {
-    Expr::Arith(ArithOp::Add, Box::new(Expr::col(1)), Box::new(Expr::lit(1)))
-}
-
-#[test]
-fn delete_failing_on_a_later_row_changes_no_row() {
-    // `id = 1` decides the first row before the right-hand side runs;
-    // on the second row `name + 1` fails.
-    let pred = Expr::Or(
-        Box::new(Expr::col_eq(0, 1)),
-        Box::new(Expr::Cmp(CmpOp::Eq, Box::new(name_plus_one()), Box::new(Expr::lit(2)))),
-    );
-    assert_failed_write_changes_nothing(
-        vec![vec![1.into(), "a".into(), 5.into()], vec![2.into(), "x".into(), 5.into()]],
-        |db| db.delete_where("t", &pred),
-    );
-}
-
-#[test]
-fn update_failing_on_a_later_row_changes_no_row() {
-    // The first row's new `n` is NULL; the second row's fails.
-    assert_failed_write_changes_nothing(
-        vec![vec![1.into(), Value::Null, 5.into()], vec![2.into(), "x".into(), 5.into()]],
-        |db| db.update_where("t", None, &[(2, name_plus_one())]),
-    );
 }
 
 /// Seeded documents for the CLOB-layout tests: each is 1–6 parts, an
