@@ -360,8 +360,9 @@ pub fn e7_ordering(scale: Scale) -> Result<Table> {
 /// E8 — concurrent throughput under grid load.
 ///
 /// Claim: a grid catalog must sustain many concurrent users (§1, \[7\]).
-/// Per-table RwLocks let read throughput scale with threads; a 90/10
-/// read/write mix shows writer interference.
+/// Readers share the database's one visibility gate, so pure read
+/// throughput holds under thread pressure; an ingest holds the gate
+/// exclusively and shuts readers out, which a 90/10 read/write mix shows.
 pub fn e8_concurrent(scale: Scale) -> Result<Table> {
     let n = scale.pick(200, 800);
     let window = std::time::Duration::from_millis(scale.pick(250, 900) as u64);

@@ -306,7 +306,7 @@ impl Database {
                 vfs.set_len(WAL_FILE, valid_len)?;
             }
             WalWriter {
-                file: vfs.open_append(WAL_FILE)?,
+                file: Some(vfs.open_append(WAL_FILE)?),
                 next_lsn: scan.next_lsn.max(snap_lsn + 1),
                 policy: opts.sync,
                 unsynced: 0,
@@ -323,7 +323,7 @@ impl Database {
             drop(f);
             vfs.rename(WAL_TMP, WAL_FILE)?;
             WalWriter {
-                file: vfs.open_append(WAL_FILE)?,
+                file: Some(vfs.open_append(WAL_FILE)?),
                 next_lsn: base,
                 policy: opts.sync,
                 unsynced: 0,
@@ -405,7 +405,10 @@ impl Database {
     ///
     /// A checkpoint with nothing to write — the snapshot on disk is
     /// stamped with the last committed LSN and the log holds no
-    /// transaction — returns that LSN without touching a file.
+    /// transaction — returns that LSN without touching a file. One that
+    /// fails between renaming the fresh log into place and opening it
+    /// leaves the database refusing commits and checkpoints until it is
+    /// reopened (see [`crate::wal`]'s checkpoint protocol).
     pub fn checkpoint(&self) -> Result<u64> {
         let Some(dur) = &self.dur else {
             return Err(DbError::Io("checkpoint: database is not durable".into()));
@@ -436,8 +439,11 @@ impl Database {
         f.sync()?;
         stages.end(SYNC);
         drop(f);
+        // Once the rename lands the old handle writes to an unlinked
+        // file, so the writer holds none until the new one is open.
+        w.file = None;
         dur.vfs.rename(WAL_TMP, WAL_FILE)?;
-        w.file = dur.vfs.open_append(WAL_FILE)?;
+        w.file = Some(dur.vfs.open_append(WAL_FILE)?);
         stages.end(WRITE);
         stages.finish();
         w.unsynced = 0;

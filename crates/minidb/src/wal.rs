@@ -55,6 +55,14 @@
 //! reaches the disk before the WAL swap. A log whose `base_lsn` is past
 //! the snapshot's LSN + 1 would skip the commits in between, so
 //! recovery refuses it as [`DbError::Corrupt`].
+//!
+//! A rename can land and still fail (the directory fsync after it), and
+//! so can reopening the swapped-in log; the old handle would then write
+//! to an unlinked file. So the writer holds no log from the WAL rename
+//! until the new handle is open. A checkpoint that fails in that window
+//! leaves it so: every later commit and checkpoint fails until the
+//! database is reopened, and no checkpoint can snapshot the ops of a
+//! refused commit, which stay in memory (a transaction keeps no undo).
 
 use crate::error::{DbError, Result};
 use crate::expr::{CmpOp, Expr};
@@ -259,6 +267,11 @@ struct MemFile {
 /// In-memory [`Vfs`] that models crash semantics: every file tracks how
 /// much of it has been fsynced, and [`MemVfs::crashed_copy`] yields the
 /// state a machine would see after power loss (unsynced tails gone).
+///
+/// A handle follows its file's *name*, not an inode: after a rename
+/// over that name it writes to the new file. So neither `MemVfs` nor
+/// [`FaultyVfs`] can show a handle left on a replaced, unlinked file;
+/// tests of that run on a real directory ([`StdVfs`]).
 #[derive(Clone, Default)]
 pub struct MemVfs {
     files: Arc<Mutex<HashMap<String, MemFile>>>,
@@ -1050,7 +1063,9 @@ impl Default for WalOptions {
 /// table or CLOB lock, so WAL order always equals apply order — which
 /// is what makes CLOB locator assignment replay deterministically.
 pub(crate) struct WalWriter {
-    pub(crate) file: Box<dyn DurableFile>,
+    /// The log; `None` while a checkpoint swaps it, and for good once
+    /// one fails mid-swap (see the module docs' checkpoint protocol).
+    pub(crate) file: Option<Box<dyn DurableFile>>,
     /// LSN the next commit will carry.
     pub(crate) next_lsn: u64,
     pub(crate) policy: SyncPolicy,
@@ -1074,7 +1089,7 @@ impl WalWriter {
         append_frame(&mut buf, |enc| WalRecord::Commit { lsn }.write(enc));
         // Even a failed append may have left a transaction's bytes.
         self.snapshot_current = false;
-        self.file.append(&buf)?;
+        self.log()?.append(&buf)?;
         names::WAL_APPENDS.add(records.len() as u64 + 1);
         names::WAL_BYTES.add(buf.len() as u64);
         self.next_lsn += 1;
@@ -1091,17 +1106,30 @@ impl WalWriter {
     }
 
     /// Force a durability barrier (flushes batched commits).
+    /// Fails, also with nothing to sync, once a checkpoint lost the log.
     pub(crate) fn sync(&mut self) -> Result<()> {
-        if self.unsynced == 0 {
+        let unsynced = self.unsynced;
+        let log = self.log()?;
+        if unsynced == 0 {
             return Ok(());
         }
         {
             let _fsync = names::WAL_FSYNC.span();
-            self.file.sync()?;
+            log.sync()?;
         }
         names::WAL_FSYNCS.incr();
         self.unsynced = 0;
         Ok(())
+    }
+
+    /// The open log, or the error of a writer whose checkpoint failed
+    /// while swapping it (see [`WalWriter::file`]).
+    fn log(&mut self) -> Result<&mut Box<dyn DurableFile>> {
+        self.file.as_mut().ok_or_else(|| {
+            DbError::Io(
+                "wal: a checkpoint failed while swapping the log; reopen the database".into(),
+            )
+        })
     }
 }
 

@@ -8,15 +8,17 @@
 //! torn-tail discard vs. hard corruption (a CLOB that is not UTF-8, in
 //! the log or in the snapshot, among it), group-commit loss windows,
 //! injected fsync failures and short writes, checkpoint tail replay,
-//! the CLOB layout across a restart, and the refusal of directories in
-//! the format before version 2.
+//! the CLOB layout across a restart, the refusal of directories in
+//! the format before version 2, and a checkpoint that fails after its
+//! log rename landed (on a real directory).
 
 use minidb::prelude::*;
 use minidb::wal::{
-    FaultyVfs, MemVfs, StdVfs, SyncPolicy, Vfs, WalOptions, SNAPSHOT_FILE, WAL_FILE,
+    DurableFile, FaultyVfs, MemVfs, StdVfs, SyncPolicy, Vfs, WalOptions, SNAPSHOT_FILE, WAL_FILE,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// One workload operation. Each op commits as one WAL transaction on
@@ -619,6 +621,101 @@ fn second_open_of_a_live_directory_is_refused() {
     // Dropping the first handle releases the lock.
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.row_count("t").unwrap(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A [`StdVfs`] whose next rename over `wal.log`, once armed, lands and
+/// then reports an error, as a failed directory fsync does. On a real
+/// directory the old log handle then writes to an unlinked file;
+/// [`MemVfs`] handles follow names, so they cannot show that.
+struct LogSwapFails {
+    inner: StdVfs,
+    armed: AtomicBool,
+}
+
+impl Vfs for LogSwapFails {
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
+        self.inner.read(name)
+    }
+
+    fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
+        self.inner.create(name)
+    }
+
+    fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
+        self.inner.open_append(name)
+    }
+
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.inner.rename(from, to)?;
+        if to == WAL_FILE && self.armed.swap(false, Ordering::SeqCst) {
+            return Err(DbError::Io("injected: directory fsync failed".into()));
+        }
+        Ok(())
+    }
+
+    fn set_len(&self, name: &str, len: u64) -> Result<()> {
+        self.inner.set_len(name, len)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+}
+
+/// Open `dir` holding table `t` with row 1, then run a checkpoint whose
+/// log swap lands but reports an error.
+fn fail_a_log_swap(dir: &std::path::Path) -> Database {
+    std::fs::remove_dir_all(dir).ok();
+    let vfs = Arc::new(LogSwapFails { inner: StdVfs::new(dir).unwrap(), armed: false.into() });
+    let db = Database::open_with(vfs.clone(), WalOptions::default()).unwrap();
+    db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
+        .unwrap();
+    db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
+    vfs.armed.store(true, Ordering::SeqCst);
+    db.checkpoint().expect_err("the injected rename error surfaces");
+    db
+}
+
+/// The ids in `t` of the database reopened from `dir`.
+fn reopened_ids(dir: &std::path::Path) -> Vec<i64> {
+    let db = Database::open(dir).unwrap();
+    let rs = db.execute(&Plan::Scan { table: "t".into(), filter: None }).unwrap();
+    let mut ids: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+    ids.sort();
+    ids
+}
+
+/// Every commit acked after a checkpoint failed between its log rename
+/// and reopening the log is in the reopened database: none went to the
+/// replaced, unlinked file.
+#[test]
+fn a_failed_log_swap_loses_no_acked_commit() {
+    let dir = std::env::temp_dir().join(format!("minidb-waldir-swap-{}", std::process::id()));
+    let db = fail_a_log_swap(&dir);
+    let mut acked = vec![1];
+    for id in 2..=4 {
+        if db.insert("t", vec![vec![Value::Int(id)]]).is_ok() {
+            acked.push(id);
+        }
+    }
+    drop(db);
+    assert_eq!(reopened_ids(&dir), acked);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// After a failed log swap, commits and checkpoints are refused until
+/// the database is reopened: a checkpoint would otherwise snapshot the
+/// ops of a refused commit, which stay in memory (a `Txn` keeps no
+/// undo), and make them durable.
+#[test]
+fn a_failed_log_swap_refuses_commits_and_checkpoints() {
+    let dir = std::env::temp_dir().join(format!("minidb-waldir-refuse-{}", std::process::id()));
+    let db = fail_a_log_swap(&dir);
+    db.insert("t", vec![vec![Value::Int(2)]]).expect_err("no log to append to");
+    db.checkpoint().expect_err("no log to swap");
+    drop(db);
+    assert_eq!(reopened_ids(&dir), [1]);
     std::fs::remove_dir_all(&dir).ok();
 }
 

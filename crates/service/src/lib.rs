@@ -23,10 +23,13 @@
 //! DEADLINE <ms> <command ...>           → as the wrapped command
 //! ```
 //!
+//! The server parses each command line once. The body an `INGEST` or
+//! `ADD` announces is read before anything can refuse the request, so
+//! every refusal leaves the connection framed.
+//!
 //! `DEADLINE <ms>` prefixes any command with a per-request deadline
 //! overriding the server's default of 5 s; `<ms>` must be ≥ 1, else the
-//! reply is `ERR bad deadline` (after the wrapped `INGEST`/`ADD` body,
-//! if any, has been read, so the connection stays framed). A read
+//! reply is `ERR bad deadline "<ms>"`. A read
 //! request that runs past its deadline is cancelled cooperatively
 //! inside the catalog and answered `ERR deadline exceeded ...`;
 //! mutations run to completion (aborting a half-applied ingest would

@@ -111,6 +111,37 @@ fn bad_deadline_still_consumes_the_body() {
 }
 
 #[test]
+fn valid_deadline_on_a_mutation_reads_and_stores_the_body() {
+    let server = start();
+    let mut c = Raw::connect(&server);
+    let doc = FIG3_DOCUMENT.as_bytes();
+    let mut frame = format!("DEADLINE 5000 INGEST {}\n", doc.len()).into_bytes();
+    frame.extend_from_slice(doc);
+    c.send(&frame);
+    let reply = c.read_line();
+    let id: i64 = reply
+        .strip_prefix("OK ")
+        .and_then(|id| id.parse().ok())
+        .unwrap_or_else(|| panic!("INGEST under a deadline: {reply:?}"));
+    c.send(b"PING\n");
+    assert_eq!(c.read_line(), "OK pong", "the connection must stay framed");
+
+    let fragment = "<theme><themekt>CF</themekt><themekey>prefixed</themekey></theme>";
+    c.send(format!("DEADLINE 5000 ADD {id} {}\n{fragment}", fragment.len()).as_bytes());
+    assert_eq!(c.read_line(), "OK", "ADD under a deadline");
+    c.send(b"PING\n");
+    assert_eq!(c.read_line(), "OK pong", "the connection must stay framed");
+
+    let mut client = CatalogClient::connect(server.addr()).unwrap();
+    assert_eq!(client.query("grid@ARPS[dx=1000]").unwrap(), vec![id], "the document is stored");
+    assert_eq!(
+        client.query("theme[themekey='prefixed']").unwrap(),
+        vec![id],
+        "so is the attribute"
+    );
+}
+
+#[test]
 fn overlong_command_line_is_refused_and_closed() {
     let server = start();
     let oversized = || obs::names::SERVICE_ERRORS_OVERSIZED.get();
