@@ -7,15 +7,17 @@
 //! must reproduce exactly the committed prefix — byte-identical store
 //! state against an uncrashed oracle catalog that applied the same
 //! prefix — and a crash mid-operation must never expose a partial
-//! ingest (the torn transaction disappears entirely).
+//! ingest (the torn transaction disappears entirely). On a real
+//! directory, a commit whose log write fails once refuses every later
+//! write until a reopen, which finds exactly the acked state.
 
 use catalog::lead::{fig4_query, lead_partition, register_arps_defs, DETAILED_PATH, FIG3_DOCUMENT};
 use catalog::prelude::*;
-use minidb::wal::WAL_FILE;
-use minidb::{MemVfs, WalOptions};
+use minidb::wal::{DurableFile, WAL_FILE};
+use minidb::{DbError, MemVfs, Plan, StdVfs, Vfs, WalOptions};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use xmlkit::ValueType;
 
 /// Small LEAD document parameterized by grid spacing and keyword.
@@ -229,4 +231,141 @@ fn checkpoint_then_crash_recovers_acked_ingests() {
     // The recovered catalog keeps working durably.
     let id9 = recovered.ingest(FIG3_DOCUMENT).unwrap();
     assert_eq!(id9, ids[ids.len() - 1] + 1);
+}
+
+/// The one fault a [`FailOnce`] injects when armed.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fault {
+    /// The next append lands the first half of its bytes, then errors.
+    ShortWrite,
+    /// The next fsync errors.
+    Fsync,
+}
+
+/// A [`StdVfs`] whose next append or fsync, once armed, fails once and
+/// then works again, as a disk that recovers from a transient error.
+#[derive(Clone)]
+struct FailOnce {
+    inner: Arc<StdVfs>,
+    armed: Arc<Mutex<Option<Fault>>>,
+}
+
+struct FailOnceFile {
+    inner: Box<dyn DurableFile>,
+    armed: Arc<Mutex<Option<Fault>>>,
+}
+
+impl FailOnceFile {
+    /// Is `fault` armed? Disarms it if so.
+    fn fires(&self, fault: Fault) -> bool {
+        let mut armed = self.armed.lock().unwrap();
+        let fires = *armed == Some(fault);
+        if fires {
+            *armed = None;
+        }
+        fires
+    }
+}
+
+impl DurableFile for FailOnceFile {
+    fn append(&mut self, data: &[u8]) -> minidb::Result<()> {
+        if self.fires(Fault::ShortWrite) {
+            self.inner.append(&data[..data.len() / 2])?;
+            return Err(DbError::Io("injected short write".into()));
+        }
+        self.inner.append(data)
+    }
+
+    fn sync(&mut self) -> minidb::Result<()> {
+        if self.fires(Fault::Fsync) {
+            return Err(DbError::Io("injected fsync failure".into()));
+        }
+        self.inner.sync()
+    }
+}
+
+impl Vfs for FailOnce {
+    fn read(&self, name: &str) -> minidb::Result<Option<Vec<u8>>> {
+        self.inner.read(name)
+    }
+
+    fn create(&self, name: &str) -> minidb::Result<Box<dyn DurableFile>> {
+        let inner = self.inner.create(name)?;
+        Ok(Box::new(FailOnceFile { inner, armed: self.armed.clone() }))
+    }
+
+    fn open_append(&self, name: &str) -> minidb::Result<Box<dyn DurableFile>> {
+        let inner = self.inner.open_append(name)?;
+        Ok(Box::new(FailOnceFile { inner, armed: self.armed.clone() }))
+    }
+
+    fn rename(&self, from: &str, to: &str) -> minidb::Result<()> {
+        self.inner.rename(from, to)
+    }
+
+    fn set_len(&self, name: &str, len: u64) -> minidb::Result<()> {
+        self.inner.set_len(name, len)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+}
+
+/// Once an ingest's commit fails on a failed append or fsync of the
+/// log, the catalog refuses every later write, and the reopened catalog
+/// holds exactly the acked objects and definitions (after a failed
+/// fsync the failed ingest's bytes may have reached the disk anyway, so
+/// it may be there too).
+#[test]
+fn a_failed_commit_refuses_every_later_write() {
+    for fault in [Fault::ShortWrite, Fault::Fsync] {
+        let dir =
+            std::env::temp_dir().join(format!("catalog-failonce-{fault:?}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let vfs =
+            FailOnce { inner: Arc::new(StdVfs::new(&dir).unwrap()), armed: Default::default() };
+        let cat = MetadataCatalog::open_with(
+            Arc::new(vfs.clone()),
+            WalOptions::default(),
+            lead_partition(),
+            CatalogConfig::default(),
+        )
+        .unwrap();
+        register_arps_defs(&cat).unwrap();
+        let acked = cat.ingest(&doc(0, 0, 0)).unwrap();
+        let defs = |cat: &MetadataCatalog| (cat.stats().attr_defs, cat.stats().elem_defs);
+        let acked_defs = defs(&cat);
+
+        *vfs.armed.lock().unwrap() = Some(fault);
+        cat.ingest(&doc(1, 1, 1)).expect_err("the commit fails");
+        let spec = DynamicAttrSpec::new("late", "WRF").element("x", ValueType::Float);
+        let refusals = [
+            cat.ingest(&doc(2, 2, 2)).map(|_| ()),
+            cat.add_attribute(
+                acked,
+                "<theme><themekt>CF</themekt><themekey>hail</themekey></theme>",
+            ),
+            cat.register_dynamic(DETAILED_PATH, &spec, DefLevel::User("keisha".into()))
+                .map(|_| ()),
+        ];
+        for (what, refused) in ["ingest", "add_attribute", "register_dynamic"].iter().zip(refusals)
+        {
+            match refused {
+                Err(e) => assert!(e.to_string().contains("reopen"), "{fault:?} {what}: {e}"),
+                Ok(()) => panic!("{fault:?}: {what} acked after a failed commit"),
+            }
+        }
+        drop((cat, vfs)); // releases the directory's lock
+
+        let cat = MetadataCatalog::open(&dir, lead_partition(), CatalogConfig::default())
+            .unwrap_or_else(|e| panic!("{fault:?}: reopen: {e}"));
+        let objects = cat.db().execute(&Plan::Scan { table: "objects".into(), filter: None });
+        let ids: Vec<i64> = objects.unwrap().rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+        let failed_present = fault == Fault::Fsync && ids == [acked, acked + 1];
+        assert!(ids == [acked] || failed_present, "{fault:?}: objects {ids:?}");
+        assert_eq!(defs(&cat), acked_defs, "{fault:?}");
+        drop(cat);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

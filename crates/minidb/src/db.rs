@@ -13,7 +13,9 @@
 //! That promise covers committed transactions only: a `Txn` applies each
 //! op to the shared state as it goes and keeps no undo, so the ops before
 //! one that fails, or before a failed WAL append or fsync in
-//! [`Txn::commit`], stay visible although nothing was logged. A delete
+//! [`Txn::commit`], stay visible although nothing was logged. A failed
+//! append or fsync stops the WAL writer, so no later commit or
+//! checkpoint can make those ops durable; reopening drops them. A delete
 //! that fails on its predicate changes no row: it collects its victims
 //! through the access path ([`crate::access`]) before the first change.
 //! A transaction's ops are table and index creation, inserts, deletes
@@ -40,7 +42,7 @@ use crate::limits::Deadline;
 use crate::profile::PlanProfile;
 use crate::table::{Row, Table, TableSchema};
 use crate::wal::{
-    encode_wal_header, encode_with, in_file, scan_wal, write_clob_put, write_insert, Enc, StdVfs,
+    append_frame, encode_wal_header, in_file, scan_wal, write_clob_put, write_insert, Enc, StdVfs,
     Vfs, WalOptions, WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
 };
 use obs::names;
@@ -277,7 +279,7 @@ impl Database {
         // 2. WAL tail: replay committed transactions newer than the
         //    snapshot, then truncate away any torn / uncommitted
         //    suffix so later appends cannot resurrect it.
-        let writer = if let Some(bytes) = vfs.read(WAL_FILE)? {
+        let (next_lsn, snapshot_current) = if let Some(bytes) = vfs.read(WAL_FILE)? {
             let scan = scan_wal(&bytes).map_err(|e| in_file(WAL_FILE, e))?;
             // A log starting past the snapshot's next LSN lost the acked
             // commits in between (an older snapshot beside a newer log).
@@ -305,13 +307,7 @@ impl Database {
             if (bytes.len() as u64) > valid_len {
                 vfs.set_len(WAL_FILE, valid_len)?;
             }
-            WalWriter {
-                file: Some(vfs.open_append(WAL_FILE)?),
-                next_lsn: scan.next_lsn.max(snap_lsn + 1),
-                policy: opts.sync,
-                unsynced: 0,
-                snapshot_current: snapshotted && !logged,
-            }
+            (scan.next_lsn.max(snap_lsn + 1), snapshotted && !logged)
         } else {
             // Fresh log, installed atomically (tmp + rename) so a
             // crash mid-creation never leaves a half-written header
@@ -322,14 +318,10 @@ impl Database {
             f.sync()?;
             drop(f);
             vfs.rename(WAL_TMP, WAL_FILE)?;
-            WalWriter {
-                file: Some(vfs.open_append(WAL_FILE)?),
-                next_lsn: base,
-                policy: opts.sync,
-                unsynced: 0,
-                snapshot_current: snapshotted,
-            }
+            (base, snapshotted)
         };
+        let file = Ok(vfs.open_append(WAL_FILE)?);
+        let writer = WalWriter { file, next_lsn, policy: opts.sync, unsynced: 0, snapshot_current };
         db.dur = Some(Durability { vfs, writer: Mutex::new(writer) });
         Ok(db)
     }
@@ -374,7 +366,7 @@ impl Database {
         let state = self.state.write();
         let acquired = Instant::now();
         names::MINIDB_GATE_WRITE_WAIT.record(nanos_between(waited, acquired));
-        Txn { db: self, wal, state, pending: Vec::new(), dirty: false, acquired, _mark: mark }
+        Txn { db: self, wal, state, frames: Vec::new(), ops: 0, acquired, _mark: mark }
     }
 
     /// Begin a read batch: every plan executed through the returned
@@ -405,10 +397,12 @@ impl Database {
     ///
     /// A checkpoint with nothing to write — the snapshot on disk is
     /// stamped with the last committed LSN and the log holds no
-    /// transaction — returns that LSN without touching a file. One that
-    /// fails between renaming the fresh log into place and opening it
-    /// leaves the database refusing commits and checkpoints until it is
-    /// reopened (see [`crate::wal`]'s checkpoint protocol).
+    /// transaction — returns that LSN without touching a file. One whose
+    /// tail sync of the log fails, or that fails from renaming the fresh
+    /// log into place until it is open, stops the WAL writer: the
+    /// database refuses commits and checkpoints until it is reopened (see
+    /// [`crate::wal`]'s failure rule). A failure before that rename
+    /// leaves `wal.log` untouched and the writer running.
     pub fn checkpoint(&self) -> Result<u64> {
         let Some(dur) = &self.dur else {
             return Err(DbError::Io("checkpoint: database is not durable".into()));
@@ -440,10 +434,10 @@ impl Database {
         stages.end(SYNC);
         drop(f);
         // Once the rename lands the old handle writes to an unlinked
-        // file, so the writer holds none until the new one is open.
-        w.file = None;
-        dur.vfs.rename(WAL_TMP, WAL_FILE)?;
-        w.file = Some(dur.vfs.open_append(WAL_FILE)?);
+        // file, so a failure from here on stops the writer.
+        let swapped =
+            dur.vfs.rename(WAL_TMP, WAL_FILE).and_then(|()| dur.vfs.open_append(WAL_FILE));
+        w.file = Ok(swapped.map_err(|e| w.stop(e))?);
         stages.end(WRITE);
         stages.finish();
         w.unsynced = 0;
@@ -880,13 +874,16 @@ impl Drop for Database {
 ///
 /// Operations apply to in-memory state immediately (so later
 /// operations in the same transaction see their effects — the catalog
-/// inserts rows referencing CLOB locators it just allocated) and are
-/// buffered as WAL records. [`Txn::commit`] appends the batch plus a
-/// commit frame and fsyncs per the database's [`crate::wal::SyncPolicy`]; only
-/// then is the transaction durable. If the transaction is dropped
-/// without committing — or a mid-batch operation fails — nothing is
-/// logged, and recovery after a crash reflects none of it: crashes
-/// never expose a partial transaction.
+/// inserts rows referencing CLOB locators it just allocated), and on a
+/// durable database each one that succeeds leaves its WAL record sealed
+/// as a frame in one buffer, in apply order. [`Txn::commit`] appends
+/// that buffer plus a commit frame in one write and fsyncs per the
+/// database's [`crate::wal::SyncPolicy`]; only then is the transaction
+/// durable. If the transaction is dropped without committing, nothing
+/// is logged, and an op that fails logs nothing: recovery after a crash
+/// never exposes a partial transaction. A failed append or fsync stops
+/// the WAL writer, so every later commit fails until the database is
+/// reopened.
 ///
 /// On a durable database the transaction holds the WAL writer lock
 /// for its whole lifetime, serializing writers; this is what makes
@@ -900,9 +897,11 @@ pub struct Txn<'a> {
     db: &'a Database,
     wal: Option<MutexGuard<'a, WalWriter>>,
     state: RwLockWriteGuard<'a, State>,
-    /// Encoded WAL records of the applied ops, in apply order.
-    pending: Vec<Vec<u8>>,
-    dirty: bool,
+    /// The applied ops' WAL records, each sealed as a frame, in apply
+    /// order; empty on an in-memory database.
+    frames: Vec<u8>,
+    /// Ops applied so far.
+    ops: u64,
     /// When the gate was taken, for `minidb.gate.write_hold`.
     acquired: Instant,
     _mark: GateMark,
@@ -915,24 +914,13 @@ impl Drop for Txn<'_> {
 }
 
 impl Txn<'_> {
-    /// The WAL record `write` encodes, on a durable database only.
-    fn encode(&self, write: impl FnOnce(&mut Enc)) -> Option<Vec<u8>> {
-        self.wal.is_some().then(|| encode_with(write))
-    }
-
-    /// Record an op that applied: mark the transaction dirty and, on a
-    /// durable database, queue its WAL record.
-    fn log(&mut self, rec: impl FnOnce() -> WalRecord) {
-        let encoded = self.encode(|enc| rec().write(enc));
-        self.log_encoded(encoded);
-    }
-
-    /// [`Txn::log`] for a record encoded before its op applied (the op
-    /// then moves its rows or bytes into the state instead of cloning
-    /// them); `None` on an in-memory database.
-    fn log_encoded(&mut self, encoded: Option<Vec<u8>>) {
-        self.dirty = true;
-        self.pending.extend(encoded);
+    /// Count an op and, on a durable database, seal the record `write`
+    /// encodes as a frame onto the transaction's log.
+    fn log(&mut self, write: impl FnOnce(&mut Enc)) {
+        self.ops += 1;
+        if self.wal.is_some() {
+            append_frame(&mut self.frames, write);
+        }
     }
 
     /// Execute a read plan *inside* the transaction: the result
@@ -949,7 +937,7 @@ impl Txn<'_> {
     pub fn create_table(&mut self, name: impl Into<String>, schema: TableSchema) -> Result<()> {
         let name = name.into();
         self.state.apply_create_table(&name, &schema)?;
-        self.log(|| WalRecord::CreateTable { name, schema });
+        self.log(|enc| WalRecord::CreateTable { name, schema }.write(enc));
         Ok(())
     }
 
@@ -966,29 +954,33 @@ impl Txn<'_> {
             columns.iter().map(|c| schema.col(c)).collect::<Result<_>>()?
         };
         self.state.apply_create_index(table, index, &cols, unique)?;
-        self.log(|| WalRecord::CreateIndex {
-            table: table.to_string(),
-            name: index.to_string(),
-            columns: cols,
-            unique,
+        self.log(|enc| {
+            let (table, name) = (table.to_string(), index.to_string());
+            WalRecord::CreateIndex { table, name, columns: cols, unique }.write(enc)
         });
         Ok(())
     }
 
-    /// Insert fully-shaped rows. The WAL record is encoded first and
-    /// the rows are then moved into the table; a failed insert logs
-    /// nothing.
+    /// Insert fully-shaped rows. The WAL record is sealed first and the
+    /// rows are then moved into the table; an insert that fails takes
+    /// its frame off again, so it logs nothing.
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> Result<usize> {
-        let encoded = self.encode(|enc| write_insert(enc, table, rows.iter()));
-        let n = self.state.apply_insert(table, rows)?;
-        self.log_encoded(encoded);
-        Ok(n)
+        let (sealed, ops) = (self.frames.len(), self.ops);
+        self.log(|enc| write_insert(enc, table, rows.iter()));
+        let applied = self.state.apply_insert(table, rows);
+        if applied.is_err() {
+            self.frames.truncate(sealed);
+            self.ops = ops;
+        }
+        applied
     }
 
     /// Delete rows matching `pred`; returns the count.
     pub fn delete_where(&mut self, table: &str, pred: &Expr) -> Result<usize> {
         let n = self.state.apply_delete_where(table, pred)?;
-        self.log(|| WalRecord::DeleteWhere { table: table.to_string(), pred: pred.clone() });
+        self.log(|enc| {
+            WalRecord::DeleteWhere { table: table.to_string(), pred: pred.clone() }.write(enc)
+        });
         Ok(n)
     }
 
@@ -998,26 +990,24 @@ impl Txn<'_> {
     /// a put of no parts stores and logs nothing.
     pub fn put_clobs<P: AsRef<str>>(&mut self, parts: &[P]) -> Range<u64> {
         if !parts.is_empty() {
-            let encoded = self.encode(|enc| write_clob_put(enc, parts.iter().map(AsRef::as_ref)));
-            self.log_encoded(encoded);
+            self.log(|enc| write_clob_put(enc, parts.iter().map(AsRef::as_ref)));
         }
         self.state.clobs.put_clobs(parts)
     }
 
-    /// Make the batch durable and visible: append + fsync the WAL
-    /// records (durable databases), then publish the new commit
-    /// watermark while still holding the visibility gate, so readers
-    /// observe the whole batch and the bumped watermark together.
+    /// Make the batch durable and visible: append + fsync the sealed
+    /// frames and a commit frame (durable databases), then publish the
+    /// new commit watermark while still holding the visibility gate, so
+    /// readers observe the whole batch and the bumped watermark together.
     pub fn commit(mut self) -> Result<()> {
+        if self.ops == 0 {
+            return Ok(());
+        }
         if let Some(w) = self.wal.as_mut() {
-            if !self.pending.is_empty() {
-                w.commit(&self.pending)?;
-            }
+            w.commit(std::mem::take(&mut self.frames), self.ops)?;
         }
-        if self.dirty {
-            self.db.watermark.fetch_add(1, AtomicOrdering::SeqCst);
-            names::MINIDB_TXN_COMMITS.incr();
-        }
+        self.db.watermark.fetch_add(1, AtomicOrdering::SeqCst);
+        names::MINIDB_TXN_COMMITS.incr();
         Ok(())
     }
 }

@@ -103,7 +103,7 @@ mod tests {
     use crate::expr::Expr;
     use crate::table::{Column, TableSchema};
     use crate::value::{DataType, Value};
-    use crate::wal::{write_frame, MemVfs, WalOptions, WAL_FILE};
+    use crate::wal::{MemVfs, WalOptions, WAL_FILE};
     use obs::names;
     use std::sync::Arc;
 
@@ -261,13 +261,13 @@ mod tests {
         assert!(open_snapshot(image.clone()).is_ok());
         // A second committed transaction after the first.
         let mut two = image.clone();
-        write_frame(&mut two, &WalRecord::Commit { lsn: 8 }.encode());
+        append_frame(&mut two, |enc| WalRecord::Commit { lsn: 8 }.write(enc));
         // No commit at all: the last frame dropped.
         let commit_frame = WalRecord::Commit { lsn: 7 }.encode().len() + 12;
         let uncommitted = image[..image.len() - commit_frame].to_vec();
         // A commit stamped with an LSN other than the header's.
         let mut restamped = image[..image.len() - commit_frame].to_vec();
-        write_frame(&mut restamped, &WalRecord::Commit { lsn: 9 }.encode());
+        append_frame(&mut restamped, |enc| WalRecord::Commit { lsn: 9 }.write(enc));
         for bad in [two, uncommitted, restamped] {
             match open_snapshot(bad) {
                 Err(DbError::Corrupt(m)) => assert!(m.contains(SNAPSHOT_FILE), "{m}"),

@@ -56,13 +56,24 @@
 //! the snapshot's LSN + 1 would skip the commits in between, so
 //! recovery refuses it as [`DbError::Corrupt`].
 //!
-//! A rename can land and still fail (the directory fsync after it), and
-//! so can reopening the swapped-in log; the old handle would then write
-//! to an unlinked file. So the writer holds no log from the WAL rename
-//! until the new handle is open. A checkpoint that fails in that window
-//! leaves it so: every later commit and checkpoint fails until the
-//! database is reopened, and no checkpoint can snapshot the ops of a
-//! refused commit, which stay in memory (a transaction keeps no undo).
+//! A transaction seals each op's record as a frame (`append_frame`) into
+//! one buffer as the op applies ([`crate::db::Txn`]); its commit seals a
+//! `Commit{lsn}` frame onto that buffer and writes it in one append.
+//!
+//! **Failure rule.** After a failed append or fsync of `wal.log` its
+//! contents are unknown: a short write may have landed part of a frame,
+//! a failed fsync may or may not have reached the disk. Appending on
+//! could ack commits behind a torn frame, or after one reported failed.
+//! So any such failure stops the writer: it drops the log, keeps the
+//! failure's text, and fails every later commit and checkpoint, naming
+//! it, until a reopen truncates the log to its last whole commit. The
+//! log swap counts too: a rename can land and still fail (the directory
+//! fsync after it), and so can reopening the new log, and the old handle
+//! would then write to an unlinked file. A failure while writing the
+//! snapshot, or `wal.tmp` before its rename, leaves `wal.log` untouched
+//! and the writer running. A stopped writer also keeps a checkpoint from
+//! snapshotting a refused commit's ops, which stay in memory (a
+//! transaction keeps no undo).
 
 use crate::error::{DbError, Result};
 use crate::expr::{CmpOp, Expr};
@@ -779,18 +790,13 @@ pub(crate) fn write_clob_put<'p>(enc: &mut Enc, parts: impl ExactSizeIterator<It
     }
 }
 
-/// A record payload, written by `write` into a fresh buffer.
-pub(crate) fn encode_with(write: impl FnOnce(&mut Enc)) -> Vec<u8> {
-    let mut buf = Vec::new();
-    write(&mut Enc(&mut buf));
-    buf
-}
-
 impl WalRecord {
-    /// The record's payload in a fresh buffer (tests build logs by hand).
+    /// The record's payload in a fresh buffer (tests decode it back).
     #[cfg(test)]
     pub(crate) fn encode(&self) -> Vec<u8> {
-        encode_with(|enc| self.write(enc))
+        let mut buf = Vec::new();
+        self.write(&mut Enc(&mut buf));
+        buf
     }
 
     pub(crate) fn write(&self, enc: &mut Enc) {
@@ -906,11 +912,6 @@ pub(crate) fn append_frame(buf: &mut Vec<u8>, write: impl FnOnce(&mut Enc)) {
     buf[start..start + 4].copy_from_slice(&len);
     buf[start + 4..start + 8].copy_from_slice(&crc32(&len).to_le_bytes());
     buf[start + 8..body].copy_from_slice(&pcrc.to_le_bytes());
-}
-
-/// Append one frame holding the encoded `payload` to `buf`.
-pub(crate) fn write_frame(buf: &mut Vec<u8>, payload: &[u8]) {
-    append_frame(buf, |enc| enc.0.extend_from_slice(payload));
 }
 
 /// Encode the 20-byte file header.
@@ -1063,9 +1064,9 @@ impl Default for WalOptions {
 /// table or CLOB lock, so WAL order always equals apply order — which
 /// is what makes CLOB locator assignment replay deterministically.
 pub(crate) struct WalWriter {
-    /// The log; `None` while a checkpoint swaps it, and for good once
-    /// one fails mid-swap (see the module docs' checkpoint protocol).
-    pub(crate) file: Option<Box<dyn DurableFile>>,
+    /// The log, or the error of the failed append, fsync or log swap
+    /// that stopped the writer (see the module docs' failure rule).
+    pub(crate) file: std::result::Result<Box<dyn DurableFile>, String>,
     /// LSN the next commit will carry.
     pub(crate) next_lsn: u64,
     pub(crate) policy: SyncPolicy,
@@ -1078,58 +1079,57 @@ pub(crate) struct WalWriter {
 }
 
 impl WalWriter {
-    /// Append already-encoded `records` plus a commit frame as one
-    /// transaction; sync per policy. Returns the transaction's LSN.
-    pub(crate) fn commit(&mut self, records: &[Vec<u8>]) -> Result<u64> {
+    /// Seal a `Commit` frame onto `frames`, a transaction's `records`
+    /// sealed frames, and append them as one write; sync per policy.
+    /// Returns the transaction's LSN.
+    pub(crate) fn commit(&mut self, mut frames: Vec<u8>, records: u64) -> Result<u64> {
         let lsn = self.next_lsn;
-        let mut buf = Vec::new();
-        for r in records {
-            write_frame(&mut buf, r);
-        }
-        append_frame(&mut buf, |enc| WalRecord::Commit { lsn }.write(enc));
-        // Even a failed append may have left a transaction's bytes.
+        append_frame(&mut frames, |enc| WalRecord::Commit { lsn }.write(enc));
+        // Even a failed append (it stops the writer) leaves no checkpoint idle.
         self.snapshot_current = false;
-        self.log()?.append(&buf)?;
-        names::WAL_APPENDS.add(records.len() as u64 + 1);
-        names::WAL_BYTES.add(buf.len() as u64);
+        self.write(|log| log.append(&frames))?;
+        names::WAL_APPENDS.add(records + 1);
+        names::WAL_BYTES.add(frames.len() as u64);
         self.next_lsn += 1;
         self.unsynced += 1;
-        match self.policy {
-            SyncPolicy::EveryCommit => self.sync()?,
-            SyncPolicy::Batched(n) => {
-                if self.unsynced >= n.max(1) {
-                    self.sync()?;
-                }
-            }
+        let every = match self.policy {
+            SyncPolicy::EveryCommit => 1,
+            SyncPolicy::Batched(n) => n.max(1),
+        };
+        if self.unsynced >= every {
+            self.sync()?;
         }
         Ok(lsn)
     }
 
-    /// Force a durability barrier (flushes batched commits).
-    /// Fails, also with nothing to sync, once a checkpoint lost the log.
+    /// Force a durability barrier (flushes batched commits); a failed
+    /// fsync stops the writer, which then fails here with nothing to sync.
     pub(crate) fn sync(&mut self) -> Result<()> {
-        let unsynced = self.unsynced;
-        let log = self.log()?;
-        if unsynced == 0 {
-            return Ok(());
-        }
-        {
-            let _fsync = names::WAL_FSYNC.span();
-            log.sync()?;
-        }
-        names::WAL_FSYNCS.incr();
-        self.unsynced = 0;
-        Ok(())
+        let unsynced = std::mem::take(&mut self.unsynced);
+        self.write(|log| {
+            if unsynced > 0 {
+                let _fsync = names::WAL_FSYNC.span();
+                log.sync()?;
+                names::WAL_FSYNCS.incr();
+            }
+            Ok(())
+        })
     }
 
-    /// The open log, or the error of a writer whose checkpoint failed
-    /// while swapping it (see [`WalWriter::file`]).
-    fn log(&mut self) -> Result<&mut Box<dyn DurableFile>> {
-        self.file.as_mut().ok_or_else(|| {
-            DbError::Io(
-                "wal: a checkpoint failed while swapping the log; reopen the database".into(),
-            )
-        })
+    /// Run `op` on the log; if it fails, [`WalWriter::stop`] the writer.
+    /// A stopped writer refuses, naming what stopped it.
+    fn write(&mut self, op: impl FnOnce(&mut dyn DurableFile) -> Result<()>) -> Result<()> {
+        let log = self.file.as_mut().map_err(|cause| {
+            DbError::Io(format!("wal: log writes stopped after `{cause}`; reopen the database"))
+        })?;
+        op(log.as_mut()).map_err(|e| self.stop(e))
+    }
+
+    /// Drop the log for good after `e`, a failed write of it, whose
+    /// outcome on disk is unknown; returns `e`.
+    pub(crate) fn stop(&mut self, e: DbError) -> DbError {
+        self.file = Err(if let DbError::Io(m) = &e { m.clone() } else { e.to_string() });
+        e
     }
 }
 
@@ -1228,7 +1228,7 @@ mod tests {
         let mut buf = encode_wal_header(1).to_vec();
         let mut w = |records: &[WalRecord]| {
             for r in records {
-                write_frame(&mut buf, &r.encode());
+                append_frame(&mut buf, |enc| r.write(enc));
             }
         };
         w(&[
@@ -1333,10 +1333,8 @@ mod tests {
     fn uncommitted_complete_tail_is_dropped() {
         let mut log = sample_txn_log();
         // Append a complete record with no commit after it.
-        write_frame(
-            &mut log,
-            &WalRecord::Insert { table: "t".into(), rows: vec![vec![Value::Int(9)]] }.encode(),
-        );
+        let tail = WalRecord::Insert { table: "t".into(), rows: vec![vec![Value::Int(9)]] };
+        append_frame(&mut log, |enc| tail.write(enc));
         let s = scan_wal(&log).unwrap();
         assert_eq!(s.txns.len(), 2);
         assert!(s.valid_len < log.len() as u64);

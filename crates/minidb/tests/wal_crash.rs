@@ -9,8 +9,10 @@
 //! the log or in the snapshot, among it), group-commit loss windows,
 //! injected fsync failures and short writes, checkpoint tail replay,
 //! the CLOB layout across a restart, the refusal of directories in
-//! the format before version 2, and a checkpoint that fails after its
-//! log rename landed (on a real directory).
+//! the format before version 2, the log bytes of a fixed workload, and,
+//! on a real directory, a checkpoint that fails after its log rename
+//! landed and a short write or failed fsync of the log that the disk
+//! recovers from: each stops the writer until a reopen.
 
 use minidb::prelude::*;
 use minidb::wal::{
@@ -19,7 +21,7 @@ use minidb::wal::{
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One workload operation. Each op commits as one WAL transaction on
 /// the durable database and replays identically on the oracle.
@@ -717,6 +719,188 @@ fn a_failed_log_swap_refuses_commits_and_checkpoints() {
     drop(db);
     assert_eq!(reopened_ids(&dir), [1]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The one fault a [`FailOnce`] injects when armed.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Fault {
+    /// The next append lands the first half of its bytes, then errors.
+    ShortWrite,
+    /// The next fsync errors.
+    Fsync,
+}
+
+/// A [`StdVfs`] whose next append or fsync, once armed, fails once;
+/// every call after it works again, as a disk that recovers from a
+/// transient error would. [`FaultyVfs`] stays down after its first
+/// fault, so it cannot show a writer that goes on after one.
+#[derive(Clone)]
+struct FailOnce {
+    inner: Arc<StdVfs>,
+    armed: Arc<Mutex<Option<Fault>>>,
+}
+
+impl FailOnce {
+    fn new(dir: &std::path::Path) -> FailOnce {
+        FailOnce { inner: Arc::new(StdVfs::new(dir).unwrap()), armed: Default::default() }
+    }
+
+    fn arm(&self, fault: Fault) {
+        *self.armed.lock().unwrap() = Some(fault);
+    }
+
+    fn wrap(&self, name: &str, file: Box<dyn DurableFile>) -> Box<dyn DurableFile> {
+        Box::new(FailOnceFile { inner: file, name: name.into(), armed: self.armed.clone() })
+    }
+}
+
+struct FailOnceFile {
+    inner: Box<dyn DurableFile>,
+    name: String,
+    armed: Arc<Mutex<Option<Fault>>>,
+}
+
+impl FailOnceFile {
+    /// Is `fault` armed? Disarms it if so.
+    fn fires(&self, fault: Fault) -> bool {
+        let mut armed = self.armed.lock().unwrap();
+        let fires = *armed == Some(fault);
+        if fires {
+            *armed = None;
+        }
+        fires
+    }
+}
+
+impl DurableFile for FailOnceFile {
+    fn append(&mut self, data: &[u8]) -> Result<()> {
+        if self.fires(Fault::ShortWrite) {
+            self.inner.append(&data[..data.len() / 2])?;
+            return Err(DbError::Io(format!("append {}: injected short write", self.name)));
+        }
+        self.inner.append(data)
+    }
+
+    fn sync(&mut self) -> Result<()> {
+        if self.fires(Fault::Fsync) {
+            return Err(DbError::Io(format!("fsync {}: injected failure", self.name)));
+        }
+        self.inner.sync()
+    }
+}
+
+impl Vfs for FailOnce {
+    fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
+        self.inner.read(name)
+    }
+
+    fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
+        Ok(self.wrap(name, self.inner.create(name)?))
+    }
+
+    fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
+        Ok(self.wrap(name, self.inner.open_append(name)?))
+    }
+
+    fn rename(&self, from: &str, to: &str) -> Result<()> {
+        self.inner.rename(from, to)
+    }
+
+    fn set_len(&self, name: &str, len: u64) -> Result<()> {
+        self.inner.set_len(name, len)
+    }
+
+    fn exists(&self, name: &str) -> bool {
+        self.inner.exists(name)
+    }
+}
+
+/// Open `dir` holding table `t` with row 1 acked, arm `fault`, then
+/// insert rows 2 to 4 and checkpoint. Asserts that the faulted insert,
+/// both later ones and the checkpoint fail, the later refusals naming
+/// the failed write of `wal.log` and asking for a reopen. Returns the
+/// length of `wal.log` before the fault.
+fn fail_a_log_write(dir: &std::path::Path, fault: Fault) -> u64 {
+    std::fs::remove_dir_all(dir).ok();
+    let vfs = FailOnce::new(dir);
+    let db = Database::open_with(Arc::new(vfs.clone()), WalOptions::default()).unwrap();
+    db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
+        .unwrap();
+    db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
+    let logged = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
+    vfs.arm(fault);
+    let acked: Vec<i64> = (2..=4)
+        .filter(|&id| db.insert("t", vec![vec![Value::Int(id)]]).is_ok())
+        .collect();
+    assert!(acked.is_empty(), "{fault:?}: inserts {acked:?} acked after the failed log write");
+    let cause = match fault {
+        Fault::ShortWrite => "append wal.log: injected short write",
+        Fault::Fsync => "fsync wal.log: injected failure",
+    };
+    let refusals = [
+        db.insert("t", vec![vec![Value::Int(5)]]).map(|_| ()).unwrap_err(),
+        db.checkpoint().map(|_| ()).unwrap_err(),
+    ];
+    for err in refusals {
+        let msg = err.to_string();
+        assert!(msg.contains(cause) && msg.contains("reopen"), "{fault:?}: {msg}");
+    }
+    drop(db);
+    logged
+}
+
+/// A short write of `wal.log` stops the writer: no later commit or
+/// checkpoint is acked, and the reopened database holds exactly the
+/// acked commits, the torn frame truncated off the log.
+#[test]
+fn a_short_log_write_stops_the_writer() {
+    let dir = std::env::temp_dir().join(format!("minidb-waldir-short-{}", std::process::id()));
+    let logged = fail_a_log_write(&dir, Fault::ShortWrite);
+    assert_eq!(reopened_ids(&dir), [1]);
+    assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), logged);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failed fsync of `wal.log` stops the writer: no later commit or
+/// checkpoint is acked. The failed commit's bytes may have reached the
+/// disk anyway, so the reopened database may hold it, but nothing after.
+#[test]
+fn a_failed_log_fsync_stops_the_writer() {
+    let dir = std::env::temp_dir().join(format!("minidb-waldir-fsync-{}", std::process::id()));
+    fail_a_log_write(&dir, Fault::Fsync);
+    let ids = reopened_ids(&dir);
+    assert!(ids == [1] || ids == [1, 2], "{ids:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The log format in bytes: a fixed run of transactions on a [`MemVfs`]
+/// — DDL, a two-row insert, a two-part and an empty CLOB put beside an
+/// insert the unique index refuses, a delete — writes a `wal.log` of a
+/// pinned length and CRC32, so any change to the bytes a commit logs
+/// (existing directories must keep opening) fails here.
+#[test]
+fn the_log_of_a_fixed_workload_is_byte_identical() {
+    let vfs = MemVfs::new();
+    let db = open_mem(vfs.clone(), SyncPolicy::EveryCommit);
+    let mut t = db.txn();
+    t.create_table("t", table_schema()).unwrap();
+    t.create_index("t", "t_pk", &["id"], true).unwrap();
+    t.commit().unwrap();
+    let row = |id: i64, tag: Value, doc: Value| vec![Value::Int(id), tag, doc];
+    db.insert("t", vec![row(1, "a".into(), Value::Null), row(2, Value::Null, Value::Null)])
+        .unwrap();
+    let mut t = db.txn();
+    let locs = t.put_clobs(&["<a>1</a>", "<b>ü</b>"]);
+    t.put_clobs::<&str>(&[]);
+    let doc = Value::Int(locs.start as i64);
+    t.insert("t", vec![row(1, "dup".into(), Value::Null)])
+        .expect_err("id 1 is taken");
+    t.insert("t", vec![row(3, "doc".into(), doc)]).unwrap();
+    t.commit().unwrap();
+    db.delete_where("t", &Expr::col_eq(0, 2)).unwrap();
+    drop(db);
+    let log = vfs.file(WAL_FILE).unwrap();
+    assert_eq!((log.len(), minidb::wal::crc32(&log)), (429, 0xEE53_5658));
 }
 
 /// A delete whose predicate fails on the second row changes no row: in
