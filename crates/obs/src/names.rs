@@ -80,6 +80,8 @@ catalogue! {
     WAL_APPENDS: Counter = "wal.appends";
     /// WAL bytes appended (`WalWriter::commit`).
     WAL_BYTES: Counter = "wal.bytes";
+    /// Each commit's one log append, the `write` call alone (`WalWriter::commit`).
+    WAL_APPEND: Histogram = "wal.append";
     /// Each WAL fsync (`WalWriter::sync`).
     WAL_FSYNC: Histogram = "wal.fsync";
     /// WAL fsyncs (`WalWriter::sync`).

@@ -142,8 +142,8 @@ fn stats_lists_the_whole_catalogue() {
     }
 }
 
-/// `STATS` reports how long WAL fsyncs take and how long requests wait
-/// for a permit, not only how many there were.
+/// `STATS` reports how long WAL appends and fsyncs take and how long
+/// requests wait for a permit, not only how many there were.
 #[test]
 fn stats_reports_fsync_and_queue_wait_histograms() {
     let cat = MetadataCatalog::open_with(
@@ -162,11 +162,13 @@ fn stats_reports_fsync_and_queue_wait_histograms() {
         stats.iter().find(|(n, _)| *n == key).map_or(0, |(_, v)| *v)
     };
 
-    // An ingest into a durable catalog commits, and every commit
-    // fsyncs under the default policy.
+    // An ingest into a durable catalog commits: one log append, and
+    // every commit fsyncs under the default policy.
+    let appends = names::WAL_APPEND.count();
     let fsyncs = names::WAL_FSYNC.count();
     c.ingest(FIG3_DOCUMENT).unwrap();
     let stats = c.stats().unwrap();
+    assert!(count(&stats, "wal.append") > appends, "stats: {stats:?}");
     assert!(count(&stats, "wal.fsync") > fsyncs, "stats: {stats:?}");
 
     // An open transaction holds the visibility gate, so each permitted
