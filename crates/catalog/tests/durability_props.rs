@@ -13,7 +13,8 @@
 
 use catalog::lead::{fig4_query, lead_partition, register_arps_defs, DETAILED_PATH, FIG3_DOCUMENT};
 use catalog::prelude::*;
-use minidb::wal::{DurableFile, WAL_FILE};
+use minidb::vfs::DurableFile;
+use minidb::wal::WAL_FILE;
 use minidb::{DbError, MemVfs, Plan, StdVfs, Vfs, WalOptions};
 use proptest::collection::vec;
 use proptest::prelude::*;

@@ -41,9 +41,10 @@ use crate::keyset::{row_key, Key, KeySet, KeyedRows};
 use crate::limits::Deadline;
 use crate::profile::PlanProfile;
 use crate::table::{Row, Table, TableSchema};
+use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{
-    append_frame, encode_wal_header, in_file, scan_wal, write_clob_put, write_insert, Enc, StdVfs,
-    Vfs, WalOptions, WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
+    append_frame, encode_wal_header, in_file, scan_wal, write_clob_put, write_insert, Enc,
+    WalOptions, WalRecord, WalWriter, SNAPSHOT_FILE, SNAPSHOT_TMP, WAL_FILE, WAL_TMP,
 };
 use obs::names;
 use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -263,8 +264,8 @@ impl Database {
     }
 
     /// [`Database::open`] over an explicit [`Vfs`] and WAL options —
-    /// the entry point for in-memory crash testing ([`crate::wal::MemVfs`])
-    /// and fault injection ([`crate::wal::FaultyVfs`]).
+    /// the entry point for in-memory crash testing ([`crate::vfs::MemVfs`])
+    /// and fault injection ([`crate::vfs::FaultyVfs`]).
     pub fn open_with(vfs: Arc<dyn Vfs>, opts: WalOptions) -> Result<Database> {
         // 1. Snapshot, if any: one logged transaction, replayed like the
         //    WAL's. A checkpoint is idle while the snapshot on disk
@@ -1344,7 +1345,7 @@ mod tests {
             &names::WAL_CHECKPOINT_SYNC,
         ];
         let before = stages.map(|h| h.count());
-        let vfs = Arc::new(crate::wal::MemVfs::new());
+        let vfs = Arc::new(crate::vfs::MemVfs::new());
         let db = Database::open_with(vfs, crate::wal::WalOptions::default()).unwrap();
         db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
             .unwrap();

@@ -26,7 +26,7 @@
 //!   exclusively, a [`ReadTxn`] (and every plan execution) reads under
 //!   it shared ([`db`])
 //! - a write-ahead log and snapshots for durable databases ([`wal`],
-//!   [`snapshot`])
+//!   [`snapshot`]) over an injectable file layer ([`vfs`])
 //!
 //! All storage backends in the evaluation run on this same engine, so
 //! measured differences reflect storage architecture (how XML is
@@ -61,6 +61,7 @@ pub mod profile;
 pub mod snapshot;
 pub mod table;
 pub mod value;
+pub mod vfs;
 pub mod wal;
 
 /// Common imports for engine users.
@@ -76,7 +77,8 @@ pub mod prelude {
     pub use crate::profile::{NodeStats, PlanProfile};
     pub use crate::table::{Column, Row, RowId, Table, TableSchema};
     pub use crate::value::{DataType, Value};
-    pub use crate::wal::{FaultyVfs, MemVfs, StdVfs, SyncPolicy, Vfs, WalOptions};
+    pub use crate::vfs::{FaultyVfs, MemVfs, StdVfs, Vfs};
+    pub use crate::wal::{SyncPolicy, WalOptions};
 }
 
 pub use prelude::*;

@@ -103,7 +103,8 @@ mod tests {
     use crate::expr::Expr;
     use crate::table::{Column, TableSchema};
     use crate::value::{DataType, Value};
-    use crate::wal::{MemVfs, WalOptions, WAL_FILE};
+    use crate::vfs::MemVfs;
+    use crate::wal::{WalOptions, WAL_FILE};
     use obs::names;
     use std::sync::Arc;
 

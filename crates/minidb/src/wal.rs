@@ -1,5 +1,5 @@
-//! Write-ahead logging, checkpointing, and an injectable durable-file
-//! layer with deterministic fault injection.
+//! Write-ahead logging and checkpointing over the durable-file layer in
+//! [`crate::vfs`].
 //!
 //! The engine stays in-memory; durability comes from logging every
 //! mutation before acknowledging it (see [`crate::db::Txn`]) and
@@ -79,12 +79,8 @@ use crate::error::{DbError, Result};
 use crate::expr::{CmpOp, Expr};
 use crate::table::{Column, Row, TableSchema};
 use crate::value::{DataType, Value};
+use crate::vfs::DurableFile;
 use obs::names;
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::io::Write;
-use std::path::PathBuf;
-use std::sync::Arc;
 
 /// Snapshot file name inside a durable directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.mdb";
@@ -182,399 +178,6 @@ pub fn crc32(data: &[u8]) -> u32 {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
-}
-
-// ---------------------------------------------------------------------------
-// Virtual file system: the injectable I/O boundary.
-
-/// An append-only durable file handle. Appends buffer in the OS (or the
-/// in-memory model); [`DurableFile::sync`] is the durability barrier.
-pub trait DurableFile: Send {
-    /// Append bytes at the end of the file.
-    fn append(&mut self, data: &[u8]) -> Result<()>;
-    /// Durability barrier (fsync). Data appended before a successful
-    /// `sync` survives a crash; later data may not.
-    fn sync(&mut self) -> Result<()>;
-}
-
-/// Minimal file-system surface the durability layer needs. Implemented
-/// by [`StdVfs`] (a real directory), [`MemVfs`] (in-memory, models
-/// crashes), and [`FaultyVfs`] (injects failures for tests).
-pub trait Vfs: Send + Sync {
-    /// Whole-file read; `Ok(None)` when the file does not exist.
-    fn read(&self, name: &str) -> Result<Option<Vec<u8>>>;
-    /// Create (truncating) and open for append.
-    fn create(&self, name: &str) -> Result<Box<dyn DurableFile>>;
-    /// Open an existing file for append.
-    fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>>;
-    /// Atomically replace `to` with `from`; once this returns, the new
-    /// name survives a crash.
-    fn rename(&self, from: &str, to: &str) -> Result<()>;
-    /// Truncate a file to `len` bytes.
-    fn set_len(&self, name: &str, len: u64) -> Result<()>;
-    /// Does the file exist?
-    fn exists(&self, name: &str) -> bool;
-}
-
-fn vfs_err(op: &str, name: &str, e: std::io::Error) -> DbError {
-    DbError::Io(format!("{op} {name}: {e}"))
-}
-
-/// Lock file inside a durable directory; see [`StdVfs::new`].
-pub const LOCK_FILE: &str = "LOCK";
-
-/// Real-directory [`Vfs`] backed by `std::fs`.
-pub struct StdVfs {
-    dir: PathBuf,
-    /// Exclusive lock on [`LOCK_FILE`], held for the life of the VFS.
-    _lock: std::fs::File,
-}
-
-impl StdVfs {
-    /// Open (creating if needed) `dir` as a durable directory and take
-    /// its exclusive lock. Recovery truncates a torn WAL tail and the
-    /// writer appends with its own LSNs, so two live openers would
-    /// corrupt each other's log; a second open — from this process or
-    /// another — fails with [`DbError::Locked`] until the first
-    /// `StdVfs` is dropped. The OS releases the lock when the process
-    /// dies, so a crash leaves no stale lock behind.
-    pub fn new(dir: impl Into<PathBuf>) -> Result<StdVfs> {
-        let dir = dir.into();
-        let shown = dir.display().to_string();
-        std::fs::create_dir_all(&dir).map_err(|e| vfs_err("create_dir_all", &shown, e))?;
-        let lock = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .open(dir.join(LOCK_FILE))
-            .map_err(|e| vfs_err("open", LOCK_FILE, e))?;
-        match lock.try_lock() {
-            Ok(()) => Ok(StdVfs { dir, _lock: lock }),
-            Err(std::fs::TryLockError::WouldBlock) => Err(DbError::Locked(shown)),
-            Err(std::fs::TryLockError::Error(e)) => Err(vfs_err("lock", LOCK_FILE, e)),
-        }
-    }
-
-    fn path(&self, name: &str) -> PathBuf {
-        self.dir.join(name)
-    }
-}
-
-struct StdFile(std::fs::File, String);
-
-impl DurableFile for StdFile {
-    fn append(&mut self, data: &[u8]) -> Result<()> {
-        self.0.write_all(data).map_err(|e| vfs_err("append", &self.1, e))
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        self.0.sync_data().map_err(|e| vfs_err("fsync", &self.1, e))
-    }
-}
-
-impl Vfs for StdVfs {
-    fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        match std::fs::read(self.path(name)) {
-            Ok(b) => Ok(Some(b)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(vfs_err("read", name, e)),
-        }
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        let f = std::fs::File::create(self.path(name)).map_err(|e| vfs_err("create", name, e))?;
-        Ok(Box::new(StdFile(f, name.to_string())))
-    }
-
-    fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        let f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(self.path(name))
-            .map_err(|e| vfs_err("open_append", name, e))?;
-        Ok(Box::new(StdFile(f, name.to_string())))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        std::fs::rename(self.path(from), self.path(to)).map_err(|e| vfs_err("rename", from, e))?;
-        let shown = self.dir.display().to_string();
-        std::fs::File::open(&self.dir)
-            .and_then(|d| d.sync_all())
-            .map_err(|e| vfs_err("fsync", &shown, e))
-    }
-
-    fn set_len(&self, name: &str, len: u64) -> Result<()> {
-        let f = std::fs::OpenOptions::new()
-            .write(true)
-            .open(self.path(name))
-            .map_err(|e| vfs_err("open", name, e))?;
-        f.set_len(len).map_err(|e| vfs_err("set_len", name, e))
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.path(name).exists()
-    }
-}
-
-#[derive(Clone, Default)]
-struct MemFile {
-    data: Vec<u8>,
-    /// Bytes guaranteed durable: everything up to the last `sync`.
-    synced_len: usize,
-}
-
-/// In-memory [`Vfs`] that models crash semantics: every file tracks how
-/// much of it has been fsynced, and [`MemVfs::crashed_copy`] yields the
-/// state a machine would see after power loss (unsynced tails gone).
-///
-/// A handle follows its file's *name*, not an inode: after a rename
-/// over that name it writes to the new file. So neither `MemVfs` nor
-/// [`FaultyVfs`] can show a handle left on a replaced, unlinked file;
-/// tests of that run on a real directory ([`StdVfs`]).
-#[derive(Clone, Default)]
-pub struct MemVfs {
-    files: Arc<Mutex<HashMap<String, MemFile>>>,
-}
-
-impl MemVfs {
-    /// Empty in-memory file system.
-    pub fn new() -> MemVfs {
-        MemVfs::default()
-    }
-
-    /// The file system as it would look after a crash right now: each
-    /// file truncated to its last synced length.
-    pub fn crashed_copy(&self) -> MemVfs {
-        let files = self.files.lock();
-        let copied = files
-            .iter()
-            .map(|(k, v)| {
-                let mut f = v.clone();
-                f.data.truncate(f.synced_len);
-                (k.clone(), f)
-            })
-            .collect();
-        MemVfs { files: Arc::new(Mutex::new(copied)) }
-    }
-
-    /// Current full contents of `name` (including unsynced bytes).
-    pub fn file(&self, name: &str) -> Option<Vec<u8>> {
-        self.files.lock().get(name).map(|f| f.data.clone())
-    }
-
-    /// Replace `name` wholesale (marked fully synced). Test hook for
-    /// injecting truncations and bit flips.
-    pub fn overwrite(&self, name: &str, data: Vec<u8>) {
-        let synced_len = data.len();
-        self.files.lock().insert(name.to_string(), MemFile { data, synced_len });
-    }
-}
-
-struct MemHandle {
-    files: Arc<Mutex<HashMap<String, MemFile>>>,
-    name: String,
-}
-
-impl DurableFile for MemHandle {
-    fn append(&mut self, data: &[u8]) -> Result<()> {
-        let mut files = self.files.lock();
-        let f = files
-            .get_mut(&self.name)
-            .ok_or_else(|| DbError::Io(format!("append {}: file renamed away", self.name)))?;
-        f.data.extend_from_slice(data);
-        Ok(())
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        let mut files = self.files.lock();
-        let f = files
-            .get_mut(&self.name)
-            .ok_or_else(|| DbError::Io(format!("fsync {}: file renamed away", self.name)))?;
-        f.synced_len = f.data.len();
-        Ok(())
-    }
-}
-
-impl Vfs for MemVfs {
-    fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        Ok(self.file(name))
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        self.files.lock().insert(name.to_string(), MemFile::default());
-        Ok(Box::new(MemHandle { files: self.files.clone(), name: name.to_string() }))
-    }
-
-    fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        if !self.exists(name) {
-            return Err(DbError::Io(format!("open_append {name}: no such file")));
-        }
-        Ok(Box::new(MemHandle { files: self.files.clone(), name: name.to_string() }))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        let mut files = self.files.lock();
-        let f = files
-            .remove(from)
-            .ok_or_else(|| DbError::Io(format!("rename {from}: no such file")))?;
-        files.insert(to.to_string(), f);
-        Ok(())
-    }
-
-    fn set_len(&self, name: &str, len: u64) -> Result<()> {
-        let mut files = self.files.lock();
-        let f = files
-            .get_mut(name)
-            .ok_or_else(|| DbError::Io(format!("set_len {name}: no such file")))?;
-        f.data.truncate(len as usize);
-        f.synced_len = f.synced_len.min(f.data.len());
-        Ok(())
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.files.lock().contains_key(name)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection.
-
-#[derive(Default)]
-struct FaultState {
-    /// Remaining bytes that may be appended before the injected crash.
-    /// The append that exceeds the budget is a *short write*: only the
-    /// budgeted prefix lands.
-    byte_budget: Option<u64>,
-    /// `sync` calls remaining until one fails (1 = the next one fails).
-    syncs_until_fail: Option<u64>,
-    /// Set once a fault fired; every later write or sync fails.
-    crashed: bool,
-}
-
-/// [`Vfs`] wrapper that injects deterministic faults: a byte budget
-/// after which an append is torn short, and/or an fsync that fails on
-/// the Nth call. After the first fault the file system is "down" —
-/// every subsequent write-side call errors, as a crashed machine would.
-/// Reads pass through so tests can inspect and recover the state.
-#[derive(Clone)]
-pub struct FaultyVfs {
-    inner: MemVfs,
-    state: Arc<Mutex<FaultState>>,
-}
-
-impl FaultyVfs {
-    /// Wrap `inner` with no faults armed.
-    pub fn new(inner: MemVfs) -> FaultyVfs {
-        FaultyVfs { inner, state: Arc::new(Mutex::new(FaultState::default())) }
-    }
-
-    /// Arm a crash after `n` more appended bytes (the write crossing
-    /// the boundary is torn at it).
-    pub fn crash_after_bytes(self, n: u64) -> FaultyVfs {
-        self.state.lock().byte_budget = Some(n);
-        self
-    }
-
-    /// Arm the `n`th subsequent `sync` (1-based) to fail.
-    pub fn fail_sync_at(self, n: u64) -> FaultyVfs {
-        assert!(n > 0, "fail_sync_at is 1-based");
-        self.state.lock().syncs_until_fail = Some(n);
-        self
-    }
-
-    /// Has an injected fault fired yet?
-    pub fn is_crashed(&self) -> bool {
-        self.state.lock().crashed
-    }
-
-    /// The wrapped in-memory file system (for `crashed_copy` etc.).
-    pub fn inner(&self) -> &MemVfs {
-        &self.inner
-    }
-}
-
-/// A [`DurableFile`] that honors the shared [`FaultyVfs`] fault state.
-pub struct FaultyFile {
-    inner: Box<dyn DurableFile>,
-    state: Arc<Mutex<FaultState>>,
-}
-
-impl DurableFile for FaultyFile {
-    fn append(&mut self, data: &[u8]) -> Result<()> {
-        let mut st = self.state.lock();
-        if st.crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
-        }
-        if let Some(budget) = st.byte_budget {
-            if (data.len() as u64) > budget {
-                st.crashed = true;
-                st.byte_budget = Some(0);
-                drop(st);
-                // Short write: the prefix that fit reaches the medium.
-                self.inner.append(&data[..budget as usize])?;
-                return Err(DbError::Io("injected: short write".into()));
-            }
-            st.byte_budget = Some(budget - data.len() as u64);
-        }
-        drop(st);
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        let mut st = self.state.lock();
-        if st.crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
-        }
-        if let Some(n) = st.syncs_until_fail {
-            if n <= 1 {
-                st.crashed = true;
-                st.syncs_until_fail = None;
-                return Err(DbError::Io("injected: fsync failure".into()));
-            }
-            st.syncs_until_fail = Some(n - 1);
-        }
-        drop(st);
-        self.inner.sync()
-    }
-}
-
-impl Vfs for FaultyVfs {
-    fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        self.inner.read(name)
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        if self.state.lock().crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
-        }
-        let inner = self.inner.create(name)?;
-        Ok(Box::new(FaultyFile { inner, state: self.state.clone() }))
-    }
-
-    fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        if self.state.lock().crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
-        }
-        let inner = self.inner.open_append(name)?;
-        Ok(Box::new(FaultyFile { inner, state: self.state.clone() }))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        if self.state.lock().crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
-        }
-        self.inner.rename(from, to)
-    }
-
-    fn set_len(&self, name: &str, len: u64) -> Result<()> {
-        if self.state.lock().crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
-        }
-        self.inner.set_len(name, len)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1426,38 +1029,5 @@ mod tests {
         let s = scan_wal(&log).unwrap();
         assert_eq!(s.txns.len(), 2);
         assert!(s.valid_len < log.len() as u64);
-    }
-
-    #[test]
-    fn mem_vfs_models_fsync_loss() {
-        let vfs = MemVfs::new();
-        let mut f = vfs.create("a").unwrap();
-        f.append(b"one").unwrap();
-        f.sync().unwrap();
-        f.append(b"two").unwrap();
-        let crashed = vfs.crashed_copy();
-        assert_eq!(crashed.file("a").unwrap(), b"one");
-        assert_eq!(vfs.file("a").unwrap(), b"onetwo");
-    }
-
-    #[test]
-    fn faulty_vfs_short_write_and_sync_failure() {
-        let vfs = FaultyVfs::new(MemVfs::new()).crash_after_bytes(5);
-        let mut f = vfs.create("a").unwrap();
-        f.append(b"abc").unwrap();
-        assert!(f.append(b"defg").is_err());
-        assert!(vfs.is_crashed());
-        // The short write left the budgeted prefix on the medium.
-        assert_eq!(vfs.inner().file("a").unwrap(), b"abcde");
-        assert!(f.append(b"x").is_err());
-
-        let vfs = FaultyVfs::new(MemVfs::new()).fail_sync_at(2);
-        let mut f = vfs.create("b").unwrap();
-        f.append(b"1").unwrap();
-        f.sync().unwrap();
-        f.append(b"2").unwrap();
-        assert!(f.sync().is_err());
-        // Failed sync: the bytes never became durable.
-        assert_eq!(vfs.inner().crashed_copy().file("b").unwrap(), b"1");
     }
 }

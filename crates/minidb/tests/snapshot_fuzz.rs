@@ -11,7 +11,7 @@
 //! `PROPTEST_SEED` when set.
 
 use minidb::prelude::*;
-use minidb::wal::{MemVfs, SNAPSHOT_FILE, WAL_FILE};
+use minidb::wal::{SNAPSHOT_FILE, WAL_FILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;

@@ -15,9 +15,8 @@
 //! recovers from: each stops the writer until a reopen.
 
 use minidb::prelude::*;
-use minidb::wal::{
-    DurableFile, FaultyVfs, MemVfs, StdVfs, SyncPolicy, Vfs, WalOptions, SNAPSHOT_FILE, WAL_FILE,
-};
+use minidb::vfs::{DurableFile, FaultyVfs, MemVfs, StdVfs, Vfs};
+use minidb::wal::{SyncPolicy, WalOptions, SNAPSHOT_FILE, WAL_FILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, Ordering};
