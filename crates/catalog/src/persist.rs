@@ -284,19 +284,19 @@ mod tests {
     }
 
     /// A checkpoint with nothing to write touches no file: reopened over
-    /// a file system whose first fsync fails, it still succeeds with the
+    /// a [`minidb::FaultyVfs`], it makes no write-side call (create,
+    /// `open_append`, append, fsync, rename or `set_len`) and returns the
     /// snapshot's LSN. One commit makes the next checkpoint write again.
     #[test]
     fn an_idle_checkpoint_writes_nothing() {
-        use minidb::wal::{SNAPSHOT_FILE, WAL_FILE};
-        use minidb::FaultyVfs;
+        use minidb::vfs::{Call, FaultyVfs};
         let vfs = MemVfs::new();
         let cat = lead_on(&vfs);
         cat.ingest(FIG3_DOCUMENT).unwrap();
         let lsn = cat.checkpoint().unwrap();
         drop(cat);
 
-        let faulty = FaultyVfs::new(vfs.crashed_copy()).fail_sync_at(1);
+        let faulty = FaultyVfs::new(vfs.crashed_copy());
         let cat = MetadataCatalog::open_with(
             Arc::new(faulty.clone()),
             WalOptions::default(),
@@ -304,22 +304,21 @@ mod tests {
             CatalogConfig::default(),
         )
         .unwrap();
+        let calls = || Call::ALL.map(|c| faulty.calls(c));
+        let opened = calls();
         assert_eq!(cat.checkpoint().unwrap(), lsn);
-        assert!(!faulty.is_crashed(), "an idle checkpoint synced a file");
-        drop(cat);
-
-        let copy = vfs.crashed_copy();
-        let files = || (copy.file(WAL_FILE).unwrap(), copy.file(SNAPSHOT_FILE).unwrap());
-        let cat = open_mem(&copy, lead_partition()).unwrap();
-        let before = files();
-        assert_eq!(cat.checkpoint().unwrap(), lsn);
-        assert!(files() == before, "an idle checkpoint rewrote a file");
+        assert_eq!(calls(), opened, "an idle checkpoint made a write-side call ({:?})", Call::ALL);
         cat.ingest(EXTRA_DOC).unwrap();
+        let renames = faulty.calls(Call::Rename);
         assert_eq!(cat.checkpoint().unwrap(), lsn + 1);
-        let after = files();
-        assert!(after.1 != before.1, "a checkpoint after a commit wrote no snapshot");
+        assert_eq!(
+            faulty.calls(Call::Rename),
+            renames + 2,
+            "a checkpoint after a commit wrote no files"
+        );
+        let written = calls();
         assert_eq!(cat.checkpoint().unwrap(), lsn + 1);
-        assert!(files() == after, "the checkpoint after it was not idle");
+        assert_eq!(calls(), written, "the checkpoint after it was not idle");
     }
 
     /// A reopen re-registers the stored definitions: the registry is

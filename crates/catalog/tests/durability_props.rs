@@ -7,18 +7,20 @@
 //! must reproduce exactly the committed prefix — byte-identical store
 //! state against an uncrashed oracle catalog that applied the same
 //! prefix — and a crash mid-operation must never expose a partial
-//! ingest (the torn transaction disappears entirely). On a real
-//! directory, a commit whose log write fails once refuses every later
-//! write until a reopen, which finds exactly the acked state.
+//! ingest (the torn transaction disappears entirely). A crash at every
+//! 7th byte of a fresh catalog's bootstrap leaves it empty or complete.
+//! On a [`FaultyVfs`], a commit whose log append or fsync fails once
+//! refuses every later write until a reopen, which finds exactly the
+//! acked state.
 
 use catalog::lead::{fig4_query, lead_partition, register_arps_defs, DETAILED_PATH, FIG3_DOCUMENT};
 use catalog::prelude::*;
-use minidb::vfs::DurableFile;
+use minidb::vfs::{Fault, FaultyVfs, Lasting};
 use minidb::wal::WAL_FILE;
-use minidb::{DbError, MemVfs, Plan, StdVfs, Vfs, WalOptions};
+use minidb::{MemVfs, Plan, Vfs, WalOptions};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use xmlkit::ValueType;
 
 /// Small LEAD document parameterized by grid spacing and keyword.
@@ -73,16 +75,20 @@ fn apply_op(
     Ok(())
 }
 
-fn recover_image(wal_prefix: &[u8]) -> Vec<u8> {
-    let vfs = MemVfs::new();
-    vfs.overwrite(WAL_FILE, wal_prefix.to_vec());
-    let cat = MetadataCatalog::open_with(
-        Arc::new(vfs),
+/// A durable LEAD catalog on `vfs`.
+fn open(vfs: Arc<dyn Vfs>) -> Result<MetadataCatalog> {
+    MetadataCatalog::open_with(
+        vfs,
         WalOptions::default(),
         lead_partition(),
         CatalogConfig::default(),
     )
-    .expect("recovery must succeed at any crash point");
+}
+
+fn recover_image(wal_prefix: &[u8]) -> Vec<u8> {
+    let vfs = MemVfs::new();
+    vfs.overwrite(WAL_FILE, wal_prefix.to_vec());
+    let cat = open(Arc::new(vfs)).expect("recovery must succeed at any crash point");
     cat.db().state_image().expect("state image")
 }
 
@@ -96,12 +102,7 @@ proptest! {
         ops in vec((0u32..100, 0u8..250, 0u8..250), 8..18),
     ) {
         let vfs = MemVfs::new();
-        let cat = MetadataCatalog::open_with(
-            Arc::new(vfs.clone()),
-            WalOptions::default(),
-            lead_partition(),
-            CatalogConfig::default(),
-        )
+        let cat = open(Arc::new(vfs.clone()))
         .unwrap();
         register_arps_defs(&cat).unwrap();
 
@@ -156,14 +157,6 @@ proptest! {
 /// with its wrapper tags.
 #[test]
 fn crash_during_bootstrap_leaves_empty_or_complete() {
-    let open = |vfs: Arc<dyn minidb::Vfs>| {
-        MetadataCatalog::open_with(
-            vfs,
-            WalOptions::default(),
-            lead_partition(),
-            CatalogConfig::default(),
-        )
-    };
     let fresh = MemVfs::new();
     let complete = {
         let cat = open(Arc::new(fresh.clone())).unwrap();
@@ -175,7 +168,7 @@ fn crash_during_bootstrap_leaves_empty_or_complete() {
     // the bootstrap writes.
     let written = fresh.file(WAL_FILE).unwrap().len() as u64;
     for cut in (0..written).step_by(7) {
-        let faulty = minidb::FaultyVfs::new(MemVfs::new()).crash_after_bytes(cut);
+        let faulty = FaultyVfs::new(MemVfs::new()).crash_after_bytes(cut);
         assert!(open(Arc::new(faulty.clone())).is_err(), "cut {cut}: the open must fail");
         let crashed = faulty.inner().crashed_copy();
         let image = minidb::Database::open_with(Arc::new(crashed.clone()), WalOptions::default())
@@ -197,13 +190,7 @@ fn crash_during_bootstrap_leaves_empty_or_complete() {
 #[test]
 fn checkpoint_then_crash_recovers_acked_ingests() {
     let vfs = MemVfs::new();
-    let cat = MetadataCatalog::open_with(
-        Arc::new(vfs.clone()),
-        WalOptions::default(),
-        lead_partition(),
-        CatalogConfig::default(),
-    )
-    .unwrap();
+    let cat = open(Arc::new(vfs.clone())).unwrap();
     register_arps_defs(&cat).unwrap();
     assert!(cat.is_durable());
 
@@ -218,13 +205,7 @@ fn checkpoint_then_crash_recovers_acked_ingests() {
     drop(cat); // crash: no checkpoint after the last three ingests
 
     let before = obs::names::WAL_RECOVERED_RECORDS.get();
-    let recovered = MetadataCatalog::open_with(
-        Arc::new(vfs.crashed_copy()),
-        WalOptions::default(),
-        lead_partition(),
-        CatalogConfig::default(),
-    )
-    .unwrap();
+    let recovered = open(Arc::new(vfs.crashed_copy())).unwrap();
     let replayed = obs::names::WAL_RECOVERED_RECORDS.get() - before;
     assert!(replayed > 0, "the post-checkpoint tail must replay through the WAL");
     assert_eq!(recovered.stats().objects, 8);
@@ -234,111 +215,22 @@ fn checkpoint_then_crash_recovers_acked_ingests() {
     assert_eq!(id9, ids[ids.len() - 1] + 1);
 }
 
-/// The one fault a [`FailOnce`] injects when armed.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Fault {
-    /// The next append lands the first half of its bytes, then errors.
-    ShortWrite,
-    /// The next fsync errors.
-    Fsync,
-}
-
-/// A [`StdVfs`] whose next append or fsync, once armed, fails once and
-/// then works again, as a disk that recovers from a transient error.
-#[derive(Clone)]
-struct FailOnce {
-    inner: Arc<StdVfs>,
-    armed: Arc<Mutex<Option<Fault>>>,
-}
-
-struct FailOnceFile {
-    inner: Box<dyn DurableFile>,
-    armed: Arc<Mutex<Option<Fault>>>,
-}
-
-impl FailOnceFile {
-    /// Is `fault` armed? Disarms it if so.
-    fn fires(&self, fault: Fault) -> bool {
-        let mut armed = self.armed.lock().unwrap();
-        let fires = *armed == Some(fault);
-        if fires {
-            *armed = None;
-        }
-        fires
-    }
-}
-
-impl DurableFile for FailOnceFile {
-    fn append(&mut self, data: &[u8]) -> minidb::Result<()> {
-        if self.fires(Fault::ShortWrite) {
-            self.inner.append(&data[..data.len() / 2])?;
-            return Err(DbError::Io("injected short write".into()));
-        }
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> minidb::Result<()> {
-        if self.fires(Fault::Fsync) {
-            return Err(DbError::Io("injected fsync failure".into()));
-        }
-        self.inner.sync()
-    }
-}
-
-impl Vfs for FailOnce {
-    fn read(&self, name: &str) -> minidb::Result<Option<Vec<u8>>> {
-        self.inner.read(name)
-    }
-
-    fn create(&self, name: &str) -> minidb::Result<Box<dyn DurableFile>> {
-        let inner = self.inner.create(name)?;
-        Ok(Box::new(FailOnceFile { inner, armed: self.armed.clone() }))
-    }
-
-    fn open_append(&self, name: &str) -> minidb::Result<Box<dyn DurableFile>> {
-        let inner = self.inner.open_append(name)?;
-        Ok(Box::new(FailOnceFile { inner, armed: self.armed.clone() }))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> minidb::Result<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn set_len(&self, name: &str, len: u64) -> minidb::Result<()> {
-        self.inner.set_len(name, len)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-}
-
 /// Once an ingest's commit fails on a failed append or fsync of the
 /// log, the catalog refuses every later write, and the reopened catalog
-/// holds exactly the acked objects and definitions (after a failed
-/// fsync the failed ingest's bytes may have reached the disk anyway, so
-/// it may be there too).
+/// holds exactly the acked objects and definitions, reopened after a
+/// crash or from the file system as it is (after a failed fsync the
+/// failed ingest's bytes may be there anyway, so it may be too).
 #[test]
 fn a_failed_commit_refuses_every_later_write() {
-    for fault in [Fault::ShortWrite, Fault::Fsync] {
-        let dir =
-            std::env::temp_dir().join(format!("catalog-failonce-{fault:?}-{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let vfs =
-            FailOnce { inner: Arc::new(StdVfs::new(&dir).unwrap()), armed: Default::default() };
-        let cat = MetadataCatalog::open_with(
-            Arc::new(vfs.clone()),
-            WalOptions::default(),
-            lead_partition(),
-            CatalogConfig::default(),
-        )
-        .unwrap();
+    for fault in [Fault::ShortAppend, Fault::FailedSync] {
+        let vfs = FaultyVfs::new(MemVfs::new());
+        let cat = open(Arc::new(vfs.clone())).unwrap();
         register_arps_defs(&cat).unwrap();
         let acked = cat.ingest(&doc(0, 0, 0)).unwrap();
         let defs = |cat: &MetadataCatalog| (cat.stats().attr_defs, cat.stats().elem_defs);
         let acked_defs = defs(&cat);
 
-        *vfs.armed.lock().unwrap() = Some(fault);
+        let vfs = vfs.fail(fault, 1, Lasting::Transient);
         cat.ingest(&doc(1, 1, 1)).expect_err("the commit fails");
         let spec = DynamicAttrSpec::new("late", "WRF").element("x", ValueType::Float);
         let refusals = [
@@ -357,16 +249,18 @@ fn a_failed_commit_refuses_every_later_write() {
                 Ok(()) => panic!("{fault:?}: {what} acked after a failed commit"),
             }
         }
-        drop((cat, vfs)); // releases the directory's lock
-
-        let cat = MetadataCatalog::open(&dir, lead_partition(), CatalogConfig::default())
-            .unwrap_or_else(|e| panic!("{fault:?}: reopen: {e}"));
-        let objects = cat.db().execute(&Plan::Scan { table: "objects".into(), filter: None });
-        let ids: Vec<i64> = objects.unwrap().rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-        let failed_present = fault == Fault::Fsync && ids == [acked, acked + 1];
-        assert!(ids == [acked] || failed_present, "{fault:?}: objects {ids:?}");
-        assert_eq!(defs(&cat), acked_defs, "{fault:?}");
         drop(cat);
-        std::fs::remove_dir_all(&dir).ok();
+
+        let dirs: [(&str, Arc<dyn Vfs>); 2] =
+            [("crashed", Arc::new(vfs.inner().crashed_copy())), ("live", Arc::new(vfs))];
+        for (from, dir) in dirs {
+            let cat = open(dir).unwrap_or_else(|e| panic!("{fault:?}: reopen {from}: {e}"));
+            let objects = cat.db().execute(&Plan::Scan { table: "objects".into(), filter: None });
+            let ids: Vec<i64> =
+                objects.unwrap().rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
+            let failed_present = fault == Fault::FailedSync && ids == [acked, acked + 1];
+            assert!(ids == [acked] || failed_present, "{fault:?}, {from}: objects {ids:?}");
+            assert_eq!(defs(&cat), acked_defs, "{fault:?}, {from}");
+        }
     }
 }

@@ -24,20 +24,27 @@ pub trait DurableFile: Send {
 /// Minimal file-system surface the durability layer needs. Implemented
 /// by [`StdVfs`] (a real directory), [`MemVfs`] (in-memory, models
 /// crashes), and [`FaultyVfs`] (injects failures for tests).
+///
+/// A name points to a file and a handle holds the file it opened, as on
+/// a POSIX file system: after a rename over its name, a handle still
+/// writes to the replaced file, which no name reaches any more and a
+/// crash discards. A call that fails leaves its effect unknown: an
+/// append may have landed part of its bytes, a failed fsync made nothing
+/// durable that was not durable before, and a rename may have landed
+/// before it reported its error.
 pub trait Vfs: Send + Sync {
     /// Whole-file read; `Ok(None)` when the file does not exist.
     fn read(&self, name: &str) -> Result<Option<Vec<u8>>>;
-    /// Create (truncating) and open for append.
+    /// Create (truncating the file `name` points to, if any) and open
+    /// for append.
     fn create(&self, name: &str) -> Result<Box<dyn DurableFile>>;
     /// Open an existing file for append.
     fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>>;
-    /// Atomically replace `to` with `from`; once this returns, the new
-    /// name survives a crash.
+    /// Atomically point `to` at the file `from` names and remove `from`;
+    /// once this returns, the new name survives a crash.
     fn rename(&self, from: &str, to: &str) -> Result<()>;
     /// Truncate a file to `len` bytes.
     fn set_len(&self, name: &str, len: u64) -> Result<()>;
-    /// Does the file exist?
-    fn exists(&self, name: &str) -> bool;
 }
 
 fn vfs_err(op: &str, name: &str, e: std::io::Error) -> DbError {
@@ -133,30 +140,28 @@ impl Vfs for StdVfs {
             .map_err(|e| vfs_err("open", name, e))?;
         f.set_len(len).map_err(|e| vfs_err("set_len", name, e))
     }
-
-    fn exists(&self, name: &str) -> bool {
-        self.path(name).exists()
-    }
 }
 
-#[derive(Clone, Default)]
+/// One in-memory file: the inode names point to and handles hold.
+#[derive(Default)]
 struct MemFile {
     data: Vec<u8>,
     /// Bytes guaranteed durable: everything up to the last `sync`.
     synced_len: usize,
 }
 
-/// In-memory [`Vfs`] that models crash semantics: every file tracks how
-/// much of it has been fsynced, and [`MemVfs::crashed_copy`] yields the
-/// state a machine would see after power loss (unsynced tails gone).
-///
-/// A handle follows its file's *name*, not an inode: after a rename
-/// over that name it writes to the new file. So neither `MemVfs` nor
-/// [`FaultyVfs`] can show a handle left on a replaced, unlinked file;
-/// tests of that run on a real directory ([`StdVfs`]).
+type Inode = Arc<Mutex<MemFile>>;
+
+/// In-memory [`Vfs`] that models crash semantics. Names point to inodes
+/// and a handle holds its inode, so a rename over a name leaves the
+/// handles open on the replaced file writing to it, unlinked. Every file
+/// tracks how much of it has been fsynced, and [`MemVfs::crashed_copy`]
+/// yields the state a machine would see after power loss: each named
+/// file cut to its synced length, and no unlinked file. A rename, a
+/// `create`'s truncation and a `set_len` are durable once they return.
 #[derive(Clone, Default)]
 pub struct MemVfs {
-    files: Arc<Mutex<HashMap<String, MemFile>>>,
+    names: Arc<Mutex<HashMap<String, Inode>>>,
 }
 
 impl MemVfs {
@@ -166,53 +171,54 @@ impl MemVfs {
     }
 
     /// The file system as it would look after a crash right now: each
-    /// file truncated to its last synced length.
+    /// named file truncated to its last synced length, in a copy that
+    /// shares nothing with this one.
     pub fn crashed_copy(&self) -> MemVfs {
-        let files = self.files.lock();
-        let copied = files
+        let names = self.names.lock();
+        let copied = names
             .iter()
-            .map(|(k, v)| {
-                let mut f = v.clone();
-                f.data.truncate(f.synced_len);
-                (k.clone(), f)
+            .map(|(name, inode)| {
+                let f = inode.lock();
+                let data = f.data[..f.synced_len].to_vec();
+                (name.clone(), Arc::new(Mutex::new(MemFile { synced_len: data.len(), data })))
             })
             .collect();
-        MemVfs { files: Arc::new(Mutex::new(copied)) }
+        MemVfs { names: Arc::new(Mutex::new(copied)) }
     }
 
     /// Current full contents of `name` (including unsynced bytes).
     pub fn file(&self, name: &str) -> Option<Vec<u8>> {
-        self.files.lock().get(name).map(|f| f.data.clone())
+        self.names.lock().get(name).map(|f| f.lock().data.clone())
     }
 
-    /// Replace `name` wholesale (marked fully synced). Test hook for
-    /// injecting truncations and bit flips.
+    /// Point `name` at a new file holding `data`, fully synced. Test hook
+    /// for injecting truncations and bit flips.
     pub fn overwrite(&self, name: &str, data: Vec<u8>) {
         let synced_len = data.len();
-        self.files.lock().insert(name.to_string(), MemFile { data, synced_len });
+        let inode = Arc::new(Mutex::new(MemFile { data, synced_len }));
+        self.names.lock().insert(name.to_string(), inode);
+    }
+
+    /// The inode `name` points to; `op` names the call that failed if none.
+    fn inode(&self, op: &str, name: &str) -> Result<Inode> {
+        let names = self.names.lock();
+        names
+            .get(name)
+            .cloned()
+            .ok_or_else(|| DbError::Io(format!("{op} {name}: no such file")))
     }
 }
 
-struct MemHandle {
-    files: Arc<Mutex<HashMap<String, MemFile>>>,
-    name: String,
-}
+struct MemHandle(Inode);
 
 impl DurableFile for MemHandle {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        let mut files = self.files.lock();
-        let f = files
-            .get_mut(&self.name)
-            .ok_or_else(|| DbError::Io(format!("append {}: file renamed away", self.name)))?;
-        f.data.extend_from_slice(data);
+        self.0.lock().data.extend_from_slice(data);
         Ok(())
     }
 
     fn sync(&mut self) -> Result<()> {
-        let mut files = self.files.lock();
-        let f = files
-            .get_mut(&self.name)
-            .ok_or_else(|| DbError::Io(format!("fsync {}: file renamed away", self.name)))?;
+        let mut f = self.0.lock();
         f.synced_len = f.data.len();
         Ok(())
     }
@@ -224,61 +230,167 @@ impl Vfs for MemVfs {
     }
 
     fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        self.files.lock().insert(name.to_string(), MemFile::default());
-        Ok(Box::new(MemHandle { files: self.files.clone(), name: name.to_string() }))
+        let inode = self.names.lock().entry(name.to_string()).or_default().clone();
+        *inode.lock() = MemFile::default();
+        Ok(Box::new(MemHandle(inode)))
     }
 
     fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        if !self.exists(name) {
-            return Err(DbError::Io(format!("open_append {name}: no such file")));
-        }
-        Ok(Box::new(MemHandle { files: self.files.clone(), name: name.to_string() }))
+        Ok(Box::new(MemHandle(self.inode("open_append", name)?)))
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        let mut files = self.files.lock();
-        let f = files
+        let mut names = self.names.lock();
+        let inode = names
             .remove(from)
             .ok_or_else(|| DbError::Io(format!("rename {from}: no such file")))?;
-        files.insert(to.to_string(), f);
+        names.insert(to.to_string(), inode);
         Ok(())
     }
 
     fn set_len(&self, name: &str, len: u64) -> Result<()> {
-        let mut files = self.files.lock();
-        let f = files
-            .get_mut(name)
-            .ok_or_else(|| DbError::Io(format!("set_len {name}: no such file")))?;
+        let inode = self.inode("set_len", name)?;
+        let mut f = inode.lock();
         f.data.truncate(len as usize);
         f.synced_len = f.synced_len.min(f.data.len());
         Ok(())
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.files.lock().contains_key(name)
     }
 }
 
 // ---------------------------------------------------------------------------
 // Fault injection.
 
-#[derive(Default)]
-struct FaultState {
-    /// Remaining bytes that may be appended before the injected crash.
-    /// The append that exceeds the budget is a *short write*: only the
-    /// budgeted prefix lands.
-    byte_budget: Option<u64>,
-    /// `sync` calls remaining until one fails (1 = the next one fails).
-    syncs_until_fail: Option<u64>,
-    /// Set once a fault fired; every later write or sync fails.
-    crashed: bool,
+/// A kind of write-side call, the unit [`FaultyVfs`] counts calls and
+/// arms faults by. Reads are never counted or failed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Call {
+    /// [`Vfs::create`].
+    Create,
+    /// [`Vfs::open_append`].
+    OpenAppend,
+    /// [`DurableFile::append`].
+    Append,
+    /// [`DurableFile::sync`].
+    Sync,
+    /// [`Vfs::rename`].
+    Rename,
+    /// [`Vfs::set_len`].
+    SetLen,
 }
 
-/// [`Vfs`] wrapper that injects deterministic faults: a byte budget
-/// after which an append is torn short, and/or an fsync that fails on
-/// the Nth call. After the first fault the file system is "down" —
-/// every subsequent write-side call errors, as a crashed machine would.
-/// Reads pass through so tests can inspect and recover the state.
+impl Call {
+    /// Every kind of call.
+    pub const ALL: [Call; 6] =
+        [Call::Create, Call::OpenAppend, Call::Append, Call::Sync, Call::Rename, Call::SetLen];
+}
+
+/// The failure [`FaultyVfs`] injects into one call.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Fault {
+    /// An append lands the first half of its bytes, then errors.
+    ShortAppend,
+    /// An append lands nothing and errors.
+    FailedAppend,
+    /// An fsync errors and makes nothing durable.
+    FailedSync,
+    /// A rename errors before it lands: both names stay as they were.
+    RenameLost,
+    /// A rename lands, then errors, as when the directory fsync after
+    /// it fails.
+    RenameLanded,
+    /// A `create` errors, creating or truncating nothing.
+    FailedCreate,
+    /// An `open_append` errors.
+    FailedOpenAppend,
+    /// A `set_len` errors, truncating nothing.
+    FailedSetLen,
+}
+
+impl Fault {
+    /// Every fault.
+    pub const ALL: [Fault; 8] = [
+        Fault::ShortAppend,
+        Fault::FailedAppend,
+        Fault::FailedSync,
+        Fault::RenameLost,
+        Fault::RenameLanded,
+        Fault::FailedCreate,
+        Fault::FailedOpenAppend,
+        Fault::FailedSetLen,
+    ];
+
+    /// The kind of call this fault fails.
+    pub fn call(self) -> Call {
+        match self {
+            Fault::ShortAppend | Fault::FailedAppend => Call::Append,
+            Fault::FailedSync => Call::Sync,
+            Fault::RenameLost | Fault::RenameLanded => Call::Rename,
+            Fault::FailedCreate => Call::Create,
+            Fault::FailedOpenAppend => Call::OpenAppend,
+            Fault::FailedSetLen => Call::SetLen,
+        }
+    }
+}
+
+/// What the file system does after an injected fault.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lasting {
+    /// Only the faulted call fails; the next one works, as on a disk
+    /// that recovers from a transient error.
+    Transient,
+    /// The file system stays down: every later write-side call fails, as
+    /// on a crashed machine.
+    Fatal,
+}
+
+#[derive(Default)]
+struct FaultState {
+    /// Write-side calls made so far, indexed by [`Call`].
+    calls: [u64; Call::ALL.len()],
+    /// The armed fault, the count of its kind of call at which it fires,
+    /// and what happens after.
+    armed: Option<(Fault, u64, Lasting)>,
+    /// Remaining bytes that may be appended before the injected crash.
+    /// The append that exceeds the budget is a *short write*: only the
+    /// budgeted prefix lands, and the file system is down.
+    byte_budget: Option<u64>,
+    /// The file the first injected fault hit, once one has.
+    fired: Option<String>,
+    /// Set once a fatal fault fired; every later write-side call fails.
+    down: bool,
+}
+
+impl FaultState {
+    /// Count a `call` on `name`. Errors if the file system is down;
+    /// returns the armed fault if this call is the one it fires on.
+    fn enter(&mut self, call: Call, name: &str) -> Result<Option<Fault>> {
+        if self.down {
+            return Err(DbError::Io(format!("{name}: injected: file system is down")));
+        }
+        self.calls[call as usize] += 1;
+        let fires = matches!(self.armed, Some((f, at, _)) if f.call() == call
+            && self.calls[call as usize] == at);
+        if !fires {
+            return Ok(None);
+        }
+        let (fault, _, lasting) = self.armed.take().expect("armed");
+        self.fired.get_or_insert_with(|| name.to_string());
+        self.down = lasting == Lasting::Fatal;
+        Ok(Some(fault))
+    }
+}
+
+/// The error an injected `fault` on `name` returns.
+fn injected(fault: Fault, name: &str) -> DbError {
+    DbError::Io(format!("{name}: injected {fault:?}"))
+}
+
+/// [`Vfs`] wrapper over a [`MemVfs`] that injects deterministic faults:
+/// one [`Fault`] armed at the Nth call of its kind ([`FaultyVfs::fail`]),
+/// transient or fatal, and/or a byte budget after which an append is torn
+/// short and the file system stays down. It counts write-side calls per
+/// [`Call`] kind. Reads pass through, even when the file system is down,
+/// so tests can inspect and recover the state.
 #[derive(Clone)]
 pub struct FaultyVfs {
     inner: MemVfs,
@@ -298,44 +410,68 @@ impl FaultyVfs {
         self
     }
 
-    /// Arm the `n`th subsequent `sync` (1-based) to fail.
-    pub fn fail_sync_at(self, n: u64) -> FaultyVfs {
-        assert!(n > 0, "fail_sync_at is 1-based");
-        self.state.lock().syncs_until_fail = Some(n);
+    /// Arm `fault` to fire on the `nth` (1-based) call of its kind from
+    /// now on, replacing any fault armed before.
+    pub fn fail(self, fault: Fault, nth: u64, lasting: Lasting) -> FaultyVfs {
+        assert!(nth > 0, "fail is 1-based");
+        let mut st = self.state.lock();
+        let at = st.calls[fault.call() as usize] + nth;
+        st.armed = Some((fault, at, lasting));
+        drop(st);
         self
     }
 
-    /// Has an injected fault fired yet?
-    pub fn is_crashed(&self) -> bool {
-        self.state.lock().crashed
+    /// Write-side calls of kind `call` made so far, failed ones included.
+    pub fn calls(&self, call: Call) -> u64 {
+        self.state.lock().calls[call as usize]
+    }
+
+    /// The name of the file the first injected fault (or short write)
+    /// hit, once one has; a rename's is its target.
+    pub fn fired(&self) -> Option<String> {
+        self.state.lock().fired.clone()
     }
 
     /// The wrapped in-memory file system (for `crashed_copy` etc.).
     pub fn inner(&self) -> &MemVfs {
         &self.inner
     }
+
+    /// `inner`'s handle wrapped to honor the shared fault state.
+    fn wrap(&self, name: &str, inner: Box<dyn DurableFile>) -> Box<dyn DurableFile> {
+        Box::new(FaultyFile { inner, name: name.to_string(), state: self.state.clone() })
+    }
 }
 
 /// A [`DurableFile`] that honors the shared [`FaultyVfs`] fault state.
-pub struct FaultyFile {
+struct FaultyFile {
     inner: Box<dyn DurableFile>,
+    /// The name it was opened under, for errors and [`FaultyVfs::fired`].
+    name: String,
     state: Arc<Mutex<FaultState>>,
 }
 
 impl DurableFile for FaultyFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
         let mut st = self.state.lock();
-        if st.crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
+        match st.enter(Call::Append, &self.name)? {
+            Some(Fault::ShortAppend) => {
+                drop(st);
+                self.inner.append(&data[..data.len() / 2])?;
+                return Err(injected(Fault::ShortAppend, &self.name));
+            }
+            Some(fault) => return Err(injected(fault, &self.name)),
+            None => {}
         }
         if let Some(budget) = st.byte_budget {
             if (data.len() as u64) > budget {
-                st.crashed = true;
                 st.byte_budget = Some(0);
+                st.down = true;
+                st.fired.get_or_insert_with(|| self.name.clone());
                 drop(st);
                 // Short write: the prefix that fit reaches the medium.
                 self.inner.append(&data[..budget as usize])?;
-                return Err(DbError::Io("injected: short write".into()));
+                return Err(DbError::Io(format!("{}: injected short write", self.name)));
             }
             st.byte_budget = Some(budget - data.len() as u64);
         }
@@ -344,19 +480,9 @@ impl DurableFile for FaultyFile {
     }
 
     fn sync(&mut self) -> Result<()> {
-        let mut st = self.state.lock();
-        if st.crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
+        if let Some(fault) = self.state.lock().enter(Call::Sync, &self.name)? {
+            return Err(injected(fault, &self.name));
         }
-        if let Some(n) = st.syncs_until_fail {
-            if n <= 1 {
-                st.crashed = true;
-                st.syncs_until_fail = None;
-                return Err(DbError::Io("injected: fsync failure".into()));
-            }
-            st.syncs_until_fail = Some(n - 1);
-        }
-        drop(st);
         self.inner.sync()
     }
 }
@@ -367,37 +493,35 @@ impl Vfs for FaultyVfs {
     }
 
     fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        if self.state.lock().crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
+        if let Some(fault) = self.state.lock().enter(Call::Create, name)? {
+            return Err(injected(fault, name));
         }
-        let inner = self.inner.create(name)?;
-        Ok(Box::new(FaultyFile { inner, state: self.state.clone() }))
+        Ok(self.wrap(name, self.inner.create(name)?))
     }
 
     fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        if self.state.lock().crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
+        if let Some(fault) = self.state.lock().enter(Call::OpenAppend, name)? {
+            return Err(injected(fault, name));
         }
-        let inner = self.inner.open_append(name)?;
-        Ok(Box::new(FaultyFile { inner, state: self.state.clone() }))
+        Ok(self.wrap(name, self.inner.open_append(name)?))
     }
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
-        if self.state.lock().crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
+        match self.state.lock().enter(Call::Rename, to)? {
+            Some(Fault::RenameLanded) => {
+                self.inner.rename(from, to)?;
+                Err(injected(Fault::RenameLanded, to))
+            }
+            Some(fault) => Err(injected(fault, to)),
+            None => self.inner.rename(from, to),
         }
-        self.inner.rename(from, to)
     }
 
     fn set_len(&self, name: &str, len: u64) -> Result<()> {
-        if self.state.lock().crashed {
-            return Err(DbError::Io("injected: file system is down".into()));
+        if let Some(fault) = self.state.lock().enter(Call::SetLen, name)? {
+            return Err(injected(fault, name));
         }
         self.inner.set_len(name, len)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
     }
 }
 
@@ -418,17 +542,46 @@ mod tests {
     }
 
     #[test]
+    fn mem_vfs_handles_follow_inodes() {
+        let vfs = MemVfs::new();
+        let mut old = vfs.create("log").unwrap();
+        old.append(b"old").unwrap();
+        old.sync().unwrap();
+        let mut new = vfs.create("tmp").unwrap();
+        new.append(b"new").unwrap();
+        new.sync().unwrap();
+        vfs.rename("tmp", "log").unwrap();
+        // The old handle writes to the replaced file, which no name
+        // reaches: neither the live file system nor a crash sees it.
+        old.append(b"lost").unwrap();
+        old.sync().unwrap();
+        assert_eq!(vfs.file("log").unwrap(), b"new");
+        assert_eq!(vfs.file("tmp"), None);
+        assert_eq!(vfs.crashed_copy().file("log").unwrap(), b"new");
+        // The renamed file's handle still reaches it under its new name.
+        new.append(b"er").unwrap();
+        assert_eq!(vfs.file("log").unwrap(), b"newer");
+        // `create` over a name truncates the file that name points to,
+        // so its open handles see the truncation too.
+        let mut again = vfs.create("log").unwrap();
+        again.append(b"x").unwrap();
+        new.append(b"y").unwrap();
+        assert_eq!(vfs.file("log").unwrap(), b"xy");
+        assert_eq!(vfs.crashed_copy().file("log").unwrap(), b"");
+    }
+
+    #[test]
     fn faulty_vfs_short_write_and_sync_failure() {
         let vfs = FaultyVfs::new(MemVfs::new()).crash_after_bytes(5);
         let mut f = vfs.create("a").unwrap();
         f.append(b"abc").unwrap();
         assert!(f.append(b"defg").is_err());
-        assert!(vfs.is_crashed());
+        assert_eq!(vfs.fired().as_deref(), Some("a"));
         // The short write left the budgeted prefix on the medium.
         assert_eq!(vfs.inner().file("a").unwrap(), b"abcde");
         assert!(f.append(b"x").is_err());
 
-        let vfs = FaultyVfs::new(MemVfs::new()).fail_sync_at(2);
+        let vfs = FaultyVfs::new(MemVfs::new()).fail(Fault::FailedSync, 2, Lasting::Fatal);
         let mut f = vfs.create("b").unwrap();
         f.append(b"1").unwrap();
         f.sync().unwrap();
@@ -436,5 +589,38 @@ mod tests {
         assert!(f.sync().is_err());
         // Failed sync: the bytes never became durable.
         assert_eq!(vfs.inner().crashed_copy().file("b").unwrap(), b"1");
+        assert!(vfs.create("c").is_err(), "a fatal fault leaves the file system down");
+    }
+
+    #[test]
+    fn faulty_vfs_counts_calls_and_fails_once_or_for_good() {
+        for lasting in [Lasting::Transient, Lasting::Fatal] {
+            let vfs = FaultyVfs::new(MemVfs::new());
+            let mut f = vfs.create("a").unwrap();
+            f.append(b"abcd").unwrap();
+            let vfs = vfs.fail(Fault::ShortAppend, 2, lasting);
+            f.append(b"ef").unwrap();
+            let err = f.append(b"ghij").unwrap_err().to_string();
+            assert!(err.contains("a: injected ShortAppend"), "{err}");
+            assert_eq!(vfs.inner().file("a").unwrap(), b"abcdefgh");
+            assert_eq!(vfs.fired().as_deref(), Some("a"));
+            assert_eq!(f.append(b"k").is_ok(), lasting == Lasting::Transient, "{lasting:?}");
+            assert_eq!(vfs.calls(Call::Append), 3 + (lasting == Lasting::Transient) as u64);
+            assert_eq!(vfs.calls(Call::Create), 1);
+        }
+
+        // A rename that lands, then errors, has moved the name.
+        let vfs = FaultyVfs::new(MemVfs::new()).fail(Fault::RenameLanded, 1, Lasting::Transient);
+        drop(vfs.create("tmp").unwrap());
+        assert!(vfs.rename("tmp", "log").is_err());
+        assert_eq!((vfs.inner().file("tmp"), vfs.inner().file("log")), (None, Some(vec![])));
+        // One that fails before it lands has not.
+        let vfs = vfs.fail(Fault::RenameLost, 1, Lasting::Transient);
+        drop(vfs.create("tmp").unwrap());
+        assert!(vfs.rename("tmp", "log2").is_err());
+        assert!(vfs.inner().file("log2").is_none() && vfs.inner().file("tmp").is_some());
+        vfs.rename("tmp", "log2").unwrap();
+        assert_eq!(vfs.fired().as_deref(), Some("log"), "the first fault's target");
+        assert_eq!(vfs.calls(Call::Rename), 3);
     }
 }

@@ -781,6 +781,7 @@ impl WalWriter {
     /// Drop the log for good after `e`, a failed write of it, whose
     /// outcome on disk is unknown; returns `e`.
     pub(crate) fn stop(&mut self, e: DbError) -> DbError {
+        names::WAL_WRITER_STOPS.incr();
         self.file = Err(if let DbError::Io(m) = &e { m.clone() } else { e.to_string() });
         e
     }

@@ -4,23 +4,23 @@
 //! in-memory database, then simulates a crash at **every byte offset**
 //! of the resulting WAL and asserts that recovery yields exactly the
 //! committed prefix — checked against an uncrashed oracle database
-//! that replayed only the committed operations. Companion tests cover
-//! torn-tail discard vs. hard corruption (a CLOB that is not UTF-8, in
-//! the log or in the snapshot, among it), group-commit loss windows,
-//! injected fsync failures and short writes, checkpoint tail replay,
-//! the CLOB layout across a restart, the refusal of directories in
-//! the format before version 2, the log bytes of a fixed workload, and,
-//! on a real directory, a checkpoint that fails after its log rename
-//! landed and a short write or failed fsync of the log that the disk
-//! recovers from: each stops the writer until a reopen.
+//! that replayed only the committed operations. A second sweep fails
+//! every write-side call of a workload with checkpoints in turn, with
+//! every [`Fault`] of a [`FaultyVfs`], once or for good, and checks the
+//! log's failure rule and the state a reopen finds. Companion tests
+//! cover torn-tail discard vs. hard corruption (a CLOB that is not
+//! UTF-8, in the log or in the snapshot, among it), group-commit loss
+//! windows, checkpoint tail replay, the CLOB layout across a restart,
+//! the refusal of directories in the format before version 2, the log
+//! bytes of a fixed workload, and, on a real directory, the `StdVfs`
+//! round trip and its lock.
 
 use minidb::prelude::*;
-use minidb::vfs::{DurableFile, FaultyVfs, MemVfs, StdVfs, Vfs};
+use minidb::vfs::{Call, Fault, FaultyVfs, Lasting, MemVfs, StdVfs, Vfs};
 use minidb::wal::{SyncPolicy, WalOptions, SNAPSHOT_FILE, WAL_FILE};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// One workload operation. Each op commits as one WAL transaction on
 /// the durable database and replays identically on the oracle.
@@ -146,16 +146,22 @@ fn alpha_where_id(id: i64) -> Plan {
     Plan::Scan { table: "alpha".into(), filter: Some(Expr::col_eq(0, id)) }
 }
 
+/// `PROPTEST_SEED` from the environment, or `default`: CI runs these
+/// suites under a fixed and a randomized seed.
+fn env_seed(default: u64) -> u64 {
+    std::env::var("PROPTEST_SEED")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(default)
+}
+
 fn open_mem(vfs: MemVfs, sync: SyncPolicy) -> Database {
     Database::open_with(Arc::new(vfs), WalOptions { sync }).expect("open durable db")
 }
 
 #[test]
 fn exhaustive_crash_points_recover_committed_prefix() {
-    let seed = std::env::var("PROPTEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC0FFEE);
+    let seed = env_seed(0xC0FFEE);
     let ops = workload(seed, 200);
     assert!(ops.len() >= 200);
 
@@ -274,73 +280,6 @@ fn group_commit_crash_keeps_synced_prefix_only() {
 }
 
 #[test]
-fn injected_fsync_failure_preserves_acked_prefix() {
-    let ops = workload(13, 50);
-    let inner = MemVfs::new();
-    // Syncs 1..=2 are WAL-header creation; fail the 20th sync overall.
-    let vfs = FaultyVfs::new(inner.clone()).fail_sync_at(20);
-    let db =
-        Database::open_with(Arc::new(vfs.clone()), WalOptions { sync: SyncPolicy::EveryCommit })
-            .unwrap();
-    let mut acked = Vec::new();
-    let mut failed = false;
-    for op in &ops {
-        match op.apply(&db) {
-            Ok(()) => acked.push(op.clone()),
-            Err(_) => {
-                failed = true;
-                break;
-            }
-        }
-    }
-    assert!(failed, "the injected fsync failure must surface as an op error");
-    assert!(vfs.is_crashed());
-    std::mem::forget(db);
-
-    let recovered =
-        Database::open_with(Arc::new(inner.crashed_copy()), WalOptions::default()).unwrap();
-    // Every acked op survives; the failed op is gone entirely.
-    let oracle = Database::new();
-    for op in &acked {
-        op.apply(&oracle).expect("oracle op");
-    }
-    assert_eq!(recovered.last_lsn(), acked.len() as u64);
-    assert_eq!(digest(&recovered), digest(&oracle));
-}
-
-#[test]
-fn injected_short_write_tears_the_tail() {
-    let ops = workload(17, 50);
-    let inner = MemVfs::new();
-    // Generous budget: the workload dies somewhere in the middle with
-    // a torn final append.
-    let vfs = FaultyVfs::new(inner.clone()).crash_after_bytes(2500);
-    let db =
-        Database::open_with(Arc::new(vfs.clone()), WalOptions { sync: SyncPolicy::EveryCommit })
-            .unwrap();
-    let mut acked = 0usize;
-    for op in &ops {
-        if op.apply(&db).is_err() {
-            break;
-        }
-        acked += 1;
-    }
-    assert!(vfs.is_crashed(), "budget must be exhausted mid-workload");
-    assert!(acked < ops.len());
-    std::mem::forget(db);
-
-    // The torn record is silently discarded; all acked ops survive.
-    let recovered =
-        Database::open_with(Arc::new(inner.crashed_copy()), WalOptions::default()).unwrap();
-    assert_eq!(recovered.last_lsn(), acked as u64);
-    let oracle = Database::new();
-    for op in &ops[..acked] {
-        op.apply(&oracle).expect("oracle op");
-    }
-    assert_eq!(digest(&recovered), digest(&oracle));
-}
-
-#[test]
 fn recovery_truncates_torn_tail_before_new_appends() {
     // Crash with a torn final record, recover, write more, crash
     // fully-synced, recover again: if recovery failed to truncate the
@@ -408,44 +347,236 @@ fn checkpoint_truncates_log_and_tail_replays() {
     assert_eq!(digest(&recovered), digest(&oracle));
 }
 
-#[test]
-fn crash_between_checkpoint_renames_recovers_everything() {
-    let ops = workload(29, 60);
-    let inner = MemVfs::new();
-    let vfs = FaultyVfs::new(inner.clone());
-    let db =
-        Database::open_with(Arc::new(vfs.clone()), WalOptions { sync: SyncPolicy::EveryCommit })
-            .unwrap();
-    for op in &ops {
-        op.apply(&db).expect("op");
-    }
-    // Arm a budget that dies during the checkpoint's fresh-WAL write,
-    // after the snapshot was installed: snapshot bytes + header is
-    // bigger than snapshot bytes + 3.
-    let snap_size = {
-        let probe = MemVfs::new();
-        let d2 = open_mem(probe.clone(), SyncPolicy::EveryCommit);
-        for op in &ops {
-            op.apply(&d2).expect("op");
-        }
-        d2.checkpoint().unwrap();
-        probe.file(SNAPSHOT_FILE).unwrap().len() as u64
-    };
-    let vfs2 = vfs.clone().crash_after_bytes(snap_size + 3);
-    assert!(db.checkpoint().is_err(), "checkpoint must die mid-WAL-swap");
-    assert!(vfs2.is_crashed());
-    std::mem::forget(db);
+/// One step of the fault sweep's workload.
+enum Step {
+    /// Commit one workload op.
+    Commit(Op),
+    Checkpoint,
+}
 
-    // New snapshot installed, old WAL still in place: recovery skips
-    // the already-snapshotted transactions and loses nothing.
-    let recovered =
-        Database::open_with(Arc::new(inner.crashed_copy()), WalOptions::default()).unwrap();
-    assert_eq!(recovered.last_lsn(), ops.len() as u64);
+impl Step {
+    fn run(&self, db: &Database) -> Result<()> {
+        match self {
+            Step::Commit(op) => op.apply(db),
+            Step::Checkpoint => db.checkpoint().map(|_| ()),
+        }
+    }
+
+    fn label(&self) -> &'static str {
+        match self {
+            Step::Commit(_) => "commit",
+            Step::Checkpoint => "checkpoint",
+        }
+    }
+}
+
+/// A directory the sweep opens, then runs `steps` on. `acked` of the
+/// workload's ops are committed in it; the steps' ops follow them.
+struct Start {
+    name: &'static str,
+    dir: MemVfs,
+    acked: usize,
+    steps: Vec<Step>,
+}
+
+/// `ops` as steps, with a checkpoint after every third.
+fn with_checkpoints(ops: &[Op]) -> Vec<Step> {
+    let mut steps = Vec::new();
+    for (i, op) in ops.iter().enumerate() {
+        steps.push(Step::Commit(op.clone()));
+        if i % 3 == 2 {
+            steps.push(Step::Checkpoint);
+        }
+    }
+    steps
+}
+
+/// The sweep's two starting directories over `ops`: an empty one, whose
+/// open writes a fresh log, and one holding a snapshot of `ops[..2]`
+/// and a log with `ops[2]` committed and `ops[3]` torn, whose open
+/// truncates the log. Each runs ten ops with three checkpoints.
+fn sweep_starts(ops: &[Op]) -> [Start; 2] {
+    let torn = MemVfs::new();
+    let db = open_mem(torn.clone(), SyncPolicy::EveryCommit);
+    for (i, op) in ops[..4].iter().enumerate() {
+        op.apply(&db).expect("op");
+        if i == 1 {
+            db.checkpoint().expect("checkpoint");
+        }
+    }
+    drop(db);
+    let wal = torn.file(WAL_FILE).unwrap();
+    torn.overwrite(WAL_FILE, wal[..wal.len() - 7].to_vec());
+    [
+        Start { name: "empty", dir: MemVfs::new(), acked: 0, steps: with_checkpoints(&ops[..10]) },
+        Start { name: "torn", dir: torn, acked: 3, steps: with_checkpoints(&ops[3..13]) },
+    ]
+}
+
+/// The text of `e` as the writer keeps it when `e` stops it.
+fn io_message(e: &DbError) -> String {
+    match e {
+        DbError::Io(m) => m.clone(),
+        e => e.to_string(),
+    }
+}
+
+/// Every call index × fault × {transient, fatal} over a fixed workload
+/// with checkpoints, from an empty and from a torn directory, against
+/// the failure rule:
+///
+/// - a fault on a `wal.log` append or fsync, or anywhere in a
+///   checkpoint's log swap (rename to `wal.log` through reopening it),
+///   fails its step and stops the writer: every later commit and
+///   checkpoint is refused, naming the fault and asking for a reopen;
+/// - a fault on `snapshot.tmp`, its rename, or `wal.tmp` before its
+///   rename fails the checkpoint and leaves `wal.log` as it was; after
+///   a transient one, every later step is acked;
+/// - a fault inside `open_with` fails the open.
+///
+/// Then a reopen from a crash of the file system, and after a transient
+/// fault also from the live one, finds exactly the acked ops, or those
+/// and the one whose fsync failed; after a failed append, `wal.log` is
+/// back at its length before it.
+#[test]
+fn every_call_fault_keeps_exactly_the_acked_state() {
+    let seed = env_seed(0x5EED);
+    let ops = workload(seed, 13);
+    // `images[k]`: the state after the first `k` ops.
     let oracle = Database::new();
+    let mut images = vec![digest(&oracle)];
     for op in &ops {
         op.apply(&oracle).expect("oracle op");
+        images.push(digest(&oracle));
     }
-    assert_eq!(digest(&recovered), digest(&oracle));
+    let mut cases = 0;
+    for start in sweep_starts(&ops) {
+        let clean = FaultyVfs::new(start.dir.crashed_copy());
+        let db = Database::open_with(Arc::new(clean.clone()), WalOptions::default()).unwrap();
+        for step in &start.steps {
+            step.run(&db)
+                .unwrap_or_else(|e| panic!("seed {seed}, {} start: {e}", start.name));
+        }
+        drop(db);
+        for fault in Fault::ALL {
+            for nth in 1..=clean.calls(fault.call()) {
+                for lasting in [Lasting::Transient, Lasting::Fatal] {
+                    sweep_case(seed, &start, &images, fault, nth, lasting);
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases > 250, "seed {seed}: only {cases} cases");
+}
+
+/// One sweep case: run `start` with `fault` armed at call `nth` of its
+/// kind, then check the failure rule (see the sweep's docs).
+fn sweep_case(
+    seed: u64,
+    start: &Start,
+    images: &[Vec<u8>],
+    fault: Fault,
+    nth: u64,
+    lasting: Lasting,
+) {
+    let case = format!(
+        "seed {seed}, {} start, {fault:?} at call {nth} of {:?}, {lasting:?}",
+        start.name,
+        fault.call()
+    );
+    let vfs = FaultyVfs::new(start.dir.crashed_copy()).fail(fault, nth, lasting);
+    let db = match Database::open_with(Arc::new(vfs.clone()), WalOptions::default()) {
+        Ok(db) => db,
+        Err(e) => {
+            assert!(vfs.fired().is_some(), "{case}: open failed with no fault: {e}");
+            return check_reopens(&vfs, lasting, images, start.acked, false, None, &case);
+        }
+    };
+    assert_eq!(vfs.fired(), None, "{case}: open succeeded through its fault");
+    let mut acked = start.acked;
+    // Set once the fault fired: the cause the writer stopped on, if it did.
+    let mut outcome: Option<Option<String>> = None;
+    let (mut unknown, mut cut_to) = (false, None);
+    for (i, step) in start.steps.iter().enumerate() {
+        let at = format!("{case}, step {i} ({})", step.label());
+        let log_before = vfs.inner().file(WAL_FILE).expect("wal.log");
+        let stops_before = obs::names::WAL_WRITER_STOPS.get();
+        let result = step.run(&db);
+        if outcome.is_none() && vfs.fired().is_some() {
+            // The fault fired in this step.
+            let err = result.expect_err(&format!("{at}: acked through its fault"));
+            if vfs.fired().as_deref() == Some(WAL_FILE) {
+                let stops = obs::names::WAL_WRITER_STOPS.get();
+                assert!(stops > stops_before, "{at}: wal.writer_stops did not rise");
+                unknown = fault == Fault::FailedSync && matches!(step, Step::Commit(_));
+                if fault.call() == Call::Append {
+                    cut_to = Some(log_before.len());
+                }
+                outcome = Some(Some(io_message(&err)));
+            } else {
+                assert!(matches!(step, Step::Checkpoint), "{at}: {err}");
+                let log = vfs.inner().file(WAL_FILE);
+                assert!(log == Some(log_before), "{at}: the failed checkpoint wrote wal.log");
+                outcome = Some(None);
+            }
+            continue;
+        }
+        match &outcome {
+            Some(Some(cause)) => {
+                let msg =
+                    result.expect_err(&format!("{at}: acked by a stopped writer")).to_string();
+                assert!(msg.contains(cause.as_str()) && msg.contains("reopen"), "{at}: {msg}");
+            }
+            Some(None) if lasting == Lasting::Fatal => {
+                assert!(result.is_err(), "{at}: acked on a file system that is down");
+            }
+            _ => {
+                result.unwrap_or_else(|e| panic!("{at}: refused: {e}"));
+                if let Step::Commit(_) = step {
+                    acked += 1;
+                }
+            }
+        }
+    }
+    assert!(outcome.is_some(), "{case}: the fault never fired");
+    drop(db);
+    check_reopens(&vfs, lasting, images, acked, unknown, cut_to, &case);
+}
+
+/// Reopen `vfs` after a crash and, after a `Transient` fault, as it is
+/// live: each must hold the first `acked` ops (or one more when
+/// `unknown`), and `wal.log` must be `cut_to` bytes long when given.
+fn check_reopens(
+    vfs: &FaultyVfs,
+    lasting: Lasting,
+    images: &[Vec<u8>],
+    acked: usize,
+    unknown: bool,
+    cut_to: Option<usize>,
+    case: &str,
+) {
+    let crashed = vfs.inner().crashed_copy();
+    let mut dirs: Vec<(&str, Arc<dyn Vfs>, &MemVfs)> =
+        vec![("crashed", Arc::new(crashed.clone()), &crashed)];
+    if lasting == Lasting::Transient {
+        dirs.push(("live", Arc::new(vfs.clone()), vfs.inner()));
+    }
+    for (from, dir, files) in dirs {
+        let db = Database::open_with(dir, WalOptions::default())
+            .unwrap_or_else(|e| panic!("{case}: reopen from the {from} file system: {e}"));
+        let image = digest(&db);
+        let fits = image == images[acked] || (unknown && image == images[acked + 1]);
+        let first = images.iter().position(|i| *i == image);
+        assert!(
+            fits,
+            "{case}: reopen from the {from} file system holds {first:?} ops, not {acked}"
+        );
+        if let Some(len) = cut_to {
+            let log = files.file(WAL_FILE).expect("wal.log").len();
+            assert_eq!(log, len, "{case}: reopen from the {from} file system left wal.log uncut");
+        }
+    }
 }
 
 /// A snapshot older than the log's start has lost the commits between
@@ -602,7 +733,7 @@ fn std_vfs_roundtrip_on_disk() {
     }
     // StdVfs implements the full trait surface used above.
     let std_vfs = StdVfs::new(&dir).unwrap();
-    assert!(std_vfs.exists(WAL_FILE));
+    assert!(std_vfs.read(WAL_FILE).unwrap().is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -622,253 +753,6 @@ fn second_open_of_a_live_directory_is_refused() {
     // Dropping the first handle releases the lock.
     let db = Database::open(&dir).unwrap();
     assert_eq!(db.row_count("t").unwrap(), 1);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A [`StdVfs`] whose next rename over `wal.log`, once armed, lands and
-/// then reports an error, as a failed directory fsync does. On a real
-/// directory the old log handle then writes to an unlinked file;
-/// [`MemVfs`] handles follow names, so they cannot show that.
-struct LogSwapFails {
-    inner: StdVfs,
-    armed: AtomicBool,
-}
-
-impl Vfs for LogSwapFails {
-    fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        self.inner.read(name)
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        self.inner.create(name)
-    }
-
-    fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        self.inner.open_append(name)
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.inner.rename(from, to)?;
-        if to == WAL_FILE && self.armed.swap(false, Ordering::SeqCst) {
-            return Err(DbError::Io("injected: directory fsync failed".into()));
-        }
-        Ok(())
-    }
-
-    fn set_len(&self, name: &str, len: u64) -> Result<()> {
-        self.inner.set_len(name, len)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-}
-
-/// Open `dir` holding table `t` with row 1, then run a checkpoint whose
-/// log swap lands but reports an error.
-fn fail_a_log_swap(dir: &std::path::Path) -> Database {
-    std::fs::remove_dir_all(dir).ok();
-    let vfs = Arc::new(LogSwapFails { inner: StdVfs::new(dir).unwrap(), armed: false.into() });
-    let db = Database::open_with(vfs.clone(), WalOptions::default()).unwrap();
-    db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
-        .unwrap();
-    db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
-    vfs.armed.store(true, Ordering::SeqCst);
-    db.checkpoint().expect_err("the injected rename error surfaces");
-    db
-}
-
-/// The ids in `t` of the database reopened from `dir`.
-fn reopened_ids(dir: &std::path::Path) -> Vec<i64> {
-    let db = Database::open(dir).unwrap();
-    let rs = db.execute(&Plan::Scan { table: "t".into(), filter: None }).unwrap();
-    let mut ids: Vec<i64> = rs.rows.iter().map(|r| r[0].as_i64().unwrap()).collect();
-    ids.sort();
-    ids
-}
-
-/// Every commit acked after a checkpoint failed between its log rename
-/// and reopening the log is in the reopened database: none went to the
-/// replaced, unlinked file.
-#[test]
-fn a_failed_log_swap_loses_no_acked_commit() {
-    let dir = std::env::temp_dir().join(format!("minidb-waldir-swap-{}", std::process::id()));
-    let db = fail_a_log_swap(&dir);
-    let mut acked = vec![1];
-    for id in 2..=4 {
-        if db.insert("t", vec![vec![Value::Int(id)]]).is_ok() {
-            acked.push(id);
-        }
-    }
-    drop(db);
-    assert_eq!(reopened_ids(&dir), acked);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// After a failed log swap, commits and checkpoints are refused until
-/// the database is reopened: a checkpoint would otherwise snapshot the
-/// ops of a refused commit, which stay in memory (a `Txn` keeps no
-/// undo), and make them durable.
-#[test]
-fn a_failed_log_swap_refuses_commits_and_checkpoints() {
-    let dir = std::env::temp_dir().join(format!("minidb-waldir-refuse-{}", std::process::id()));
-    let db = fail_a_log_swap(&dir);
-    db.insert("t", vec![vec![Value::Int(2)]]).expect_err("no log to append to");
-    db.checkpoint().expect_err("no log to swap");
-    drop(db);
-    assert_eq!(reopened_ids(&dir), [1]);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// The one fault a [`FailOnce`] injects when armed.
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum Fault {
-    /// The next append lands the first half of its bytes, then errors.
-    ShortWrite,
-    /// The next fsync errors.
-    Fsync,
-}
-
-/// A [`StdVfs`] whose next append or fsync, once armed, fails once;
-/// every call after it works again, as a disk that recovers from a
-/// transient error would. [`FaultyVfs`] stays down after its first
-/// fault, so it cannot show a writer that goes on after one.
-#[derive(Clone)]
-struct FailOnce {
-    inner: Arc<StdVfs>,
-    armed: Arc<Mutex<Option<Fault>>>,
-}
-
-impl FailOnce {
-    fn new(dir: &std::path::Path) -> FailOnce {
-        FailOnce { inner: Arc::new(StdVfs::new(dir).unwrap()), armed: Default::default() }
-    }
-
-    fn arm(&self, fault: Fault) {
-        *self.armed.lock().unwrap() = Some(fault);
-    }
-
-    fn wrap(&self, name: &str, file: Box<dyn DurableFile>) -> Box<dyn DurableFile> {
-        Box::new(FailOnceFile { inner: file, name: name.into(), armed: self.armed.clone() })
-    }
-}
-
-struct FailOnceFile {
-    inner: Box<dyn DurableFile>,
-    name: String,
-    armed: Arc<Mutex<Option<Fault>>>,
-}
-
-impl FailOnceFile {
-    /// Is `fault` armed? Disarms it if so.
-    fn fires(&self, fault: Fault) -> bool {
-        let mut armed = self.armed.lock().unwrap();
-        let fires = *armed == Some(fault);
-        if fires {
-            *armed = None;
-        }
-        fires
-    }
-}
-
-impl DurableFile for FailOnceFile {
-    fn append(&mut self, data: &[u8]) -> Result<()> {
-        if self.fires(Fault::ShortWrite) {
-            self.inner.append(&data[..data.len() / 2])?;
-            return Err(DbError::Io(format!("append {}: injected short write", self.name)));
-        }
-        self.inner.append(data)
-    }
-
-    fn sync(&mut self) -> Result<()> {
-        if self.fires(Fault::Fsync) {
-            return Err(DbError::Io(format!("fsync {}: injected failure", self.name)));
-        }
-        self.inner.sync()
-    }
-}
-
-impl Vfs for FailOnce {
-    fn read(&self, name: &str) -> Result<Option<Vec<u8>>> {
-        self.inner.read(name)
-    }
-
-    fn create(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        Ok(self.wrap(name, self.inner.create(name)?))
-    }
-
-    fn open_append(&self, name: &str) -> Result<Box<dyn DurableFile>> {
-        Ok(self.wrap(name, self.inner.open_append(name)?))
-    }
-
-    fn rename(&self, from: &str, to: &str) -> Result<()> {
-        self.inner.rename(from, to)
-    }
-
-    fn set_len(&self, name: &str, len: u64) -> Result<()> {
-        self.inner.set_len(name, len)
-    }
-
-    fn exists(&self, name: &str) -> bool {
-        self.inner.exists(name)
-    }
-}
-
-/// Open `dir` holding table `t` with row 1 acked, arm `fault`, then
-/// insert rows 2 to 4 and checkpoint. Asserts that the faulted insert,
-/// both later ones and the checkpoint fail, the later refusals naming
-/// the failed write of `wal.log` and asking for a reopen. Returns the
-/// length of `wal.log` before the fault.
-fn fail_a_log_write(dir: &std::path::Path, fault: Fault) -> u64 {
-    std::fs::remove_dir_all(dir).ok();
-    let vfs = FailOnce::new(dir);
-    let db = Database::open_with(Arc::new(vfs.clone()), WalOptions::default()).unwrap();
-    db.create_table("t", TableSchema::new(vec![Column::new("id", DataType::Int)]))
-        .unwrap();
-    db.insert("t", vec![vec![Value::Int(1)]]).unwrap();
-    let logged = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-    vfs.arm(fault);
-    let acked: Vec<i64> = (2..=4)
-        .filter(|&id| db.insert("t", vec![vec![Value::Int(id)]]).is_ok())
-        .collect();
-    assert!(acked.is_empty(), "{fault:?}: inserts {acked:?} acked after the failed log write");
-    let cause = match fault {
-        Fault::ShortWrite => "append wal.log: injected short write",
-        Fault::Fsync => "fsync wal.log: injected failure",
-    };
-    let refusals = [
-        db.insert("t", vec![vec![Value::Int(5)]]).map(|_| ()).unwrap_err(),
-        db.checkpoint().map(|_| ()).unwrap_err(),
-    ];
-    for err in refusals {
-        let msg = err.to_string();
-        assert!(msg.contains(cause) && msg.contains("reopen"), "{fault:?}: {msg}");
-    }
-    drop(db);
-    logged
-}
-
-/// A short write of `wal.log` stops the writer: no later commit or
-/// checkpoint is acked, and the reopened database holds exactly the
-/// acked commits, the torn frame truncated off the log.
-#[test]
-fn a_short_log_write_stops_the_writer() {
-    let dir = std::env::temp_dir().join(format!("minidb-waldir-short-{}", std::process::id()));
-    let logged = fail_a_log_write(&dir, Fault::ShortWrite);
-    assert_eq!(reopened_ids(&dir), [1]);
-    assert_eq!(std::fs::metadata(dir.join(WAL_FILE)).unwrap().len(), logged);
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A failed fsync of `wal.log` stops the writer: no later commit or
-/// checkpoint is acked. The failed commit's bytes may have reached the
-/// disk anyway, so the reopened database may hold it, but nothing after.
-#[test]
-fn a_failed_log_fsync_stops_the_writer() {
-    let dir = std::env::temp_dir().join(format!("minidb-waldir-fsync-{}", std::process::id()));
-    fail_a_log_write(&dir, Fault::Fsync);
-    let ids = reopened_ids(&dir);
-    assert!(ids == [1] || ids == [1, 2], "{ids:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -958,10 +842,7 @@ fn clob_docs(seed: u64, n: usize, max_part: usize) -> Vec<Vec<String>> {
 }
 
 fn layout_seed() -> u64 {
-    std::env::var("PROPTEST_SEED")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0xC10B)
+    env_seed(0xC10B)
 }
 
 /// Store each document as one transaction: one put of its parts and a

@@ -86,6 +86,8 @@ catalogue! {
     WAL_FSYNC: Histogram = "wal.fsync";
     /// WAL fsyncs (`WalWriter::sync`).
     WAL_FSYNCS: Counter = "wal.fsyncs";
+    /// WAL writers stopped by a failed write of the log (`WalWriter::stop`); each refuses every later write until a reopen.
+    WAL_WRITER_STOPS: Counter = "wal.writer_stops";
     /// WAL records replayed at open (`Database::open_with`).
     WAL_RECOVERED_RECORDS: Counter = "wal.recovered_records";
     /// Each `Database::checkpoint` call, writer-lock wait and skipped idle checkpoints included.
