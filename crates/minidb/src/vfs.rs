@@ -367,16 +367,17 @@ impl FaultState {
         if self.down {
             return Err(DbError::Io(format!("{name}: injected: file system is down")));
         }
-        self.calls[call as usize] += 1;
-        let fires = matches!(self.armed, Some((f, at, _)) if f.call() == call
-            && self.calls[call as usize] == at);
-        if !fires {
-            return Ok(None);
+        let n = &mut self.calls[call as usize];
+        *n += 1;
+        match self.armed {
+            Some((fault, at, lasting)) if fault.call() == call && *n == at => {
+                self.armed = None;
+                self.fired.get_or_insert_with(|| name.to_string());
+                self.down = lasting == Lasting::Fatal;
+                Ok(Some(fault))
+            }
+            _ => Ok(None),
         }
-        let (fault, _, lasting) = self.armed.take().expect("armed");
-        self.fired.get_or_insert_with(|| name.to_string());
-        self.down = lasting == Lasting::Fatal;
-        Ok(Some(fault))
     }
 }
 

@@ -470,6 +470,17 @@ fn every_call_fault_keeps_exactly_the_acked_state() {
     assert!(cases > 250, "seed {seed}: only {cases} cases");
 }
 
+/// What a sweep step must do.
+enum Expect {
+    /// Succeed: no fault yet, or a transient one the writer outlived.
+    Ack,
+    /// Fail naming the cause that stopped the writer and asking for a
+    /// reopen.
+    Refused(String),
+    /// Fail: a fatal fault left the file system down.
+    Down,
+}
+
 /// One sweep case: run `start` with `fault` armed at call `nth` of its
 /// kind, then check the failure rule (see the sweep's docs).
 fn sweep_case(
@@ -495,16 +506,15 @@ fn sweep_case(
     };
     assert_eq!(vfs.fired(), None, "{case}: open succeeded through its fault");
     let mut acked = start.acked;
-    // Set once the fault fired: the cause the writer stopped on, if it did.
-    let mut outcome: Option<Option<String>> = None;
+    let mut expect = Expect::Ack;
     let (mut unknown, mut cut_to) = (false, None);
     for (i, step) in start.steps.iter().enumerate() {
         let at = format!("{case}, step {i} ({})", step.label());
         let log_before = vfs.inner().file(WAL_FILE).expect("wal.log");
         let stops_before = obs::names::WAL_WRITER_STOPS.get();
+        let fired_before = vfs.fired().is_some();
         let result = step.run(&db);
-        if outcome.is_none() && vfs.fired().is_some() {
-            // The fault fired in this step.
+        if !fired_before && vfs.fired().is_some() {
             let err = result.expect_err(&format!("{at}: acked through its fault"));
             if vfs.fired().as_deref() == Some(WAL_FILE) {
                 let stops = obs::names::WAL_WRITER_STOPS.get();
@@ -513,33 +523,33 @@ fn sweep_case(
                 if fault.call() == Call::Append {
                     cut_to = Some(log_before.len());
                 }
-                outcome = Some(Some(io_message(&err)));
+                expect = Expect::Refused(io_message(&err));
             } else {
                 assert!(matches!(step, Step::Checkpoint), "{at}: {err}");
                 let log = vfs.inner().file(WAL_FILE);
                 assert!(log == Some(log_before), "{at}: the failed checkpoint wrote wal.log");
-                outcome = Some(None);
+                if lasting == Lasting::Fatal {
+                    expect = Expect::Down;
+                }
             }
             continue;
         }
-        match &outcome {
-            Some(Some(cause)) => {
-                let msg =
-                    result.expect_err(&format!("{at}: acked by a stopped writer")).to_string();
-                assert!(msg.contains(cause.as_str()) && msg.contains("reopen"), "{at}: {msg}");
-            }
-            Some(None) if lasting == Lasting::Fatal => {
-                assert!(result.is_err(), "{at}: acked on a file system that is down");
-            }
-            _ => {
+        match &expect {
+            Expect::Ack => {
                 result.unwrap_or_else(|e| panic!("{at}: refused: {e}"));
                 if let Step::Commit(_) = step {
                     acked += 1;
                 }
             }
+            Expect::Refused(cause) => {
+                let msg =
+                    result.expect_err(&format!("{at}: acked by a stopped writer")).to_string();
+                assert!(msg.contains(cause.as_str()) && msg.contains("reopen"), "{at}: {msg}");
+            }
+            Expect::Down => assert!(result.is_err(), "{at}: acked on a file system that is down"),
         }
     }
-    assert!(outcome.is_some(), "{case}: the fault never fired");
+    assert!(vfs.fired().is_some(), "{case}: the fault never fired");
     drop(db);
     check_reopens(&vfs, lasting, images, acked, unknown, cut_to, &case);
 }
