@@ -7,8 +7,9 @@
 //! must reproduce exactly the committed prefix — byte-identical store
 //! state against an uncrashed oracle catalog that applied the same
 //! prefix — and a crash mid-operation must never expose a partial
-//! ingest (the torn transaction disappears entirely). A crash at every
-//! 7th byte of a fresh catalog's bootstrap leaves it empty or complete.
+//! ingest (the torn transaction disappears entirely). A fault on any
+//! write-side call of a fresh catalog's bootstrap leaves it empty or
+//! complete.
 //! On a [`FaultyVfs`], a commit whose log append or fsync fails once
 //! refuses every later write until a reopen, which finds exactly the
 //! acked state.
@@ -153,36 +154,39 @@ proptest! {
 /// A fresh catalog's bootstrap is one commit, so a crash anywhere in
 /// its write leaves a directory that is either empty (and bootstraps
 /// again) or complete: never tables without their ordering rows or
-/// definition mirror. Each cut directory must reopen and serve Fig 4
-/// with its wrapper tags.
+/// definition mirror. Every write-side call of a fresh open fails in
+/// turn with every fault of its kind (a torn or failed append, a failed
+/// fsync, rename, `create` or `open_append`), each taking the file
+/// system down; each crashed directory must reopen and serve Fig 4 with
+/// its wrapper tags.
 #[test]
 fn crash_during_bootstrap_leaves_empty_or_complete() {
-    let fresh = MemVfs::new();
-    let complete = {
-        let cat = open(Arc::new(fresh.clone())).unwrap();
-        assert_eq!(cat.db().last_lsn(), 1, "bootstrap must be one commit");
-        cat.db().state_image().unwrap()
-    };
+    let clean = FaultyVfs::new(MemVfs::new());
+    let cat = open(Arc::new(clean.clone())).unwrap();
+    assert_eq!(cat.db().last_lsn(), 1, "bootstrap must be one commit");
+    let complete = cat.db().state_image().unwrap();
     let empty = minidb::Database::new().state_image().unwrap();
-    // The log's header, then the bootstrap transaction: every byte
-    // the bootstrap writes.
-    let written = fresh.file(WAL_FILE).unwrap().len() as u64;
-    for cut in (0..written).step_by(7) {
-        let faulty = FaultyVfs::new(MemVfs::new()).crash_after_bytes(cut);
-        assert!(open(Arc::new(faulty.clone())).is_err(), "cut {cut}: the open must fail");
-        let crashed = faulty.inner().crashed_copy();
-        let image = minidb::Database::open_with(Arc::new(crashed.clone()), WalOptions::default())
-            .unwrap_or_else(|e| panic!("cut {cut}: {e}"))
-            .state_image()
-            .unwrap();
-        assert!(image == empty || image == complete, "cut {cut}: neither empty nor complete");
-        let cat = open(Arc::new(crashed)).unwrap_or_else(|e| panic!("cut {cut}: {e}"));
-        register_arps_defs(&cat).unwrap();
-        let id = cat.ingest(FIG3_DOCUMENT).unwrap();
-        assert_eq!(cat.query(&fig4_query()).unwrap(), vec![id], "cut {cut}");
-        let doc = cat.fetch_documents(&[id]).unwrap().remove(0).1;
-        assert!(doc.starts_with("<LEADresource>"), "cut {cut}: {}", &doc[..40.min(doc.len())]);
+    for fault in Fault::ALL {
+        for nth in 1..=clean.calls(fault.call()) {
+            let case = format!("{fault:?} at call {nth} of {:?}", fault.call());
+            let faulty = FaultyVfs::new(MemVfs::new()).fail(fault, nth, Lasting::Fatal);
+            assert!(open(Arc::new(faulty.clone())).is_err(), "{case}: the open must fail");
+            let crashed = faulty.inner().crashed_copy();
+            let image =
+                minidb::Database::open_with(Arc::new(crashed.clone()), WalOptions::default())
+                    .unwrap_or_else(|e| panic!("{case}: {e}"))
+                    .state_image()
+                    .unwrap();
+            assert!(image == empty || image == complete, "{case}: neither empty nor complete");
+            let cat = open(Arc::new(crashed)).unwrap_or_else(|e| panic!("{case}: {e}"));
+            register_arps_defs(&cat).unwrap();
+            let id = cat.ingest(FIG3_DOCUMENT).unwrap();
+            assert_eq!(cat.query(&fig4_query()).unwrap(), vec![id], "{case}");
+            let doc = cat.fetch_documents(&[id]).unwrap().remove(0).1;
+            assert!(doc.starts_with("<LEADresource>"), "{case}: {}", &doc[..40.min(doc.len())]);
+        }
     }
+    drop(cat);
 }
 
 /// Checkpoint + tail replay end to end at the catalog level, including

@@ -350,10 +350,6 @@ struct FaultState {
     /// The armed fault, the count of its kind of call at which it fires,
     /// and what happens after.
     armed: Option<(Fault, u64, Lasting)>,
-    /// Remaining bytes that may be appended before the injected crash.
-    /// The append that exceeds the budget is a *short write*: only the
-    /// budgeted prefix lands, and the file system is down.
-    byte_budget: Option<u64>,
     /// The file the first injected fault hit, once one has.
     fired: Option<String>,
     /// Set once a fatal fault fired; every later write-side call fails.
@@ -388,9 +384,7 @@ fn injected(fault: Fault, name: &str) -> DbError {
 
 /// [`Vfs`] wrapper over a [`MemVfs`] that injects deterministic faults:
 /// one [`Fault`] armed at the Nth call of its kind ([`FaultyVfs::fail`]),
-/// transient or fatal, and/or a byte budget after which an append is torn
-/// short and the file system stays down. It counts write-side calls per
-/// [`Call`] kind. Reads pass through, even when the file system is down,
+/// transient or fatal. It counts write-side calls per [`Call`] kind. Reads pass through, even when the file system is down,
 /// so tests can inspect and recover the state.
 #[derive(Clone)]
 pub struct FaultyVfs {
@@ -402,13 +396,6 @@ impl FaultyVfs {
     /// Wrap `inner` with no faults armed.
     pub fn new(inner: MemVfs) -> FaultyVfs {
         FaultyVfs { inner, state: Arc::new(Mutex::new(FaultState::default())) }
-    }
-
-    /// Arm a crash after `n` more appended bytes (the write crossing
-    /// the boundary is torn at it).
-    pub fn crash_after_bytes(self, n: u64) -> FaultyVfs {
-        self.state.lock().byte_budget = Some(n);
-        self
     }
 
     /// Arm `fault` to fire on the `nth` (1-based) call of its kind from
@@ -427,8 +414,7 @@ impl FaultyVfs {
         self.state.lock().calls[call as usize]
     }
 
-    /// The name of the file the first injected fault (or short write)
-    /// hit, once one has; a rename's is its target.
+    /// The name of the file the first injected fault hit, once one has; a rename's is its target.
     pub fn fired(&self) -> Option<String> {
         self.state.lock().fired.clone()
     }
@@ -454,30 +440,15 @@ struct FaultyFile {
 
 impl DurableFile for FaultyFile {
     fn append(&mut self, data: &[u8]) -> Result<()> {
-        let mut st = self.state.lock();
-        match st.enter(Call::Append, &self.name)? {
+        let fault = self.state.lock().enter(Call::Append, &self.name)?;
+        match fault {
             Some(Fault::ShortAppend) => {
-                drop(st);
                 self.inner.append(&data[..data.len() / 2])?;
-                return Err(injected(Fault::ShortAppend, &self.name));
+                Err(injected(Fault::ShortAppend, &self.name))
             }
-            Some(fault) => return Err(injected(fault, &self.name)),
-            None => {}
+            Some(fault) => Err(injected(fault, &self.name)),
+            None => self.inner.append(data),
         }
-        if let Some(budget) = st.byte_budget {
-            if (data.len() as u64) > budget {
-                st.byte_budget = Some(0);
-                st.down = true;
-                st.fired.get_or_insert_with(|| self.name.clone());
-                drop(st);
-                // Short write: the prefix that fit reaches the medium.
-                self.inner.append(&data[..budget as usize])?;
-                return Err(DbError::Io(format!("{}: injected short write", self.name)));
-            }
-            st.byte_budget = Some(budget - data.len() as u64);
-        }
-        drop(st);
-        self.inner.append(data)
     }
 
     fn sync(&mut self) -> Result<()> {
@@ -572,16 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn faulty_vfs_short_write_and_sync_failure() {
-        let vfs = FaultyVfs::new(MemVfs::new()).crash_after_bytes(5);
-        let mut f = vfs.create("a").unwrap();
-        f.append(b"abc").unwrap();
-        assert!(f.append(b"defg").is_err());
-        assert_eq!(vfs.fired().as_deref(), Some("a"));
-        // The short write left the budgeted prefix on the medium.
-        assert_eq!(vfs.inner().file("a").unwrap(), b"abcde");
-        assert!(f.append(b"x").is_err());
-
+    fn faulty_vfs_failed_sync_makes_nothing_durable() {
         let vfs = FaultyVfs::new(MemVfs::new()).fail(Fault::FailedSync, 2, Lasting::Fatal);
         let mut f = vfs.create("b").unwrap();
         f.append(b"1").unwrap();
