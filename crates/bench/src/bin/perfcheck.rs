@@ -1,4 +1,6 @@
-//! CI gate over `BENCH_perf.json` (the harness `perf` experiment).
+//! CI gate over `BENCH_perf.json` (the harness `perf` experiment: match
+//! latency per workload, and `ingest-apply`, the in-memory apply of one
+//! ingested document).
 //!
 //! ```sh
 //! perfcheck <current.json> [baseline.json] [--max-regress 2.0]
@@ -7,14 +9,14 @@
 //! Fails (exit 1) when the current file is malformed, or — given a
 //! baseline — when the two files differ in scale (a quick run against a
 //! full-scale baseline could only catch a slowdown of many times), when
-//! any workload's semi-join latency regressed more than `--max-regress`
+//! any workload's median latency regressed more than `--max-regress`
 //! times against it, or when its hits differ (the corpus and queries are
 //! seeded, so hits are exact).
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-/// Semi-join entries `(median_us, p95_us, p99_us, hits)` keyed by
+/// Entries `(median_us, p95_us, p99_us, hits)` keyed by
 /// workload.
 type Entries = BTreeMap<String, (f64, f64, f64, usize)>;
 
@@ -86,7 +88,7 @@ fn check(current: &PerfFile, baseline: Option<&PerfFile>, max_regress: f64) -> V
         if let Some(&(base_semi, _, _, base_hits)) = base.entries.get(workload) {
             if semi > base_semi * max_regress {
                 problems.push(format!(
-                    "{workload}: semi-join {semi:.1}us regressed >{max_regress}x vs baseline {base_semi:.1}us"
+                    "{workload}: median {semi:.1}us regressed >{max_regress}x vs baseline {base_semi:.1}us"
                 ));
             }
             if hits != base_hits {
@@ -146,7 +148,7 @@ fn main() -> ExitCode {
 
     let problems = check(&current, baseline.as_ref(), max_regress);
     for (workload, (semi, p95, p99, hits)) in &current.entries {
-        println!("{workload}: semi-join {semi:.1}us (p95 {p95:.1}us, p99 {p99:.1}us), hits {hits}");
+        println!("{workload}: median {semi:.1}us (p95 {p95:.1}us, p99 {p99:.1}us), hits {hits}");
     }
     if problems.is_empty() {
         println!("perfcheck: OK ({} workloads, max regress {max_regress}x)", current.entries.len());

@@ -426,24 +426,31 @@ pub fn e8_concurrent(scale: Scale) -> Result<Table> {
 pub struct PerfEntry {
     /// Workload label (stable across runs; perfcheck joins on it).
     pub workload: String,
-    /// Median per-query latency in microseconds.
+    /// Median per-query latency in microseconds (per document for
+    /// `ingest-apply`).
     pub median_us: f64,
     /// 95th-percentile per-query latency in microseconds, over every
     /// individually-timed query execution across all repetitions.
     pub p95_us: f64,
     /// 99th-percentile per-query latency in microseconds.
     pub p99_us: f64,
-    /// Total hits across the query batch.
+    /// Total hits across the query batch; for `ingest-apply`, the rows
+    /// inserted.
     pub hits: usize,
 }
 
-/// Perf — match-plan latency of the set-oriented executor.
+/// Perf — match-plan latency of the set-oriented executor, and the
+/// in-memory store apply of an ingest.
 ///
 /// Runs the Fig-4 nested and multi-criterion workloads through
 /// `MetadataCatalog::query_with(.., MatchStrategy::Exact)`. Each timed
 /// call plans the query against the definitions registry, then runs
 /// its semi-join pipeline, as the server does per request. The
-/// entries feed `BENCH_perf.json`.
+/// `ingest-apply` entry times [`MetadataCatalog::apply`] of one
+/// document at a time, after the corpus is bulk-loaded (see
+/// `perf_apply`). The entries feed `BENCH_perf.json`.
+///
+/// [`MetadataCatalog::apply`]: catalog::catalog::MetadataCatalog::apply
 pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
     let n = scale.pick(150, 1500);
     // Quick runs time many cheap queries over the small corpus: enough
@@ -506,7 +513,48 @@ pub fn perf(scale: Scale) -> Result<(Table, Vec<PerfEntry>)> {
             hits,
         });
     }
+    let apply = perf_apply(n, scale.pick(600, 1500))?;
+    t.row(vec![
+        apply.workload.clone(),
+        fmt_secs(apply.median_us / 1e6),
+        format!("{} / {}", fmt_secs(apply.p95_us / 1e6), fmt_secs(apply.p99_us / 1e6)),
+        apply.hits.to_string(),
+    ]);
+    entries.push(apply);
     Ok((t, entries))
+}
+
+/// The `ingest-apply` perf entry: bulk-load `n` corpus documents into an
+/// in-memory catalog (`ingest_batch` on 2 threads), shred the next
+/// `m` generated documents, then time `apply` of each one by one. The
+/// apply is the share of an ingest that runs under the exclusive
+/// visibility gate: the row inserts with their index maintenance, and
+/// the CLOB put. Its latencies are per document, and its `hits` is the
+/// number of rows the applies inserted, which the seeded corpus fixes.
+fn perf_apply(n: usize, m: usize) -> Result<PerfEntry> {
+    let generator = generator(default());
+    let cat = generator.catalog(CatalogConfig::default())?;
+    cat.ingest_batch(&generator.corpus(n), 2)?;
+    let docs = (n..n + m)
+        .map(|i| cat.shred_only(&generator.generate(i)))
+        .collect::<Result<Vec<_>>>()?;
+    let mut samples_us = Vec::with_capacity(m);
+    let mut rows = 0;
+    for d in &docs {
+        let t0 = std::time::Instant::now();
+        cat.apply(d, None, None)?;
+        samples_us.push(t0.elapsed().as_secs_f64() * 1e6);
+        // The object row, then one row per CLOB, attribute, element
+        // and ancestor link.
+        rows += 1 + d.clob_rows.len() + d.attrs.len() + d.elems.len() + d.ancestors.len();
+    }
+    Ok(PerfEntry {
+        workload: "ingest-apply".to_string(),
+        median_us: crate::percentile(&mut samples_us, 0.5),
+        p95_us: crate::percentile(&mut samples_us, 0.95),
+        p99_us: crate::percentile(&mut samples_us, 0.99),
+        hits: rows,
+    })
 }
 
 /// E9 — durability cost: ingest throughput in-memory vs through the
@@ -591,8 +639,9 @@ pub fn e9_durability(scale: Scale) -> Result<Table> {
 /// Render perf entries as the `BENCH_perf.json` document (hand-rolled —
 /// the workspace has no JSON dependency). Consumed by the `perfcheck`
 /// CI gate; keep the field set in sync with its parser. Every entry's
-/// `style` is `"semijoin"`, the only plan style; the field keeps the v1
-/// schema, whose older files also carried `"materialized"` rows.
+/// `style` is `"semijoin"`, the only plan style, `ingest-apply`'s too;
+/// the field keeps the v1 schema, whose older files also carried
+/// `"materialized"` rows.
 pub fn render_perf_json(scale: Scale, entries: &[PerfEntry]) -> String {
     let mut out = String::from("{\n  \"schema\": \"mylead-bench-perf/v1\",\n");
     out.push_str(&format!(

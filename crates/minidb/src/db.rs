@@ -39,7 +39,7 @@ use crate::exec::{run_hash_join, Plan, ResultSet};
 use crate::expr::Expr;
 use crate::keyset::{row_key, Key, KeySet, KeyedRows};
 use crate::limits::Deadline;
-use crate::profile::PlanProfile;
+use crate::profile::{NodeStats, PlanProfile};
 use crate::table::{Row, Table, TableSchema};
 use crate::vfs::{StdVfs, Vfs};
 use crate::wal::{
@@ -107,11 +107,19 @@ fn count_semi_join() {
     names::MINIDB_SEMIJOIN_KEYED.incr();
 }
 
-/// Record stats for the operator at `path`.
-fn record(prof: &mut Option<PlanProfile>, start: Option<Instant>, path: &[u16], rows: usize) {
+/// Record stats for the operator at `path`: the rows it emitted and,
+/// for a scan, the rows its access path visited.
+fn record(
+    prof: &mut Option<PlanProfile>,
+    start: Option<Instant>,
+    path: &[u16],
+    rows: usize,
+    visited: Option<usize>,
+) {
     if let (Some(p), Some(s)) = (prof.as_mut(), start) {
         let nanos = s.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        p.record(path.to_vec(), rows as u64, nanos);
+        let visited = visited.map(|v| v as u64);
+        p.record(path.to_vec(), NodeStats { rows_out: rows as u64, visited, nanos });
     }
 }
 
@@ -642,6 +650,7 @@ impl State {
         deadline: &Deadline,
     ) -> Result<ResultSet> {
         let start = prof.as_ref().map(|_| Instant::now());
+        let mut visited = None;
         let result = match plan {
             Plan::Scan { table, filter } => {
                 let t = self.table(table)?;
@@ -653,11 +662,11 @@ impl State {
                 // to every row it visits, so partial coverage (and
                 // residual LIKE terms) stay correct.
                 let mut it = 0u32;
-                for_each_matching(t, filter.as_ref(), |_, r| {
+                visited = Some(for_each_matching(t, filter.as_ref(), |_, r| {
                     deadline.tick(&mut it)?;
                     rows.push(r.clone());
                     Ok(())
-                })?;
+                })?);
                 Ok(ResultSet { columns, rows })
             }
             Plan::Values { columns, rows } => {
@@ -712,9 +721,8 @@ impl State {
         if result.is_ok() {
             deadline.check()?;
         }
-        if let (Some(profile), Some(started), Ok(rs)) = (prof.as_mut(), start, &result) {
-            let nanos = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            profile.record(path.clone(), rs.rows.len() as u64, nanos);
+        if let Ok(rs) = &result {
+            record(prof, start, path, rs.rows.len(), visited);
         }
         result
     }
@@ -737,7 +745,7 @@ impl State {
             Plan::Distinct { input } => {
                 let k = self.keys_child(input, prof, path, 0, deadline)?.dedup_first_occurrence();
                 deadline.check()?;
-                record(prof, start, path, k.keys.len());
+                record(prof, start, path, k.keys.len(), None);
                 Ok(k)
             }
             Plan::HashSemiJoin { probe, build, probe_keys, build_keys, anti } => {
@@ -748,7 +756,7 @@ impl State {
                 pk.keys.retain(|&k| set.contains(key_proj(k, probe_keys)) != *anti);
                 deadline.check()?;
                 count_semi_join();
-                record(prof, start, path, pk.keys.len());
+                record(prof, start, path, pk.keys.len(), None);
                 Ok(pk)
             }
             Plan::Project { input, exprs } => {
@@ -756,12 +764,13 @@ impl State {
                 match (key_columns(exprs), &**input) {
                     (Some(cols), Plan::Scan { table, filter }) => {
                         let t = self.table(table)?;
-                        let (_, keys) = scan_keys(t, filter.as_ref(), &cols, None, deadline)?;
+                        let scan = scan_keys(t, filter.as_ref(), &cols, None, deadline)?;
+                        let keys = scan.keys;
                         // One fused pass stands in for both operators.
                         path.push(0);
-                        record(prof, start, path, keys.len());
+                        record(prof, start, path, keys.len(), Some(scan.visited));
                         path.pop();
-                        record(prof, start, path, keys.len());
+                        record(prof, start, path, keys.len(), None);
                         Ok(KeyedRows { columns: columns(), keys })
                     }
                     // A semi-join probing a base table: membership is
@@ -784,15 +793,15 @@ impl State {
                         );
                         let scan_start = prof.as_ref().map(|_| Instant::now());
                         let member = Some((&set, &probe_keys[..], *anti));
-                        let (scanned, keys) =
-                            scan_keys(t, filter.as_ref(), &cols, member, deadline)?;
+                        let scan = scan_keys(t, filter.as_ref(), &cols, member, deadline)?;
+                        let keys = scan.keys;
                         count_semi_join();
                         path.extend([0, 0]);
-                        record(prof, scan_start, path, scanned);
+                        record(prof, scan_start, path, scan.matched, Some(scan.visited));
                         path.pop();
-                        record(prof, start, path, keys.len());
+                        record(prof, start, path, keys.len(), None);
                         path.pop();
-                        record(prof, start, path, keys.len());
+                        record(prof, start, path, keys.len(), None);
                         Ok(KeyedRows { columns: columns(), keys })
                     }
                     (Some(cols), Plan::Distinct { .. } | Plan::HashSemiJoin { .. }) => {
@@ -805,7 +814,7 @@ impl State {
                         }
                         let keys = k.keys.iter().map(|&key| key_proj(key, &cols)).collect();
                         let out = KeyedRows { columns: columns(), keys };
-                        record(prof, start, path, out.keys.len());
+                        record(prof, start, path, out.keys.len(), None);
                         Ok(out)
                     }
                     _ => KeyedRows::from_result_set(self.exec_node(plan, prof, path, deadline)?),
@@ -831,23 +840,30 @@ impl State {
     }
 }
 
+/// What [`scan_keys`] read: rows visited by the access path, rows that
+/// passed the filter, and the keys kept.
+struct ScannedKeys {
+    visited: usize,
+    matched: usize,
+    keys: Vec<Key>,
+}
+
 /// Read the rows of `t` that pass `filter` straight into keys at
 /// columns `cols`. With `member = (set, keys, anti)`, keep only the rows
-/// whose key at `keys` is in `set` (not in it, under `anti`). Returns
-/// the rows visited and the keys kept.
+/// whose key at `keys` is in `set` (not in it, under `anti`).
 fn scan_keys(
     t: &Table,
     filter: Option<&Expr>,
     cols: &[usize],
     member: Option<(&KeySet, &[usize], bool)>,
     deadline: &Deadline,
-) -> Result<(usize, Vec<Key>)> {
-    let mut scanned = 0usize;
+) -> Result<ScannedKeys> {
+    let mut matched = 0usize;
     let mut keys = Vec::new();
     let mut it = 0u32;
-    for_each_matching(t, filter, |_, r| {
+    let visited = for_each_matching(t, filter, |_, r| {
         deadline.tick(&mut it)?;
-        scanned += 1;
+        matched += 1;
         if let Some((set, probe_keys, anti)) = member {
             if set.contains(row_key(r, probe_keys)?) == anti {
                 return Ok(());
@@ -857,7 +873,7 @@ fn scan_keys(
         Ok(())
     })?;
     deadline.check()?;
-    Ok((scanned, keys))
+    Ok(ScannedKeys { visited, matched, keys })
 }
 
 impl Drop for Database {

@@ -17,8 +17,10 @@ use crate::profile::{format_nanos, PlanProfile};
 /// Execute `plan` on `db` and render its tree with actual per-operator
 /// stats: `(rows=<emitted> time=<inclusive wall time>)`. Each `Scan`
 /// line also names its access path, `via index <name> key=[..]
-/// range=..` or `via full scan`, so a scan whose key stops short of
-/// the filter's selective terms shows up.
+/// range=..` or `via full scan`, and its stats add the rows that path
+/// visited before the filter ran, `(rows=<emitted> visited=<visited>
+/// time=..)`, so a scan whose key stops short of the filter's selective
+/// terms shows up, and so does a walk that returns extra rows.
 ///
 /// Timings are inclusive — an operator's time contains its inputs' —
 /// so the root line reads as total execution time and hot subtrees
@@ -95,7 +97,11 @@ fn walk(
     }
     match profile.get(path) {
         Some(stats) => {
-            out.push_str(&format!(" (rows={} time={})", stats.rows_out, format_nanos(stats.nanos)))
+            out.push_str(&format!(" (rows={}", stats.rows_out));
+            if let Some(visited) = stats.visited {
+                out.push_str(&format!(" visited={visited}"));
+            }
+            out.push_str(&format!(" time={})", format_nanos(stats.nanos)));
         }
         None => out.push_str(" (not executed)"),
     }
@@ -200,7 +206,12 @@ mod tests {
         db.create_index("t", "by_k", &["k"], false).unwrap();
         let keyed = Plan::Scan { table: "t".into(), filter: Some(Expr::col_eq(1, 0)) };
         let text = explain_analyze(&keyed, &db).unwrap();
-        assert!(text.contains("via index by_k key=[Int(0)] (rows=4 "), "{text}");
+        assert!(text.contains("via index by_k key=[Int(0)] (rows=4 visited=4 time="), "{text}");
+        // A scan's stats count the rows its path visited before the
+        // filter ran: here every row, for one match.
+        let full = Plan::Scan { table: "t".into(), filter: Some(Expr::col_eq(0, 3)) };
+        let text = explain_analyze(&full, &db).unwrap();
+        assert!(text.contains("via full scan (rows=1 visited=10 time="), "{text}");
     }
 
     #[test]

@@ -14,6 +14,10 @@ use std::collections::HashMap;
 pub struct NodeStats {
     /// Rows the operator emitted.
     pub rows_out: u64,
+    /// Rows a `Scan`'s access path visited before its filter ran
+    /// (`None` for every other operator). More than `rows_out` when the
+    /// path reaches rows the filter rejects.
+    pub visited: Option<u64>,
     /// Inclusive wall time (operator plus its inputs), in nanoseconds.
     pub nanos: u64,
 }
@@ -25,8 +29,8 @@ pub struct PlanProfile {
 }
 
 impl PlanProfile {
-    pub(crate) fn record(&mut self, path: Vec<u16>, rows_out: u64, nanos: u64) {
-        self.stats.insert(path, NodeStats { rows_out, nanos });
+    pub(crate) fn record(&mut self, path: Vec<u16>, stats: NodeStats) {
+        self.stats.insert(path, stats);
     }
 
     /// Stats for the operator at `path` (see module docs), if the
@@ -71,9 +75,10 @@ mod tests {
     #[test]
     fn paths_address_operators() {
         let mut p = PlanProfile::default();
-        p.record(vec![], 10, 5_000);
-        p.record(vec![0], 100, 4_000);
-        p.record(vec![0, 1], 7, 1_000);
+        let stats = |rows_out, nanos| NodeStats { rows_out, visited: None, nanos };
+        p.record(vec![], stats(10, 5_000));
+        p.record(vec![0], stats(100, 4_000));
+        p.record(vec![0, 1], stats(7, 1_000));
         assert_eq!(p.root().unwrap().rows_out, 10);
         assert_eq!(p.get(&[0, 1]).unwrap().nanos, 1_000);
         assert_eq!(p.get(&[1]), None);

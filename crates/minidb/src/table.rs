@@ -1,19 +1,22 @@
 //! Heap tables with secondary indexes.
 //!
 //! A [`Table`] is an append-only row vector with tombstone deletion and
-//! any number of secondary [`Index`]es (B-tree ordered). An index is
-//! read only by walking it ([`Index::walk`]: a key prefix plus an
-//! optional range on the next key column), which is how
-//! [`crate::access`] reaches the rows a filter selects. Index
-//! maintenance happens inside `insert`/`delete`, so readers can always
-//! trust them. A row is never rewritten in place.
+//! any number of secondary [`Index`]es (B-tree ordered). An index keys
+//! each row by one fixed-width word per key column (the words are
+//! defined in [`crate::access`]) and is read only by walking it
+//! ([`Index::walk`]: a key prefix plus an optional range on the next
+//! key column), which is how [`crate::access`] reaches the rows a
+//! filter selects. Index maintenance happens inside `insert`/`delete`,
+//! so readers can always trust them. A row is never rewritten in place.
 
+use crate::access;
 use crate::error::{DbError, Result};
 use crate::value::{DataType, Value};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
-/// A row is a boxed slice of values, one per column.
+/// A row is a vector of values, one per column.
 pub type Row = Vec<Value>;
 
 /// Stable identifier of a row within its table (slot index).
@@ -94,7 +97,63 @@ impl TableSchema {
     }
 }
 
-/// A secondary B-tree index over one or more columns.
+/// The most key columns one index covers.
+pub const MAX_INDEX_COLUMNS: usize = 3;
+
+/// An index key: one word per key column, in key order; the words past
+/// the index's last column are 0.
+pub(crate) type IndexKey = [u64; MAX_INDEX_COLUMNS];
+
+/// The rows holding one key, in insertion order. A key held by one row
+/// keeps its id inline; a repeated key keeps one contiguous run.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(RowId),
+    Many(Vec<RowId>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[RowId] {
+        match self {
+            Postings::One(rid) => std::slice::from_ref(rid),
+            Postings::Many(rids) => rids,
+        }
+    }
+
+    fn push(&mut self, rid: RowId) {
+        match self {
+            Postings::One(first) => *self = Postings::Many(vec![*first, rid]),
+            Postings::Many(rids) => rids.push(rid),
+        }
+    }
+
+    /// Drop `rid`; true when no row is left.
+    fn remove(&mut self, rid: RowId) -> bool {
+        match self {
+            Postings::One(only) => *only == rid,
+            Postings::Many(rids) => {
+                rids.retain(|&r| r != rid);
+                match rids[..] {
+                    [] => true,
+                    [only] => {
+                        *self = Postings::One(only);
+                        false
+                    }
+                    _ => false,
+                }
+            }
+        }
+    }
+}
+
+/// A secondary B-tree index over one to [`MAX_INDEX_COLUMNS`] columns.
+///
+/// Rows are keyed by one `u64` word per key column, monotone in
+/// [`Value::total_cmp`] for the column's declared type except on text,
+/// whose word is a hash ([`crate::access`] defines the words). Unequal
+/// values may share a word, so the map narrows a search and the rows'
+/// values decide: the unique check compares them, and every walk's
+/// caller re-applies its filter.
 #[derive(Debug, Clone)]
 pub struct Index {
     /// Index name (unique within the table).
@@ -103,49 +162,73 @@ pub struct Index {
     pub columns: Vec<usize>,
     /// Reject duplicate keys when true.
     pub unique: bool,
-    map: BTreeMap<Vec<Value>, Vec<RowId>>,
+    /// Declared type of each key column, which picks its words.
+    types: Vec<DataType>,
+    map: BTreeMap<IndexKey, Postings>,
 }
 
 impl Index {
-    fn key_of(&self, row: &Row) -> Vec<Value> {
-        self.columns.iter().map(|&c| row[c].clone()).collect()
+    fn key_of(&self, row: &Row) -> IndexKey {
+        let mut key = [0; MAX_INDEX_COLUMNS];
+        for ((word, &c), &t) in key.iter_mut().zip(&self.columns).zip(&self.types) {
+            *word = access::key_word(t, &row[c]);
+        }
+        key
     }
 
-    /// Row ids with exactly this key (the unique-constraint check).
-    fn get(&self, key: &[Value]) -> &[RowId] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
+    /// Add `row` under `rid` in one descent of the tree. A unique index
+    /// adds nothing and returns false when a row of `rows` under the same
+    /// key words has the same values in every key column.
+    fn add(&mut self, rows: &[Option<Row>], row: &Row, rid: RowId) -> bool {
+        match self.map.entry(self.key_of(row)) {
+            Entry::Vacant(e) => {
+                e.insert(Postings::One(rid));
+            }
+            Entry::Occupied(mut e) => {
+                let same = |&r: &RowId| {
+                    rows[r].as_ref().is_some_and(|r| self.columns.iter().all(|&c| r[c] == row[c]))
+                };
+                if self.unique && e.get().as_slice().iter().any(same) {
+                    return false;
+                }
+                e.get_mut().push(rid);
+            }
+        }
+        true
+    }
+
+    /// Take `rid`, which holds `row`, out of the index.
+    fn remove(&mut self, row: &Row, rid: RowId) {
+        if let Entry::Occupied(mut e) = self.map.entry(self.key_of(row)) {
+            if e.get_mut().remove(rid) {
+                e.remove();
+            }
+        }
     }
 
     /// Row ids whose key begins with `prefix` and whose next column lies
     /// within `lo ..= hi` (each end open, inclusive or exclusive), in
-    /// key order. The walk seeks to the first candidate key and stops at
-    /// the first key past the prefix or past `hi`, so an empty range
-    /// (`lo` above `hi`) visits nothing.
+    /// word order: numbers, booleans and NULL in value order, text in
+    /// hash order, and the rows of one key in insertion order.
+    ///
+    /// The prefix and bounds are encoded as inclusive word ranges
+    /// ([`crate::access`]), so the walk may also return rows whose words
+    /// tie with a bound's or the prefix's (an exclusive bound's own value
+    /// included), and rows past a cross-type literal it cannot encode
+    /// exactly, whose range it widens. It never skips a row in range.
+    /// The walk seeks once, to the first candidate key, and stops at the
+    /// first key past the last, so a range whose words are empty visits
+    /// nothing.
     pub fn walk<'a>(
         &'a self,
         prefix: &'a [Value],
         lo: Bound<&'a Value>,
         hi: Bound<&'a Value>,
     ) -> impl Iterator<Item = RowId> + 'a {
-        let p = prefix.len();
-        let mut start = prefix.to_vec();
-        if let Bound::Included(v) | Bound::Excluded(v) = lo {
-            start.push(v.clone());
-        }
-        self.map
-            .range(start..)
-            .take_while(move |(k, _)| {
-                k.starts_with(prefix)
-                    && match (hi, k.get(p)) {
-                        (Bound::Included(h), Some(v)) => v <= h,
-                        (Bound::Excluded(h), Some(v)) => v < h,
-                        _ => true,
-                    }
-            })
-            .filter(
-                move |(k, _)| !matches!((lo, k.get(p)), (Bound::Excluded(l), Some(v)) if v == l),
-            )
-            .flat_map(|(_, ids)| ids.iter().copied())
+        access::key_range(&self.types, prefix, lo, hi)
+            .into_iter()
+            .flat_map(|(start, end)| self.map.range(start..).take_while(move |(k, _)| **k <= end))
+            .flat_map(|(_, postings)| postings.as_slice().iter().copied())
     }
 }
 
@@ -189,20 +272,27 @@ impl Table {
         if self.indexes.iter().any(|i| i.name == name) {
             return Err(DbError::TableExists(format!("index {name}")));
         }
-        for &c in &columns {
-            if c >= self.schema.arity() {
-                return Err(DbError::Plan(format!("index column #{c} out of range")));
-            }
+        if columns.len() > MAX_INDEX_COLUMNS {
+            return Err(DbError::Plan(format!(
+                "index {name} has {} columns; at most {MAX_INDEX_COLUMNS} are supported",
+                columns.len()
+            )));
         }
-        let mut idx = Index { name, columns, unique, map: BTreeMap::new() };
+        let mut types = Vec::with_capacity(columns.len());
+        for &c in &columns {
+            let col = self
+                .schema
+                .columns
+                .get(c)
+                .ok_or_else(|| DbError::Plan(format!("index column #{c} out of range")))?;
+            types.push(col.dtype);
+        }
+        let mut idx = Index { name, columns, unique, types, map: BTreeMap::new() };
         for (rid, slot) in self.rows.iter().enumerate() {
             if let Some(row) = slot {
-                let key = idx.key_of(row);
-                let ids = idx.map.entry(key).or_default();
-                if unique && !ids.is_empty() {
+                if !idx.add(&self.rows, row, rid) {
                     return Err(DbError::Duplicate(format!("building unique index {}", idx.name)));
                 }
-                ids.push(rid);
             }
         }
         self.indexes.push(idx);
@@ -226,21 +316,18 @@ impl Table {
     pub fn insert(&mut self, row: Row) -> Result<RowId> {
         self.schema.check(&row)?;
         let rid = self.rows.len();
-        // Check unique constraints before any mutation.
-        for idx in &self.indexes {
-            if idx.unique {
-                let key = idx.key_of(&row);
-                if !idx.get(&key).is_empty() {
-                    return Err(DbError::Duplicate(format!(
-                        "index {} on table {}",
-                        idx.name, self.name
-                    )));
+        for i in 0..self.indexes.len() {
+            if !self.indexes[i].add(&self.rows, &row, rid) {
+                // A unique index refused the row: take it back out of the
+                // indexes before it, so the insert changes nothing.
+                for idx in &mut self.indexes[..i] {
+                    idx.remove(&row, rid);
                 }
+                return Err(DbError::Duplicate(format!(
+                    "index {} on table {}",
+                    self.indexes[i].name, self.name
+                )));
             }
-        }
-        for idx in &mut self.indexes {
-            let key = idx.key_of(&row);
-            idx.map.entry(key).or_default().push(rid);
         }
         self.rows.push(Some(row));
         self.live += 1;
@@ -272,13 +359,7 @@ impl Table {
         };
         self.live -= 1;
         for idx in &mut self.indexes {
-            let key = idx.key_of(&row);
-            if let Some(ids) = idx.map.get_mut(&key) {
-                ids.retain(|&r| r != rid);
-                if ids.is_empty() {
-                    idx.map.remove(&key);
-                }
-            }
+            idx.remove(&row, rid);
         }
         true
     }
@@ -288,8 +369,8 @@ impl Table {
         self.rows.iter().enumerate().filter_map(|(rid, s)| s.as_ref().map(|r| (rid, r)))
     }
 
-    /// Rough memory footprint in bytes (rows only), for storage
-    /// accounting in the evaluation.
+    /// Rough memory footprint of the live rows in bytes, for storage
+    /// accounting in the evaluation. Index storage is not counted.
     pub fn approx_bytes(&self) -> usize {
         let mut total = 0;
         for (_, row) in self.scan() {
@@ -307,6 +388,7 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::{CmpOp, Expr};
 
     fn people() -> Table {
         let mut t = Table::new(
@@ -362,13 +444,19 @@ mod tests {
         assert!(t.is_empty());
     }
 
+    /// Row ids under `key` exactly: the walk of the whole key.
+    fn point(idx: &Index, key: &[Value]) -> Vec<RowId> {
+        idx.walk(key, Bound::Unbounded, Bound::Unbounded).collect()
+    }
+
     #[test]
     fn index_point_and_range() {
         let mut t = people();
         t.create_index("by_age", vec![2], false).unwrap();
         let idx = t.index("by_age").unwrap();
-        assert_eq!(idx.get(&[36.into()]).len(), 2);
-        assert_eq!(idx.get(&[99.into()]).len(), 0);
+        assert_eq!(point(idx, &[36.into()]), vec![0, 2]);
+        assert_eq!(point(idx, &[99.into()]), Vec::<RowId>::new());
+        assert_eq!(point(idx, &[Value::Null]), vec![1]);
         let (lo, hi) = (Value::Int(30), Value::Int(40));
         let r: Vec<_> = idx.walk(&[], Bound::Included(&lo), Bound::Included(&hi)).collect();
         // Key order, then insertion order within a key.
@@ -380,20 +468,29 @@ mod tests {
         let mut t = people();
         t.create_index("by_age", vec![2], false).unwrap();
         t.delete(0);
-        assert_eq!(t.index("by_age").unwrap().get(&[36.into()]).len(), 1);
+        assert_eq!(point(t.index("by_age").unwrap(), &[36.into()]), vec![2]);
         t.insert(vec![4.into(), "di".into(), 36.into()]).unwrap();
-        assert_eq!(t.index("by_age").unwrap().get(&[36.into()]).len(), 2);
+        assert_eq!(point(t.index("by_age").unwrap(), &[36.into()]), vec![2, 3]);
+        // The last row of a key takes the key out of the index.
+        t.delete(2);
+        t.delete(3);
+        assert_eq!(point(t.index("by_age").unwrap(), &[36.into()]), Vec::<RowId>::new());
     }
 
     #[test]
     fn unique_index_rejects_duplicates() {
         let mut t = people();
+        t.create_index("by_age", vec![2], false).unwrap();
         t.create_index("pk", vec![0], true).unwrap();
         assert!(matches!(
             t.insert(vec![1.into(), "dup".into(), Value::Null]),
             Err(DbError::Duplicate(_))
         ));
         assert_eq!(t.len(), 3);
+        // The index before the unique one does not keep the refused row.
+        assert_eq!(point(t.index("by_age").unwrap(), &[Value::Null]), vec![1]);
+        t.insert(vec![4.into(), "di".into(), Value::Null]).unwrap();
+        assert_eq!(point(t.index("by_age").unwrap(), &[Value::Null]), vec![1, 3]);
         // and building one over duplicate data fails
         let mut t2 = people();
         assert!(t2.create_index("by_age_u", vec![2], true).is_err());
@@ -417,6 +514,52 @@ mod tests {
         let idx = t.index("ab").unwrap();
         let one = [Value::Int(1)];
         assert_eq!(idx.walk(&one, Bound::Unbounded, Bound::Unbounded).count(), 4);
-        assert_eq!(idx.get(&[1.into(), 2.into()]).len(), 1);
+        assert_eq!(point(idx, &[1.into(), 2.into()]), vec![6]);
+    }
+
+    #[test]
+    fn ints_whose_floats_tie_stay_two_keys() {
+        // 2^53 + 1 rounds to 2^53 as an f64, so both Ints share a word
+        // in a Float column, yet `total_cmp` tells them apart.
+        let big = 1i64 << 53;
+        let mut t = Table::new("t", TableSchema::new(vec![Column::new("x", DataType::Float)]));
+        t.create_index("x_u", vec![0], true).unwrap();
+        t.insert(vec![big.into()]).unwrap();
+        t.insert(vec![(big + 1).into()]).unwrap();
+        assert!(matches!(t.insert(vec![(big + 1).into()]), Err(DbError::Duplicate(_))));
+        let scan = |filter: Expr| {
+            let mut rows = Vec::new();
+            let visited = crate::access::for_each_matching(&t, Some(&filter), |_, r| {
+                rows.push(r[0].clone());
+                Ok(())
+            })
+            .unwrap();
+            (rows, visited)
+        };
+        for v in [big, big + 1] {
+            // The walk returns both tied rows; the filter keeps one.
+            assert_eq!(scan(Expr::col_eq(0, v)), (vec![Value::Int(v)], 2));
+        }
+        // An exclusive bound keeps the rows tied with its own word.
+        let above = Expr::Cmp(CmpOp::Gt, Box::new(Expr::col(0)), Box::new(Expr::lit(big)));
+        assert_eq!(scan(above), (vec![Value::Int(big + 1)], 2));
+    }
+
+    #[test]
+    fn an_unheld_text_visits_nothing() {
+        let mut t = people();
+        t.create_index("by_name", vec![1], false).unwrap();
+        let idx = t.index("by_name").unwrap();
+        assert_eq!(point(idx, &["bob".into()]), vec![1]);
+        assert_eq!(point(idx, &["zed".into()]), Vec::<RowId>::new());
+        assert_eq!(point(idx, &[7.into()]), Vec::<RowId>::new());
+    }
+
+    #[test]
+    fn an_index_over_four_columns_is_refused() {
+        let cols = (0..4).map(|i| Column::new(format!("c{i}"), DataType::Int)).collect();
+        let mut t = Table::new("t", TableSchema::new(cols));
+        assert!(matches!(t.create_index("wide", vec![0, 1, 2, 3], false), Err(DbError::Plan(_))));
+        t.create_index("three", vec![0, 1, 2], false).unwrap();
     }
 }

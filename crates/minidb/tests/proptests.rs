@@ -147,15 +147,41 @@ proptest! {
 
 /// A key or literal value over the three columns of the access-path
 /// property's table: NULL, small Ints, half-step Floats (so an Int
-/// literal can equal a Float key), NaN and short strings.
+/// literal can equal a Float key), NaN and short strings, and the
+/// values whose index key words sit at an edge or tie: `i64::MIN` (the
+/// word of NULL) and `i64::MAX`, 2^53 and 2^53 + 1 (one word in a
+/// Float column), -0.0, the infinities and a NaN with its sign bit set.
 fn key_value() -> impl Strategy<Value = Value> {
+    const EDGES: [i64; 4] = [i64::MIN, i64::MAX, 1 << 53, (1 << 53) + 1];
+    const FLOAT_EDGES: [f64; 4] = [-0.0, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN];
     prop_oneof![
         Just(Value::Null),
         (-4i64..4).prop_map(Value::Int),
         (-8i64..8).prop_map(|h| Value::Float(h as f64 / 2.0)),
         Just(Value::Float(f64::NAN)),
         "[a-c]{0,2}".prop_map(Value::Str),
+        (0usize..4).prop_map(|i| Value::Int(EDGES[i])),
+        (0usize..4).prop_map(|i| Value::Float(FLOAT_EDGES[i])),
     ]
+}
+
+/// The access-path properties' table: an Int, a Float and a Text
+/// column, each nullable.
+fn key_schema() -> TableSchema {
+    TableSchema::new(vec![
+        Column::nullable("a", DataType::Int),
+        Column::nullable("x", DataType::Float),
+        Column::nullable("s", DataType::Text),
+    ])
+}
+
+/// A row of [`key_schema`] from three generated values: a value the
+/// column's type does not admit becomes NULL.
+fn key_row((a, x, s): (Value, Value, Value)) -> Row {
+    let a = if matches!(a, Value::Int(_)) { a } else { Value::Null };
+    let x = if matches!(x, Value::Int(_) | Value::Float(_)) { x } else { Value::Null };
+    let s = if matches!(s, Value::Str(_)) { s } else { Value::Null };
+    vec![a, x, s]
 }
 
 /// One conjunct of the access-path property's filters: `=`, `IS NULL`,
@@ -223,25 +249,11 @@ proptest! {
         indexes in proptest::collection::vec(proptest::collection::vec(0usize..3, 1..4), 1..3),
         conjuncts in proptest::collection::vec(conjunct(), 1..5),
     ) {
-        let schema = || TableSchema::new(vec![
-            Column::nullable("a", DataType::Int),
-            Column::nullable("x", DataType::Float),
-            Column::nullable("s", DataType::Text),
-        ]);
-        // Column types decide which generated values a row keeps.
-        let rows: Vec<Row> = rows
-            .into_iter()
-            .map(|(a, x, s)| {
-                let a = if matches!(a, Value::Int(_)) { a } else { Value::Null };
-                let x = if matches!(x, Value::Int(_) | Value::Float(_)) { x } else { Value::Null };
-                let s = if matches!(s, Value::Str(_)) { s } else { Value::Null };
-                vec![a, x, s]
-            })
-            .collect();
+        let rows: Vec<Row> = rows.into_iter().map(key_row).collect();
         let names = ["a", "x", "s"];
         let fresh = |indexed: bool| {
             let db = Database::new();
-            db.create_table("t", schema()).unwrap();
+            db.create_table("t", key_schema()).unwrap();
             db.insert("t", rows.clone()).unwrap();
             for (i, cols) in indexes.iter().enumerate().filter(|_| indexed) {
                 let mut seen = Vec::new();
@@ -269,6 +281,60 @@ proptest! {
         let got = routed.delete_where("t", &filter).unwrap();
         prop_assert_eq!(got, want, "delete {:?} over indexes {:?}", filter, indexes);
         prop_assert_eq!(all_rows(&routed), all_rows(&plain));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// A unique index accepts exactly the rows an oracle set of key
+    /// tuples under `total_cmp` accepts: `create_index` over rows
+    /// already in the table succeeds only when no two of them share a
+    /// key, and each later insert succeeds only when no earlier row
+    /// holds its key. Values whose key words tie (NULL and `i64::MIN`,
+    /// Ints past 2^53 in the Float column) must stay distinct keys.
+    #[test]
+    fn unique_index_accepts_what_a_set_accepts(
+        rows in proptest::collection::vec((key_value(), key_value(), key_value()), 0..30),
+        built in 0usize..30,
+        picked in proptest::collection::vec(0usize..3, 1..4),
+    ) {
+        use std::collections::BTreeSet;
+        let mut cols: Vec<usize> = Vec::new();
+        for c in picked {
+            if !cols.contains(&c) {
+                cols.push(c);
+            }
+        }
+        let key = |r: &Row| -> Vec<Value> { cols.iter().map(|&c| r[c].clone()).collect() };
+        let rows: Vec<Row> = rows.into_iter().map(key_row).collect();
+        let (before, after) = rows.split_at(built.min(rows.len()));
+        // Build over existing rows: refused when two of them share a key.
+        let mut t = Table::new("t", key_schema());
+        let mut oracle = BTreeSet::new();
+        let mut distinct = true;
+        for r in before {
+            t.insert(r.clone()).unwrap();
+            distinct &= oracle.insert(key(r));
+        }
+        let made = t.create_index("u", cols.clone(), true);
+        prop_assert_eq!(made.is_ok(), distinct, "build over {:?} on {:?}", before, cols);
+        if made.is_err() {
+            // Start over from the rows the oracle kept, which must build.
+            t = Table::new("t", key_schema());
+            oracle.clear();
+            for r in before {
+                if oracle.insert(key(r)) {
+                    t.insert(r.clone()).unwrap();
+                }
+            }
+            t.create_index("u", cols.clone(), true).unwrap();
+        }
+        for r in after {
+            let accepted = t.insert(r.clone()).is_ok();
+            prop_assert_eq!(accepted, oracle.insert(key(r)), "insert {:?} on {:?}", r, cols);
+        }
+        prop_assert_eq!(t.len(), oracle.len());
     }
 }
 
